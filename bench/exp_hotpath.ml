@@ -1,11 +1,13 @@
 (* Hot-path economics of the dependence profiler — the substrate of
-   Fig. 2.9/2.12. Three metrics per sampled workload:
+   Fig. 2.9/2.12. Per sampled workload:
 
    - engine events/sec over a pre-recorded access stream (interpreter cost
      excluded, so this isolates Algorithm 2 + shadow-memory throughput);
    - GC minor words allocated per access during that feed (the per-access
      metadata cost that §2.3's cheap shadow lookups and dependence merging
      exist to suppress);
+   - the event producer alone: interpreted statements/sec, instrumented
+     with sinks that drop every event, and uninstrumented (native);
    - the end-to-end serial slowdown factor (profiled / native wall time).
 
    Each metric is published as a [hotpath.*] gauge so BENCH_hotpath.json
@@ -98,9 +100,30 @@ let measure_engine shadow stream =
   let n = float_of_int (Array.length stream) in
   (n /. t, dw /. n)
 
+let noop_sink ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_ ~lstack:_
+    ~locked:_ =
+  ()
+
+(* Executed statements per second of the fastest of 5 runs (after one
+   warm-up), instrumented or not. *)
+let measure_interp ~instrument prog =
+  let go () =
+    if instrument then Mil.Interp.run ~emit:ignore ~on_access:noop_sink prog
+    else Mil.Interp.run ~instrument:false prog
+  in
+  let stmts = (go ()).Mil.Interp.r_stats.statements in
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let t0 = Unix.gettimeofday () in
+    ignore (go ());
+    best := min !best (Unix.gettimeofday () -. t0)
+  done;
+  float_of_int stmts /. !best
+
 let run () =
   Util.header
-    "Hot path: engine events/sec, minor words/access, serial slowdown";
+    "Hot path: engine events/sec, minor words/access, interpreter\n\
+    \ statements/sec, serial slowdown";
   let g name v = Obs.Gauge.set (Obs.gauge name) v in
   let rows =
     List.map
@@ -113,6 +136,8 @@ let run () =
         in
         let perf_eps, perf_wpa = measure_engine Profiler.Engine.Perfect stream in
         let paged_eps, paged_wpa = measure_engine Profiler.Engine.Paged stream in
+        let interp_sps = measure_interp ~instrument:true prog in
+        let native_sps = measure_interp ~instrument:false prog in
         let t_native = Util.native_time prog in
         let t_serial =
           Util.med_time (fun () ->
@@ -128,6 +153,9 @@ let run () =
         g (Printf.sprintf "hotpath.%s.paged.events_per_sec" w.name) paged_eps;
         g (Printf.sprintf "hotpath.%s.paged.minor_words_per_access" w.name)
           paged_wpa;
+        g (Printf.sprintf "hotpath.%s.interp.stmts_per_sec" w.name) interp_sps;
+        g (Printf.sprintf "hotpath.%s.interp.native_stmts_per_sec" w.name)
+          native_sps;
         g (Printf.sprintf "hotpath.%s.slowdown_serial" w.name) slowdown;
         Obs.Counter.add
           (Obs.counter (Printf.sprintf "hotpath.%s.accesses" w.name))
@@ -136,14 +164,18 @@ let run () =
           Printf.sprintf "%.2e" sig_eps; Printf.sprintf "%.1f" sig_wpa;
           Printf.sprintf "%.2e" perf_eps; Printf.sprintf "%.1f" perf_wpa;
           Printf.sprintf "%.2e" paged_eps; Printf.sprintf "%.1f" paged_wpa;
+          Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
           Printf.sprintf "%.0f" slowdown ])
       (sample ())
   in
   Util.table
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
-        "perf w/acc"; "paged ev/s"; "paged w/acc"; "slowdown" ]
+        "perf w/acc"; "paged ev/s"; "paged w/acc"; "interp st/s";
+        "native st/s"; "slowdown" ]
     rows;
   print_endline
     "(events/sec: engine alone over a pre-recorded stream; w/acc: GC minor\n\
-    \ words allocated per access; slowdown: serial profiled vs native)"
+    \ words allocated per access; st/s: interpreted statements/sec,\n\
+    \ instrumented into no-op sinks and native; slowdown: serial profiled vs\n\
+    \ native)"

@@ -5,37 +5,21 @@
    events. This is the substitute for DiscoPoP's LLVM instrumentation pass and
    runtime library hooks.
 
-   Thread-parallel MIL programs ([Par] blocks with [Lock]/[Unlock]) run as
-   cooperative fibers over OCaml effects with a seeded pseudo-random scheduler,
-   so that interleavings are reproducible yet varied. Accesses carry a global
-   timestamp and a [locked] flag, which is what the profiler's race detection
-   (§2.3.4) consumes. *)
+   The evaluation itself is {!Compile}'s; this module is its backend: a flat
+   growable heap, the access hook that stamps and emits events, and the
+   scheduler. Thread-parallel MIL programs ([Par] blocks with
+   [Lock]/[Unlock]) run as cooperative fibers over OCaml effects with a
+   seeded pseudo-random scheduler, so that interleavings are reproducible yet
+   varied. Accesses carry a global timestamp and a [locked] flag, which is
+   what the profiler's race detection (§2.3.4) consumes. *)
 
 open Ast
 module Event = Trace.Event
 module Intern = Trace.Intern
+module Rng = Compile.Rng
 
-exception Runtime_error of string
-
-let error fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
-
-(* ---- deterministic PRNG (xorshift) used by MIL's [rand] builtin and by the
-   fiber scheduler ---- *)
-module Rng = struct
-  type t = { mutable s : int }
-
-  let create seed = { s = (if seed = 0 then 0x9e3779b9 else seed) }
-
-  let next t =
-    let s = t.s in
-    let s = s lxor (s lsl 13) in
-    let s = s lxor (s lsr 7) in
-    let s = s lxor (s lsl 17) in
-    t.s <- s land max_int;
-    t.s
-
-  let int t bound = if bound <= 0 then 0 else next t mod bound
-end
+exception Runtime_error = Compile.Runtime_error
+exception Cancelled = Compile.Cancelled
 
 (* ---- effects for cooperative threading ---- *)
 
@@ -46,38 +30,21 @@ type _ Effect.t +=
   | Release : string -> unit Effect.t
   | Await_barrier : string -> unit Effect.t
 
-(* ---- bindings and environments ---- *)
-
-(* A binding carries its variable's interned symbol ({!Trace.Intern.Sym}) so
-   the per-access hot path never re-hashes the name string. *)
-type binding =
-  | Bscalar of { addr : int; sym : int }
-  | Barray of { base : int; len : int; sym : int }
-
-type env = {
-  vars : (string, binding) Hashtbl.t;  (* function-local bindings *)
-  globals : (string, binding) Hashtbl.t;
-}
-
 (* Thread control block. *)
 type tcb = {
   tid : int;
   mutable lstack : int;               (* loop stack ({!Intern.Lstack} id) *)
   mutable held : int;                 (* number of locks currently held *)
-  mutable finished : bool;
   group : int;                        (* spawn group, for barriers *)
-  mutable group_live : int ref;       (* live threads in the group *)
+  group_live : int ref;               (* live threads in the group *)
 }
-
-exception Return_exc of int
-exception Break_exc
-exception Cancelled
 
 type stats = {
   mutable reads : int;
   mutable writes : int;
   mutable loop_iterations : int;
   mutable calls : int;
+  mutable statements : int;
 }
 
 (* Record-free access sink: the fields of an [Event.access], passed as
@@ -96,23 +63,20 @@ type access_sink =
   unit
 
 type state = {
-  prog : program;
   emit : Event.t -> unit;
-  on_access : access_sink option;
-      (* when set, in-order accesses bypass [emit] (and the [Event.Access]
-         allocation) entirely; scrambled/delayed accesses still go through
-         [emit] as records via [pending] *)
+  on_access : access_sink;
+      (* in-order accesses; scrambled/delayed accesses go through [emit] as
+         records via [pending] *)
   instrument : bool;
   mutable mem : int array;
   mutable brk : int;
-  free_scalars : int Stack.t;
-  free_arrays : (int, int list) Hashtbl.t;  (* size -> bases *)
+  recycled : Compile.Recycle.t;
   mutable time : int;
-  op_ids : (int, int) Hashtbl.t;  (* packed (line,kind,occ) -> op id *)
+  mutable op_ids : int array;     (* packed (line,kind,occ) -> op id *)
   mutable n_ops : int;
   mutable occ : int;              (* occurrence counter within a statement *)
+  mutable caller_occ : int;       (* [occ] of the statement making a call *)
   rng : Rng.t;
-  globals_env : (string, binding) Hashtbl.t;
   on_print : int list -> unit;
   mutable loop_inst : int;
   mutable cur : tcb;
@@ -123,480 +87,236 @@ type state = {
      event as seen by the profiler may be emitted out of timestamp order. *)
   scramble_unlocked : bool;
   mutable pending : Event.t list;  (* delayed unlocked accesses *)
-  (* Cooperative cancellation: polled every [tick_mask]+1 statements so a
-     deadline watchdog (batch driver, serve daemon) can stop a run without
+  (* Cooperative cancellation: polled every 2048 statements so a deadline
+     watchdog (batch driver, serve daemon) can stop a run without
      per-statement cost. *)
   cancelled : unit -> bool;
-  mutable ticks : int;
 }
-
-let grow st needed =
-  if st.brk + needed > Array.length st.mem then begin
-    let cap = max (2 * Array.length st.mem) (st.brk + needed) in
-    let m = Array.make cap 0 in
-    Array.blit st.mem 0 m 0 st.brk;
-    st.mem <- m
-  end
-
-let alloc_scalar st =
-  match Stack.pop_opt st.free_scalars with
-  | Some a -> a
-  | None ->
-      grow st 1;
-      let a = st.brk in
-      st.brk <- st.brk + 1;
-      a
-
-let alloc_array st size =
-  let size = max size 1 in
-  match Hashtbl.find_opt st.free_arrays size with
-  | Some (b :: rest) ->
-      Hashtbl.replace st.free_arrays size rest;
-      Array.fill st.mem b size 0;
-      b
-  | Some [] | None ->
-      grow st size;
-      let b = st.brk in
-      st.brk <- st.brk + size;
-      b
-
-let free_scalar st a = Stack.push a st.free_scalars
-
-let free_array st base size =
-  let size = max size 1 in
-  let prev = try Hashtbl.find st.free_arrays size with Not_found -> [] in
-  Hashtbl.replace st.free_arrays size (base :: prev)
 
 (* ---- event emission ---- *)
 
+(* Emit delayed unlocked accesses in a scrambled cross-thread interleaving.
+   A profiling thread pushes its own accesses in program order — only the
+   interleaving between threads is nondeterministic (§2.3.4) — so
+   per-thread order is preserved and timestamp reversals (the race signal)
+   are only ever manufactured across threads. *)
 let flush_pending st =
-  (* Emit delayed unlocked accesses in a scrambled cross-thread
-     interleaving. A profiling thread pushes its own accesses in program
-     order — only the interleaving between threads is nondeterministic
-     (§2.3.4) — so per-thread order is preserved and timestamp reversals
-     (the race signal) are only ever manufactured across threads. *)
-  let evs = List.rev st.pending in
-  st.pending <- [];
-  let tid = function
-    | Event.Access a -> a.Event.thread
-    | Event.Region _ -> -1
-  in
-  let tids = List.sort_uniq compare (List.map tid evs) in
-  let queues =
-    List.map (fun t -> ref (List.filter (fun e -> tid e = t) evs)) tids
-  in
-  let rec drain () =
-    match List.filter (fun q -> !q <> []) queues with
-    | [] -> ()
-    | qs ->
-        let q = List.nth qs (Rng.int st.rng (List.length qs)) in
-        (match !q with
-        | ev :: rest ->
-            st.emit ev;
-            q := rest
-        | [] -> assert false);
-        drain ()
-  in
-  drain ()
+  match st.pending with
+  | [] -> ()
+  | pending ->
+      let evs = List.rev pending in
+      st.pending <- [];
+      let tid = function
+        | Event.Access a -> a.Event.thread
+        | Event.Region _ -> -1
+      in
+      let tids = List.sort_uniq compare (List.map tid evs) in
+      let queues =
+        List.map (fun t -> ref (List.filter (fun e -> tid e = t) evs)) tids
+      in
+      let rec drain () =
+        match List.filter (fun q -> !q <> []) queues with
+        | [] -> ()
+        | qs ->
+            let q = List.nth qs (Rng.int st.rng (List.length qs)) in
+            (match !q with
+            | ev :: rest ->
+                st.emit ev;
+                q := rest
+            | [] -> assert false);
+            drain ()
+      in
+      drain ()
+
+(* Op ids by packed (line, occ, kind) key, in first-seen order: an
+   open-addressed table of (key, id) pairs, key -1 marking a free pair,
+   kept at most half full. *)
+let rec op_probe tbl mask key i =
+  let k = tbl.(2 * i) in
+  if k = key || k = -1 then i else op_probe tbl mask key ((i + 1) land mask)
+
+let op_index tbl key =
+  let mask = (Array.length tbl / 2) - 1 in
+  op_probe tbl mask key ((key * 0x9E3779B1) lsr 7 land mask)
+
+let op_add tbl key id =
+  let i = op_index tbl key in
+  tbl.(2 * i) <- key;
+  tbl.((2 * i) + 1) <- id
 
 let intern_op st line kind =
   let key = (line * 64 + st.occ) * 2 + (match kind with Event.Read -> 0 | Event.Write -> 1) in
   st.occ <- st.occ + 1;
-  match Hashtbl.find_opt st.op_ids key with
-  | Some id -> id
-  | None ->
-      let id = st.n_ops in
-      st.n_ops <- id + 1;
-      Hashtbl.replace st.op_ids key id;
-      id
+  let i = op_index st.op_ids key in
+  if st.op_ids.(2 * i) = key then st.op_ids.((2 * i) + 1)
+  else begin
+    let id = st.n_ops in
+    st.n_ops <- id + 1;
+    op_add st.op_ids key id;
+    if 4 * st.n_ops > Array.length st.op_ids then begin
+      let old = st.op_ids in
+      st.op_ids <- Array.make (2 * Array.length old) (-1);
+      for j = 0 to (Array.length old / 2) - 1 do
+        if old.(2 * j) <> -1 then op_add st.op_ids old.(2 * j) old.((2 * j) + 1)
+      done
+    end;
+    id
+  end
 
-let emit_access st ~kind ~addr ~var ~line =
-  (match kind with
-  | Event.Read -> st.stats.reads <- st.stats.reads + 1
-  | Event.Write -> st.stats.writes <- st.stats.writes + 1);
-  if st.instrument then begin
-    st.time <- st.time + 1;
-    let op = intern_op st line kind in
-    let locked = st.cur.held > 0 in
-    if st.scramble_unlocked && st.live_threads > 1 && not locked then begin
-      (* Delayed accesses must exist as records: the scrambler buffers and
-         reorders them before emission. *)
-      let a =
-        { Event.kind; addr; var; line; thread = st.cur.tid; time = st.time;
-          op; lstack = st.cur.lstack; locked }
-      in
-      st.pending <- Event.Access a :: st.pending;
-      if List.length st.pending > 4 then flush_pending st
-    end
-    else begin
-      if st.pending <> [] then flush_pending st;
-      match st.on_access with
-      | Some sink ->
-          sink ~kind ~addr ~var ~line ~thread:st.cur.tid ~time:st.time ~op
-            ~lstack:st.cur.lstack ~locked
-      | None ->
-          st.emit
-            (Event.Access
-               { Event.kind; addr; var; line; thread = st.cur.tid;
-                 time = st.time; op; lstack = st.cur.lstack; locked })
-    end
+let emit_access st kind addr var line =
+  st.time <- st.time + 1;
+  let op = intern_op st line kind in
+  let locked = st.cur.held > 0 in
+  if st.scramble_unlocked && st.live_threads > 1 && not locked then begin
+    (* Delayed accesses must exist as records: the scrambler buffers and
+       reorders them before emission. *)
+    let a =
+      { Event.kind; addr; var; line; thread = st.cur.tid; time = st.time;
+        op; lstack = st.cur.lstack; locked }
+    in
+    st.pending <- Event.Access a :: st.pending;
+    if List.length st.pending > 4 then flush_pending st
+  end
+  else begin
+    flush_pending st;
+    st.on_access ~kind ~addr ~var ~line ~thread:st.cur.tid ~time:st.time ~op
+      ~lstack:st.cur.lstack ~locked
   end
 
 let emit_region st r =
-  if st.instrument then begin
-    (* A deallocation ends the addresses' lifetime: delayed accesses still
-       pending from before it must not be emitted after it, or the engine's
-       lifetime analysis would attribute them to the slot's next owner and
-       manufacture cross-thread dependences on reused stack slots. *)
-    (match r with
-    | Event.Dealloc _ when st.pending <> [] -> flush_pending st
-    | _ -> ());
-    st.emit (Event.Region r)
-  end
+  (* A deallocation ends the addresses' lifetime: delayed accesses still
+     pending from before it must not be emitted after it, or the engine's
+     lifetime analysis would attribute them to the slot's next owner and
+     manufacture cross-thread dependences on reused stack slots. *)
+  (match r with
+  | Event.Dealloc _ -> flush_pending st
+  | _ -> ());
+  st.emit (Event.Region r)
 
-(* ---- variable lookup ---- *)
+(* ---- the backend ---- *)
 
-let lookup env x =
-  match Hashtbl.find_opt env.vars x with
-  | Some b -> Some b
-  | None -> Hashtbl.find_opt env.globals x
+module Backend = struct
+  type ctx = state
 
-let lookup_exn env x =
-  match lookup env x with
-  | Some b -> b
-  | None -> error "unbound variable %s" x
+  type loop = {
+    l_line : int;
+    inst : int;
+    outer : int;               (* loop stack outside the loop *)
+    mutable last_iter : int;   (* the latest iteration pushed, and its id *)
+    mutable last_id : int;
+  }
 
-(* ---- expression evaluation ---- *)
+  let read st addr sym line =
+    st.stats.reads <- st.stats.reads + 1;
+    if st.instrument then emit_access st Event.Read addr sym line;
+    st.mem.(addr)
 
-let truthy n = n <> 0
+  let write st addr sym line v =
+    st.mem.(addr) <- v;
+    st.stats.writes <- st.stats.writes + 1;
+    if st.instrument then emit_access st Event.Write addr sym line
 
-let apply_binop op a b =
-  match op with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then 0 else a / b
-  | Mod -> if b = 0 then 0 else a mod b
-  | Eq -> if a = b then 1 else 0
-  | Ne -> if a <> b then 1 else 0
-  | Lt -> if a < b then 1 else 0
-  | Le -> if a <= b then 1 else 0
-  | Gt -> if a > b then 1 else 0
-  | Ge -> if a >= b then 1 else 0
-  | And -> if truthy a && truthy b then 1 else 0
-  | Or -> if truthy a || truthy b then 1 else 0
-  | Band -> a land b
-  | Bor -> a lor b
-  | Bxor -> a lxor b
-  | Shl -> a lsl (b land 63)
-  | Shr -> a lsr (b land 63)
-  | Min -> min a b
-  | Max -> max a b
+  let peek st addr = st.mem.(addr)
+  let poke st addr v = st.mem.(addr) <- v
 
-let maybe_yield st = if st.live_threads > 1 then Effect.perform Yield
+  let recycled st = st.recycled
 
-let rec eval st env line (e : expr) : int =
-  match e with
-  | Int n -> n
-  | Var x -> (
-      match lookup_exn env x with
-      | Bscalar { addr; sym } ->
-          emit_access st ~kind:Event.Read ~addr ~var:sym ~line;
-          st.mem.(addr)
-      | Barray { base; _ } -> base)
-  | Idx (a, ie) -> (
-      let idx = eval st env line ie in
-      match lookup_exn env a with
-      | Barray { base; len; sym } ->
-          if idx < 0 || idx >= len then error "index %d out of bounds for %s (len %d) at line %d" idx a len line;
-          let addr = base + idx in
-          emit_access st ~kind:Event.Read ~addr ~var:sym ~line;
-          st.mem.(addr)
-      | Bscalar _ -> error "%s is not an array (line %d)" a line)
-  | Len a -> (
-      match lookup_exn env a with
-      | Barray { len; _ } -> len
-      | Bscalar _ -> error "%s is not an array (line %d)" a line)
-  | Bin (op, e1, e2) ->
-      let a = eval st env line e1 in
-      (* Short-circuit semantics for And/Or would hide reads; MIL evaluates
-         both operands, which matches how the workloads are written. *)
-      let b = eval st env line e2 in
-      apply_binop op a b
-  | Neg e1 -> -eval st env line e1
-  | Not e1 -> if truthy (eval st env line e1) then 0 else 1
-  | Call (f, args) -> eval_call st env line f args
+  let fresh st n =
+    if st.brk + n > Array.length st.mem then begin
+      let m = Array.make (max (2 * Array.length st.mem) (st.brk + n)) 0 in
+      Array.blit st.mem 0 m 0 st.brk;
+      st.mem <- m
+    end;
+    let a = st.brk in
+    st.brk <- st.brk + n;
+    a
 
-and eval_call st env line f args =
-  match List.find_opt (fun g -> g.fname = f) st.prog.funcs with
-  | Some callee -> call_user st env line callee args
-  | None -> call_builtin st env line f args
+  let dealloc st addrs = emit_region st (Event.Dealloc { addrs })
 
-and call_builtin st env line f args =
-  let evals () = List.map (eval st env line) args in
-  match (f, args) with
-  | "rand", [ bound ] ->
-      let b = eval st env line bound in
-      Rng.int st.rng (max b 1)
-  | "rand", [] -> Rng.next st.rng land 0xFFFF
-  | "abs", [ e ] -> abs (eval st env line e)
-  | "print", _ ->
-      st.on_print (evals ());
-      0
-  | _ -> error "unknown function %s (line %d)" f line
+  let stmt st =
+    if st.live_threads > 1 then Effect.perform Yield;
+    let s = st.stats in
+    s.statements <- s.statements + 1;
+    if s.statements land 2047 = 0 && st.cancelled () then raise Cancelled;
+    st.occ <- 0
 
-and call_user st env line callee args =
-  st.stats.calls <- st.stats.calls + 1;
-  let n_scalars = List.length callee.params in
-  let scalar_args = List.filteri (fun k _ -> k < n_scalars) args in
-  let array_args = List.filteri (fun k _ -> k >= n_scalars) args in
-  if List.length array_args <> List.length callee.arr_params then
-    error "call %s: expected %d array args, got %d (line %d)" callee.fname
-      (List.length callee.arr_params) (List.length array_args) line;
-  let scalar_vals = List.map (eval st env line) scalar_args in
-  let array_bindings =
-    List.map
-      (fun a ->
-        match a with
-        | Var name -> (
-            match lookup_exn env name with
-            | Barray _ as b -> b
-            | Bscalar _ -> error "call %s: %s is not an array" callee.fname name)
-        | _ -> error "call %s: array arguments must be variables" callee.fname)
-      array_args
-  in
-  let fenv = { vars = Hashtbl.create 8; globals = st.globals_env } in
-  emit_region st (Event.Func_entry { name = callee.fname; line = callee.fline; call_line = line });
-  (* Pass-by-value scalars: copy into fresh locations; the initialising writes
-     are attributed to the function header line. *)
-  let saved_occ = st.occ in
-  st.occ <- 0;
-  let param_addrs =
-    List.map2
-      (fun p v ->
-        let addr = alloc_scalar st in
-        st.mem.(addr) <- v;
-        emit_access st ~kind:Event.Write ~addr ~var:(Intern.Sym.intern p)
-          ~line:callee.fline;
-        Hashtbl.replace fenv.vars p (Bscalar { addr; sym = Intern.Sym.intern p });
-        (addr, p))
-      callee.params scalar_vals
-  in
-  st.occ <- saved_occ;
-  List.iter2
-    (fun p b ->
-      (* By-reference arrays keep their addresses but are accessed — and
-         reported — under the callee's parameter name. *)
-      let b =
-        match b with
-        | Barray { base; len; _ } ->
-            Barray { base; len; sym = Intern.Sym.intern p }
-        | Bscalar _ -> b
-      in
-      Hashtbl.replace fenv.vars p b)
-    callee.arr_params array_bindings;
-  let result =
-    try
-      exec_block st fenv callee.body;
-      0
-    with Return_exc v -> v
-  in
-  List.iter (fun (addr, _) -> free_scalar st addr) param_addrs;
-  if param_addrs <> [] then
-    emit_region st
-      (Event.Dealloc { addrs = List.map (fun (a, p) -> (a, 1, p)) param_addrs });
-  emit_region st (Event.Func_exit { name = callee.fname; line = callee.fline });
-  result
+  (* The parameter writes are attributed to the header line, counting
+     occurrences from 0; the caller's statement then resumes its count. *)
+  let enter st fn call_line =
+    st.stats.calls <- st.stats.calls + 1;
+    if st.instrument then
+      emit_region st (Event.Func_entry { name = fn.fname; line = fn.fline; call_line });
+    st.caller_occ <- st.occ;
+    st.occ <- 0
 
-and assign st env line (l : lhs) v =
-  match l with
-  | Lvar x -> (
-      match lookup_exn env x with
-      | Bscalar { addr; sym } ->
-          st.mem.(addr) <- v;
-          emit_access st ~kind:Event.Write ~addr ~var:sym ~line
-      | Barray _ -> error "cannot assign to array %s (line %d)" x line)
-  | Lidx (a, ie) -> (
-      let idx = eval st env line ie in
-      match lookup_exn env a with
-      | Barray { base; len; sym } ->
-          if idx < 0 || idx >= len then error "index %d out of bounds for %s (len %d) at line %d" idx a len line;
-          let addr = base + idx in
-          st.mem.(addr) <- v;
-          emit_access st ~kind:Event.Write ~addr ~var:sym ~line
-      | Bscalar _ -> error "%s is not an array (line %d)" a line)
+  let entered st = st.occ <- st.caller_occ
 
-and exec_stmt st env (s : stmt) : unit =
-  maybe_yield st;
-  st.ticks <- st.ticks + 1;
-  if st.ticks land 2047 = 0 && st.cancelled () then raise Cancelled;
-  st.occ <- 0;
-  match s.node with
-  | Decl (x, e) ->
-      let v = eval st env s.line e in
-      let addr = alloc_scalar st in
-      st.mem.(addr) <- v;
-      let sym = Intern.Sym.intern x in
-      emit_access st ~kind:Event.Write ~addr ~var:sym ~line:s.line;
-      Hashtbl.replace env.vars x (Bscalar { addr; sym })
-  | Decl_arr (x, se) ->
-      let size = eval st env s.line se in
-      if size < 0 then error "negative array size for %s (line %d)" x s.line;
-      let base = alloc_array st size in
-      Hashtbl.replace env.vars x
-        (Barray { base; len = max size 1; sym = Intern.Sym.intern x })
-  | Assign (l, e) ->
-      let v = eval st env s.line e in
-      assign st env s.line l v
-  | Atomic_assign (l, e) ->
-      (* Atomicity: treat the update as lock-protected for race reporting. *)
-      st.cur.held <- st.cur.held + 1;
-      let v = eval st env s.line e in
-      assign st env s.line l v;
-      st.cur.held <- st.cur.held - 1
-  | If (c, t, e) ->
-      if truthy (eval st env s.line c) then exec_scope st env t
-      else exec_scope st env e
-  | While (c, body) ->
-      st.loop_inst <- st.loop_inst + 1;
-      let inst = st.loop_inst in
-      emit_region st (Event.Loop_entry { line = s.line; inst });
-      let outer = st.cur.lstack in
-      let iters = ref 0 in
-      (* The condition check admitting iteration n is attributed to iteration
-         n itself, so a value it reads from iteration n-1 is loop-carried. *)
-      let enter_iteration () =
-        st.cur.lstack <-
-          Intern.Lstack.push ~parent:outer ~loop_line:s.line ~inst ~iter:!iters;
-        st.occ <- 0
-      in
-      (try
-         enter_iteration ();
-         while truthy (eval st env s.line c) do
-           emit_region st (Event.Loop_iter { line = s.line; inst; iter = !iters });
-           incr iters;
-           st.stats.loop_iterations <- st.stats.loop_iterations + 1;
-           exec_scope st env body;
-           enter_iteration ()
-         done
-       with Break_exc -> ());
-      st.cur.lstack <- outer;
-      emit_region st (Event.Loop_exit { line = s.line; inst; iterations = !iters })
-  | For { index; lo; hi; step; body } ->
-      st.loop_inst <- st.loop_inst + 1;
-      let inst = st.loop_inst in
-      emit_region st (Event.Loop_entry { line = s.line; inst });
-      let outer = st.cur.lstack in
-      let lo_v = eval st env s.line lo in
-      let addr = alloc_scalar st in
-      st.mem.(addr) <- lo_v;
-      let isym = Intern.Sym.intern index in
-      emit_access st ~kind:Event.Write ~addr ~var:isym ~line:s.line;
-      let saved = Hashtbl.find_opt env.vars index in
-      Hashtbl.replace env.vars index (Bscalar { addr; sym = isym });
-      let iters = ref 0 in
-      (try
-         (* Bound check and index increment admit the upcoming iteration and
-            are attributed to it. *)
-         let continue_loop () =
-           st.cur.lstack <-
-             Intern.Lstack.push ~parent:outer ~loop_line:s.line ~inst
-               ~iter:!iters;
-           st.occ <- 0;
-           let hi_v = eval st env s.line hi in
-           emit_access st ~kind:Event.Read ~addr ~var:isym ~line:s.line;
-           st.mem.(addr) < hi_v
-         in
-         while continue_loop () do
-           emit_region st (Event.Loop_iter { line = s.line; inst; iter = !iters });
-           incr iters;
-           st.stats.loop_iterations <- st.stats.loop_iterations + 1;
-           exec_scope st env body;
-           st.cur.lstack <-
-             Intern.Lstack.push ~parent:outer ~loop_line:s.line ~inst
-               ~iter:!iters;
-           st.occ <- 0;
-           let step_v = eval st env s.line step in
-           emit_access st ~kind:Event.Read ~addr ~var:isym ~line:s.line;
-           let next = st.mem.(addr) + step_v in
-           st.mem.(addr) <- next;
-           emit_access st ~kind:Event.Write ~addr ~var:isym ~line:s.line
-         done
-       with Break_exc -> ());
-      st.cur.lstack <- outer;
-      (match saved with
-      | Some b -> Hashtbl.replace env.vars index b
-      | None -> Hashtbl.remove env.vars index);
-      free_scalar st addr;
-      emit_region st (Event.Dealloc { addrs = [ (addr, 1, index) ] });
-      emit_region st (Event.Loop_exit { line = s.line; inst; iterations = !iters })
-  | Call_stmt (f, args) -> ignore (eval_call st env s.line f args)
-  | Return (Some e) -> raise (Return_exc (eval st env s.line e))
-  | Return None -> raise (Return_exc 0)
-  | Break -> raise Break_exc
-  | Lock _ when st.live_threads <= 1 -> st.cur.held <- st.cur.held + 1
-  | Lock m ->
-      Effect.perform (Acquire m);
-      st.cur.held <- st.cur.held + 1
-  | Unlock _ when st.live_threads <= 1 && st.cur.held > 0 ->
-      st.cur.held <- st.cur.held - 1
-  | Unlock m ->
+  let leave st fn =
+    if st.instrument then
+      emit_region st (Event.Func_exit { name = fn.fname; line = fn.fline })
+
+  let loop_enter st line =
+    st.loop_inst <- st.loop_inst + 1;
+    let inst = st.loop_inst in
+    if st.instrument then emit_region st (Event.Loop_entry { line; inst });
+    { l_line = line; inst; outer = st.cur.lstack; last_iter = -1; last_id = 0 }
+
+  let loop_head st lp n =
+    if st.instrument then begin
+      if lp.last_iter <> n then begin
+        lp.last_id <-
+          Intern.Lstack.push ~parent:lp.outer ~loop_line:lp.l_line ~inst:lp.inst
+            ~iter:n;
+        lp.last_iter <- n
+      end;
+      st.cur.lstack <- lp.last_id
+    end;
+    st.occ <- 0
+
+  let loop_body st lp n =
+    if st.instrument then
+      emit_region st (Event.Loop_iter { line = lp.l_line; inst = lp.inst; iter = n });
+    st.stats.loop_iterations <- st.stats.loop_iterations + 1
+
+  let loop_exit st lp n =
+    st.cur.lstack <- lp.outer;
+    if st.instrument then
+      emit_region st
+        (Event.Loop_exit { line = lp.l_line; inst = lp.inst; iterations = n })
+
+  let rand st bound = Rng.draw st.rng bound
+  let print st vs = st.on_print vs
+
+  let lock st m =
+    if st.live_threads > 1 then Effect.perform (Acquire m);
+    st.cur.held <- st.cur.held + 1
+
+  let unlock st m =
+    if st.live_threads <= 1 && st.cur.held > 0 then st.cur.held <- st.cur.held - 1
+    else begin
       st.cur.held <- max 0 (st.cur.held - 1);
       Effect.perform (Release m)
-  | Barrier _ when st.live_threads <= 1 -> ()
-  | Barrier m -> Effect.perform (Await_barrier m)
-  | Free x -> (
-      match lookup_exn env x with
-      | Barray { base; len; _ } ->
-          free_array st base len;
-          Hashtbl.remove env.vars x;
-          emit_region st (Event.Dealloc { addrs = [ (base, len, x) ] })
-      | Bscalar { addr; _ } ->
-          free_scalar st addr;
-          Hashtbl.remove env.vars x;
-          emit_region st (Event.Dealloc { addrs = [ (addr, 1, x) ] }))
-  | Par blocks ->
-      let parent = st.cur in
-      let thunks =
-        List.map
-          (fun b () ->
-            (* Runs with a fresh tcb installed by the scheduler wrapper. *)
-            exec_scope st { vars = Hashtbl.copy env.vars; globals = env.globals } b)
-          blocks
-      in
-      ignore parent;
-      (* Forking is a synchronization edge: the children must observe the
-         parent's accesses already pushed, so delayed unlocked accesses
-         cannot be scrambled past the fork. *)
-      if st.pending <> [] then flush_pending st;
-      Effect.perform (Spawn thunks)
+    end
 
-(* Execute a block in a child scope: locals declared here die on exit, and
-   their addresses are recycled — exactly the situation variable-lifetime
-   analysis (§2.3.5) must handle. *)
-and exec_scope st env block =
-  let before = Hashtbl.copy env.vars in
-  List.iter (exec_stmt st env) block;
-  (* Find bindings introduced by this block and release them. *)
-  let dead = ref [] in
-  Hashtbl.iter
-    (fun x b ->
-      match Hashtbl.find_opt before x with
-      | Some b' when b' = b -> ()
-      | _ -> (
-          match b with
-          | Bscalar { addr; _ } ->
-              free_scalar st addr;
-              dead := (addr, 1, x) :: !dead
-          | Barray { base; len; _ } ->
-              free_array st base len;
-              dead := (base, len, x) :: !dead))
-    env.vars;
-  Hashtbl.reset env.vars;
-  Hashtbl.iter (fun k v -> Hashtbl.replace env.vars k v) before;
-  if !dead <> [] then emit_region st (Event.Dealloc { addrs = !dead })
+  let barrier st m = if st.live_threads > 1 then Effect.perform (Await_barrier m)
 
-and exec_block st env block = List.iter (exec_stmt st env) block
+  (* Atomicity: the update counts as lock-protected for race reporting. *)
+  let atomic st f rhs target sym line =
+    st.cur.held <- st.cur.held + 1;
+    let v = rhs f in
+    let a = target f in
+    write st a sym line v;
+    st.cur.held <- st.cur.held - 1
+
+  (* Forking is a synchronization edge: the children must observe the
+     parent's accesses already pushed, so delayed unlocked accesses cannot
+     be scrambled past the fork. *)
+  let par st _ arms =
+    flush_pending st;
+    Effect.perform (Spawn (List.map (fun arm () -> arm st) arms))
+end
+
+module C = Compile.Make (Backend)
 
 (* ---- scheduler ---- *)
 
@@ -619,31 +339,26 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
     ?(emit = fun (_ : Event.t) -> ()) ?on_access
     ?(on_print = fun (_ : int list) -> ())
     ?(cancelled = fun () -> false) (prog : program) : run_result =
-  let st =
-    { prog; emit; on_access; instrument; mem = Array.make 4096 0; brk = 1;
-      free_scalars = Stack.create (); free_arrays = Hashtbl.create 16; time = 0;
-      op_ids = Hashtbl.create 256; n_ops = 0; occ = 0; rng = Rng.create seed;
-      globals_env = Hashtbl.create 16; on_print; loop_inst = 0;
-      cur =
-        { tid = 0; lstack = Intern.Lstack.empty; held = 0; finished = false;
-          group = 0; group_live = ref 1 };
-      live_threads = 1; next_tid = 1;
-      stats = { reads = 0; writes = 0; loop_iterations = 0; calls = 0 };
-      scramble_unlocked; pending = []; cancelled; ticks = 0 }
+  (* Without a sink, in-order accesses reach [emit] as records. *)
+  let on_access =
+    Option.value on_access ~default:(fun ~kind ~addr ~var ~line ~thread ~time ~op
+        ~lstack ~locked ->
+        emit (Event.Access { kind; addr; var; line; thread; time; op; lstack; locked }))
   in
-  List.iter
-    (fun g ->
-      match g with
-      | Gscalar (name, v) ->
-          let addr = alloc_scalar st in
-          st.mem.(addr) <- v;
-          Hashtbl.replace st.globals_env name
-            (Bscalar { addr; sym = Intern.Sym.intern name })
-      | Garray (name, size) ->
-          let base = alloc_array st size in
-          Hashtbl.replace st.globals_env name
-            (Barray { base; len = max size 1; sym = Intern.Sym.intern name }))
-    prog.globals;
+  let st =
+    { emit; on_access; instrument; mem = Array.make 4096 0; brk = 1;
+      recycled = Compile.Recycle.create (); time = 0;
+      op_ids = Array.make 512 (-1); n_ops = 0; occ = 0; caller_occ = 0;
+      rng = Rng.create seed; on_print; loop_inst = 0;
+      cur =
+        { tid = 0; lstack = Intern.Lstack.empty; held = 0; group = 0;
+          group_live = ref 1 };
+      live_threads = 1; next_tid = 1;
+      stats =
+        { reads = 0; writes = 0; loop_iterations = 0; calls = 0; statements = 0 };
+      scramble_unlocked; pending = []; cancelled }
+  in
+  let compiled = C.prepare ~deallocs:instrument st prog in
   let entry = find_func prog prog.entry in
   let result = ref 0 in
   (* Scheduler state: a bag of runnable work items picked pseudo-randomly, a
@@ -705,7 +420,6 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
       ()
       { retc =
           (fun () ->
-            tcb.finished <- true;
             st.live_threads <- st.live_threads - 1;
             schedule ());
         exnc = (fun e -> raise e);
@@ -727,7 +441,7 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
                       (fun child_thunk ->
                         let child =
                           { tid = st.next_tid; lstack = tcb.lstack; held = 0;
-                            finished = false; group; group_live }
+                            group; group_live }
                         in
                         st.next_tid <- st.next_tid + 1;
                         st.live_threads <- st.live_threads + 1;
@@ -735,12 +449,12 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
                           if st.instrument then
                             st.emit
                               (Event.Region (Event.Thread_start { thread = child.tid }));
-                          (try child_thunk () with Return_exc _ -> ());
+                          child_thunk ();
                           (* Thread termination is a synchronization edge:
                              whoever joins on this thread must observe its
                              accesses already pushed, so delayed unlocked
                              accesses cannot be scrambled past the join. *)
-                          if st.pending <> [] then flush_pending st;
+                          flush_pending st;
                           if st.instrument then
                             st.emit
                               (Event.Region (Event.Thread_end { thread = child.tid }));
@@ -786,10 +500,7 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
                           w
                     in
                     waiters := (tcb, k) :: !waiters;
-                    if List.length !waiters >= !(tcb.group_live) then begin
-                      List.iter (fun (t, k') -> enqueue (Resume (k', (), t))) !waiters;
-                      waiters := []
-                    end;
+                    release_barriers tcb.group;
                     schedule ())
             | Release m ->
                 Some
@@ -806,25 +517,16 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
   in
   let main_tcb = st.cur in
   let main () =
-    let env = { vars = Hashtbl.create 8; globals = st.globals_env } in
-    emit_region st
-      (Event.Func_entry { name = entry.fname; line = entry.fline; call_line = 0 });
-    (try exec_block st env entry.body with Return_exc v -> result := v);
-    emit_region st (Event.Func_exit { name = entry.fname; line = entry.fline });
-    if st.pending <> [] then flush_pending st
+    if instrument then
+      emit_region st
+        (Event.Func_entry { name = entry.fname; line = entry.fline; call_line = 0 });
+    result := C.run_main compiled st;
+    Backend.leave st entry;
+    flush_pending st
   in
   run_fiber main_tcb main;
-  let final_globals =
-    List.map
-      (fun g ->
-        let name = match g with Gscalar (n, _) | Garray (n, _) -> n in
-        match Hashtbl.find st.globals_env name with
-        | Bscalar { addr; _ } -> (name, [| st.mem.(addr) |])
-        | Barray { base; len; _ } -> (name, Array.sub st.mem base len))
-      prog.globals
-  in
   { result = !result; r_stats = st.stats; dynamic_ops = st.n_ops;
-    final_globals }
+    final_globals = C.final_globals compiled st }
 
 (* Run and collect all events into a list; convenient for tests and for the
    offline (phase-2) analyses. *)

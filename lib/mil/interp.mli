@@ -2,12 +2,15 @@
     {!Trace.Event} stream — the substitute for DiscoPoP's LLVM
     instrumentation pass and runtime hooks.
 
-    Thread-parallel programs ([Par] blocks with locks and barriers) run as
-    cooperative fibers over OCaml effects with a seeded pseudo-random
-    scheduler, so interleavings are reproducible yet varied. *)
+    It is the {!Compile} core over a flat heap, with an access hook that
+    stamps and emits events. Thread-parallel programs ([Par] blocks with
+    locks and barriers) run as cooperative fibers over OCaml effects with a
+    seeded pseudo-random scheduler, so interleavings are reproducible yet
+    varied. *)
 
 exception Runtime_error of string
-(** Out-of-bounds accesses, unbound variables, arity errors. *)
+(** Out-of-bounds accesses, unbound variables, arity errors
+    ({!Compile.Runtime_error}). *)
 
 exception Deadlock
 (** All live threads are blocked on locks or barriers. *)
@@ -15,33 +18,14 @@ exception Deadlock
 exception Cancelled
 (** Raised out of {!run} when the [cancelled] poll returns true — the
     cooperative-cancel hook deadline watchdogs (batch driver, serve daemon)
-    use to stop a runaway program. *)
-
-(** Deterministic xorshift PRNG behind MIL's [rand] builtin and the fiber
-    scheduler. *)
-module Rng : sig
-  type t
-
-  val create : int -> t
-  val next : t -> int
-
-  (** [int t bound] is uniform in [0, bound). *)
-  val int : t -> int -> int
-end
-
-val truthy : int -> bool
-(** MIL's boolean coercion: any non-zero value is true. *)
-
-val apply_binop : Ast.binop -> int -> int -> int
-(** The shared arithmetic/comparison semantics (division by zero yields 0,
-    shifts mask their count); {!Par_eval} reuses it so the two evaluators
-    cannot drift. *)
+    use to stop a runaway program ({!Compile.Cancelled}). *)
 
 type stats = {
   mutable reads : int;
   mutable writes : int;
   mutable loop_iterations : int;
   mutable calls : int;
+  mutable statements : int;  (** executed statements, loops and ifs included *)
 }
 
 type access_sink =
@@ -88,7 +72,13 @@ val run :
     the zero-allocation fast path; scrambled/delayed accesses still arrive
     at [emit] as records. [on_print] observes each [print] builtin call's
     evaluated arguments. [cancelled] is polled every ~2k statements;
-    returning true raises {!Cancelled} out of the run. *)
+    returning true raises {!Cancelled} out of the run.
+
+    Leaving a block frees its locals last-declared first, and the
+    [Dealloc] event lists them in declaration order. A function's
+    top-level locals are not freed at return (only its scalar parameters
+    are), and a local redeclared in the same block leaks the earlier
+    address. *)
 
 val trace :
   ?seed:int -> ?scramble_unlocked:bool -> Ast.program ->

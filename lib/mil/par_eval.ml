@@ -1,9 +1,8 @@
 (* Parallel MIL evaluation on real domains (see par_eval.mli).
 
-   The evaluator mirrors {!Interp}'s semantics — same scoping, same
-   by-value/by-reference calling convention, same arithmetic (shared via
-   {!Interp.apply_binop}) — minus instrumentation, plus a memory and
-   scheduling model that is safe under real concurrency:
+   The evaluation is {!Compile}'s, as for {!Interp}; this backend has no
+   instrumentation, and a memory and scheduling model that is safe under
+   real concurrency:
 
    - the heap is paged: a fixed table of [int array Atomic.t] pages,
      installed on first touch with a CAS.  Addresses are allocated by a
@@ -20,16 +19,16 @@
      [Domain.spawn]: the DOACROSS hand-off loops emitted by
      [Transform.Parallelize] busy-wait on a flag under a lock, and a
      busy-wait must never occupy a pool worker another task needs to make
-     the flag true.  Which [Par] statements synchronise is precomputed per
-     program (keyed by the statement's unique line), so the hot path is a
-     hashtable hit. *)
+     the flag true.  Which [Par] statements synchronise is decided when
+     the program is lowered. *)
 
 open Ast
+module Rng = Compile.Rng
 
-exception Cancelled = Interp.Cancelled
+exception Cancelled = Compile.Cancelled
 
 let error fmt =
-  Printf.ksprintf (fun s -> raise (Interp.Runtime_error s)) fmt
+  Printf.ksprintf (fun s -> raise (Compile.Runtime_error s)) fmt
 
 (* ---- paged shared heap ---- *)
 
@@ -38,37 +37,35 @@ let page_size = 1 lsl page_bits
 let page_mask = page_size - 1
 let max_pages = 1 lsl 16 (* 2^28 ints =~ 2 GiB of heap, far above any workload *)
 
-type mem = { pages : int array Atomic.t array; next : int Atomic.t }
+(* Pages are installed once, under [grow], and never replaced; the table
+   itself is replaced by a larger copy when an address passes its end.
+   Tasks read it without the lock: a stale read finds no page and retries
+   under the lock. *)
+type mem = { mutable pages : int array array; grow : Mutex.t; next : int Atomic.t }
 
 let no_page : int array = [||]
 
 let mem_create () =
-  {
-    pages = Array.init max_pages (fun _ -> Atomic.make no_page);
-    next = Atomic.make 1 (* address 0 stays unused, as in Interp *);
-  }
+  { pages = [||]; grow = Mutex.create ();
+    next = Atomic.make 1 (* address 0 stays unused, as in Interp *) }
 
 let page m i =
-  if i < 0 || i >= max_pages then error "parallel heap exhausted";
-  let cell = m.pages.(i) in
-  let p = Atomic.get cell in
-  if p != no_page then p
+  let tbl = m.pages in
+  if i >= 0 && i < Array.length tbl && tbl.(i) != no_page then tbl.(i)
   else begin
-    let fresh = Array.make page_size 0 in
-    if Atomic.compare_and_set cell no_page fresh then fresh
-    else Atomic.get cell
+    if i < 0 || i >= max_pages then error "parallel heap exhausted";
+    Mutex.protect m.grow (fun () ->
+        let n = Array.length m.pages in
+        if i >= n then begin
+          let t = Array.make (min max_pages (max (i + 1) (2 * n))) no_page in
+          Array.blit m.pages 0 t 0 n;
+          m.pages <- t
+        end;
+        if m.pages.(i) == no_page then m.pages.(i) <- Array.make page_size 0;
+        m.pages.(i))
   end
 
 let bump m size = Atomic.fetch_and_add m.next size
-
-(* ---- bindings and environments ---- *)
-
-type binding = Scalar of int | Arr of { base : int; len : int }
-
-type env = {
-  vars : (string, binding) Hashtbl.t;
-  globals : (string, binding) Hashtbl.t;
-}
 
 (* ---- barrier groups (dedicated-domain path only) ---- *)
 
@@ -103,104 +100,36 @@ let open_ready_bars g =
   Condition.broadcast g.g_cv
 
 let group_leave g =
-  Mutex.lock g.g_mu;
-  g.g_live <- g.g_live - 1;
-  open_ready_bars g;
-  Mutex.unlock g.g_mu
+  Mutex.protect g.g_mu (fun () ->
+      g.g_live <- g.g_live - 1;
+      open_ready_bars g)
 
 let barrier_arrive g name =
-  Mutex.lock g.g_mu;
-  let b =
-    match Hashtbl.find_opt g.g_bars name with
-    | Some b -> b
-    | None ->
-        let b = { arrived = 0; phase = 0 } in
-        Hashtbl.add g.g_bars name b;
-        b
-  in
-  b.arrived <- b.arrived + 1;
-  if b.arrived >= g.g_live then open_ready_bars g
-  else begin
-    let ph = b.phase in
-    while b.phase = ph do
-      Condition.wait g.g_cv g.g_mu
-    done
-  end;
-  Mutex.unlock g.g_mu
+  Mutex.protect g.g_mu (fun () ->
+      let b =
+        match Hashtbl.find_opt g.g_bars name with
+        | Some b -> b
+        | None ->
+            let b = { arrived = 0; phase = 0 } in
+            Hashtbl.add g.g_bars name b;
+            b
+      in
+      b.arrived <- b.arrived + 1;
+      if b.arrived >= g.g_live then open_ready_bars g
+      else
+        let ph = b.phase in
+        while b.phase = ph do
+          Condition.wait g.g_cv g.g_mu
+        done)
 
-(* ---- per-task allocation context ---- *)
-
-let arena_chunk = 4096
-let big_alloc = 2048 (* allocations this large bypass the arena *)
-
-(* Per-task cache of the last two page pointers touched: a page's array is
-   immutable once installed, so caching the pointer skips the Atomic.get
-   on the per-access hot path (values inside the page are still read
-   fresh; only the pointer is cached).  Two entries cover the common
-   read-one-array / write-another iteration shape. *)
-type task = {
-  mutable cur : int; (* arena bump pointer *)
-  mutable lim : int;
-  free_scalars : int Stack.t;
-  free_arrays : (int, int list) Hashtbl.t; (* size -> bases *)
-  mutable ticks : int;
-  group : group option; (* barrier group, on the dedicated-domain path *)
-  mutable pc_idx0 : int;
-  mutable pc_page0 : int array;
-  mutable pc_idx1 : int;
-  mutable pc_page1 : int array;
-}
-
-let task_create ?group () =
-  {
-    cur = 0;
-    lim = 0;
-    free_scalars = Stack.create ();
-    free_arrays = Hashtbl.create 8;
-    ticks = 0;
-    group;
-    pc_idx0 = -1;
-    pc_page0 = no_page;
-    pc_idx1 = -1;
-    pc_page1 = no_page;
-  }
-
-let get_page m t idx =
-  if t.pc_idx0 = idx then t.pc_page0
-  else if t.pc_idx1 = idx then begin
-    (* promote to front *)
-    let p = t.pc_page1 in
-    t.pc_idx1 <- t.pc_idx0;
-    t.pc_page1 <- t.pc_page0;
-    t.pc_idx0 <- idx;
-    t.pc_page0 <- p;
-    p
-  end
-  else begin
-    let p = page m idx in
-    t.pc_idx1 <- t.pc_idx0;
-    t.pc_page1 <- t.pc_page0;
-    t.pc_idx0 <- idx;
-    t.pc_page0 <- p;
-    p
-  end
-
-let load m t addr = (get_page m t (addr lsr page_bits)).(addr land page_mask)
-
-let store m t addr v =
-  (get_page m t (addr lsr page_bits)).(addr land page_mask) <- v
-
-(* ---- run state ---- *)
+(* ---- run state and per-task context ---- *)
 
 type state = {
-  prog : program;
   mem : mem;
   pool : Runtime.Pool.t option;
-  globals_env : (string, binding) Hashtbl.t;
   locks : (string, Mutex.t) Hashtbl.t;
   stripes : Mutex.t array; (* Atomic_assign serialization, hashed by addr *)
-  par_sync : (int, bool) Hashtbl.t; (* Par stmt line -> needs dedicated domains *)
-  rng : Interp.Rng.t;
+  rng : Rng.t;
   rng_mu : Mutex.t;
   print_mu : Mutex.t;
   on_print : int list -> unit;
@@ -211,156 +140,56 @@ type state = {
 }
 
 let n_stripes = 64
+let arena_chunk = 4096
+let big_alloc = 2048 (* allocations this large bypass the arena *)
 
-let alloc st t size =
-  if size >= big_alloc then bump st.mem size
+(* Per-task cache of the last two page pointers touched: a page's array is
+   immutable once installed, so caching the pointer skips the Atomic.get
+   on the per-access hot path (values inside the page are still read
+   fresh; only the pointer is cached).  Two entries cover the common
+   read-one-array / write-another iteration shape. *)
+type task = {
+  st : state;
+  mutable cur : int; (* arena bump pointer *)
+  mutable lim : int;
+  recycled : Compile.Recycle.t; (* task-local: addresses never migrate *)
+  mutable ticks : int;
+  group : group option; (* barrier group, on the dedicated-domain path *)
+  mutable pc_idx0 : int;
+  mutable pc_page0 : int array;
+  mutable pc_idx1 : int;
+  mutable pc_page1 : int array;
+}
+
+let task_create ?group st =
+  {
+    st;
+    cur = 0;
+    lim = 0;
+    recycled = Compile.Recycle.create ();
+    ticks = 0;
+    group;
+    pc_idx0 = -1;
+    pc_page0 = no_page;
+    pc_idx1 = -1;
+    pc_page1 = no_page;
+  }
+
+let get_page t idx =
+  if t.pc_idx0 = idx then t.pc_page0
   else begin
-    if t.cur + size > t.lim then begin
-      let chunk = max arena_chunk size in
-      t.cur <- bump st.mem chunk;
-      t.lim <- t.cur + chunk
-    end;
-    let a = t.cur in
-    t.cur <- t.cur + size;
-    a
+    let p = if t.pc_idx1 = idx then t.pc_page1 else page t.st.mem idx in
+    t.pc_idx1 <- t.pc_idx0;
+    t.pc_page1 <- t.pc_page0;
+    t.pc_idx0 <- idx;
+    t.pc_page0 <- p;
+    p
   end
 
-let alloc_scalar st t =
-  match Stack.pop_opt t.free_scalars with
-  | Some a -> a
-  | None -> alloc st t 1
+let load t addr = (get_page t (addr lsr page_bits)).(addr land page_mask)
 
-let alloc_array st t size =
-  let size = max size 1 in
-  match Hashtbl.find_opt t.free_arrays size with
-  | Some (b :: rest) ->
-      Hashtbl.replace t.free_arrays size rest;
-      (* fresh heap is zero by construction; recycled spans must be wiped *)
-      for i = b to b + size - 1 do
-        store st.mem t i 0
-      done;
-      b
-  | Some [] | None -> alloc st t size
-
-let free_scalar t a = Stack.push a t.free_scalars
-
-let free_array t base size =
-  let size = max size 1 in
-  let prev = try Hashtbl.find t.free_arrays size with Not_found -> [] in
-  Hashtbl.replace t.free_arrays size (base :: prev)
-
-(* ---- which Par statements need dedicated domains ----
-
-   A block needs them if it contains Lock/Unlock/Barrier anywhere —
-   including inside nested [Par] bodies and transitively through the
-   functions it calls.  Computed once per program, before any parallelism
-   exists, so the table is read-only at run time. *)
-
-let rec expr_calls acc = function
-  | Int _ | Var _ | Len _ -> acc
-  | Idx (_, e) | Neg e | Not e -> expr_calls acc e
-  | Bin (_, a, b) -> expr_calls (expr_calls acc a) b
-  | Call (f, args) -> List.fold_left expr_calls (f :: acc) args
-
-let lhs_calls acc = function
-  | Lvar _ -> acc
-  | Lidx (_, e) -> expr_calls acc e
-
-(* (does this block itself sync?, function names it mentions) *)
-let rec block_scan b =
-  List.fold_left
-    (fun (sync, calls) s ->
-      let sync', calls' = stmt_scan s in
-      (sync || sync', calls' @ calls))
-    (false, []) b
-
-and stmt_scan s =
-  match s.node with
-  | Lock _ | Unlock _ | Barrier _ -> (true, [])
-  | Decl (_, e) | Decl_arr (_, e) | Return (Some e) -> (false, expr_calls [] e)
-  | Assign (l, e) | Atomic_assign (l, e) ->
-      (false, expr_calls (lhs_calls [] l) e)
-  | Call_stmt (f, args) -> (false, List.fold_left expr_calls [ f ] args)
-  | If (c, tb, eb) ->
-      let s1, c1 = block_scan tb and s2, c2 = block_scan eb in
-      (s1 || s2, expr_calls (c1 @ c2) c)
-  | While (c, body) ->
-      let s1, c1 = block_scan body in
-      (s1, expr_calls c1 c)
-  | For { lo; hi; step; body; _ } ->
-      let s1, c1 = block_scan body in
-      (s1, expr_calls (expr_calls (expr_calls c1 lo) hi) step)
-  | Par blocks ->
-      List.fold_left
-        (fun (sync, calls) b ->
-          let s', c' = block_scan b in
-          (sync || s', c' @ calls))
-        (false, []) blocks
-  | Return None | Break | Free _ -> (false, [])
-
-(* fname -> (body syncs transitively) via fixpoint over the call graph *)
-let sync_funcs prog =
-  let info =
-    List.map (fun f -> (f.fname, block_scan f.body)) prog.funcs
-  in
-  let sync = Hashtbl.create 16 in
-  List.iter (fun (name, (s, _)) -> Hashtbl.replace sync name s) info;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (name, (_, calls)) ->
-        if
-          (not (try Hashtbl.find sync name with Not_found -> false))
-          && List.exists
-               (fun c -> try Hashtbl.find sync c with Not_found -> false)
-               calls
-        then begin
-          Hashtbl.replace sync name true;
-          changed := true
-        end)
-      info
-  done;
-  sync
-
-let par_sync_table prog =
-  let fsync = sync_funcs prog in
-  let table = Hashtbl.create 16 in
-  let block_needs b =
-    let s, calls = block_scan b in
-    s
-    || List.exists
-         (fun c -> try Hashtbl.find fsync c with Not_found -> false)
-         calls
-  in
-  let rec stmt s =
-    match s.node with
-    | Par blocks ->
-        Hashtbl.replace table s.line (List.exists block_needs blocks);
-        List.iter block blocks
-    | If (_, t, e) ->
-        block t;
-        block e
-    | While (_, body) | For { body; _ } -> block body
-    | _ -> ()
-  and block b = List.iter stmt b in
-  List.iter (fun f -> block f.body) prog.funcs;
-  table
-
-(* ---- evaluation ---- *)
-
-exception Preturn of int
-exception Pbreak
-
-let lookup env x =
-  match Hashtbl.find_opt env.vars x with
-  | Some b -> Some b
-  | None -> Hashtbl.find_opt env.globals x
-
-let lookup_exn env x =
-  match lookup env x with
-  | Some b -> b
-  | None -> error "unbound variable %s" x
+let store t addr v =
+  (get_page t (addr lsr page_bits)).(addr land page_mask) <- v
 
 let check_failed st =
   if st.cancelled () then raise Cancelled;
@@ -371,366 +200,132 @@ let check_failed st =
       raise Cancelled
   | None -> ()
 
-let rec eval st t env line (e : expr) : int =
-  match e with
-  | Int n -> n
-  | Var x -> (
-      match lookup_exn env x with
-      | Scalar addr -> load st.mem t addr
-      | Arr { base; _ } -> base)
-  | Idx (a, ie) -> (
-      let idx = eval st t env line ie in
-      match lookup_exn env a with
-      | Arr { base; len } ->
-          if idx < 0 || idx >= len then
-            error "index %d out of bounds for %s (len %d) at line %d" idx a len
-              line;
-          load st.mem t (base + idx)
-      | Scalar _ -> error "%s is not an array (line %d)" a line)
-  | Len a -> (
-      match lookup_exn env a with
-      | Arr { len; _ } -> len
-      | Scalar _ -> error "%s is not an array (line %d)" a line)
-  | Bin (op, e1, e2) ->
-      (* both operands evaluated, as in Interp (no short-circuit) *)
-      let a = eval st t env line e1 in
-      let b = eval st t env line e2 in
-      Interp.apply_binop op a b
-  | Neg e1 -> -eval st t env line e1
-  | Not e1 -> if Interp.truthy (eval st t env line e1) then 0 else 1
-  | Call (f, args) -> eval_call st t env line f args
+(* Every arm is joined whichever one failed — with an externally supplied
+   pool (Measure reuses one across reps) an unjoined sibling would keep
+   executing into the caller's next use of the pool — then the first real
+   (non-Cancelled) error is raised, falling back to Cancelled. *)
+let join_all outcomes =
+  match
+    List.find_map
+      (function Some Cancelled -> None | Some ex -> Some ex | None -> None)
+      outcomes
+  with
+  | Some ex -> raise ex
+  | None -> if List.exists Option.is_some outcomes then raise Cancelled
 
-and eval_call st t env line f args =
-  match List.find_opt (fun g -> g.fname = f) st.prog.funcs with
-  | Some callee -> call_user st t env line callee args
-  | None -> call_builtin st t env line f args
+let record_failure st ex = ignore (Atomic.compare_and_set st.failed None (Some ex))
 
-and call_builtin st t env line f args =
-  match (f, args) with
-  | "rand", [ bound ] ->
-      let b = eval st t env line bound in
-      Mutex.lock st.rng_mu;
-      let v = Interp.Rng.int st.rng (max b 1) in
-      Mutex.unlock st.rng_mu;
-      v
-  | "rand", [] ->
-      Mutex.lock st.rng_mu;
-      let v = Interp.Rng.next st.rng land 0xFFFF in
-      Mutex.unlock st.rng_mu;
-      v
-  | "abs", [ e ] -> abs (eval st t env line e)
-  | "print", _ ->
-      let vs = List.map (eval st t env line) args in
-      Mutex.lock st.print_mu;
-      (try st.on_print vs
-       with e ->
-         Mutex.unlock st.print_mu;
-         raise e);
-      Mutex.unlock st.print_mu;
-      0
-  | _ -> error "unknown function %s (line %d)" f line
+module Backend = struct
+  type ctx = task
+  type loop = unit
 
-and call_user st t env line callee args =
-  let n_scalars = List.length callee.params in
-  let scalar_args = List.filteri (fun k _ -> k < n_scalars) args in
-  let array_args = List.filteri (fun k _ -> k >= n_scalars) args in
-  if List.length array_args <> List.length callee.arr_params then
-    error "call %s: expected %d array args, got %d (line %d)" callee.fname
-      (List.length callee.arr_params)
-      (List.length array_args) line;
-  let scalar_vals = List.map (eval st t env line) scalar_args in
-  let array_bindings =
-    List.map
-      (fun a ->
-        match a with
-        | Var name -> (
-            match lookup_exn env name with
-            | Arr _ as b -> b
-            | Scalar _ -> error "call %s: %s is not an array" callee.fname name)
-        | _ -> error "call %s: array arguments must be variables" callee.fname)
-      array_args
-  in
-  let fenv = { vars = Hashtbl.create 8; globals = st.globals_env } in
-  let param_addrs =
-    List.map2
-      (fun p v ->
-        let addr = alloc_scalar st t in
-        store st.mem t addr v;
-        Hashtbl.replace fenv.vars p (Scalar addr);
-        addr)
-      callee.params scalar_vals
-  in
-  List.iter2
-    (fun p b -> Hashtbl.replace fenv.vars p b)
-    callee.arr_params array_bindings;
-  let result =
-    try
-      exec_block st t fenv callee.body;
-      0
-    with Preturn v -> v
-  in
-  List.iter (free_scalar t) param_addrs;
-  result
+  let read t addr _ _ = load t addr
+  let write t addr _ _ v = store t addr v
+  let peek = load
+  let poke = store
 
-and assign st t env line (l : lhs) v =
-  match l with
-  | Lvar x -> (
-      match lookup_exn env x with
-      | Scalar addr -> store st.mem t addr v
-      | Arr _ -> error "cannot assign to array %s (line %d)" x line)
-  | Lidx (a, ie) -> (
-      let idx = eval st t env line ie in
-      match lookup_exn env a with
-      | Arr { base; len } ->
-          if idx < 0 || idx >= len then
-            error "index %d out of bounds for %s (len %d) at line %d" idx a len
-              line;
-          store st.mem t (base + idx) v
-      | Scalar _ -> error "%s is not an array (line %d)" a line)
+  let recycled t = t.recycled
 
-(* Target address of an lhs, with the index evaluated *outside* any stripe
-   lock (indices are private in the transforms that emit Atomic_assign). *)
-and lhs_addr st t env line (l : lhs) =
-  match l with
-  | Lvar x -> (
-      match lookup_exn env x with
-      | Scalar addr -> addr
-      | Arr _ -> error "cannot assign to array %s (line %d)" x line)
-  | Lidx (a, ie) -> (
-      let idx = eval st t env line ie in
-      match lookup_exn env a with
-      | Arr { base; len } ->
-          if idx < 0 || idx >= len then
-            error "index %d out of bounds for %s (len %d) at line %d" idx a len
-              line;
-          base + idx
-      | Scalar _ -> error "%s is not an array (line %d)" a line)
+  let fresh t size =
+    if size >= big_alloc then bump t.st.mem size
+    else begin
+      if t.cur + size > t.lim then begin
+        let chunk = max arena_chunk size in
+        t.cur <- bump t.st.mem chunk;
+        t.lim <- t.cur + chunk
+      end;
+      let a = t.cur in
+      t.cur <- t.cur + size;
+      a
+    end
 
-and exec_stmt st t env (s : stmt) : unit =
-  t.ticks <- t.ticks + 1;
-  if t.ticks land 2047 = 0 then check_failed st;
-  match s.node with
-  | Decl (x, e) ->
-      let v = eval st t env s.line e in
-      let addr = alloc_scalar st t in
-      store st.mem t addr v;
-      Hashtbl.replace env.vars x (Scalar addr)
-  | Decl_arr (x, se) ->
-      let size = eval st t env s.line se in
-      if size < 0 then error "negative array size for %s (line %d)" x s.line;
-      let base = alloc_array st t size in
-      Hashtbl.replace env.vars x (Arr { base; len = max size 1 })
-  | Assign (l, e) ->
-      let v = eval st t env s.line e in
-      assign st t env s.line l v
-  | Atomic_assign (l, e) ->
-      (* The read-modify-write must be indivisible: reduction merges read
-         the target inside the RHS.  Serialize through a stripe hashed by
-         the target address; the RHS is evaluated under the stripe, so it
-         must not itself Lock or atomically update a colliding stripe —
-         true of everything Transform emits. *)
-      let addr = lhs_addr st t env s.line l in
-      let mu = st.stripes.(addr land (n_stripes - 1)) in
-      Mutex.lock mu;
-      (try store st.mem t addr (eval st t env s.line e)
-       with ex ->
-         Mutex.unlock mu;
-         raise ex);
-      Mutex.unlock mu
-  | If (c, tb, eb) ->
-      if Interp.truthy (eval st t env s.line c) then exec_scope st t env tb
-      else exec_scope st t env eb
-  | While (c, body) -> (
-      try
-        while Interp.truthy (eval st t env s.line c) do
-          exec_scope st t env body
-        done
-      with Pbreak -> ())
-  | For { index; lo; hi; step; body } ->
-      let lo_v = eval st t env s.line lo in
-      let addr = alloc_scalar st t in
-      store st.mem t addr lo_v;
-      let saved = Hashtbl.find_opt env.vars index in
-      Hashtbl.replace env.vars index (Scalar addr);
-      (try
-         while
-           let hi_v = eval st t env s.line hi in
-           load st.mem t addr < hi_v
-         do
-           exec_scope st t env body;
-           let step_v = eval st t env s.line step in
-           store st.mem t addr (load st.mem t addr + step_v)
-         done
-       with Pbreak -> ());
-      (match saved with
-      | Some b -> Hashtbl.replace env.vars index b
-      | None -> Hashtbl.remove env.vars index);
-      free_scalar t addr
-  | Call_stmt (f, args) -> ignore (eval_call st t env s.line f args)
-  | Return (Some e) -> raise (Preturn (eval st t env s.line e))
-  | Return None -> raise (Preturn 0)
-  | Break -> raise Pbreak
-  | Lock m -> Mutex.lock (find_lock st m)
-  | Unlock m -> Mutex.unlock (find_lock st m)
-  | Barrier m -> (
-      match t.group with
-      | Some g -> barrier_arrive g m
-      | None -> (* sole thread: a barrier is a no-op, as in Interp *) ())
-  | Free x -> (
-      match lookup_exn env x with
-      | Arr { base; len } ->
-          free_array t base len;
-          Hashtbl.remove env.vars x
-      | Scalar addr ->
-          free_scalar t addr;
-          Hashtbl.remove env.vars x)
-  | Par blocks -> exec_par st t env s blocks
+  let dealloc _ _ = ()
 
-and find_lock st m =
-  match Hashtbl.find_opt st.locks m with
-  | Some mu -> mu
-  | None -> error "unknown lock %s" m
+  let stmt t =
+    t.ticks <- t.ticks + 1;
+    if t.ticks land 2047 = 0 then check_failed t.st
 
-and exec_par st t env s blocks =
-  let snapshots =
-    (* each arm sees the parent's bindings as of the fork, like the fiber
-       scheduler's Hashtbl.copy per spawned thunk *)
-    List.map (fun b -> (Hashtbl.copy env.vars, b)) blocks
-  in
-  let sync = try Hashtbl.find st.par_sync s.line with Not_found -> true in
-  if sync then begin
-    (* Dedicated domain per arm: arms may block on locks/barriers or
-       busy-wait on hand-off flags, and the OS scheduler guarantees every
-       arm keeps running regardless of arm order or pool capacity. *)
-    let g = group_create (List.length snapshots) in
-    let doms =
+  let enter _ _ _ = ()
+  let entered _ = ()
+  let leave _ _ = ()
+  let loop_enter _ _ = ()
+  let loop_head _ () _ = ()
+  let loop_body _ () _ = ()
+  let loop_exit _ () _ = ()
+
+  let rand t bound =
+    Mutex.protect t.st.rng_mu (fun () -> Rng.draw t.st.rng bound)
+
+  let print t vs = Mutex.protect t.st.print_mu (fun () -> t.st.on_print vs)
+
+  let find_lock t m =
+    match Hashtbl.find_opt t.st.locks m with
+    | Some mu -> mu
+    | None -> error "unknown lock %s" m
+
+  let lock t m = Mutex.lock (find_lock t m)
+  let unlock t m = Mutex.unlock (find_lock t m)
+
+  (* sole thread: a barrier is a no-op, as in Interp *)
+  let barrier t m = Option.iter (fun g -> barrier_arrive g m) t.group
+
+  (* The read-modify-write must be indivisible: reduction merges read the
+     target inside the RHS.  Serialize through a stripe hashed by the
+     target address, evaluated outside the stripe (indices are private in
+     the transforms that emit Atomic_assign); the RHS is evaluated under
+     the stripe, so it must not itself Lock or atomically update a
+     colliding stripe — true of everything Transform emits. *)
+  let atomic t f rhs target _ _ =
+    let a = target f in
+    Mutex.protect t.st.stripes.(a land (n_stripes - 1)) (fun () ->
+        store t a (rhs f))
+
+  let par t sync arms =
+    let st = t.st in
+    let guarded ct arm =
+      try arm ct
+      with ex ->
+        record_failure st ex;
+        raise ex
+    in
+    if sync then begin
+      (* Dedicated domain per arm: arms may block on locks/barriers or
+         busy-wait on hand-off flags, and the OS scheduler guarantees every
+         arm keeps running regardless of arm order or pool capacity. *)
+      let g = group_create (List.length arms) in
       List.map
-        (fun (vars, b) ->
+        (fun arm ->
           Domain.spawn (fun () ->
-              let ct = task_create ~group:g () in
               Fun.protect
                 ~finally:(fun () -> group_leave g)
-                (fun () ->
-                  try exec_scope st ct { vars; globals = env.globals } b
-                  with ex ->
-                    ignore
-                      (Atomic.compare_and_set st.failed None (Some ex));
-                    raise ex)))
-        snapshots
-    in
-    let outcomes =
-      List.map (fun d -> try Domain.join d; None with ex -> Some ex) doms
-    in
-    let first_real =
-      List.find_map
-        (function Some Cancelled -> None | Some ex -> Some ex | None -> None)
-        outcomes
-    in
-    match first_real with
-    | Some ex -> raise ex
-    | None ->
-        if List.exists (function Some _ -> true | None -> false) outcomes
-        then raise Cancelled
-  end
-  else begin
-    match st.pool with
-    | None ->
-        (* single-executor mode: arms run inline in order (sync-free arms
-           cannot depend on each other's interleaving) *)
-        List.iter
-          (fun (vars, b) -> exec_scope st t { vars; globals = env.globals } b)
-          snapshots
-    | Some pool ->
-        (* fork-join: siblings are stealable, first arm runs inline *)
-        let rest_futs =
-          match snapshots with
-          | [] -> []
-          | _ :: rest ->
-              List.map
-                (fun (vars, b) ->
-                  Runtime.Sched.async pool (fun () ->
-                      let ct = task_create () in
-                      try exec_scope st ct { vars; globals = env.globals } b
-                      with ex ->
-                        ignore
-                          (Atomic.compare_and_set st.failed None (Some ex));
-                        raise ex))
-                rest
-        in
-        (* Every arm is joined no matter which one failed: with an
-           externally supplied pool (Measure reuses one across reps) an
-           unjoined sibling would keep executing into the caller's next
-           use of the pool.  Mirrors the dedicated-domain path above:
-           collect all outcomes, then surface the first real (non-Cancelled)
-           error, falling back to Cancelled. *)
-        let inline_outcome =
-          match snapshots with
-          | (vars, b) :: _ -> (
-              try
-                exec_scope st t { vars; globals = env.globals } b;
-                None
-              with ex ->
-                ignore (Atomic.compare_and_set st.failed None (Some ex));
-                Some ex)
-          | [] -> None
-        in
-        let outcomes =
-          inline_outcome
+                (fun () -> guarded (task_create ~group:g st) arm)))
+        arms
+      |> List.map (fun d -> try Domain.join d; None with ex -> Some ex)
+      |> join_all
+    end
+    else
+      match (st.pool, arms) with
+      | None, _ | _, [] ->
+          (* single-executor mode: arms run inline in order (sync-free arms
+             cannot depend on each other's interleaving) *)
+          List.iter (fun arm -> arm t) arms
+      | Some pool, first :: rest ->
+          (* fork-join: siblings are stealable, first arm runs inline *)
+          let futs =
+            List.map
+              (fun arm ->
+                Runtime.Sched.async pool (fun () -> guarded (task_create st) arm))
+              rest
+          in
+          let inline = try guarded t first; None with ex -> Some ex in
+          inline
           :: List.map
-               (fun f ->
-                 try
-                   Runtime.Sched.await pool f;
-                   None
-                 with ex -> Some ex)
-               rest_futs
-        in
-        let first_real =
-          List.find_map
-            (function Some Cancelled -> None | Some ex -> Some ex | None -> None)
-            outcomes
-        in
-        (match first_real with
-        | Some ex -> raise ex
-        | None ->
-            if List.exists (function Some _ -> true | None -> false) outcomes
-            then raise Cancelled)
-  end
+               (fun fut -> try Runtime.Sched.await pool fut; None with ex -> Some ex)
+               futs
+          |> join_all
+end
 
-(* Child scope: bindings introduced by the block die on exit and their
-   storage is recycled into the *task's* free lists. *)
-and exec_scope st t env block =
-  let before = Hashtbl.copy env.vars in
-  List.iter (exec_stmt st t env) block;
-  Hashtbl.iter
-    (fun x b ->
-      match Hashtbl.find_opt before x with
-      | Some b' when b' = b -> ()
-      | _ -> (
-          match b with
-          | Scalar addr -> free_scalar t addr
-          | Arr { base; len } -> free_array t base len))
-    env.vars;
-  Hashtbl.reset env.vars;
-  Hashtbl.iter (fun k v -> Hashtbl.replace env.vars k v) before
-
-and exec_block st t env block = List.iter (exec_stmt st t env) block
-
-(* ---- lock discovery ---- *)
-
-let lock_names prog =
-  let names = Hashtbl.create 8 in
-  let rec stmt s =
-    match s.node with
-    | Lock m | Unlock m -> Hashtbl.replace names m ()
-    | If (_, t, e) ->
-        List.iter stmt t;
-        List.iter stmt e
-    | While (_, b) | For { body = b; _ } -> List.iter stmt b
-    | Par bs -> List.iter (List.iter stmt) bs
-    | _ -> ()
-  in
-  List.iter (fun f -> List.iter stmt f.body) prog.funcs;
-  names
+module C = Compile.Make (Backend)
 
 (* ---- entry point ---- *)
 
@@ -747,20 +342,13 @@ let run ?(domains = 1) ?pool ?(seed = 42) ?(on_print = fun (_ : int list) -> ())
           let p = Runtime.Pool.create ~domains () in
           (Some p, Some p)
   in
-  let locks = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun m () -> Hashtbl.replace locks m (Mutex.create ()))
-    (lock_names prog);
   let st =
     {
-      prog;
       mem = mem_create ();
       pool;
-      globals_env = Hashtbl.create 16;
-      locks;
+      locks = Hashtbl.create 8;
       stripes = Array.init n_stripes (fun _ -> Mutex.create ());
-      par_sync = par_sync_table prog;
-      rng = Interp.Rng.create seed;
+      rng = Rng.create seed;
       rng_mu = Mutex.create ();
       print_mu = Mutex.create ();
       on_print;
@@ -768,54 +356,27 @@ let run ?(domains = 1) ?pool ?(seed = 42) ?(on_print = fun (_ : int list) -> ())
       failed = Atomic.make None;
     }
   in
-  let t = task_create () in
-  (* Globals are installed by the main task before any parallelism; the
-     table is read-only afterwards, so concurrent lookups are safe. *)
-  List.iter
-    (fun g ->
-      match g with
-      | Gscalar (name, v) ->
-          let addr = alloc_scalar st t in
-          store st.mem t addr v;
-          Hashtbl.replace st.globals_env name (Scalar addr)
-      | Garray (name, size) ->
-          let base = alloc_array st t size in
-          Hashtbl.replace st.globals_env name
-            (Arr { base; len = max size 1 }))
-    prog.globals;
+  let t = task_create st in
   let finish () =
     match owned_pool with Some p -> Runtime.Pool.shutdown p | None -> ()
   in
-  let result =
-    match
-      let entry = find_func prog prog.entry in
-      let env = { vars = Hashtbl.create 8; globals = st.globals_env } in
-      try
-        exec_block st t env entry.body;
-        0
-      with Preturn v -> v
-    with
-    | v ->
-        finish ();
-        v
-    | exception ex ->
-        finish ();
-        (* prefer the root cause recorded by the first failing task *)
-        let ex =
-          match (ex, Atomic.get st.failed) with
-          | Cancelled, Some root when root <> Cancelled -> root
-          | _ -> ex
-        in
-        raise ex
-  in
-  let final_globals =
-    List.map
-      (fun g ->
-        let name = match g with Gscalar (n, _) | Garray (n, _) -> n in
-        match Hashtbl.find st.globals_env name with
-        | Scalar addr -> (name, [| load st.mem t addr |])
-        | Arr { base; len } ->
-            (name, Array.init len (fun i -> load st.mem t (base + i))))
-      prog.globals
-  in
-  { result; final_globals }
+  (* Globals and locks are installed by the main task before any
+     parallelism; the tables are read-only afterwards. *)
+  match
+    let compiled = C.prepare t prog in
+    List.iter (fun m -> Hashtbl.replace st.locks m (Mutex.create ())) (C.locks compiled);
+    let result = C.run_main compiled t in
+    { result; final_globals = C.final_globals compiled t }
+  with
+  | r ->
+      finish ();
+      r
+  | exception ex ->
+      finish ();
+      (* prefer the root cause recorded by the first failing task *)
+      let ex =
+        match (ex, Atomic.get st.failed) with
+        | Cancelled, Some root when root <> Cancelled -> root
+        | _ -> ex
+      in
+      raise ex

@@ -271,7 +271,7 @@ let fold_pass =
            defines it (yields 0), but the fold must not normalise away the
            anomaly the source spells out. *)
         | (Div | Mod), _, Int 0 -> Bin (op, a, b)
-        | _, Int x, Int y -> hit (Int (Interp.apply_binop op x y))
+        | _, Int x, Int y -> hit (Int (Compile.apply_binop op x y))
         | Add, x, Int 0 | Add, Int 0, x | Sub, x, Int 0 -> hit x
         | Mul, x, Int 1 | Mul, Int 1, x | Div, x, Int 1 -> hit x
         | (Shl | Shr), x, Int 0 -> hit x
@@ -453,7 +453,7 @@ let simplify_pass =
   and one ctx s =
     match s.node with
     | If (Int c, t, el) ->
-        let live, dead = if Interp.truthy c then (t, el) else (el, t) in
+        let live, dead = if Compile.truthy c then (t, el) else (el, t) in
         let dropped = count_stmts dead in
         note ctx "stmts_removed" dropped;
         if c <> 1 || dead <> [] then note ctx "normalized" 1;
@@ -610,6 +610,11 @@ let dce_pass =
 
 (* ---- loop-invariant hoisting ---- *)
 
+let without_body = function
+  | While (c, _) -> While (c, [])
+  | For f -> For { f with body = [] }
+  | n -> n
+
 let hoist_pass =
   let run ctx p =
     map_funcs
@@ -656,13 +661,15 @@ let hoist_pass =
           in
           let assigns = block_assigns body SS.empty in
           let binders = block_binders body SS.empty in
-          (* occurrences of a name in the function, excluding this loop:
-             a hoisted binding must not shadow or capture anything the rest
-             of the function mentions *)
+          (* occurrences of a name in the function, excluding this loop's
+             body: a hoisted binding must not shadow or capture anything the
+             rest of the function mentions — the loop's own condition,
+             bounds and index included, which run outside the body's scope *)
           let rec mentions_excl b acc =
             List.fold_left
               (fun acc s ->
-                if s == loop_stmt then acc else stmt_mentions_excl s acc)
+                if s != loop_stmt then stmt_mentions_excl s acc
+                else stmt_mentions { s with node = without_body s.node } acc)
               acc b
           and stmt_mentions_excl s acc =
             match s.node with

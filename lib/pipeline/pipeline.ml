@@ -36,9 +36,11 @@ module Cache = struct
     { shadow = Profiler.Engine.Perfect; skip = true; workers = 0; threads = 4 }
 
   (* Bump when the cached representation changes shape (depfile format,
-     summary format, scoring semantics): old entries then miss instead of
-     round-tripping stale bytes. *)
-  let format_version = 1
+     summary format, scoring semantics) or the profile behind it changes
+     (v2: scope exits free locals in stack order, which moves instance
+     counts and witnesses): old entries then miss instead of round-tripping
+     stale bytes. *)
+  let format_version = 2
 
   let config_to_string (c : config) =
     Printf.sprintf "shadow=%s skip=%b workers=%d threads=%d"

@@ -19,8 +19,8 @@
    domains, each interpreting (and therefore interning) at once. Sharing the
    tables across jobs is sound because hash-consing is content-addressed:
    equal keys denote equal content, whichever domain inserted first. Within
-   one run the lock is uncontended and taken once per loop iteration /
-   variable binding, never per access. Resolution stays lock-free: profiler
+   one run the lock is uncontended and taken once per loop iteration and
+   once per name when the program is lowered, never per access. Resolution stays lock-free: profiler
    worker domains read ids they received through the lock-free queues, whose
    push/pop is the happens-before edge publishing every entry an id refers
    to (for same-domain or mutex-passing readers the lock itself is). The
@@ -30,10 +30,6 @@
 
 let lock = Mutex.create ()
 
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
 module Sym = struct
   type store = { names : string array }
 
@@ -41,8 +37,7 @@ module Sym = struct
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 256
   let next = ref 0
 
-  let intern (s : string) : int =
-    with_lock @@ fun () ->
+  let intern_locked s =
     match Hashtbl.find_opt tbl s with
     | Some id -> id
     | None ->
@@ -57,6 +52,8 @@ module Sym = struct
         (Atomic.get store).names.(id) <- s;
         Hashtbl.replace tbl s id;
         id
+
+  let intern (s : string) : int = Mutex.protect lock (fun () -> intern_locked s)
 
   (* The returned string is physically the one passed to [intern], so
      consumers resolving the same symbol twice get [==]-equal strings. *)
@@ -83,39 +80,81 @@ module Lstack = struct
   let store = Atomic.make (mk_store 1024)
   let next = ref 1  (* 0 = empty stack, preallocated as all-zero *)
 
-  (* Hash-consing memo: (parent, line, inst, iter) -> id. Touched once per
-     loop iteration, not per access. *)
-  let memo : (int * int * int * int, int) Hashtbl.t = Hashtbl.create 1024
-
   let empty = 0
   let is_empty id = id = 0
 
+  (* Hash-consing memo: an open-addressed table of stack ids (0 = free),
+     at most half full, whose keys are the ids' own entries in the store.
+     Touched once per loop iteration, not per access. *)
+  let memo = ref (Array.make 2048 0)
+
+  let hash parent line inst iter =
+    let h = (((((parent * 31) + line) * 31) + inst) * 31) + iter in
+    (h * 0x9E3779B1) lsr 5
+
+  let rec probe s tbl mask parent line inst iter i =
+    let id = tbl.(i) in
+    if
+      id = 0
+      || s.parent.(id) = parent && s.line.(id) = line && s.inst.(id) = inst
+         && s.iter.(id) = iter
+    then i
+    else probe s tbl mask parent line inst iter ((i + 1) land mask)
+
+  let slot s tbl parent line inst iter =
+    let mask = Array.length tbl - 1 in
+    probe s tbl mask parent line inst iter (hash parent line inst iter land mask)
+
+  let grow_store id =
+    let cur = Atomic.get store in
+    if id >= Array.length cur.parent then begin
+      let bigger = mk_store (2 * Array.length cur.parent) in
+      Array.blit cur.parent 0 bigger.parent 0 id;
+      Array.blit cur.line 0 bigger.line 0 id;
+      Array.blit cur.inst 0 bigger.inst 0 id;
+      Array.blit cur.iter 0 bigger.iter 0 id;
+      Array.blit cur.depth 0 bigger.depth 0 id;
+      Atomic.set store bigger
+    end
+
+  let rehash s =
+    let tbl = Array.make (2 * Array.length !memo) 0 in
+    for id = 1 to !next - 1 do
+      tbl.(slot s tbl s.parent.(id) s.line.(id) s.inst.(id) s.iter.(id)) <- id
+    done;
+    memo := tbl
+
+  let push_locked parent loop_line inst iter =
+    let s = Atomic.get store in
+    let i = slot s !memo parent loop_line inst iter in
+    let found = !memo.(i) in
+    if found <> 0 then found
+    else begin
+      let id = !next in
+      incr next;
+      grow_store id;
+      let s = Atomic.get store in
+      s.parent.(id) <- parent;
+      s.line.(id) <- loop_line;
+      s.inst.(id) <- inst;
+      s.iter.(id) <- iter;
+      s.depth.(id) <- s.depth.(parent) + 1;
+      !memo.(i) <- id;
+      if 2 * !next > Array.length !memo then rehash s;
+      id
+    end
+
+  (* Locked without [Mutex.protect], whose closure would be allocated on
+     every push. *)
   let push ~parent ~loop_line ~inst ~iter : int =
-    with_lock @@ fun () ->
-    let key = (parent, loop_line, inst, iter) in
-    match Hashtbl.find_opt memo key with
-    | Some id -> id
-    | None ->
-        let id = !next in
-        incr next;
-        let cur = Atomic.get store in
-        if id >= Array.length cur.parent then begin
-          let bigger = mk_store (2 * Array.length cur.parent) in
-          Array.blit cur.parent 0 bigger.parent 0 id;
-          Array.blit cur.line 0 bigger.line 0 id;
-          Array.blit cur.inst 0 bigger.inst 0 id;
-          Array.blit cur.iter 0 bigger.iter 0 id;
-          Array.blit cur.depth 0 bigger.depth 0 id;
-          Atomic.set store bigger
-        end;
-        let s = Atomic.get store in
-        s.parent.(id) <- parent;
-        s.line.(id) <- loop_line;
-        s.inst.(id) <- inst;
-        s.iter.(id) <- iter;
-        s.depth.(id) <- s.depth.(parent) + 1;
-        Hashtbl.replace memo key id;
+    Mutex.lock lock;
+    match push_locked parent loop_line inst iter with
+    | id ->
+        Mutex.unlock lock;
         id
+    | exception e ->
+        Mutex.unlock lock;
+        raise e
 
   let depth id = (Atomic.get store).depth.(id)
 

@@ -13,6 +13,7 @@ let () =
       ("transform", Test_transform.tests);
       ("passes", Test_passes.tests);
       ("hotpath", Test_hotpath.tests);
+      ("registry", Test_registry.tests);
       ("pipeline", Test_pipeline.tests);
       ("runtime", Test_runtime.tests);
       ("serve", Test_serve.tests) ]

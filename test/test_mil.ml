@@ -217,6 +217,38 @@ let test_scope_reuse () =
   ignore !events;
   Alcotest.(check bool) "dealloc events fired" true (!deallocs >= 5)
 
+(* Leaving a block frees its locals last declared first, so each iteration
+   reuses the same addresses, and the dealloc lists them in declaration
+   order. A local a [break] leaves bound is freed when the block holding
+   the loop exits. *)
+let test_scope_exit_order () =
+  let p =
+    let open B in
+    Helpers.prog_of_main
+      [ for_ "k" (i 0) (i 3) [ decl "a" (v "k"); decl "b" (v "k") ];
+        when_ (i 1) [ while_ (i 1) [ decl "t" (i 1); break_ ] ];
+        return (i 0) ]
+  in
+  let deallocs = ref [] in
+  let _ =
+    Interp.run
+      ~emit:(function
+        | Trace.Event.Region (Trace.Event.Dealloc { addrs }) ->
+            deallocs := addrs :: !deallocs
+        | _ -> ())
+      p
+  in
+  match List.rev !deallocs with
+  | ([ (a, 1, "a"); (b, 1, "b") ] as first) :: second :: third :: rest ->
+      Alcotest.(check bool) "distinct cells" true (a <> b);
+      Alcotest.(check bool) "same cells every iteration" true
+        (second = first && third = first);
+      Alcotest.(check (list (list string)))
+        "index, then the escaped local at the enclosing exit"
+        [ [ "k" ]; [ "t" ] ]
+        (List.map (List.map (fun (_, _, x) -> x)) rest)
+  | _ -> Alcotest.fail "expected the loop body's dealloc first"
+
 (* ---- line numbering ---- *)
 
 let test_numbering () =
@@ -385,6 +417,8 @@ let tests =
     Alcotest.test_case "barriers" `Quick test_barriers;
     Alcotest.test_case "scheduler seeds" `Quick test_par_schedules_vary;
     Alcotest.test_case "scope reuse + dealloc" `Quick test_scope_reuse;
+    Alcotest.test_case "scope exit: stack order, break escapes" `Quick
+      test_scope_exit_order;
     Alcotest.test_case "line numbering" `Quick test_numbering;
     Alcotest.test_case "regions" `Quick test_regions;
     Alcotest.test_case "global vs local vars" `Quick test_global_local;

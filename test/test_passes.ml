@@ -186,7 +186,25 @@ let test_textbook_observations () =
       | ds -> Alcotest.failf "%s: %s" w.name (String.concat "; " ds))
     Workloads.Textbook.all
 
-(* ---- chunk clamp regression (satellite of the same PR) ----
+(* Hoisting a declaration that shadows a name the loop header reads would
+   change what the header reads: here the condition must keep reading the
+   parameter [x], so [f(0)] returns 1 with or without the pass. *)
+let test_hoist_header_shadow () =
+  let p =
+    let open Builder in
+    number
+      (program ~entry:"main" "hoist_shadow"
+         [ func "f" ~params:[ "x" ]
+             [ while_ (v "x" < i 10) [ decl "x" (i 99); return (i 1) ];
+               return (i 2) ];
+           func "main" [ return (call "f" [ i 0 ]) ] ])
+  in
+  let r = run_exn ~passes:[ "hoist" ] p in
+  let result prog = (Interp.run ~instrument:false prog).Interp.result in
+  Alcotest.(check int) "seed returns 1" 1 (result p);
+  Alcotest.(check int) "hoisted program returns 1" 1 (result r.Pass.program)
+
+(* ---- chunk clamp regression ----
 
    A 2-iteration DOALL loop asked to split into 8 chunks must clamp to 2
    arms; before the clamp, 6 of the 8 arms got empty ranges [__c0 == __c1]
@@ -262,4 +280,6 @@ let tests =
     Alcotest.test_case "textbook: optimized observations unchanged" `Quick
       test_textbook_observations;
     Alcotest.test_case "DOALL chunks clamp to trip count" `Quick
-      test_chunk_clamp ]
+      test_chunk_clamp;
+    Alcotest.test_case "hoist keeps a shadowed loop-header name" `Quick
+      test_hoist_header_shadow ]

@@ -1,0 +1,93 @@
+(* Whole-registry oracle for the evaluators.
+
+   [golden/registry.digest] holds, for each of the 71 registry programs at
+   its default size, MD5s of:
+   - the uninstrumented interpreter run: result, stats, dynamic op count and
+     final globals;
+   - the suggestion summary of `discopop discover` (perfect shadow, skip on);
+   - the dependence-record keys (D-line fields 2-8: sink line and thread,
+     type, source line and thread, variable, carrier) of the perfect+skip
+     profile and of a 4096-slot signature profile.
+
+   Keys, not whole D-lines: instance counts and first-witness columns depend
+   on which freed address a later allocation reuses, which is allocator
+   policy rather than program meaning. Signature keys depend on that policy
+   too, through which addresses share a slot: those of IS, kmeans-par and
+   rgbyuv-par change with the order in which a scope's locals are freed,
+   their perfect-shadow keys do not.
+
+   Regenerate (only for a deliberate semantic change) with
+     REGISTRY_DIGEST_OUT=test/golden/registry.digest \
+       dune exec test/test_main.exe -- test registry *)
+
+module R = Workloads.Registry
+module S = Discovery.Suggestion
+
+let registry =
+  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
+  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
+  @ Workloads.Numerics.all @ Workloads.Parsec.all
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let interp_digest prog =
+  let r = Mil.Interp.run ~instrument:false prog in
+  let s = r.Mil.Interp.r_stats in
+  let b = Buffer.create 256 in
+  Printf.bprintf b "%d %d %d %d %d %d\n" r.Mil.Interp.result s.Mil.Interp.reads
+    s.writes s.loop_iterations s.calls r.dynamic_ops;
+  List.iter
+    (fun (n, a) ->
+      Printf.bprintf b "%s:%s\n" n
+        (String.concat "," (Array.to_list (Array.map string_of_int a))))
+    r.final_globals;
+  md5 (Buffer.contents b)
+
+let keys_digest deps =
+  Profiler.Depfile.render deps
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun l ->
+         match String.split_on_char ' ' l with
+         | "D" :: rest when List.length rest >= 7 ->
+             Some (String.concat " " (List.filteri (fun i _ -> i < 7) rest))
+         | _ -> None)
+  |> List.sort compare |> String.concat "\n" |> md5
+
+let digest_line (w : R.t) =
+  let prog = R.program w in
+  let report = S.analyze prog in
+  let summary = S.summary_to_string ~name:w.name (S.summarize report) in
+  let sig_deps =
+    (Profiler.Serial.profile ~shadow:(Profiler.Engine.Signature 4096) prog)
+      .Profiler.Serial.deps
+  in
+  Printf.sprintf "%s %s %s %s %s" w.name (interp_digest prog) (md5 summary)
+    (keys_digest report.S.profile.Profiler.Serial.deps)
+    (keys_digest sig_deps)
+
+let digest_path = Filename.concat Test_hotpath.golden_dir "registry.digest"
+
+let test_registry_digest () =
+  let got = List.map digest_line registry in
+  (match Sys.getenv_opt "REGISTRY_DIGEST_OUT" with
+  | Some path when path <> "" ->
+      let oc = open_out_bin path in
+      List.iter (fun l -> output_string oc (l ^ "\n")) got;
+      close_out oc
+  | _ -> ());
+  let want =
+    Test_hotpath.read_file digest_path
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Alcotest.(check int) "one line per registry program" (List.length want)
+    (List.length got);
+  List.iter2
+    (fun w g ->
+      let name = List.hd (String.split_on_char ' ' w) in
+      Alcotest.(check string) ("registry digest: " ^ name) w g)
+    want got
+
+let tests =
+  [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
+      test_registry_digest ]

@@ -229,12 +229,46 @@ let find_workload name =
     (fun (w : Workloads.Registry.t) -> w.Workloads.Registry.name = name)
     (Workloads.Textbook.all @ Workloads.Bots.all)
 
-(* A sequential program (no Par at all) must evaluate identically. *)
+(* A sequential program (no Par, no sync) must evaluate identically: same
+   result, globals and print stream as the interpreter, at 1 and 2 domains,
+   on every such registry program. *)
 let test_par_eval_sequential () =
   let prog =
     Workloads.Registry.program ~size:300 (find_workload "histogram")
   in
-  check_equiv "histogram untransformed" prog ~domains:2 prog
+  check_equiv "histogram untransformed" prog ~domains:2 prog;
+  let observe run =
+    let prints = ref [] in
+    let result, globals = run (fun vs -> prints := vs :: !prints) in
+    (result, globals, List.rev !prints)
+  in
+  let checked = ref 0 in
+  List.iter
+    (fun (w : Workloads.Registry.t) ->
+      let prog = Workloads.Registry.program w in
+      if Mil.Pass.sequential_program prog then begin
+        incr checked;
+        let want =
+          observe (fun on_print ->
+              let r = Mil.Interp.run ~instrument:false ~on_print prog in
+              (r.Mil.Interp.result, r.Mil.Interp.final_globals))
+        in
+        List.iter
+          (fun domains ->
+            let got =
+              observe (fun on_print ->
+                  let r = Mil.Par_eval.run ~domains ~on_print prog in
+                  (r.Mil.Par_eval.result, r.Mil.Par_eval.final_globals))
+            in
+            if got <> want then
+              Alcotest.failf "%s: Par_eval at %d domains differs from Interp"
+                w.name domains)
+          [ 1; 2 ]
+      end)
+    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
+   @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
+   @ Workloads.Numerics.all @ Workloads.Parsec.all);
+  Alcotest.(check bool) "most of the registry is sequential" true (!checked > 40)
 
 (* DOALL chunking with privatization + reduction merges, on the pool. *)
 let test_par_eval_doall () =
