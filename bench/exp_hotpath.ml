@@ -6,6 +6,8 @@
    - GC minor words allocated per access during that feed (the per-access
      metadata cost that §2.3's cheap shadow lookups and dependence merging
      exist to suppress);
+   - the parallel profiler's producer: minor words per access on the
+     calling domain, which runs the interpreter and packs the chunks;
    - the event producer alone: interpreted statements/sec, instrumented
      with sinks that drop every event, and uninstrumented (native);
    - the end-to-end serial slowdown factor (profiled / native wall time).
@@ -50,27 +52,6 @@ let sample () =
           Some (w, size))
     wanted
 
-(* Pre-record the access stream so the engine is measured alone. *)
-let record_stream prog =
-  let acc = ref [] in
-  let n = ref 0 in
-  let _ =
-    Mil.Interp.run
-      ~emit:(fun ev ->
-        match ev with
-        | Trace.Event.Access a ->
-            incr n;
-            acc := a :: !acc
-        | Trace.Event.Region _ -> ())
-      prog
-  in
-  Array.of_list (List.rev !acc)
-
-let feed_stream shadow stream =
-  let engine = Profiler.Engine.create shadow in
-  Array.iter (Profiler.Engine.feed_access engine) stream;
-  engine
-
 (* Best-of-5 timed feeds (after one warm-up) plus one allocation-metered
    feed: minor words are deterministic, so one measurement suffices. The
    minimum is the least-noise estimator for a short CI microbenchmark —
@@ -80,11 +61,11 @@ let feed_stream shadow stream =
    setup (the off-heap signature store is a multi-MB allocation whose cost
    would otherwise dominate short CI streams). *)
 let measure_engine shadow stream =
-  ignore (feed_stream shadow stream);
+  Util.replay (Profiler.Engine.create shadow) stream;
   let time () =
     let engine = Profiler.Engine.create shadow in
     let t0 = Unix.gettimeofday () in
-    Array.iter (Profiler.Engine.feed_access engine) stream;
+    Util.replay engine stream;
     Unix.gettimeofday () -. t0
   in
   let t = ref (time ()) in
@@ -95,22 +76,25 @@ let measure_engine shadow stream =
   let t = !t in
   let engine = Profiler.Engine.create shadow in
   let w0 = Gc.minor_words () in
-  Array.iter (Profiler.Engine.feed_access engine) stream;
+  Util.replay engine stream;
   let dw = Gc.minor_words () -. w0 in
-  let n = float_of_int (Array.length stream) in
+  let n = float_of_int (Trace.Chunk.length stream) in
   (n /. t, dw /. n)
 
-let noop_sink ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_ ~lstack:_
-    ~locked:_ =
-  ()
+(* Minor words per access the parallel profiler allocates on the calling
+   domain, after one warm-up run. *)
+let measure_parallel_producer prog =
+  let go () = Profiler.Parallel.profile ~workers:1 ~perfect:true prog in
+  ignore (go ());
+  let w0 = Gc.minor_words () in
+  let r = go () in
+  (Gc.minor_words () -. w0) /. float_of_int r.Profiler.Parallel.accesses
 
 (* Executed statements per second of the fastest of 5 runs (after one
-   warm-up), instrumented or not. *)
+   warm-up), instrumented (into the default sinks, which drop every event)
+   or not. *)
 let measure_interp ~instrument prog =
-  let go () =
-    if instrument then Mil.Interp.run ~emit:ignore ~on_access:noop_sink prog
-    else Mil.Interp.run ~instrument:false prog
-  in
+  let go () = Mil.Interp.run ~instrument prog in
   let stmts = (go ()).Mil.Interp.r_stats.statements in
   let best = ref infinity in
   for _ = 1 to 5 do
@@ -129,13 +113,14 @@ let run () =
     List.map
       (fun ((w : R.t), size) ->
         let prog = R.program ~size w in
-        let stream = record_stream prog in
-        let n = Array.length stream in
+        let stream = Util.record_stream prog in
+        let n = Trace.Chunk.length stream in
         let sig_eps, sig_wpa =
           measure_engine (Profiler.Engine.Signature 65_536) stream
         in
         let perf_eps, perf_wpa = measure_engine Profiler.Engine.Perfect stream in
         let paged_eps, paged_wpa = measure_engine Profiler.Engine.Paged stream in
+        let par_wpa = measure_parallel_producer prog in
         let interp_sps = measure_interp ~instrument:true prog in
         let native_sps = measure_interp ~instrument:false prog in
         let t_native = Util.native_time prog in
@@ -153,6 +138,8 @@ let run () =
         g (Printf.sprintf "hotpath.%s.paged.events_per_sec" w.name) paged_eps;
         g (Printf.sprintf "hotpath.%s.paged.minor_words_per_access" w.name)
           paged_wpa;
+        g (Printf.sprintf "hotpath.%s.parallel.minor_words_per_access" w.name)
+          par_wpa;
         g (Printf.sprintf "hotpath.%s.interp.stmts_per_sec" w.name) interp_sps;
         g (Printf.sprintf "hotpath.%s.interp.native_stmts_per_sec" w.name)
           native_sps;
@@ -164,6 +151,7 @@ let run () =
           Printf.sprintf "%.2e" sig_eps; Printf.sprintf "%.1f" sig_wpa;
           Printf.sprintf "%.2e" perf_eps; Printf.sprintf "%.1f" perf_wpa;
           Printf.sprintf "%.2e" paged_eps; Printf.sprintf "%.1f" paged_wpa;
+          Printf.sprintf "%.1f" par_wpa;
           Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
           Printf.sprintf "%.0f" slowdown ])
       (sample ())
@@ -171,11 +159,12 @@ let run () =
   Util.table
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
-        "perf w/acc"; "paged ev/s"; "paged w/acc"; "interp st/s";
+        "perf w/acc"; "paged ev/s"; "paged w/acc"; "par w/acc"; "interp st/s";
         "native st/s"; "slowdown" ]
     rows;
   print_endline
     "(events/sec: engine alone over a pre-recorded stream; w/acc: GC minor\n\
-    \ words allocated per access; st/s: interpreted statements/sec,\n\
+    \ words allocated per access, par: the parallel profiler's producer;\n\
+    \ st/s: interpreted statements/sec,\n\
     \ instrumented into no-op sinks and native; slowdown: serial profiled vs\n\
     \ native)"

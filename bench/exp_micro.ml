@@ -6,23 +6,13 @@
 open Bechamel
 open Toolkit
 
-let fig27_access_stream () =
-  (* pre-record a workload's access stream so the engine is measured alone *)
-  let prog = Workloads.Registry.program ~size:400 (List.hd Workloads.Textbook.all) in
-  let acc = ref [] in
-  let _ =
-    Mil.Interp.run
-      ~emit:(fun ev ->
-        match ev with
-        | Trace.Event.Access a -> acc := a :: !acc
-        | Trace.Event.Region _ -> ())
-      prog
-  in
-  Array.of_list (List.rev !acc)
-
 let tests () =
-  let stream = fig27_access_stream () in
-  let feed engine () = Array.iter (Profiler.Engine.feed_access engine) stream in
+  (* pre-record a workload's access stream so the engine is measured alone *)
+  let stream =
+    Util.record_stream
+      (Workloads.Registry.program ~size:400 (List.hd Workloads.Textbook.all))
+  in
+  let feed engine () = Util.replay engine stream in
   let cell =
     Sigmem.Cell.v ~line:1 ~var:(Trace.Intern.Sym.intern "x") ~thread:0 ~time:1
       ~op:0 ~lstack:Trace.Intern.Lstack.empty ~locked:false

@@ -82,10 +82,21 @@ let count_addresses prog =
   let seen = Hashtbl.create 4096 in
   let _ =
     Mil.Interp.run
-      ~emit:(fun ev ->
-        match ev with
-        | Trace.Event.Access a -> Hashtbl.replace seen a.Trace.Event.addr ()
-        | Trace.Event.Region _ -> ())
+      ~on_access:(fun ~kind:_ ~addr ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
+          ~lstack:_ ~locked:_ -> Hashtbl.replace seen addr ())
       prog
   in
   Hashtbl.length seen
+
+(* A program's access stream, recorded once so that an engine can be
+   measured alone, replaying it: one packed chunk, sized by a first,
+   uninstrumented run's access count. *)
+let record_stream prog =
+  let s = (Mil.Interp.run ~instrument:false prog).Mil.Interp.r_stats in
+  let c = Trace.Chunk.create ~capacity:(s.reads + s.writes) () in
+  ignore (Mil.Interp.run ~on_access:(Trace.Chunk.push_access c) prog);
+  c
+
+let replay engine stream =
+  Trace.Chunk.iter stream ~access:(Profiler.Engine.feed_fields engine)
+    ~remove:ignore

@@ -18,10 +18,8 @@ let () =
   let seen = Hashtbl.create 4096 in
   let _ =
     Mil.Interp.run
-      ~emit:(fun ev ->
-        match ev with
-        | Trace.Event.Access a -> Hashtbl.replace seen a.Trace.Event.addr ()
-        | Trace.Event.Region _ -> ())
+      ~on_access:(fun ~kind:_ ~addr ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
+          ~lstack:_ ~locked:_ -> Hashtbl.replace seen addr ())
       prog
   in
   let addresses = Hashtbl.length seen in

@@ -47,26 +47,9 @@ type stats = {
   mutable statements : int;
 }
 
-(* Record-free access sink: the fields of an [Event.access], passed as
-   labeled arguments so the hot serial path can hand them straight to the
-   profiler engine without materialising the record. *)
-type access_sink =
-  kind:Event.kind ->
-  addr:int ->
-  var:int ->
-  line:int ->
-  thread:int ->
-  time:int ->
-  op:int ->
-  lstack:int ->
-  locked:bool ->
-  unit
-
 type state = {
-  emit : Event.t -> unit;
-  on_access : access_sink;
-      (* in-order accesses; scrambled/delayed accesses go through [emit] as
-         records via [pending] *)
+  emit : Event.region -> unit;
+  on_access : Event.access_sink;
   instrument : bool;
   mutable mem : int array;
   mutable brk : int;
@@ -84,9 +67,9 @@ type state = {
   mutable next_tid : int;
   stats : stats;
   (* Optional reordering of unlocked pushes, to exercise race detection: the
-     event as seen by the profiler may be emitted out of timestamp order. *)
+     access as seen by the profiler may arrive out of timestamp order. *)
   scramble_unlocked : bool;
-  mutable pending : Event.t list;  (* delayed unlocked accesses *)
+  mutable pending : Event.access list;  (* delayed unlocked accesses *)
   (* Cooperative cancellation: polled every 2048 statements so a deadline
      watchdog (batch driver, serve daemon) can stop a run without
      per-statement cost. *)
@@ -104,15 +87,12 @@ let flush_pending st =
   match st.pending with
   | [] -> ()
   | pending ->
-      let evs = List.rev pending in
+      let accs = List.rev pending in
       st.pending <- [];
-      let tid = function
-        | Event.Access a -> a.Event.thread
-        | Event.Region _ -> -1
-      in
-      let tids = List.sort_uniq compare (List.map tid evs) in
+      let tid (a : Event.access) = a.thread in
+      let tids = List.sort_uniq compare (List.map tid accs) in
       let queues =
-        List.map (fun t -> ref (List.filter (fun e -> tid e = t) evs)) tids
+        List.map (fun t -> ref (List.filter (fun a -> tid a = t) accs)) tids
       in
       let rec drain () =
         match List.filter (fun q -> !q <> []) queues with
@@ -120,8 +100,10 @@ let flush_pending st =
         | qs ->
             let q = List.nth qs (Rng.int st.rng (List.length qs)) in
             (match !q with
-            | ev :: rest ->
-                st.emit ev;
+            | { Event.kind; addr; var; line; thread; time; op; lstack; locked }
+              :: rest ->
+                st.on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
+                  ~locked;
                 q := rest
             | [] -> assert false);
             drain ()
@@ -169,12 +151,11 @@ let emit_access st kind addr var line =
   let locked = st.cur.held > 0 in
   if st.scramble_unlocked && st.live_threads > 1 && not locked then begin
     (* Delayed accesses must exist as records: the scrambler buffers and
-       reorders them before emission. *)
-    let a =
+       reorders them before handing them to the sink. *)
+    st.pending <-
       { Event.kind; addr; var; line; thread = st.cur.tid; time = st.time;
         op; lstack = st.cur.lstack; locked }
-    in
-    st.pending <- Event.Access a :: st.pending;
+      :: st.pending;
     if List.length st.pending > 4 then flush_pending st
   end
   else begin
@@ -191,7 +172,7 @@ let emit_region st r =
   (match r with
   | Event.Dealloc _ -> flush_pending st
   | _ -> ());
-  st.emit (Event.Region r)
+  st.emit r
 
 (* ---- the backend ---- *)
 
@@ -336,15 +317,11 @@ type work =
   | Start of (unit -> unit) * tcb
 
 let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
-    ?(emit = fun (_ : Event.t) -> ()) ?on_access
+    ?(emit = fun (_ : Event.region) -> ())
+    ?(on_access = fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
+        ~lstack:_ ~locked:_ -> ())
     ?(on_print = fun (_ : int list) -> ())
     ?(cancelled = fun () -> false) (prog : program) : run_result =
-  (* Without a sink, in-order accesses reach [emit] as records. *)
-  let on_access =
-    Option.value on_access ~default:(fun ~kind ~addr ~var ~line ~thread ~time ~op
-        ~lstack ~locked ->
-        emit (Event.Access { kind; addr; var; line; thread; time; op; lstack; locked }))
-  in
   let st =
     { emit; on_access; instrument; mem = Array.make 4096 0; brk = 1;
       recycled = Compile.Recycle.create (); time = 0;
@@ -447,8 +424,7 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
                         st.live_threads <- st.live_threads + 1;
                         let wrapped () =
                           if st.instrument then
-                            st.emit
-                              (Event.Region (Event.Thread_start { thread = child.tid }));
+                            st.emit (Event.Thread_start { thread = child.tid });
                           child_thunk ();
                           (* Thread termination is a synchronization edge:
                              whoever joins on this thread must observe its
@@ -456,8 +432,7 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
                              accesses cannot be scrambled past the join. *)
                           flush_pending st;
                           if st.instrument then
-                            st.emit
-                              (Event.Region (Event.Thread_end { thread = child.tid }));
+                            st.emit (Event.Thread_end { thread = child.tid });
                           decr child.group_live;
                           release_barriers child.group;
                           decr pending;
@@ -533,6 +508,12 @@ let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
 let trace ?seed ?scramble_unlocked prog =
   let acc = ref [] in
   let res =
-    run ?seed ?scramble_unlocked ~emit:(fun e -> acc := e :: !acc) prog
+    run ?seed ?scramble_unlocked
+      ~emit:(fun r -> acc := Event.Region r :: !acc)
+      ~on_access:(fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked ->
+        acc :=
+          Event.Access { kind; addr; var; line; thread; time; op; lstack; locked }
+          :: !acc)
+      prog
   in
   (res, List.rev !acc)

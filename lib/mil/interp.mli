@@ -28,21 +28,6 @@ type stats = {
   mutable statements : int;  (** executed statements, loops and ifs included *)
 }
 
-type access_sink =
-  kind:Trace.Event.kind ->
-  addr:int ->
-  var:int ->
-  line:int ->
-  thread:int ->
-  time:int ->
-  op:int ->
-  lstack:int ->
-  locked:bool ->
-  unit
-(** Record-free access sink: the fields of a {!Trace.Event.access} passed as
-    labeled (unboxed) arguments, so the serial profiler's hot path can
-    consume accesses without the record ever being allocated. *)
-
 type run_result = {
   result : int;            (** the entry function's return value *)
   r_stats : stats;
@@ -57,20 +42,19 @@ val run :
   ?seed:int ->
   ?instrument:bool ->
   ?scramble_unlocked:bool ->
-  ?emit:(Trace.Event.t -> unit) ->
-  ?on_access:access_sink ->
+  ?emit:(Trace.Event.region -> unit) ->
+  ?on_access:Trace.Event.access_sink ->
   ?on_print:(int list -> unit) ->
   ?cancelled:(unit -> bool) ->
   Ast.program ->
   run_result
 (** Execute the program. [instrument:false] skips event construction (the
-    native baseline for slowdown measurements). [scramble_unlocked] delays
-    and reorders the emission of unlocked accesses from concurrent threads,
-    modelling the access/push atomicity violation that exposes potential
-    data races (§2.3.4). [on_access], when given, receives every in-order
-    access as unboxed fields instead of an [Event.Access] through [emit] —
-    the zero-allocation fast path; scrambled/delayed accesses still arrive
-    at [emit] as records. [on_print] observes each [print] builtin call's
+    native baseline for slowdown measurements). [emit] receives the region
+    events and [on_access] every access, as unboxed fields; both default to
+    dropping them. [scramble_unlocked] delays and reorders the delivery of
+    unlocked accesses from concurrent threads, modelling the access/push
+    atomicity violation that exposes potential data races (§2.3.4).
+    [on_print] observes each [print] builtin call's
     evaluated arguments. [cancelled] is polled every ~2k statements;
     returning true raises {!Cancelled} out of the run.
 
@@ -83,5 +67,5 @@ val run :
 val trace :
   ?seed:int -> ?scramble_unlocked:bool -> Ast.program ->
   run_result * Trace.Event.t list
-(** Run and collect all events in order; convenient for tests and offline
-    analyses. *)
+(** Run and collect all events in order, accesses as [Event.Access]
+    records; convenient for tests and offline analyses. *)

@@ -369,14 +369,16 @@ let program_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
         Obs.Counter.incr c_cache_miss;
         let profile =
           if config.Cache.workers > 0 then
+            (* Every shadow kind but a signature is exact; the parallel
+               profiler's exact workers are Perfect engines. *)
+            let perfect, shadow_slots =
+              match config.Cache.shadow with
+              | Profiler.Engine.Signature n -> (false, Some n)
+              | Profiler.Engine.Perfect | Profiler.Engine.Paged -> (true, None)
+            in
             serial_of_parallel
               (Profiler.Parallel.profile ~workers:config.Cache.workers
-                 ~perfect:(config.Cache.shadow = Profiler.Engine.Perfect)
-                 ?shadow_slots:
-                   (match config.Cache.shadow with
-                   | Profiler.Engine.Signature n -> Some n
-                   | Profiler.Engine.Perfect | Profiler.Engine.Paged -> None)
-                 ~skip:config.Cache.skip prog)
+                 ~perfect ?shadow_slots ~skip:config.Cache.skip prog)
           else
             Profiler.Serial.profile ~shadow:config.Cache.shadow
               ~skip:config.Cache.skip ~cancelled prog

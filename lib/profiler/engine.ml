@@ -14,10 +14,9 @@
    The per-access path is (near-)zero-allocation end to end: shadow slots
    live in flat off-heap stores and are decoded into three per-engine
    mutable scratch cells ({!Sigmem.Cell}), and {!Make.feed_fields} accepts
-   the access as unboxed int fields so the serial interpreter path never
-   constructs an [Event.access] record. The record-based {!Make.feed_access}
-   remains for the parallel/chunked path, whose queues carry records
-   anyway. *)
+   the access as unboxed int fields, so no [Event.access] record is built
+   on the way in. {!Make.feed_fields} and {!Make.feed_dealloc} are the
+   engine's whole input. *)
 
 module Event = Trace.Event
 module Intern = Trace.Intern
@@ -314,8 +313,8 @@ module Make (S : Sigmem.Shadow.S) = struct
     end
 
   (* Algorithm 2 on one dynamic memory instruction, access fields unboxed:
-     this is the zero-allocation entry point the serial interpreter path
-     calls without ever constructing an [Event.access] record. Each carrier
+     the zero-allocation entry point, fed straight from the interpreter's
+     access sink or from a chunk's packed entries. Each carrier
      code (RAW for reads; WAR and WAW for writes) is computed exactly once
      and reused for the skip check, the dependence record, and the skip
      fingerprint update. *)
@@ -442,10 +441,6 @@ module Make (S : Sigmem.Shadow.S) = struct
           end
         end
 
-  let feed_access t (a : Event.access) =
-    feed_fields t ~kind:a.kind ~addr:a.addr ~var:a.var ~line:a.line
-      ~thread:a.thread ~time:a.time ~op:a.op ~lstack:a.lstack ~locked:a.locked
-
   (* Variable-lifetime analysis: clear dead address ranges so their slots
      can be reused without manufacturing false dependences. *)
   let feed_dealloc t addrs =
@@ -519,23 +514,11 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
       Epaged.feed_fields e ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
         ~locked
 
-let feed_access t a =
-  match t with
-  | Tsig e -> Esig.feed_access e a
-  | Tperfect e -> Eperfect.feed_access e a
-  | Tpaged e -> Epaged.feed_access e a
-
 let feed_dealloc t addrs =
   match t with
   | Tsig e -> Esig.feed_dealloc e addrs
   | Tperfect e -> Eperfect.feed_dealloc e addrs
   | Tpaged e -> Epaged.feed_dealloc e addrs
-
-let feed t (ev : Event.t) =
-  match ev with
-  | Event.Access a -> feed_access t a
-  | Event.Region (Event.Dealloc { addrs }) -> feed_dealloc t addrs
-  | Event.Region _ -> ()
 
 let deps t = (common t).deps
 (* Distinct potential races (var, earlier line, later line). *)

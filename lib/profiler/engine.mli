@@ -38,25 +38,10 @@ module Make (S : Sigmem.Shadow.S) : sig
 
   val create : ?skip:bool -> ?lifetime:bool -> slots:int -> unit -> t
 
-  val feed_fields :
-    t ->
-    kind:Event.kind ->
-    addr:int ->
-    var:int ->
-    line:int ->
-    thread:int ->
-    time:int ->
-    op:int ->
-    lstack:int ->
-    locked:bool ->
-    unit
+  val feed_fields : t -> Event.access_sink
   (** Algorithm 2 on one dynamic memory instruction with the access fields
       passed unboxed: the zero-allocation entry point — no [Event.access]
       record is built anywhere on this path. *)
-
-  val feed_access : t -> Event.access -> unit
-  (** Record-based shim over {!feed_fields}, for callers that already hold
-      an [Event.access] (the parallel profiler's chunk queues). *)
 
   val feed_dealloc : t -> (int * int * string) list -> unit
   val word_footprint : t -> int
@@ -69,30 +54,13 @@ val create : ?skip:bool -> ?lifetime:bool -> shadow_kind -> t
 (** [skip] enables the §2.4 optimization; [lifetime:false] disables
     variable-lifetime analysis (ablation). *)
 
-val feed_fields :
-  t ->
-  kind:Event.kind ->
-  addr:int ->
-  var:int ->
-  line:int ->
-  thread:int ->
-  time:int ->
-  op:int ->
-  lstack:int ->
-  locked:bool ->
-  unit
+val feed_fields : t -> Event.access_sink
 (** Algorithm 2 on one dynamic memory instruction, access fields unboxed —
-    the serial interpreter's zero-allocation fast path. *)
-
-val feed_access : t -> Event.access -> unit
-(** Algorithm 2 on one dynamic memory instruction. *)
+    the zero-allocation path every access takes. *)
 
 val feed_dealloc : t -> (int * int * string) list -> unit
 (** Clear dead [(base, len, var)] ranges so their slots can be reused without
     manufacturing false dependences. *)
-
-val feed : t -> Event.t -> unit
-(** Dispatch accesses and deallocations; other region events are ignored. *)
 
 val deps : t -> Dep.Set_.t
 val races : t -> (string * int * int) list

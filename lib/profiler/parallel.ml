@@ -1,9 +1,9 @@
 (* The parallel DiscoPoP profiler (§2.3.3, Fig. 2.2).
 
    The main thread executes the target program (here: the MIL interpreter)
-   and acts as producer: it collects memory accesses into per-worker chunks
-   and pushes full chunks into the lock-free SPSC queue of the worker that
-   owns the address. Worker domains consume chunks, run the dependence engine
+   and acts as producer: it packs memory accesses, as unboxed fields, into
+   per-worker chunks and pushes full chunks into the lock-free SPSC queue of
+   the worker that owns the address. Worker domains consume chunks, run the dependence engine
    over their address shard, and store dependences in thread-local maps that
    are merged at the end — duplicate-free, so the merge is cheap.
 
@@ -19,14 +19,8 @@
 module Event = Trace.Event
 module Chunk = Trace.Chunk
 
-type entry =
-  | Acc of Event.access
-  | Remove of int          (* lifetime analysis / slot migration *)
-
-let dummy_entry = Remove (-1)
-
 type item =
-  | Ichunk of entry Chunk.t
+  | Ichunk of Chunk.t
   | Istop
 
 type queue_kind = Lockfree | Lock_based
@@ -129,26 +123,21 @@ let sum_skip (a : Engine.skip_stats) (b : Engine.skip_stats) : Engine.skip_stats
     skipped_waw = a.skipped_waw + b.skipped_waw;
     shadow_update_elided = a.shadow_update_elided + b.shadow_update_elided }
 
-let worker_loop (queue : channel) ~(returns : entry Chunk.t Spsc_queue.t)
+let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
     ~index ~shadow ~skip () : worker_result =
   (* Name this domain's track on the trace timeline (no-op when tracing is
      off); each worker then appears as its own row in chrome://tracing. *)
   Obs.Trace.set_track (Printf.sprintf "worker %d" index);
   let engine = Engine.create ~skip shadow in
+  let access = Engine.feed_fields engine in
+  let remove addr = Engine.feed_dealloc engine [ (addr, 1, "") ] in
   let chunks = ref 0 in
   let idle_spins = ref 0 in
   let rec loop backoff =
     match channel_try_pop queue with
     | Some (Ichunk chunk) ->
         incr chunks;
-        let consume () =
-          Chunk.iter
-            (fun e ->
-              match e with
-              | Acc a -> Engine.feed_access engine a
-              | Remove addr -> Engine.feed_dealloc engine [ (addr, 1, "") ])
-            chunk
-        in
+        let consume () = Chunk.iter chunk ~access ~remove in
         if Obs.Trace.is_enabled () then
           Obs.Trace.with_span
             (Printf.sprintf "chunk.%d" (Chunk.seq chunk))
@@ -225,9 +214,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   let next_seq = ref 0 in
   let chunk_reuses = ref 0 in
   (* Prefer a recycled chunk from the worker's return channel over a fresh
-     allocation. Recycled chunks skip dummy-filling on reset
-     ([clear_on_reset:false]): every slot is overwritten before the consumer
-     reads it, so the O(capacity) clear would buy nothing. *)
+     allocation. *)
   let fresh_chunk worker =
     incr next_seq;
     match Spsc_queue.try_pop returns.(worker) with
@@ -235,11 +222,9 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         incr chunk_reuses;
         Chunk.set_seq c !next_seq;
         c
-    | None ->
-        Chunk.create ~capacity:chunk_capacity ~seq:!next_seq
-          ~clear_on_reset:false ~dummy:dummy_entry ()
+    | None -> Chunk.create ~capacity:chunk_capacity ~seq:!next_seq ()
   in
-  let open_chunks = Array.init w (fun i -> ref (fresh_chunk i)) in
+  let open_chunks = Array.init w fresh_chunk in
   (* Counter-track names for per-queue depth samples, allocated up front so
      the traced push path does no formatting. *)
   let depth_tracks = Array.init w (Printf.sprintf "queue.%d.depth") in
@@ -252,18 +237,18 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     | Some worker -> worker
     | None -> addr mod w
   in
-  let push_entry worker e =
-    let c = !(open_chunks.(worker)) in
-    Chunk.push c e;
-    if Chunk.is_full c then begin
-      channel_push channels.(worker) (Ichunk c);
-      if Obs.is_enabled () then
-        max_depth := max !max_depth (channel_depth channels.(worker));
-      if Obs.Trace.is_enabled () then
-        Obs.Trace.counter depth_tracks.(worker)
-          (channel_depth channels.(worker));
-      open_chunks.(worker) := fresh_chunk worker
-    end
+  let ship worker c =
+    channel_push channels.(worker) (Ichunk c);
+    if Obs.is_enabled () then
+      max_depth := max !max_depth (channel_depth channels.(worker));
+    if Obs.Trace.is_enabled () then
+      Obs.Trace.counter depth_tracks.(worker) (channel_depth channels.(worker));
+    open_chunks.(worker) <- fresh_chunk worker
+  in
+  let push_remove worker addr =
+    let c = open_chunks.(worker) in
+    Chunk.push_remove c addr;
+    if Chunk.is_full c then ship worker c
   in
   let rebalance () =
     since_rebalance := 0;
@@ -280,36 +265,42 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         if current <> target then begin
           incr redistributions;
           (* Retire the signature state on the old owner before re-routing. *)
-          push_entry current (Remove addr);
+          push_remove current addr;
           Hashtbl.replace rules addr target
         end)
       hot
   in
   let petb = Pet.create_builder () in
-  let emit ev =
-    Pet.feed petb ev;
-    match ev with
-    | Event.Access a ->
-        (match Hashtbl.find_opt counts a.addr with
-        | Some r -> incr r
-        | None -> Hashtbl.replace counts a.addr (ref 1));
-        incr since_rebalance;
-        if !since_rebalance >= rebalance_interval then rebalance ();
-        push_entry (route a.addr) (Acc a)
-    | Event.Region (Event.Dealloc { addrs }) ->
+  let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
+    Pet.feed_access_line petb ~line;
+    (match Hashtbl.find_opt counts addr with
+    | Some r -> incr r
+    | None -> Hashtbl.replace counts addr (ref 1));
+    incr since_rebalance;
+    if !since_rebalance >= rebalance_interval then rebalance ();
+    let worker = route addr in
+    let c = open_chunks.(worker) in
+    Chunk.push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
+      ~locked;
+    if Chunk.is_full c then ship worker c
+  in
+  let emit r =
+    Pet.feed_region petb r;
+    match r with
+    | Event.Dealloc { addrs } ->
         List.iter
           (fun (base, len, _) ->
             for addr = base to base + len - 1 do
-              push_entry (route addr) (Remove addr)
+              push_remove (route addr) addr
             done)
           addrs
-    | Event.Region _ -> ()
+    | _ -> ()
   in
-  let interp = Mil.Interp.run ~seed ~scramble_unlocked ~emit prog in
+  let interp = Mil.Interp.run ~seed ~scramble_unlocked ~emit ~on_access prog in
   (* Flush partial chunks and stop the workers. *)
   Array.iteri
     (fun i c ->
-      if not (Chunk.is_empty !c) then channel_push channels.(i) (Ichunk !c);
+      if not (Chunk.is_empty c) then channel_push channels.(i) (Ichunk c);
       channel_push channels.(i) Istop)
     open_chunks;
   let results = Array.map Domain.join domains in

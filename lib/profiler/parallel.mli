@@ -1,18 +1,13 @@
 (** The parallel DiscoPoP profiler (§2.3.3, Fig. 2.2).
 
-    The main thread executes the target program and produces per-worker
-    chunks of accesses; worker domains consume chunks through lock-free SPSC
-    queues, run the dependence engine over their address shard (addresses
+    The main thread executes the target program and packs its accesses into
+    per-worker chunks ({!Trace.Chunk}); worker domains consume chunks
+    through lock-free SPSC queues, run the dependence engine over their
+    address shard (addresses
     distributed by [addr mod W], Eq. 2.1, with hot addresses periodically
     redistributed through a rules map), and keep thread-local dependence maps
     merged at the end. A mutex-protected queue variant exists solely as the
     lock-based baseline of Fig. 2.9. *)
-
-type entry =
-  | Acc of Trace.Event.access
-  | Remove of int          (** lifetime analysis / slot migration *)
-
-type item = Ichunk of entry Trace.Chunk.t | Istop
 
 type queue_kind = Lockfree | Lock_based
 

@@ -93,8 +93,7 @@ let leave b =
   (match b.stack with [] -> () | _ :: rest -> b.stack <- rest);
   b.current_block <- None
 
-(* An access contributes only its line; exposing this directly lets the
-   serial fast path feed the builder without an [Event.Access] record. *)
+(* An access contributes only its line. *)
 let feed_access_line b ~line =
   match b.current_block with
   | Some blk ->
@@ -120,21 +119,18 @@ let feed_access_line b ~line =
       blk.instructions <- blk.instructions + 1;
       b.current_block <- Some blk
 
-let feed b (ev : Event.t) =
-  match ev with
-  | Event.Access a -> feed_access_line b ~line:a.line
-  | Event.Region r -> (
-      match r with
-      | Event.Func_entry { name; line; _ } -> ignore (enter b (Fnode name) line)
-      | Event.Func_exit _ -> leave b
-      | Event.Loop_entry { line; _ } -> ignore (enter b (Lnode line) line)
-      | Event.Loop_exit { iterations; _ } ->
-          (match b.stack with
-          | n :: _ -> n.iterations <- n.iterations + iterations
-          | [] -> ());
-          leave b
-      | Event.Loop_iter _ -> b.current_block <- None
-      | Event.Dealloc _ | Event.Thread_start _ | Event.Thread_end _ -> ())
+let feed_region b (r : Event.region) =
+  match r with
+  | Event.Func_entry { name; line; _ } -> ignore (enter b (Fnode name) line)
+  | Event.Func_exit _ -> leave b
+  | Event.Loop_entry { line; _ } -> ignore (enter b (Lnode line) line)
+  | Event.Loop_exit { iterations; _ } ->
+      (match b.stack with
+      | n :: _ -> n.iterations <- n.iterations + iterations
+      | [] -> ());
+      leave b
+  | Event.Loop_iter _ -> b.current_block <- None
+  | Event.Dealloc _ | Event.Thread_start _ | Event.Thread_end _ -> ()
 
 let finish b : t =
   if b.count = 0 then ignore (new_node b (Fnode "<empty>") (-1) 0);

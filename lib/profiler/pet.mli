@@ -28,12 +28,11 @@ type t
 type builder
 
 val create_builder : unit -> builder
-val feed : builder -> Trace.Event.t -> unit
+val feed_region : builder -> Trace.Event.region -> unit
 
 val feed_access_line : builder -> line:int -> unit
-(** The access case of {!feed} given just the line — an access contributes
-    nothing else to the tree — so the serial fast path can feed the builder
-    without an [Event.Access] record. *)
+(** One access, given just its line: an access contributes nothing else to
+    the tree. *)
 
 val finish : builder -> t
 

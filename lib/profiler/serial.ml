@@ -39,17 +39,16 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
   Obs.Span.with_ ~phase:"profile" @@ fun () ->
   let engine = Engine.create ~skip ~lifetime shadow in
   let petb = Pet.create_builder () in
-  (* In-order accesses arrive as unboxed fields through [on_access] — no
-     [Event.Access] record is ever allocated on that path. Region events and
-     scrambled (delayed, reordered) accesses still arrive through [emit]. *)
   let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     Engine.feed_fields engine ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
       ~locked;
     Pet.feed_access_line petb ~line
   in
-  let emit ev =
-    Engine.feed engine ev;
-    Pet.feed petb ev
+  let emit r =
+    (match r with
+    | Trace.Event.Dealloc { addrs } -> Engine.feed_dealloc engine addrs
+    | _ -> ());
+    Pet.feed_region petb r
   in
   let interp =
     Mil.Interp.run ~seed ~scramble_unlocked ?cancelled ~emit ~on_access prog

@@ -1,46 +1,68 @@
 (* Fixed-size chunks, the unit of transfer between the producer (the
    executing program) and the profiler's worker threads (§2.3.3). Chunk size
    is configurable in the interest of scalability, and empty chunks are
-   recycled to avoid allocation churn. *)
+   recycled to avoid allocation churn.
 
-type 'a t = {
-  mutable used : int;
-  mutable seq : int;  (* producer-assigned sequence number, for tracing *)
-  slots : 'a array;
-  dummy : 'a;
-  clear_on_reset : bool;
+   Entries are packed into one flat int array, [stride] ints each: a kind
+   code, then the access fields. An int array holds no pointers, so filling
+   a chunk needs no write barrier and a recycled one retains nothing. *)
+
+type t = {
+  mutable used : int;  (* entries *)
+  mutable seq : int;   (* producer-assigned sequence number, for tracing *)
+  data : int array;
 }
+
+let stride = 8
+
+(* Kind codes: a read or a write, plus 2 when the thread held a lock; a slot
+   removal carries only its address. *)
+let remove_code = 4
 
 let default_capacity = 512
 
-let create ?(capacity = default_capacity) ?(seq = 0) ?(clear_on_reset = true)
-    ~dummy () =
-  { used = 0; seq; slots = Array.make capacity dummy; dummy; clear_on_reset }
+let create ?(capacity = default_capacity) ?(seq = 0) () =
+  { used = 0; seq; data = Array.make (capacity * stride) 0 }
 
 let seq c = c.seq
 let set_seq c s = c.seq <- s
 
-let capacity c = Array.length c.slots
+let capacity c = Array.length c.data / stride
 let length c = c.used
-let is_full c = c.used = Array.length c.slots
+let is_full c = c.used * stride = Array.length c.data
 let is_empty c = c.used = 0
 
-let push c a =
-  c.slots.(c.used) <- a;
+let push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
+  let d = c.data and b = c.used * stride in
+  d.(b) <-
+    (match kind with Event.Read -> 0 | Event.Write -> 1)
+    + if locked then 2 else 0;
+  d.(b + 1) <- addr;
+  d.(b + 2) <- var;
+  d.(b + 3) <- line;
+  d.(b + 4) <- thread;
+  d.(b + 5) <- time;
+  d.(b + 6) <- op;
+  d.(b + 7) <- lstack;
   c.used <- c.used + 1
 
-let get c i =
-  assert (i < c.used);
-  c.slots.(i)
+let push_remove c addr =
+  let b = c.used * stride in
+  c.data.(b) <- remove_code;
+  c.data.(b + 1) <- addr;
+  c.used <- c.used + 1
 
-let iter f c =
+let iter c ~access ~remove =
+  let d = c.data in
   for i = 0 to c.used - 1 do
-    f c.slots.(i)
+    let b = i * stride in
+    let code = d.(b) in
+    if code = remove_code then remove d.(b + 1)
+    else
+      access
+        ~kind:(if code land 1 = 0 then Event.Read else Event.Write)
+        ~addr:d.(b + 1) ~var:d.(b + 2) ~line:d.(b + 3) ~thread:d.(b + 4)
+        ~time:d.(b + 5) ~op:d.(b + 6) ~lstack:d.(b + 7) ~locked:(code >= 2)
   done
 
-(* Clearing is O(used) and only matters when stale slots would keep dead
-   values alive past the chunk's next fill; a pool that overwrites slots
-   immediately opts out with [clear_on_reset:false] and resets in O(1). *)
-let reset c =
-  if c.clear_on_reset then Array.fill c.slots 0 c.used c.dummy;
-  c.used <- 0
+let reset c = c.used <- 0

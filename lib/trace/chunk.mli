@@ -1,37 +1,37 @@
 (** Fixed-size chunks, the unit of transfer between the producer (the
-    executing program) and the profiler's worker threads (§2.3.3). *)
+    executing program) and the profiler's worker threads (§2.3.3).
 
-type 'a t
+    A chunk is a packed int buffer with a fixed number of ints per entry.
+    An entry is either an access, its fields stored unboxed, or the removal
+    of one address's shadow slot (lifetime analysis, slot migration). *)
+
+type t
 
 val default_capacity : int
 
-val create : ?capacity:int -> ?seq:int -> ?clear_on_reset:bool -> dummy:'a ->
-  unit -> 'a t
-(** A fresh chunk; [dummy] fills unused slots; [seq] (default 0) is the
-    producer-assigned sequence number. [clear_on_reset] (default [true])
-    makes {!reset} refill used slots with [dummy]; pass [false] for pooled
-    chunks whose slots are overwritten before they are read again, making
-    {!reset} O(1). *)
+val create : ?capacity:int -> ?seq:int -> unit -> t
+(** A fresh chunk of [capacity] entries; [seq] (default 0) is the
+    producer-assigned sequence number. *)
 
-val seq : 'a t -> int
+val seq : t -> int
 (** The producer-assigned sequence number — labels this chunk's consumption
     span on a worker's trace timeline. *)
 
-val set_seq : 'a t -> int -> unit
+val set_seq : t -> int -> unit
 
-val capacity : 'a t -> int
-val length : 'a t -> int
-val is_full : 'a t -> bool
-val is_empty : 'a t -> bool
+val capacity : t -> int
+val length : t -> int
+val is_full : t -> bool
+val is_empty : t -> bool
 
-val push : 'a t -> 'a -> unit
-(** Append one item. The caller must check {!is_full} first. *)
+val push_access : t -> Event.access_sink
+(** Append one access. The caller must check {!is_full} first. *)
 
-val get : 'a t -> int -> 'a
-(** [get c i] is the [i]-th item pushed; [i < length c]. *)
+val push_remove : t -> int -> unit
+(** Append the removal of one address's shadow slot. *)
 
-val iter : ('a -> unit) -> 'a t -> unit
+val iter : t -> access:Event.access_sink -> remove:(int -> unit) -> unit
+(** Decode the entries in push order. *)
 
-val reset : 'a t -> unit
-(** Empty the chunk for reuse (chunk recycling, §2.3.3). O(length) when the
-    chunk clears on reset, O(1) otherwise. *)
+val reset : t -> unit
+(** Empty the chunk for reuse (chunk recycling, §2.3.3); O(1). *)

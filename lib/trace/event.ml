@@ -23,6 +23,18 @@ type access = {
   locked : bool;        (* thread held >=1 lock / access was atomic *)
 }
 
+type access_sink =
+  kind:kind ->
+  addr:int ->
+  var:int ->
+  line:int ->
+  thread:int ->
+  time:int ->
+  op:int ->
+  lstack:int ->
+  locked:bool ->
+  unit
+
 type region =
   | Loop_entry of { line : int; inst : int }
   | Loop_iter of { line : int; inst : int; iter : int }

@@ -28,6 +28,21 @@ type access = {
   locked : bool;        (** the thread held at least one lock *)
 }
 
+(** A consumer of accesses given as the labeled, unboxed fields of an
+    {!access}: the interpreter hands every access to the profilers this way,
+    so the record is never allocated on the way. *)
+type access_sink =
+  kind:kind ->
+  addr:int ->
+  var:int ->
+  line:int ->
+  thread:int ->
+  time:int ->
+  op:int ->
+  lstack:int ->
+  locked:bool ->
+  unit
+
 (** Control-region and lifetime events. *)
 type region =
   | Loop_entry of { line : int; inst : int }

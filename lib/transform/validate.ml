@@ -155,16 +155,14 @@ let measure ?(seed = 42) ?label ~(original : Mil.Ast.program)
   let per_thread = Hashtbl.create 8 in
   let _ =
     Interp.run ~seed
-      ~emit:(fun ev ->
-        match ev with
-        | Trace.Event.Access a ->
-            let n =
-              match Hashtbl.find_opt per_thread a.Trace.Event.thread with
-              | Some n -> n
-              | None -> 0
-            in
-            Hashtbl.replace per_thread a.Trace.Event.thread (n + 1)
-        | _ -> ())
+      ~on_access:(fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread ~time:_ ~op:_
+          ~lstack:_ ~locked:_ ->
+        let n =
+          match Hashtbl.find_opt per_thread thread with
+          | Some n -> n
+          | None -> 0
+        in
+        Hashtbl.replace per_thread thread (n + 1))
       transformed
   in
   let d_threads =

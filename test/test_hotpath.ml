@@ -99,6 +99,56 @@ let test_paged_golden_agreement () =
                (Printf.sprintf "paged depfile bytes: %s" f)
                want got)
 
+(* ---- scramble-mode oracle ----
+
+   Race detection (§2.3.4) and [Validate]'s race check profile with
+   [scramble_unlocked], which delays and reorders unlocked accesses of
+   concurrent threads before the engine sees them. "scramble.golden" pins
+   that path on two threaded programs whose threads share data without
+   locks: per (program, seed), the depfile bytes and the sorted race list.
+
+   Regenerate (only for a deliberate semantic change) with
+     SCRAMBLE_GOLDEN_OUT=test/golden/scramble.golden \
+       dune exec test/test_main.exe -- test hotpath *)
+let scramble_cases = [ ("water-nsq", 12); ("fmm", 8) ]
+let scramble_seeds = [ 1; 2; 3 ]
+
+let scramble_output () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (name, size) ->
+      let w =
+        match find_workload name with
+        | Some w -> w
+        | None -> Alcotest.failf "scramble oracle: unknown workload %s" name
+      in
+      let prog = Workloads.Registry.program ~size w in
+      List.iter
+        (fun seed ->
+          let r = Profiler.Serial.profile ~scramble_unlocked:true ~seed prog in
+          Printf.bprintf b "== %s size %d seed %d\n" name size seed;
+          Buffer.add_string b (Profiler.Depfile.render r.Profiler.Serial.deps);
+          List.iter
+            (fun (var, l1, l2) -> Printf.bprintf b "race %s %d %d\n" var l1 l2)
+            (List.sort compare r.Profiler.Serial.races))
+        scramble_seeds)
+    scramble_cases;
+  Buffer.contents b
+
+let test_scramble_golden () =
+  let got = scramble_output () in
+  (match Sys.getenv_opt "SCRAMBLE_GOLDEN_OUT" with
+  | Some path when path <> "" ->
+      let oc = open_out_bin path in
+      output_string oc got;
+      close_out oc
+  | _ -> ());
+  let want = read_file (Filename.concat golden_dir "scramble.golden") in
+  Alcotest.(check bool) "oracle sees races" true
+    (List.exists (String.starts_with ~prefix:"race ")
+       (String.split_on_char '\n' want));
+  Alcotest.(check string) "scramble-mode depfiles and races" want got
+
 (* ---- allocation regression ---- *)
 
 (* The zero-alloc fast path (off-heap slot store, scratch cells, closure-free
@@ -108,18 +158,18 @@ let test_paged_golden_agreement () =
    room for amortized table growth (Perfect sits near 0.5); the seed engine
    burned ~14 words per access. *)
 let alloc_cap = 3.0
+let parallel_alloc_cap = 10.0
 
+(* The access stream, packed into one chunk sized by a first, uninstrumented
+   run's access count. *)
 let record_stream prog =
-  let acc = ref [] in
-  let _ =
-    Mil.Interp.run
-      ~emit:(fun ev ->
-        match ev with
-        | Event.Access a -> acc := a :: !acc
-        | Event.Region _ -> ())
-      prog
-  in
-  Array.of_list (List.rev !acc)
+  let s = (Mil.Interp.run ~instrument:false prog).Mil.Interp.r_stats in
+  let c = Chunk.create ~capacity:(s.reads + s.writes) () in
+  ignore (Mil.Interp.run ~on_access:(Chunk.push_access c) prog);
+  c
+
+let replay e stream =
+  Chunk.iter stream ~access:(Profiler.Engine.feed_fields e) ~remove:ignore
 
 let test_alloc_regression () =
   let w =
@@ -128,24 +178,38 @@ let test_alloc_regression () =
     | None -> Alcotest.fail "histogram workload missing"
   in
   let stream = record_stream (Workloads.Registry.program ~size:1000 w) in
-  let n = float_of_int (Array.length stream) in
-  Alcotest.(check bool) "stream non-trivial" true (Array.length stream > 1000);
+  let n = float_of_int (Chunk.length stream) in
+  Alcotest.(check bool) "stream non-trivial" true (Chunk.length stream > 1000);
   List.iter
     (fun (label, shadow) ->
       (* Warm run: interning, carrier memo fills and shadow-table growth are
          one-time costs, not per-access ones. *)
-      let e = Profiler.Engine.create shadow in
-      Array.iter (Profiler.Engine.feed_access e) stream;
+      replay (Profiler.Engine.create shadow) stream;
       let e = Profiler.Engine.create shadow in
       let w0 = Gc.minor_words () in
-      Array.iter (Profiler.Engine.feed_access e) stream;
+      replay e stream;
       let per_access = (Gc.minor_words () -. w0) /. n in
       if per_access > alloc_cap then
         Alcotest.failf "%s: %.2f minor words/access exceeds cap %.1f" label
           per_access alloc_cap)
     [ ("sig", Profiler.Engine.Signature 4096);
       ("perfect", Profiler.Engine.Perfect);
-      ("paged", Profiler.Engine.Paged) ]
+      ("paged", Profiler.Engine.Paged) ];
+  (* The parallel profiler's producer runs the interpreter and packs every
+     access into a chunk on the calling domain; the engines run on the
+     worker's. Its cap is wider: the interpreter and the hot-address
+     counting table allocate a few words per access of their own. *)
+  let prog = Workloads.Registry.program ~size:1000 w in
+  let parallel () = Profiler.Parallel.profile ~workers:1 ~perfect:true prog in
+  ignore (parallel ());
+  let w0 = Gc.minor_words () in
+  let r = parallel () in
+  let per_access =
+    (Gc.minor_words () -. w0) /. float_of_int r.Profiler.Parallel.accesses
+  in
+  if per_access > parallel_alloc_cap then
+    Alcotest.failf "parallel producer: %.2f minor words/access exceeds cap %.1f"
+      per_access parallel_alloc_cap
 
 (* ---- interning ---- *)
 
@@ -215,34 +279,30 @@ let test_carrier_agreement () =
 
 (* ---- chunk pooling ---- *)
 
+(* A recycled chunk decodes only its new fill: reset forgets the old
+   entries without clearing them. *)
 let test_chunk_fill_reset () =
-  let c = Chunk.create ~capacity:4 ~seq:7 ~dummy:(-1) () in
+  let c = Chunk.create ~capacity:4 ~seq:7 () in
   Alcotest.(check bool) "fresh empty" true (Chunk.is_empty c);
-  List.iter (Chunk.push c) [ 10; 20; 30; 40 ];
+  List.iter (Chunk.push_remove c) [ 10; 20; 30; 40 ];
   Alcotest.(check bool) "full" true (Chunk.is_full c);
   Alcotest.(check int) "seq" 7 (Chunk.seq c);
-  let sum = ref 0 in
-  Chunk.iter (fun x -> sum := !sum + x) c;
-  Alcotest.(check int) "contents" 100 !sum;
+  let removed () =
+    let xs = ref [] in
+    Chunk.iter c
+      ~access:(fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
+          ~lstack:_ ~locked:_ -> Alcotest.fail "no access was pushed")
+      ~remove:(fun a -> xs := a :: !xs);
+    List.rev !xs
+  in
+  Alcotest.(check (list int)) "contents" [ 10; 20; 30; 40 ] (removed ());
   Chunk.reset c;
   Alcotest.(check bool) "reset empties" true (Chunk.is_empty c);
-  (* Default reset clears the used prefix back to the dummy. *)
-  Chunk.push c 5;
-  Alcotest.(check int) "refill after reset" 5 (Chunk.get c 0)
-
-let test_chunk_no_clear_recycle () =
-  let c = Chunk.create ~capacity:4 ~clear_on_reset:false ~dummy:(-1) () in
-  List.iter (Chunk.push c) [ 1; 2; 3 ];
-  Chunk.reset c;
-  Alcotest.(check bool) "O(1) reset empties" true (Chunk.is_empty c);
   Chunk.set_seq c 42;
-  (* Recycled use: overwrites see only their own pushes. *)
-  List.iter (Chunk.push c) [ 7; 8 ];
+  List.iter (Chunk.push_remove c) [ 7; 8 ];
   Alcotest.(check int) "recycled seq" 42 (Chunk.seq c);
-  Alcotest.(check int) "recycled length" 2 (Chunk.length c);
-  let xs = ref [] in
-  Chunk.iter (fun x -> xs := x :: !xs) c;
-  Alcotest.(check (list int)) "iter covers only the new fill" [ 8; 7 ] !xs
+  Alcotest.(check (list int)) "iter covers only the new fill" [ 7; 8 ]
+    (removed ())
 
 (* Parallel profiling with chunk recycling must agree with serial profiling
    (same merged records) — the pool must never tear or resurrect entries.
@@ -264,6 +324,8 @@ let tests =
       test_golden_sweep;
     Alcotest.test_case "paged backend matches perfect goldens" `Slow
       test_paged_golden_agreement;
+    Alcotest.test_case "scramble-mode golden (depfiles, races)" `Quick
+      test_scramble_golden;
     Alcotest.test_case "per-access allocation under cap" `Quick
       test_alloc_regression;
     Alcotest.test_case "symbol intern round-trip" `Quick test_sym_roundtrip;
@@ -272,7 +334,5 @@ let tests =
     Alcotest.test_case "interned carrier agrees with reference" `Quick
       test_carrier_agreement;
     Alcotest.test_case "chunk fill/reset/seq" `Quick test_chunk_fill_reset;
-    Alcotest.test_case "chunk recycle without clearing" `Quick
-      test_chunk_no_clear_recycle;
     Alcotest.test_case "pooled parallel equals serial" `Quick
       test_pooled_parallel_equivalence ]

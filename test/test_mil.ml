@@ -197,7 +197,6 @@ let test_barriers () =
 
 let test_scope_reuse () =
   (* Addresses of block locals are recycled across iterations. *)
-  let events = ref 0 in
   let deallocs = ref 0 in
   let p =
     let open B in
@@ -206,15 +205,11 @@ let test_scope_reuse () =
   in
   let _ =
     Interp.run
-      ~emit:(fun ev ->
-        events := Stdlib.( + ) !events 1;
-        match ev with
-        | Trace.Event.Region (Trace.Event.Dealloc _) ->
-            deallocs := Stdlib.( + ) !deallocs 1
+      ~emit:(function
+        | Trace.Event.Dealloc _ -> deallocs := Stdlib.( + ) !deallocs 1
         | _ -> ())
       p
   in
-  ignore !events;
   Alcotest.(check bool) "dealloc events fired" true (!deallocs >= 5)
 
 (* Leaving a block frees its locals last declared first, so each iteration
@@ -233,8 +228,7 @@ let test_scope_exit_order () =
   let _ =
     Interp.run
       ~emit:(function
-        | Trace.Event.Region (Trace.Event.Dealloc { addrs }) ->
-            deallocs := addrs :: !deallocs
+        | Trace.Event.Dealloc { addrs } -> deallocs := addrs :: !deallocs
         | _ -> ())
       p
   in
@@ -475,9 +469,8 @@ let test_free_statement () =
   let freed = ref 0 in
   let _ =
     Interp.run
-      ~emit:(fun ev ->
-        match ev with
-        | Trace.Event.Region (Trace.Event.Dealloc { addrs }) ->
+      ~emit:(function
+        | Trace.Event.Dealloc { addrs } ->
             List.iter (fun (_, len, _) -> freed := !freed + len) addrs
         | _ -> ())
       p

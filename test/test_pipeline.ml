@@ -261,6 +261,41 @@ let job_entry_matches_summary () =
   Alcotest.(check (list string)) "hit serves the same dependences"
     (dep_names deps) (dep_names wdeps)
 
+(* The paged shadow is exact with or without profiler workers. The program
+   writes 120k cells, past the 100,000 slots a signature engine would get,
+   then reads a second array: under a signature the reads alias the writes
+   and invent RAW dependences. *)
+let parallel_paged_is_exact () =
+  let n = 120_000 in
+  let prog =
+    let open Mil.Builder in
+    number
+      (program ~entry:"main" "wide" ~globals:[ garray "a" n; garray "b" n ]
+         [ func "main"
+             [ for_ "k" (i 0) (i n) [ seti "a" (v "k") (v "k") ];
+               decl "s" (i 0);
+               for_ "k" (i 0) (i n) [ set "s" (v "s" + "b".%[v "k"]) ];
+               return (v "s") ] ])
+  in
+  let run workers =
+    let config =
+      { Pipeline.Cache.default_config with
+        shadow = Profiler.Engine.Paged; workers }
+    in
+    match
+      Pipeline.run_job ~cancelled:(fun () -> false)
+        (Pipeline.program_job ~name:"wide" ~config prog)
+    with
+    | Pipeline.Ok_ ok -> ok
+    | _ -> Alcotest.fail "job failed"
+  in
+  let serial = run 0 and par = run 2 in
+  Alcotest.(check (list string)) "same dependences"
+    (dep_names (fst serial.Pipeline.jr_entry))
+    (dep_names (fst par.Pipeline.jr_entry));
+  Alcotest.(check string) "same summary" serial.Pipeline.jr_summary
+    par.Pipeline.jr_summary
+
 (* ---- cache eviction ---- *)
 
 let dummy_deps = Profiler.Dep.Set_.create ()
@@ -409,6 +444,8 @@ let tests =
       cache_store_sweeps;
     Alcotest.test_case "job entry mirrors the cache tiers" `Quick
       job_entry_matches_summary;
+    Alcotest.test_case "parallel paged profile is exact" `Quick
+      parallel_paged_is_exact;
     Alcotest.test_case "batch = single runs; warm = byte-identical hits" `Slow
       batch_matches_single_runs;
     Alcotest.test_case "fault isolation: raise / timeout / retry" `Quick

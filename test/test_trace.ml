@@ -41,19 +41,35 @@ let test_carrier_nested () =
     "entry from outside" None
     (carrier_line [] [ outer 0; inner 7 0 ])
 
+(* Every access field, the kind and the locked flag survive the packing;
+   removals interleave with accesses in push order. *)
 let test_chunks () =
-  let c = Chunk.create ~capacity:4 ~dummy:0 () in
+  let c = Chunk.create ~capacity:4 () in
   Alcotest.(check bool) "empty" true (Chunk.is_empty c);
-  Chunk.push c 10;
-  Chunk.push c 20;
-  Alcotest.(check int) "length" 2 (Chunk.length c);
-  Alcotest.(check int) "get" 20 (Chunk.get c 1);
-  Chunk.push c 30;
-  Chunk.push c 40;
+  let push kind locked k =
+    Chunk.push_access c ~kind ~addr:(100 + k) ~var:(200 + k) ~line:(300 + k)
+      ~thread:k ~time:(400 + k) ~op:(500 + k) ~lstack:(600 + k) ~locked
+  in
+  push Event.Read false 1;
+  Chunk.push_remove c 77;
+  push Event.Write true 2;
+  Alcotest.(check int) "length" 3 (Chunk.length c);
+  push Event.Read true 3;
   Alcotest.(check bool) "full" true (Chunk.is_full c);
-  let sum = ref 0 in
-  Chunk.iter (fun x -> sum := !sum + x) c;
-  Alcotest.(check int) "iter" 100 !sum;
+  let seen = ref [] in
+  Chunk.iter c
+    ~access:(fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked ->
+      seen :=
+        Printf.sprintf "%s %d %d %d %d %d %d %d %b" (Event.kind_to_string kind)
+          addr var line thread time op lstack locked
+        :: !seen)
+    ~remove:(fun addr -> seen := Printf.sprintf "remove %d" addr :: !seen);
+  Alcotest.(check (list string))
+    "decoded in push order"
+    [ "read 101 201 301 1 401 501 601 false"; "remove 77";
+      "write 102 202 302 2 402 502 602 true";
+      "read 103 203 303 3 403 503 603 true" ]
+    (List.rev !seen);
   Chunk.reset c;
   Alcotest.(check bool) "reset empties" true (Chunk.is_empty c);
   Alcotest.(check int) "capacity preserved" 4 (Chunk.capacity c)
