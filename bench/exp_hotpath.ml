@@ -10,6 +10,7 @@
      calling domain, which runs the interpreter and packs the chunks;
    - the event producer alone: interpreted statements/sec, instrumented
      with sinks that drop every event, and uninstrumented (native);
+   - the whole serial profiler (interpreter, engine and PET): accesses/sec;
    - the end-to-end serial slowdown factor (profiled / native wall time).
 
    Each metric is published as a [hotpath.*] gauge so BENCH_hotpath.json
@@ -90,19 +91,31 @@ let measure_parallel_producer prog =
   let r = go () in
   (Gc.minor_words () -. w0) /. float_of_int r.Profiler.Parallel.accesses
 
-(* Executed statements per second of the fastest of 5 runs (after one
-   warm-up), instrumented (into the default sinks, which drop every event)
-   or not. *)
-let measure_interp ~instrument prog =
-  let go () = Mil.Interp.run ~instrument prog in
-  let stmts = (go ()).Mil.Interp.r_stats.statements in
+(* [count] of a warm-up run of [go], per second of the fastest of 5 more. *)
+let best_rate go count =
+  let n = count (go ()) in
   let best = ref infinity in
   for _ = 1 to 5 do
     let t0 = Unix.gettimeofday () in
     ignore (go ());
     best := min !best (Unix.gettimeofday () -. t0)
   done;
-  float_of_int stmts /. !best
+  float_of_int n /. !best
+
+(* Executed statements per second, instrumented (into the default sinks,
+   which drop every event) or not. *)
+let measure_interp ~instrument prog =
+  best_rate
+    (fun () -> Mil.Interp.run ~instrument prog)
+    (fun r -> r.Mil.Interp.r_stats.statements)
+
+(* Accesses per second of the whole serial profiler — interpreter, engine
+   and PET together — perfect shadow with skip on. *)
+let measure_serial prog =
+  best_rate
+    (fun () ->
+      Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect ~skip:true prog)
+    (fun r -> r.Profiler.Serial.accesses)
 
 let run () =
   Util.header
@@ -123,6 +136,7 @@ let run () =
         let par_wpa = measure_parallel_producer prog in
         let interp_sps = measure_interp ~instrument:true prog in
         let native_sps = measure_interp ~instrument:false prog in
+        let serial_aps = measure_serial prog in
         let t_native = Util.native_time prog in
         let t_serial =
           Util.med_time (fun () ->
@@ -143,6 +157,8 @@ let run () =
         g (Printf.sprintf "hotpath.%s.interp.stmts_per_sec" w.name) interp_sps;
         g (Printf.sprintf "hotpath.%s.interp.native_stmts_per_sec" w.name)
           native_sps;
+        g (Printf.sprintf "hotpath.%s.serial.accesses_per_sec" w.name)
+          serial_aps;
         g (Printf.sprintf "hotpath.%s.slowdown_serial" w.name) slowdown;
         Obs.Counter.add
           (Obs.counter (Printf.sprintf "hotpath.%s.accesses" w.name))
@@ -153,18 +169,18 @@ let run () =
           Printf.sprintf "%.2e" paged_eps; Printf.sprintf "%.1f" paged_wpa;
           Printf.sprintf "%.1f" par_wpa;
           Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
-          Printf.sprintf "%.0f" slowdown ])
+          Printf.sprintf "%.2e" serial_aps; Printf.sprintf "%.0f" slowdown ])
       (sample ())
   in
   Util.table
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
         "perf w/acc"; "paged ev/s"; "paged w/acc"; "par w/acc"; "interp st/s";
-        "native st/s"; "slowdown" ]
+        "native st/s"; "serial acc/s"; "slowdown" ]
     rows;
   print_endline
     "(events/sec: engine alone over a pre-recorded stream; w/acc: GC minor\n\
     \ words allocated per access, par: the parallel profiler's producer;\n\
     \ st/s: interpreted statements/sec,\n\
-    \ instrumented into no-op sinks and native; slowdown: serial profiled vs\n\
-    \ native)"
+    \ instrumented into no-op sinks and native; serial acc/s: the whole serial\n\
+    \ profiler, perfect + skip; slowdown: serial profiled vs native)"

@@ -273,11 +273,14 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   let petb = Pet.create_builder () in
   let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     Pet.feed_access_line petb ~line;
-    (match Hashtbl.find_opt counts addr with
-    | Some r -> incr r
-    | None -> Hashtbl.replace counts addr (ref 1));
-    incr since_rebalance;
-    if !since_rebalance >= rebalance_interval then rebalance ();
+    (* One worker owns every address: there is nothing to rebalance. *)
+    if w > 1 then begin
+      (match Hashtbl.find_opt counts addr with
+      | Some r -> incr r
+      | None -> Hashtbl.replace counts addr (ref 1));
+      incr since_rebalance;
+      if !since_rebalance >= rebalance_interval then rebalance ()
+    end;
     let worker = route addr in
     let c = open_chunks.(worker) in
     Chunk.push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack

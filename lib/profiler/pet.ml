@@ -23,29 +23,54 @@ type node = {
   mutable instances : int;     (* dynamic instances merged into this node *)
   mutable first_line : int;
   mutable last_line : int;
-  mutable dep_count : int;     (* dependences with sink directly here *)
+  mutable dep_count : int;     (* dependences with sink in the span *)
 }
 
 type t = {
-  mutable nodes : node array;
-  mutable n : int;
+  nodes : node array;
+  n : int;
   root : int;
+  subtree : int array;        (* instructions in each node's subtree *)
 }
+
+(* Instance merging: a static construct under a given parent maps to one
+   node, found by an int key packing the parent id + 1, a payload and a kind
+   tag as [((parent + 1) lsl 29 lor payload) lsl 2 lor tag]. A function's
+   payload is its name interned to a small int per builder; a loop's or a
+   block's is its line when that lies in [0, 2^28), else 2^28 plus the line
+   interned likewise, so payloads fit their 29 bits. *)
+let tag_func = 0
+let tag_loop = 1
+let tag_block = 2
+let wide_line = 1 lsl 28
+
+(* Keys carry the parent in their high bits: mix those into the low bits the
+   table indexes by. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
+end)
 
 type builder = {
   mutable barr : node array;              (* dynamic array of nodes *)
   mutable count : int;
-  (* Instance merging: a static construct under a given parent maps to one
-     node. *)
-  index : (int * string, int) Hashtbl.t;  (* (parent, key) -> node id *)
-  mutable stack : node list;              (* innermost first *)
-  mutable current_block : node option;
+  index : int Itbl.t;                     (* key -> node id *)
+  (* The last child each parent looked up, at parent id + 1: a repeated
+     loop iteration reopens its block with one int compare. *)
+  mutable memo_key : int array;
+  mutable memo_id : int array;
+  funcs : (string, int) Hashtbl.t;        (* function name -> payload *)
+  wide : (int, int) Hashtbl.t;            (* line outside [0, 2^28) -> payload *)
+  mutable stack : int list;               (* open function and loop nodes *)
+  mutable block : int;                    (* the open block node, or -1 *)
 }
 
-let key_of_kind = function
-  | Fnode f -> "f:" ^ f
-  | Lnode l -> "l:" ^ string_of_int l
-  | Bnode l -> "b:" ^ string_of_int l
+let no_key = -1
 
 let dummy_node =
   { id = -1; kind = Bnode 0; parent = -1; children = []; instructions = 0;
@@ -53,126 +78,173 @@ let dummy_node =
     dep_count = 0 }
 
 let create_builder () =
-  { barr = Array.make 64 dummy_node; count = 0; index = Hashtbl.create 64;
-    stack = []; current_block = None }
+  { barr = Array.make 64 dummy_node; count = 0; index = Itbl.create 64;
+    memo_key = Array.make 65 no_key; memo_id = Array.make 65 0;
+    funcs = Hashtbl.create 16; wide = Hashtbl.create 1;
+    stack = []; block = -1 }
 
-let new_node b kind parent line =
-  let n =
-    { id = b.count; kind; parent; children = []; instructions = 0;
-      iterations = 0; instances = 0; first_line = line; last_line = line;
-      dep_count = 0 }
-  in
-  if b.count = Array.length b.barr then begin
-    let a = Array.make (2 * b.count) dummy_node in
-    Array.blit b.barr 0 a 0 b.count;
-    b.barr <- a
+let grow a len fill =
+  let a' = Array.make len fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
+
+let intern tbl k =
+  match Hashtbl.find tbl k with
+  | id -> id
+  | exception Not_found ->
+      let id = Hashtbl.length tbl in
+      Hashtbl.add tbl k id;
+      id
+
+let line_payload b line =
+  if line >= 0 && line < wide_line then line else wide_line + intern b.wide line
+
+let add_node b kind parent line =
+  let id = b.count in
+  if id = Array.length b.barr then begin
+    b.barr <- grow b.barr (2 * id) dummy_node;
+    b.memo_key <- grow b.memo_key ((2 * id) + 1) no_key;
+    b.memo_id <- grow b.memo_id ((2 * id) + 1) 0
   end;
-  b.barr.(b.count) <- n;
-  b.count <- b.count + 1;
+  b.barr.(id) <- { id; kind; parent; children = []; instructions = 0;
+                   iterations = 0; instances = 0; first_line = line;
+                   last_line = line; dep_count = 0 };
+  b.count <- id + 1;
+  if parent >= 0 then begin
+    let p = b.barr.(parent) in
+    p.children <- id :: p.children
+  end;
+  id
+
+(* One more instance of a construct under the innermost open node: its
+   merged node, created on first sight; [name] is read only for a new
+   function node. *)
+let instance b ~tag ~payload ~line ~name =
+  let parent = match b.stack with [] -> -1 | p :: _ -> p in
+  let key = ((((parent + 1) lsl 29) lor payload) lsl 2) lor tag in
+  let slot = parent + 1 in
+  let id =
+    if b.memo_key.(slot) = key then b.memo_id.(slot)
+    else begin
+      let id =
+        match Itbl.find b.index key with
+        | id -> id
+        | exception Not_found ->
+            let kind =
+              if tag = tag_func then Fnode name
+              else if tag = tag_loop then Lnode line
+              else Bnode line
+            in
+            let id = add_node b kind parent line in
+            Itbl.add b.index key id;
+            id
+      in
+      (* [add_node] may have grown the memo arrays. *)
+      b.memo_key.(slot) <- key;
+      b.memo_id.(slot) <- id;
+      id
+    end
+  in
+  let n = b.barr.(id) in
+  n.instances <- n.instances + 1;
   n
 
-(* Find or create the merged node for [kind] under the current top. *)
-let enter b kind line =
-  let parent_id = match b.stack with [] -> -1 | p :: _ -> p.id in
-  let key = (parent_id, key_of_kind kind) in
-  let n =
-    match Hashtbl.find_opt b.index key with
-    | Some id -> b.barr.(id)
-    | None ->
-        let n = new_node b kind parent_id line in
-        Hashtbl.replace b.index key n.id;
-        (match b.stack with [] -> () | p :: _ -> p.children <- n.id :: p.children);
-        n
-  in
-  n.instances <- n.instances + 1;
-  b.stack <- n :: b.stack;
-  b.current_block <- None;
-  n
+let enter b ~tag ~payload ~line ~name =
+  let n = instance b ~tag ~payload ~line ~name in
+  b.stack <- n.id :: b.stack;
+  b.block <- -1
 
 let leave b =
   (match b.stack with [] -> () | _ :: rest -> b.stack <- rest);
-  b.current_block <- None
+  b.block <- -1
 
 (* An access contributes only its line. *)
 let feed_access_line b ~line =
-  match b.current_block with
-  | Some blk ->
-      blk.instructions <- blk.instructions + 1;
-      if line < blk.first_line then blk.first_line <- line;
-      if line > blk.last_line then blk.last_line <- line
-  | None ->
-      (* Open a block node for this run of straight-line accesses. *)
-      let parent_id = match b.stack with [] -> -1 | p :: _ -> p.id in
-      let key = (parent_id, key_of_kind (Bnode line)) in
-      let blk =
-        match Hashtbl.find_opt b.index key with
-        | Some id -> b.barr.(id)
-        | None ->
-            let n = new_node b (Bnode line) parent_id line in
-            Hashtbl.replace b.index key n.id;
-            (match b.stack with
-            | [] -> ()
-            | p :: _ -> p.children <- n.id :: p.children);
-            n
-      in
-      blk.instances <- blk.instances + 1;
-      blk.instructions <- blk.instructions + 1;
-      b.current_block <- Some blk
+  if b.block >= 0 then begin
+    let blk = b.barr.(b.block) in
+    blk.instructions <- blk.instructions + 1;
+    if line < blk.first_line then blk.first_line <- line;
+    if line > blk.last_line then blk.last_line <- line
+  end
+  else begin
+    (* Open a block node for this run of straight-line accesses. *)
+    let blk =
+      instance b ~tag:tag_block ~payload:(line_payload b line) ~line ~name:""
+    in
+    blk.instructions <- blk.instructions + 1;
+    b.block <- blk.id
+  end
 
 let feed_region b (r : Event.region) =
   match r with
-  | Event.Func_entry { name; line; _ } -> ignore (enter b (Fnode name) line)
+  | Event.Func_entry { name; line; _ } ->
+      enter b ~tag:tag_func ~payload:(intern b.funcs name) ~line ~name
   | Event.Func_exit _ -> leave b
-  | Event.Loop_entry { line; _ } -> ignore (enter b (Lnode line) line)
+  | Event.Loop_entry { line; _ } ->
+      enter b ~tag:tag_loop ~payload:(line_payload b line) ~line ~name:""
   | Event.Loop_exit { iterations; _ } ->
       (match b.stack with
-      | n :: _ -> n.iterations <- n.iterations + iterations
+      | id :: _ -> b.barr.(id).iterations <- b.barr.(id).iterations + iterations
       | [] -> ());
       leave b
-  | Event.Loop_iter _ -> b.current_block <- None
+  | Event.Loop_iter _ -> b.block <- -1
   | Event.Dealloc _ | Event.Thread_start _ | Event.Thread_end _ -> ()
 
 let finish b : t =
-  if b.count = 0 then ignore (new_node b (Fnode "<empty>") (-1) 0);
-  let arr = Array.sub b.barr 0 b.count in
-  Array.iter (fun n -> n.children <- List.rev n.children) arr;
-  (* Propagate line spans upward so containers cover their contents. *)
-  let rec span id =
-    let n = arr.(id) in
-    List.iter
-      (fun c ->
-        span c;
-        if arr.(c).first_line < n.first_line && arr.(c).first_line > 0 then
-          n.first_line <- arr.(c).first_line;
-        if arr.(c).last_line > n.last_line then n.last_line <- arr.(c).last_line)
-      n.children
-  in
-  Array.iter (fun n -> if n.parent = -1 then span n.id) arr;
-  { nodes = arr; n = b.count; root = 0 }
+  if b.count = 0 then ignore (add_node b (Fnode "<empty>") (-1) 0);
+  let nodes = Array.sub b.barr 0 b.count in
+  let subtree = Array.map (fun n -> n.instructions) nodes in
+  (* A child is created after its parent, so a sweep down the ids visits
+     each node after its whole subtree: one post-order pass propagates line
+     spans upward (containers cover their contents) and sums subtree
+     instructions. *)
+  for id = b.count - 1 downto 0 do
+    let n = nodes.(id) in
+    n.children <- List.rev n.children;
+    if n.parent >= 0 then begin
+      let p = nodes.(n.parent) in
+      if n.first_line < p.first_line && n.first_line > 0 then
+        p.first_line <- n.first_line;
+      if n.last_line > p.last_line then p.last_line <- n.last_line;
+      subtree.(n.parent) <- subtree.(n.parent) + subtree.(id)
+    end
+  done;
+  { nodes; n = b.count; root = 0; subtree }
 
 let node t id = t.nodes.(id)
 let size t = t.n
 
 (* Total memory instructions in the subtree rooted at [id]. *)
-let rec subtree_instructions t id =
-  let n = t.nodes.(id) in
-  List.fold_left
-    (fun acc c -> acc + subtree_instructions t c)
-    n.instructions n.children
-
+let subtree_instructions t id = t.subtree.(id)
 let total_instructions t = subtree_instructions t t.root
+
+(* Number of elements of the sorted [a] below [x], or at most [x] when
+   [incl]. *)
+let rank a x ~incl =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if a.(mid) < x || (incl && a.(mid) = x) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* Attribute merged dependences to the PET: a dependence counts for every
    node whose line span contains its sink. *)
 let attach_deps t (deps : Dep.Set_.t) =
+  let sinks = Array.make (Dep.Set_.cardinal deps) 0 in
+  let k = ref 0 in
   Dep.Set_.iter
     (fun d _count ->
-      Array.iter
-        (fun n ->
-          if d.Dep.sink_line >= n.first_line && d.Dep.sink_line <= n.last_line
-          then n.dep_count <- n.dep_count + 1)
-        t.nodes)
-    deps
+      sinks.(!k) <- d.Dep.sink_line;
+      incr k)
+    deps;
+  Array.sort Int.compare sinks;
+  Array.iter
+    (fun n ->
+      n.dep_count <-
+        max 0
+          (rank sinks n.last_line ~incl:true - rank sinks n.first_line ~incl:false))
+    t.nodes
 
 let iter f t =
   for i = 0 to t.n - 1 do

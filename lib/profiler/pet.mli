@@ -35,17 +35,23 @@ val feed_access_line : builder -> line:int -> unit
     the tree. *)
 
 val finish : builder -> t
+(** Close the tree: line spans grow to cover their subtrees, and subtree
+    instruction totals are computed once. *)
 
 (** {1 Queries} *)
 
 val node : t -> int -> node
 val size : t -> int
+
 val subtree_instructions : t -> int -> int
+(** As of {!finish}; O(1). *)
+
 val total_instructions : t -> int
 
 val attach_deps : t -> Dep.Set_.t -> unit
-(** Attribute merged dependences to every node whose line span contains their
-    sink. *)
+(** Set each node's [dep_count] to the number of distinct dependence records
+    whose sink line lies in its span. Calling it again with the same set
+    changes nothing. *)
 
 val iter : (node -> unit) -> t -> unit
 val to_string : t -> string

@@ -232,6 +232,91 @@ let test_pet_merges_instances () =
     r.Profiler.Serial.pet;
   Alcotest.(check int) "exactly one merged node" 1 !count
 
+(* [attach_deps] against the naive count it replaces: for every node, the
+   distinct records whose sink lies in [first_line, last_line]. The tree is
+   a root function with one block per span; the spans are then overwritten
+   with random ones, inverted (empty) and [first_line = 0] included. Sinks
+   are a multiset: records sharing a sink line differ by thread, and a
+   repeated (line, thread) pair is one record. *)
+let pet_with_spans spans =
+  let b = Profiler.Pet.create_builder () in
+  Profiler.Pet.feed_region b
+    (Trace.Event.Func_entry { name = "main"; line = 1; call_line = 0 });
+  List.iteri
+    (fun k _ ->
+      Profiler.Pet.feed_access_line b ~line:(k + 1);
+      Profiler.Pet.feed_region b
+        (Trace.Event.Loop_iter { line = 0; inst = 0; iter = k }))
+    spans;
+  let pet = Profiler.Pet.finish b in
+  List.iteri
+    (fun k (first, last) ->
+      let n = Profiler.Pet.node pet (k + 1) in
+      n.Profiler.Pet.first_line <- first;
+      n.Profiler.Pet.last_line <- last)
+    spans;
+  pet
+
+(* Parsed programs may carry any explicit line numbers. Lines that do not
+   fit a node key's payload bits must still key distinct nodes: 3 and
+   3 + 2^29 would share the low bits, and -1 has them all set. *)
+let test_pet_wide_lines () =
+  let b = Profiler.Pet.create_builder () in
+  Profiler.Pet.feed_region b
+    (Trace.Event.Func_entry { name = "main"; line = 1; call_line = 0 });
+  let lines = [ 3; 3 + (1 lsl 29); -1; 3; max_int; -1 ] in
+  List.iteri
+    (fun k line ->
+      Profiler.Pet.feed_access_line b ~line;
+      Profiler.Pet.feed_region b
+        (Trace.Event.Loop_iter { line = 0; inst = 0; iter = k }))
+    lines;
+  let pet = Profiler.Pet.finish b in
+  let blocks = ref [] in
+  Profiler.Pet.iter
+    (fun n ->
+      match n.Profiler.Pet.kind with
+      | Profiler.Pet.Bnode l -> blocks := (l, n.Profiler.Pet.instances) :: !blocks
+      | _ -> ())
+    pet;
+  Alcotest.(check (list (pair int int)))
+    "one block per distinct line"
+    [ (3, 2); (3 + (1 lsl 29), 1); (-1, 2); (max_int, 1) ]
+    (List.rev !blocks)
+
+let qcheck_attach_deps_sweep =
+  let open QCheck in
+  let line = int_range 0 24 in
+  Test.make ~name:"attach_deps equals the naive per-node count" ~count:300
+    (pair
+       (list_of_size Gen.(0 -- 30) (pair line line))
+       (list_of_size Gen.(0 -- 40) (pair line (int_range 0 2))))
+    (fun (spans, sinks) ->
+      let pet = pet_with_spans spans in
+      let deps = Dep.Set_.create () in
+      List.iter
+        (fun (sink_line, sink_thread) ->
+          Dep.Set_.add deps (Dep.init_dep ~sink_line ~sink_thread))
+        sinks;
+      let naive (n : Profiler.Pet.node) =
+        let c = ref 0 in
+        Dep.Set_.iter
+          (fun d _ ->
+            if d.Dep.sink_line >= n.first_line && d.Dep.sink_line <= n.last_line
+            then incr c)
+          deps;
+        !c
+      in
+      let counts () =
+        List.init (Profiler.Pet.size pet) (fun id ->
+            (Profiler.Pet.node pet id).Profiler.Pet.dep_count)
+      in
+      Profiler.Pet.attach_deps pet deps;
+      let once = counts () in
+      Profiler.Pet.attach_deps pet deps;
+      once = List.init (Profiler.Pet.size pet) (fun id -> naive (Profiler.Pet.node pet id))
+      && counts () = once)
+
 (* ---- report format ---- *)
 
 let test_report_format () =
@@ -486,6 +571,8 @@ let tests =
       test_signature_accuracy_improves_with_slots;
     Alcotest.test_case "PET structure" `Quick test_pet_structure;
     Alcotest.test_case "PET merges instances" `Quick test_pet_merges_instances;
+    Alcotest.test_case "PET keys lines of any size apart" `Quick
+      test_pet_wide_lines;
     Alcotest.test_case "report format" `Quick test_report_format;
     Alcotest.test_case "race detection" `Quick test_race_detection;
     Alcotest.test_case "thread ids recorded" `Quick test_thread_ids_recorded;
@@ -502,6 +589,7 @@ let tests =
     Alcotest.test_case "SPSC cross-domain" `Quick test_spsc_cross_domain;
     Alcotest.test_case "MPSC queue" `Quick test_mpsc_queue_single;
     Alcotest.test_case "MPSC multi-domain" `Quick test_mpsc_queue_multi_domain;
+    QCheck_alcotest.to_alcotest qcheck_attach_deps_sweep;
     QCheck_alcotest.to_alcotest qcheck_skip_equivalence;
     QCheck_alcotest.to_alcotest qcheck_parallel_equivalence ]
 

@@ -65,18 +65,17 @@ let digest_line (w : R.t) =
     (keys_digest report.S.profile.Profiler.Serial.deps)
     (keys_digest sig_deps)
 
-let digest_path = Filename.concat Test_hotpath.golden_dir "registry.digest"
-
-let test_registry_digest () =
-  let got = List.map digest_line registry in
-  (match Sys.getenv_opt "REGISTRY_DIGEST_OUT" with
+(* Compare one line per registry program against a golden file, writing the
+   lines to [$env] first when it is set. *)
+let check_golden ~env ~file ~what got =
+  (match Sys.getenv_opt env with
   | Some path when path <> "" ->
       let oc = open_out_bin path in
       List.iter (fun l -> output_string oc (l ^ "\n")) got;
       close_out oc
   | _ -> ());
   let want =
-    Test_hotpath.read_file digest_path
+    Test_hotpath.read_file (Filename.concat Test_hotpath.golden_dir file)
     |> String.split_on_char '\n'
     |> List.filter (fun l -> l <> "")
   in
@@ -85,9 +84,42 @@ let test_registry_digest () =
   List.iter2
     (fun w g ->
       let name = List.hd (String.split_on_char ' ' w) in
-      Alcotest.(check string) ("registry digest: " ^ name) w g)
+      Alcotest.(check string) (what ^ ": " ^ name) w g)
     want got
+
+let test_registry_digest () =
+  check_golden ~env:"REGISTRY_DIGEST_OUT" ~file:"registry.digest"
+    ~what:"registry digest"
+    (List.map digest_line registry)
+
+(* [golden/pet.golden] pins the Program Execution Tree: per registry program,
+   the MD5 of [Pet.to_string] from the serial profiler and from the parallel
+   profiler at two workers, both perfect shadow with skip on. Unlike the
+   digest above it covers node order, instance merging, per-node instruction
+   totals, line spans and [dep_count].
+
+   Regenerate (only for a deliberate change to the tree) with
+     PET_GOLDEN_OUT=test/golden/pet.golden \
+       dune exec test/test_main.exe -- test registry *)
+let pet_line (w : R.t) =
+  let prog = R.program w in
+  let serial =
+    (Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect ~skip:true prog)
+      .Profiler.Serial.pet
+  in
+  let parallel =
+    (Profiler.Parallel.profile ~workers:2 ~perfect:true ~skip:true prog)
+      .Profiler.Parallel.pet
+  in
+  Printf.sprintf "%s %s %s" w.name
+    (md5 (Profiler.Pet.to_string serial))
+    (md5 (Profiler.Pet.to_string parallel))
+
+let test_pet_golden () =
+  check_golden ~env:"PET_GOLDEN_OUT" ~file:"pet.golden" ~what:"PET"
+    (List.map pet_line registry)
 
 let tests =
   [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
-      test_registry_digest ]
+      test_registry_digest;
+    Alcotest.test_case "PET golden (serial, parallel)" `Slow test_pet_golden ]

@@ -90,16 +90,19 @@ let qcheck_carrier_symmetry =
       match Event.carrier ~src ~snk with
       | None -> true
       | Some f ->
-          (* The carrying frame must appear in both stacks with the same
-             instance and differing iterations. *)
-          let find st =
-            List.find_opt
-              (fun g -> g.Event.loop_line = f.Event.loop_line && g.Event.inst = f.Event.inst)
-              st
+          (* The carrying frame is a sink frame under a loop-instance prefix
+             both stacks share, and the source frame at its depth has the
+             same instance and a different iteration. Matched by depth, not
+             by (line, instance): generated stacks may repeat a frame. *)
+          let rec check src snk =
+            match (src, snk) with
+            | a :: src', b :: snk'
+              when a.Event.loop_line = b.Event.loop_line
+                   && a.Event.inst = b.Event.inst ->
+                if b == f then a.Event.iter <> b.Event.iter else check src' snk'
+            | _ -> false
           in
-          (match (find src, find snk) with
-          | Some a, Some b -> a.Event.iter <> b.Event.iter
-          | _ -> false))
+          check src snk)
 
 let tests =
   [ Alcotest.test_case "carrier basics" `Quick test_carrier_basic;
