@@ -61,10 +61,10 @@ let sample () =
    region — the metric is event-processing throughput, not shadow-store
    setup (the off-heap signature store is a multi-MB allocation whose cost
    would otherwise dominate short CI streams). *)
-let measure_engine shadow stream =
-  Util.replay (Profiler.Engine.create shadow) stream;
+let measure_engine shadow (lstacks, stream) =
+  Util.replay (Profiler.Engine.create ~lstacks shadow) stream;
   let time () =
-    let engine = Profiler.Engine.create shadow in
+    let engine = Profiler.Engine.create ~lstacks shadow in
     let t0 = Unix.gettimeofday () in
     Util.replay engine stream;
     Unix.gettimeofday () -. t0
@@ -75,7 +75,7 @@ let measure_engine shadow stream =
     if dt < !t then t := dt
   done;
   let t = !t in
-  let engine = Profiler.Engine.create shadow in
+  let engine = Profiler.Engine.create ~lstacks shadow in
   let w0 = Gc.minor_words () in
   Util.replay engine stream;
   let dw = Gc.minor_words () -. w0 in
@@ -127,7 +127,7 @@ let run () =
       (fun ((w : R.t), size) ->
         let prog = R.program ~size w in
         let stream = Util.record_stream prog in
-        let n = Trace.Chunk.length stream in
+        let n = Trace.Chunk.length (snd stream) in
         let sig_eps, sig_wpa =
           measure_engine (Profiler.Engine.Signature 65_536) stream
         in

@@ -8,7 +8,7 @@ open Toolkit
 
 let tests () =
   (* pre-record a workload's access stream so the engine is measured alone *)
-  let stream =
+  let lstacks, stream =
     Util.record_stream
       (Workloads.Registry.program ~size:400 (List.hd Workloads.Textbook.all))
   in
@@ -20,16 +20,18 @@ let tests () =
   let r = Sigmem.Cell.scratch () and w = Sigmem.Cell.scratch () in
   [ Test.make ~name:"engine/signature"
       (Staged.stage (fun () ->
-           feed (Profiler.Engine.create (Profiler.Engine.Signature 65_536)) ()));
+           feed
+             (Profiler.Engine.create ~lstacks (Profiler.Engine.Signature 65_536))
+             ()));
     Test.make ~name:"engine/signature+skip"
       (Staged.stage (fun () ->
            feed
-             (Profiler.Engine.create ~skip:true
+             (Profiler.Engine.create ~skip:true ~lstacks
                 (Profiler.Engine.Signature 65_536))
              ()));
     Test.make ~name:"engine/perfect"
       (Staged.stage (fun () ->
-           feed (Profiler.Engine.create Profiler.Engine.Perfect) ()));
+           feed (Profiler.Engine.create ~lstacks Profiler.Engine.Perfect) ()));
     Test.make ~name:"shadow/signature-rw"
       (Staged.stage (fun () ->
            let s = Sigmem.Signature.create ~slots:65_536 in

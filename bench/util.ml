@@ -90,12 +90,14 @@ let count_addresses prog =
 
 (* A program's access stream, recorded once so that an engine can be
    measured alone, replaying it: one packed chunk, sized by a first,
-   uninstrumented run's access count. *)
+   uninstrumented run's access count, with the loop-stack table its
+   accesses' stack ids refer to. *)
 let record_stream prog =
   let s = (Mil.Interp.run ~instrument:false prog).Mil.Interp.r_stats in
+  let lstacks = Trace.Intern.Lstack.create () in
   let c = Trace.Chunk.create ~capacity:(s.reads + s.writes) () in
-  ignore (Mil.Interp.run ~on_access:(Trace.Chunk.push_access c) prog);
-  c
+  ignore (Mil.Interp.run ~lstacks ~on_access:(Trace.Chunk.push_access c) prog);
+  (lstacks, c)
 
 let replay engine stream =
   Trace.Chunk.iter stream ~access:(Profiler.Engine.feed_fields engine)

@@ -33,7 +33,7 @@ type _ Effect.t +=
 (* Thread control block. *)
 type tcb = {
   tid : int;
-  mutable lstack : int;               (* loop stack ({!Intern.Lstack} id) *)
+  mutable lstack : int;               (* loop stack (id in [state.lstacks]) *)
   mutable held : int;                 (* number of locks currently held *)
   group : int;                        (* spawn group, for barriers *)
   group_live : int ref;               (* live threads in the group *)
@@ -51,6 +51,7 @@ type state = {
   emit : Event.region -> unit;
   on_access : Event.access_sink;
   instrument : bool;
+  lstacks : Intern.Lstack.t;      (* the run's loop stacks *)
   mutable mem : int array;
   mutable brk : int;
   recycled : Compile.Recycle.t;
@@ -246,8 +247,8 @@ module Backend = struct
     if st.instrument then begin
       if lp.last_iter <> n then begin
         lp.last_id <-
-          Intern.Lstack.push ~parent:lp.outer ~loop_line:lp.l_line ~inst:lp.inst
-            ~iter:n;
+          Intern.Lstack.push st.lstacks ~parent:lp.outer ~loop_line:lp.l_line
+            ~inst:lp.inst ~iter:n;
         lp.last_iter <- n
       end;
       st.cur.lstack <- lp.last_id
@@ -312,18 +313,27 @@ type run_result = {
 
 exception Deadlock
 
+(* Uninstrumented runs push no loop stack: they share this table, which
+   stays empty, rather than allocate their own. *)
+let no_lstacks = Intern.Lstack.create ()
+
 type work =
   | Resume : ('a, unit) Effect.Deep.continuation * 'a * tcb -> work
   | Start of (unit -> unit) * tcb
 
-let run ?(seed = 42) ?(instrument = true) ?(scramble_unlocked = false)
+let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
     ?(emit = fun (_ : Event.region) -> ())
     ?(on_access = fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
         ~lstack:_ ~locked:_ -> ())
     ?(on_print = fun (_ : int list) -> ())
     ?(cancelled = fun () -> false) (prog : program) : run_result =
+  let lstacks =
+    match lstacks with
+    | Some t -> t
+    | None -> if instrument then Intern.Lstack.create () else no_lstacks
+  in
   let st =
-    { emit; on_access; instrument; mem = Array.make 4096 0; brk = 1;
+    { emit; on_access; instrument; lstacks; mem = Array.make 4096 0; brk = 1;
       recycled = Compile.Recycle.create (); time = 0;
       op_ids = Array.make 512 (-1); n_ops = 0; occ = 0; caller_occ = 0;
       rng = Rng.create seed; on_print; loop_inst = 0;

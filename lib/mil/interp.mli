@@ -41,6 +41,7 @@ type run_result = {
 val run :
   ?seed:int ->
   ?instrument:bool ->
+  ?lstacks:Trace.Intern.Lstack.t ->
   ?scramble_unlocked:bool ->
   ?emit:(Trace.Event.region -> unit) ->
   ?on_access:Trace.Event.access_sink ->
@@ -49,7 +50,10 @@ val run :
   Ast.program ->
   run_result
 (** Execute the program. [instrument:false] skips event construction (the
-    native baseline for slowdown measurements). [emit] receives the region
+    native baseline for slowdown measurements). Each access's [lstack] is
+    an id into [lstacks], the loop-stack table the caller's engines read;
+    an instrumented run without one pushes into a fresh table of its own,
+    an uninstrumented run pushes nothing. [emit] receives the region
     events and [on_access] every access, as unboxed fields; both default to
     dropping them. [scramble_unlocked] delays and reorders the delivery of
     unlocked accesses from concurrent threads, modelling the access/push

@@ -83,20 +83,22 @@ let dslot_copy (dst : dslot) (src : dslot) =
 let no_op = -1
 let no_addr = min_int
 
-(* Direct-mapped memo for the carrier computation over interned loop-stack
+(* Direct-mapped memo for the carrier computation over the run's loop-stack
    ids. Hot loops produce the same (src, snk) id pair for every access of an
    iteration pair, so the parent walk is almost always replaced by one probe.
    Engine-local (single domain), collisions simply overwrite. *)
 let memo_size = 4096 (* power of two *)
 
 type carrier_memo = {
+  lstacks : Intern.Lstack.t;  (* the run's loop-stack table *)
   m_src : int array;
   m_snk : int array;
   m_code : int array;
 }
 
-let make_memo () =
-  { m_src = Array.make memo_size (-1);
+let make_memo lstacks =
+  { lstacks;
+    m_src = Array.make memo_size (-1);
     m_snk = Array.make memo_size (-1);
     m_code = Array.make memo_size 0 }
 
@@ -107,7 +109,7 @@ let memo_probe m ~src ~snk =
   if Array.unsafe_get m.m_src i = src && Array.unsafe_get m.m_snk i = snk then
     Array.unsafe_get m.m_code i
   else begin
-    let code = Intern.Lstack.carrier_code ~src ~snk in
+    let code = Intern.Lstack.carrier_code m.lstacks ~src ~snk in
     Array.unsafe_set m.m_src i src;
     Array.unsafe_set m.m_snk i snk;
     Array.unsafe_set m.m_code i code;
@@ -149,11 +151,11 @@ type common = {
    aren't dominated by setup allocation. *)
 let initial_ops = 128
 
-let make_common ~skip ~lifetime =
+let make_common ~skip ~lifetime ~lstacks =
   { deps = Dep.Set_.create ();
     skip;
     lifetime;
-    memo = make_memo ();
+    memo = make_memo lstacks;
     last_addr = Array.make initial_ops no_addr;
     last_status_read = Array.make initial_ops no_op;
     last_status_write = Array.make initial_ops no_op;
@@ -218,9 +220,9 @@ module Make (S : Sigmem.Shadow.S) = struct
     acell : Cell.t;
   }
 
-  let create ?(skip = false) ?(lifetime = true) ~slots () =
+  let create ?(skip = false) ?(lifetime = true) ~lstacks ~slots () =
     let shadow = S.create ~slots in
-    { shadow; c = make_common ~skip ~lifetime;
+    { shadow; c = make_common ~skip ~lifetime ~lstacks;
       risk = (fun () -> S.fp_risk shadow);
       rcell = Cell.scratch (); wcell = Cell.scratch ();
       acell = Cell.scratch () }
@@ -492,10 +494,10 @@ type t =
   | Tperfect of Eperfect.t
   | Tpaged of Epaged.t
 
-let create ?(skip = false) ?(lifetime = true) = function
-  | Signature slots -> Tsig (Esig.create ~skip ~lifetime ~slots ())
-  | Perfect -> Tperfect (Eperfect.create ~skip ~lifetime ~slots:0 ())
-  | Paged -> Tpaged (Epaged.create ~skip ~lifetime ~slots:0 ())
+let create ?(skip = false) ?(lifetime = true) ~lstacks = function
+  | Signature slots -> Tsig (Esig.create ~skip ~lifetime ~lstacks ~slots ())
+  | Perfect -> Tperfect (Eperfect.create ~skip ~lifetime ~lstacks ~slots:0 ())
+  | Paged -> Tpaged (Epaged.create ~skip ~lifetime ~lstacks ~slots:0 ())
 
 let common = function
   | Tsig e -> e.Esig.c

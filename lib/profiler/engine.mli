@@ -36,7 +36,9 @@ type skip_stats = {
 module Make (S : Sigmem.Shadow.S) : sig
   type t
 
-  val create : ?skip:bool -> ?lifetime:bool -> slots:int -> unit -> t
+  val create :
+    ?skip:bool -> ?lifetime:bool -> lstacks:Trace.Intern.Lstack.t ->
+    slots:int -> unit -> t
 
   val feed_fields : t -> Event.access_sink
   (** Algorithm 2 on one dynamic memory instruction with the access fields
@@ -50,9 +52,12 @@ end
 
 type t
 
-val create : ?skip:bool -> ?lifetime:bool -> shadow_kind -> t
-(** [skip] enables the §2.4 optimization; [lifetime:false] disables
-    variable-lifetime analysis (ablation). *)
+val create :
+  ?skip:bool -> ?lifetime:bool -> lstacks:Trace.Intern.Lstack.t ->
+  shadow_kind -> t
+(** An engine over accesses whose loop stacks are ids into [lstacks], the
+    run's table. [skip] enables the §2.4 optimization; [lifetime:false]
+    disables variable-lifetime analysis (ablation). *)
 
 val feed_fields : t -> Event.access_sink
 (** Algorithm 2 on one dynamic memory instruction, access fields unboxed —

@@ -124,11 +124,11 @@ let sum_skip (a : Engine.skip_stats) (b : Engine.skip_stats) : Engine.skip_stats
     shadow_update_elided = a.shadow_update_elided + b.shadow_update_elided }
 
 let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
-    ~index ~shadow ~skip () : worker_result =
+    ~index ~lstacks ~shadow ~skip () : worker_result =
   (* Name this domain's track on the trace timeline (no-op when tracing is
      off); each worker then appears as its own row in chrome://tracing. *)
   Obs.Trace.set_track (Printf.sprintf "worker %d" index);
-  let engine = Engine.create ~skip shadow in
+  let engine = Engine.create ~skip ~lstacks shadow in
   let access = Engine.feed_fields engine in
   let remove addr = Engine.feed_dealloc engine [ (addr, 1, "") ] in
   let chunks = ref 0 in
@@ -199,12 +199,15 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   let returns =
     Array.init w (fun _ -> Spsc_queue.create ~capacity:(queue_capacity + 4))
   in
+  (* The producer pushes loop stacks; the workers' carrier walks read them
+     by the ids their chunks carry. *)
+  let lstacks = Trace.Intern.Lstack.create () in
   let domains =
     Array.mapi
       (fun i c ->
         Domain.spawn
-          (worker_loop c ~returns:returns.(i) ~index:i ~shadow:shadow_kind
-             ~skip))
+          (worker_loop c ~returns:returns.(i) ~index:i ~lstacks
+             ~shadow:shadow_kind ~skip))
       channels
   in
   (* Deepest queue fill level seen at chunk-push time; sampled only when the
@@ -299,7 +302,9 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
           addrs
     | _ -> ()
   in
-  let interp = Mil.Interp.run ~seed ~scramble_unlocked ~emit ~on_access prog in
+  let interp =
+    Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ~emit ~on_access prog
+  in
   (* Flush partial chunks and stop the workers. *)
   Array.iteri
     (fun i c ->
@@ -355,7 +360,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     (* Same run-level names as Serial.publish: the registry hands back the
        identical counter instances, keeping serial and parallel comparable. *)
     Serial.publish ~accesses:r.accesses ~deps ~footprint_words:r.footprint_words
-      ~merging_factor:r.merging_factor;
+      ~merging_factor:r.merging_factor ~lstacks;
     Obs.Counter.add (Obs.counter "profiler.rebalance.events") !redistributions;
     Obs.Counter.add (Obs.counter "profiler.chunk.reuses") !chunk_reuses;
     Obs.Counter.add (Obs.counter "profiler.chunk.drained") !chunks_drained;

@@ -22,10 +22,14 @@ let c_accesses = Obs.counter "profiler.accesses"
 let c_deps = Obs.counter "profiler.deps"
 let g_footprint = Obs.gauge "profiler.footprint_words"
 let g_merging = Obs.gauge "profiler.merging_factor"
+let g_lstack_nodes = Obs.gauge "profiler.lstack.nodes"
+let g_lstack_words = Obs.gauge "profiler.lstack.words"
 let m_access_rate = Obs.meter "profiler.access_rate" ~per:"profile"
 
-let publish ~accesses ~deps ~footprint_words ~merging_factor =
+let publish ~accesses ~deps ~footprint_words ~merging_factor ~lstacks =
   if Obs.is_enabled () then begin
+    Obs.Gauge.set_int g_lstack_nodes (Trace.Intern.Lstack.nodes lstacks);
+    Obs.Gauge.set_int g_lstack_words (Trace.Intern.Lstack.words lstacks);
     Obs.Counter.add c_accesses accesses;
     Obs.Counter.add c_deps (Dep.Set_.cardinal deps);
     Obs.Meter.mark m_access_rate accesses;
@@ -37,7 +41,10 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
     ?(seed = 42) ?(scramble_unlocked = false) ?cancelled
     (prog : Mil.Ast.program) : result =
   Obs.Span.with_ ~phase:"profile" @@ fun () ->
-  let engine = Engine.create ~skip ~lifetime shadow in
+  (* The run's loop stacks: garbage once the profile is built, since
+     dependence records carry carrier lines, not stack ids. *)
+  let lstacks = Trace.Intern.Lstack.create () in
+  let engine = Engine.create ~skip ~lifetime ~lstacks shadow in
   let petb = Pet.create_builder () in
   let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     Engine.feed_fields engine ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
@@ -51,7 +58,8 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
     Pet.feed_region petb r
   in
   let interp =
-    Mil.Interp.run ~seed ~scramble_unlocked ?cancelled ~emit ~on_access prog
+    Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ?cancelled ~emit ~on_access
+      prog
   in
   let pet = Pet.finish petb in
   let deps = Engine.deps engine in
@@ -67,7 +75,7 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
       interp }
   in
   publish ~accesses:r.accesses ~deps ~footprint_words:r.footprint_words
-    ~merging_factor:r.merging_factor;
+    ~merging_factor:r.merging_factor ~lstacks;
   Engine.observe engine;
   r
 

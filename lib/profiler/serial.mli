@@ -35,8 +35,11 @@ val publish :
   deps:Dep.Set_.t ->
   footprint_words:int ->
   merging_factor:float ->
+  lstacks:Trace.Intern.Lstack.t ->
   unit
 (** Publish run-level metrics ([profiler.accesses], [profiler.deps],
-    footprint and merging-factor gauges) into the {!Obs} registry. Shared
+    footprint and merging-factor gauges, and the size of the run's
+    loop-stack table as [profiler.lstack.nodes] and [profiler.lstack.words])
+    into the {!Obs} registry. Shared
     with {!Parallel.profile} so serial and parallel runs of the same workload
     report under identical names. No-op when observability is disabled. *)

@@ -19,7 +19,7 @@ type t = {
   mutable thread : int;
   mutable time : int;               (* global timestamp; 0 = empty *)
   mutable op : int;                 (* static memory-operation id *)
-  mutable lstack : int;             (* loop stack (Trace.Intern.Lstack id) *)
+  mutable lstack : int;             (* loop stack (id in the run's table) *)
   mutable locked : bool;
 }
 

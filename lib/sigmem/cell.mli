@@ -2,8 +2,8 @@
 
     The paper stores the source line of the last read and the last write per
     slot (§2.3.2); we additionally keep the attribution data the profiler
-    reports. With interned names and loop stacks every field is an immediate
-    int.
+    reports. Names are interned symbols and loop stacks ids into the run's
+    loop-stack table, so every field is an immediate int.
 
     Cells are mutable *scratch buffers*: shadow backends keep slots as
     packed int fields in flat off-heap stores ({!Store}) and decode/encode
@@ -16,7 +16,8 @@ type t = {
   mutable thread : int;
   mutable time : int;         (** global timestamp; 0 = empty slot *)
   mutable op : int;           (** static memory-operation id *)
-  mutable lstack : int;       (** loop stack ({!Trace.Intern.Lstack}) *)
+  mutable lstack : int;       (** loop stack (id in the run's
+                                  {!Trace.Intern.Lstack.t}) *)
   mutable locked : bool;
 }
 

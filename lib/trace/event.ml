@@ -19,7 +19,8 @@ type access = {
   thread : int;
   time : int;           (* global timestamp, strictly increasing *)
   op : int;             (* static memory-operation id (for §2.4 skipping) *)
-  lstack : int;         (* loop stack at the access, as an Intern.Lstack id *)
+  lstack : int;         (* loop stack at the access, an id in the run's
+                           Intern.Lstack table *)
   locked : bool;        (* thread held >=1 lock / access was atomic *)
 }
 

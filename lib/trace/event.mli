@@ -13,9 +13,9 @@ type kind = Read | Write
 type frame = { loop_line : int; inst : int; iter : int }
 
 (** A dynamic memory instruction. Variable names and loop stacks are
-    interned ({!Intern}): [var] is a symbol and [lstack] a hash-consed stack
-    id, so an access is a flat record of immediates — the hot path copies no
-    strings and no lists. *)
+    interned ({!Intern}): [var] is a symbol and [lstack] an id into the
+    run's loop-stack table, so an access is a flat record of immediates —
+    the hot path copies no strings and no lists. *)
 type access = {
   kind : kind;
   addr : int;           (** memory address (dense, bump-allocated) *)
@@ -24,7 +24,8 @@ type access = {
   thread : int;         (** executing thread id; 0 is the main thread *)
   time : int;           (** global timestamp, strictly increasing *)
   op : int;             (** static memory-operation id (for §2.4 skipping) *)
-  lstack : int;         (** loop stack at the access ({!Intern.Lstack} id) *)
+  lstack : int;         (** loop stack at the access (id in the run's
+                            {!Intern.Lstack.t}) *)
   locked : bool;        (** the thread held at least one lock *)
 }
 

@@ -2,37 +2,20 @@
 
    Every dynamic memory access used to carry a [string] variable name and a
    [frame list] loop stack; at millions of accesses per run the copies and
-   the per-dependence stack zips dominated profiling cost. Instead:
+   the per-dependence stack zips dominated profiling cost. Instead, variable
+   names are interned to int symbols ({!Sym}), rendered back to strings only
+   at reporting boundaries, and loop stacks are ids into a table that lives
+   for one run ({!Lstack}): pushing a frame is one append per loop iteration
+   (not per access), and the carrier computation of {!Event.carrier} is an
+   allocation-free parent walk over int arrays. *)
 
-   - variable names are interned to int symbols ({!Sym}), rendered back to
-     strings only at reporting boundaries;
-   - loop stacks are hash-consed into an append-only node store ({!Lstack}):
-     a stack is an int id, pushing a frame is one memo lookup per loop
-     iteration (not per access), and the carrier computation of
-     {!Event.carrier} becomes an allocation-free parent walk over int arrays.
-
-   Hash-consing gives maximal sharing: equal stacks (same frames, same
-   iteration numbers) have equal ids, so id equality is stack equality.
-
-   Concurrency: interning ([Sym.intern], [Lstack.push]) is serialized by a
-   mutex — the batch pipeline driver runs whole profiling jobs in concurrent
-   domains, each interpreting (and therefore interning) at once. Sharing the
-   tables across jobs is sound because hash-consing is content-addressed:
-   equal keys denote equal content, whichever domain inserted first. Within
-   one run the lock is uncontended and taken once per loop iteration and
-   once per name when the program is lowered, never per access. Resolution stays lock-free: profiler
-   worker domains read ids they received through the lock-free queues, whose
-   push/pop is the happens-before edge publishing every entry an id refers
-   to (for same-domain or mutex-passing readers the lock itself is). The
-   growable backing arrays are swapped in via [Atomic.set] after the copy,
-   so a reader never observes a store whose prefix is not fully
-   initialised. *)
-
-let lock = Mutex.create ()
-
+(* Process-global and mutex-guarded: the batch driver and the serve daemon
+   lower programs in concurrent domains. Names are interned when a program
+   is lowered, never per access. *)
 module Sym = struct
   type store = { names : string array }
 
+  let lock = Mutex.create ()
   let store = Atomic.make { names = Array.make 64 "" }
   let tbl : (string, int) Hashtbl.t = Hashtbl.create 256
   let next = ref 0
@@ -58,11 +41,23 @@ module Sym = struct
   (* The returned string is physically the one passed to [intern], so
      consumers resolving the same symbol twice get [==]-equal strings. *)
   let name (id : int) : string = (Atomic.get store).names.(id)
-
-  let count () = !next
 end
 
 module Lstack = struct
+  (* Why appending is enough. A table serves one run, in which the
+     interpreter numbers loop instances afresh ([inst]) and pushes each
+     iteration of an instance once, onto the instance's fixed outer stack.
+     So no two pushes of a run carry the same (parent, line, inst, iter):
+     a hash-consing memo would never hit, and distinct ids are distinct
+     stacks anyway.
+
+     Concurrency. Only the producer (the interpreter's domain) pushes.
+     Parallel-profiler workers read nodes by ids they received through the
+     SPSC queues, whose push/pop is the happens-before edge publishing every
+     node an id refers to. Growth copies into bigger arrays and swaps them
+     in with [Atomic.set] after the copy, so a reader never sees a store
+     whose prefix is not fully initialised. *)
+
   (* Node store: stack id -> frame fields + parent stack id. Id 0 is the
      empty stack. Struct-of-arrays keeps the carrier walk on int arrays. *)
   type store = {
@@ -73,116 +68,59 @@ module Lstack = struct
     depth : int array;   (* 0 for the empty stack *)
   }
 
+  type t = { store : store Atomic.t; mutable next : int }
+
   let mk_store n =
     { parent = Array.make n 0; line = Array.make n 0; inst = Array.make n 0;
       iter = Array.make n 0; depth = Array.make n 0 }
 
-  let store = Atomic.make (mk_store 1024)
-  let next = ref 1  (* 0 = empty stack, preallocated as all-zero *)
+  (* Id 0, the empty stack, is preallocated as all-zero. Arrays longer than
+     256 words are allocated directly in the major heap, where a table that
+     lives for the whole run belongs: the profiler's minor allocation per
+     access stays as it was. *)
+  let create () = { store = Atomic.make (mk_store 1024); next = 1 }
 
   let empty = 0
-  let is_empty id = id = 0
 
-  (* Hash-consing memo: an open-addressed table of stack ids (0 = free),
-     at most half full, whose keys are the ids' own entries in the store.
-     Touched once per loop iteration, not per access. *)
-  let memo = ref (Array.make 2048 0)
+  (* A store twice as big, holding the [n] nodes of [cur]. *)
+  let grow t (cur : store) n =
+    let bigger = mk_store (2 * Array.length cur.parent) in
+    Array.blit cur.parent 0 bigger.parent 0 n;
+    Array.blit cur.line 0 bigger.line 0 n;
+    Array.blit cur.inst 0 bigger.inst 0 n;
+    Array.blit cur.iter 0 bigger.iter 0 n;
+    Array.blit cur.depth 0 bigger.depth 0 n;
+    Atomic.set t.store bigger;
+    bigger
 
-  let hash parent line inst iter =
-    let h = (((((parent * 31) + line) * 31) + inst) * 31) + iter in
-    (h * 0x9E3779B1) lsr 5
+  let push t ~parent ~loop_line ~inst ~iter : int =
+    let id = t.next in
+    t.next <- id + 1;
+    let cur = Atomic.get t.store in
+    let s = if id < Array.length cur.parent then cur else grow t cur id in
+    s.parent.(id) <- parent;
+    s.line.(id) <- loop_line;
+    s.inst.(id) <- inst;
+    s.iter.(id) <- iter;
+    s.depth.(id) <- s.depth.(parent) + 1;
+    id
 
-  let rec probe s tbl mask parent line inst iter i =
-    let id = tbl.(i) in
-    if
-      id = 0
-      || s.parent.(id) = parent && s.line.(id) = line && s.inst.(id) = inst
-         && s.iter.(id) = iter
-    then i
-    else probe s tbl mask parent line inst iter ((i + 1) land mask)
-
-  let slot s tbl parent line inst iter =
-    let mask = Array.length tbl - 1 in
-    probe s tbl mask parent line inst iter (hash parent line inst iter land mask)
-
-  let grow_store id =
-    let cur = Atomic.get store in
-    if id >= Array.length cur.parent then begin
-      let bigger = mk_store (2 * Array.length cur.parent) in
-      Array.blit cur.parent 0 bigger.parent 0 id;
-      Array.blit cur.line 0 bigger.line 0 id;
-      Array.blit cur.inst 0 bigger.inst 0 id;
-      Array.blit cur.iter 0 bigger.iter 0 id;
-      Array.blit cur.depth 0 bigger.depth 0 id;
-      Atomic.set store bigger
-    end
-
-  let rehash s =
-    let tbl = Array.make (2 * Array.length !memo) 0 in
-    for id = 1 to !next - 1 do
-      tbl.(slot s tbl s.parent.(id) s.line.(id) s.inst.(id) s.iter.(id)) <- id
-    done;
-    memo := tbl
-
-  let push_locked parent loop_line inst iter =
-    let s = Atomic.get store in
-    let i = slot s !memo parent loop_line inst iter in
-    let found = !memo.(i) in
-    if found <> 0 then found
-    else begin
-      let id = !next in
-      incr next;
-      grow_store id;
-      let s = Atomic.get store in
-      s.parent.(id) <- parent;
-      s.line.(id) <- loop_line;
-      s.inst.(id) <- inst;
-      s.iter.(id) <- iter;
-      s.depth.(id) <- s.depth.(parent) + 1;
-      !memo.(i) <- id;
-      if 2 * !next > Array.length !memo then rehash s;
-      id
-    end
-
-  (* Locked without [Mutex.protect], whose closure would be allocated on
-     every push. *)
-  let push ~parent ~loop_line ~inst ~iter : int =
-    Mutex.lock lock;
-    match push_locked parent loop_line inst iter with
-    | id ->
-        Mutex.unlock lock;
-        id
-    | exception e ->
-        Mutex.unlock lock;
-        raise e
-
-  let depth id = (Atomic.get store).depth.(id)
-
-  (* The innermost frame's loop header line; [-1] for the empty stack. *)
-  let innermost_line id =
-    if id = 0 then -1 else (Atomic.get store).line.(id)
-
-  let innermost id : Event.frame option =
-    if id = 0 then None
-    else
-      let s = Atomic.get store in
-      Some
-        { Event.loop_line = s.line.(id); inst = s.inst.(id);
-          iter = s.iter.(id) }
+  let depth t id = (Atomic.get t.store).depth.(id)
 
   (* Carrier of a dependence between loop stacks [src] and [snk], as a code:
      the carrying loop's header line, or [-1] when the dependence is not
      loop-carried (including when either stack is empty).
 
-     This is {!Event.carrier} on interned stacks. The walk exploits two
-     hash-consing facts: (1) equal ids are equal stacks, so reaching [a = b]
-     means the deepest common frame (if any) has equal iteration numbers —
-     not carried; (2) loop-instance ids are globally unique and a dynamic
-     instance's outer stack is fixed for its whole lifetime, so two nodes
-     agreeing on (line, inst) necessarily agree on everything above them —
-     the first (line, inst) match found walking upward IS the deepest common
-     frame of the prefix zip, and its ids differ iff the iterations differ
-     (i.e. the dependence is carried by that loop). *)
+     This is {!Event.carrier} on table ids. After aligning depths the walk
+     rests on two facts of a run: (1) there is one node per (instance,
+     iteration), so the walk reaches [a = b] exactly when the deepest common
+     frame (if any) has equal iteration numbers — not carried;
+     (2) loop-instance ids are unique and an instance's outer stack is fixed
+     for its whole lifetime, so two nodes agreeing on (line, inst) agree on
+     everything above them — the first (line, inst) match found walking
+     upward IS the deepest common frame of the prefix zip, and its ids
+     differ iff the iterations differ (the dependence is carried by that
+     loop). *)
   (* The walk helpers take the store snapshot as an argument: as closures
      capturing [s] they would be allocated afresh on every call, and this
      sits on the profiler's per-access hot path. *)
@@ -193,18 +131,18 @@ module Lstack = struct
     else if s.line.(a) = s.line.(b) && s.inst.(a) = s.inst.(b) then s.line.(a)
     else cc_walk s s.parent.(a) s.parent.(b)
 
-  let carrier_code ~src ~snk : int =
+  let carrier_code t ~src ~snk : int =
     if src = snk then -1
     else
-      let s = Atomic.get store in
+      let s = Atomic.get t.store in
       let da = s.depth.(src) and db = s.depth.(snk) in
       let a = if da > db then cc_up s src (da - db) else src in
       let b = if db > da then cc_up s snk (db - da) else snk in
       cc_walk s a b
 
   (* Conversions to/from the list representation, for tests and reporting. *)
-  let to_frames id : Event.frame list =
-    let s = Atomic.get store in
+  let to_frames t id : Event.frame list =
+    let s = Atomic.get t.store in
     let rec go id acc =
       if id = 0 then acc
       else
@@ -215,12 +153,25 @@ module Lstack = struct
     in
     go id []
 
-  let of_frames (frames : Event.frame list) : int =
+  (* Reuses an equal node when the table has one (a linear scan), so equal
+     frame lists get equal ids. *)
+  let of_frames t (frames : Event.frame list) : int =
     List.fold_left
-      (fun parent (f : Event.frame) ->
-        push ~parent ~loop_line:f.Event.loop_line ~inst:f.Event.inst
-          ~iter:f.Event.iter)
+      (fun parent { Event.loop_line; inst; iter } ->
+        let s = Atomic.get t.store in
+        let rec find id =
+          if id >= t.next then push t ~parent ~loop_line ~inst ~iter
+          else if
+            s.parent.(id) = parent && s.line.(id) = loop_line
+            && s.inst.(id) = inst && s.iter.(id) = iter
+          then id
+          else find (id + 1)
+        in
+        find 1)
       empty frames
 
-  let count () = !next
+  let nodes t = t.next
+
+  (* The five node arrays and their headers, the store and table records. *)
+  let words t = (5 * (Array.length (Atomic.get t.store).parent + 1)) + 9
 end

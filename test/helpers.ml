@@ -38,6 +38,17 @@ let fig34 =
           decl "b" (v "x" - call "rand" [ i 10 ] / v "x");
           set "x" (v "a" + v "b") ] ]
 
+(* The 71 registry programs, and one of them by name. *)
+let registry =
+  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
+  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
+  @ Workloads.Numerics.all @ Workloads.Parsec.all
+
+let workload name =
+  match List.find_opt (fun (w : Workloads.Registry.t) -> w.name = name) registry with
+  | Some w -> w
+  | None -> Alcotest.failf "unknown workload %s" name
+
 let profile ?shadow ?skip ?seed ?scramble_unlocked p =
   Profiler.Serial.profile ?shadow ?skip ?seed ?scramble_unlocked p
 

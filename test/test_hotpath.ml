@@ -161,12 +161,13 @@ let alloc_cap = 3.0
 let parallel_alloc_cap = 10.0
 
 (* The access stream, packed into one chunk sized by a first, uninstrumented
-   run's access count. *)
+   run's access count, with the loop-stack table its stack ids refer to. *)
 let record_stream prog =
   let s = (Mil.Interp.run ~instrument:false prog).Mil.Interp.r_stats in
+  let lstacks = Intern.Lstack.create () in
   let c = Chunk.create ~capacity:(s.reads + s.writes) () in
-  ignore (Mil.Interp.run ~on_access:(Chunk.push_access c) prog);
-  c
+  ignore (Mil.Interp.run ~lstacks ~on_access:(Chunk.push_access c) prog);
+  (lstacks, c)
 
 let replay e stream =
   Chunk.iter stream ~access:(Profiler.Engine.feed_fields e) ~remove:ignore
@@ -177,15 +178,15 @@ let test_alloc_regression () =
     | Some w -> w
     | None -> Alcotest.fail "histogram workload missing"
   in
-  let stream = record_stream (Workloads.Registry.program ~size:1000 w) in
+  let lstacks, stream = record_stream (Workloads.Registry.program ~size:1000 w) in
   let n = float_of_int (Chunk.length stream) in
   Alcotest.(check bool) "stream non-trivial" true (Chunk.length stream > 1000);
   List.iter
     (fun (label, shadow) ->
       (* Warm run: interning, carrier memo fills and shadow-table growth are
          one-time costs, not per-access ones. *)
-      replay (Profiler.Engine.create shadow) stream;
-      let e = Profiler.Engine.create shadow in
+      replay (Profiler.Engine.create ~lstacks shadow) stream;
+      let e = Profiler.Engine.create ~lstacks shadow in
       let w0 = Gc.minor_words () in
       replay e stream;
       let per_access = (Gc.minor_words () -. w0) /. n in
@@ -231,19 +232,29 @@ let test_lstack_roundtrip () =
       [ (3, 1, 4); (7, 2, 9); (11, 5, 0) ] ]
     |> List.map frames_of
   in
+  let t = Intern.Lstack.create () in
   List.iter
     (fun fs ->
-      let id = Intern.Lstack.of_frames fs in
-      Alcotest.(check int) "depth" (List.length fs) (Intern.Lstack.depth id);
+      let id = Intern.Lstack.of_frames t fs in
+      Alcotest.(check int) "depth" (List.length fs) (Intern.Lstack.depth t id);
       Alcotest.(check bool) "frames round-trip" true
-        (Intern.Lstack.to_frames id = fs);
-      (* Hash-consing: re-interning is the identity. *)
-      Alcotest.(check int) "stable id" id (Intern.Lstack.of_frames fs))
+        (Intern.Lstack.to_frames t id = fs);
+      (* Re-interning on the same table is the identity. *)
+      Alcotest.(check int) "stable id" id (Intern.Lstack.of_frames t fs))
     stacks;
   Alcotest.(check int) "empty is id 0" Intern.Lstack.empty
-    (Intern.Lstack.of_frames [])
+    (Intern.Lstack.of_frames t [])
 
-(* The interned carrier must agree with the reference list-based computation
+let carrier_reference ~src ~snk =
+  match Event.carrier ~src ~snk with
+  | Some f -> f.Event.loop_line
+  | None -> -1
+
+let carrier_of_table t ~src ~snk =
+  Intern.Lstack.carrier_code t ~src:(Intern.Lstack.of_frames t src)
+    ~snk:(Intern.Lstack.of_frames t snk)
+
+(* The table's carrier must agree with the reference list-based computation
    on every stack pair, including partial overlaps and depth mismatches. *)
 let test_carrier_agreement () =
   let cases =
@@ -259,23 +270,73 @@ let test_carrier_agreement () =
       ([ (3, 4, 0) ], [ (3, 9, 2) ]) ]             (* distinct loop entries *)
     |> List.map (fun (a, b) -> (frames_of a, frames_of b))
   in
+  let t = Intern.Lstack.create () in
   List.iter
     (fun (src, snk) ->
-      let expect =
-        match Event.carrier ~src ~snk with
-        | Some f -> f.Event.loop_line
-        | None -> -1
-      in
-      let got =
-        Intern.Lstack.carrier_code
-          ~src:(Intern.Lstack.of_frames src)
-          ~snk:(Intern.Lstack.of_frames snk)
-      in
       Alcotest.(check int)
         (Printf.sprintf "carrier src=%d snk=%d" (List.length src)
            (List.length snk))
-        expect got)
+        (carrier_reference ~src ~snk) (carrier_of_table t ~src ~snk))
     cases
+
+(* Random stack pairs as one run produces them: every loop instance is
+   fresh, lines repeat across instances, and the sink keeps a prefix of the
+   source's stack (its last frame possibly one iteration on) before going
+   its own way. A case pushes a batch of pairs into one table, enough to
+   grow it. *)
+let gen_stack_pairs =
+  let open QCheck.Gen in
+  let frame = pair (oneofl [ 3; 7; 11 ]) (int_bound 3) in
+  let shape =
+    let* base = list_size (int_bound 4) frame in
+    let* keep = int_bound (List.length base) in
+    let* bump = bool in
+    let* ext = list_size (int_bound 3) frame in
+    let+ swap = bool in
+    (base, keep, bump, ext, swap)
+  in
+  let+ shapes = list_size (int_range 1 80) shape in
+  let next = ref 0 in
+  let fresh (loop_line, iter) =
+    incr next;
+    { Event.loop_line; inst = !next; iter }
+  in
+  List.map
+    (fun (base, keep, bump, ext, swap) ->
+      let src = List.map fresh base in
+      let shared = List.filteri (fun i _ -> i < keep) src in
+      let shared =
+        match List.rev shared with
+        | f :: outer when bump -> List.rev ({ f with iter = f.iter + 1 } :: outer)
+        | _ -> shared
+      in
+      let snk = shared @ List.map fresh ext in
+      if swap then (snk, src) else (src, snk))
+    shapes
+
+let qcheck_carrier_agreement =
+  let show_frames fs =
+    String.concat ";"
+      (List.map
+         (fun f ->
+           Printf.sprintf "%d/%d/%d" f.Event.loop_line f.Event.inst f.Event.iter)
+         fs)
+  in
+  let print pairs =
+    String.concat "\n"
+      (List.map
+         (fun (a, b) -> Printf.sprintf "[%s] -> [%s]" (show_frames a) (show_frames b))
+         pairs)
+  in
+  QCheck.Test.make ~name:"table carrier agrees with reference on random stacks"
+    ~count:200
+    (QCheck.make ~print gen_stack_pairs)
+    (fun pairs ->
+      let t = Intern.Lstack.create () in
+      List.for_all
+        (fun (src, snk) ->
+          carrier_of_table t ~src ~snk = carrier_reference ~src ~snk)
+        pairs)
 
 (* ---- chunk pooling ---- *)
 
@@ -333,6 +394,7 @@ let tests =
       test_lstack_roundtrip;
     Alcotest.test_case "interned carrier agrees with reference" `Quick
       test_carrier_agreement;
+    QCheck_alcotest.to_alcotest qcheck_carrier_agreement;
     Alcotest.test_case "chunk fill/reset/seq" `Quick test_chunk_fill_reset;
     Alcotest.test_case "pooled parallel equals serial" `Quick
       test_pooled_parallel_equivalence ]

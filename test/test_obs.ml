@@ -158,6 +158,21 @@ let test_serial_parallel_counters_agree () =
   Alcotest.(check int) "worker accesses sum to total" s_acc
     (List.fold_left ( + ) 0 per_worker)
 
+(* Both profilers publish the size of the run's loop-stack table: one node
+   per loop iteration executed, whoever consumes the accesses. *)
+let test_lstack_gauges_agree () =
+  with_registry @@ fun () ->
+  let prog = Helpers.fig27 in
+  let _ = Profiler.Serial.profile prog in
+  let nodes = Obs.gauge_value "profiler.lstack.nodes" in
+  let words = Obs.gauge_value "profiler.lstack.words" in
+  Alcotest.(check bool) "a node per iteration" true (nodes > 100.);
+  Alcotest.(check bool) "five words per node" true (words >= 5. *. nodes);
+  Obs.reset ();
+  let _ = Profiler.Parallel.profile ~workers:1 ~perfect:true prog in
+  Alcotest.(check (float 0.)) "parallel node count" nodes
+    (Obs.gauge_value "profiler.lstack.nodes")
+
 let test_reset_zeroes () =
   with_registry @@ fun () ->
   Obs.Counter.add (Obs.counter "t.r") 7;
@@ -483,6 +498,8 @@ let tests =
     Alcotest.test_case "snapshot sections" `Quick test_snapshot_shape;
     Alcotest.test_case "serial/parallel counters agree" `Quick
       test_serial_parallel_counters_agree;
+    Alcotest.test_case "loop-stack gauges agree" `Quick
+      test_lstack_gauges_agree;
     Alcotest.test_case "reset zeroes values" `Quick test_reset_zeroes;
     Alcotest.test_case "prometheus format validity" `Quick
       test_prometheus_validity;

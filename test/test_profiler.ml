@@ -668,3 +668,71 @@ let tests =
   @ [ QCheck_alcotest.to_alcotest qcheck_huge_signature_matches_perfect;
       QCheck_alcotest.to_alcotest qcheck_report_renders;
       QCheck_alcotest.to_alcotest qcheck_depfile_roundtrip_random ]
+
+(* ---- per-run loop-stack tables ---- *)
+
+(* The ten registry programs with the most loop iterations; every iteration
+   is one loop-stack node. *)
+let loopy =
+  [ "water-nsq"; "bzip2"; "kmeans"; "kmeans-par"; "FT"; "swaptions";
+    "mandelbrot"; "MG"; "jacobi"; "raytrace" ]
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* A profile's loop stacks die with it: a profiler that keeps them in a
+   process-wide store grows by the ~270k nodes of these runs. *)
+let test_lstacks_freed () =
+  let run name =
+    ignore (Helpers.profile (Workloads.Registry.program (Helpers.workload name)))
+  in
+  run "histogram";
+  let before = live_words () in
+  List.iter run loopy;
+  let grown = live_words () - before in
+  if grown >= 200_000 then
+    Alcotest.failf "live words grew by %d over ten profiles" grown
+
+(* Profiles running in two domains at once share no loop-stack state:
+   each agrees with its sequential run. The [Par] programs push loop
+   stacks from several fibers. The depfile's witness-domain column names
+   the profiling domain, so it is blanked before comparing. *)
+let without_domain depfile =
+  String.split_on_char '\n' depfile
+  |> List.map (fun line ->
+         match String.split_on_char ' ' line with
+         | "D" :: _ as fields ->
+             let n = List.length fields in
+             String.concat " "
+               (List.mapi (fun i f -> if i = n - 2 then "_" else f) fields)
+         | _ -> line)
+  |> String.concat "\n"
+
+let test_concurrent_profiles () =
+  let digest name =
+    let r = Helpers.profile (Workloads.Registry.program (Helpers.workload name)) in
+    ( without_domain (Profiler.Depfile.render r.Profiler.Serial.deps),
+      Profiler.Pet.to_string r.Profiler.Serial.pet,
+      r.Profiler.Serial.races )
+  in
+  let subsets =
+    [ [ "kmeans-par"; "fmm"; "histogram" ]; [ "water-nsq"; "mandelbrot"; "FT" ] ]
+  in
+  let sequential = List.map (List.map digest) subsets in
+  let concurrent =
+    List.map (fun names -> Domain.spawn (fun () -> List.map digest names)) subsets
+    |> List.map Domain.join
+  in
+  List.iter2
+    (List.iter2 (fun (d, p, r) (d', p', r') ->
+         Alcotest.(check string) "depfile" d d';
+         Alcotest.(check string) "PET" p p';
+         Alcotest.(check (list (triple string int int))) "races" r r'))
+    sequential concurrent
+
+let tests =
+  tests
+  @ [ Alcotest.test_case "loop stacks die with the run" `Quick test_lstacks_freed;
+      Alcotest.test_case "concurrent profiles agree" `Quick
+        test_concurrent_profiles ]
