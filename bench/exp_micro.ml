@@ -13,11 +13,12 @@ let tests () =
       (Workloads.Registry.program ~size:400 (List.hd Workloads.Textbook.all))
   in
   let feed engine () = Util.replay engine stream in
-  let cell =
-    Sigmem.Cell.v ~line:1 ~var:(Trace.Intern.Sym.intern "x") ~thread:0 ~time:1
-      ~op:0 ~lstack:Trace.Intern.Lstack.empty ~locked:false
+  (* Store one write access into the write slot of the pair at [b]. *)
+  let var = Trace.Intern.Sym.intern "x" in
+  let store_write st b =
+    Sigmem.Store.set st (b + Sigmem.Store.field_count) ~time:1 ~locked:false
+      ~line:1 ~var ~thread:0 ~op:0 ~lstack:Trace.Intern.Lstack.empty
   in
-  let r = Sigmem.Cell.scratch () and w = Sigmem.Cell.scratch () in
   [ Test.make ~name:"engine/signature"
       (Staged.stage (fun () ->
            feed
@@ -36,22 +37,23 @@ let tests () =
       (Staged.stage (fun () ->
            let s = Sigmem.Signature.create ~slots:65_536 in
            for a = 0 to 4_095 do
-             let h = Sigmem.Signature.load s ~addr:a r w in
-             Sigmem.Signature.store_write s h cell
+             let b = Sigmem.Signature.resolve s a in
+             Sigmem.Signature.count_store s (b + Sigmem.Store.field_count) ~var;
+             store_write s.Sigmem.Signature.store b
            done));
     Test.make ~name:"shadow/perfect-rw"
       (Staged.stage (fun () ->
-           let s = Sigmem.Perfect.create ~slots:0 in
+           let s = Sigmem.Perfect.create () in
            for a = 0 to 4_095 do
-             let h = Sigmem.Perfect.load s ~addr:a r w in
-             Sigmem.Perfect.store_write s h cell
+             let b = Sigmem.Perfect.resolve s a in
+             store_write s.Sigmem.Perfect.data b
            done));
     Test.make ~name:"shadow/paged-rw"
       (Staged.stage (fun () ->
-           let s = Sigmem.Two_level.create ~slots:0 in
+           let s = Sigmem.Two_level.create () in
            for a = 0 to 4_095 do
-             let h = Sigmem.Two_level.load s ~addr:a r w in
-             Sigmem.Two_level.store_write s h cell
+             let b = Sigmem.Two_level.resolve s a in
+             store_write s.Sigmem.Two_level.cur b
            done));
     Test.make ~name:"queue/spsc-push-pop"
       (Staged.stage (fun () ->

@@ -60,21 +60,22 @@ type prov = {
    with its occurrence count, plus (when profiled with provenance) its
    first-witness record. Counts are [int ref] cells so the engine's per-op
    duplicate-suppression fast path can bump a record's count without
-   re-hashing it ({!note} hands the cell out, {!hit} bumps it). *)
+   re-hashing it ({!note} hands the cell out; the engine bumps it and the
+   occurrence counter in place). *)
 module Set_ = struct
   type dep = t
 
   type t = {
     tbl : (dep, int ref) Hashtbl.t;
     provs : (dep, prov) Hashtbl.t;
-    mutable raw_occurrences : int;  (* pre-merge instance count *)
+    raw_occurrences : int ref;  (* pre-merge instance count *)
   }
 
   let create () =
-    { tbl = Hashtbl.create 256; provs = Hashtbl.create 256; raw_occurrences = 0 }
+    { tbl = Hashtbl.create 256; provs = Hashtbl.create 256; raw_occurrences = ref 0 }
 
   let add t d =
-    t.raw_occurrences <- t.raw_occurrences + 1;
+    incr t.raw_occurrences;
     match Hashtbl.find_opt t.tbl d with
     | Some n -> incr n
     | None -> Hashtbl.replace t.tbl d (ref 1)
@@ -85,7 +86,7 @@ module Set_ = struct
      instance is the earliest witness; [risk] is a thunk so backends only
      pay for it on new records. *)
   let note t d ~time ~index ~domain ~risk =
-    t.raw_occurrences <- t.raw_occurrences + 1;
+    incr t.raw_occurrences;
     match Hashtbl.find_opt t.tbl d with
     | Some n ->
         incr n;
@@ -101,11 +102,7 @@ module Set_ = struct
   let add_witness t d ~time ~index ~domain ~risk =
     ignore (note t d ~time ~index ~domain ~risk)
 
-  (* One more occurrence of a record whose count cell the caller already
-     holds: no hashing, no lookup. *)
-  let hit t n =
-    t.raw_occurrences <- t.raw_occurrences + 1;
-    incr n
+  let occurrences_cell t = t.raw_occurrences
 
   let prov t d = Hashtbl.find_opt t.provs d
 
@@ -115,13 +112,13 @@ module Set_ = struct
 
   let mem t d = Hashtbl.mem t.tbl d
   let cardinal t = Hashtbl.length t.tbl
-  let occurrences t = t.raw_occurrences
+  let occurrences t = !(t.raw_occurrences)
 
   (* Merging factor: how many dependence instances each merged record stands
      for, on average (the paper's 10^5 output-size reduction). *)
   let merging_factor t =
     if Hashtbl.length t.tbl = 0 then 1.0
-    else float_of_int t.raw_occurrences /. float_of_int (Hashtbl.length t.tbl)
+    else float_of_int !(t.raw_occurrences) /. float_of_int (Hashtbl.length t.tbl)
 
   let iter f t = Hashtbl.iter (fun d n -> f d !n) t.tbl
 
@@ -153,7 +150,7 @@ module Set_ = struct
         | Some q when q.first_time <= p.first_time -> ()
         | _ -> Hashtbl.replace into.provs d p)
       from.provs;
-    into.raw_occurrences <- into.raw_occurrences + from.raw_occurrences
+    into.raw_occurrences := !(into.raw_occurrences) + !(from.raw_occurrences)
 
   (* Accuracy of an approximate dependence set [got] against the exact set
      [truth] (§2.5.1): FPR = |got \ truth| / |got|, FNR = |truth \ got| /

@@ -61,11 +61,13 @@ module Set_ : sig
     int ref
   (** {!add_witness} returning the record's count cell, for the engine's
       per-op duplicate-suppression fast path. The cell is owned by this set;
-      only bump it through {!hit}. *)
+      bump it only together with {!occurrences_cell}. *)
 
-  val hit : t -> int ref -> unit
-  (** One more occurrence of a record whose count cell the caller already
-      holds (from {!note}): no hashing, no lookup. *)
+  val occurrences_cell : t -> int ref
+  (** The set's pre-merge instance counter. One more occurrence of a record
+      whose count cell [n] the caller holds (from {!note}) is
+      [incr n; incr (occurrences_cell t)]: no hashing, no lookup, and no
+      call, so the engine does it inline. *)
 
   val prov : t -> dep -> prov option
 

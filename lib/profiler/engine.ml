@@ -1,26 +1,32 @@
 (* The dependence-building engine: Algorithm 2 (signature-based profiling)
    plus the §2.4 optimization that skips repeatedly-executed memory operations
    in loops, variable-lifetime analysis (§2.3.5), and timestamp-based race
-   flagging (§2.3.4).
+   flagging (§2.3.4). One engine instance also serves as the per-worker
+   consumer of the parallel profiler.
 
-   The engine is shadow-memory agnostic, but not at per-access cost: it is a
-   functor ({!Make}) over the {!Sigmem.Shadow.S} signature, so each backend
-   gets its own copy of the hot loop with direct calls into the store — no
-   per-access dispatch through a record of closures. The [shadow_kind]-driven
-   wrapper API at the bottom dispatches once per call on a three-constructor
-   variant and keeps every existing caller compiling. One engine instance
-   also serves as the per-worker consumer of the parallel profiler.
+   The per-access path ({!feed_fields}) makes one call out of this module:
+   the shadow backend's address resolution, which maps the address to the
+   base of its (read, write) slot pair in a flat off-heap {!Sigmem.Store}.
+   Only the rare cases call out again: a carrier-memo miss walks the loop
+   stacks, and a record the dedup slots do not hold goes into [Dep.Set_].
+   Everything else is inline here. The engine reads the source slots' time,
+   op, loop stack, line, variable and thread in place, writes the current
+   access straight from its own arguments, and bumps merged records' counts
+   itself. This is deliberate, not style: the compiler has no flambda, so a
+   functor over the backend would be compiled once with every backend call
+   indirect, and dune's dev profile passes [-opaque], so even a direct call
+   into another module (a [Store] accessor, [Dep.Set_]) is not inlined.
+   The backend is picked by one match on a three-constructor variant per
+   access, which is a jump, not a call.
 
-   The per-access path is (near-)zero-allocation end to end: shadow slots
-   live in flat off-heap stores and are decoded into three per-engine
-   mutable scratch cells ({!Sigmem.Cell}), and {!Make.feed_fields} accepts
-   the access as unboxed int fields, so no [Event.access] record is built
-   on the way in. {!Make.feed_fields} and {!Make.feed_dealloc} are the
-   engine's whole input. *)
+   The path is zero-allocation: slots are read and written in place, and
+   the access arrives as unboxed int fields, so no [Event.access] record is
+   built on the way in. {!feed_fields} and {!feed_dealloc} are the engine's
+   whole input. *)
 
 module Event = Trace.Event
 module Intern = Trace.Intern
-module Cell = Sigmem.Cell
+module Store = Sigmem.Store
 
 type shadow_kind =
   | Signature of int  (* approximate, fixed slot count *)
@@ -102,8 +108,9 @@ let make_memo lstacks =
     m_snk = Array.make memo_size (-1);
     m_code = Array.make memo_size 0 }
 
-(* Index is masked, so the probes are always in bounds. *)
-let memo_probe m ~src ~snk =
+(* Index is masked, so the probes are always in bounds. Inlined: it runs
+   once or twice per access, and a miss is the only call it makes. *)
+let[@inline] memo_probe m ~src ~snk =
   let h = (src * 0x9E3779B1) lxor (snk * 0x85EBCA77) in
   let i = h land (memo_size - 1) in
   if Array.unsafe_get m.m_src i = src && Array.unsafe_get m.m_snk i = snk then
@@ -116,9 +123,32 @@ let memo_probe m ~src ~snk =
     code
   end
 
-(* Engine state independent of the shadow backend. *)
-type common = {
+(* Slot fields, at their {!Sigmem.Store} layout offsets from a slot's base;
+   a pair's write slot sits [wslot] after its read slot. Local constants, so
+   every in-place access below compiles to one load or store. *)
+let f_line = 1
+let f_var = 2
+let f_thread = 3
+let f_op = 4
+let f_lstack = 5
+let wslot = 6
+let () = assert (wslot = Store.field_count)
+
+let[@inline] get (st : Store.t) i = Bigarray.Array1.unsafe_get st i
+let[@inline] set (st : Store.t) i v = Bigarray.Array1.unsafe_set st i v
+
+type shadow =
+  | Sig of Sigmem.Signature.t
+  | Perf of Sigmem.Perfect.t
+  | Page of Sigmem.Two_level.t
+
+type t = {
+  shadow : shadow;
   deps : Dep.Set_.t;
+  occurrences : int ref;  (* [deps]' pre-merge instance counter *)
+  risk : unit -> float;
+      (* one closure per engine, not per record: [Dep.Set_.note] evaluates
+         it only when a record is new *)
   skip : bool;
   lifetime : bool;  (* variable-lifetime analysis (§2.3.5); off for ablation *)
   memo : carrier_memo;
@@ -151,8 +181,20 @@ type common = {
    aren't dominated by setup allocation. *)
 let initial_ops = 128
 
-let make_common ~skip ~lifetime ~lstacks =
-  { deps = Dep.Set_.create ();
+let create ?(skip = false) ?(lifetime = true) ~lstacks kind =
+  let shadow, risk =
+    match kind with
+    | Signature slots ->
+        let s = Sigmem.Signature.create ~slots in
+        (Sig s, fun () -> Sigmem.Signature.collision_risk s)
+    | Perfect -> (Perf (Sigmem.Perfect.create ()), fun () -> 0.0)
+    | Paged -> (Page (Sigmem.Two_level.create ()), fun () -> 0.0)
+  in
+  let deps = Dep.Set_.create () in
+  { shadow;
+    deps;
+    occurrences = Dep.Set_.occurrences_cell deps;
+    risk;
     skip;
     lifetime;
     memo = make_memo lstacks;
@@ -174,302 +216,341 @@ let make_common ~skip ~lifetime ~lstacks =
     n_processed = 0;
     lifetime_removals = 0 }
 
-let ensure_op_capacity c op =
-  let n = Array.length c.last_addr in
-  if op >= n then begin
-    let n' = max (2 * n) (op + 1) in
-    let grow arr fill =
-      let a = Array.make n' fill in
-      Array.blit arr 0 a 0 n;
-      a
-    in
-    let grow_slots arr width =
-      let m = width * n in
-      Array.init (width * n') (fun i -> if i < m then arr.(i) else fresh_dslot ())
-    in
-    c.last_addr <- grow c.last_addr no_addr;
-    c.last_status_read <- grow c.last_status_read no_op;
-    c.last_status_write <- grow c.last_status_write no_op;
-    c.last_raw_carrier <- grow c.last_raw_carrier min_int;
-    c.last_war_carrier <- grow c.last_war_carrier min_int;
-    c.last_waw_carrier <- grow c.last_waw_carrier min_int;
-    c.raw_slot <- grow_slots c.raw_slot 2;
-    c.war_slot <- grow_slots c.war_slot 2;
-    c.waw_slot <- grow_slots c.waw_slot 2;
-    c.init_slot <- grow_slots c.init_slot 1
-  end
+(* Make [op] index every per-op array; the caller checks the bound. *)
+let grow_ops t op =
+  let n = Array.length t.last_addr in
+  let n' = max (2 * n) (op + 1) in
+  let grow arr fill =
+    let a = Array.make n' fill in
+    Array.blit arr 0 a 0 n;
+    a
+  in
+  let grow_slots arr width =
+    let m = width * n in
+    Array.init (width * n') (fun i -> if i < m then arr.(i) else fresh_dslot ())
+  in
+  t.last_addr <- grow t.last_addr no_addr;
+  t.last_status_read <- grow t.last_status_read no_op;
+  t.last_status_write <- grow t.last_status_write no_op;
+  t.last_raw_carrier <- grow t.last_raw_carrier min_int;
+  t.last_war_carrier <- grow t.last_war_carrier min_int;
+  t.last_waw_carrier <- grow t.last_waw_carrier min_int;
+  t.raw_slot <- grow_slots t.raw_slot 2;
+  t.war_slot <- grow_slots t.war_slot 2;
+  t.waw_slot <- grow_slots t.waw_slot 2;
+  t.init_slot <- grow_slots t.init_slot 1
 
-let note_race c ~sink_var ~sink_line (src : Cell.t) =
+let note_race t ~sink_var ~sink_line ~src_line =
   let var = Intern.Sym.name sink_var in
-  c.races <- (var, src.line, sink_line) :: c.races;
+  t.races <- (var, src_line, sink_line) :: t.races;
   if Obs.Trace.is_enabled () then Obs.Trace.instant ("race:" ^ var)
 
-(* The monomorphic engine over one shadow backend. *)
-module Make (S : Sigmem.Shadow.S) = struct
-  type t = {
-    shadow : S.t;
-    c : common;
-    risk : unit -> float;
-        (* one closure per engine, not per record: [Dep.Set_.note] evaluates
-           it only when a record is new *)
-    (* Scratch cells: the current address's decoded last read / last write,
-       and the current access being stored. Reused for every access — the
-       engine allocates no cell on the hot path. *)
-    rcell : Cell.t;
-    wcell : Cell.t;
-    acell : Cell.t;
-  }
+(* One more occurrence of the record behind [slot]: [Dep.Set_]'s merge,
+   inline. *)
+let[@inline] hit t (slot : dslot) =
+  incr t.occurrences;
+  incr slot.d_count
 
-  let create ?(skip = false) ?(lifetime = true) ~lstacks ~slots () =
-    let shadow = S.create ~slots in
-    { shadow; c = make_common ~skip ~lifetime ~lstacks;
-      risk = (fun () -> S.fp_risk shadow);
-      rcell = Cell.scratch (); wcell = Cell.scratch ();
-      acell = Cell.scratch () }
+(* Record the dependence of the current access (sink fields passed unboxed)
+   against the source slot at [sb] in [st] through the per-op dedup slots:
+   on ingredient match, one increment of the shared count; otherwise build
+   the record once, insert it with first-witness provenance (sink
+   timestamp, engine-local access index, profiling domain, current shadow
+   false-positive risk), and remember the ingredients. [ccode] is the
+   precomputed carrier code (>= -1).
 
-  (* Record the dependence of the current access (sink fields passed
-     unboxed) against source cell [src] through the per-op dedup slots: on
-     ingredient match, one [incr] on the shared count; otherwise build the
-     record once, insert it with first-witness provenance (sink timestamp,
-     engine-local access index, profiling domain, current shadow
-     false-positive risk), and remember the ingredients. [ccode] is the
-     precomputed carrier code (>= -1).
+   [arr] holds two ways per op, at [2 op] and [2 op + 1]. One way thrashes
+   on the ubiquitous two-source alternation (the first touch of an address
+   vs the loop-carried repeat produce different records for the same
+   operation, interleaved per address), rebuilding and re-hashing a known
+   record on every access; with two ways both sources stay resident. On a
+   double miss the first way is demoted and the new record takes its place,
+   so a repeating pair always converges to resident. *)
+let[@inline] slot_matches (slot : dslot) ~src_line ~src_thread ~src_var ~ccode
+    ~sink_line ~sink_thread ~racy =
+  slot.d_src_line = src_line
+  && slot.d_src_thread = src_thread
+  && slot.d_var = src_var
+  && slot.d_carrier = ccode
+  && slot.d_sink_line = sink_line
+  && slot.d_sink_thread = sink_thread
+  && slot.d_racy = racy
 
-     [arr] holds two ways per op, at [2 op] and [2 op + 1]. One way thrashes
-     on the ubiquitous two-source alternation (the first touch of an address
-     vs the loop-carried repeat produce different records for the same
-     operation, interleaved per address), rebuilding and re-hashing a known
-     record on every access; with two ways both sources stay resident. On a
-     double miss the first way is demoted and the new record takes its
-     place, so a repeating pair always converges to resident. *)
-  let slot_matches (slot : dslot) ~src_line ~src_thread ~src_var ~ccode
-      ~sink_line ~sink_thread ~racy =
-    slot.d_src_line = src_line
-    && slot.d_src_thread = src_thread
-    && slot.d_var = src_var
-    && slot.d_carrier = ccode
-    && slot.d_sink_line = sink_line
+(* A record the two ways of [w0]/[w1] do not hold: build it, insert it into
+   [deps] with its first witness, demote [w0] to [w1] and remember it in
+   [w0]. Out of line: this runs once per distinct record and eviction. *)
+let note_new t ~sink_line ~sink_thread ~sink_time dtype ~src_line ~src_thread
+    ~src_var ~ccode ~racy (w0 : dslot) (w1 : dslot) =
+  let d =
+    { Dep.sink_line; sink_thread; dtype; src_line; src_thread;
+      var = Intern.Sym.name src_var;
+      carrier = (if ccode >= 0 then Some ccode else None);
+      racy }
+  in
+  let count =
+    Dep.Set_.note t.deps d ~time:sink_time ~index:t.n_processed
+      ~domain:(Domain.self () :> int) ~risk:t.risk
+  in
+  dslot_copy w1 w0;
+  w0.d_src_line <- src_line;
+  w0.d_src_thread <- src_thread;
+  w0.d_var <- src_var;
+  w0.d_carrier <- ccode;
+  w0.d_sink_line <- sink_line;
+  w0.d_sink_thread <- sink_thread;
+  w0.d_racy <- racy;
+  w0.d_count <- count
+
+(* Inlined into each of its three uses: the way probes are the common
+   case. *)
+let[@inline] record t ~sink_line ~sink_thread ~sink_time ~sink_var dtype
+    (arr : dslot array) op (st : Store.t) sb ~ccode =
+  let src_line = get st (sb + f_line) in
+  let src_thread = get st (sb + f_thread) in
+  let src_var = get st (sb + f_var) in
+  let racy =
+    (* Timestamp reversal: the recorded "earlier" access actually executed
+       later — atomicity of access and push was violated, exposing a
+       potential data race (§2.3.4). *)
+    sink_time < get st sb lsr 1
+  in
+  if racy then note_race t ~sink_var ~sink_line ~src_line;
+  let w0 = Array.unsafe_get arr (2 * op) in
+  if
+    slot_matches w0 ~src_line ~src_thread ~src_var ~ccode ~sink_line
+      ~sink_thread ~racy
+  then hit t w0
+  else begin
+    let w1 = Array.unsafe_get arr ((2 * op) + 1) in
+    if
+      slot_matches w1 ~src_line ~src_thread ~src_var ~ccode ~sink_line
+        ~sink_thread ~racy
+    then hit t w1
+    else
+      note_new t ~sink_line ~sink_thread ~sink_time dtype ~src_line
+        ~src_thread ~src_var ~ccode ~racy w0 w1
+  end
+
+let note_init t ~sink_line ~sink_thread ~sink_time (slot : dslot) =
+  let d = Dep.init_dep ~sink_line ~sink_thread in
+  let count =
+    Dep.Set_.note t.deps d ~time:sink_time ~index:t.n_processed
+      ~domain:(Domain.self () :> int) ~risk:t.risk
+  in
+  slot.d_src_line <- 0;
+  slot.d_sink_line <- sink_line;
+  slot.d_sink_thread <- sink_thread;
+  slot.d_count <- count
+
+let[@inline] record_init t ~sink_line ~sink_thread ~sink_time (slot : dslot) =
+  if
+    slot.d_sink_line = sink_line
     && slot.d_sink_thread = sink_thread
-    && slot.d_racy = racy
+    && slot.d_src_line = 0 (* marks a populated INIT slot *)
+  then hit t slot
+  else note_init t ~sink_line ~sink_thread ~sink_time slot
 
-  let record c risk ~sink_line ~sink_thread ~sink_time ~sink_var dtype
-      (arr : dslot array) op (src : Cell.t) ~ccode =
-    let racy =
-      (* Timestamp reversal: the recorded "earlier" access actually executed
-         later — atomicity of access and push was violated, exposing a
-         potential data race (§2.3.4). *)
-      sink_time < src.time
-    in
-    if racy then note_race c ~sink_var ~sink_line src;
-    let w0 = Array.unsafe_get arr (2 * op) in
-    if
-      slot_matches w0 ~src_line:src.line ~src_thread:src.thread
-        ~src_var:src.var ~ccode ~sink_line ~sink_thread ~racy
-    then Dep.Set_.hit c.deps w0.d_count
-    else begin
-      let w1 = Array.unsafe_get arr ((2 * op) + 1) in
-      if
-        slot_matches w1 ~src_line:src.line ~src_thread:src.thread
-          ~src_var:src.var ~ccode ~sink_line ~sink_thread ~racy
-      then Dep.Set_.hit c.deps w1.d_count
-      else begin
-        let d =
-          { Dep.sink_line; sink_thread; dtype;
-            src_line = src.line; src_thread = src.thread;
-            var = Intern.Sym.name src.var;
-            carrier = (if ccode >= 0 then Some ccode else None);
-            racy }
-        in
-        let count =
-          Dep.Set_.note c.deps d ~time:sink_time ~index:c.n_processed
-            ~domain:(Domain.self () :> int) ~risk
-        in
-        dslot_copy w1 w0;
-        w0.d_src_line <- src.line;
-        w0.d_src_thread <- src.thread;
-        w0.d_var <- src.var;
-        w0.d_carrier <- ccode;
-        w0.d_sink_line <- sink_line;
-        w0.d_sink_thread <- sink_thread;
-        w0.d_racy <- racy;
-        w0.d_count <- count
-      end
-    end
-
-  let record_init c risk ~sink_line ~sink_thread ~sink_time (slot : dslot) =
-    if
-      slot.d_sink_line = sink_line
-      && slot.d_sink_thread = sink_thread
-      && slot.d_src_line = 0 (* marks a populated INIT slot *)
-    then Dep.Set_.hit c.deps slot.d_count
-    else begin
-      let d = Dep.init_dep ~sink_line ~sink_thread in
-      let count =
-        Dep.Set_.note c.deps d ~time:sink_time ~index:c.n_processed
-          ~domain:(Domain.self () :> int) ~risk
+(* Algorithm 2 on one dynamic memory instruction, access fields unboxed:
+   the zero-allocation entry point, fed straight from the interpreter's
+   access sink or from a chunk's packed entries. Each carrier code (RAW for
+   reads; WAR and WAW for writes) is computed exactly once and reused for
+   the skip check, the dependence record, and the skip fingerprint
+   update. *)
+let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
+  t.n_processed <- t.n_processed + 1;
+  if op >= Array.length t.last_addr then grow_ops t op;
+  (* The one call out of this module per access: address -> pair base [rb]
+     in the backend's current store [st]. *)
+  let rb =
+    match t.shadow with
+    | Sig s -> Sigmem.Signature.resolve s addr
+    | Perf p -> Sigmem.Perfect.resolve p addr
+    | Page g -> Sigmem.Two_level.resolve g addr
+  in
+  let st =
+    match t.shadow with
+    | Sig s -> s.Sigmem.Signature.store
+    | Perf p -> p.Sigmem.Perfect.data
+    | Page g -> g.Sigmem.Two_level.cur
+  in
+  let wb = rb + wslot in
+  let r_time = get st rb lsr 1 and w_time = get st wb lsr 1 in
+  let status_read = if r_time = 0 then no_op else get st (rb + f_op) in
+  let status_write = if w_time = 0 then no_op else get st (wb + f_op) in
+  (* [grow_ops] guarantees [op] indexes every per-op array. *)
+  let base_skip =
+    t.skip
+    && Array.unsafe_get t.last_addr op = addr
+    && Array.unsafe_get t.last_status_read op = status_read
+    && Array.unsafe_get t.last_status_write op = status_write
+  in
+  (* The current access's slot: read or write slot of the pair. *)
+  let ab = match kind with Event.Read -> rb | Event.Write -> wb in
+  (match kind with
+  | Event.Read ->
+      (* Fingerprint of the RAW dependence this read would form against
+         the last write: the carrying loop's header line, -1 for an
+         intra-iteration dependence, -2 when there is no write at all. *)
+      let raw_code =
+        if status_write = no_op then -2
+        else memo_probe t.memo ~src:(get st (wb + f_lstack)) ~snk:lstack
       in
-      slot.d_src_line <- 0;
-      slot.d_sink_line <- sink_line;
-      slot.d_sink_thread <- sink_thread;
-      slot.d_count <- count
-    end
-
-  (* Algorithm 2 on one dynamic memory instruction, access fields unboxed:
-     the zero-allocation entry point, fed straight from the interpreter's
-     access sink or from a chunk's packed entries. Each carrier
-     code (RAW for reads; WAR and WAW for writes) is computed exactly once
-     and reused for the skip check, the dependence record, and the skip
-     fingerprint update. *)
-  let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
-    let c = t.c in
-    c.n_processed <- c.n_processed + 1;
-    ensure_op_capacity c op;
-    let r = t.rcell and w = t.wcell in
-    let h = S.load t.shadow ~addr r w in
-    let status_read = if r.Cell.time = 0 then no_op else r.Cell.op in
-    let status_write = if w.Cell.time = 0 then no_op else w.Cell.op in
-    let a = t.acell in
-    a.Cell.line <- line;
-    a.Cell.var <- var;
-    a.Cell.thread <- thread;
-    a.Cell.time <- time;
-    a.Cell.op <- op;
-    a.Cell.lstack <- lstack;
-    a.Cell.locked <- locked;
-    (* [ensure_op_capacity] guarantees [op] indexes every per-op array. *)
-    let base_skip =
-      c.skip
-      && Array.unsafe_get c.last_addr op = addr
-      && Array.unsafe_get c.last_status_read op = status_read
-      && Array.unsafe_get c.last_status_write op = status_write
-    in
-    match kind with
-    | Event.Read ->
-        (* Fingerprint of the RAW dependence this read would form against
-           the last write: the carrying loop's header line, -1 for an
-           intra-iteration dependence, -2 when there is no write at all. *)
-        let raw_code =
-          if status_write = no_op then -2
-          else memo_probe c.memo ~src:w.Cell.lstack ~snk:lstack
-        in
+      if status_write <> no_op then
+        t.sstats.reads_total <- t.sstats.reads_total + 1;
+      if base_skip && raw_code = Array.unsafe_get t.last_raw_carrier op then begin
+        if status_write <> no_op then begin
+          t.sstats.reads_skipped <- t.sstats.reads_skipped + 1;
+          t.sstats.skipped_raw <- t.sstats.skipped_raw + 1
+        end;
+        (* §2.4.3 special case: the read slot already holds this very
+           operation. The paper elides the shadow update here; our slots
+           also carry the loop stack used for carrier attribution, so we
+           count the condition but refresh the slot to keep carriers
+           exact. *)
+        if status_read = op then
+          t.sstats.shadow_update_elided <- t.sstats.shadow_update_elided + 1
+      end
+      else begin
         if status_write <> no_op then
-          c.sstats.reads_total <- c.sstats.reads_total + 1;
-        if base_skip && raw_code = Array.unsafe_get c.last_raw_carrier op
-        then begin
-          if status_write <> no_op then begin
-            c.sstats.reads_skipped <- c.sstats.reads_skipped + 1;
-            c.sstats.skipped_raw <- c.sstats.skipped_raw + 1
-          end;
-          (* §2.4.3 special case: the read slot already holds this very
-             operation. The paper elides the shadow update here; our slots
-             also carry the loop stack used for carrier attribution, so we
-             count the condition but refresh the slot to keep carriers
-             exact. *)
-          if status_read = op then
-            c.sstats.shadow_update_elided <- c.sstats.shadow_update_elided + 1;
-          S.store_read t.shadow h a
+          record t ~sink_line:line ~sink_thread:thread ~sink_time:time
+            ~sink_var:var Dep.Raw t.raw_slot op st wb ~ccode:raw_code;
+        (* The fingerprints are only ever read when [skip] is on; with it
+           off, skip the five stores too. *)
+        if t.skip then begin
+          Array.unsafe_set t.last_addr op addr;
+          Array.unsafe_set t.last_status_read op status_read;
+          Array.unsafe_set t.last_status_write op status_write;
+          Array.unsafe_set t.last_raw_carrier op raw_code
         end
-        else begin
-          if status_write <> no_op then
-            record c t.risk ~sink_line:line ~sink_thread:thread
-              ~sink_time:time ~sink_var:var Dep.Raw c.raw_slot op w
-              ~ccode:raw_code;
-          S.store_read t.shadow h a;
-          (* The fingerprints are only ever read when [skip] is on; with it
-             off, skip the five stores too. *)
-          if c.skip then begin
-            Array.unsafe_set c.last_addr op addr;
-            Array.unsafe_set c.last_status_read op status_read;
-            Array.unsafe_set c.last_status_write op status_write;
-            Array.unsafe_set c.last_raw_carrier op raw_code
-          end
-        end
-    | Event.Write ->
-        (* WAW is recorded only for consecutive writes; a read since the
-           last write re-orients the pair to WAR+RAW, so the orientation
-           must be part of the write-side skip fingerprint. *)
-        let waw_applies =
-          status_write <> no_op
-          && (status_read = no_op || r.Cell.time < w.Cell.time)
-        in
-        let war_code =
-          if status_read = no_op then -2
-          else memo_probe c.memo ~src:r.Cell.lstack ~snk:lstack
-        in
-        let waw_code =
-          if not waw_applies then -4
-          else memo_probe c.memo ~src:w.Cell.lstack ~snk:lstack
-        in
-        if status_read <> no_op || waw_applies then
-          c.sstats.writes_total <- c.sstats.writes_total + 1;
-        if
-          base_skip
-          && war_code = Array.unsafe_get c.last_war_carrier op
-          && waw_code = Array.unsafe_get c.last_waw_carrier op
-        then begin
-          if status_read <> no_op || waw_applies then begin
-            c.sstats.writes_skipped <- c.sstats.writes_skipped + 1;
-            if status_read <> no_op then
-              c.sstats.skipped_war <- c.sstats.skipped_war + 1;
-            if waw_applies then
-              c.sstats.skipped_waw <- c.sstats.skipped_waw + 1
-          end;
-          (* see the read-side comment on the §2.4.3 special case *)
-          if status_write = op then
-            c.sstats.shadow_update_elided <- c.sstats.shadow_update_elided + 1;
-          S.store_write t.shadow h a
-        end
-        else begin
+      end
+  | Event.Write ->
+      (* WAW is recorded only for consecutive writes; a read since the last
+         write re-orients the pair to WAR+RAW, so the orientation must be
+         part of the write-side skip fingerprint. *)
+      let waw_applies =
+        status_write <> no_op && (status_read = no_op || r_time < w_time)
+      in
+      let war_code =
+        if status_read = no_op then -2
+        else memo_probe t.memo ~src:(get st (rb + f_lstack)) ~snk:lstack
+      in
+      let waw_code =
+        if not waw_applies then -4
+        else memo_probe t.memo ~src:(get st (wb + f_lstack)) ~snk:lstack
+      in
+      if status_read <> no_op || waw_applies then
+        t.sstats.writes_total <- t.sstats.writes_total + 1;
+      if
+        base_skip
+        && war_code = Array.unsafe_get t.last_war_carrier op
+        && waw_code = Array.unsafe_get t.last_waw_carrier op
+      then begin
+        if status_read <> no_op || waw_applies then begin
+          t.sstats.writes_skipped <- t.sstats.writes_skipped + 1;
           if status_read <> no_op then
-            record c t.risk ~sink_line:line ~sink_thread:thread
-              ~sink_time:time ~sink_var:var Dep.War c.war_slot op r
-              ~ccode:war_code;
+            t.sstats.skipped_war <- t.sstats.skipped_war + 1;
           if waw_applies then
-            record c t.risk ~sink_line:line ~sink_thread:thread
-              ~sink_time:time ~sink_var:var Dep.Waw c.waw_slot op w
-              ~ccode:waw_code
-          else if status_write = no_op then
-            record_init c t.risk ~sink_line:line ~sink_thread:thread
-              ~sink_time:time c.init_slot.(op);
-          S.store_write t.shadow h a;
-          (* see the read-side comment: fingerprints are dead when [skip]
-             is off *)
-          if c.skip then begin
-            Array.unsafe_set c.last_addr op addr;
-            Array.unsafe_set c.last_status_read op status_read;
-            Array.unsafe_set c.last_status_write op status_write;
-            Array.unsafe_set c.last_war_carrier op war_code;
-            Array.unsafe_set c.last_waw_carrier op waw_code
-          end
+            t.sstats.skipped_waw <- t.sstats.skipped_waw + 1
+        end;
+        (* see the read-side comment on the §2.4.3 special case *)
+        if status_write = op then
+          t.sstats.shadow_update_elided <- t.sstats.shadow_update_elided + 1
+      end
+      else begin
+        if status_read <> no_op then
+          record t ~sink_line:line ~sink_thread:thread ~sink_time:time
+            ~sink_var:var Dep.War t.war_slot op st rb ~ccode:war_code;
+        if waw_applies then
+          record t ~sink_line:line ~sink_thread:thread ~sink_time:time
+            ~sink_var:var Dep.Waw t.waw_slot op st wb ~ccode:waw_code
+        else if status_write = no_op then
+          record_init t ~sink_line:line ~sink_thread:thread ~sink_time:time
+            t.init_slot.(op);
+        (* see the read-side comment: fingerprints are dead when [skip] is
+           off *)
+        if t.skip then begin
+          Array.unsafe_set t.last_addr op addr;
+          Array.unsafe_set t.last_status_read op status_read;
+          Array.unsafe_set t.last_status_write op status_write;
+          Array.unsafe_set t.last_war_carrier op war_code;
+          Array.unsafe_set t.last_waw_carrier op waw_code
         end
+      end);
+  (* Store the current access, after its dependences are recorded. The
+     signature's occupancy counters follow {!Sigmem.Signature.count_store},
+     inline. *)
+  (match t.shadow with
+  | Sig s ->
+      let c = s.Sigmem.Signature.counts in
+      if get st ab = 0 then begin
+        match kind with
+        | Event.Read -> c.occupied_reads <- c.occupied_reads + 1
+        | Event.Write -> c.occupied_writes <- c.occupied_writes + 1
+      end
+      else if get st (ab + f_var) <> var then c.takeovers <- c.takeovers + 1
+  | Perf _ | Page _ -> ());
+  set st ab ((time lsl 1) lor Bool.to_int locked);
+  set st (ab + f_line) line;
+  set st (ab + f_var) var;
+  set st (ab + f_thread) thread;
+  set st (ab + f_op) op;
+  set st (ab + f_lstack) lstack
 
-  (* Variable-lifetime analysis: clear dead address ranges so their slots
-     can be reused without manufacturing false dependences. *)
-  let feed_dealloc t addrs =
-    let c = t.c in
-    if c.lifetime then
-      List.iter
-        (fun (base, len, _var) ->
-          for a = base to base + len - 1 do
-            S.remove t.shadow ~addr:a
-          done;
-          c.lifetime_removals <- c.lifetime_removals + len)
-        addrs
+(* Variable-lifetime analysis: clear dead [(base, len, var)] ranges so their
+   slots can be reused without manufacturing false dependences. *)
+let feed_dealloc t addrs =
+  if t.lifetime then
+    List.iter
+      (fun (base, len, _var) ->
+        for addr = base to base + len - 1 do
+          match t.shadow with
+          | Sig s -> Sigmem.Signature.remove s ~addr
+          | Perf p -> Sigmem.Perfect.remove p ~addr
+          | Page g -> Sigmem.Two_level.remove g ~addr
+        done;
+        t.lifetime_removals <- t.lifetime_removals + len)
+      addrs
 
-  (* Resident words attributable to this engine: shadow store + per-op skip
-     state + merged dependence table. *)
-  let word_footprint t =
-    S.word_footprint t.shadow
-    + (3 * Array.length t.c.last_addr)
-    + (8 * Dep.Set_.cardinal t.c.deps)
+let deps t = t.deps
+(* Distinct potential races (var, earlier line, later line). *)
+let races t = List.sort_uniq compare t.races
+let skip_stats t = t.sstats
+let processed t = t.n_processed
 
-  let observe ~prefix t =
+let shadow_words t =
+  match t.shadow with
+  | Sig s -> Sigmem.Signature.word_footprint s
+  | Perf p -> Sigmem.Perfect.word_footprint p
+  | Page g -> Sigmem.Two_level.word_footprint g
+
+(* Words per op of the per-op state: six fingerprint ints, and seven dedup
+   slots (two ways each for RAW, WAR and WAW, one for INIT), each an array
+   element pointing at a [dslot] record (8 fields + header) with its own
+   count cell (a ref: 1 field + header). *)
+let words_per_op = 6 + (7 * (1 + 9 + 2))
+
+(* Resident words attributable to this engine: the shadow store, the per-op
+   state with its ten array headers, the carrier memo (three arrays), and
+   the merged dependence table. *)
+let word_footprint t =
+  shadow_words t
+  + (words_per_op * Array.length t.last_addr) + 10
+  + (3 * (memo_size + 1))
+  + (8 * Dep.Set_.cardinal t.deps)
+
+(* Publish this engine's end-of-run statistics into the observability
+   registry under [prefix]. Counters accumulate across engines (the parallel
+   profiler's workers all observe under their own prefix AND the shared
+   aggregate one), gauges record the last observed store shape. No-op when
+   observability is disabled. *)
+let observe ?(prefix = "engine") t =
+  if Obs.is_enabled () then begin
     let c name v = Obs.Counter.add (Obs.counter (prefix ^ name)) v in
     let g name v = Obs.Gauge.set_int (Obs.gauge (prefix ^ name)) v in
-    let s = t.c.sstats in
-    c ".accesses" t.c.n_processed;
-    c ".deps" (Dep.Set_.cardinal t.c.deps);
-    c ".lifetime.removals" t.c.lifetime_removals;
+    let s = t.sstats in
+    c ".accesses" t.n_processed;
+    c ".deps" (Dep.Set_.cardinal t.deps);
+    c ".lifetime.removals" t.lifetime_removals;
     c ".skip.reads_total" s.reads_total;
     c ".skip.writes_total" s.writes_total;
     c ".skip.reads_skipped" s.reads_skipped;
@@ -478,69 +559,13 @@ module Make (S : Sigmem.Shadow.S) = struct
     c ".skip.war" s.skipped_war;
     c ".skip.waw" s.skipped_waw;
     c ".skip.shadow_update_elided" s.shadow_update_elided;
-    g ".shadow.slots_used" (S.slots_used t.shadow);
-    g ".shadow.words" (S.word_footprint t.shadow);
-    List.iter (fun (k, v) -> g (".shadow." ^ k) v) (S.extra_stats t.shadow)
-end
-
-module Esig = Make (Sigmem.Signature)
-module Eperfect = Make (Sigmem.Perfect)
-module Epaged = Make (Sigmem.Two_level)
-
-(* The shadow_kind-driven wrapper: one three-way dispatch per call, then
-   straight into the monomorphic code. *)
-type t =
-  | Tsig of Esig.t
-  | Tperfect of Eperfect.t
-  | Tpaged of Epaged.t
-
-let create ?(skip = false) ?(lifetime = true) ~lstacks = function
-  | Signature slots -> Tsig (Esig.create ~skip ~lifetime ~lstacks ~slots ())
-  | Perfect -> Tperfect (Eperfect.create ~skip ~lifetime ~lstacks ~slots:0 ())
-  | Paged -> Tpaged (Epaged.create ~skip ~lifetime ~lstacks ~slots:0 ())
-
-let common = function
-  | Tsig e -> e.Esig.c
-  | Tperfect e -> e.Eperfect.c
-  | Tpaged e -> e.Epaged.c
-
-let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
-  match t with
-  | Tsig e ->
-      Esig.feed_fields e ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
-        ~locked
-  | Tperfect e ->
-      Eperfect.feed_fields e ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
-        ~locked
-  | Tpaged e ->
-      Epaged.feed_fields e ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
-        ~locked
-
-let feed_dealloc t addrs =
-  match t with
-  | Tsig e -> Esig.feed_dealloc e addrs
-  | Tperfect e -> Eperfect.feed_dealloc e addrs
-  | Tpaged e -> Epaged.feed_dealloc e addrs
-
-let deps t = (common t).deps
-(* Distinct potential races (var, earlier line, later line). *)
-let races t = List.sort_uniq compare (common t).races
-let skip_stats t = (common t).sstats
-let processed t = (common t).n_processed
-
-let word_footprint = function
-  | Tsig e -> Esig.word_footprint e
-  | Tperfect e -> Eperfect.word_footprint e
-  | Tpaged e -> Epaged.word_footprint e
-
-(* Publish this engine's end-of-run statistics into the observability
-   registry under [prefix]. Counters accumulate across engines (the parallel
-   profiler's workers all observe under their own prefix AND the shared
-   aggregate one), gauges record the last observed store shape. No-op when
-   observability is disabled. *)
-let observe ?(prefix = "engine") t =
-  if Obs.is_enabled () then
-    match t with
-    | Tsig e -> Esig.observe ~prefix e
-    | Tperfect e -> Eperfect.observe ~prefix e
-    | Tpaged e -> Epaged.observe ~prefix e
+    let used, extra =
+      match t.shadow with
+      | Sig s -> Sigmem.Signature.(slots_used s, extra_stats s)
+      | Perf p -> Sigmem.Perfect.(slots_used p, extra_stats p)
+      | Page g -> Sigmem.Two_level.(slots_used g, extra_stats g)
+    in
+    g ".shadow.slots_used" used;
+    g ".shadow.words" (shadow_words t);
+    List.iter (fun (k, v) -> g (".shadow." ^ k) v) extra
+  end

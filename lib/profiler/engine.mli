@@ -2,14 +2,15 @@
     the §2.4 skip optimization, variable-lifetime analysis (§2.3.5), and
     timestamp-based race flagging (§2.3.4).
 
-    The engine is a functor over the shadow-memory interface, so each
-    backend gets a monomorphic copy of the per-access hot loop (no closure
-    or dispatch records on the hot path). The [shadow_kind]-driven API below
-    wraps the three standard instantiations; one instance also serves as the
-    per-worker consumer of the parallel profiler. *)
+    One module over all three shadow backends: per access, the only call
+    out of the engine is the backend's address resolution, and the engine
+    reads and writes the shadow slots in place. (A functor over the backend
+    would not give each backend its own copy: without flambda it is
+    compiled once with indirect calls, and dune's dev profile compiles with
+    [-opaque], which stops cross-module inlining.) One instance also serves
+    as the per-worker consumer of the parallel profiler. *)
 
 module Event = Trace.Event
-module Cell = Sigmem.Cell
 
 type shadow_kind =
   | Signature of int  (** approximate, fixed slot count *)
@@ -28,27 +29,6 @@ type skip_stats = {
   mutable skipped_waw : int;
   mutable shadow_update_elided : int;  (** §2.4.3 special-case hits *)
 }
-
-(** The monomorphic engine over one shadow backend. [Make(S).t] runs
-    Algorithm 2 with direct calls into [S] — instantiate it to profile over
-    a custom store; the three standard backends are pre-instantiated behind
-    {!create}. *)
-module Make (S : Sigmem.Shadow.S) : sig
-  type t
-
-  val create :
-    ?skip:bool -> ?lifetime:bool -> lstacks:Trace.Intern.Lstack.t ->
-    slots:int -> unit -> t
-
-  val feed_fields : t -> Event.access_sink
-  (** Algorithm 2 on one dynamic memory instruction with the access fields
-      passed unboxed: the zero-allocation entry point — no [Event.access]
-      record is built anywhere on this path. *)
-
-  val feed_dealloc : t -> (int * int * string) list -> unit
-  val word_footprint : t -> int
-  val observe : prefix:string -> t -> unit
-end
 
 type t
 
@@ -74,7 +54,8 @@ val races : t -> (string * int * int) list
 val skip_stats : t -> skip_stats
 val processed : t -> int
 val word_footprint : t -> int
-(** Resident words: shadow store + per-op skip state + dependence table. *)
+(** Resident words: the shadow store, the per-op skip fingerprints and
+    dedup slots, the carrier memo, and the dependence table. *)
 
 val observe : ?prefix:string -> t -> unit
 (** Publish end-of-run statistics (accesses, deps, skip stats, shadow slot

@@ -11,7 +11,11 @@
    inserting never allocates on the OCaml minor heap (keys live in a plain
    int array, pairs in the Bigarray store). Removals (variable-lifetime
    analysis) leave tombstones that are recycled by later inserts and
-   squeezed out on growth. *)
+   squeezed out on growth.
+
+   Like every backend this is a resolver: {!resolve} maps an address to its
+   pair's base in [data], and the caller reads and writes the slots there in
+   place. *)
 
 (* Interpreter addresses are small non-negative ints; the sentinels cannot
    collide with any real address. *)
@@ -29,13 +33,13 @@ type t = {
 let initial_capacity = 1024
 
 (* Same splitmix-style mixing as the signature, masked instead of mod. *)
-let mix addr =
+let[@inline] mix addr =
   let h = addr in
   let h = (h lxor (h lsr 30)) * 0x1F85EBCA6B land max_int in
   let h = (h lxor (h lsr 27)) * 0x2545F4914F6CDD1D land max_int in
   h lxor (h lsr 31)
 
-let create ~slots:_ =
+let create () =
   { keys = Array.make initial_capacity empty_key;
     data = Store.create initial_capacity;
     mask = initial_capacity - 1;
@@ -88,27 +92,27 @@ let grow t =
   t.mask <- mask';
   t.tombs <- 0
 
-let load t ~addr r w =
-  let i = find t addr in
-  let i =
-    if i >= 0 then i
-    else begin
-      (* Keep load ≤ 3/4 including tombstones so probes stay short and
-         [find] always terminates. *)
-      if (t.live + t.tombs + 1) * 4 > (t.mask + 1) * 3 then grow t;
-      let i = insert_pos t addr in
-      if Array.unsafe_get t.keys i = tomb_key then t.tombs <- t.tombs - 1;
-      t.keys.(i) <- addr;
-      t.live <- t.live + 1;
-      i
-    end
-  in
-  Store.load t.data (Store.read_base i) r;
-  Store.load t.data (Store.write_base i) w;
+(* Insert absent [addr] and return its slot. Grows first to keep load
+   ≤ 3/4 including tombstones, so probes stay short and always end on an
+   [empty_key]. *)
+let insert t addr =
+  if (t.live + t.tombs + 1) * 4 > (t.mask + 1) * 3 then grow t;
+  let i = insert_pos t addr in
+  if Array.unsafe_get t.keys i = tomb_key then t.tombs <- t.tombs - 1;
+  t.keys.(i) <- addr;
+  t.live <- t.live + 1;
   i
 
-let store_read t i cell = Store.store t.data (Store.read_base i) cell
-let store_write t i cell = Store.store t.data (Store.write_base i) cell
+(* [find]'s probe loop, written out: this runs once per access. *)
+let resolve t addr =
+  let keys = t.keys and mask = t.mask in
+  let i = ref (mix addr land mask) in
+  let k = ref (Array.unsafe_get keys !i) in
+  while !k <> addr && !k <> empty_key do
+    i := (!i + 1) land mask;
+    k := Array.unsafe_get keys !i
+  done;
+  (if !k = addr then !i else insert t addr) * Store.pair_width
 
 let remove t ~addr =
   let i = find t addr in
@@ -129,5 +133,3 @@ let word_footprint t = (t.mask + 1) + Store.words t.data
 
 let extra_stats t =
   [ ("capacity", t.mask + 1); ("live", t.live); ("tombstones", t.tombs) ]
-
-let fp_risk _ = 0.0

@@ -8,17 +8,22 @@
     per access resolves both slots, inserts allocate nothing on the minor
     heap, removals leave tombstones squeezed out on growth. *)
 
-type t
+type t = private {
+  mutable keys : int array;
+  mutable data : Store.t;
+      (** the slot pairs, the i-th key owning the i-th pair; replaced when
+          the table grows *)
+  mutable mask : int;
+  mutable live : int;
+  mutable tombs : int;
+}
 
-val create : slots:int -> t
-(** [slots] is ignored; the table grows with the touched address set. *)
+val create : unit -> t
 
-val load : t -> addr:int -> Cell.t -> Cell.t -> int
-(** Probe (inserting on first touch, growing at 3/4 load) and decode
-    [addr]'s slots into the scratches; return the table slot handle. *)
-
-val store_read : t -> int -> Cell.t -> unit
-val store_write : t -> int -> Cell.t -> unit
+val resolve : t -> int -> int
+(** [resolve t addr] is the base of [addr]'s slot pair in [t.data],
+    inserting [addr] on first touch (which may grow the table and replace
+    [t.data]). Read [t.data] after the call. *)
 
 val remove : t -> addr:int -> unit
 (** Tombstone [addr]'s entry and clear its slots; never grows the table. *)
@@ -30,7 +35,4 @@ val live : t -> int
 val word_footprint : t -> int
 
 val extra_stats : t -> (string * int) list
-(** Capacity, live entries, tombstones — the {!Shadow.S} gauges. *)
-
-val fp_risk : t -> float
-(** Always 0: exact backends produce no false positives. *)
+(** Capacity, live entries, tombstones: the engine's [shadow.*] gauges. *)

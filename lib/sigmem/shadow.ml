@@ -1,60 +1,13 @@
-(* Shadow-memory interface shared by the approximate signature and the exact
-   ("perfect signature" and paged) implementations.
+(* What the three shadow memories share.
 
    A shadow memory records, per memory address, the last read access and the
-   last write access. Algorithm 2 of the paper is expressed entirely against
-   this interface, so the profiler can be instantiated with any backing
-   store.
-
-   The interface is handle-based and allocation-free: [load] locates the
-   (read, write) slot pair for an address in the backend's flat off-heap
-   store ({!Store}), decodes both slots into caller-owned scratch cells, and
-   returns an opaque slot handle; the matching [store_read]/[store_write]
-   encodes the current access into that handle without re-locating it. One
-   dynamic access therefore costs exactly one address resolution (hash,
-   page lookup, or table probe) and zero heap allocation. *)
-
-module type S = sig
-  type t
-
-  val create : slots:int -> t
-  (** [slots] bounds the store for approximate implementations; exact
-      implementations may ignore it. *)
-
-  val load : t -> addr:int -> Cell.t -> Cell.t -> int
-  (** [load t ~addr r w] locates the slot pair for [addr] — allocating
-      backing storage on first touch — decodes the recorded last read into
-      [r] and the last write into [w] ({!Cell.is_empty}, i.e. [time = 0],
-      when none), and returns the slot handle for the matching [store_*]
-      call. The handle is invalidated by the next [load] or [remove] on
-      [t]. *)
-
-  val store_read : t -> int -> Cell.t -> unit
-  (** Record [cell] as the last read of the pair behind the handle returned
-      by the preceding {!load}. *)
-
-  val store_write : t -> int -> Cell.t -> unit
-
-  val remove : t -> addr:int -> unit
-  (** Variable-lifetime analysis: forget all state for [addr]. Never
-      allocates backing storage. *)
-
-  val slots_used : t -> int
-  (** Number of distinct occupied slots (memory-consumption reporting);
-      may be O(store), called at observe time only. *)
-
-  val word_footprint : t -> int
-  (** Approximate resident words of the store itself. *)
-
-  val extra_stats : t -> (string * int) list
-  (** Backend-specific observability (collision proxy, per-signature
-      occupancy, page count), published as [<prefix>.shadow.*] gauges. *)
-
-  val fp_risk : t -> float
-  (** False-positive risk attribution for the dependence being recorded
-      right now: slot-occupancy collision proxy for the signature, 0 for
-      exact backends. Stored in each record's first-witness provenance. *)
-end
+   last write access (Algorithm 2). The backends — the approximate
+   {!Signature}, the exact {!Perfect} table and the exact paged
+   {!Two_level} — are resolvers: each maps an address to the base of its
+   (read, write) slot pair in a flat off-heap {!Store}, allocating on first
+   touch, and the profiler's engine reads and writes the slots there in
+   place. One dynamic access therefore costs one address resolution (hash,
+   page lookup or table probe) and no heap allocation. *)
 
 (* Predicted false-positive probability of a signature after inserting [n]
    distinct addresses into [m] slots (Equation 2.2): 1 - (1 - 1/m)^n. *)

@@ -1,56 +1,11 @@
-(** Shadow-memory interface shared by the approximate signature and the exact
-    implementations, plus the Eq. 2.2 false-positive predictor. *)
+(** What the three shadow memories share, and the Eq. 2.2 false-positive
+    predictor.
 
-(** Every shadow memory records, per address, the last read and the last
-    write access; Algorithm 2 is expressed against this interface.
-
-    The interface is handle-based and allocation-free: {!S.load} locates the
-    (read, write) slot pair for an address in the backend's flat off-heap
-    store ({!Store}), decodes both slots into caller-owned scratch cells,
-    and returns an opaque slot handle; the matching
-    {!S.store_read}/{!S.store_write} encodes the current access into that
-    handle without re-locating it. *)
-module type S = sig
-  type t
-
-  val create : slots:int -> t
-  (** [slots] bounds the store for approximate implementations; exact
-      implementations may ignore it. *)
-
-  val load : t -> addr:int -> Cell.t -> Cell.t -> int
-  (** [load t ~addr r w] locates the slot pair for [addr] — allocating
-      backing storage on first touch — decodes the recorded last read into
-      [r] and the last write into [w] ({!Cell.is_empty}, i.e. [time = 0],
-      when none), and returns the slot handle for the matching [store_*]
-      call. The handle is invalidated by the next [load] or [remove] on
-      [t]. *)
-
-  val store_read : t -> int -> Cell.t -> unit
-  (** Record the cell as the last read of the pair behind the handle
-      returned by the preceding {!load}. *)
-
-  val store_write : t -> int -> Cell.t -> unit
-
-  val remove : t -> addr:int -> unit
-  (** Variable-lifetime analysis: forget all state for [addr]. Never
-      allocates backing storage. *)
-
-  val slots_used : t -> int
-  (** Number of distinct occupied slots (memory-consumption reporting);
-      may be O(store), called at observe time only. *)
-
-  val word_footprint : t -> int
-  (** Approximate resident words of the store itself. *)
-
-  val extra_stats : t -> (string * int) list
-  (** Backend-specific observability (collision proxy, per-signature
-      occupancy, page count), published as [<prefix>.shadow.*] gauges. *)
-
-  val fp_risk : t -> float
-  (** False-positive risk attribution for the dependence being recorded
-      right now: slot-occupancy collision proxy for the signature, 0 for
-      exact backends. Stored in each record's first-witness provenance. *)
-end
+    Every shadow memory records, per address, the last read and the last
+    write access. The backends ({!Signature}, {!Perfect}, {!Two_level}) are
+    resolvers: each maps an address to the base of its (read, write) slot
+    pair in a flat off-heap {!Store}, and the caller reads and writes the
+    slots there in place. *)
 
 val predicted_fpr : slots:int -> addresses:int -> float
 (** Equation 2.2: the probability that a given slot is occupied after

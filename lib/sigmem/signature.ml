@@ -10,7 +10,21 @@
    variable-lifetime analysis can *remove* elements (§2.3.2). The read and
    write signatures share one flat off-heap store ({!Store}), one (read,
    write) slot pair per hash index, so each access resolves the hash once and
-   probes adjacent memory for both slots. *)
+   probes adjacent memory for both slots.
+
+   Like every backend this is a resolver: {!resolve} maps an address to its
+   pair's base in [store], and the caller reads and writes the slots there
+   in place. A caller that stores an access also keeps [counts] up to date
+   ({!count_store}'s rule), which {!Store}-level writes cannot see. *)
+
+type counts = {
+  mutable occupied_reads : int;
+  mutable occupied_writes : int;
+  (* Occupied-slot overwrites where the stored variable differs from the
+     incoming one: a cheap proxy for hash collisions (slots do not retain the
+     address), i.e. for the false-positive pressure of Table 2.6. *)
+  mutable takeovers : int;
+}
 
 type t = {
   slots : int;
@@ -20,18 +34,13 @@ type t = {
          instead of an integer division — same indices, no [div] on the hot
          path *)
   store : Store.t;                   (* [slots] (read, write) pairs *)
-  mutable occupied_reads : int;
-  mutable occupied_writes : int;
-  (* Occupied-slot overwrites where the stored variable differs from the
-     incoming one: a cheap proxy for hash collisions (slots do not retain the
-     address), i.e. for the false-positive pressure of Table 2.6. *)
-  mutable takeovers : int;
+  counts : counts;
 }
 
 (* Splitmix-style bit mixing: dense bump-allocator addresses must land in
    quasi-random slots, otherwise collision statistics (the FPR/FNR behaviour
    of Table 2.6) would not reflect the signature's approximate nature. *)
-let mix addr =
+let[@inline] mix addr =
   let h = addr in
   let h = (h lxor (h lsr 30)) * 0x1F85EBCA6B land max_int in
   let h = (h lxor (h lsr 27)) * 0x2545F4914F6CDD1D land max_int in
@@ -44,55 +53,39 @@ let create ~slots =
   { slots;
     mask = (if slots land (slots - 1) = 0 then slots - 1 else 0);
     store = Store.create slots;
-    occupied_reads = 0;
-    occupied_writes = 0;
-    takeovers = 0 }
+    counts = { occupied_reads = 0; occupied_writes = 0; takeovers = 0 } }
 
 (* [mix] is non-negative, so masking and [mod] agree on power-of-two slot
    counts: [hash_addr] remains the specification. *)
-let slot_of t addr =
+let resolve t addr =
   let h = mix addr in
-  if t.mask <> 0 then h land t.mask else h mod t.slots
+  (if t.mask <> 0 then h land t.mask else h mod t.slots) * Store.pair_width
 
-let load t ~addr r w =
-  let i = slot_of t addr in
-  Store.load t.store (Store.read_base i) r;
-  Store.load t.store (Store.write_base i) w;
-  i
-
-let store_read t i (cell : Cell.t) =
-  let base = Store.read_base i in
-  if Store.is_empty t.store base then
-    t.occupied_reads <- t.occupied_reads + 1
-  else if Store.var_at t.store base <> cell.Cell.var then
-    t.takeovers <- t.takeovers + 1;
-  Store.store t.store base cell
-
-let store_write t i (cell : Cell.t) =
-  let base = Store.write_base i in
-  if Store.is_empty t.store base then
-    t.occupied_writes <- t.occupied_writes + 1
-  else if Store.var_at t.store base <> cell.Cell.var then
-    t.takeovers <- t.takeovers + 1;
-  Store.store t.store base cell
+(* The counter rule for storing an access of variable [var] into the slot at
+   [base]; the engine applies the same rule inline. *)
+let count_store t base ~var =
+  let c = t.counts in
+  let write = base mod Store.pair_width <> 0 in
+  if Store.is_empty t.store base then begin
+    if write then c.occupied_writes <- c.occupied_writes + 1
+    else c.occupied_reads <- c.occupied_reads + 1
+  end
+  else if Store.var t.store base <> var then c.takeovers <- c.takeovers + 1
 
 let remove t ~addr =
-  let i = slot_of t addr in
-  let rb = Store.read_base i and wb = Store.write_base i in
+  let rb = resolve t addr in
+  let wb = rb + Store.field_count in
+  let c = t.counts in
   if not (Store.is_empty t.store rb) then begin
     Store.clear t.store rb;
-    t.occupied_reads <- t.occupied_reads - 1
+    c.occupied_reads <- c.occupied_reads - 1
   end;
   if not (Store.is_empty t.store wb) then begin
     Store.clear t.store wb;
-    t.occupied_writes <- t.occupied_writes - 1
+    c.occupied_writes <- c.occupied_writes - 1
   end
 
-let slots_used t = t.occupied_reads + t.occupied_writes
-let occupied_reads t = t.occupied_reads
-let occupied_writes t = t.occupied_writes
-let takeovers t = t.takeovers
-let slots t = t.slots
+let slots_used t = t.counts.occupied_reads + t.counts.occupied_writes
 
 (* Current false-positive risk attribution: the occupied fraction across both
    signatures — the probability that a fresh address's membership probe hits
@@ -100,15 +93,12 @@ let slots t = t.slots
    FPR, which integrates over a whole run). 0 when empty, → 1 as slots
    fill. *)
 let collision_risk t =
-  float_of_int (t.occupied_reads + t.occupied_writes)
-  /. float_of_int (2 * t.slots)
+  float_of_int (slots_used t) /. float_of_int (2 * t.slots)
 
 let word_footprint t = Store.words t.store
 
 let extra_stats t =
   [ ("slots", t.slots);
-    ("occupied_reads", t.occupied_reads);
-    ("occupied_writes", t.occupied_writes);
-    ("takeovers", t.takeovers) ]
-
-let fp_risk = collision_risk
+    ("occupied_reads", t.counts.occupied_reads);
+    ("occupied_writes", t.counts.occupied_writes);
+    ("takeovers", t.counts.takeovers) ]

@@ -5,7 +5,22 @@
     analysis can remove elements. Read and write signatures share one flat
     off-heap {!Store}, one (read, write) slot pair per hash index. *)
 
-type t
+(** Slot occupancy, kept by whoever stores accesses (see {!count_store}). *)
+type counts = {
+  mutable occupied_reads : int;
+  mutable occupied_writes : int;
+  mutable takeovers : int;
+      (** occupied-slot overwrites whose stored variable differs from the
+          incoming one — a cheap collision proxy for the false-positive
+          pressure of Table 2.6 (slots do not retain the hashed address) *)
+}
+
+type t = private {
+  slots : int;
+  mask : int;  (** [slots - 1] for a power of two, else 0 *)
+  store : Store.t;  (** [slots] (read, write) pairs *)
+  counts : counts;
+}
 
 val hash_addr : int -> int -> int
 (** [hash_addr addr slots]: the slot index, via splitmix-style bit mixing so
@@ -14,29 +29,23 @@ val hash_addr : int -> int -> int
 val create : slots:int -> t
 (** Two signatures (reads and writes) of [slots] slots each. *)
 
-val load : t -> addr:int -> Cell.t -> Cell.t -> int
-(** Hash [addr] once; decode its read and write slots into the scratch
-    cells; return the slot index for [store_*]. Collisions may decode
-    another address's record — that is the point. *)
+val resolve : t -> int -> int
+(** [resolve t addr]: hash [addr] once to the base of its slot pair in
+    [t.store], pair [hash_addr addr slots]. Collisions resolve to another
+    address's slots — that is the point. *)
 
-val store_read : t -> int -> Cell.t -> unit
-val store_write : t -> int -> Cell.t -> unit
+val count_store : t -> int -> var:int -> unit
+(** [count_store t base ~var] updates [t.counts] for storing an access to
+    [var] into the read or write slot at [base], before the store: an empty
+    slot becomes occupied, an occupied one holding another variable is a
+    takeover. Every writer of accesses applies this rule (the engine
+    inline). *)
 
 val remove : t -> addr:int -> unit
 (** Variable-lifetime analysis (§2.3.5): clear [addr]'s slots. *)
 
 val slots_used : t -> int
 (** Occupied slots across both signatures. *)
-
-val occupied_reads : t -> int
-val occupied_writes : t -> int
-
-val takeovers : t -> int
-(** Occupied-slot overwrites whose stored variable differs from the incoming
-    one — a cheap collision proxy for the false-positive pressure of
-    Table 2.6 (slots do not retain the hashed address). *)
-
-val slots : t -> int
 
 val collision_risk : t -> float
 (** Current false-positive risk: the occupied fraction across both
@@ -48,7 +57,5 @@ val word_footprint : t -> int
 (** Approximate resident words of the store itself. *)
 
 val extra_stats : t -> (string * int) list
-(** Slots, per-signature occupancy, takeovers — the {!Shadow.S} gauges. *)
-
-val fp_risk : t -> float
-(** Alias of {!collision_risk}, satisfying {!Shadow.S}. *)
+(** Slots, per-signature occupancy, takeovers: the engine's [shadow.*]
+    gauges. *)

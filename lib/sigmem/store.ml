@@ -16,16 +16,21 @@
      address are adjacent to each other, so a shadow probe touches one or
      two cache lines instead of chasing per-cell pointers.
 
-   Layout: slots come in (read, write) pairs, one pair per address slot.
-   Each slot is [field_count] ints; field 0 packs the global timestamp and
-   the locked flag as [time lsl 1 lor locked], so 0 marks an empty slot
-   ([time = 0] never occurs in real accesses) and emptiness is a single
-   load. Cells ({!Cell}) are the mutable scratch records slots are decoded
-   into / encoded from. *)
+   Layout: slots come in (read, write) pairs, one pair per address slot; the
+   write slot follows the read slot. Each slot is [field_count] ints, at
+   these offsets from the slot's base:
+
+     0  time lsl 1 lor locked   1  line   2  var   3  thread   4  op
+     5  lstack
+
+   so 0 in field 0 marks an empty slot ([time = 0] never occurs in real
+   accesses) and emptiness is a single load. [t] is a visible Bigarray
+   alias: the profiler's engine reads and writes slots in place at these
+   offsets, and its [unsafe_get]/[unsafe_set] compile inline. [set] is the
+   same encoding for writers off that path (tests, micro-benchmarks). *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-(* timelocked, line, var, thread, op, lstack *)
 let field_count = 6
 let pair_width = 2 * field_count
 
@@ -44,28 +49,17 @@ let write_base i = (i * pair_width) + field_count
 
 let is_empty (t : t) base = Bigarray.Array1.unsafe_get t base = 0
 
-let load (t : t) base (c : Cell.t) =
-  let tl = Bigarray.Array1.unsafe_get t base in
-  c.Cell.time <- tl lsr 1;
-  c.Cell.locked <- tl land 1 = 1;
-  c.Cell.line <- Bigarray.Array1.unsafe_get t (base + 1);
-  c.Cell.var <- Bigarray.Array1.unsafe_get t (base + 2);
-  c.Cell.thread <- Bigarray.Array1.unsafe_get t (base + 3);
-  c.Cell.op <- Bigarray.Array1.unsafe_get t (base + 4);
-  c.Cell.lstack <- Bigarray.Array1.unsafe_get t (base + 5)
+let set (t : t) base ~time ~locked ~line ~var ~thread ~op ~lstack =
+  Bigarray.Array1.unsafe_set t base ((time lsl 1) lor Bool.to_int locked);
+  Bigarray.Array1.unsafe_set t (base + 1) line;
+  Bigarray.Array1.unsafe_set t (base + 2) var;
+  Bigarray.Array1.unsafe_set t (base + 3) thread;
+  Bigarray.Array1.unsafe_set t (base + 4) op;
+  Bigarray.Array1.unsafe_set t (base + 5) lstack
 
-let store (t : t) base (c : Cell.t) =
-  Bigarray.Array1.unsafe_set t base
-    ((c.Cell.time lsl 1) lor (if c.Cell.locked then 1 else 0));
-  Bigarray.Array1.unsafe_set t (base + 1) c.Cell.line;
-  Bigarray.Array1.unsafe_set t (base + 2) c.Cell.var;
-  Bigarray.Array1.unsafe_set t (base + 3) c.Cell.thread;
-  Bigarray.Array1.unsafe_set t (base + 4) c.Cell.op;
-  Bigarray.Array1.unsafe_set t (base + 5) c.Cell.lstack
-
-(* The stored variable symbol, without decoding the whole slot (collision
-   accounting in the signature backend). *)
-let var_at (t : t) base = Bigarray.Array1.unsafe_get t (base + 2)
+(* The stored variable symbol (collision accounting in the signature
+   backend). *)
+let var (t : t) base = Bigarray.Array1.unsafe_get t (base + 2)
 
 let clear (t : t) base =
   for k = 0 to field_count - 1 do

@@ -1,17 +1,22 @@
 (** Flat off-heap backing store for shadow slots.
 
     A Bigarray of native ints holding fixed-width packed slots in
-    (read, write) pairs — one pair per address slot. Slot field 0 packs the
-    timestamp and locked flag as [time lsl 1 lor locked], so 0 marks an
-    empty slot and emptiness is a single load. Slots are decoded into /
-    encoded from mutable {!Cell} scratches; nothing here allocates on the
-    per-access path, and updates never touch the GC write barrier (the data
-    lives outside the OCaml heap). *)
+    (read, write) pairs — one pair per address slot, the write slot right
+    after the read slot. A slot's fields sit at these offsets from its
+    base:
+
+    {v 0  time lsl 1 lor locked   1 line   2 var   3 thread   4 op   5 lstack v}
+
+    so 0 marks an empty slot and emptiness is a single load. The type is
+    a visible Bigarray alias so that the profiler's engine reads and writes
+    slots in place, inline, at these offsets. Updates never touch the GC write barrier (the data lives outside
+    the OCaml heap). *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val field_count : int
-(** Ints per slot. *)
+(** Ints per slot; also the offset of a pair's write slot from its read
+    slot. *)
 
 val pair_width : int
 (** Ints per (read, write) slot pair, [2 * field_count]. *)
@@ -22,7 +27,7 @@ val create : int -> t
 val pairs : t -> int
 
 val read_base : int -> int
-(** Base index of pair [i]'s read slot. *)
+(** Base index of pair [i]'s read slot, which is also the pair's base. *)
 
 val write_base : int -> int
 (** Base index of pair [i]'s write slot. *)
@@ -30,16 +35,14 @@ val write_base : int -> int
 val is_empty : t -> int -> bool
 (** [is_empty t base]: is the slot at [base] empty? One load. *)
 
-val load : t -> int -> Cell.t -> unit
-(** Decode the slot at [base] into the scratch cell; an empty slot decodes
-    to [time = 0]. *)
+val set :
+  t -> int -> time:int -> locked:bool -> line:int -> var:int -> thread:int ->
+  op:int -> lstack:int -> unit
+(** Encode an access into the slot at [base], for writers other than the
+    engine. *)
 
-val store : t -> int -> Cell.t -> unit
-(** Encode the scratch cell into the slot at [base]. *)
-
-val var_at : t -> int -> int
-(** The stored variable symbol of the slot at [base], without a full
-    decode (signature collision accounting). *)
+val var : t -> int -> int
+(** The stored variable symbol of the slot at [base]. *)
 
 val clear : t -> int -> unit
 (** Zero the slot at [base]. *)

@@ -9,13 +9,14 @@
 
    Each page is one flat off-heap {!Store} of [page_size] (read, write) slot
    pairs, so a page lookup lands on the address's read and write slots
-   adjacently. The page located by [load] is cached in [cur] so the matching
-   [store_*] does not repeat the directory walk. *)
+   adjacently. Like every backend this is a resolver: {!resolve} leaves the
+   page it located in [cur] and returns the pair's base there, and the
+   caller reads and writes the slots in place. *)
 
 type t = {
   page_bits : int;
   mutable dir : Store.t array;        (* indexed by addr lsr page_bits *)
-  mutable cur : Store.t;              (* page located by the last [load] *)
+  mutable cur : Store.t;              (* page located by the last [resolve] *)
   mutable pages_allocated : int;
 }
 
@@ -24,41 +25,32 @@ let null : Store.t = Store.create 0
 
 let default_page_bits = 12
 
-let create ~slots:_ =
+let create () =
   { page_bits = default_page_bits; dir = Array.make 64 null; cur = null;
     pages_allocated = 0 }
 
 let page_size t = 1 lsl t.page_bits
 
-let ensure_dir t idx =
-  if idx >= Array.length t.dir then begin
-    let cap = max (2 * Array.length t.dir) (idx + 1) in
-    let d = Array.make cap null in
-    Array.blit t.dir 0 d 0 (Array.length t.dir);
-    t.dir <- d
-  end
+let grow_dir t idx =
+  let cap = max (2 * Array.length t.dir) (idx + 1) in
+  let d = Array.make cap null in
+  Array.blit t.dir 0 d 0 (Array.length t.dir);
+  t.dir <- d
 
-let load t ~addr r w =
+let new_page t idx =
+  let p = Store.create (page_size t) in
+  t.dir.(idx) <- p;
+  t.pages_allocated <- t.pages_allocated + 1;
+  p
+
+let resolve t addr =
   let idx = addr lsr t.page_bits in
-  ensure_dir t idx;
+  if idx >= Array.length t.dir then grow_dir t idx;
   let p = Array.unsafe_get t.dir idx in
-  let p =
-    if p != null then p
-    else begin
-      let p = Store.create (page_size t) in
-      t.dir.(idx) <- p;
-      t.pages_allocated <- t.pages_allocated + 1;
-      p
-    end
-  in
-  t.cur <- p;
-  let off = addr land (page_size t - 1) in
-  Store.load p (Store.read_base off) r;
-  Store.load p (Store.write_base off) w;
-  off
-
-let store_read t off cell = Store.store t.cur (Store.read_base off) cell
-let store_write t off cell = Store.store t.cur (Store.write_base off) cell
+  let p = if p != null then p else new_page t idx in
+  (* Runs of accesses stay on one page: skip the write barrier then. *)
+  if p != t.cur then t.cur <- p;
+  (addr land (page_size t - 1)) * Store.pair_width
 
 let remove t ~addr =
   let idx = addr lsr t.page_bits in
@@ -80,4 +72,3 @@ let word_footprint t =
     0 t.dir
 
 let extra_stats t = [ ("pages", pages_allocated t) ]
-let fp_risk _ = 0.0

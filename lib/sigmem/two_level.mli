@@ -2,22 +2,23 @@
     pages allocated on first touch, so lookups are two array indexings —
     faster than hashing, memory proportional to the touched address range.
     The "multilevel tables" design the paper mentions in §2.3.2. Each page
-    is one flat off-heap {!Store} of (read, write) slot pairs; [load]
-    caches the located page for the matching [store_*]. *)
+    is one flat off-heap {!Store} of (read, write) slot pairs. *)
 
-type t
+type t = private {
+  page_bits : int;
+  mutable dir : Store.t array;  (** pages, indexed by [addr lsr page_bits] *)
+  mutable cur : Store.t;  (** the page located by the last {!resolve} *)
+  mutable pages_allocated : int;
+}
 
 val default_page_bits : int
 
-val create : slots:int -> t
-(** [slots] is ignored; pages are allocated on demand. *)
+val create : unit -> t
+(** Pages are allocated on demand. *)
 
-val load : t -> addr:int -> Cell.t -> Cell.t -> int
-(** Locate (first-touch allocating) [addr]'s page, decode its slots into
-    the scratches, cache the page, return the in-page slot handle. *)
-
-val store_read : t -> int -> Cell.t -> unit
-val store_write : t -> int -> Cell.t -> unit
+val resolve : t -> int -> int
+(** [resolve t addr] locates (first-touch allocating) [addr]'s page, leaves
+    it in [t.cur], and returns the base of [addr]'s slot pair there. *)
 
 val remove : t -> addr:int -> unit
 (** Clears [addr]'s slots; never allocates a page. *)
@@ -29,7 +30,4 @@ val pages_allocated : t -> int
 (** Pages materialised by first-touch allocation so far. *)
 
 val extra_stats : t -> (string * int) list
-(** The allocated-page count, as the {!Shadow.S} gauge. *)
-
-val fp_risk : t -> float
-(** Always 0: exact backends produce no false positives. *)
+(** The allocated-page count: the engine's [shadow.*] gauge. *)

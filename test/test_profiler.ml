@@ -620,12 +620,151 @@ let test_engine_word_footprint_grows () =
   Alcotest.(check bool) "footprint scales with slots" true
     (big.Profiler.Serial.footprint_words > small.Profiler.Serial.footprint_words)
 
+(* The footprint must count everything the engine holds per static memory
+   operation. Feeding one read of a fresh address at op 1000 grows the
+   per-op state from 128 to 1001 ops and adds no dependence, so the
+   footprint must grow by exactly what [Obj.reachable_words] sees the
+   engine gain, and that is 873 ops of 6 fingerprint words and 7 dedup
+   slots (an array element, a 9-word record, a 2-word count cell). *)
+let test_engine_word_footprint_counts_ops () =
+  let module E = Profiler.Engine in
+  let lstacks = Trace.Intern.Lstack.create () in
+  let e = E.create ~lstacks E.Perfect in
+  let f0 = E.word_footprint e and r0 = Obj.reachable_words (Obj.repr e) in
+  E.feed_fields e ~kind:Trace.Event.Read ~addr:7
+    ~var:(Trace.Intern.Sym.intern "x") ~line:3 ~thread:0 ~time:1 ~op:1000
+    ~lstack:Trace.Intern.Lstack.empty ~locked:false;
+  let f1 = E.word_footprint e and r1 = Obj.reachable_words (Obj.repr e) in
+  Alcotest.(check int) "no dependence yet" 0 (Dep.Set_.cardinal (E.deps e));
+  Alcotest.(check int) "footprint growth is what the heap gained" (r1 - r0)
+    (f1 - f0);
+  Alcotest.(check int) "90 words per op" (873 * (6 + (7 * (1 + 9 + 2))))
+    (f1 - f0);
+  (* a fresh engine already holds 128 ops and the 3 x 4096-word carrier
+     memo, besides Perfect's 1024-entry table *)
+  Alcotest.(check bool) "memo and initial ops counted" true
+    (f0 >= (1024 * 13) + (128 * 90) + (3 * 4096))
+
+(* ---- raw-stream differential: Perfect vs Paged engines ----
+
+   Both exact backends must build the same engine state from any access
+   stream, not only from the interpreter's: the same dependences with
+   counts and first-witness provenance, the same skip counters and the
+   same races. The generated streams reach what programs rarely do: op ids
+   past the initial 128 (per-op growth), over 768 live addresses (the
+   perfect table grows), removals of present and absent addresses, and
+   timestamps that run backwards (the race flag). *)
+
+type raw_event =
+  | Acc of {
+      write : bool;
+      addr : int;
+      var : int;  (* index into [raw_vars] *)
+      line : int;
+      thread : int;
+      dt : int;  (* timestamp step; <= 0 runs time backwards *)
+      op : int;
+      ls : int;  (* index into [raw_stacks] *)
+    }
+  | Rem of int
+
+let raw_vars = Array.map Trace.Intern.Sym.intern [| "a"; "b"; "c"; "d" |]
+
+(* One table for every stream: the empty stack, four iterations of a loop at
+   line 10, and two iterations of a loop at line 20 inside each. *)
+let raw_lstacks, raw_stacks =
+  let module L = Trace.Intern.Lstack in
+  let t = L.create () in
+  let pool = ref [ L.empty ] in
+  for iter = 0 to 3 do
+    let outer = L.push t ~parent:L.empty ~loop_line:10 ~inst:0 ~iter in
+    pool := outer :: !pool;
+    for j = 0 to 1 do
+      pool := L.push t ~parent:outer ~loop_line:20 ~inst:iter ~iter:j :: !pool
+    done
+  done;
+  (t, Array.of_list !pool)
+
+let gen_raw_stream =
+  let open QCheck.Gen in
+  let acc addr =
+    map
+      (fun (write, addr, (var, line, thread), (dt, op, ls)) ->
+        Acc { write; addr; var; line; thread; dt; op; ls })
+      (quad bool addr
+         (triple (int_bound 3) (int_range 1 30) (int_bound 1))
+         (triple
+            (frequency [ (9, return 1); (1, int_range (-3) 0) ])
+            (frequency [ (4, int_bound 20); (1, int_range 100 300) ])
+            (int_bound (Array.length raw_stacks - 1))))
+  in
+  bool >>= fun wide ->
+  let span = if wide then 3000 else 40 in
+  (* wide streams first touch 1000 addresses, past the table's 3/4 load *)
+  let prefix =
+    if wide then
+      List.init 1000 (fun a ->
+          Acc { write = true; addr = 3 * a; var = 0; line = 1; thread = 0;
+                dt = 1; op = 0; ls = 0 })
+    else []
+  in
+  list_size
+    (if wide then int_range 200 1500 else int_range 1 300)
+    (frequency
+       [ (12, acc (int_bound span));
+         (* past [span]: removals of absent addresses *)
+         (1, map (fun a -> Rem a) (int_bound (span + span / 4))) ])
+  >|= fun evs -> prefix @ evs
+
+let run_raw shadow ~skip stream =
+  let module E = Profiler.Engine in
+  let e = E.create ~skip ~lstacks:raw_lstacks shadow in
+  let time = ref 0 in
+  List.iter
+    (function
+      | Rem addr -> E.feed_dealloc e [ (addr, 1, "") ]
+      | Acc a ->
+          time := max 1 (!time + a.dt);
+          E.feed_fields e
+            ~kind:(if a.write then Trace.Event.Write else Trace.Event.Read)
+            ~addr:a.addr ~var:raw_vars.(a.var) ~line:a.line ~thread:a.thread
+            ~time:!time ~op:a.op ~lstack:raw_stacks.(a.ls) ~locked:false)
+    stream;
+  e
+
+let qcheck_raw_perfect_paged =
+  let open QCheck in
+  Test.make ~name:"Perfect and Paged engines agree on raw access streams"
+    ~count:100
+    (make
+       ~print:(fun l -> Printf.sprintf "%d events" (List.length l))
+       ~shrink:Shrink.list gen_raw_stream)
+    (fun stream ->
+      List.for_all
+        (fun skip ->
+          let module E = Profiler.Engine in
+          let p = run_raw E.Perfect ~skip stream in
+          let g = run_raw E.Paged ~skip stream in
+          let dp = E.deps p and dg = E.deps g in
+          Dep.Set_.to_list dp = Dep.Set_.to_list dg
+          && Dep.Set_.occurrences dp = Dep.Set_.occurrences dg
+          && List.for_all
+               (fun (d, _) -> Dep.Set_.prov dp d = Dep.Set_.prov dg d)
+               (Dep.Set_.to_list dp)
+          && E.skip_stats p = E.skip_stats g
+          && E.races p = E.races g
+          && E.processed p = E.processed g)
+        [ false; true ])
+
 let tests =
   tests
   @ [ Alcotest.test_case "report threads mode" `Quick test_report_threads_mode;
       Alcotest.test_case "depfile rejects garbage" `Quick test_depfile_rejects_garbage;
       Alcotest.test_case "PET rendering" `Quick test_pet_to_string;
-      Alcotest.test_case "footprint scales" `Quick test_engine_word_footprint_grows ]
+      Alcotest.test_case "footprint scales" `Quick test_engine_word_footprint_grows;
+      Alcotest.test_case "footprint counts per-op state" `Quick
+        test_engine_word_footprint_counts_ops;
+      QCheck_alcotest.to_alcotest qcheck_raw_perfect_paged ]
 
 (* ---- final property batch ---- *)
 

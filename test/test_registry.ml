@@ -119,7 +119,62 @@ let test_pet_golden () =
   check_golden ~env:"PET_GOLDEN_OUT" ~file:"pet.golden" ~what:"PET"
     (List.map pet_line registry)
 
+(* [golden/engine.golden] pins the engine's counters, which the dependence
+   digests above do not cover: per registry program, for [Serial.profile] at
+   perfect shadow with skip on and at a 4096-slot signature,
+   - the eight skip counters of Table 2.7 / Fig 2.13;
+   - accesses processed, pre-merge occurrences and distinct records;
+   and for the signature run its occupied read and write slots and
+   takeovers, read back from the [engine.shadow.*] gauges.
+
+   Regenerate (only for a deliberate change to the engine) with
+     ENGINE_GOLDEN_OUT=test/golden/engine.golden \
+       dune exec test/test_main.exe -- test registry *)
+let engine_counters (r : Profiler.Serial.result) =
+  let s = r.Profiler.Serial.skip_stats in
+  let deps = r.Profiler.Serial.deps in
+  Profiler.Engine.(
+    Printf.sprintf "%d %d %d %d %d %d %d %d %d %d %d" s.reads_total
+      s.writes_total s.reads_skipped s.writes_skipped s.skipped_raw
+      s.skipped_war s.skipped_waw s.shadow_update_elided)
+    r.Profiler.Serial.accesses
+    (Profiler.Dep.Set_.occurrences deps)
+    (Profiler.Dep.Set_.cardinal deps)
+
+let engine_line (w : R.t) =
+  let prog = R.program w in
+  let perfect =
+    Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect ~skip:true prog
+  in
+  let gauge k =
+    int_of_float (Obs.Gauge.value (Obs.gauge ("engine.shadow." ^ k)))
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let sig_, occupancy =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let r =
+          Profiler.Serial.profile ~shadow:(Profiler.Engine.Signature 4096) prog
+        in
+        ( r,
+          Printf.sprintf "%d %d %d" (gauge "occupied_reads")
+            (gauge "occupied_writes") (gauge "takeovers") ))
+  in
+  Printf.sprintf "%s perfect+skip %s | sig4096 %s | %s" w.name
+    (engine_counters perfect) (engine_counters sig_) occupancy
+
+let test_engine_golden () =
+  check_golden ~env:"ENGINE_GOLDEN_OUT" ~file:"engine.golden"
+    ~what:"engine counters"
+    (List.map engine_line registry)
+
 let tests =
   [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
       test_registry_digest;
-    Alcotest.test_case "PET golden (serial, parallel)" `Slow test_pet_golden ]
+    Alcotest.test_case "PET golden (serial, parallel)" `Slow test_pet_golden;
+    Alcotest.test_case "engine counters golden (skip, occupancy)" `Slow
+      test_engine_golden ]

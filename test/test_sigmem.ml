@@ -6,92 +6,106 @@ module Sig = Sigmem.Signature
 module Perf = Sigmem.Perfect
 module Paged = Sigmem.Two_level
 module Store = Sigmem.Store
-module Cell = Sigmem.Cell
 
-let cell line =
-  Cell.v ~line ~var:(Trace.Intern.Sym.intern "v") ~thread:0 ~time:(line + 1)
-    ~op:line ~lstack:Trace.Intern.Lstack.empty ~locked:false
+(* A backend as these tests drive it through the resolver API: [locate]
+   resolves an address to its pair's base and the store holding the pair,
+   and [before_store] is the bookkeeping a writer owes the backend (the
+   signature's occupancy rule). The assertions below read slots in place,
+   exactly as the engine does. *)
+type 's backend = {
+  create : unit -> 's;
+  locate : 's -> int -> Store.t * int;
+  before_store : 's -> int -> var:int -> unit;
+}
 
-(* Generic helpers over the revised handle-based interface: every probe
-   decodes both slots into fresh scratches, so the assertions below read the
-   decoded state, exactly as the engine does. *)
-let probe (type s) (module S : Sigmem.Shadow.S with type t = s) s ~addr =
-  let r = Cell.scratch () and w = Cell.scratch () in
-  let h = S.load s ~addr r w in
-  (h, r, w)
+let bsig slots =
+  { create = (fun () -> Sig.create ~slots);
+    locate = (fun s addr -> let b = Sig.resolve s addr in (s.Sig.store, b));
+    before_store = Sig.count_store }
 
-let set_read (type s) (module S : Sigmem.Shadow.S with type t = s) s ~addr c =
-  let h, _, _ = probe (module S) s ~addr in
-  S.store_read s h c
+let bperf =
+  { create = Perf.create;
+    locate = (fun p addr -> let b = Perf.resolve p addr in (p.Perf.data, b));
+    before_store = (fun _ _ ~var:_ -> ()) }
 
-let set_write (type s) (module S : Sigmem.Shadow.S with type t = s) s ~addr c =
-  let h, _, _ = probe (module S) s ~addr in
-  S.store_write s h c
+let bpaged =
+  { create = Paged.create;
+    locate = (fun g addr -> let b = Paged.resolve g addr in (g.Paged.cur, b));
+    before_store = (fun _ _ ~var:_ -> ()) }
 
-let last_read (type s) (module S : Sigmem.Shadow.S with type t = s) s ~addr =
-  let _, r, _ = probe (module S) s ~addr in
-  r
+let var_v = Trace.Intern.Sym.intern "v"
 
-let last_write (type s) (module S : Sigmem.Shadow.S with type t = s) s ~addr =
-  let _, _, w = probe (module S) s ~addr in
-  w
+(* Store an access at [line] as [addr]'s last read or write. *)
+let store_line be s ~write ~addr line =
+  let st, b = be.locate s addr in
+  let base = if write then b + Store.field_count else b in
+  be.before_store s base ~var:var_v;
+  Store.set st base ~time:(line + 1) ~locked:false ~line ~var:var_v ~thread:0
+    ~op:line ~lstack:Trace.Intern.Lstack.empty
 
-let msig = (module Sig : Sigmem.Shadow.S with type t = Sig.t)
-let mperf = (module Perf : Sigmem.Shadow.S with type t = Perf.t)
-let mpaged = (module Paged : Sigmem.Shadow.S with type t = Paged.t)
+let set_read be s ~addr line = store_line be s ~write:false ~addr line
+let set_write be s ~addr line = store_line be s ~write:true ~addr line
+
+(* The line of [addr]'s last read or write; [None] for an empty slot. *)
+let last be s ~write ~addr =
+  let st, b = be.locate s addr in
+  let base = if write then b + Store.field_count else b in
+  if Store.is_empty st base then None
+  else Some (Bigarray.Array1.get st (base + 1))
+
+let last_read be s ~addr = last be s ~write:false ~addr
+let last_write be s ~addr = last be s ~write:true ~addr
+
+let msig = bsig 64
+let check_line = Alcotest.(check (option int))
 
 let test_store_roundtrip () =
-  (* Every field survives the packed 6-int slot encoding, including the
-     locked bit sharing a word with the timestamp. *)
+  (* Every field survives the packed 6-int slot encoding at the offsets the
+     engine reads in place, including the locked bit sharing a word with
+     the timestamp. *)
   let st = Store.create 4 in
-  let c =
-    Cell.v ~line:123 ~var:(Trace.Intern.Sym.intern "roundtrip") ~thread:7
-      ~time:987654 ~op:42 ~lstack:3 ~locked:true
-  in
-  Store.store st (Store.write_base 2) c;
-  let d = Cell.scratch () in
-  Store.load st (Store.write_base 2) d;
-  Alcotest.(check int) "line" c.Cell.line d.Cell.line;
-  Alcotest.(check int) "var" c.Cell.var d.Cell.var;
-  Alcotest.(check int) "thread" c.Cell.thread d.Cell.thread;
-  Alcotest.(check int) "time" c.Cell.time d.Cell.time;
-  Alcotest.(check int) "op" c.Cell.op d.Cell.op;
-  Alcotest.(check int) "lstack" c.Cell.lstack d.Cell.lstack;
-  Alcotest.(check bool) "locked" c.Cell.locked d.Cell.locked;
+  let var = Trace.Intern.Sym.intern "roundtrip" in
+  let b = Store.write_base 2 in
+  Store.set st b ~time:987654 ~locked:true ~line:123 ~var ~thread:7 ~op:42
+    ~lstack:3;
+  let field k = Bigarray.Array1.get st (b + k) in
+  Alcotest.(check int) "line" 123 (field 1);
+  Alcotest.(check int) "var" var (field 2);
+  Alcotest.(check int) "var accessor" var (Store.var st b);
+  Alcotest.(check int) "thread" 7 (field 3);
+  Alcotest.(check int) "time" 987654 (field 0 lsr 1);
+  Alcotest.(check int) "op" 42 (field 4);
+  Alcotest.(check int) "lstack" 3 (field 5);
+  Alcotest.(check bool) "locked" true (field 0 land 1 = 1);
   (* the adjacent read slot of the same pair is untouched *)
-  Store.load st (Store.read_base 2) d;
-  Alcotest.(check bool) "read slot empty" true (Cell.is_empty d);
+  Alcotest.(check bool) "read slot empty" true
+    (Store.is_empty st (Store.read_base 2));
   Store.clear_pair st 2;
-  Store.load st (Store.write_base 2) d;
-  Alcotest.(check bool) "cleared" true (Cell.is_empty d)
+  Alcotest.(check bool) "cleared" true (Store.is_empty st b)
 
 let test_signature_basic () =
   let s = Sig.create ~slots:64 in
-  Alcotest.(check bool) "initially empty" true
-    (Cell.is_empty (last_read msig s ~addr:5));
-  set_read msig s ~addr:5 (cell 10);
-  Alcotest.(check int) "read slot" 10 (last_read msig s ~addr:5).Cell.line;
-  Alcotest.(check bool) "write slot still empty" true
-    (Cell.is_empty (last_write msig s ~addr:5));
-  set_write msig s ~addr:5 (cell 20);
-  Alcotest.(check int) "write slot" 20 (last_write msig s ~addr:5).Cell.line;
+  check_line "initially empty" None (last_read msig s ~addr:5);
+  set_read msig s ~addr:5 10;
+  check_line "read slot" (Some 10) (last_read msig s ~addr:5);
+  check_line "write slot still empty" None (last_write msig s ~addr:5);
+  set_write msig s ~addr:5 20;
+  check_line "write slot" (Some 20) (last_write msig s ~addr:5);
   Alcotest.(check int) "slots used" 2 (Sig.slots_used s);
   Sig.remove s ~addr:5;
-  Alcotest.(check bool) "removed" true
-    (Cell.is_empty (last_read msig s ~addr:5));
+  check_line "removed" None (last_read msig s ~addr:5);
   Alcotest.(check int) "slots used after removal" 0 (Sig.slots_used s)
 
 let test_signature_collision () =
   (* With a single slot every address collides: membership checks see the
      other address's entry — the false-positive mechanism of §2.3.2. *)
   let s = Sig.create ~slots:1 in
-  set_write msig s ~addr:1 (cell 11);
-  Alcotest.(check int) "collision visible" 11
-    (last_write msig s ~addr:2).Cell.line;
+  set_write msig s ~addr:1 11;
+  check_line "collision visible" (Some 11)
+    (last_write msig s ~addr:2);
   (* removal through a colliding address also clears the slot *)
   Sig.remove s ~addr:2;
-  Alcotest.(check bool) "collision removal" true
-    (Cell.is_empty (last_write msig s ~addr:1))
+  check_line "collision removal" None (last_write msig s ~addr:1)
 
 let test_signature_distribution () =
   (* The hash must behave like a random function on dense bump-allocator
@@ -108,32 +122,31 @@ let test_signature_distribution () =
     true (d > 340 && d < 470)
 
 let test_perfect () =
-  let s = Perf.create ~slots:0 in
-  set_write mperf s ~addr:1 (cell 11);
-  set_write mperf s ~addr:1025 (cell 12);
-  Alcotest.(check int) "no collisions ever" 11
-    (last_write mperf s ~addr:1).Cell.line;
-  Alcotest.(check int) "second addr separate" 12
-    (last_write mperf s ~addr:1025).Cell.line;
+  let s = Perf.create () in
+  set_write bperf s ~addr:1 11;
+  set_write bperf s ~addr:1025 12;
+  check_line "no collisions ever" (Some 11)
+    (last_write bperf s ~addr:1);
+  check_line "second addr separate" (Some 12)
+    (last_write bperf s ~addr:1025);
   Perf.remove s ~addr:1;
-  Alcotest.(check bool) "removed" true
-    (Cell.is_empty (last_write mperf s ~addr:1));
-  Alcotest.(check int) "other untouched" 12
-    (last_write mperf s ~addr:1025).Cell.line
+  check_line "removed" None (last_write bperf s ~addr:1);
+  check_line "other untouched" (Some 12)
+    (last_write bperf s ~addr:1025)
 
 let test_perfect_growth () =
   (* Push well past the initial capacity: the open-addressed table must
      rehash without losing or corrupting any entry. *)
-  let s = Perf.create ~slots:0 in
+  let s = Perf.create () in
   let n = 10_000 in
   for a = 0 to n - 1 do
-    set_write mperf s ~addr:(a * 7) (cell (a land 0xFFFF))
+    set_write bperf s ~addr:(a * 7) (a land 0xFFFF)
   done;
   Alcotest.(check bool) "grew past initial capacity" true (Perf.capacity s > 1024);
   Alcotest.(check int) "all live" n (Perf.live s);
   let ok = ref true in
   for a = 0 to n - 1 do
-    if (last_write mperf s ~addr:(a * 7)).Cell.line <> a land 0xFFFF then
+    if last_write bperf s ~addr:(a * 7) <> Some (a land 0xFFFF) then
       ok := false
   done;
   Alcotest.(check bool) "every entry intact after rehash" true !ok
@@ -141,10 +154,10 @@ let test_perfect_growth () =
 let test_perfect_tombstones () =
   (* Insert/remove churn over a fixed working set must not grow the table:
      tombstones are recycled by inserts and squeezed on rebuild. *)
-  let s = Perf.create ~slots:0 in
+  let s = Perf.create () in
   for round = 0 to 99 do
     for a = 0 to 99 do
-      set_write mperf s ~addr:a (cell round)
+      set_write bperf s ~addr:a round
     done;
     for a = 0 to 99 do
       Perf.remove s ~addr:a
@@ -152,28 +165,27 @@ let test_perfect_tombstones () =
   done;
   Alcotest.(check int) "empty after churn" 0 (Perf.live s);
   Alcotest.(check bool) "capacity stayed small" true (Perf.capacity s <= 2048);
-  set_write mperf s ~addr:3 (cell 77);
-  Alcotest.(check int) "usable after churn" 77
-    (last_write mperf s ~addr:3).Cell.line
+  set_write bperf s ~addr:3 77;
+  check_line "usable after churn" (Some 77)
+    (last_write bperf s ~addr:3)
 
 let test_paged () =
-  let s = Paged.create ~slots:0 in
+  let s = Paged.create () in
   (* addresses far enough apart to land on distinct pages *)
-  set_write mpaged s ~addr:5 (cell 11);
-  set_read mpaged s ~addr:5 (cell 12);
-  set_write mpaged s ~addr:100_000 (cell 13);
-  Alcotest.(check int) "first page write" 11
-    (last_write mpaged s ~addr:5).Cell.line;
-  Alcotest.(check int) "first page read" 12
-    (last_read mpaged s ~addr:5).Cell.line;
-  Alcotest.(check int) "distant page" 13
-    (last_write mpaged s ~addr:100_000).Cell.line;
+  set_write bpaged s ~addr:5 11;
+  set_read bpaged s ~addr:5 12;
+  set_write bpaged s ~addr:100_000 13;
+  check_line "first page write" (Some 11)
+    (last_write bpaged s ~addr:5);
+  check_line "first page read" (Some 12)
+    (last_read bpaged s ~addr:5);
+  check_line "distant page" (Some 13)
+    (last_write bpaged s ~addr:100_000);
   Alcotest.(check bool) "two pages allocated" true (Paged.pages_allocated s >= 2);
   Paged.remove s ~addr:5;
-  Alcotest.(check bool) "removed" true
-    (Cell.is_empty (last_write mpaged s ~addr:5));
-  Alcotest.(check int) "other page untouched" 13
-    (last_write mpaged s ~addr:100_000).Cell.line;
+  check_line "removed" None (last_write bpaged s ~addr:5);
+  check_line "other page untouched" (Some 13)
+    (last_write bpaged s ~addr:100_000);
   (* removing a never-touched address must not allocate a page *)
   let pages = Paged.pages_allocated s in
   Paged.remove s ~addr:9_999_999;
@@ -201,7 +213,7 @@ let test_fpr_predictor_vs_measured () =
     !rng
   in
   for _ = 1 to n do
-    set_write msig s ~addr:(next ()) (cell 1)
+    set_write msig s ~addr:(next ()) 1
   done;
   let occupied = float_of_int (Sig.slots_used s) /. float_of_int slots in
   let predicted = Sigmem.Shadow.predicted_fpr ~slots ~addresses:n in
@@ -210,8 +222,7 @@ let test_fpr_predictor_vs_measured () =
     true
     (abs_float (occupied -. predicted) < 0.1)
 
-let qcheck_last_write_wins (type s) name
-    (module S : Sigmem.Shadow.S with type t = s) slots =
+let qcheck_last_write_wins name be =
   let open QCheck in
   Test.make
     ~name:(name ^ " returns the most recent write for an address")
@@ -220,16 +231,16 @@ let qcheck_last_write_wins (type s) name
     (fun writes ->
       (* for the signature: big enough that these few addresses never
          collide; exact backends hold regardless *)
-      let s = S.create ~slots in
+      let s = be.create () in
       let last = Hashtbl.create 8 in
       List.iter
         (fun (addr, line) ->
-          set_write (module S) s ~addr (cell line);
+          set_write be s ~addr line;
           Hashtbl.replace last addr line)
         writes;
       Hashtbl.fold
         (fun addr line ok ->
-          ok && (last_write (module S) s ~addr).Cell.line = line)
+          ok && last_write be s ~addr = Some line)
         last true)
 
 let tests =
@@ -245,6 +256,6 @@ let tests =
     Alcotest.test_case "Eq 2.2 vs measured occupancy" `Quick
       test_fpr_predictor_vs_measured;
     QCheck_alcotest.to_alcotest
-      (qcheck_last_write_wins "signature" msig 4096);
-    QCheck_alcotest.to_alcotest (qcheck_last_write_wins "perfect" mperf 0);
-    QCheck_alcotest.to_alcotest (qcheck_last_write_wins "paged" mpaged 0) ]
+      (qcheck_last_write_wins "signature" (bsig 4096));
+    QCheck_alcotest.to_alcotest (qcheck_last_write_wins "perfect" bperf);
+    QCheck_alcotest.to_alcotest (qcheck_last_write_wins "paged" bpaged) ]
