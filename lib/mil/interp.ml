@@ -24,7 +24,8 @@ exception Cancelled = Compile.Cancelled
 (* ---- effects for cooperative threading ---- *)
 
 type _ Effect.t +=
-  | Yield : unit Effect.t
+  | Yield : int -> unit Effect.t
+      (* switch to the [k]-th most recently readied fiber, [k > 0] *)
   | Spawn : (unit -> unit) list -> unit Effect.t
   | Acquire : string -> unit Effect.t
   | Release : string -> unit Effect.t
@@ -45,7 +46,18 @@ type stats = {
   mutable loop_iterations : int;
   mutable calls : int;
   mutable statements : int;
+  mutable switches : int;
+  mutable spawns : int;
 }
+
+(* A runnable fiber: a suspended continuation or a thread not yet started. *)
+type work =
+  | Resume : ('a, unit) Effect.Deep.continuation * 'a * tcb -> work
+  | Start of (unit -> unit) * tcb
+
+let no_work =
+  Start
+    (ignore, { tid = -1; lstack = 0; held = 0; group = -1; group_live = ref 0 })
 
 type state = {
   emit : Event.region -> unit;
@@ -66,11 +78,17 @@ type state = {
   mutable cur : tcb;
   mutable live_threads : int;
   mutable next_tid : int;
+  (* The ready bag, in enqueue order: [ready.(n_ready - 1)] is the most
+     recently readied fiber. *)
+  mutable ready : work array;
+  mutable n_ready : int;
   stats : stats;
   (* Optional reordering of unlocked pushes, to exercise race detection: the
      access as seen by the profiler may arrive out of timestamp order. *)
   scramble_unlocked : bool;
-  mutable pending : Event.access list;  (* delayed unlocked accesses *)
+  pending : int array;    (* delayed unlocked accesses, oldest first *)
+  mutable n_pending : int;
+  flush_tids : int array; (* [flush_pending]'s threads still to drain *)
   (* Cooperative cancellation: polled every 2048 statements so a deadline
      watchdog (batch driver, serve daemon) can stop a run without
      per-statement cost. *)
@@ -79,37 +97,56 @@ type state = {
 
 (* ---- event emission ---- *)
 
+(* The scramble buffer holds at most [max_pending] accesses of
+   [pending_width] ints each: kind (0 read, 1 write), addr, var, line,
+   thread, time, op, lstack. Delayed accesses are unlocked by definition. *)
+let max_pending = 5
+let pending_width = 8
+let f_thread = 4
+
 (* Emit delayed unlocked accesses in a scrambled cross-thread interleaving.
    A profiling thread pushes its own accesses in program order — only the
    interleaving between threads is nondeterministic (§2.3.4) — so
    per-thread order is preserved and timestamp reversals (the race signal)
-   are only ever manufactured across threads. *)
-let flush_pending st =
-  match st.pending with
-  | [] -> ()
-  | pending ->
-      let accs = List.rev pending in
-      st.pending <- [];
-      let tid (a : Event.access) = a.thread in
-      let tids = List.sort_uniq compare (List.map tid accs) in
-      let queues =
-        List.map (fun t -> ref (List.filter (fun a -> tid a = t) accs)) tids
-      in
-      let rec drain () =
-        match List.filter (fun q -> !q <> []) queues with
-        | [] -> ()
-        | qs ->
-            let q = List.nth qs (Rng.int st.rng (List.length qs)) in
-            (match !q with
-            | { Event.kind; addr; var; line; thread; time; op; lstack; locked }
-              :: rest ->
-                st.on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
-                  ~locked;
-                q := rest
-            | [] -> assert false);
-            drain ()
-      in
-      drain ()
+   are only ever manufactured across threads. Each step draws one of the
+   threads with accesses left, in ascending thread id, and emits its oldest;
+   an emitted access's thread becomes -1. *)
+let drain_pending st =
+  let n = st.n_pending in
+  st.n_pending <- 0;
+  let p = st.pending and tids = st.flush_tids in
+  let nt = ref 0 in
+  for i = 0 to n - 1 do
+    let t = p.((i * pending_width) + f_thread) in
+    let j = ref 0 in
+    while !j < !nt && tids.(!j) < t do incr j done;
+    if !j = !nt || tids.(!j) <> t then begin
+      Array.blit tids !j tids (!j + 1) (!nt - !j);
+      tids.(!j) <- t;
+      incr nt
+    end
+  done;
+  while !nt > 0 do
+    let j = Rng.int st.rng !nt in
+    let thread = tids.(j) in
+    let i = ref 0 in
+    while p.((!i * pending_width) + f_thread) <> thread do incr i done;
+    let b = !i * pending_width in
+    p.(b + f_thread) <- -1;
+    st.on_access
+      ~kind:(if p.(b) = 0 then Event.Read else Event.Write)
+      ~addr:p.(b + 1) ~var:p.(b + 2) ~line:p.(b + 3) ~thread
+      ~time:p.(b + 5) ~op:p.(b + 6) ~lstack:p.(b + 7) ~locked:false;
+    let i = ref (!i + 1) in
+    while !i < n && p.((!i * pending_width) + f_thread) <> thread do incr i done;
+    if !i = n then begin
+      Array.blit tids (j + 1) tids j (!nt - j - 1);
+      decr nt
+    end
+  done
+
+(* Small enough to inline: every unscrambled access passes here. *)
+let flush_pending st = if st.n_pending > 0 then drain_pending st
 
 (* Op ids by packed (line, occ, kind) key, in first-seen order: an
    open-addressed table of (key, id) pairs, key -1 marking a free pair,
@@ -151,13 +188,17 @@ let emit_access st kind addr var line =
   let op = intern_op st line kind in
   let locked = st.cur.held > 0 in
   if st.scramble_unlocked && st.live_threads > 1 && not locked then begin
-    (* Delayed accesses must exist as records: the scrambler buffers and
-       reorders them before handing them to the sink. *)
-    st.pending <-
-      { Event.kind; addr; var; line; thread = st.cur.tid; time = st.time;
-        op; lstack = st.cur.lstack; locked }
-      :: st.pending;
-    if List.length st.pending > 4 then flush_pending st
+    let p = st.pending and b = st.n_pending * pending_width in
+    p.(b) <- (match kind with Event.Read -> 0 | Event.Write -> 1);
+    p.(b + 1) <- addr;
+    p.(b + 2) <- var;
+    p.(b + 3) <- line;
+    p.(b + f_thread) <- st.cur.tid;
+    p.(b + 5) <- st.time;
+    p.(b + 6) <- op;
+    p.(b + 7) <- st.cur.lstack;
+    st.n_pending <- st.n_pending + 1;
+    if st.n_pending = max_pending then flush_pending st
   end
   else begin
     flush_pending st;
@@ -215,8 +256,13 @@ module Backend = struct
 
   let dealloc st addrs = emit_region st (Event.Dealloc { addrs })
 
+  (* A scheduling point: the running fiber is drawn against the ready bag,
+     as if readied first, and only a switch to another fiber suspends it. *)
   let stmt st =
-    if st.live_threads > 1 then Effect.perform Yield;
+    if st.live_threads > 1 then begin
+      let k = Rng.int st.rng (st.n_ready + 1) in
+      if k > 0 then Effect.perform (Yield k)
+    end;
     let s = st.stats in
     s.statements <- s.statements + 1;
     if s.statements land 2047 = 0 && st.cancelled () then raise Cancelled;
@@ -317,9 +363,26 @@ exception Deadlock
    stays empty, rather than allocate their own. *)
 let no_lstacks = Intern.Lstack.create ()
 
-type work =
-  | Resume : ('a, unit) Effect.Deep.continuation * 'a * tcb -> work
-  | Start of (unit -> unit) * tcb
+let c_switches = Obs.counter "interp.fiber.switches"
+let c_spawns = Obs.counter "interp.fiber.spawns"
+
+let enqueue st w =
+  if st.n_ready = Array.length st.ready then begin
+    let a = Array.make (2 * st.n_ready) no_work in
+    Array.blit st.ready 0 a 0 st.n_ready;
+    st.ready <- a
+  end;
+  st.ready.(st.n_ready) <- w;
+  st.n_ready <- st.n_ready + 1
+
+(* Remove the [k]-th most recently readied fiber from the bag. *)
+let take st k =
+  let i = st.n_ready - 1 - k in
+  let w = st.ready.(i) in
+  Array.blit st.ready (i + 1) st.ready i k;
+  st.n_ready <- st.n_ready - 1;
+  st.ready.(st.n_ready) <- no_work;
+  w
 
 let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
     ?(emit = fun (_ : Event.region) -> ())
@@ -340,17 +403,18 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
       cur =
         { tid = 0; lstack = Intern.Lstack.empty; held = 0; group = 0;
           group_live = ref 1 };
-      live_threads = 1; next_tid = 1;
+      live_threads = 1; next_tid = 1; ready = Array.make 8 no_work; n_ready = 0;
       stats =
-        { reads = 0; writes = 0; loop_iterations = 0; calls = 0; statements = 0 };
-      scramble_unlocked; pending = []; cancelled }
+        { reads = 0; writes = 0; loop_iterations = 0; calls = 0; statements = 0;
+          switches = 0; spawns = 0 };
+      scramble_unlocked; pending = Array.make (max_pending * pending_width) 0;
+      n_pending = 0; flush_tids = Array.make max_pending 0; cancelled }
   in
   let compiled = C.prepare ~deallocs:instrument st prog in
   let entry = find_func prog prog.entry in
   let result = ref 0 in
-  (* Scheduler state: a bag of runnable work items picked pseudo-randomly, a
-     per-mutex wait queue, and join counters for [Par] parents. *)
-  let readyq : work list ref = ref [] in
+  (* Scheduler state besides the ready bag: a per-mutex wait queue, and
+     join counters for [Par] parents. *)
   let waiting :
       (string, (tcb * (unit, unit) Effect.Deep.continuation) Queue.t) Hashtbl.t =
     Hashtbl.create 8
@@ -362,7 +426,7 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
       Hashtbl.t =
     Hashtbl.create 8
   in
-  let enqueue w = readyq := w :: !readyq in
+  let enqueue = enqueue st in
   (* A barrier opens when every live thread of the group has arrived; it is
      also re-checked when a group member finishes without reaching it. *)
   let release_barriers group =
@@ -377,30 +441,22 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
         end)
       barriers
   in
-  let pick () =
-    match !readyq with
-    | [] -> None
-    | l ->
-        let n = List.length l in
-        let k = Rng.int st.rng n in
-        let chosen = List.nth l k in
-        readyq := List.filteri (fun i _ -> i <> k) l;
-        Some chosen
-  in
-  let rec schedule () =
-    match pick () with
-    | Some (Resume (k, x, tcb)) ->
+  let rec dispatch = function
+    | Resume (k, x, tcb) ->
         st.cur <- tcb;
         Effect.Deep.continue k x
-    | Some (Start (thunk, tcb)) ->
+    | Start (thunk, tcb) ->
         st.cur <- tcb;
         run_fiber tcb thunk
-    | None ->
-        let blocked =
-          Hashtbl.fold (fun _ q n -> n + Queue.length q) waiting 0
-          + Hashtbl.fold (fun _ w n -> n + List.length !w) barriers 0
-        in
-        if blocked > 0 then raise Deadlock
+  and schedule () =
+    if st.n_ready > 0 then dispatch (take st (Rng.int st.rng st.n_ready))
+    else begin
+      let blocked =
+        Hashtbl.fold (fun _ q n -> n + Queue.length q) waiting 0
+        + Hashtbl.fold (fun _ w n -> n + List.length !w) barriers 0
+      in
+      if blocked > 0 then raise Deadlock
+    end
   and run_fiber tcb thunk =
     Effect.Deep.match_with
       (fun () -> thunk ())
@@ -413,15 +469,17 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
         effc =
           (fun (type b) (eff : b Effect.t) ->
             match eff with
-            | Yield ->
+            | Yield j ->
                 Some
                   (fun (k : (b, unit) Effect.Deep.continuation) ->
+                    st.stats.switches <- st.stats.switches + 1;
                     enqueue (Resume (k, (), tcb));
-                    schedule ())
+                    dispatch (take st j))
             | Spawn thunks ->
                 Some
                   (fun (k : (b, unit) Effect.Deep.continuation) ->
                     let pending = ref (List.length thunks) in
+                    st.stats.spawns <- st.stats.spawns + !pending;
                     let group = st.next_tid in
                     let group_live = ref (List.length thunks) in
                     List.iter
@@ -510,6 +568,8 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
     flush_pending st
   in
   run_fiber main_tcb main;
+  Obs.Counter.add c_switches st.stats.switches;
+  Obs.Counter.add c_spawns st.stats.spawns;
   { result = !result; r_stats = st.stats; dynamic_ops = st.n_ops;
     final_globals = C.final_globals compiled st }
 

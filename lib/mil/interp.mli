@@ -26,6 +26,10 @@ type stats = {
   mutable loop_iterations : int;
   mutable calls : int;
   mutable statements : int;  (** executed statements, loops and ifs included *)
+  mutable switches : int;
+      (** fiber context switches at statement boundaries: the scheduler's
+          draw picked another ready fiber than the running one *)
+  mutable spawns : int;  (** fibers spawned by [Par] *)
 }
 
 type run_result = {
@@ -58,6 +62,8 @@ val run :
     dropping them. [scramble_unlocked] delays and reorders the delivery of
     unlocked accesses from concurrent threads, modelling the access/push
     atomicity violation that exposes potential data races (§2.3.4).
+    With Obs enabled, a finished run adds its [switches] and [spawns] to
+    the [interp.fiber.switches] and [interp.fiber.spawns] counters.
     [on_print] observes each [print] builtin call's
     evaluated arguments. [cancelled] is polled every ~2k statements;
     returning true raises {!Cancelled} out of the run.

@@ -223,6 +223,18 @@ let rec has_sync (b : block) =
       | _ -> false)
     b
 
+let rec block_has_par (b : block) =
+  List.exists
+    (fun s ->
+      match s.node with
+      | Par _ -> true
+      | If (_, t, e) -> block_has_par t || block_has_par e
+      | While (_, body) | For { body; _ } -> block_has_par body
+      | _ -> false)
+    b
+
+let has_par (p : program) = List.exists (fun f -> block_has_par f.body) p.funcs
+
 let rec has_return (b : block) =
   List.exists
     (fun s ->

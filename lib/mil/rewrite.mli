@@ -54,6 +54,10 @@ val calls_transitively : Ast.program -> Ast.block -> string -> bool
 val has_sync : Ast.block -> bool
 (** [Par] / [Lock] / [Unlock] / [Barrier] anywhere in the block. *)
 
+val has_par : Ast.program -> bool
+(** A [Par] statement in some function of the program: without one, the
+    program runs as a single thread. *)
+
 val has_return : Ast.block -> bool
 
 val has_toplevel_break : Ast.block -> bool

@@ -89,9 +89,13 @@ type verdict = {
 
 let default_seeds = [ 42; 1009; 77777 ]
 
+(* An original without [Par] runs as one thread: the scrambler never
+   delays its accesses, timestamps reach the engine in order, and its racy
+   set is empty without profiling it. *)
 let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     ~(transformed : Mil.Ast.program) () : verdict =
   let mismatches =
+    Obs.Span.with_ ~phase:"validate.observe" @@ fun () ->
     List.concat_map
       (fun seed ->
         let a = observe ~seed original and b = observe ~seed transformed in
@@ -99,15 +103,14 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
       seeds
   in
   let seed0 = match seeds with s :: _ -> s | [] -> 42 in
-  let p_orig =
-    Profiler.Serial.profile ~scramble_unlocked:true ~seed:seed0 original
-  in
-  let p_tran =
-    Profiler.Serial.profile ~scramble_unlocked:true ~seed:seed0 transformed
-  in
-  let base = racy_vars p_orig in
-  let new_racy =
-    List.filter (fun v -> not (List.mem v base)) (racy_vars p_tran)
+  let p_tran, new_racy =
+    Obs.Span.with_ ~phase:"validate.race_check" @@ fun () ->
+    let profile = Profiler.Serial.profile ~scramble_unlocked:true ~seed:seed0 in
+    let base =
+      if Mil.Rewrite.has_par original then racy_vars (profile original) else []
+    in
+    let p_tran = profile transformed in
+    (p_tran, List.filter (fun v -> not (List.mem v base)) (racy_vars p_tran))
   in
   let v_ok = mismatches = [] && new_racy = [] in
   Obs.Counter.incr (if v_ok then c_pass else c_fail);

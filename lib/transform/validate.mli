@@ -6,7 +6,8 @@
     seeds and compares observable state (entry return value, final globals
     of the original program, [print] stream); the race check re-profiles
     both with [scramble_unlocked] and requires no {e new} racy variables in
-    the transformed program. *)
+    the transformed program. An original without [Par] is not re-profiled:
+    a single thread has no racy variables. *)
 
 type observation = {
   o_result : int;
@@ -29,6 +30,10 @@ type verdict = {
   v_racy_raw : int;  (** racy RAW records in the transformed profile *)
 }
 
+val racy_vars : Profiler.Serial.result -> string list
+(** Variables with an observed timestamp reversal, from the race list and
+    the racy flag of merged records, sorted. *)
+
 val default_seeds : int list
 
 val differential :
@@ -38,7 +43,8 @@ val differential :
   unit ->
   verdict
 (** Counts the outcome in the [Obs] registry
-    ([transform.validate.pass] / [transform.validate.fail]). *)
+    ([transform.validate.pass] / [transform.validate.fail]), and times its
+    two halves as the [validate.observe] and [validate.race_check] spans. *)
 
 val verdict_to_string : verdict -> string
 

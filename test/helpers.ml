@@ -49,6 +49,22 @@ let workload name =
   | Some w -> w
   | None -> Alcotest.failf "unknown workload %s" name
 
+(* The transform-measure benchmark's seven programs at reduced sizes, and
+   one of them parallelized as that benchmark does: the first transformable
+   suggestion of a 2-thread analysis, in 2 chunks. *)
+let transform_cases =
+  [ ("histogram", 500); ("mandelbrot", 12); ("matmul", 10); ("dotprod", 800);
+    ("jacobi", 100); ("match_count", 300); ("fib", 12) ]
+
+let transform_case (name, size) =
+  let report =
+    Discovery.Suggestion.analyze ~threads:2
+      (Workloads.Registry.program ~size (workload name))
+  in
+  match Transform.Parallelize.apply_first ~chunks:2 report with
+  | Ok (t, _) -> t
+  | Error _ -> Alcotest.failf "%s@%d: nothing transformable" name size
+
 let profile ?shadow ?skip ?seed ?scramble_unlocked p =
   Profiler.Serial.profile ?shadow ?skip ?seed ?scramble_unlocked p
 

@@ -212,6 +212,57 @@ let test_alloc_regression () =
     Alcotest.failf "parallel producer: %.2f minor words/access exceeds cap %.1f"
       per_access parallel_alloc_cap
 
+(* The fiber scheduler and the scramble buffer must not allocate per
+   statement or per access beyond what switching fibers costs. Fork-join
+   fib, parallelized as the transform-measure benchmark does, keeps a ready
+   bag that grows with the problem size: its uninstrumented run must stay
+   under [fiber_words_cap] minor words per statement, and the figure must
+   not grow from size 12 to 15 (a list-based bag went 346 -> 1121). The
+   scrambled profile of a transformed DOALL must stay under
+   [scramble_alloc_cap] words per access (it was 33 with a list buffer). *)
+let fiber_words_cap = 100.0
+let fiber_growth_cap = 1.5
+let scramble_alloc_cap = 8.0
+
+let minor_words f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (Gc.minor_words () -. w0, r)
+
+let test_scheduler_alloc () =
+  let fib_words size =
+    let prog =
+      (Helpers.transform_case ("fib", size)).Transform.Parallelize.transformed
+    in
+    let words, r =
+      minor_words (fun () -> Mil.Interp.run ~instrument:false prog)
+    in
+    let stmts = r.Mil.Interp.r_stats.statements in
+    Alcotest.(check bool)
+      (Printf.sprintf "fib@%d switches fibers" size) true
+      (r.Mil.Interp.r_stats.switches > 0);
+    let per_stmt = words /. float_of_int stmts in
+    if per_stmt > fiber_words_cap then
+      Alcotest.failf "fib@%d: %.1f minor words/statement exceeds cap %.0f" size
+        per_stmt fiber_words_cap;
+    per_stmt
+  in
+  let small = fib_words 12 and large = fib_words 15 in
+  if large > fiber_growth_cap *. small then
+    Alcotest.failf "words/statement grow with size: %.1f at 12, %.1f at 15"
+      small large;
+  let hist =
+    (Helpers.transform_case ("histogram", 4000)).Transform.Parallelize.transformed
+  in
+  let words, r =
+    minor_words (fun () -> Profiler.Serial.profile ~scramble_unlocked:true hist)
+  in
+  let per_access = words /. float_of_int r.Profiler.Serial.accesses in
+  if per_access > scramble_alloc_cap then
+    Alcotest.failf "scrambled profile: %.1f minor words/access exceeds cap %.0f"
+      per_access scramble_alloc_cap
+
 (* ---- interning ---- *)
 
 let test_sym_roundtrip () =
@@ -389,6 +440,8 @@ let tests =
       test_scramble_golden;
     Alcotest.test_case "per-access allocation under cap" `Quick
       test_alloc_regression;
+    Alcotest.test_case "fiber scheduler and scrambler allocation" `Quick
+      test_scheduler_alloc;
     Alcotest.test_case "symbol intern round-trip" `Quick test_sym_roundtrip;
     Alcotest.test_case "loop-stack intern round-trip" `Quick
       test_lstack_roundtrip;

@@ -173,6 +173,43 @@ let test_lstack_gauges_agree () =
   Alcotest.(check (float 0.)) "parallel node count" nodes
     (Obs.gauge_value "profiler.lstack.nodes")
 
+(* The interpreter publishes its fiber counts once per run: a sequential
+   program never switches; two threads switch at some statement boundaries,
+   but not at all of them, since the running fiber is often drawn again.
+   Disabled, the registry stays untouched. *)
+let test_fiber_counters () =
+  with_registry @@ fun () ->
+  let run prog =
+    Obs.reset ();
+    let r = Mil.Interp.run ~instrument:false prog in
+    let switches = Obs.counter_value "interp.fiber.switches" in
+    Alcotest.(check int) "published switches" r.Mil.Interp.r_stats.switches
+      switches;
+    Alcotest.(check int) "published spawns" r.Mil.Interp.r_stats.spawns
+      (Obs.counter_value "interp.fiber.spawns");
+    (r.Mil.Interp.r_stats, switches)
+  in
+  let seq, switches = run Helpers.fig27 in
+  Alcotest.(check int) "sequential: no switch" 0 switches;
+  Alcotest.(check int) "sequential: no spawn" 0 seq.Mil.Interp.spawns;
+  let two_threads =
+    let open Mil.Builder in
+    Helpers.prog_of_main ~globals:[ gscalar "a" 0; gscalar "b" 0 ]
+      [ par
+          [ [ for_ "i" (i 0) (i 50) [ set "a" (v "a" + v "i") ] ];
+            [ for_ "i" (i 0) (i 50) [ set "b" (v "b" + v "i") ] ] ] ]
+  in
+  let par, switches = run two_threads in
+  Alcotest.(check int) "two spawns" 2 par.Mil.Interp.spawns;
+  Alcotest.(check bool) "some switches" true (switches > 0);
+  Alcotest.(check bool) "fewer switches than statements" true
+    (switches < par.Mil.Interp.statements);
+  Obs.disable ();
+  Obs.reset ();
+  ignore (Mil.Interp.run ~instrument:false two_threads);
+  Alcotest.(check int) "disabled: nothing published" 0
+    (Obs.counter_value "interp.fiber.switches")
+
 let test_reset_zeroes () =
   with_registry @@ fun () ->
   Obs.Counter.add (Obs.counter "t.r") 7;
@@ -500,6 +537,7 @@ let tests =
       test_serial_parallel_counters_agree;
     Alcotest.test_case "loop-stack gauges agree" `Quick
       test_lstack_gauges_agree;
+    Alcotest.test_case "interpreter fiber counters" `Quick test_fiber_counters;
     Alcotest.test_case "reset zeroes values" `Quick test_reset_zeroes;
     Alcotest.test_case "prometheus format validity" `Quick
       test_prometheus_validity;

@@ -172,9 +172,137 @@ let test_engine_golden () =
     ~what:"engine counters"
     (List.map engine_line registry)
 
+(* [golden/interleave.golden] pins the fiber scheduler's interleavings, the
+   part of the interpreter that the goldens above see only through the
+   profiler. For every registry program with a [Par] statement, at its
+   default size, and for the transformed output of the transform-measure
+   programs ([Parallelize.apply_first ~chunks:2] after a 2-thread analysis)
+   at reduced sizes, it holds per seed the MD5 of
+   - the instrumented event stream, in delivery order: every region event
+     and every access with all its fields (thread, time, address, op id,
+     loop-stack id, locked flag, and the variable by name, as symbol ids
+     depend on what the process interned before);
+   - the same stream under [scramble_unlocked];
+   - the uninstrumented run: result, stats, final globals and prints.
+
+   Regenerate (only for a deliberate change to scheduling) with
+     INTERLEAVE_GOLDEN_OUT=test/golden/interleave.golden \
+       dune exec test/test_main.exe -- test registry *)
+let interleave_seeds = [ 42; 1009; 77777 ]
+
+(* A running MD5 over the stream, written as binary ints and short
+   strings: each 64 KiB is folded into the digest so far, so a long stream
+   never sits in memory. *)
+type stream_digest = { buf : Buffer.t; mutable h : string }
+
+let sd_create () = { buf = Buffer.create 65600; h = "" }
+
+let sd_fold d =
+  d.h <- Digest.string (d.h ^ Buffer.contents d.buf);
+  Buffer.clear d.buf
+
+let sd_int d n = Buffer.add_int64_le d.buf (Int64.of_int n)
+
+let sd_str d s =
+  sd_int d (String.length s);
+  Buffer.add_string d.buf s
+
+let sd_tag d c =
+  Buffer.add_char d.buf c;
+  if Buffer.length d.buf >= 65536 then sd_fold d
+
+let sd_hex d =
+  sd_fold d;
+  Digest.to_hex d.h
+
+let sd_region d (r : Trace.Event.region) =
+  let open Trace.Event in
+  let ints = List.iter (sd_int d) in
+  match r with
+  | Loop_entry { line; inst } -> sd_tag d 'e'; ints [ line; inst ]
+  | Loop_iter { line; inst; iter } -> sd_tag d 'i'; ints [ line; inst; iter ]
+  | Loop_exit { line; inst; iterations } ->
+      sd_tag d 'x'; ints [ line; inst; iterations ]
+  | Func_entry { name; line; call_line } ->
+      sd_tag d 'f'; sd_str d name; ints [ line; call_line ]
+  | Func_exit { name; line } -> sd_tag d 'r'; sd_str d name; sd_int d line
+  | Dealloc { addrs } ->
+      sd_tag d 'd';
+      sd_int d (List.length addrs);
+      List.iter (fun (b, n, v) -> ints [ b; n ]; sd_str d v) addrs
+  | Thread_start { thread } -> sd_tag d 's'; sd_int d thread
+  | Thread_end { thread } -> sd_tag d 't'; sd_int d thread
+
+let stream_md5 ~seed ~scramble_unlocked prog =
+  let d = sd_create () in
+  ignore
+    (Mil.Interp.run ~seed ~scramble_unlocked ~emit:(sd_region d)
+       ~on_access:(fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
+           ~locked ->
+         sd_tag d (match kind with Trace.Event.Read -> 'R' | Write -> 'W');
+         sd_str d (Trace.Intern.Sym.name var);
+         List.iter (sd_int d)
+           [ addr; line; thread; time; op; lstack; Bool.to_int locked ])
+       prog);
+  sd_hex d
+
+let observation_md5 ~seed prog =
+  let d = sd_create () in
+  let r =
+    Mil.Interp.run ~seed ~instrument:false
+      ~on_print:(fun vs -> sd_tag d 'p'; sd_int d (List.length vs);
+        List.iter (sd_int d) vs)
+      prog
+  in
+  let s = r.Mil.Interp.r_stats in
+  sd_tag d 'o';
+  List.iter (sd_int d)
+    [ r.Mil.Interp.result; s.Mil.Interp.reads; s.writes; s.loop_iterations;
+      s.calls; s.statements; r.dynamic_ops ];
+  List.iter
+    (fun (n, a) ->
+      sd_tag d 'g'; sd_str d n; sd_int d (Array.length a);
+      Array.iter (sd_int d) a)
+    r.final_globals;
+  sd_hex d
+
+let interleave_line name prog =
+  let per_seed seed =
+    Printf.sprintf "%d %s %s %s" seed
+      (stream_md5 ~seed ~scramble_unlocked:false prog)
+      (stream_md5 ~seed ~scramble_unlocked:true prog)
+      (observation_md5 ~seed prog)
+  in
+  name ^ " " ^ String.concat " | " (List.map per_seed interleave_seeds)
+
+let interleave_lines () =
+  let threaded =
+    List.filter_map
+      (fun (w : R.t) ->
+        let prog = R.program w in
+        if Mil.Rewrite.has_par prog then Some (interleave_line w.name prog)
+        else None)
+      registry
+  in
+  let transformed =
+    List.map
+      (fun ((name, size) as case) ->
+        interleave_line
+          (Printf.sprintf "%s@%d/par" name size)
+          (Helpers.transform_case case).Transform.Parallelize.transformed)
+      Helpers.transform_cases
+  in
+  threaded @ transformed
+
+let test_interleave_golden () =
+  check_golden ~env:"INTERLEAVE_GOLDEN_OUT" ~file:"interleave.golden"
+    ~what:"interleavings" (interleave_lines ())
+
 let tests =
   [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
       test_registry_digest;
     Alcotest.test_case "PET golden (serial, parallel)" `Slow test_pet_golden;
     Alcotest.test_case "engine counters golden (skip, occupancy)" `Slow
-      test_engine_golden ]
+      test_engine_golden;
+    Alcotest.test_case "interleave golden (streams, scramble, observation)"
+      `Slow test_interleave_golden ]

@@ -17,17 +17,6 @@ let apply_first_exn report =
       Alcotest.failf "nothing transformable: %s"
         (String.concat "; " (List.map snd skipped))
 
-let has_par (p : Ast.program) =
-  let rec block b = List.exists stmt b
-  and stmt (s : Ast.stmt) =
-    match s.Ast.node with
-    | Ast.Par _ -> true
-    | If (_, t, e) -> block t || block e
-    | While (_, b) | For { body = b; _ } -> block b
-    | _ -> false
-  in
-  List.exists (fun (f : Ast.func) -> block f.body) p.funcs
-
 (* DOALL with a scalar reduction: sum of a filled array. *)
 let reduction_prog =
   let open Builder in
@@ -48,7 +37,8 @@ let test_doall_reduction () =
   in
   Alcotest.(check bool) "plan is a DOALL" true
     (contains t.plan.P.p_kind "DOALL");
-  Alcotest.(check bool) "transformed has a Par" true (has_par t.transformed);
+  Alcotest.(check bool) "transformed has a Par" true
+    (Rewrite.has_par t.transformed);
   let v = V.differential ~original:t.original ~transformed:t.transformed () in
   Alcotest.(check bool) "validation passes" true v.V.v_ok;
   Alcotest.(check int) "no racy RAW in transformed profile" 0 v.V.v_racy_raw;
@@ -87,7 +77,7 @@ let test_doacross_pipeline () =
       | Error e -> Alcotest.failf "DOACROSS not transformable: %s" e
       | Ok t ->
           Alcotest.(check bool) "transformed has a Par" true
-            (has_par t.transformed);
+            (Rewrite.has_par t.transformed);
           let v =
             V.differential ~original:t.original ~transformed:t.transformed ()
           in
@@ -119,7 +109,7 @@ let test_recursive_forkjoin () =
       | Error e -> Alcotest.failf "fork-join not transformable: %s" e
       | Ok t ->
           Alcotest.(check bool) "transformed has a Par" true
-            (has_par t.transformed);
+            (Rewrite.has_par t.transformed);
           let v =
             V.differential ~original:t.original ~transformed:t.transformed ()
           in
@@ -162,7 +152,8 @@ let test_wrong_transform_rejected () =
       Alcotest.(check bool) "a state mismatch or new race is reported" true
         (v.V.v_mismatches <> [] || v.V.v_new_racy <> [])
 
-(* Validation outcomes are counted in the Obs registry. *)
+(* Validation outcomes are counted in the Obs registry, and both halves of
+   each validation are timed. *)
 let test_validation_counted () =
   Obs.enable ();
   Obs.reset ();
@@ -177,7 +168,96 @@ let test_validation_counted () =
   Alcotest.(check bool) "pass counted" true
     (Obs.counter_value "transform.validate.pass" >= 1);
   Alcotest.(check bool) "fail counted" true
-    (Obs.counter_value "transform.validate.fail" >= 1)
+    (Obs.counter_value "transform.validate.fail" >= 1);
+  List.iter
+    (fun phase ->
+      Alcotest.(check int) (phase ^ " timed per validation") 2
+        (Obs.Span.calls phase))
+    [ "validate.observe"; "validate.race_check" ]
+
+(* The transform-measure programs at small sizes validate cleanly: equal
+   observations under every seed, no new racy variable, and no racy RAW
+   record in the transformed profile. *)
+let test_transform_measure_verdicts () =
+  List.iter
+    (fun ((name, size) as case) ->
+      let t = Helpers.transform_case case in
+      let v = V.differential ~original:t.original ~transformed:t.transformed () in
+      let what = Printf.sprintf "%s@%d: %s" name size in
+      Alcotest.(check bool) (what "ok") true v.V.v_ok;
+      Alcotest.(check (list (pair int string))) (what "mismatches") []
+        v.V.v_mismatches;
+      Alcotest.(check (list string)) (what "new racy") [] v.V.v_new_racy;
+      Alcotest.(check int) (what "racy RAW") 0 v.V.v_racy_raw)
+    Helpers.transform_cases
+
+let racy_records (r : Profiler.Serial.result) =
+  let n = ref 0 in
+  Profiler.Dep.Set_.iter
+    (fun d _ -> if d.Profiler.Dep.racy then incr n)
+    r.Profiler.Serial.deps;
+  !n
+
+(* Validation does not race-profile an original without [Par]: one thread's
+   accesses are never delayed by the scrambler, so they reach the engine in
+   timestamp order and nothing can be racy. Every such registry program
+   bears this out. *)
+let test_sequential_original_never_racy () =
+  let sequential =
+    List.filter
+      (fun w -> not (Rewrite.has_par (Workloads.Registry.program w)))
+      Helpers.registry
+  in
+  Alcotest.(check bool) "most of the registry is sequential" true
+    (List.length sequential > 40);
+  List.iter
+    (fun (w : Workloads.Registry.t) ->
+      let r =
+        Profiler.Serial.profile ~scramble_unlocked:true
+          (Workloads.Registry.program w)
+      in
+      Alcotest.(check int) (w.name ^ ": races") 0
+        (List.length r.Profiler.Serial.races);
+      Alcotest.(check int) (w.name ^ ": racy records") 0 (racy_records r))
+    sequential
+
+(* A threaded original that already races: two threads bump [c] without a
+   lock, then a sequential loop fills [a]. Its race must be found in the
+   original's own profile, so that the transformed program's copy of it is
+   not reported as new. *)
+let racy_original =
+  let open Builder in
+  number
+    (program ~globals:[ gscalar "c" 0; garray "a" 64 ] ~entry:"main" "racy"
+       [ func "main"
+           [ par
+               [ [ for_ "i" (i 0) (i 40) [ set "c" (v "c" + i 1) ] ];
+                 [ for_ "i" (i 0) (i 40) [ set "c" (v "c" + i 2) ] ] ];
+             for_ "i" (i 0) (i 64) [ seti "a" (v "i") (v "i" * v "i") ];
+             return (v "c" + "a".%[i 63]) ] ])
+
+let test_threaded_original_race_kept () =
+  let original_racy =
+    V.racy_vars (Profiler.Serial.profile ~scramble_unlocked:true racy_original)
+  in
+  Alcotest.(check (list string)) "the original races on c" [ "c" ]
+    original_racy;
+  let t =
+    match P.apply_first ~chunks:2 (S.analyze ~threads:2 racy_original) with
+    | Ok (t, _) -> t
+    | Error _ -> Alcotest.fail "nothing transformable"
+  in
+  Alcotest.(check bool) "transformed has a Par" true
+    (Rewrite.has_par t.transformed);
+  let transformed_racy =
+    V.racy_vars (Profiler.Serial.profile ~scramble_unlocked:true t.transformed)
+  in
+  Alcotest.(check bool) "the transformed program still races on c" true
+    (List.mem "c" transformed_racy);
+  let v = V.differential ~original:t.original ~transformed:t.transformed () in
+  Alcotest.(check (list string)) "the original's race is not new" []
+    v.V.v_new_racy;
+  Alcotest.(check bool) "validation passes" true v.V.v_ok
 
 let tests =
   [ Alcotest.test_case "DOALL with reduction" `Quick test_doall_reduction;
@@ -186,4 +266,10 @@ let tests =
     Alcotest.test_case "wrong transform rejected" `Quick
       test_wrong_transform_rejected;
     Alcotest.test_case "validation outcomes counted" `Quick
-      test_validation_counted ]
+      test_validation_counted;
+    Alcotest.test_case "transform-measure verdicts at small sizes" `Slow
+      test_transform_measure_verdicts;
+    Alcotest.test_case "sequential originals never race" `Slow
+      test_sequential_original_never_racy;
+    Alcotest.test_case "a threaded original's race is not new" `Quick
+      test_threaded_original_race_kept ]
