@@ -4,10 +4,12 @@
    flagging (§2.3.4). One engine instance also serves as the per-worker
    consumer of the parallel profiler.
 
-   The per-access path ({!feed_fields}) makes one call out of this module:
-   the shadow backend's address resolution, which maps the address to the
-   base of its (read, write) slot pair in a flat off-heap {!Sigmem.Store}.
-   Only the rare cases call out again: a carrier-memo miss walks the loop
+   The per-access path ({!feed_fields}) makes at most one call out of this
+   module: the shadow backend's address resolution, which maps the address
+   to the base of its (read, write) slot pair in a flat off-heap
+   {!Sigmem.Store}. The perfect table is indexed by address, so the engine
+   resolves an in-range address itself and calls out only to grow it. Only
+   the rare cases call out again: a carrier-memo miss walks the loop
    stacks, and a record the dedup slots do not hold goes into [Dep.Set_].
    Everything else is inline here. The engine reads the source slots' time,
    op, loop stack, line, variable and thread in place, writes the current
@@ -30,7 +32,7 @@ module Store = Sigmem.Store
 
 type shadow_kind =
   | Signature of int  (* approximate, fixed slot count *)
-  | Perfect           (* exact, open-addressed flat table *)
+  | Perfect           (* exact, address-indexed flat table *)
   | Paged             (* exact, two-level page table *)
 
 (* Counters for Table 2.7 / Fig 2.13: skipped instructions, classified by the
@@ -132,7 +134,8 @@ let f_thread = 3
 let f_op = 4
 let f_lstack = 5
 let wslot = 6
-let () = assert (wslot = Store.field_count)
+let pair_width = 12
+let () = assert (wslot = Store.field_count && pair_width = Store.pair_width)
 
 let[@inline] get (st : Store.t) i = Bigarray.Array1.unsafe_get st i
 let[@inline] set (st : Store.t) i v = Bigarray.Array1.unsafe_set st i v
@@ -357,16 +360,21 @@ let[@inline] record_init t ~sink_line ~sink_thread ~sink_time (slot : dslot) =
    the skip check, the dependence record, and the skip fingerprint
    update. *)
 let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
-  t.n_processed <- t.n_processed + 1;
-  if op >= Array.length t.last_addr then grow_ops t op;
-  (* The one call out of this module per access: address -> pair base [rb]
-     in the backend's current store [st]. *)
+  (* Address -> pair base [rb] in the backend's current store [st]. The
+     perfect table is indexed by address, so an address in range resolves
+     here; only a first touch past its end (or a negative address, which
+     [resolve] rejects) calls out. Resolution comes first, so an access it
+     rejects leaves the engine as it was. *)
   let rb =
     match t.shadow with
     | Sig s -> Sigmem.Signature.resolve s addr
-    | Perf p -> Sigmem.Perfect.resolve p addr
+    | Perf p ->
+        if addr >= 0 && addr < p.Sigmem.Perfect.pairs then addr * pair_width
+        else Sigmem.Perfect.resolve p addr
     | Page g -> Sigmem.Two_level.resolve g addr
   in
+  t.n_processed <- t.n_processed + 1;
+  if op >= Array.length t.last_addr then grow_ops t op;
   let st =
     match t.shadow with
     | Sig s -> s.Sigmem.Signature.store

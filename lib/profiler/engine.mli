@@ -3,7 +3,8 @@
     timestamp-based race flagging (§2.3.4).
 
     One module over all three shadow backends: per access, the only call
-    out of the engine is the backend's address resolution, and the engine
+    out of the engine is the backend's address resolution (none for an
+    in-range address of the address-indexed perfect table), and the engine
     reads and writes the shadow slots in place. (A functor over the backend
     would not give each backend its own copy: without flambda it is
     compiled once with indirect calls, and dune's dev profile compiles with
@@ -14,7 +15,7 @@ module Event = Trace.Event
 
 type shadow_kind =
   | Signature of int  (** approximate, fixed slot count *)
-  | Perfect           (** exact, hash-table backed *)
+  | Perfect           (** exact, address-indexed table *)
   | Paged             (** exact, two-level page table *)
 
 (** Counters for Table 2.7 / Fig 2.13: skipped instructions classified by the

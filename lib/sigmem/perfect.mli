@@ -3,36 +3,43 @@
     false negatives — cannot occur. The ground-truth baseline for measuring
     the signature's FPR/FNR, and the 100%-accuracy option of §2.3.7.
 
-    Implemented as an open-addressed, linear-probing int-keyed table over a
-    flat off-heap {!Store} of (read, write) slot pairs: one probe sequence
-    per access resolves both slots, inserts allocate nothing on the minor
-    heap, removals leave tombstones squeezed out on growth. *)
+    Implemented as a direct, address-indexed flat off-heap {!Store} of
+    (read, write) slot pairs: address [a]'s pair sits at base
+    [a * Store.pair_width], so resolving an address in range is one
+    multiplication. Memory is O(highest address touched), 12 words per
+    address; {!Two_level} is the exact backend for sparse address spaces. *)
 
 type t = private {
-  mutable keys : int array;
   mutable data : Store.t;
-      (** the slot pairs, the i-th key owning the i-th pair; replaced when
-          the table grows *)
-  mutable mask : int;
-  mutable live : int;
-  mutable tombs : int;
+      (** the slot pairs, pair [a] owned by address [a]; replaced when the
+          store grows *)
+  mutable pairs : int;
+      (** pairs in [data]: an address in [\[0, pairs)] has its pair at
+          [addr * Store.pair_width] without a call to {!resolve} *)
 }
 
 val create : unit -> t
 
 val resolve : t -> int -> int
-(** [resolve t addr] is the base of [addr]'s slot pair in [t.data],
-    inserting [addr] on first touch (which may grow the table and replace
-    [t.data]). Read [t.data] after the call. *)
+(** [resolve t addr] is the base of [addr]'s slot pair in [t.data], growing
+    the store on a first touch past its end (which replaces [t.data]). Read
+    [t.data] after the call.
+
+    @raise Invalid_argument on a negative address, or one so large that
+    the store's size would overflow. *)
 
 val remove : t -> addr:int -> unit
-(** Tombstone [addr]'s entry and clear its slots; never grows the table. *)
+(** Clear [addr]'s slots; never grows the store. *)
 
 val slots_used : t -> int
+
 val capacity : t -> int
+(** Pairs in the store. *)
+
 val live : t -> int
+(** Pairs holding a read or a write; O(capacity). *)
 
 val word_footprint : t -> int
 
 val extra_stats : t -> (string * int) list
-(** Capacity, live entries, tombstones: the engine's [shadow.*] gauges. *)
+(** Capacity and live pairs: the engine's [shadow.*] gauges. *)

@@ -68,13 +68,6 @@ let clear (t : t) base =
 
 let clear_pair (t : t) i = clear t (read_base i); clear t (write_base i)
 
-(* Move pair [i] of [src] into pair [j] of [dst] (open-addressed rehash). *)
-let blit_pair (src : t) i (dst : t) j =
-  let sb = read_base i and db = read_base j in
-  for k = 0 to pair_width - 1 do
-    Bigarray.Array1.unsafe_set dst (db + k) (Bigarray.Array1.unsafe_get src (sb + k))
-  done
-
 (* Number of occupied (non-empty) slots, both kinds; observe-time only. *)
 let occupied (t : t) =
   let n = ref 0 in

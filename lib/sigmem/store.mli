@@ -50,10 +50,6 @@ val clear : t -> int -> unit
 val clear_pair : t -> int -> unit
 (** Zero both slots of pair [i]. *)
 
-val blit_pair : t -> int -> t -> int -> unit
-(** [blit_pair src i dst j] copies pair [i] of [src] into pair [j] of
-    [dst] (open-addressed rehash). *)
-
 val occupied : t -> int
 (** Occupied (non-empty) slots of either kind; O(slots), observe-time
     only. *)

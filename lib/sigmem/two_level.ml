@@ -2,8 +2,10 @@
 
    The classic alternative to both the signature and a flat hash table
    (§2.3.2): the address space is split into fixed-size pages allocated on
-   first touch, so lookups are two array indexings — faster than hashing at
-   the cost of memory proportional to the touched address range. This is the
+   first touch, so lookups are two array indexings and memory is
+   proportional to the touched pages, not to the highest address as in
+   {!Perfect}'s direct table — the exact backend for sparse address
+   spaces. This is the
    "multilevel tables" design the paper mentions as partially mitigating
    shadow memory's footprint; the micro-benchmarks compare all three.
 
@@ -44,6 +46,9 @@ let new_page t idx =
   p
 
 let resolve t addr =
+  (* [lsr] would turn a negative address into a directory index near
+     2^51, and growing [dir] to that fails with [Out_of_memory]. *)
+  if addr < 0 then invalid_arg "Two_level.resolve: negative address";
   let idx = addr lsr t.page_bits in
   if idx >= Array.length t.dir then grow_dir t idx;
   let p = Array.unsafe_get t.dir idx in

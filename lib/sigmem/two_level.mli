@@ -18,7 +18,9 @@ val create : unit -> t
 
 val resolve : t -> int -> int
 (** [resolve t addr] locates (first-touch allocating) [addr]'s page, leaves
-    it in [t.cur], and returns the base of [addr]'s slot pair there. *)
+    it in [t.cur], and returns the base of [addr]'s slot pair there.
+
+    @raise Invalid_argument on a negative address. *)
 
 val remove : t -> addr:int -> unit
 (** Clears [addr]'s slots; never allocates a page. *)

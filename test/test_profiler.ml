@@ -449,7 +449,7 @@ let test_paged_shadow_agrees () =
     (fun p ->
       let exact = Helpers.profile ~shadow:Profiler.Engine.Perfect p in
       let paged = Helpers.profile ~shadow:Profiler.Engine.Paged p in
-      Helpers.check_same_deps "paged shadow differs from hashtable"
+      Helpers.check_same_deps "paged shadow differs from perfect"
         exact.Profiler.Serial.deps paged.Profiler.Serial.deps)
     [ Helpers.fig27; Helpers.fig28; Helpers.fig34 ]
 
@@ -641,9 +641,34 @@ let test_engine_word_footprint_counts_ops () =
   Alcotest.(check int) "90 words per op" (873 * (6 + (7 * (1 + 9 + 2))))
     (f1 - f0);
   (* a fresh engine already holds 128 ops and the 3 x 4096-word carrier
-     memo, besides Perfect's 1024-entry table *)
+     memo, besides Perfect's 1024 slot pairs of 12 words each *)
   Alcotest.(check bool) "memo and initial ops counted" true
-    (f0 >= (1024 * 13) + (128 * 90) + (3 * 4096))
+    (f0 >= (1024 * 12) + (128 * 90) + (3 * 4096))
+
+(* A negative address is rejected by both exact backends before the access
+   counts: the engine's state is as it was. (The paged directory once tried
+   to grow to ~2^51 entries on one, and ran out of memory.) *)
+let test_engine_negative_address () =
+  let module E = Profiler.Engine in
+  List.iter
+    (fun (name, shadow) ->
+      let e = E.create ~lstacks:(Trace.Intern.Lstack.create ()) shadow in
+      let feed kind addr time =
+        E.feed_fields e ~kind ~addr ~var:(Trace.Intern.Sym.intern "x")
+          ~line:(3 + time) ~thread:0 ~time ~op:time
+          ~lstack:Trace.Intern.Lstack.empty ~locked:false
+      in
+      feed Trace.Event.Write 5 1;
+      feed Trace.Event.Read 5 2;
+      let deps () = Dep.Set_.to_list (E.deps e) in
+      let before = deps () in
+      Alcotest.(check bool) (name ^ ": raises Invalid_argument") true
+        (match feed Trace.Event.Write (-1) 3 with
+         | () -> false
+         | exception Invalid_argument _ -> true);
+      Alcotest.(check int) (name ^ ": processed unchanged") 2 (E.processed e);
+      Alcotest.(check bool) (name ^ ": deps unchanged") true (deps () = before))
+    [ ("perfect", E.Perfect); ("paged", E.Paged) ]
 
 (* ---- raw-stream differential: Perfect vs Paged engines ----
 
@@ -651,9 +676,10 @@ let test_engine_word_footprint_counts_ops () =
    stream, not only from the interpreter's: the same dependences with
    counts and first-witness provenance, the same skip counters and the
    same races. The generated streams reach what programs rarely do: op ids
-   past the initial 128 (per-op growth), over 768 live addresses (the
-   perfect table grows), removals of present and absent addresses, and
-   timestamps that run backwards (the race flag). *)
+   past the initial 128 (per-op growth), addresses past the perfect table's
+   initial 1024 pairs (it grows, carrying live pairs across), removals of
+   present and absent addresses, also past the table's end, and timestamps
+   that run backwards (the race flag). *)
 
 type raw_event =
   | Acc of {
@@ -698,23 +724,41 @@ let gen_raw_stream =
             (frequency [ (4, int_bound 20); (1, int_range 100 300) ])
             (int_bound (Array.length raw_stacks - 1))))
   in
-  bool >>= fun wide ->
-  let span = if wide then 3000 else 40 in
-  (* wide streams first touch 1000 addresses, past the table's 3/4 load *)
-  let prefix =
-    if wide then
-      List.init 1000 (fun a ->
-          Acc { write = true; addr = 3 * a; var = 0; line = 1; thread = 0;
-                dt = 1; op = 0; ls = 0 })
-    else []
-  in
-  list_size
-    (if wide then int_range 200 1500 else int_range 1 300)
-    (frequency
-       [ (12, acc (int_bound span));
-         (* past [span]: removals of absent addresses *)
-         (1, map (fun a -> Rem a) (int_bound (span + span / 4))) ])
-  >|= fun evs -> prefix @ evs
+  let low = int_bound 60 in
+  oneofl [ `Narrow; `Wide; `Grow ] >>= function
+  | `Grow ->
+      (* live state at low addresses, removals of some of it and of
+         addresses past the table's end, then first touches of 5 000 and
+         20 000: two growths, each carrying live pairs across *)
+      list_size (int_range 1 200) (acc low) >>= fun before ->
+      list_size (int_range 1 20)
+        (map (fun a -> Rem a) (oneof [ low; int_range 1024 30_000 ]))
+      >>= fun rems ->
+      acc (return 5_000) >>= fun t1 ->
+      list_size (int_range 1 100) (acc low) >>= fun mid ->
+      acc (return 20_000) >>= fun t2 ->
+      list_size (int_range 1 200)
+        (acc (oneof [ low; return 5_000; return 20_000 ]))
+      >|= fun after -> before @ rems @ (t1 :: mid) @ (t2 :: after)
+  | (`Narrow | `Wide) as shape ->
+      let wide = shape = `Wide in
+      let span = if wide then 3000 else 40 in
+      (* wide streams first touch 1000 addresses, up to 2997: past the
+         table's initial 1024 pairs *)
+      let prefix =
+        if wide then
+          List.init 1000 (fun a ->
+              Acc { write = true; addr = 3 * a; var = 0; line = 1; thread = 0;
+                    dt = 1; op = 0; ls = 0 })
+        else []
+      in
+      list_size
+        (if wide then int_range 200 1500 else int_range 1 300)
+        (frequency
+           [ (12, acc (int_bound span));
+             (* past [span]: removals of absent addresses *)
+             (1, map (fun a -> Rem a) (int_bound (span + span / 4))) ])
+      >|= fun evs -> prefix @ evs
 
 let run_raw shadow ~skip stream =
   let module E = Profiler.Engine in
@@ -764,6 +808,8 @@ let tests =
       Alcotest.test_case "footprint scales" `Quick test_engine_word_footprint_grows;
       Alcotest.test_case "footprint counts per-op state" `Quick
         test_engine_word_footprint_counts_ops;
+      Alcotest.test_case "negative address rejected" `Quick
+        test_engine_negative_address;
       QCheck_alcotest.to_alcotest qcheck_raw_perfect_paged ]
 
 (* ---- final property batch ---- *)

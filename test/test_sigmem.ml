@@ -1,6 +1,6 @@
 (* Tests for shadow memories: signature semantics, collisions, lifetime
-   removal, the perfect baseline (growth, tombstones), the paged backend,
-   slot packing, and the Eq. 2.2 FPR predictor. *)
+   removal, the perfect baseline (growth, removal churn, its memory bound),
+   the paged backend, slot packing, and the Eq. 2.2 FPR predictor. *)
 
 module Sig = Sigmem.Signature
 module Perf = Sigmem.Perfect
@@ -132,11 +132,18 @@ let test_perfect () =
   Perf.remove s ~addr:1;
   check_line "removed" None (last_write bperf s ~addr:1);
   check_line "other untouched" (Some 12)
-    (last_write bperf s ~addr:1025)
+    (last_write bperf s ~addr:1025);
+  (* no table can span these: rejected before any slot is touched *)
+  List.iter
+    (fun addr ->
+      Alcotest.check_raises "address out of range"
+        (Invalid_argument "Perfect.resolve: address out of range") (fun () ->
+          ignore (Perf.resolve s addr)))
+    [ -1; max_int ]
 
 let test_perfect_growth () =
-  (* Push well past the initial capacity: the open-addressed table must
-     rehash without losing or corrupting any entry. *)
+  (* Push well past the initial capacity: the address-indexed table must
+     grow several times without losing or corrupting any entry. *)
   let s = Perf.create () in
   let n = 10_000 in
   for a = 0 to n - 1 do
@@ -151,9 +158,44 @@ let test_perfect_growth () =
   done;
   Alcotest.(check bool) "every entry intact after rehash" true !ok
 
+(* The table spans the highest address touched, 12 words per address: a
+   program holding a 50 000-element global array that writes only its last
+   element pays for the whole array, and at most twice that. *)
+let test_perfect_spans_heap () =
+  let n = 50_000 in
+  let prog =
+    Helpers.prog_of_main
+      ~globals:[ Mil.Builder.garray "a" n ]
+      Mil.Builder.[ seti "a" (i (n -$ 1)) (i 7) ]
+  in
+  let s = Perf.create () in
+  let written = ref None in
+  let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
+    let b = Perf.resolve s addr in
+    let b =
+      match kind with
+      | Trace.Event.Read -> b
+      | Trace.Event.Write ->
+          written := Some (addr, line);
+          b + Store.field_count
+    in
+    Store.set s.Perf.data b ~time ~locked ~line ~var ~thread ~op ~lstack
+  in
+  ignore (Mil.Interp.run ~on_access prog);
+  let addr, line = Option.get !written in
+  Alcotest.(check bool) "write at the array's end" true (addr >= n - 1);
+  Alcotest.(check bool)
+    (Printf.sprintf "footprint %d within 2 x 12 x (n + 64)"
+       (Perf.word_footprint s))
+    true
+    (Perf.word_footprint s <= 2 * 12 * (n + 64));
+  check_line "written slot reads back" (Some line)
+    (last_write bperf s ~addr)
+
 let test_perfect_tombstones () =
   (* Insert/remove churn over a fixed working set must not grow the table:
-     tombstones are recycled by inserts and squeezed on rebuild. *)
+     removal clears the address's pair in place, and the next touch reuses
+     it. *)
   let s = Perf.create () in
   for round = 0 to 99 do
     for a = 0 to 99 do
@@ -251,6 +293,8 @@ let tests =
     Alcotest.test_case "perfect shadow" `Quick test_perfect;
     Alcotest.test_case "perfect growth" `Quick test_perfect_growth;
     Alcotest.test_case "perfect tombstone churn" `Quick test_perfect_tombstones;
+    Alcotest.test_case "perfect shadow spans the heap" `Quick
+      test_perfect_spans_heap;
     Alcotest.test_case "paged shadow" `Quick test_paged;
     Alcotest.test_case "Eq 2.2 predictor" `Quick test_fpr_predictor;
     Alcotest.test_case "Eq 2.2 vs measured occupancy" `Quick
