@@ -132,7 +132,6 @@ let run () =
           measure_engine (Profiler.Engine.Signature 65_536) stream
         in
         let perf_eps, perf_wpa = measure_engine Profiler.Engine.Perfect stream in
-        let paged_eps, paged_wpa = measure_engine Profiler.Engine.Paged stream in
         let par_wpa = measure_parallel_producer prog in
         let interp_sps = measure_interp ~instrument:true prog in
         let native_sps = measure_interp ~instrument:false prog in
@@ -149,9 +148,6 @@ let run () =
         g (Printf.sprintf "hotpath.%s.perfect.events_per_sec" w.name) perf_eps;
         g (Printf.sprintf "hotpath.%s.perfect.minor_words_per_access" w.name)
           perf_wpa;
-        g (Printf.sprintf "hotpath.%s.paged.events_per_sec" w.name) paged_eps;
-        g (Printf.sprintf "hotpath.%s.paged.minor_words_per_access" w.name)
-          paged_wpa;
         g (Printf.sprintf "hotpath.%s.parallel.minor_words_per_access" w.name)
           par_wpa;
         g (Printf.sprintf "hotpath.%s.interp.stmts_per_sec" w.name) interp_sps;
@@ -166,7 +162,6 @@ let run () =
         [ w.name; string_of_int n;
           Printf.sprintf "%.2e" sig_eps; Printf.sprintf "%.1f" sig_wpa;
           Printf.sprintf "%.2e" perf_eps; Printf.sprintf "%.1f" perf_wpa;
-          Printf.sprintf "%.2e" paged_eps; Printf.sprintf "%.1f" paged_wpa;
           Printf.sprintf "%.1f" par_wpa;
           Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
           Printf.sprintf "%.2e" serial_aps; Printf.sprintf "%.0f" slowdown ])
@@ -175,7 +170,7 @@ let run () =
   Util.table
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
-        "perf w/acc"; "paged ev/s"; "paged w/acc"; "par w/acc"; "interp st/s";
+        "perf w/acc"; "par w/acc"; "interp st/s";
         "native st/s"; "serial acc/s"; "slowdown" ]
     rows;
   print_endline

@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks of the profiler's hot paths: the signature vs
    exact shadow memory, engine throughput with and without §2.4 skipping,
-   and the two lock-free queues. These measure the per-operation costs that
+   and the lock-free SPSC queue. These measure the per-operation costs that
    the whole-program slowdowns of Fig 2.9/2.12 are built from. *)
 
 open Bechamel
@@ -48,26 +48,12 @@ let tests () =
              let b = Sigmem.Perfect.resolve s a in
              store_write s.Sigmem.Perfect.data b
            done));
-    Test.make ~name:"shadow/paged-rw"
-      (Staged.stage (fun () ->
-           let s = Sigmem.Two_level.create () in
-           for a = 0 to 4_095 do
-             let b = Sigmem.Two_level.resolve s a in
-             store_write s.Sigmem.Two_level.cur b
-           done));
     Test.make ~name:"queue/spsc-push-pop"
       (Staged.stage (fun () ->
            let q = Profiler.Spsc_queue.create ~capacity:64 in
            for k = 0 to 4_095 do
              ignore (Profiler.Spsc_queue.try_push q k);
              ignore (Profiler.Spsc_queue.try_pop q)
-           done));
-    Test.make ~name:"queue/mpsc-push-pop"
-      (Staged.stage (fun () ->
-           let q = Profiler.Mpsc_queue.create () in
-           for k = 0 to 4_095 do
-             Profiler.Mpsc_queue.push q k;
-             ignore (Profiler.Mpsc_queue.try_pop q)
            done)) ]
 
 let run () =

@@ -30,7 +30,7 @@ let () =
   let truth = (Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect prog).deps in
   List.iter
     (fun slots ->
-      let predicted = Sigmem.Shadow.predicted_fpr ~slots ~addresses in
+      let predicted = Sigmem.Signature.predicted_fpr ~slots ~addresses in
       let r =
         Profiler.Serial.profile ~shadow:(Profiler.Engine.Signature slots) prog
       in
@@ -40,7 +40,7 @@ let () =
 
   (* 3. pick the smallest size whose prediction is under 1% *)
   let rec pick slots =
-    if Sigmem.Shadow.predicted_fpr ~slots ~addresses < 0.01 then slots
+    if Sigmem.Signature.predicted_fpr ~slots ~addresses < 0.01 then slots
     else pick (2 * slots)
   in
   let chosen = pick 1_024 in

@@ -46,7 +46,6 @@ module Cache = struct
     Printf.sprintf "shadow=%s skip=%b workers=%d threads=%d"
       (match c.shadow with
       | Profiler.Engine.Perfect -> "perfect"
-      | Profiler.Engine.Paged -> "paged"
       | Profiler.Engine.Signature n -> Printf.sprintf "signature:%d" n)
       c.skip c.workers c.threads
 
@@ -369,16 +368,15 @@ let program_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
         Obs.Counter.incr c_cache_miss;
         let profile =
           if config.Cache.workers > 0 then
-            (* Every shadow kind but a signature is exact; the parallel
-               profiler's exact workers are Perfect engines. *)
             let perfect, shadow_slots =
               match config.Cache.shadow with
               | Profiler.Engine.Signature n -> (false, Some n)
-              | Profiler.Engine.Perfect | Profiler.Engine.Paged -> (true, None)
+              | Profiler.Engine.Perfect -> (true, None)
             in
             serial_of_parallel
               (Profiler.Parallel.profile ~workers:config.Cache.workers
-                 ~perfect ?shadow_slots ~skip:config.Cache.skip prog)
+                 ~perfect ?shadow_slots ~skip:config.Cache.skip ~cancelled
+                 prog)
           else
             Profiler.Serial.profile ~shadow:config.Cache.shadow
               ~skip:config.Cache.skip ~cancelled prog

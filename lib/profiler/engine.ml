@@ -18,7 +18,7 @@
    functor over the backend would be compiled once with every backend call
    indirect, and dune's dev profile passes [-opaque], so even a direct call
    into another module (a [Store] accessor, [Dep.Set_]) is not inlined.
-   The backend is picked by one match on a three-constructor variant per
+   The backend is picked by one match on a two-constructor variant per
    access, which is a jump, not a call.
 
    The path is zero-allocation: slots are read and written in place, and
@@ -33,7 +33,6 @@ module Store = Sigmem.Store
 type shadow_kind =
   | Signature of int  (* approximate, fixed slot count *)
   | Perfect           (* exact, address-indexed flat table *)
-  | Paged             (* exact, two-level page table *)
 
 (* Counters for Table 2.7 / Fig 2.13: skipped instructions, classified by the
    dependence type they would have created. *)
@@ -143,7 +142,6 @@ let[@inline] set (st : Store.t) i v = Bigarray.Array1.unsafe_set st i v
 type shadow =
   | Sig of Sigmem.Signature.t
   | Perf of Sigmem.Perfect.t
-  | Page of Sigmem.Two_level.t
 
 type t = {
   shadow : shadow;
@@ -191,7 +189,6 @@ let create ?(skip = false) ?(lifetime = true) ~lstacks kind =
         let s = Sigmem.Signature.create ~slots in
         (Sig s, fun () -> Sigmem.Signature.collision_risk s)
     | Perfect -> (Perf (Sigmem.Perfect.create ()), fun () -> 0.0)
-    | Paged -> (Page (Sigmem.Two_level.create ()), fun () -> 0.0)
   in
   let deps = Dep.Set_.create () in
   { shadow;
@@ -371,7 +368,6 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     | Perf p ->
         if addr >= 0 && addr < p.Sigmem.Perfect.pairs then addr * pair_width
         else Sigmem.Perfect.resolve p addr
-    | Page g -> Sigmem.Two_level.resolve g addr
   in
   t.n_processed <- t.n_processed + 1;
   if op >= Array.length t.last_addr then grow_ops t op;
@@ -379,7 +375,6 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     match t.shadow with
     | Sig s -> s.Sigmem.Signature.store
     | Perf p -> p.Sigmem.Perfect.data
-    | Page g -> g.Sigmem.Two_level.cur
   in
   let wb = rb + wslot in
   let r_time = get st rb lsr 1 and w_time = get st wb lsr 1 in
@@ -496,7 +491,7 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
         | Event.Write -> c.occupied_writes <- c.occupied_writes + 1
       end
       else if get st (ab + f_var) <> var then c.takeovers <- c.takeovers + 1
-  | Perf _ | Page _ -> ());
+  | Perf _ -> ());
   set st ab ((time lsl 1) lor Bool.to_int locked);
   set st (ab + f_line) line;
   set st (ab + f_var) var;
@@ -514,7 +509,6 @@ let feed_dealloc t addrs =
           match t.shadow with
           | Sig s -> Sigmem.Signature.remove s ~addr
           | Perf p -> Sigmem.Perfect.remove p ~addr
-          | Page g -> Sigmem.Two_level.remove g ~addr
         done;
         t.lifetime_removals <- t.lifetime_removals + len)
       addrs
@@ -529,7 +523,6 @@ let shadow_words t =
   match t.shadow with
   | Sig s -> Sigmem.Signature.word_footprint s
   | Perf p -> Sigmem.Perfect.word_footprint p
-  | Page g -> Sigmem.Two_level.word_footprint g
 
 (* Words per op of the per-op state: six fingerprint ints, and seven dedup
    slots (two ways each for RAW, WAR and WAW, one for INIT), each an array
@@ -571,7 +564,6 @@ let observe ?(prefix = "engine") t =
       match t.shadow with
       | Sig s -> Sigmem.Signature.(slots_used s, extra_stats s)
       | Perf p -> Sigmem.Perfect.(slots_used p, extra_stats p)
-      | Page g -> Sigmem.Two_level.(slots_used g, extra_stats g)
     in
     g ".shadow.slots_used" used;
     g ".shadow.words" (shadow_words t);

@@ -2,7 +2,7 @@
     the §2.4 skip optimization, variable-lifetime analysis (§2.3.5), and
     timestamp-based race flagging (§2.3.4).
 
-    One module over all three shadow backends: per access, the only call
+    One module over both shadow backends: per access, the only call
     out of the engine is the backend's address resolution (none for an
     in-range address of the address-indexed perfect table), and the engine
     reads and writes the shadow slots in place. (A functor over the backend
@@ -16,7 +16,6 @@ module Event = Trace.Event
 type shadow_kind =
   | Signature of int  (** approximate, fixed slot count *)
   | Perfect           (** exact, address-indexed table *)
-  | Paged             (** exact, two-level page table *)
 
 (** Counters for Table 2.7 / Fig 2.13: skipped instructions classified by the
     dependence type they would have created. *)

@@ -180,7 +180,7 @@ let top_n_hot = 10
 let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     ?(skip = false) ?(queue = Lockfree) ?(chunk_capacity = Chunk.default_capacity)
     ?(queue_capacity = 64) ?(seed = 42) ?(scramble_unlocked = false)
-    (prog : Mil.Ast.program) : result =
+    ?cancelled (prog : Mil.Ast.program) : result =
   Obs.Span.with_ ~phase:"profile" @@ fun () ->
   Obs.Trace.set_track "producer (main)";
   let w = max 1 workers in
@@ -202,13 +202,34 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   (* The producer pushes loop stacks; the workers' carrier walks read them
      by the ids their chunks carry. *)
   let lstacks = Trace.Intern.Lstack.create () in
+  (* Workers started so far, latest first. On any exception before the
+     normal stop (a [Domain.spawn] past the runtime's domain limit, the
+     program raising, a cancel), [abort] stops and joins exactly these, then
+     re-raises: a worker never told to stop spins forever and keeps its
+     domain. *)
+  let spawned = ref [] in
+  let abort e =
+    let bt = Printexc.get_raw_backtrace () in
+    List.iter
+      (fun (i, d) ->
+        channel_push channels.(i) Istop;
+        try ignore (Domain.join d) with _ -> ())
+      !spawned;
+    Printexc.raise_with_backtrace e bt
+  in
   let domains =
-    Array.mapi
-      (fun i c ->
-        Domain.spawn
-          (worker_loop c ~returns:returns.(i) ~index:i ~lstacks
-             ~shadow:shadow_kind ~skip))
-      channels
+    try
+      Array.mapi
+        (fun i c ->
+          let d =
+            Domain.spawn
+              (worker_loop c ~returns:returns.(i) ~index:i ~lstacks
+                 ~shadow:shadow_kind ~skip)
+          in
+          spawned := (i, d) :: !spawned;
+          d)
+        channels
+    with e -> abort e
   in
   (* Deepest queue fill level seen at chunk-push time; sampled only when the
      observability layer is on, so the disabled hot path is untouched. *)
@@ -303,7 +324,10 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     | _ -> ()
   in
   let interp =
-    Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ~emit ~on_access prog
+    try
+      Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ?cancelled ~emit
+        ~on_access prog
+    with e -> abort e
   in
   (* Flush partial chunks and stop the workers. *)
   Array.iteri

@@ -40,8 +40,13 @@ val profile :
   ?queue_capacity:int ->
   ?seed:int ->
   ?scramble_unlocked:bool ->
+  ?cancelled:(unit -> bool) ->
   Mil.Ast.program ->
   result
 (** Profile with [workers] consumer domains. [perfect] switches the workers
     to the exact shadow memory; otherwise each worker gets
-    [shadow_slots / workers] signature slots. *)
+    [shadow_slots / workers] signature slots. [cancelled] is polled by the
+    interpreter as in {!Serial.profile}. If the run raises (the program's
+    runtime error, {!Mil.Interp.Cancelled}, a failed [Domain.spawn]), the
+    workers already started are stopped and joined before the exception
+    propagates. *)

@@ -261,6 +261,10 @@ let read_request fd : (request, string) result =
 
 (* ---- request-level profiler configuration ---- *)
 
+(* Profiler worker domains one request may ask for: each is a domain for the
+   life of the profile, and the runtime's domain limit is process-wide. *)
+let max_profile_workers = 8
+
 let profile_config_of_query ~(base : Pipeline.Cache.config) query :
     (Pipeline.Cache.config, string) result =
   let ( let* ) = Result.bind in
@@ -282,7 +286,6 @@ let profile_config_of_query ~(base : Pipeline.Cache.config) query :
       | "shadow" -> (
           match String.split_on_char ':' v with
           | [ "perfect" ] -> Ok { c with Pipeline.Cache.shadow = Profiler.Engine.Perfect }
-          | [ "paged" ] -> Ok { c with Pipeline.Cache.shadow = Profiler.Engine.Paged }
           | [ "signature"; n ] -> (
               match int_of_string_opt n with
               | Some n when n > 0 ->
@@ -295,6 +298,8 @@ let profile_config_of_query ~(base : Pipeline.Cache.config) query :
       | "workers" ->
           let* n = int_param "workers" v in
           if n < 0 then Error "workers must be >= 0"
+          else if n > max_profile_workers then
+            Error (Printf.sprintf "workers must be <= %d" max_profile_workers)
           else Ok { c with Pipeline.Cache.workers = n }
       | "threads" ->
           let* n = int_param "threads" v in

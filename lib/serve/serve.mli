@@ -14,9 +14,10 @@
     Endpoints (all connections are one-request, [Connection: close]):
 
     - [POST /profile] — body is MIL source ({!Mil.Parse.program} grammar).
-      Query parameters: [name], [entry], [shadow=perfect|paged|signature:N],
-      [skip=true|false], [workers=N], [threads=N], [deadline=SECONDS]
-      (clamped to the server deadline), [format=summary|depfile|json].
+      Query parameters: [name], [entry], [shadow=perfect|signature:N],
+      [skip=true|false], [workers=N] (at most 8), [threads=N],
+      [deadline=SECONDS] (clamped to the server deadline),
+      [format=summary|depfile|json].
       Answers [200] with the suggestion summary (or Depfile v2 / a JSON
       envelope), [400] on parse or parameter errors, [504] when the deadline
       expires mid-profile (cooperative cancel), [500] when the job raises.

@@ -12,7 +12,7 @@
    copies the old pairs across. Memory is therefore O(highest address
    touched): 12 words per address up to it, and at most twice that. A
    program that touches one far element of a huge array pays for the whole
-   range; {!Two_level} is the exact backend for such sparse address spaces.
+   range; the interpreter's bump-allocated heap keeps that range dense.
    Removals (variable-lifetime analysis) clear the pair in place.
 
    Like every backend this is a resolver: {!resolve} maps an address to its

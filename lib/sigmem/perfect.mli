@@ -7,7 +7,7 @@
     (read, write) slot pairs: address [a]'s pair sits at base
     [a * Store.pair_width], so resolving an address in range is one
     multiplication. Memory is O(highest address touched), 12 words per
-    address; {!Two_level} is the exact backend for sparse address spaces. *)
+    address. *)
 
 type t = private {
   mutable data : Store.t;

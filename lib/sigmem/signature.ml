@@ -95,6 +95,12 @@ let slots_used t = t.counts.occupied_reads + t.counts.occupied_writes
 let collision_risk t =
   float_of_int (slots_used t) /. float_of_int (2 * t.slots)
 
+(* Predicted false-positive probability after inserting [n] distinct
+   addresses into [m] slots (Equation 2.2): 1 - (1 - 1/m)^n. *)
+let predicted_fpr ~slots ~addresses =
+  if slots <= 0 then 1.0
+  else 1.0 -. ((1.0 -. (1.0 /. float_of_int slots)) ** float_of_int addresses)
+
 let word_footprint t = Store.words t.store
 
 let extra_stats t =

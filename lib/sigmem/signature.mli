@@ -53,6 +53,11 @@ val collision_risk : t -> float
     colliding slot right now — the per-witness analogue of Eq. 2.2. Feeds
     the per-dependence risk column of [discopop explain]. *)
 
+val predicted_fpr : slots:int -> addresses:int -> float
+(** Equation 2.2: the probability that a given slot is occupied after
+    inserting [addresses] distinct addresses into [slots] slots,
+    [1 - (1 - 1/m)^n]. *)
+
 val word_footprint : t -> int
 (** Approximate resident words of the store itself. *)
 

@@ -74,31 +74,6 @@ let test_golden_sweep () =
           Alcotest.(check string) (Printf.sprintf "depfile bytes: %s" f) want got)
     files
 
-(* The paged (two-level) shadow is exact, like Perfect: profiling any
-   workload with it must reproduce the Perfect golden files byte for byte.
-   This pins all three backends to one observable output through the packed
-   slot-store re-encoding. *)
-let test_paged_golden_agreement () =
-  golden_files ()
-  |> List.filter (fun f -> workload_of_file f |> snd = Profiler.Engine.Perfect)
-  |> List.iter (fun f ->
-         let name, _ = workload_of_file f in
-         match find_workload name with
-         | None -> Alcotest.failf "golden %s: unknown workload %s" f name
-         | Some w ->
-             let size =
-               match List.assoc_opt name golden_sizes with
-               | Some s -> s
-               | None -> w.default_size
-             in
-             let prog = Workloads.Registry.program ~size w in
-             let r = Profiler.Serial.profile ~shadow:Profiler.Engine.Paged prog in
-             let got = Profiler.Depfile.render r.Profiler.Serial.deps in
-             let want = read_file (Filename.concat golden_dir f) in
-             Alcotest.(check string)
-               (Printf.sprintf "paged depfile bytes: %s" f)
-               want got)
-
 (* ---- scramble-mode oracle ----
 
    Race detection (§2.3.4) and [Validate]'s race check profile with
@@ -194,8 +169,7 @@ let test_alloc_regression () =
         Alcotest.failf "%s: %.2f minor words/access exceeds cap %.1f" label
           per_access alloc_cap)
     [ ("sig", Profiler.Engine.Signature 4096);
-      ("perfect", Profiler.Engine.Perfect);
-      ("paged", Profiler.Engine.Paged) ];
+      ("perfect", Profiler.Engine.Perfect) ];
   (* The parallel profiler's producer runs the interpreter and packs every
      access into a chunk on the calling domain; the engines run on the
      worker's. Its cap is wider: the interpreter and the hot-address
@@ -434,8 +408,6 @@ let test_pooled_parallel_equivalence () =
 let tests =
   [ Alcotest.test_case "golden depfile sweep byte-identical" `Slow
       test_golden_sweep;
-    Alcotest.test_case "paged backend matches perfect goldens" `Slow
-      test_paged_golden_agreement;
     Alcotest.test_case "scramble-mode golden (depfiles, races)" `Quick
       test_scramble_golden;
     Alcotest.test_case "per-access allocation under cap" `Quick

@@ -261,11 +261,11 @@ let job_entry_matches_summary () =
   Alcotest.(check (list string)) "hit serves the same dependences"
     (dep_names deps) (dep_names wdeps)
 
-(* The paged shadow is exact with or without profiler workers. The program
+(* The perfect shadow is exact with or without profiler workers. The program
    writes 120k cells, past the 100,000 slots a signature engine would get,
    then reads a second array: under a signature the reads alias the writes
    and invent RAW dependences. *)
-let parallel_paged_is_exact () =
+let parallel_perfect_is_exact () =
   let n = 120_000 in
   let prog =
     let open Mil.Builder in
@@ -280,7 +280,7 @@ let parallel_paged_is_exact () =
   let run workers =
     let config =
       { Pipeline.Cache.default_config with
-        shadow = Profiler.Engine.Paged; workers }
+        shadow = Profiler.Engine.Perfect; workers }
     in
     match
       Pipeline.run_job ~cancelled:(fun () -> false)
@@ -444,8 +444,8 @@ let tests =
       cache_store_sweeps;
     Alcotest.test_case "job entry mirrors the cache tiers" `Quick
       job_entry_matches_summary;
-    Alcotest.test_case "parallel paged profile is exact" `Quick
-      parallel_paged_is_exact;
+    Alcotest.test_case "parallel perfect profile is exact" `Quick
+      parallel_perfect_is_exact;
     Alcotest.test_case "batch = single runs; warm = byte-identical hits" `Slow
       batch_matches_single_runs;
     Alcotest.test_case "fault isolation: raise / timeout / retry" `Quick

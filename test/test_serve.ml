@@ -164,11 +164,21 @@ let test_http_profile_and_cache_tiers () =
     ok_response (Serve.Client.post ~port ~body:"not MIL at all" "/profile")
   in
   Alcotest.(check int) "parse error 400" 400 r.Serve.Client.status;
-  let r =
-    ok_response
-      (Serve.Client.post ~port ~body:small_src "/profile?shadow=bogus")
-  in
-  Alcotest.(check int) "bad parameter 400" 400 r.Serve.Client.status
+  let bad = Obs.counter "serve.requests.bad" in
+  List.iter
+    (fun (query, msg) ->
+      let before = Obs.Counter.value bad in
+      let r =
+        ok_response (Serve.Client.post ~port ~body:small_src ("/profile?" ^ query))
+      in
+      Alcotest.(check int) ("bad parameter 400: " ^ query) 400
+        r.Serve.Client.status;
+      Alcotest.(check string) ("message: " ^ query) msg r.Serve.Client.body;
+      Alcotest.(check int) ("counted bad: " ^ query) (before + 1)
+        (Obs.Counter.value bad))
+    [ ("shadow=bogus", "bad shadow: bogus\n");
+      ("shadow=paged", "bad shadow: paged\n");
+      ("workers=9", "workers must be <= 8\n") ]
 
 let test_http_deadline_504 () =
   with_server @@ fun t ->
@@ -179,6 +189,24 @@ let test_http_deadline_504 () =
          "/profile?name=slow&deadline=0.000001")
   in
   Alcotest.(check int) "expired deadline 504" 504 r.Serve.Client.status
+
+(* The deadline reaches the parallel profiler too: its interpreter polls
+   the same cancel flag, and the workers are stopped on the way out. The
+   program runs ~3M statements, far past one poll interval (~2k) and far
+   longer than 50 ms. *)
+let test_http_parallel_deadline_504 () =
+  with_server @@ fun t ->
+  let port = Serve.port t in
+  let src =
+    "func main() {\n  var s = 0\n  for i = 0; i < 1000000; i++ {\n\
+    \    s += i\n  }\n  return s\n}\n"
+  in
+  let r =
+    ok_response
+      (Serve.Client.post ~port ~body:src
+         "/profile?name=slowpar&workers=1&deadline=0.05")
+  in
+  Alcotest.(check int) "parallel profile 504" 504 r.Serve.Client.status
 
 let test_http_load_shed_429 () =
   with_server ~queue:0 @@ fun t ->
@@ -388,6 +416,8 @@ let tests =
     Alcotest.test_case "HTTP profile + cache tiers" `Quick
       test_http_profile_and_cache_tiers;
     Alcotest.test_case "HTTP deadline 504" `Quick test_http_deadline_504;
+    Alcotest.test_case "HTTP parallel profile deadline 504" `Quick
+      test_http_parallel_deadline_504;
     Alcotest.test_case "HTTP load shed 429" `Quick test_http_load_shed_429;
     Alcotest.test_case "HTTP metrics endpoint" `Quick test_http_metrics;
     Alcotest.test_case "HTTP trace id round-trip" `Quick

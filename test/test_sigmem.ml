@@ -1,10 +1,9 @@
 (* Tests for shadow memories: signature semantics, collisions, lifetime
    removal, the perfect baseline (growth, removal churn, its memory bound),
-   the paged backend, slot packing, and the Eq. 2.2 FPR predictor. *)
+   slot packing, and the Eq. 2.2 FPR predictor. *)
 
 module Sig = Sigmem.Signature
 module Perf = Sigmem.Perfect
-module Paged = Sigmem.Two_level
 module Store = Sigmem.Store
 
 (* A backend as these tests drive it through the resolver API: [locate]
@@ -26,11 +25,6 @@ let bsig slots =
 let bperf =
   { create = Perf.create;
     locate = (fun p addr -> let b = Perf.resolve p addr in (p.Perf.data, b));
-    before_store = (fun _ _ ~var:_ -> ()) }
-
-let bpaged =
-  { create = Paged.create;
-    locate = (fun g addr -> let b = Paged.resolve g addr in (g.Paged.cur, b));
     before_store = (fun _ _ ~var:_ -> ()) }
 
 let var_v = Trace.Intern.Sym.intern "v"
@@ -211,31 +205,9 @@ let test_perfect_tombstones () =
   check_line "usable after churn" (Some 77)
     (last_write bperf s ~addr:3)
 
-let test_paged () =
-  let s = Paged.create () in
-  (* addresses far enough apart to land on distinct pages *)
-  set_write bpaged s ~addr:5 11;
-  set_read bpaged s ~addr:5 12;
-  set_write bpaged s ~addr:100_000 13;
-  check_line "first page write" (Some 11)
-    (last_write bpaged s ~addr:5);
-  check_line "first page read" (Some 12)
-    (last_read bpaged s ~addr:5);
-  check_line "distant page" (Some 13)
-    (last_write bpaged s ~addr:100_000);
-  Alcotest.(check bool) "two pages allocated" true (Paged.pages_allocated s >= 2);
-  Paged.remove s ~addr:5;
-  check_line "removed" None (last_write bpaged s ~addr:5);
-  check_line "other page untouched" (Some 13)
-    (last_write bpaged s ~addr:100_000);
-  (* removing a never-touched address must not allocate a page *)
-  let pages = Paged.pages_allocated s in
-  Paged.remove s ~addr:9_999_999;
-  Alcotest.(check int) "remove allocates no page" pages (Paged.pages_allocated s)
-
 let test_fpr_predictor () =
   (* Eq. 2.2: monotone in n, anti-monotone in m, exact at the extremes. *)
-  let p = Sigmem.Shadow.predicted_fpr in
+  let p = Sig.predicted_fpr in
   Alcotest.(check (float 1e-9)) "n=0" 0.0 (p ~slots:100 ~addresses:0);
   Alcotest.(check bool) "monotone in addresses" true
     (p ~slots:100 ~addresses:50 < p ~slots:100 ~addresses:200);
@@ -258,7 +230,7 @@ let test_fpr_predictor_vs_measured () =
     set_write msig s ~addr:(next ()) 1
   done;
   let occupied = float_of_int (Sig.slots_used s) /. float_of_int slots in
-  let predicted = Sigmem.Shadow.predicted_fpr ~slots ~addresses:n in
+  let predicted = Sig.predicted_fpr ~slots ~addresses:n in
   Alcotest.(check bool)
     (Printf.sprintf "measured %.3f within 0.1 of predicted %.3f" occupied predicted)
     true
@@ -272,7 +244,7 @@ let qcheck_last_write_wins name be =
     (make Gen.(list_size (int_range 1 50) (pair (int_bound 31) (int_bound 1000))))
     (fun writes ->
       (* for the signature: big enough that these few addresses never
-         collide; exact backends hold regardless *)
+         collide; the perfect table holds regardless *)
       let s = be.create () in
       let last = Hashtbl.create 8 in
       List.iter
@@ -295,11 +267,9 @@ let tests =
     Alcotest.test_case "perfect tombstone churn" `Quick test_perfect_tombstones;
     Alcotest.test_case "perfect shadow spans the heap" `Quick
       test_perfect_spans_heap;
-    Alcotest.test_case "paged shadow" `Quick test_paged;
     Alcotest.test_case "Eq 2.2 predictor" `Quick test_fpr_predictor;
     Alcotest.test_case "Eq 2.2 vs measured occupancy" `Quick
       test_fpr_predictor_vs_measured;
     QCheck_alcotest.to_alcotest
       (qcheck_last_write_wins "signature" (bsig 4096));
-    QCheck_alcotest.to_alcotest (qcheck_last_write_wins "perfect" bperf);
-    QCheck_alcotest.to_alcotest (qcheck_last_write_wins "paged" bpaged) ]
+    QCheck_alcotest.to_alcotest (qcheck_last_write_wins "perfect" bperf) ]
