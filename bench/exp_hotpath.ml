@@ -89,7 +89,7 @@ let measure_parallel_producer prog =
   ignore (go ());
   let w0 = Gc.minor_words () in
   let r = go () in
-  (Gc.minor_words () -. w0) /. float_of_int r.Profiler.Parallel.accesses
+  (Gc.minor_words () -. w0) /. float_of_int r.accesses
 
 (* [count] of a warm-up run of [go], per second of the fastest of 5 more. *)
 let best_rate go count =

@@ -45,6 +45,19 @@ let or_die = function
       prerr_endline msg;
       exit 1
 
+(* --signature/--skip/--workers as one checked profiler config: a bad value
+   exits 1 with the message serve answers 400 with. *)
+let profile_config_term =
+  let make signature skip workers =
+    let shadow =
+      match signature with
+      | Some slots -> Profiler.Engine.Signature slots
+      | None -> Profiler.Engine.Perfect
+    in
+    or_die (Profiler.Profile.check { shadow; skip; workers })
+  in
+  Term.(const make $ sig_arg $ skip_arg $ workers_arg)
+
 (* --stats: enable the observability layer for the run and write the
    collected phase timings / counters / gauges to FILE as JSON. *)
 let stats_arg =
@@ -85,11 +98,6 @@ let with_obs ~stats ~trace f =
   Option.iter (fun p -> write "trace" p Obs.Trace.write) trace;
   r
 
-
-let shadow_of = function
-  | Some slots -> Profiler.Engine.Signature slots
-  | None -> Profiler.Engine.Perfect
-
 (* list *)
 let list_cmd =
   let doc = "List the bundled workload programs." in
@@ -119,7 +127,7 @@ let out_arg =
 
 let profile_cmd =
   let doc = "Run the data-dependence profiler and print the dependence report." in
-  let run name size signature skip workers output stats trace =
+  let run name size (config : Profiler.Profile.config) output stats trace =
     let w = or_die (find_workload name) in
     let prog = Workloads.Registry.program ?size w in
     let save deps =
@@ -130,41 +138,25 @@ let profile_cmd =
           Printf.eprintf "wrote %s\n" path
     in
     with_obs ~stats ~trace @@ fun () ->
-    let deps, pet =
-      if workers > 0 then begin
-        let r =
-          Profiler.Parallel.profile ~workers
-            ~perfect:(signature = None)
-            ?shadow_slots:signature ~skip prog
-        in
-        save r.deps;
-        Printf.printf
-          "# parallel profiler: %d workers, %d accesses, %d deps, %d redistributions\n"
-          workers r.accesses
-          (Profiler.Dep.Set_.cardinal r.deps)
-          r.redistributions;
-        print_string
-          (Profiler.Report.render
-             ~threads:w.parallel_target
-             ~control:(Profiler.Report.control_of_pet r.pet)
-             r.deps);
-        (r.deps, r.pet)
-      end
-      else begin
-        let r = Profiler.Serial.profile ~shadow:(shadow_of signature) ~skip prog in
-        save r.deps;
-        Printf.printf "# serial profiler: %d accesses, %d deps (merging %.1fx)\n"
-          r.accesses
-          (Profiler.Dep.Set_.cardinal r.deps)
-          r.merging_factor;
-        if skip then
-          Printf.printf "# skipped: %d reads, %d writes\n"
-            r.skip_stats.Profiler.Engine.reads_skipped
-            r.skip_stats.Profiler.Engine.writes_skipped;
-        print_string (Profiler.Serial.report ~threads:w.parallel_target r);
-        (r.deps, r.pet)
-      end
-    in
+    let r = Profiler.Profile.run config prog in
+    save r.deps;
+    if config.workers > 0 then
+      Printf.printf
+        "# parallel profiler: %d workers, %d accesses, %d deps, %d redistributions\n"
+        config.workers r.accesses
+        (Profiler.Dep.Set_.cardinal r.deps)
+        r.redistributions
+    else begin
+      Printf.printf "# serial profiler: %d accesses, %d deps (merging %.1fx)\n"
+        r.accesses
+        (Profiler.Dep.Set_.cardinal r.deps)
+        r.merging_factor;
+      if config.skip then
+        Printf.printf "# skipped: %d reads, %d writes\n"
+          r.skip_stats.Profiler.Engine.reads_skipped
+          r.skip_stats.Profiler.Engine.writes_skipped
+    end;
+    print_string (Profiler.Serial.report ~threads:w.parallel_target r);
     (* With --stats, also run the downstream phases over the profiled
        dependences so the export carries the complete pipeline cost
        breakdown (profiling, CU construction, discovery). *)
@@ -173,13 +165,13 @@ let profile_cmd =
         Obs.Span.with_ ~phase:"static" (fun () -> Mil.Static.analyze prog)
       in
       let cures = Cunit.Top_down.build st in
-      ignore (Discovery.Loops.analyze_all st cures deps pet)
+      ignore (Discovery.Loops.analyze_all st cures r.deps r.pet)
     end
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ workload_arg $ size_arg $ sig_arg $ skip_arg $ workers_arg
-      $ out_arg $ stats_arg $ trace_arg)
+      const run $ workload_arg $ size_arg $ profile_config_term $ out_arg
+      $ stats_arg $ trace_arg)
 
 (* read-deps *)
 let read_deps_cmd =
@@ -287,29 +279,18 @@ let explain_cmd =
     Arg.(value & opt float 0.5 & info [ "risk-threshold" ] ~docv:"R"
            ~doc:"Risk at or above which a --dot edge renders dashed.")
   in
-  let run name size signature skip workers top dot threshold stats trace =
+  let run name size (config : Profiler.Profile.config) top dot threshold stats
+      trace =
     let w = or_die (find_workload name) in
     let prog = Workloads.Registry.program ?size w in
     with_obs ~stats ~trace @@ fun () ->
-    let deps, shadow_name =
-      if workers > 0 then begin
-        let r =
-          Profiler.Parallel.profile ~workers
-            ~perfect:(signature = None)
-            ?shadow_slots:signature ~skip prog
-        in
-        ( r.deps,
-          match signature with
-          | Some s -> Printf.sprintf "signature(%d slots, %d workers)" s workers
-          | None -> Printf.sprintf "perfect (%d workers)" workers )
-      end
-      else begin
-        let r = Profiler.Serial.profile ~shadow:(shadow_of signature) ~skip prog in
-        ( r.deps,
-          match signature with
-          | Some s -> Printf.sprintf "signature(%d slots)" s
-          | None -> "perfect" )
-      end
+    let deps = (Profiler.Profile.run config prog).deps in
+    let shadow_name =
+      match (config.shadow, config.workers) with
+      | Signature s, 0 -> Printf.sprintf "signature(%d slots)" s
+      | Perfect, 0 -> "perfect"
+      | Signature s, n -> Printf.sprintf "signature(%d slots, %d workers)" s n
+      | Perfect, n -> Printf.sprintf "perfect (%d workers)" n
     in
     if dot then begin
       let st = Obs.Span.with_ ~phase:"static" (fun () -> Mil.Static.analyze prog) in
@@ -319,15 +300,15 @@ let explain_cmd =
     end
     else begin
       Printf.printf "# explain %s: shadow=%s%s\n" w.name shadow_name
-        (if skip then ", skip" else "");
+        (if config.skip then ", skip" else "");
       print_string
         (Profiler.Report.render_explain ~top ~threads:w.parallel_target deps)
     end
   in
   Cmd.v (Cmd.info "explain" ~doc)
     Term.(
-      const run $ workload_arg $ size_arg $ sig_arg $ skip_arg $ workers_arg
-      $ top_arg $ dot_arg $ threshold_arg $ stats_arg $ trace_arg)
+      const run $ workload_arg $ size_arg $ profile_config_term $ top_arg
+      $ dot_arg $ threshold_arg $ stats_arg $ trace_arg)
 
 (* trace-check *)
 let trace_check_cmd =
@@ -1101,7 +1082,7 @@ let batch_cmd =
                  the cache key).")
   in
   let run names suite jobs cache cache_max_mb cache_ttl timeout retries json
-      signature skip workers threads stats trace =
+      profile threads stats trace =
     let ws =
       match names with
       | [] -> (
@@ -1121,9 +1102,7 @@ let batch_cmd =
            | None -> "no workloads selected"));
     let code =
       with_obs ~stats ~trace @@ fun () ->
-      let config =
-        { Pipeline.Cache.shadow = shadow_of signature; skip; workers; threads }
-      in
+      let config = { Pipeline.Cache.profile; threads } in
       let cache_limits =
         Pipeline.Cache.limits ?max_mb:cache_max_mb ?ttl_s:cache_ttl ()
       in
@@ -1160,8 +1139,7 @@ let batch_cmd =
     Term.(
       const run $ names_arg $ suite_arg $ jobs_arg $ cache_arg
       $ cache_max_mb_arg $ cache_ttl_arg $ timeout_arg $ retries_arg
-      $ json_arg $ sig_arg $ skip_arg $ workers_arg $ threads_arg $ stats_arg
-      $ trace_arg)
+      $ json_arg $ profile_config_term $ threads_arg $ stats_arg $ trace_arg)
 
 (* races *)
 let races_cmd =
@@ -1262,26 +1240,27 @@ let serve_cmd =
            ~doc:"Write both flight-recorder rings as JSON to $(docv) on \
                  shutdown.")
   in
-  let run port jobs queue deadline cache cache_max_mb cache_ttl mem signature
-      skip workers threads flight slow_threshold flight_dump =
-    Serve.run
-      { Serve.default_config with
-        Serve.port; jobs; queue_capacity = queue; deadline_s = deadline;
-        cache_dir = cache;
-        cache_limits =
-          Pipeline.Cache.limits ?max_mb:cache_max_mb ?ttl_s:cache_ttl ();
-        mem_capacity = mem;
-        profile =
-          { Pipeline.Cache.shadow = shadow_of signature; skip; workers;
-            threads };
-        flight_capacity = flight; slow_threshold_s = slow_threshold;
-        flight_dump }
+  let run port jobs queue deadline cache cache_max_mb cache_ttl mem profile
+      threads flight slow_threshold flight_dump =
+    (* Serve rejects a default profile config it would answer 400 to. *)
+    try
+      Serve.run
+        { Serve.default_config with
+          Serve.port; jobs; queue_capacity = queue; deadline_s = deadline;
+          cache_dir = cache;
+          cache_limits =
+            Pipeline.Cache.limits ?max_mb:cache_max_mb ?ttl_s:cache_ttl ();
+          mem_capacity = mem;
+          profile = { Pipeline.Cache.profile; threads };
+          flight_capacity = flight; slow_threshold_s = slow_threshold;
+          flight_dump }
+    with Invalid_argument msg -> or_die (Error msg)
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ port_arg $ jobs_arg $ queue_arg $ deadline_arg $ cache_arg
-      $ cache_max_mb_arg $ cache_ttl_arg $ mem_arg $ sig_arg $ skip_arg
-      $ workers_arg $ threads_arg $ flight_arg $ slow_arg $ flight_dump_arg)
+      $ cache_max_mb_arg $ cache_ttl_arg $ mem_arg $ profile_config_term
+      $ threads_arg $ flight_arg $ slow_arg $ flight_dump_arg)
 
 let () =
   let doc = "DiscoPoP: discovery of potential parallelism in sequential programs" in

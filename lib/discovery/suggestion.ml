@@ -121,10 +121,9 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
   Obs.Counter.add c_suggestions (List.length suggestions);
   { program = prog; static; cures; profile; loops; suggestions }
 
-let analyze ?(shadow = Profiler.Engine.Perfect) ?(skip = true) ?seed
-    ?(threads = 4) (prog : Mil.Ast.program) : report =
-  let profile = Profiler.Serial.profile ~shadow ~skip ?seed prog in
-  analyze_profiled ~threads prog profile
+let analyze ?(threads = 4) (prog : Mil.Ast.program) : report =
+  analyze_profiled ~threads prog
+    (Profiler.Profile.run Profiler.Profile.default prog)
 
 (* ---- serialized suggestion summaries (the batch cache's phase-2/3
    artifact) ----

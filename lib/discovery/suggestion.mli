@@ -28,21 +28,15 @@ val compare_rank : t -> t -> int
     NaN (ranked below every finite score), with deterministic region/kind
     tie-breaks. *)
 
-val analyze :
-  ?shadow:Profiler.Engine.shadow_kind ->
-  ?skip:bool ->
-  ?seed:int ->
-  ?threads:int ->
-  Mil.Ast.program ->
-  report
-(** [threads] (default 4) bounds the kind-aware local-speedup metric. *)
+val analyze : ?threads:int -> Mil.Ast.program -> report
+(** All three phases, profiling under {!Profiler.Profile.default}.
+    [threads] (default 4) bounds the kind-aware local-speedup metric. *)
 
 val analyze_profiled :
   ?threads:int -> Mil.Ast.program -> Profiler.Serial.result -> report
-(** Phases 2-3 only, over an existing phase-1 profile of [prog] — how the
-    batch pipeline analyzes a profile restored from its cache, and how a
-    parallel-profiled run (adapted into a {!Profiler.Serial.result}) is
-    analyzed without re-profiling. *)
+(** Phases 2-3 only, over an existing phase-1 profile of [prog], serial or
+    parallel — how the batch pipeline analyzes a profile it ran under its
+    own configuration. *)
 
 (** A suggestion reduced to what the batch cache persists: region, rendered
     kind, and score. *)

@@ -25,15 +25,9 @@ let c_evicted = Obs.counter "pipeline.cache.evicted"
 (* ---- content-addressed cache ---- *)
 
 module Cache = struct
-  type config = {
-    shadow : Profiler.Engine.shadow_kind;
-    skip : bool;
-    workers : int;
-    threads : int;
-  }
+  type config = { profile : Profiler.Profile.config; threads : int }
 
-  let default_config =
-    { shadow = Profiler.Engine.Perfect; skip = true; workers = 0; threads = 4 }
+  let default_config = { profile = Profiler.Profile.default; threads = 4 }
 
   (* Bump when the cached representation changes shape (depfile format,
      summary format, scoring semantics) or the profile behind it changes
@@ -43,11 +37,8 @@ module Cache = struct
   let format_version = 2
 
   let config_to_string (c : config) =
-    Printf.sprintf "shadow=%s skip=%b workers=%d threads=%d"
-      (match c.shadow with
-      | Profiler.Engine.Perfect -> "perfect"
-      | Profiler.Engine.Signature n -> Printf.sprintf "signature:%d" n)
-      c.skip c.workers c.threads
+    Printf.sprintf "%s threads=%d" (Profiler.Profile.to_string c.profile)
+      c.threads
 
   let key (c : config) (prog : Mil.Ast.program) : string =
     Digest.to_hex
@@ -334,19 +325,6 @@ type report = {
   b_wall_s : float;
 }
 
-(* A parallel-profiled run repackaged as the serial result record, so the
-   discovery phases (typed against the serial reference profiler) run
-   unchanged on top of it. *)
-let serial_of_parallel (p : Profiler.Parallel.result) : Profiler.Serial.result =
-  { Profiler.Serial.deps = p.Profiler.Parallel.deps;
-    pet = p.Profiler.Parallel.pet;
-    races = p.Profiler.Parallel.races;
-    accesses = p.Profiler.Parallel.accesses;
-    skip_stats = p.Profiler.Parallel.skip_stats;
-    footprint_words = p.Profiler.Parallel.footprint_words;
-    merging_factor = p.Profiler.Parallel.merging_factor;
-    interp = p.Profiler.Parallel.interp }
-
 let program_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
     ~(config : Cache.config) (prog : Mil.Ast.program) : job =
   let run ~cancelled =
@@ -367,19 +345,7 @@ let program_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
     | None, _ ->
         Obs.Counter.incr c_cache_miss;
         let profile =
-          if config.Cache.workers > 0 then
-            let perfect, shadow_slots =
-              match config.Cache.shadow with
-              | Profiler.Engine.Signature n -> (false, Some n)
-              | Profiler.Engine.Perfect -> (true, None)
-            in
-            serial_of_parallel
-              (Profiler.Parallel.profile ~workers:config.Cache.workers
-                 ~perfect ?shadow_slots ~skip:config.Cache.skip ~cancelled
-                 prog)
-          else
-            Profiler.Serial.profile ~shadow:config.Cache.shadow
-              ~skip:config.Cache.skip ~cancelled prog
+          Profiler.Profile.run ~cancelled config.Cache.profile prog
         in
         let report =
           Suggestion.analyze_profiled ~threads:config.Cache.threads prog

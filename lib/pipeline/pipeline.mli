@@ -18,19 +18,17 @@
     {!Discovery.Suggestion.summary_to_string}). *)
 module Cache : sig
   type config = {
-    shadow : Profiler.Engine.shadow_kind;
-    skip : bool;
-    workers : int;   (** 0 = serial profiler, n > 0 = parallel with n domains *)
+    profile : Profiler.Profile.config;
     threads : int;   (** thread count assumed by the local-speedup metric *)
   }
 
   val default_config : config
-  (** Perfect shadow, skip on, serial, 4 threads — the defaults of
+  (** {!Profiler.Profile.default} and 4 threads — the defaults of
       {!Discovery.Suggestion.analyze}. *)
 
   val config_to_string : config -> string
-  (** Canonical rendering hashed into the key (also stored in batch reports
-      for debuggability). *)
+  (** Canonical rendering hashed into the key:
+      {!Profiler.Profile.to_string} then [ threads=N]. *)
 
   val key : config -> Mil.Ast.program -> string
   (** Hex digest of the rendered program + [config_to_string] + cache format

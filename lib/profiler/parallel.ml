@@ -100,18 +100,7 @@ type worker_result = {
   w_idle_spins : int;      (* empty-queue backoff rounds (consumer stalls) *)
 }
 
-type result = {
-  deps : Dep.Set_.t;
-  pet : Pet.t;
-  races : (string * int * int) list;
-  accesses : int;
-  footprint_words : int;
-  merging_factor : float;
-  redistributions : int;
-  per_worker : int array;   (* accesses processed by each worker *)
-  skip_stats : Engine.skip_stats;
-  interp : Mil.Interp.run_result;
-}
+type result = Serial.result
 
 let sum_skip (a : Engine.skip_stats) (b : Engine.skip_stats) : Engine.skip_stats =
   { Engine.reads_total = a.Engine.reads_total + b.Engine.reads_total;
@@ -177,9 +166,11 @@ let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
 let rebalance_interval = 50_000
 let top_n_hot = 10
 
+(* Chunks a forward queue holds before the producer backs off. *)
+let queue_capacity = 64
+
 let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     ?(skip = false) ?(queue = Lockfree) ?(chunk_capacity = Chunk.default_capacity)
-    ?(queue_capacity = 64) ?(seed = 42) ?(scramble_unlocked = false)
     ?cancelled (prog : Mil.Ast.program) : result =
   Obs.Span.with_ ~phase:"profile" @@ fun () ->
   Obs.Trace.set_track "producer (main)";
@@ -325,8 +316,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   in
   let interp =
     try
-      Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ?cancelled ~emit
-        ~on_access prog
+      Mil.Interp.run ~lstacks ?cancelled ~emit ~on_access prog
     with e -> abort e
   in
   (* Flush partial chunks and stop the workers. *)
@@ -366,7 +356,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         shadow_update_elided = 0 }
       results
   in
-  let r =
+  let r : result =
     { deps;
       pet;
       races = Array.to_list results |> List.concat_map (fun r -> r.w_races);

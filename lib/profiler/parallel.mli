@@ -11,18 +11,7 @@
 
 type queue_kind = Lockfree | Lock_based
 
-type result = {
-  deps : Dep.Set_.t;
-  pet : Pet.t;
-  races : (string * int * int) list;
-  accesses : int;
-  footprint_words : int;
-  merging_factor : float;
-  redistributions : int;   (** hot-address migrations performed *)
-  per_worker : int array;  (** accesses processed by each worker *)
-  skip_stats : Engine.skip_stats;
-  interp : Mil.Interp.run_result;
-}
+type result = Serial.result
 
 val rebalance_interval : int
 (** Accesses between hot-address re-evaluations (the paper checks every
@@ -37,9 +26,6 @@ val profile :
   ?skip:bool ->
   ?queue:queue_kind ->
   ?chunk_capacity:int ->
-  ?queue_capacity:int ->
-  ?seed:int ->
-  ?scramble_unlocked:bool ->
   ?cancelled:(unit -> bool) ->
   Mil.Ast.program ->
   result

@@ -12,6 +12,8 @@ type result = {
   skip_stats : Engine.skip_stats;
   footprint_words : int;     (* resident words of profiling structures *)
   merging_factor : float;
+  redistributions : int;     (* hot-address migrations; 0 when serial *)
+  per_worker : int array;    (* accesses per worker; [| accesses |] when serial *)
   interp : Mil.Interp.run_result;
 }
 
@@ -64,14 +66,17 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
   let pet = Pet.finish petb in
   let deps = Engine.deps engine in
   Pet.attach_deps pet deps;
+  let accesses = Engine.processed engine in
   let r =
     { deps;
       pet;
       races = Engine.races engine;
-      accesses = Engine.processed engine;
+      accesses;
       skip_stats = Engine.skip_stats engine;
       footprint_words = Engine.word_footprint engine;
       merging_factor = Dep.Set_.merging_factor deps;
+      redistributions = 0;
+      per_worker = [| accesses |];
       interp }
   in
   publish ~accesses:r.accesses ~deps ~footprint_words:r.footprint_words

@@ -11,6 +11,11 @@ type result = {
   skip_stats : Engine.skip_stats;
   footprint_words : int;     (** resident words of profiling structures *)
   merging_factor : float;
+  redistributions : int;
+  (** hot-address migrations of a parallel run; 0 for a serial one *)
+  per_worker : int array;
+  (** accesses processed by each parallel worker, summing to [accesses];
+      [[| accesses |]] for a serial run *)
   interp : Mil.Interp.run_result;
 }
 

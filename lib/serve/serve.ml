@@ -261,9 +261,17 @@ let read_request fd : (request, string) result =
 
 (* ---- request-level profiler configuration ---- *)
 
-(* Profiler worker domains one request may ask for: each is a domain for the
+(* Profiler worker domains one profile may use: each is a domain for the
    life of the profile, and the runtime's domain limit is process-wide. *)
 let max_profile_workers = 8
+
+(* The checks a profile config passes, whether it arrives as the daemon's
+   defaults or in a request's query. *)
+let check_profile (p : Profiler.Profile.config) =
+  match Profiler.Profile.check p with
+  | Ok { workers; _ } when workers > max_profile_workers ->
+      Error (Printf.sprintf "workers must be <= %d" max_profile_workers)
+  | r -> r
 
 let profile_config_of_query ~(base : Pipeline.Cache.config) query :
     (Pipeline.Cache.config, string) result =
@@ -282,29 +290,30 @@ let profile_config_of_query ~(base : Pipeline.Cache.config) query :
   List.fold_left
     (fun acc (k, v) ->
       let* (c : Pipeline.Cache.config) = acc in
+      let p = c.profile in
+      let set p =
+        let* profile = check_profile p in
+        Ok { c with profile }
+      in
       match k with
       | "shadow" -> (
           match String.split_on_char ':' v with
-          | [ "perfect" ] -> Ok { c with Pipeline.Cache.shadow = Profiler.Engine.Perfect }
+          | [ "perfect" ] -> set { p with shadow = Perfect }
           | [ "signature"; n ] -> (
               match int_of_string_opt n with
-              | Some n when n > 0 ->
-                  Ok { c with Pipeline.Cache.shadow = Profiler.Engine.Signature n }
-              | _ -> Error (Printf.sprintf "bad signature slots: %s" n))
+              | Some n -> set { p with shadow = Signature n }
+              | None -> Error (Printf.sprintf "bad signature slots: %s" n))
           | _ -> Error (Printf.sprintf "bad shadow: %s" v))
       | "skip" ->
           let* b = bool_param "skip" v in
-          Ok { c with Pipeline.Cache.skip = b }
+          set { p with skip = b }
       | "workers" ->
           let* n = int_param "workers" v in
-          if n < 0 then Error "workers must be >= 0"
-          else if n > max_profile_workers then
-            Error (Printf.sprintf "workers must be <= %d" max_profile_workers)
-          else Ok { c with Pipeline.Cache.workers = n }
+          set { p with workers = n }
       | "threads" ->
           let* n = int_param "threads" v in
           if n < 1 then Error "threads must be >= 1"
-          else Ok { c with Pipeline.Cache.threads = n }
+          else Ok { c with threads = n }
       | _ -> Ok c (* name/format/deadline/entry handled elsewhere *))
     (Ok base) query
 
@@ -635,6 +644,7 @@ let accept_loop t =
   try loop () with Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
 
 let start (cfg : config) : t =
+  Result.iter_error invalid_arg (check_profile cfg.profile.profile);
   (* A worker writing to a connection the client already closed must see
      EPIPE, not die of SIGPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());

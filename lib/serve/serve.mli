@@ -56,7 +56,8 @@ type config = {
   cache_limits : Pipeline.Cache.limits;
   (** disk-tier retention, enforced by a sweep at each publish *)
   mem_capacity : int;      (** LRU entries; 0 disables the memory tier *)
-  profile : Pipeline.Cache.config;  (** per-request defaults *)
+  profile : Pipeline.Cache.config;
+  (** per-request defaults, held to a request's checks (see {!start}) *)
   flight_capacity : int;   (** flight-recorder main ring (min 1) *)
   slow_capacity : int;     (** slow-request ring (min 1) *)
   slow_threshold_s : float;  (** service time that counts as slow *)
@@ -74,7 +75,10 @@ type t
 val start : config -> t
 (** Bind, listen on 127.0.0.1, and spawn the acceptor and worker domains.
     Enables the {!Obs} registry (the [/metrics] endpoint needs it) and
-    ignores [SIGPIPE]. *)
+    ignores [SIGPIPE]. Raises [Invalid_argument] with the message a request
+    would get (e.g. ["workers must be <= 8"]) before binding anything when
+    [config.profile] fails {!Profiler.Profile.check} or asks for more than
+    8 profiler workers. *)
 
 val port : t -> int
 (** The bound port — useful with [config.port = 0]. *)

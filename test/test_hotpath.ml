@@ -180,7 +180,7 @@ let test_alloc_regression () =
   let w0 = Gc.minor_words () in
   let r = parallel () in
   let per_access =
-    (Gc.minor_words () -. w0) /. float_of_int r.Profiler.Parallel.accesses
+    (Gc.minor_words () -. w0) /. float_of_int r.accesses
   in
   if per_access > parallel_alloc_cap then
     Alcotest.failf "parallel producer: %.2f minor words/access exceeds cap %.1f"
@@ -401,7 +401,7 @@ let test_pooled_parallel_equivalence () =
   in
   let par =
     (Profiler.Parallel.profile ~workers:3 ~perfect:true ~chunk_capacity:8 prog)
-      .Profiler.Parallel.deps
+      .deps
   in
   Helpers.check_same_deps "pooled parallel differs from serial" serial par
 

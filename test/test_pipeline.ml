@@ -61,7 +61,12 @@ let cache_roundtrip () =
         "dependences round-trip"
         (dep_names profile.Profiler.Serial.deps)
         (dep_names deps));
-  let other = Pipeline.Cache.key { config with skip = not config.skip } prog in
+  let other =
+    Pipeline.Cache.key
+      { config with
+        profile = { config.profile with skip = not config.profile.skip } }
+      prog
+  in
   Alcotest.(check bool) "config change changes the key" false (key = other);
   Alcotest.(check bool) "other config misses"
     true
@@ -280,7 +285,7 @@ let parallel_perfect_is_exact () =
   let run workers =
     let config =
       { Pipeline.Cache.default_config with
-        shadow = Profiler.Engine.Perfect; workers }
+        profile = { Profiler.Profile.default with shadow = Perfect; workers } }
     in
     match
       Pipeline.run_job ~cancelled:(fun () -> false)
@@ -295,6 +300,28 @@ let parallel_perfect_is_exact () =
     (dep_names (fst par.Pipeline.jr_entry));
   Alcotest.(check string) "same summary" serial.Pipeline.jr_summary
     par.Pipeline.jr_summary
+
+(* The cache key is an on-disk format: entries written by an earlier build
+   must keep hitting. These literals were recorded at format_version 2; a
+   deliberate change to the key bumps the version and re-records them. *)
+let cache_key_pinned () =
+  let sig_config =
+    { Pipeline.Cache.profile =
+        { shadow = Signature 4096; skip = false; workers = 2 };
+      threads = 8 }
+  in
+  Alcotest.(check string) "default config"
+    "shadow=perfect skip=true workers=0 threads=4"
+    (Pipeline.Cache.config_to_string Pipeline.Cache.default_config);
+  Alcotest.(check string) "signature config"
+    "shadow=signature:4096 skip=false workers=2 threads=8"
+    (Pipeline.Cache.config_to_string sig_config);
+  Alcotest.(check string) "key of fig27, default config"
+    "80fb9f71d75a864ddaef128d0548855c"
+    (Pipeline.Cache.key Pipeline.Cache.default_config Helpers.fig27);
+  Alcotest.(check string) "key of fig27, signature config"
+    "7e49c2fa43b450f80a7de4a70c3b50fb"
+    (Pipeline.Cache.key sig_config Helpers.fig27)
 
 (* ---- cache eviction ---- *)
 
@@ -436,6 +463,7 @@ let cache_store_sweeps () =
 
 let tests =
   [ Alcotest.test_case "cache round-trip + invalidation" `Quick cache_roundtrip;
+    Alcotest.test_case "cache key pinned" `Quick cache_key_pinned;
     Alcotest.test_case "cache TTL eviction" `Quick cache_ttl_eviction;
     Alcotest.test_case "cache size eviction is LRU-by-mtime" `Quick
       cache_size_eviction;

@@ -379,9 +379,9 @@ let parallel_matches ~queue ~workers p =
   in
   Helpers.check_same_deps
     (Printf.sprintf "parallel(%d workers) differs from serial" workers)
-    serial.Profiler.Serial.deps par.Profiler.Parallel.deps;
+    serial.Profiler.Serial.deps par.deps;
   Alcotest.(check int) "same access count" serial.Profiler.Serial.accesses
-    par.Profiler.Parallel.accesses
+    par.accesses
 
 let test_parallel_equivalence () =
   List.iter
@@ -411,7 +411,7 @@ let test_parallel_stops_workers_on_raise () =
   done;
   let r = Profiler.Parallel.profile ~workers:2 Helpers.fig27 in
   Alcotest.(check bool) "a later profile runs" true
-    (r.Profiler.Parallel.accesses > 0)
+    (r.accesses > 0)
 
 let test_parallel_rebalancing_runs () =
   (* A heavily skewed single-address workload exercises the hot-address path;
@@ -431,7 +431,7 @@ let qcheck_parallel_equivalence =
       let par = Profiler.Parallel.profile ~workers:3 ~perfect:true p in
       let fpr, fnr =
         Dep.Set_.accuracy ~truth:serial.Profiler.Serial.deps
-          ~got:par.Profiler.Parallel.deps
+          ~got:par.deps
       in
       fpr = 0.0 && fnr = 0.0)
 
@@ -896,8 +896,72 @@ let test_concurrent_profiles () =
          Alcotest.(check (list (triple string int int))) "races" r r'))
     sequential concurrent
 
+(* ---- the one entry point ---- *)
+
+let test_profile_check () =
+  let check_error msg (c : Profiler.Profile.config) =
+    Alcotest.(check (result reject string)) msg (Error msg)
+      (Result.map ignore (Profiler.Profile.check c))
+  in
+  let d = Profiler.Profile.default in
+  check_error "bad signature slots: 0" { d with shadow = Signature 0 };
+  check_error "bad signature slots: -5" { d with shadow = Signature (-5) };
+  check_error "workers must be >= 0" { d with workers = -1 };
+  List.iter
+    (fun (c : Profiler.Profile.config) ->
+      Alcotest.(check bool) (Profiler.Profile.to_string c) true
+        (Profiler.Profile.check c = Ok c))
+    [ d; { shadow = Signature 1; skip = false; workers = 2 } ]
+
+(* [Profile.run] picks the profiler and divides signature slots exactly as
+   the direct calls do, and both modes fill the shared result alike. *)
+let test_profile_run_dispatch () =
+  let same msg (a : Profiler.Serial.result) (b : Profiler.Serial.result) =
+    Alcotest.(check (list string)) (msg ^ ": deps")
+      (List.sort compare (Helpers.dep_strings a.deps))
+      (List.sort compare (Helpers.dep_strings b.deps));
+    Alcotest.(check int) (msg ^ ": occurrences")
+      (Dep.Set_.occurrences a.deps) (Dep.Set_.occurrences b.deps);
+    Alcotest.(check string) (msg ^ ": PET") (Profiler.Pet.to_string a.pet)
+      (Profiler.Pet.to_string b.pet);
+    Alcotest.(check int) (msg ^ ": accesses") a.accesses b.accesses;
+    (* counts the shadow's slots: pins how many each worker got *)
+    Alcotest.(check int) (msg ^ ": footprint") a.footprint_words
+      b.footprint_words;
+    Alcotest.(check bool) (msg ^ ": skip stats") true
+      (a.skip_stats = b.skip_stats);
+    Alcotest.(check int) (msg ^ ": per_worker sums to accesses") b.accesses
+      (Array.fold_left ( + ) 0 b.per_worker)
+  in
+  let run shadow skip workers p =
+    Profiler.Profile.run { Profiler.Profile.shadow; skip; workers } p
+  in
+  List.iter
+    (fun (name, p) ->
+      let serial = run (Signature 4096) false 0 p in
+      same (name ^ " serial signature")
+        (Profiler.Serial.profile ~shadow:(Signature 4096) p)
+        serial;
+      Alcotest.(check int) (name ^ ": serial redistributions") 0
+        serial.redistributions;
+      Alcotest.(check (array int)) (name ^ ": serial per_worker")
+        [| serial.accesses |] serial.per_worker;
+      same (name ^ " parallel perfect")
+        (Profiler.Parallel.profile ~workers:2 ~perfect:true ~skip:true p)
+        (run Perfect true 2 p);
+      same (name ^ " parallel signature")
+        (Profiler.Parallel.profile ~workers:2 ~shadow_slots:4096 p)
+        (run (Signature 4096) false 2 p))
+    [ ("fig27", Helpers.fig27);
+      ( "kmeans-par",
+        Workloads.Registry.program ~size:60 (Helpers.workload "kmeans-par") ) ]
+
 let tests =
   tests
   @ [ Alcotest.test_case "loop stacks die with the run" `Quick test_lstacks_freed;
       Alcotest.test_case "concurrent profiles agree" `Quick
-        test_concurrent_profiles ]
+        test_concurrent_profiles;
+      Alcotest.test_case "Profile.check rejects bad configs" `Quick
+        test_profile_check;
+      Alcotest.test_case "Profile.run dispatches as the direct calls" `Quick
+        test_profile_run_dispatch ]

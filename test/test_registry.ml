@@ -109,7 +109,7 @@ let pet_line (w : R.t) =
   in
   let parallel =
     (Profiler.Parallel.profile ~workers:2 ~perfect:true ~skip:true prog)
-      .Profiler.Parallel.pet
+      .pet
   in
   Printf.sprintf "%s %s %s" w.name
     (md5 (Profiler.Pet.to_string serial))

@@ -148,9 +148,9 @@ let test_mpmd_ferret_pipeline () =
 let test_parallel_per_worker () =
   let r = Profiler.Parallel.profile ~workers:4 ~perfect:true Helpers.fig34 in
   Alcotest.(check int) "one counter per worker" 4
-    (Array.length r.Profiler.Parallel.per_worker);
-  Alcotest.(check int) "counters sum to total" r.Profiler.Parallel.accesses
-    (Array.fold_left ( + ) 0 r.Profiler.Parallel.per_worker)
+    (Array.length r.per_worker);
+  Alcotest.(check int) "counters sum to total" r.accesses
+    (Array.fold_left ( + ) 0 r.per_worker)
 
 let tests =
   [ Alcotest.test_case "makespan bounds" `Quick test_makespan_bounds;

@@ -178,6 +178,9 @@ let test_http_profile_and_cache_tiers () =
         (Obs.Counter.value bad))
     [ ("shadow=bogus", "bad shadow: bogus\n");
       ("shadow=paged", "bad shadow: paged\n");
+      ("shadow=signature:0", "bad signature slots: 0\n");
+      ("shadow=signature:x", "bad signature slots: x\n");
+      ("workers=-1", "workers must be >= 0\n");
       ("workers=9", "workers must be <= 8\n") ]
 
 let test_http_deadline_504 () =
@@ -406,6 +409,33 @@ let test_http_shutdown () =
   done;
   Alcotest.(check bool) "daemon stopping" true (Serve.stopping t)
 
+(* The daemon's default profile config passes the bound a request's query
+   does, before anything binds: the port is held by a listener of our own,
+   so a daemon that bound first would fail with EADDRINUSE instead. *)
+let test_start_rejects_worker_bound () =
+  let held = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close held) @@ fun () ->
+  Unix.bind held (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen held 1;
+  let port =
+    match Unix.getsockname held with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> Alcotest.fail "not an inet socket"
+  in
+  let cfg =
+    { Serve.default_config with
+      Serve.port;
+      profile =
+        { P.Cache.default_config with
+          profile = { Profiler.Profile.default with workers = 9 } } }
+  in
+  match Serve.start cfg with
+  | t ->
+      Serve.stop t;
+      Alcotest.fail "workers = 9 started a daemon"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "message" "workers must be <= 8" msg
+
 let tests =
   [ Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction;
     Alcotest.test_case "LRU hit/miss counters" `Quick test_lru_counters;
@@ -430,4 +460,6 @@ let tests =
       test_split_latency_histograms;
     Alcotest.test_case "HTTP prometheus exposition" `Quick
       test_http_metrics_prometheus;
-    Alcotest.test_case "HTTP shutdown" `Quick test_http_shutdown ]
+    Alcotest.test_case "HTTP shutdown" `Quick test_http_shutdown;
+    Alcotest.test_case "start bounds the default workers" `Quick
+      test_start_rejects_worker_bound ]
