@@ -78,9 +78,13 @@ type state = {
   mutable cur : tcb;
   mutable live_threads : int;
   mutable next_tid : int;
-  (* The ready bag, in enqueue order: [ready.(n_ready - 1)] is the most
-     recently readied fiber. *)
-  mutable ready : work array;
+  (* The ready bag. Fibers sit in [slots]; [order] is a permutation of
+     the slot ids whose first [n_ready] are the ready fibers' in enqueue
+     order, [order.(n_ready - 1)] the most recently readied, and whose
+     rest are the free slots. Taking a fiber shifts ints in [order], not
+     pointers, so it costs no write barrier. *)
+  mutable slots : work array;
+  mutable order : int array;
   mutable n_ready : int;
   stats : stats;
   (* Optional reordering of unlocked pushes, to exercise race detection: the
@@ -367,21 +371,33 @@ let c_switches = Obs.counter "interp.fiber.switches"
 let c_spawns = Obs.counter "interp.fiber.spawns"
 
 let enqueue st w =
-  if st.n_ready = Array.length st.ready then begin
-    let a = Array.make (2 * st.n_ready) no_work in
-    Array.blit st.ready 0 a 0 st.n_ready;
-    st.ready <- a
+  let n = Array.length st.slots in
+  if st.n_ready = n then begin
+    let slots = Array.make (2 * n) no_work in
+    Array.blit st.slots 0 slots 0 n;
+    st.slots <- slots;
+    st.order <- Array.init (2 * n) (fun i -> if i < n then st.order.(i) else i)
   end;
-  st.ready.(st.n_ready) <- w;
+  let s = Array.unsafe_get st.order st.n_ready in
+  Array.unsafe_set st.slots s w;
   st.n_ready <- st.n_ready + 1
 
-(* Remove the [k]-th most recently readied fiber from the bag. *)
+(* Remove the [k]-th most recently readied fiber from the bag, clearing its
+   slot so no continuation outlives its turn. Callers draw [k] below
+   [n_ready], and [order] holds slot ids only, so no index can be out of
+   bounds. At small bag sizes a bounds check costs about as much as the
+   shift, so the accesses are unchecked. *)
 let take st k =
-  let i = st.n_ready - 1 - k in
-  let w = st.ready.(i) in
-  Array.blit st.ready (i + 1) st.ready i k;
-  st.n_ready <- st.n_ready - 1;
-  st.ready.(st.n_ready) <- no_work;
+  let order = st.order and last = st.n_ready - 1 in
+  let i = last - k in
+  let s = Array.unsafe_get order i in
+  for j = i to last - 1 do
+    Array.unsafe_set order j (Array.unsafe_get order (j + 1))
+  done;
+  Array.unsafe_set order last s;
+  st.n_ready <- last;
+  let w = Array.unsafe_get st.slots s in
+  Array.unsafe_set st.slots s no_work;
   w
 
 let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
@@ -403,7 +419,8 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
       cur =
         { tid = 0; lstack = Intern.Lstack.empty; held = 0; group = 0;
           group_live = ref 1 };
-      live_threads = 1; next_tid = 1; ready = Array.make 8 no_work; n_ready = 0;
+      live_threads = 1; next_tid = 1; slots = Array.make 8 no_work;
+      order = Array.init 8 Fun.id; n_ready = 0;
       stats =
         { reads = 0; writes = 0; loop_iterations = 0; calls = 0; statements = 0;
           switches = 0; spawns = 0 };

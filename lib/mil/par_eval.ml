@@ -140,7 +140,13 @@ type state = {
 }
 
 let n_stripes = 64
+
+(* A task's first arena is small and each refill doubles it: fork-join
+   programs spawn thousands of tasks that allocate a few words each, and a
+   full chunk per task would touch a fresh page per task (64 MB per run
+   for fib@15's 1972 tasks). *)
 let arena_chunk = 4096
+let first_arena = 256
 let big_alloc = 2048 (* allocations this large bypass the arena *)
 
 (* Per-task cache of the last two page pointers touched: a page's array is
@@ -152,6 +158,7 @@ type task = {
   st : state;
   mutable cur : int; (* arena bump pointer *)
   mutable lim : int;
+  mutable chunk : int; (* next arena size, doubling up to [arena_chunk] *)
   recycled : Compile.Recycle.t; (* task-local: addresses never migrate *)
   mutable ticks : int;
   group : group option; (* barrier group, on the dedicated-domain path *)
@@ -166,6 +173,7 @@ let task_create ?group st =
     st;
     cur = 0;
     lim = 0;
+    chunk = first_arena;
     recycled = Compile.Recycle.create ();
     ticks = 0;
     group;
@@ -230,7 +238,8 @@ module Backend = struct
     if size >= big_alloc then bump t.st.mem size
     else begin
       if t.cur + size > t.lim then begin
-        let chunk = max arena_chunk size in
+        let chunk = max t.chunk size in
+        t.chunk <- min arena_chunk (2 * t.chunk);
         t.cur <- bump t.st.mem chunk;
         t.lim <- t.cur + chunk
       end;

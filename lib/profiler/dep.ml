@@ -57,28 +57,31 @@ type prov = {
 }
 
 (* A merged multiset of dependences: each distinct dependence is stored once
-   with its occurrence count, plus (when profiled with provenance) its
-   first-witness record. Counts are [int ref] cells so the engine's per-op
+   in a cell holding its occurrence count and (when profiled with
+   provenance) its first-witness record, so a new record costs one lookup
+   and one insert. Counts are [int ref]s so the engine's per-op
    duplicate-suppression fast path can bump a record's count without
-   re-hashing it ({!note} hands the cell out; the engine bumps it and the
+   re-hashing it ({!note} hands the count out; the engine bumps it and the
    occurrence counter in place). *)
 module Set_ = struct
   type dep = t
 
+  type cell = { n : int ref; mutable pv : prov option }
+
   type t = {
-    tbl : (dep, int ref) Hashtbl.t;
-    provs : (dep, prov) Hashtbl.t;
+    tbl : (dep, cell) Hashtbl.t;
     raw_occurrences : int ref;  (* pre-merge instance count *)
   }
 
-  let create () =
-    { tbl = Hashtbl.create 256; provs = Hashtbl.create 256; raw_occurrences = ref 0 }
+  let create () = { tbl = Hashtbl.create 256; raw_occurrences = ref 0 }
 
+  (* [Hashtbl.add] of an absent key builds the buckets [Hashtbl.replace]
+     would, so iteration order does not depend on which one inserted. *)
   let add t d =
     incr t.raw_occurrences;
     match Hashtbl.find_opt t.tbl d with
-    | Some n -> incr n
-    | None -> Hashtbl.replace t.tbl d (ref 1)
+    | Some c -> incr c.n
+    | None -> Hashtbl.add t.tbl d { n = ref 1; pv = None }
 
   (* Like [add], but record first-witness provenance when [d] is new, and
      return the count cell for the engine's dedup fast path. Within one
@@ -88,15 +91,17 @@ module Set_ = struct
   let note t d ~time ~index ~domain ~risk =
     incr t.raw_occurrences;
     match Hashtbl.find_opt t.tbl d with
-    | Some n ->
-        incr n;
-        n
+    | Some c ->
+        incr c.n;
+        c.n
     | None ->
         let n = ref 1 in
-        Hashtbl.replace t.tbl d n;
-        Hashtbl.replace t.provs d
-          { first_time = time; first_index = index; witness_domain = domain;
-            risk = risk () };
+        Hashtbl.add t.tbl d
+          { n;
+            pv =
+              Some
+                { first_time = time; first_index = index;
+                  witness_domain = domain; risk = risk () } };
         n
 
   let add_witness t d ~time ~index ~domain ~risk =
@@ -104,7 +109,8 @@ module Set_ = struct
 
   let occurrences_cell t = t.raw_occurrences
 
-  let prov t d = Hashtbl.find_opt t.provs d
+  let prov t d =
+    match Hashtbl.find_opt t.tbl d with Some c -> c.pv | None -> None
 
   (* Risk of a record, defaulting to 0 when it was added without provenance
      (files read back from disk, hand-built sets in tests). *)
@@ -120,36 +126,35 @@ module Set_ = struct
     if Hashtbl.length t.tbl = 0 then 1.0
     else float_of_int !(t.raw_occurrences) /. float_of_int (Hashtbl.length t.tbl)
 
-  let iter f t = Hashtbl.iter (fun d n -> f d !n) t.tbl
+  let iter f t = Hashtbl.iter (fun d c -> f d !(c.n)) t.tbl
 
   let to_list t =
-    Hashtbl.fold (fun d n acc -> (d, !n) :: acc) t.tbl []
+    Hashtbl.fold (fun d c acc -> (d, !(c.n)) :: acc) t.tbl []
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   (* Records ranked hottest-first (by merged occurrence count, ties broken by
      {!compare} for determinism), with provenance where available — the order
      `discopop explain` presents. *)
   let to_ranked t =
-    Hashtbl.fold (fun d n acc -> (d, !n, prov t d) :: acc) t.tbl []
+    Hashtbl.fold (fun d c acc -> (d, !(c.n), c.pv) :: acc) t.tbl []
     |> List.sort (fun (a, na, _) (b, nb, _) ->
            match Stdlib.compare nb na with 0 -> compare a b | c -> c)
 
+  (* The earliest witness wins: after a hot-address redistribution the same
+     record can be witnessed by two workers. *)
   let union into from =
     Hashtbl.iter
-      (fun d n ->
+      (fun d c ->
         (* Copy the count, never alias [from]'s cell into [into]. *)
         match Hashtbl.find_opt into.tbl d with
-        | Some m -> m := !m + !n
-        | None -> Hashtbl.replace into.tbl d (ref !n))
+        | Some m -> (
+            m.n := !(m.n) + !(c.n);
+            match (m.pv, c.pv) with
+            | Some q, Some p when q.first_time <= p.first_time -> ()
+            | _, Some p -> m.pv <- Some p
+            | _, None -> ())
+        | None -> Hashtbl.add into.tbl d { n = ref !(c.n); pv = c.pv })
       from.tbl;
-    (* The earliest witness wins: after a hot-address redistribution the same
-       record can be witnessed by two workers. *)
-    Hashtbl.iter
-      (fun d p ->
-        match Hashtbl.find_opt into.provs d with
-        | Some q when q.first_time <= p.first_time -> ()
-        | _ -> Hashtbl.replace into.provs d p)
-      from.provs;
     into.raw_occurrences := !(into.raw_occurrences) + !(from.raw_occurrences)
 
   (* Accuracy of an approximate dependence set [got] against the exact set

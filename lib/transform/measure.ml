@@ -7,8 +7,8 @@
         code warm);
      3. [reps] timed runs; the reported wall is the MEDIAN;
      4. every run's observation (result, non-internal globals, prints) is
-        compared against the sequential observation — a measurement of a
-        wrong answer is worthless;
+        compared against the first timed sequential run's — a measurement
+        of a wrong answer is worthless;
      5. task/steal/busy counters are deltas over the timed reps only.
 
    The sequential baseline is the uninstrumented {!Mil.Interp} on the
@@ -78,12 +78,11 @@ let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
   for _ = 1 to warmup do
     ignore (seq_run ())
   done;
-  let seq_obs = ref (V.observe ~seed original) in
+  (* The first timed run's observation is the reference every parallel
+     run is checked against. *)
+  let wall0, seq_obs = time seq_run in
   let seq_walls =
-    List.init reps (fun _ ->
-        let dt, obs = time seq_run in
-        seq_obs := obs;
-        dt)
+    wall0 :: List.init (reps - 1) (fun _ -> fst (time seq_run))
   in
   let seq_wall = median seq_walls in
   let run_one d =
@@ -95,7 +94,7 @@ let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
         let go () = observe_par ?pool ~domains:d ~seed transformed in
         let equal = ref true in
         let check obs =
-          if V.diff_observations !seq_obs obs <> [] then equal := false
+          if V.diff_observations seq_obs obs <> [] then equal := false
         in
         for _ = 1 to warmup do
           check (go ())

@@ -7,10 +7,12 @@
    1. State equivalence: run original and transformed under several
       scheduler seeds and compare the observable state — entry return
       value, final values of the original program's globals, and the
-      [print] output stream.
-   2. Race check: re-profile both programs with [scramble_unlocked] (the
-      §2.3.4 reordering that exposes unsynchronized accesses) and require
-      the transformed program to introduce no *new* racy variables — in
+      [print] output stream. The first seed's run of a threaded program is
+      its race run (below); a seed-free original runs once.
+   2. Race check: run both programs, the original only if it has [Par],
+      with [scramble_unlocked] (the §2.3.4 reordering that exposes
+      unsynchronized accesses) into a dependence engine, and require the
+      transformed program to introduce no *new* racy variables — in
       particular no unsynchronized cross-chunk RAW on transformed DOALL
       regions. Variables introduced by the transform itself (the "__"
       namespace) only count if actually racy; original-program lines moved
@@ -33,6 +35,13 @@ type observation = {
   o_prints : int list list;
 }
 
+(* [prints] in reverse order, as the [on_print] callbacks collect them. *)
+let observation_of (r : Interp.run_result) prints =
+  { o_result = r.result;
+    o_globals =
+      List.filter (fun (n, _) -> not (is_internal n)) r.final_globals;
+    o_prints = List.rev prints }
+
 let observe ?(seed = 42) (prog : Mil.Ast.program) : observation =
   let prints = ref [] in
   let r =
@@ -40,10 +49,19 @@ let observe ?(seed = 42) (prog : Mil.Ast.program) : observation =
       ~on_print:(fun vs -> prints := vs :: !prints)
       prog
   in
-  { o_result = r.result;
-    o_globals =
-      List.filter (fun (n, _) -> not (is_internal n)) r.final_globals;
-    o_prints = List.rev !prints }
+  observation_of r !prints
+
+(* The seed reaches a run only through the scheduler's PRNG: its draws and
+   the scrambler's happen only while more than one thread is live, and
+   [rand] draws from it. A program without [Par] and without a call to
+   [rand] therefore observes the same at every seed. *)
+let seed_free (prog : Mil.Ast.program) =
+  (not (Mil.Rewrite.has_par prog))
+  && not
+       (List.exists
+          (fun (f : Mil.Ast.func) ->
+            List.mem "rand" (Mil.Rewrite.block_calls f.body []))
+          prog.funcs)
 
 let diff_observations (a : observation) (b : observation) : string list =
   let issues = ref [] in
@@ -61,23 +79,54 @@ let diff_observations (a : observation) (b : observation) : string list =
   if a.o_prints <> b.o_prints then issues := "print stream differs" :: !issues;
   List.rev !issues
 
-(* Racy variables of a profile: names with an observed timestamp reversal,
-   from the engine's race list and the racy flag on merged dependence
-   records. Comparing by name survives the transform's renumbering. *)
-let racy_vars (r : Profiler.Serial.result) : string list =
+(* Racy variables: names with an observed timestamp reversal, from the
+   engine's race list and the racy flag on merged dependence records.
+   Comparing by name survives the transform's renumbering. *)
+let racy_names races deps =
   let acc = ref [] in
-  List.iter (fun (v, _, _) -> acc := v :: !acc) r.races;
-  Dep.Set_.iter
-    (fun d _ -> if d.Dep.racy then acc := d.Dep.var :: !acc)
-    r.deps;
+  List.iter (fun (v, _, _) -> acc := v :: !acc) races;
+  Dep.Set_.iter (fun d _ -> if d.Dep.racy then acc := d.Dep.var :: !acc) deps;
   List.sort_uniq compare !acc
 
-let racy_raw_count (r : Profiler.Serial.result) : int =
+let racy_vars (r : Profiler.Serial.result) = racy_names r.races r.deps
+
+let racy_raw_count deps =
   let n = ref 0 in
   Dep.Set_.iter
     (fun d _ -> if d.Dep.racy && d.Dep.dtype = Dep.Raw then incr n)
-    r.deps;
+    deps;
   !n
+
+(* A race run: the program under [scramble_unlocked] (§2.3.4), fed to an
+   engine as [Serial.profile] configures it (perfect shadow, no skip,
+   lifetime analysis) but without the PET a verdict never reads. Its
+   result and prints are also the program's observation at [seed]. *)
+type race_run = {
+  observation : observation;
+  races : (string * int * int) list;
+  deps : Dep.Set_.t;
+}
+
+let race_run ~seed prog =
+  let lstacks = Trace.Intern.Lstack.create () in
+  let engine =
+    Profiler.Engine.create ~skip:false ~lifetime:true ~lstacks
+      Profiler.Engine.Perfect
+  in
+  let prints = ref [] in
+  let r =
+    Interp.run ~seed ~lstacks ~scramble_unlocked:true
+      ~emit:(function
+        | Trace.Event.Dealloc { addrs } ->
+            Profiler.Engine.feed_dealloc engine addrs
+        | _ -> ())
+      ~on_access:(Profiler.Engine.feed_fields engine)
+      ~on_print:(fun vs -> prints := vs :: !prints)
+      prog
+  in
+  { observation = observation_of r !prints;
+    races = Profiler.Engine.races engine;
+    deps = Profiler.Engine.deps engine }
 
 type verdict = {
   v_ok : bool;
@@ -89,28 +138,49 @@ type verdict = {
 
 let default_seeds = [ 42; 1009; 77777 ]
 
-(* An original without [Par] runs as one thread: the scrambler never
-   delays its accesses, timestamps reach the engine in order, and its racy
-   set is empty without profiling it. *)
+(* Each program runs as few times as the verdict needs. The race run at
+   the first seed is also that seed's observation of the transformed
+   program, and of an original with [Par]; an original without [Par] is
+   not race-run, since one thread's accesses are never delayed by the
+   scrambler and nothing in it can be racy. A seed-free original is
+   observed once for every seed. *)
 let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     ~(transformed : Mil.Ast.program) () : verdict =
+  let seed0 = match seeds with s :: _ -> s | [] -> 42 in
+  (* Only the observations outlive the race check, not the engines'
+     dependence tables. *)
+  let orig_obs, new_racy, racy_raw, tran_obs =
+    Obs.Span.with_ ~phase:"validate.race_check" @@ fun () ->
+    let orig_obs, base =
+      if Mil.Rewrite.has_par original then
+        let o = race_run ~seed:seed0 original in
+        (Some o.observation, racy_names o.races o.deps)
+      else (None, [])
+    in
+    let t = race_run ~seed:seed0 transformed in
+    ( orig_obs,
+      List.filter
+        (fun v -> not (List.mem v base))
+        (racy_names t.races t.deps),
+      racy_raw_count t.deps,
+      t.observation )
+  in
   let mismatches =
     Obs.Span.with_ ~phase:"validate.observe" @@ fun () ->
+    let once =
+      if seed_free original then Some (lazy (observe original)) else None
+    in
     List.concat_map
       (fun seed ->
-        let a = observe ~seed original and b = observe ~seed transformed in
+        let a =
+          match (orig_obs, once) with
+          | Some o, _ when seed = seed0 -> o
+          | _, Some o -> Lazy.force o
+          | _ -> observe ~seed original
+        in
+        let b = if seed = seed0 then tran_obs else observe ~seed transformed in
         List.map (fun issue -> (seed, issue)) (diff_observations a b))
       seeds
-  in
-  let seed0 = match seeds with s :: _ -> s | [] -> 42 in
-  let p_tran, new_racy =
-    Obs.Span.with_ ~phase:"validate.race_check" @@ fun () ->
-    let profile = Profiler.Serial.profile ~scramble_unlocked:true ~seed:seed0 in
-    let base =
-      if Mil.Rewrite.has_par original then racy_vars (profile original) else []
-    in
-    let p_tran = profile transformed in
-    (p_tran, List.filter (fun v -> not (List.mem v base)) (racy_vars p_tran))
   in
   let v_ok = mismatches = [] && new_racy = [] in
   Obs.Counter.incr (if v_ok then c_pass else c_fail);
@@ -118,7 +188,7 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     v_seeds = seeds;
     v_mismatches = mismatches;
     v_new_racy = new_racy;
-    v_racy_raw = racy_raw_count p_tran }
+    v_racy_raw = racy_raw }
 
 let verdict_to_string (v : verdict) =
   let b = Buffer.create 256 in

@@ -4,10 +4,17 @@
 
     State equivalence runs original and transformed under several scheduler
     seeds and compares observable state (entry return value, final globals
-    of the original program, [print] stream); the race check re-profiles
-    both with [scramble_unlocked] and requires no {e new} racy variables in
-    the transformed program. An original without [Par] is not re-profiled:
-    a single thread has no racy variables. *)
+    of the original program, [print] stream); the race check runs both
+    with [scramble_unlocked] into a dependence engine (no PET is built) and
+    requires no {e new} racy variables in the transformed program. An
+    original without [Par] is not race-run: a single thread has no racy
+    variables.
+
+    Each program runs as few times as the verdict needs: a race run at the
+    first seed is also that seed's observation, and a {!seed_free}
+    original is observed once for every seed. Per seed after the first,
+    the transformed program and a non-seed-free original run once each,
+    uninstrumented. *)
 
 type observation = {
   o_result : int;
@@ -17,6 +24,11 @@ type observation = {
 }
 
 val observe : ?seed:int -> Mil.Ast.program -> observation
+
+val seed_free : Mil.Ast.program -> bool
+(** No [Par] and no call to [rand] in any function: the scheduler's seed
+    cannot reach such a program's run, so it observes the same at every
+    seed. *)
 
 val diff_observations : observation -> observation -> string list
 (** Human-readable discrepancies; empty means observably equal. *)
@@ -32,7 +44,8 @@ type verdict = {
 
 val racy_vars : Profiler.Serial.result -> string list
 (** Variables with an observed timestamp reversal, from the race list and
-    the racy flag of merged records, sorted. *)
+    the racy flag of merged records, sorted — what {!differential} computes
+    from its race runs. *)
 
 val default_seeds : int list
 
@@ -44,7 +57,8 @@ val differential :
   verdict
 (** Counts the outcome in the [Obs] registry
     ([transform.validate.pass] / [transform.validate.fail]), and times its
-    two halves as the [validate.observe] and [validate.race_check] spans. *)
+    two halves as the [validate.race_check] and [validate.observe] spans.
+    Its race runs publish no [profiler.*] metrics and no [profile] span. *)
 
 val verdict_to_string : verdict -> string
 

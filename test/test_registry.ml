@@ -298,6 +298,37 @@ let test_interleave_golden () =
   check_golden ~env:"INTERLEAVE_GOLDEN_OUT" ~file:"interleave.golden"
     ~what:"interleavings" (interleave_lines ())
 
+(* [golden/validate.golden] pins [Validate.differential]: for every registry
+   program at its default size whose first transformable suggestion
+   ([Parallelize.apply_first ~chunks:2] after a 2-thread analysis) applies,
+   [verdict_to_string] at the default seeds and at seed 42 alone, its lines
+   joined by " / ".
+
+   Regenerate (only for a deliberate change to validation) with
+     VALIDATE_GOLDEN_OUT=test/golden/validate.golden \
+       dune exec test/test_main.exe -- test registry *)
+let validate_line (w : R.t) =
+  let report = S.analyze ~threads:2 (R.program w) in
+  match Transform.Parallelize.apply_first ~chunks:2 report with
+  | Error _ -> None
+  | Ok (t, _) ->
+      let verdict seeds =
+        Transform.Validate.(
+          verdict_to_string
+            (differential ?seeds ~original:t.original
+               ~transformed:t.transformed ()))
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map String.trim |> String.concat " / "
+      in
+      Some
+        (Printf.sprintf "%s %s || %s" w.name (verdict None)
+           (verdict (Some [ 42 ])))
+
+let test_validate_golden () =
+  check_golden ~env:"VALIDATE_GOLDEN_OUT" ~file:"validate.golden"
+    ~what:"verdict" (List.filter_map validate_line registry)
+
 let tests =
   [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
       test_registry_digest;
@@ -305,4 +336,5 @@ let tests =
     Alcotest.test_case "engine counters golden (skip, occupancy)" `Slow
       test_engine_golden;
     Alcotest.test_case "interleave golden (streams, scramble, observation)"
-      `Slow test_interleave_golden ]
+      `Slow test_interleave_golden;
+    Alcotest.test_case "validate golden (verdicts)" `Slow test_validate_golden ]

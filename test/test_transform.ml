@@ -259,6 +259,62 @@ let test_threaded_original_race_kept () =
     v.V.v_new_racy;
   Alcotest.(check bool) "validation passes" true v.V.v_ok
 
+(* With one seed, the only observation of the transformed program is the
+   race run's: a validation that forgot to compare it would pass these. *)
+let test_one_seed_compares () =
+  (match P.naive_doall ~chunks:4 recurrence_prog ~line:recurrence_line with
+  | Error e -> Alcotest.failf "naive chunking unexpectedly refused: %s" e
+  | Ok transformed ->
+      let v =
+        V.differential ~seeds:[ 42 ] ~original:recurrence_prog ~transformed ()
+      in
+      Alcotest.(check bool) "the recurrence chunking fails" false v.V.v_ok;
+      Alcotest.(check bool) "with a mismatch at seed 42" true
+        (v.V.v_mismatches <> []
+        && List.for_all (fun (seed, _) -> seed = 42) v.V.v_mismatches));
+  let t =
+    match P.apply_first ~chunks:2 (S.analyze ~threads:2 racy_original) with
+    | Ok (t, _) -> t
+    | Error _ -> Alcotest.fail "nothing transformable"
+  in
+  let v =
+    V.differential ~seeds:[ 42 ] ~original:t.original
+      ~transformed:t.transformed ()
+  in
+  Alcotest.(check (list string)) "the threaded original's race is not new" []
+    v.V.v_new_racy;
+  Alcotest.(check bool) "the threaded original passes at one seed" true
+    v.V.v_ok
+
+(* [seed_free] is what lets validation observe an original once: whatever it
+   accepts must observe the same at every seed. *)
+let test_seed_free_premise () =
+  let accepted =
+    List.filter
+      (fun (w : Workloads.Registry.t) ->
+        let p = Workloads.Registry.program w in
+        let free = V.seed_free p in
+        if Rewrite.has_par p then
+          Alcotest.(check bool) (w.name ^ ": has Par, not seed-free") false free;
+        if free then begin
+          let o = V.observe ~seed:42 p in
+          List.iter
+            (fun seed ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s: seed %d observes as seed 42" w.name seed)
+                [] (V.diff_observations o (V.observe ~seed p)))
+            [ 1009; 77777 ]
+        end;
+        free)
+      Helpers.registry
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " calls rand") false
+        (V.seed_free (Workloads.Registry.program (Helpers.workload name))))
+    [ "histogram"; "match_count" ];
+  Alcotest.(check int) "seed-free registry programs" 20 (List.length accepted)
+
 let tests =
   [ Alcotest.test_case "DOALL with reduction" `Quick test_doall_reduction;
     Alcotest.test_case "DOACROSS pipeline" `Quick test_doacross_pipeline;
@@ -272,4 +328,8 @@ let tests =
     Alcotest.test_case "sequential originals never race" `Slow
       test_sequential_original_never_racy;
     Alcotest.test_case "a threaded original's race is not new" `Quick
-      test_threaded_original_race_kept ]
+      test_threaded_original_race_kept;
+    Alcotest.test_case "one seed still compares the race run" `Quick
+      test_one_seed_compares;
+    Alcotest.test_case "seed-free originals observe alike at every seed" `Slow
+      test_seed_free_premise ]
