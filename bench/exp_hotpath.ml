@@ -2,7 +2,9 @@
    Fig. 2.9/2.12. Per sampled workload:
 
    - engine events/sec over a pre-recorded access stream (interpreter cost
-     excluded, so this isolates Algorithm 2 + shadow-memory throughput);
+     excluded, so this isolates Algorithm 2 + shadow-memory throughput), and
+     the same for the race-only detector ([Profiler.Race]) that validation
+     and [discopop races] feed;
    - GC minor words allocated per access during that feed (the per-access
      metadata cost that §2.3's cheap shadow lookups and dependence merging
      exist to suppress);
@@ -61,12 +63,15 @@ let sample () =
    region — the metric is event-processing throughput, not shadow-store
    setup (the off-heap signature store is a multi-MB allocation whose cost
    would otherwise dominate short CI streams). *)
-let measure_engine shadow (lstacks, stream) =
-  Util.replay (Profiler.Engine.create ~lstacks shadow) stream;
+let measure_feed create feed (lstacks, stream) =
+  let replay t =
+    Trace.Chunk.iter stream ~access:(feed t) ~remove:ignore
+  in
+  replay (create lstacks);
   let time () =
-    let engine = Profiler.Engine.create ~lstacks shadow in
+    let t = create lstacks in
     let t0 = Unix.gettimeofday () in
-    Util.replay engine stream;
+    replay t;
     Unix.gettimeofday () -. t0
   in
   let t = ref (time ()) in
@@ -75,12 +80,22 @@ let measure_engine shadow (lstacks, stream) =
     if dt < !t then t := dt
   done;
   let t = !t in
-  let engine = Profiler.Engine.create ~lstacks shadow in
+  let fresh = create lstacks in
   let w0 = Gc.minor_words () in
-  Util.replay engine stream;
+  replay fresh;
   let dw = Gc.minor_words () -. w0 in
   let n = float_of_int (Trace.Chunk.length stream) in
   (n /. t, dw /. n)
+
+let measure_engine shadow =
+  measure_feed
+    (fun lstacks -> Profiler.Engine.create ~lstacks shadow)
+    Profiler.Engine.feed_fields
+
+let measure_race =
+  measure_feed
+    (fun lstacks -> Profiler.Race.create ~lstacks)
+    Profiler.Race.feed_fields
 
 (* Minor words per access the parallel profiler allocates on the calling
    domain, after one warm-up run. *)
@@ -132,6 +147,7 @@ let run () =
           measure_engine (Profiler.Engine.Signature 65_536) stream
         in
         let perf_eps, perf_wpa = measure_engine Profiler.Engine.Perfect stream in
+        let race_eps, race_wpa = measure_race stream in
         let par_wpa = measure_parallel_producer prog in
         let interp_sps = measure_interp ~instrument:true prog in
         let native_sps = measure_interp ~instrument:false prog in
@@ -148,6 +164,9 @@ let run () =
         g (Printf.sprintf "hotpath.%s.perfect.events_per_sec" w.name) perf_eps;
         g (Printf.sprintf "hotpath.%s.perfect.minor_words_per_access" w.name)
           perf_wpa;
+        g (Printf.sprintf "hotpath.%s.race.events_per_sec" w.name) race_eps;
+        g (Printf.sprintf "hotpath.%s.race.minor_words_per_access" w.name)
+          race_wpa;
         g (Printf.sprintf "hotpath.%s.parallel.minor_words_per_access" w.name)
           par_wpa;
         g (Printf.sprintf "hotpath.%s.interp.stmts_per_sec" w.name) interp_sps;
@@ -162,6 +181,7 @@ let run () =
         [ w.name; string_of_int n;
           Printf.sprintf "%.2e" sig_eps; Printf.sprintf "%.1f" sig_wpa;
           Printf.sprintf "%.2e" perf_eps; Printf.sprintf "%.1f" perf_wpa;
+          Printf.sprintf "%.2e" race_eps; Printf.sprintf "%.1f" race_wpa;
           Printf.sprintf "%.1f" par_wpa;
           Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
           Printf.sprintf "%.2e" serial_aps; Printf.sprintf "%.0f" slowdown ])
@@ -170,12 +190,13 @@ let run () =
   Util.table
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
-        "perf w/acc"; "par w/acc"; "interp st/s";
+        "perf w/acc"; "race ev/s"; "race w/acc"; "par w/acc"; "interp st/s";
         "native st/s"; "serial acc/s"; "slowdown" ]
     rows;
   print_endline
-    "(events/sec: engine alone over a pre-recorded stream; w/acc: GC minor\n\
-    \ words allocated per access, par: the parallel profiler's producer;\n\
+    "(events/sec: engine (race: race-only detector) alone over a\n\
+    \ pre-recorded stream; w/acc: GC minor words allocated per access, par:\n\
+    \ the parallel profiler's producer;\n\
     \ st/s: interpreted statements/sec,\n\
     \ instrumented into no-op sinks and native; serial acc/s: the whole serial\n\
     \ profiler, perfect + skip; slowdown: serial profiled vs native)"

@@ -1154,8 +1154,10 @@ let races_cmd =
     with_obs ~stats:None ~trace @@ fun () ->
     let found = Hashtbl.create 8 in
     for seed = 1 to seeds do
-      let r = Profiler.Serial.profile ~scramble_unlocked:true ~seed prog in
-      List.iter (fun race -> Hashtbl.replace found race ()) r.Profiler.Serial.races
+      let race, _ = Profiler.Race.run ~seed prog in
+      List.iter
+        (fun race -> Hashtbl.replace found race ())
+        (Profiler.Race.races race)
     done;
     if Hashtbl.length found = 0 then
       print_endline "no potential races observed on these schedules"

@@ -247,10 +247,14 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   let counts : (int, int ref) Hashtbl.t = Hashtbl.create 4096 in
   let since_rebalance = ref 0 in
   let redistributions = ref 0 in
+  (* No rule is ever added at one worker, nor before the first
+     rebalance moves an address: skip the hash then. *)
   let route addr =
-    match Hashtbl.find_opt rules addr with
-    | Some worker -> worker
-    | None -> addr mod w
+    if Hashtbl.length rules = 0 then addr mod w
+    else
+      match Hashtbl.find_opt rules addr with
+      | Some worker -> worker
+      | None -> addr mod w
   in
   let ship worker c =
     channel_push channels.(worker) (Ichunk c);

@@ -11,7 +11,7 @@
       its race run (below); a seed-free original runs once.
    2. Race check: run both programs, the original only if it has [Par],
       with [scramble_unlocked] (the §2.3.4 reordering that exposes
-      unsynchronized accesses) into a dependence engine, and require the
+      unsynchronized accesses) into a race-only detector, and require the
       transformed program to introduce no *new* racy variables — in
       particular no unsynchronized cross-chunk RAW on transformed DOALL
       regions. Variables introduced by the transform itself (the "__"
@@ -79,9 +79,10 @@ let diff_observations (a : observation) (b : observation) : string list =
   if a.o_prints <> b.o_prints then issues := "print stream differs" :: !issues;
   List.rev !issues
 
-(* Racy variables: names with an observed timestamp reversal, from the
-   engine's race list and the racy flag on merged dependence records.
-   Comparing by name survives the transform's renumbering. *)
+(* Racy variables: names with an observed timestamp reversal, from a race
+   list and the racy flag on dependence records (an engine's whole table or
+   a race detector's racy ones). Comparing by name survives the transform's
+   renumbering. *)
 let racy_names races deps =
   let acc = ref [] in
   List.iter (fun (v, _, _) -> acc := v :: !acc) races;
@@ -97,36 +98,25 @@ let racy_raw_count deps =
     deps;
   !n
 
-(* A race run: the program under [scramble_unlocked] (§2.3.4), fed to an
-   engine as [Serial.profile] configures it (perfect shadow, no skip,
-   lifetime analysis) but without the PET a verdict never reads. Its
-   result and prints are also the program's observation at [seed]. *)
+(* A race run: the program under [scramble_unlocked] (§2.3.4), fed to a
+   race-only detector ({!Profiler.Race}: perfect shadow, the engine's rule
+   with no skip and lifetime analysis on), which builds only the racy
+   records a verdict reads. Its result and prints are also the program's
+   observation at [seed]. *)
 type race_run = {
   observation : observation;
   races : (string * int * int) list;
-  deps : Dep.Set_.t;
+  racy : Dep.Set_.t;
 }
 
 let race_run ~seed prog =
-  let lstacks = Trace.Intern.Lstack.create () in
-  let engine =
-    Profiler.Engine.create ~skip:false ~lifetime:true ~lstacks
-      Profiler.Engine.Perfect
-  in
   let prints = ref [] in
-  let r =
-    Interp.run ~seed ~lstacks ~scramble_unlocked:true
-      ~emit:(function
-        | Trace.Event.Dealloc { addrs } ->
-            Profiler.Engine.feed_dealloc engine addrs
-        | _ -> ())
-      ~on_access:(Profiler.Engine.feed_fields engine)
-      ~on_print:(fun vs -> prints := vs :: !prints)
-      prog
+  let race, r =
+    Profiler.Race.run ~seed ~on_print:(fun vs -> prints := vs :: !prints) prog
   in
   { observation = observation_of r !prints;
-    races = Profiler.Engine.races engine;
-    deps = Profiler.Engine.deps engine }
+    races = Profiler.Race.races race;
+    racy = Profiler.Race.racy race }
 
 type verdict = {
   v_ok : bool;
@@ -147,22 +137,22 @@ let default_seeds = [ 42; 1009; 77777 ]
 let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     ~(transformed : Mil.Ast.program) () : verdict =
   let seed0 = match seeds with s :: _ -> s | [] -> 42 in
-  (* Only the observations outlive the race check, not the engines'
-     dependence tables. *)
+  (* Only the observations outlive the race check, not the detectors'
+     racy records. *)
   let orig_obs, new_racy, racy_raw, tran_obs =
     Obs.Span.with_ ~phase:"validate.race_check" @@ fun () ->
     let orig_obs, base =
       if Mil.Rewrite.has_par original then
         let o = race_run ~seed:seed0 original in
-        (Some o.observation, racy_names o.races o.deps)
+        (Some o.observation, racy_names o.races o.racy)
       else (None, [])
     in
     let t = race_run ~seed:seed0 transformed in
     ( orig_obs,
       List.filter
         (fun v -> not (List.mem v base))
-        (racy_names t.races t.deps),
-      racy_raw_count t.deps,
+        (racy_names t.races t.racy),
+      racy_raw_count t.racy,
       t.observation )
   in
   let mismatches =

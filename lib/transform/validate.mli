@@ -5,10 +5,12 @@
     State equivalence runs original and transformed under several scheduler
     seeds and compares observable state (entry return value, final globals
     of the original program, [print] stream); the race check runs both
-    with [scramble_unlocked] into a dependence engine (no PET is built) and
-    requires no {e new} racy variables in the transformed program. An
-    original without [Par] is not race-run: a single thread has no racy
-    variables.
+    with [scramble_unlocked] into {!Profiler.Race}, which applies the
+    engine's timestamp-reversal rule but builds only the racy dependence
+    records, and requires no {e new} racy variables in the transformed
+    program. {!verdict}'s [v_racy_raw] still counts the transformed run's
+    racy RAW records exactly. An original without [Par] is not race-run: a
+    single thread has no racy variables.
 
     Each program runs as few times as the verdict needs: a race run at the
     first seed is also that seed's observation, and a {!seed_free}
@@ -38,8 +40,8 @@ type verdict = {
   v_seeds : int list;
   v_mismatches : (int * string) list;  (** (seed, issue) *)
   v_new_racy : string list;
-      (** variables racy in the transformed profile but not the original *)
-  v_racy_raw : int;  (** racy RAW records in the transformed profile *)
+      (** variables racy in the transformed race run but not the original *)
+  v_racy_raw : int;  (** racy RAW records in the transformed race run *)
 }
 
 val racy_vars : Profiler.Serial.result -> string list

@@ -170,6 +170,19 @@ let test_alloc_regression () =
           per_access alloc_cap)
     [ ("sig", Profiler.Engine.Signature 4096);
       ("perfect", Profiler.Engine.Perfect) ];
+  (* The race-only detector's path is held to the engines' cap. *)
+  let race () =
+    Chunk.iter stream
+      ~access:(Profiler.Race.feed_fields (Profiler.Race.create ~lstacks))
+      ~remove:ignore
+  in
+  race ();
+  let w0 = Gc.minor_words () in
+  race ();
+  let per_access = (Gc.minor_words () -. w0) /. n in
+  if per_access > alloc_cap then
+    Alcotest.failf "race: %.2f minor words/access exceeds cap %.1f" per_access
+      alloc_cap;
   (* The parallel profiler's producer runs the interpreter and packs every
      access into a chunk on the calling domain; the engines run on the
      worker's. Its cap is wider: the interpreter and the hot-address

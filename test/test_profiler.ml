@@ -965,3 +965,61 @@ let tests =
         test_profile_check;
       Alcotest.test_case "Profile.run dispatches as the direct calls" `Quick
         test_profile_run_dispatch ]
+
+(* [Race] against [Engine] (perfect, skip off, lifetime on) on random
+   streams whose timestamps are shuffled within a small window: every
+   combination of empty, older and newer read and write slots occurs, with
+   deallocations, loop-carried sources and an address past the shadow's
+   initial size. Races and racy records must agree. *)
+let test_race_random_streams () =
+  let module E = Profiler.Engine in
+  let module L = Trace.Intern.Lstack in
+  let lstacks = L.create () in
+  let outer = L.push lstacks ~parent:L.empty ~loop_line:10 ~inst:1 ~iter:0 in
+  let stacks =
+    [| L.empty; outer;
+       L.push lstacks ~parent:L.empty ~loop_line:10 ~inst:1 ~iter:1;
+       L.push lstacks ~parent:outer ~loop_line:20 ~inst:2 ~iter:0;
+       L.push lstacks ~parent:outer ~loop_line:20 ~inst:2 ~iter:1 |]
+  in
+  let vars = Array.map Trace.Intern.Sym.intern [| "p"; "q"; "r" |] in
+  let addrs = [| 1; 2; 3; 4; 5000 |] in
+  let total_races = ref 0 in
+  for seed = 1 to 40 do
+    let rng = Random.State.make [| seed |] in
+    let pick a = a.(Random.State.int rng (Array.length a)) in
+    let engine = E.create ~skip:false ~lifetime:true ~lstacks E.Perfect in
+    let race = Profiler.Race.create ~lstacks in
+    for k = 1 to 400 do
+      if Random.State.int rng 50 = 0 then begin
+        let d = [ (pick addrs, 1 + Random.State.int rng 2, "p") ] in
+        E.feed_dealloc engine d;
+        Profiler.Race.feed_dealloc race d
+      end
+      else begin
+        let kind = if Random.State.bool rng then Trace.Event.Read else Write in
+        let addr = pick addrs and var = pick vars and lstack = pick stacks in
+        let line = 1 + Random.State.int rng 6 in
+        let thread = Random.State.int rng 3 in
+        let time = max 1 ((4 * k) + Random.State.int rng 13 - 6) in
+        let locked = Random.State.int rng 4 = 0 in
+        E.feed_fields engine ~kind ~addr ~var ~line ~thread ~time ~op:line
+          ~lstack ~locked;
+        Profiler.Race.feed_fields race ~kind ~addr ~var ~line ~thread ~time
+          ~op:line ~lstack ~locked
+      end
+    done;
+    let what = Printf.sprintf "stream %d" seed in
+    Alcotest.(check (list (triple string int int))) (what ^ ": races")
+      (E.races engine) (Profiler.Race.races race);
+    Alcotest.(check (list string)) (what ^ ": racy records")
+      (Helpers.racy_records (E.deps engine))
+      (Helpers.racy_records (Profiler.Race.racy race));
+    total_races := !total_races + List.length (Profiler.Race.races race)
+  done;
+  Alcotest.(check bool) "the streams race" true (!total_races > 0)
+
+let tests =
+  tests
+  @ [ Alcotest.test_case "race detector = engine on random streams" `Quick
+        test_race_random_streams ]

@@ -286,6 +286,90 @@ let test_one_seed_compares () =
   Alcotest.(check bool) "the threaded original passes at one seed" true
     v.V.v_ok
 
+(* The two-thread counter of examples/race_finder.ml: one arm bumps [hits]
+   under a lock, the other forgets it. *)
+let buggy_counter =
+  let open Builder in
+  number
+    (program ~entry:"main" "buggy_counter" ~globals:[ gscalar "hits" 0 ]
+       [ func "main"
+           [ par
+               [ [ for_ "k" (i 0) (i 50)
+                     [ lock "m"; set "hits" (v "hits" + i 1); unlock "m" ] ];
+                 [ for_ "k" (i 0) (i 50) [ set "hits" (v "hits" + i 1) ] ] ];
+             return (v "hits") ] ])
+
+(* [Race] against its reference: one scrambled run feeds both a [Race] and
+   an [Engine] configured as validation used to run it (perfect shadow, no
+   skip, lifetime on). Returns the number of races found. *)
+let race_matches_engine ~what ~seed prog =
+  let lstacks = Trace.Intern.Lstack.create () in
+  let engine =
+    Profiler.Engine.create ~skip:false ~lifetime:true ~lstacks
+      Profiler.Engine.Perfect
+  in
+  let race = Profiler.Race.create ~lstacks in
+  ignore
+    (Interp.run ~seed ~lstacks ~scramble_unlocked:true
+       ~emit:(function
+         | Trace.Event.Dealloc { addrs } ->
+             Profiler.Engine.feed_dealloc engine addrs;
+             Profiler.Race.feed_dealloc race addrs
+         | _ -> ())
+       ~on_access:(fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
+           ~locked ->
+         Profiler.Engine.feed_fields engine ~kind ~addr ~var ~line ~thread
+           ~time ~op ~lstack ~locked;
+         Profiler.Race.feed_fields race ~kind ~addr ~var ~line ~thread ~time
+           ~op ~lstack ~locked)
+       prog);
+  let what = Printf.sprintf "%s at seed %d" what seed in
+  let races = Profiler.Race.races race in
+  Alcotest.(check (list (triple string int int))) (what ^ ": races")
+    (Profiler.Engine.races engine) races;
+  Alcotest.(check (list string)) (what ^ ": racy records")
+    (Helpers.racy_records (Profiler.Engine.deps engine))
+    (Helpers.racy_records (Profiler.Race.racy race));
+  List.length races
+
+let test_race_matches_engine () =
+  List.iter
+    (fun (w : Workloads.Registry.t) ->
+      let original = Workloads.Registry.program w in
+      let transformed =
+        match P.apply_first ~chunks:2 (S.analyze ~threads:2 original) with
+        | Ok (t, _) -> [ ("transformed " ^ w.name, t.P.transformed) ]
+        | Error _ -> []
+      in
+      List.iter
+        (fun (what, prog) ->
+          List.iter
+            (fun seed -> ignore (race_matches_engine ~what ~seed prog))
+            V.default_seeds)
+        ((w.name, original) :: transformed))
+    Helpers.registry;
+  let racy_transformed =
+    match P.apply_first ~chunks:2 (S.analyze ~threads:2 racy_original) with
+    | Ok (t, _) -> t.P.transformed
+    | Error _ -> Alcotest.fail "nothing transformable"
+  in
+  let racy_runs (what, prog) =
+    List.filter
+      (fun seed -> race_matches_engine ~what ~seed prog > 0)
+      ([ 1; 2; 3; 4; 5 ] @ V.default_seeds)
+  in
+  (* Not vacuous: [racy_original] and its transform do race. [buggy_counter]
+     shows no race at these seeds (a known blind spot of the scrambler, not
+     of the detector: the engine agrees), so it is compared but not counted
+     on. *)
+  List.iter
+    (fun (what, prog) ->
+      Alcotest.(check bool) (what ^ " races at some seed") true
+        (racy_runs (what, prog) <> []))
+    [ ("racy_original", racy_original);
+      ("transformed racy_original", racy_transformed) ];
+  ignore (racy_runs ("buggy_counter", buggy_counter))
+
 (* [seed_free] is what lets validation observe an original once: whatever it
    accepts must observe the same at every seed. *)
 let test_seed_free_premise () =
@@ -332,4 +416,6 @@ let tests =
     Alcotest.test_case "one seed still compares the race run" `Quick
       test_one_seed_compares;
     Alcotest.test_case "seed-free originals observe alike at every seed" `Slow
-      test_seed_free_premise ]
+      test_seed_free_premise;
+    Alcotest.test_case "race detector agrees with the engine" `Slow
+      test_race_matches_engine ]
