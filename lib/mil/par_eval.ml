@@ -10,10 +10,13 @@
      out of it so allocation is contention-free off the refill path.
      Scope-exit recycling goes to task-local free lists only — addresses
      never migrate between tasks, so no cross-task ABA.
-   - [Par] blocks free of blocking synchronisation run as fork-join tasks
-     on a {!Runtime.Pool}: first block inline, siblings async, awaited
-     with help (the awaiting task runs other pool work), so pool tasks
-     never block and the fixed worker set cannot deadlock.
+   - the caller of [run] is the pool's executor 0.  [Par] blocks free of
+     blocking synchronisation run as fork-join tasks on a
+     {!Runtime.Pool}: first block inline (counted as one of the running
+     executor's tasks), siblings async, awaited with help (the awaiting
+     task runs other pool work), so pool tasks never block and the fixed
+     worker set cannot deadlock.  Inside a dedicated domain (below), which
+     is not an executor, such a block runs its arms inline in order.
    - [Par] blocks that do synchronise (transitively through calls and
      nested [Par]: [Lock]/[Unlock]/[Barrier]) each get a dedicated
      [Domain.spawn]: the DOACROSS hand-off loops emitted by
@@ -208,8 +211,8 @@ let check_failed st =
       raise Cancelled
   | None -> ()
 
-(* Every arm is joined whichever one failed — with an externally supplied
-   pool (Measure reuses one across reps) an unjoined sibling would keep
+(* Every arm is joined whichever one failed — the pool outlives the run
+   (Measure reuses one across reps), so an unjoined sibling would keep
    executing into the caller's next use of the pool — then the first real
    (non-Cancelled) error is raised, falling back to Cancelled. *)
 let join_all outcomes =
@@ -313,23 +316,27 @@ module Backend = struct
       |> join_all
     end
     else
-      match (st.pool, arms) with
-      | None, _ | _, [] ->
-          (* single-executor mode: arms run inline in order (sync-free arms
-             cannot depend on each other's interleaving) *)
+      match (st.pool, t.group, arms) with
+      | None, _, _ | _, Some _, _ | _, _, [] ->
+          (* no pool, or a dedicated domain (the only tasks with a group),
+             which is no pool executor: arms run inline in order (sync-free
+             arms cannot depend on each other's interleaving) *)
           List.iter (fun arm -> arm t) arms
-      | Some pool, first :: rest ->
+      | Some pool, None, first :: rest ->
           (* fork-join: siblings are stealable, first arm runs inline *)
           let futs =
             List.map
               (fun arm ->
-                Runtime.Sched.async pool (fun () -> guarded (task_create st) arm))
+                Runtime.Pool.async pool (fun () -> guarded (task_create st) arm))
               rest
           in
-          let inline = try guarded t first; None with ex -> Some ex in
+          let inline =
+            try Runtime.Pool.inline pool (fun () -> guarded t first); None
+            with ex -> Some ex
+          in
           inline
           :: List.map
-               (fun fut -> try Runtime.Sched.await pool fut; None with ex -> Some ex)
+               (fun fut -> try Runtime.Pool.await pool fut; None with ex -> Some ex)
                futs
           |> join_all
 end
@@ -340,17 +347,8 @@ module C = Compile.Make (Backend)
 
 type result = { result : int; final_globals : (string * int array) list }
 
-let run ?(domains = 1) ?pool ?(seed = 42) ?(on_print = fun (_ : int list) -> ())
+let run ?pool ?(seed = 42) ?(on_print = fun (_ : int list) -> ())
     ?(cancelled = fun () -> false) (prog : program) : result =
-  let owned_pool, pool =
-    match pool with
-    | Some p -> (None, Some p)
-    | None ->
-        if domains <= 1 then (None, None)
-        else
-          let p = Runtime.Pool.create ~domains () in
-          (Some p, Some p)
-  in
   let st =
     {
       mem = mem_create ();
@@ -366,26 +364,17 @@ let run ?(domains = 1) ?pool ?(seed = 42) ?(on_print = fun (_ : int list) -> ())
     }
   in
   let t = task_create st in
-  let finish () =
-    match owned_pool with Some p -> Runtime.Pool.shutdown p | None -> ()
-  in
+  let enrolled f = match pool with Some p -> Runtime.Pool.run p f | None -> f () in
   (* Globals and locks are installed by the main task before any
      parallelism; the tables are read-only afterwards. *)
-  match
+  try
+    enrolled @@ fun () ->
     let compiled = C.prepare t prog in
     List.iter (fun m -> Hashtbl.replace st.locks m (Mutex.create ())) (C.locks compiled);
     let result = C.run_main compiled t in
     { result; final_globals = C.final_globals compiled t }
-  with
-  | r ->
-      finish ();
-      r
-  | exception ex ->
-      finish ();
-      (* prefer the root cause recorded by the first failing task *)
-      let ex =
-        match (ex, Atomic.get st.failed) with
-        | Cancelled, Some root when root <> Cancelled -> root
-        | _ -> ex
-      in
-      raise ex
+  with ex -> (
+    (* prefer the root cause recorded by the first failing task *)
+    match (ex, Atomic.get st.failed) with
+    | Cancelled, Some root when root <> Cancelled -> raise root
+    | _ -> raise ex)

@@ -7,8 +7,10 @@
     synchronisation ([Lock]/[Unlock]/[Barrier] — e.g. the lock-serialized
     DOACROSS hand-offs emitted by [Transform.Parallelize]) each get a
     dedicated domain, so a busy-wait hand-off can never starve a pool
-    worker. [Lock] is a real [Mutex.t]; [Atomic_assign] serializes its
-    read-modify-write through a stripe of mutexes hashed by target address.
+    worker. The caller of {!run} is the pool's executor 0; a sync-free
+    [Par] nested inside a dedicated domain runs its arms inline. [Lock] is
+    a real [Mutex.t]; [Atomic_assign] serializes its read-modify-write
+    through a stripe of mutexes hashed by target address.
 
     Memory is a paged shared heap ([int array] pages behind an [Atomic.t]
     page table) with per-task bump arenas, so concurrent tasks allocate
@@ -26,19 +28,20 @@ type result = {
 }
 
 val run :
-  ?domains:int ->
   ?pool:Runtime.Pool.t ->
   ?seed:int ->
   ?on_print:(int list -> unit) ->
   ?cancelled:(unit -> bool) ->
   Ast.program ->
   result
-(** Execute the program. [pool] reuses an existing (already running)
-    work-stealing pool — what {!Measure} does across repetitions so pool
-    spin-up is not timed; otherwise a fresh pool of [domains] executors is
-    created for the run and shut down afterwards ([domains = 1] runs
-    sync-free [Par] blocks inline and still gives dedicated domains to
-    blocks that synchronise). [on_print] observes [print] calls (serialized
-    by a mutex when tasks race). [cancelled] is polled every ~2k statements
-    per task, as in {!Interp.run}; a true verdict raises
-    {!Interp.Cancelled} out of every task and then out of [run]. *)
+(** Execute the program. With [pool] (an already running work-stealing
+    pool, which {!Measure} reuses across repetitions so pool spin-up is not
+    timed) the calling domain is enrolled as the pool's executor 0 for the
+    run: sync-free [Par] blocks run their first arm inline, counted as one
+    of that executor's tasks, and their other arms as pool tasks. Without
+    [pool], and inside a dedicated domain, sync-free [Par] blocks run their
+    arms inline in order; blocks that synchronise always get dedicated
+    domains. [on_print] observes [print] calls (serialized by a mutex when
+    tasks race). [cancelled] is polled every ~2k statements per task, as
+    in {!Interp.run}; a true verdict raises {!Interp.Cancelled} out of
+    every task and then out of [run]. *)

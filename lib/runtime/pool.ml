@@ -1,17 +1,17 @@
-(* A pool of persistent worker domains around per-executor Chase-Lev deques.
+(* A pool of persistent worker domains around per-executor Chase-Lev deques,
+   with async/await futures on top.
 
-   Executor 0 is the *caller*: [run] temporarily enrols the calling domain
-   so it pushes/pops its own deque like any worker.  Executors 1..n-1 are
-   spawned domains that live until [shutdown].  Work submitted from a
-   domain that is not an executor goes through a mutex-protected inject
-   queue, which executors poll when their own deque and steals come up
-   empty.
+   Executor 0 is the *caller*: [run] enrols the calling domain so it
+   pushes/pops its own deque like any worker.  Executors 1..n-1 are
+   spawned domains that live until [shutdown].  Only executors submit or
+   help: [async]/[await]/[inline] from any other domain raise
+   [Invalid_argument].
 
-   Tasks must not block: [Sched.await] helps (pop own deque, steal, run
-   injected work) instead of waiting, so as long as every submitted task
-   is itself non-blocking the pool cannot deadlock.  Code that needs real
-   blocking (the interpreter's lock-serialized DOACROSS hand-offs) runs on
-   dedicated domains outside the pool — see [Mil.Par_eval]. *)
+   Tasks must not block: [await] helps (pop own deque, then steal) instead
+   of waiting, so as long as every submitted task is itself non-blocking
+   the pool cannot deadlock.  Code that needs real blocking (the
+   interpreter's lock-serialized DOACROSS hand-offs) runs on dedicated
+   domains outside the pool — see [Mil.Par_eval]. *)
 
 type stats = {
   mutable tasks : int;  (* tasks executed by this executor *)
@@ -22,10 +22,8 @@ type stats = {
 type t = {
   uid : int;
   n : int; (* executors, including the caller slot 0 *)
-  deques : (unit -> unit) Deque.t array;
+  deques : (int -> unit) Deque.t array; (* a task gets its executor's index *)
   stats : stats array;
-  inject : (unit -> unit) Queue.t;
-  inject_mu : Mutex.t;
   stop : bool Atomic.t;
   pending : int Atomic.t; (* submitted but not yet completed *)
   mutable workers : unit Domain.t array;
@@ -40,12 +38,10 @@ let next_uid = Atomic.make 0
 let dls : (int * int) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let my_exec pool =
+let executor pool =
   match !(Domain.DLS.get dls) with
-  | Some (uid, i) when uid = pool.uid -> Some i
-  | _ -> None
-
-let size pool = pool.n
+  | Some (uid, i) when uid = pool.uid -> i
+  | _ -> invalid_arg "Runtime.Pool: the calling domain is not an executor"
 
 (* Cheap per-executor xorshift for randomized victim order. *)
 let rand_next st =
@@ -56,36 +52,38 @@ let rand_next st =
   st := x land max_int;
   !st
 
-let execute pool i f =
+(* Run [f] as one of executor [i]'s tasks.  The task is recorded before
+   [counted] returns, so whoever learns of its completion afterwards (a
+   future's awaiter) reads stats that already include it. *)
+let counted pool i f =
   let t0 = Obs.now_ns () in
-  (try f ()
-   with _ ->
-     (* Futures capture exceptions before they reach the pool; a stray one
-        from a bare [submit] must not kill the worker. *)
-     ());
-  let dt = Obs.now_ns () - t0 in
-  if i >= 0 then begin
+  let record () =
+    let dt = Obs.now_ns () - t0 in
     let st = pool.stats.(i) in
     st.tasks <- st.tasks + 1;
     st.busy_ns <- st.busy_ns + dt;
-    Obs.Counter.add pool.c_busy.(i) dt
-  end;
-  Obs.Counter.incr pool.c_tasks;
+    Obs.Counter.add pool.c_busy.(i) dt;
+    Obs.Counter.incr pool.c_tasks
+  in
+  match f () with
+  | v ->
+      record ();
+      v
+  | exception e ->
+      record ();
+      raise e
+
+let execute pool i task =
+  task i;
   ignore (Atomic.fetch_and_add pool.pending (-1))
 
-let try_inject pool =
-  Mutex.lock pool.inject_mu;
-  let task = if Queue.is_empty pool.inject then None else Some (Queue.pop pool.inject) in
-  Mutex.unlock pool.inject_mu;
-  task
-
 (* One scheduling attempt for executor [i]: own deque, then steals in a
-   randomized sweep over the other executors, then the inject queue.
-   Returns true if a task was run. *)
+   randomized sweep over the other executors.  Returns true if a task was
+   run. *)
 let try_run_as pool i rng =
   match Deque.pop pool.deques.(i) with
-  | Some f ->
-      execute pool i f;
+  | Some task ->
+      execute pool i task;
       true
   | None -> (
       let n = pool.n in
@@ -98,63 +96,56 @@ let try_run_as pool i rng =
              negative [mod] would index the deque array out of bounds. *)
           let v = (i + 1 + (((off + !k) land max_int) mod (n - 1))) mod n in
           (match Deque.steal pool.deques.(v) with
-          | Some f -> stolen := Some f
+          | Some task -> stolen := Some task
           | None -> ());
           incr k
         done
       end;
       match !stolen with
-      | Some f ->
+      | Some task ->
           pool.stats.(i).steals <- pool.stats.(i).steals + 1;
           Obs.Counter.incr pool.c_steals;
-          execute pool i f;
-          true
-      | None -> (
-          match try_inject pool with
-          | Some f ->
-              execute pool i f;
-              true
-          | None -> false))
-
-(* Help from a domain that is not an executor of this pool: steal or take
-   injected work.  Keeps external [await]ers productive and guarantees
-   progress even if every worker is busy. *)
-let try_run_external pool rng =
-  let stolen = ref None in
-  let off = rand_next rng in
-  let k = ref 0 in
-  while !stolen = None && !k < pool.n do
-    (match Deque.steal pool.deques.(((off + !k) land max_int) mod pool.n) with
-    | Some f -> stolen := Some f
-    | None -> ());
-    incr k
-  done;
-  match !stolen with
-  | Some f ->
-      execute pool (-1) f;
-      true
-  | None -> (
-      match try_inject pool with
-      | Some f ->
-          execute pool (-1) f;
+          execute pool i task;
           true
       | None -> false)
 
-(* Run one available task on the calling domain, from wherever it can be
-   found.  Used by [Sched.await]. *)
-let try_run_one pool rng =
-  match my_exec pool with
-  | Some i -> try_run_as pool i rng
-  | None -> try_run_external pool rng
+(* Run [f] now on the calling executor, counted as one of its tasks. *)
+let inline pool f = counted pool (executor pool) f
 
-let submit pool f =
+type 'a state = Pending | Done of 'a | Raised of exn
+
+type 'a future = 'a state Atomic.t
+
+(* Queue [f] on the calling executor's deque.  The future captures [f]'s
+   exception, so none reaches the executor that runs it. *)
+let async pool f =
+  let i = executor pool in
+  let fut = Atomic.make Pending in
   ignore (Atomic.fetch_and_add pool.pending 1);
-  match my_exec pool with
-  | Some i -> Deque.push pool.deques.(i) f
-  | None ->
-      Mutex.lock pool.inject_mu;
-      Queue.push f pool.inject;
-      Mutex.unlock pool.inject_mu
+  Deque.push pool.deques.(i) (fun j ->
+      let r = counted pool j (fun () -> try Done (f ()) with e -> Raised e) in
+      Atomic.set fut r);
+  fut
+
+(* Per-domain rng for the help loop's steal sweep. *)
+let help_rng : int ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref 0x2545f491)
+
+(* Never blocks the domain: while the future is pending the executor runs
+   other pool tasks, and only backs off with [cpu_relax] when nothing is
+   runnable.  This keeps recursive task graphs (fib/sort/strassen)
+   deadlock-free on a fixed set of workers. *)
+let await pool fut =
+  let i = executor pool and rng = Domain.DLS.get help_rng in
+  let rec go () =
+    match Atomic.get fut with
+    | Done v -> v
+    | Raised e -> raise e
+    | Pending ->
+        if not (try_run_as pool i rng) then Domain.cpu_relax ();
+        go ()
+  in
+  go ()
 
 let worker_loop pool i =
   let cell = Domain.DLS.get dls in
@@ -185,8 +176,6 @@ let create ?(domains = Domain.recommended_domain_count ()) () =
       n;
       deques = Array.init n (fun _ -> Deque.create ());
       stats = Array.init n (fun _ -> { tasks = 0; steals = 0; busy_ns = 0 });
-      inject = Queue.create ();
-      inject_mu = Mutex.create ();
       stop = Atomic.make false;
       pending = Atomic.make 0;
       workers = [||];
@@ -214,27 +203,35 @@ let shutdown pool =
   Atomic.set pool.stop true;
   Array.iter Domain.join pool.workers;
   pool.workers <- [||];
-  (* If the caller raced a submit with shutdown, drain it here so pending
-     work is never silently dropped. *)
-  let rng = ref 1 in
-  while Atomic.get pool.pending > 0 do
-    if not (try_run_one pool rng) then Domain.cpu_relax ()
-  done
+  (* A one-executor pool has no workers: the caller drains what its own
+     submissions left queued, so pending work is never silently dropped. *)
+  run pool (fun () ->
+      let rng = ref 1 in
+      while Atomic.get pool.pending > 0 do
+        if not (try_run_as pool 0 rng) then Domain.cpu_relax ()
+      done)
 
 let stats pool =
   Array.map
     (fun s -> { tasks = s.tasks; steals = s.steals; busy_ns = s.busy_ns })
     pool.stats
 
-let total_steals pool =
-  Array.fold_left (fun acc s -> acc + s.steals) 0 pool.stats
+type activity = { a_tasks : int; a_steals : int; a_imbalance : float }
 
-let total_tasks pool = Array.fold_left (fun acc s -> acc + s.tasks) 0 pool.stats
-
-(* max busy / mean busy over executors that did any work: 1.0 = perfectly
-   balanced.  [Measure] reports this per run. *)
-let imbalance pool =
-  let busy = Array.map (fun s -> float_of_int s.busy_ns) pool.stats in
-  let sum = Array.fold_left ( +. ) 0. busy in
-  let mx = Array.fold_left max 0. busy in
-  if sum <= 0. then 1.0 else mx /. (sum /. float_of_int (Array.length busy))
+(* What the executors did between two [stats] snapshots.  Imbalance is max
+   busy / mean busy over all executors: 1.0 = perfectly balanced, and 1.0
+   when nothing ran. *)
+let activity ~before after =
+  let d f = Array.mapi (fun i s -> f s - f before.(i)) after in
+  let sum a = Array.fold_left ( + ) 0 a in
+  let busy = d (fun s -> s.busy_ns) in
+  let total = sum busy in
+  {
+    a_tasks = sum (d (fun s -> s.tasks));
+    a_steals = sum (d (fun s -> s.steals));
+    a_imbalance =
+      (if total <= 0 then 1.0
+       else
+         float_of_int (Array.fold_left max 0 busy * Array.length busy)
+         /. float_of_int total);
+  }

@@ -9,7 +9,9 @@
      4. every run's observation (result, non-internal globals, prints) is
         compared against the first timed sequential run's — a measurement
         of a wrong answer is worthless;
-     5. task/steal/busy counters are deltas over the timed reps only.
+     5. task/steal/busy counters are deltas over the timed reps only
+        ({!Runtime.Pool.activity}); the measuring domain is the pool's
+        executor 0 during each run, so they include its share.
 
    The sequential baseline is the uninstrumented {!Mil.Interp} on the
    *original* program, same warmup/reps/median policy. *)
@@ -48,21 +50,12 @@ let median l =
   | [] -> 0.0
   | sorted -> List.nth sorted (List.length sorted / 2)
 
-let observe_par ?pool ~domains ~seed prog : V.observation =
+let observe_par ?pool ~seed prog : V.observation =
   let prints = ref [] in
   let r =
-    Mil.Par_eval.run ?pool ~domains ~seed
-      ~on_print:(fun vs -> prints := vs :: !prints)
-      prog
+    Mil.Par_eval.run ?pool ~seed ~on_print:(fun vs -> prints := vs :: !prints) prog
   in
-  {
-    V.o_result = r.Mil.Par_eval.result;
-    o_globals =
-      List.filter
-        (fun (n, _) -> not (String.length n >= 2 && String.sub n 0 2 = "__"))
-        r.Mil.Par_eval.final_globals;
-    o_prints = List.rev !prints;
-  }
+  V.observation_of ~result:r.result ~globals:r.final_globals !prints
 
 let time f =
   let t0 = Obs.now_ns () in
@@ -91,7 +84,7 @@ let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
       ~finally:(fun () ->
         match pool with Some p -> Runtime.Pool.shutdown p | None -> ())
       (fun () ->
-        let go () = observe_par ?pool ~domains:d ~seed transformed in
+        let go () = observe_par ?pool ~seed transformed in
         let equal = ref true in
         let check obs =
           if V.diff_observations seq_obs obs <> [] then equal := false
@@ -99,41 +92,17 @@ let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
         for _ = 1 to warmup do
           check (go ())
         done;
-        let stats_before =
+        let snapshot () =
           match pool with Some p -> Runtime.Pool.stats p | None -> [||]
         in
+        let before = snapshot () in
         let walls =
           List.init reps (fun _ ->
               let dt, obs = time go in
               check obs;
               dt)
         in
-        let stats_after =
-          match pool with Some p -> Runtime.Pool.stats p | None -> [||]
-        in
-        let delta f =
-          let tot = ref 0 in
-          Array.iteri
-            (fun i (a : Runtime.Pool.stats) -> tot := !tot + (f a - f stats_before.(i)))
-            stats_after;
-          !tot
-        in
-        let tasks = delta (fun s -> s.Runtime.Pool.tasks) in
-        let steals = delta (fun s -> s.Runtime.Pool.steals) in
-        let imbalance =
-          if Array.length stats_after = 0 then 1.0
-          else begin
-            let busy =
-              Array.mapi
-                (fun i (s : Runtime.Pool.stats) ->
-                  float_of_int (s.Runtime.Pool.busy_ns - stats_before.(i).Runtime.Pool.busy_ns))
-                stats_after
-            in
-            let sum = Array.fold_left ( +. ) 0. busy in
-            let mx = Array.fold_left max 0. busy in
-            if sum <= 0. then 1.0 else mx /. (sum /. float_of_int (Array.length busy))
-          end
-        in
+        let a = Runtime.Pool.activity ~before (snapshot ()) in
         let wall = median walls in
         let speedup = if wall > 0. then seq_wall /. wall else 0. in
         {
@@ -142,9 +111,9 @@ let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
           r_speedup = speedup;
           r_efficiency = speedup /. float_of_int d;
           r_equal = !equal;
-          r_tasks = tasks;
-          r_steals = steals;
-          r_imbalance = imbalance;
+          r_tasks = a.a_tasks;
+          r_steals = a.a_steals;
+          r_imbalance = a.a_imbalance;
         })
   in
   let runs = List.map run_one (domain_counts domains) in

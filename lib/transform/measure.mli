@@ -14,9 +14,14 @@ type run_stat = {
   r_speedup : float;      (** sequential median / this median *)
   r_efficiency : float;   (** speedup / domains *)
   r_equal : bool;         (** observably equal to the sequential run *)
-  r_tasks : int;          (** pool tasks executed during the timed reps *)
+  r_tasks : int;
+      (** pool tasks executed during the timed reps, every [Par] arm
+          counted, including the first arm the caller runs inline as
+          executor 0 *)
   r_steals : int;         (** successful steals during the timed reps *)
-  r_imbalance : float;    (** max executor busy-ns / mean busy-ns (>= 1) *)
+  r_imbalance : float;
+      (** max executor busy-ns / mean busy-ns (>= 1), over every executor
+          including the caller's executor 0 *)
 }
 
 type t = {

@@ -36,10 +36,9 @@ type observation = {
 }
 
 (* [prints] in reverse order, as the [on_print] callbacks collect them. *)
-let observation_of (r : Interp.run_result) prints =
-  { o_result = r.result;
-    o_globals =
-      List.filter (fun (n, _) -> not (is_internal n)) r.final_globals;
+let observation_of ~result ~globals prints =
+  { o_result = result;
+    o_globals = List.filter (fun (n, _) -> not (is_internal n)) globals;
     o_prints = List.rev prints }
 
 let observe ?(seed = 42) (prog : Mil.Ast.program) : observation =
@@ -49,7 +48,7 @@ let observe ?(seed = 42) (prog : Mil.Ast.program) : observation =
       ~on_print:(fun vs -> prints := vs :: !prints)
       prog
   in
-  observation_of r !prints
+  observation_of ~result:r.result ~globals:r.final_globals !prints
 
 (* The seed reaches a run only through the scheduler's PRNG: its draws and
    the scrambler's happen only while more than one thread is live, and
@@ -114,7 +113,8 @@ let race_run ~seed prog =
   let race, r =
     Profiler.Race.run ~seed ~on_print:(fun vs -> prints := vs :: !prints) prog
   in
-  { observation = observation_of r !prints;
+  { observation =
+      observation_of ~result:r.result ~globals:r.final_globals !prints;
     races = Profiler.Race.races race;
     racy = Profiler.Race.racy race }
 

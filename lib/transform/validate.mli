@@ -25,6 +25,11 @@ type observation = {
   o_prints : int list list;
 }
 
+val observation_of :
+  result:int -> globals:(string * int array) list -> int list list -> observation
+(** One run's observation from its entry result, final globals and prints,
+    the prints in reverse order as an [on_print] callback collects them. *)
+
 val observe : ?seed:int -> Mil.Ast.program -> observation
 
 val seed_free : Mil.Ast.program -> bool

@@ -1,4 +1,5 @@
-(* lib/runtime: Chase-Lev deque, work-stealing pool, fork-join scheduler. *)
+(* lib/runtime: Chase-Lev deque and the work-stealing pool with its
+   async/await futures. *)
 
 let test_deque_sequential () =
   let q = Runtime.Deque.create ~capacity:2 () in
@@ -84,39 +85,6 @@ let with_pool ?(domains = 4) f =
   Fun.protect ~finally:(fun () -> Runtime.Pool.shutdown pool) (fun () ->
       Runtime.Pool.run pool (fun () -> f pool))
 
-(* The same sum must come out of every chunking strategy. *)
-let test_parallel_for_determinism () =
-  let n = 50_000 in
-  let expect = n * (n - 1) / 2 in
-  let chunkings =
-    [ Runtime.Sched.Static 1; Runtime.Sched.Static 4; Runtime.Sched.Static 64;
-      Runtime.Sched.Guided 1000; Runtime.Sched.Guided 17 ]
-  in
-  with_pool (fun pool ->
-      List.iter
-        (fun chunking ->
-          let acc = Atomic.make 0 in
-          Runtime.Sched.parallel_for ~chunking pool ~lo:0 ~hi:n (fun i ->
-              ignore (Atomic.fetch_and_add acc i));
-          Alcotest.(check int) "sum" expect (Atomic.get acc))
-        chunkings)
-
-let test_parallel_for_ranges_cover () =
-  with_pool (fun pool ->
-      let n = 1000 in
-      let hits = Array.make n 0 in
-      let mu = Mutex.create () in
-      Runtime.Sched.parallel_for_ranges ~chunking:(Runtime.Sched.Static 7) pool
-        ~lo:0 ~hi:n (fun l h ->
-          Mutex.lock mu;
-          for i = l to h - 1 do
-            hits.(i) <- hits.(i) + 1
-          done;
-          Mutex.unlock mu);
-      Array.iteri
-        (fun i c -> if c <> 1 then Alcotest.failf "index %d visited %d times" i c)
-        hits)
-
 (* Recursive fork-join task graph through async/await. *)
 let test_async_await_fib () =
   let rec fib_seq k = if k < 2 then k else fib_seq (k - 1) + fib_seq (k - 2) in
@@ -124,19 +92,19 @@ let test_async_await_fib () =
       let rec fib k =
         if k < 8 then fib_seq k
         else
-          let a = Runtime.Sched.async pool (fun () -> fib (k - 1)) in
+          let a = Runtime.Pool.async pool (fun () -> fib (k - 1)) in
           let b = fib (k - 2) in
-          Runtime.Sched.await pool a + b
+          Runtime.Pool.await pool a + b
       in
       Alcotest.(check int) "fib 22" (fib_seq 22) (fib 22))
 
 let test_await_reraises () =
   with_pool (fun pool ->
       let fut =
-        Runtime.Sched.async pool (fun () -> raise (Invalid_argument "boom"))
+        Runtime.Pool.async pool (fun () -> raise (Invalid_argument "boom"))
       in
       Alcotest.check_raises "await re-raises" (Invalid_argument "boom")
-        (fun () -> Runtime.Sched.await pool fut))
+        (fun () -> Runtime.Pool.await pool fut))
 
 (* Shutdown must drain in-flight fire-and-forget tasks, not drop them. *)
 let test_shutdown_in_flight () =
@@ -145,38 +113,41 @@ let test_shutdown_in_flight () =
   let n = 500 in
   Runtime.Pool.run pool (fun () ->
       for _ = 1 to n do
-        Runtime.Pool.submit pool (fun () ->
-            ignore (Atomic.fetch_and_add done_cnt 1))
+        ignore
+          (Runtime.Pool.async pool (fun () ->
+               ignore (Atomic.fetch_and_add done_cnt 1)))
       done);
   Runtime.Pool.shutdown pool;
   Alcotest.(check int) "all tasks ran before shutdown returned" n
     (Atomic.get done_cnt)
 
-(* Submissions from a domain that is not a pool executor go through the
-   inject queue and still run. *)
-let test_external_submit () =
-  let pool = Runtime.Pool.create ~domains:2 () in
-  let hit = Atomic.make 0 in
-  let outsider =
-    Domain.spawn (fun () ->
-        let fut =
-          Runtime.Sched.async pool (fun () ->
-              ignore (Atomic.fetch_and_add hit 1);
-              41)
-        in
-        1 + Runtime.Sched.await pool fut)
+(* Only executors submit: a domain outside the pool is refused, not
+   queued. *)
+let test_submit_non_executor () =
+  let refused f =
+    match f () with () -> false | exception Invalid_argument _ -> true
   in
-  let v = Domain.join outsider in
+  with_pool ~domains:2 (fun pool ->
+      let outsider =
+        Domain.spawn (fun () ->
+            refused (fun () -> ignore (Runtime.Pool.async pool ignore))
+            && refused (fun () -> Runtime.Pool.inline pool ignore))
+      in
+      Alcotest.(check bool) "outside domain refused" true (Domain.join outsider));
+  let pool = Runtime.Pool.create ~domains:2 () in
+  let unenrolled =
+    refused (fun () -> ignore (Runtime.Pool.async pool ignore))
+  in
   Runtime.Pool.shutdown pool;
-  Alcotest.(check int) "ran once" 1 (Atomic.get hit);
-  Alcotest.(check int) "value" 42 v
+  Alcotest.(check bool) "caller outside run refused" true unenrolled
 
 let test_pool_stats () =
   let pool = Runtime.Pool.create ~domains:3 () in
+  let before = Runtime.Pool.stats pool in
   Runtime.Pool.run pool (fun () ->
       let futs =
         List.init 64 (fun i ->
-            Runtime.Sched.async pool (fun () ->
+            Runtime.Pool.async pool (fun () ->
                 (* enough work that other executors get a chance to steal *)
                 let s = ref 0 in
                 for j = 0 to 20_000 do
@@ -184,14 +155,16 @@ let test_pool_stats () =
                 done;
                 !s))
       in
-      Runtime.Sched.await_all pool futs);
-  Runtime.Pool.shutdown pool;
-  Alcotest.(check int) "every task accounted" 64 (Runtime.Pool.total_tasks pool);
+      List.iter (fun fut -> ignore (Runtime.Pool.await pool fut)) futs);
+  (* read before shutdown: every awaited task is already counted *)
   let stats = Runtime.Pool.stats pool in
+  Runtime.Pool.shutdown pool;
+  let a = Runtime.Pool.activity ~before stats in
+  Alcotest.(check int) "every task accounted" 64 a.Runtime.Pool.a_tasks;
   Alcotest.(check int) "one stats slot per executor" 3 (Array.length stats);
   let busy = Array.fold_left (fun a s -> a + s.Runtime.Pool.busy_ns) 0 stats in
   Alcotest.(check bool) "busy time recorded" true (busy > 0);
-  Alcotest.(check bool) "imbalance >= 1" true (Runtime.Pool.imbalance pool >= 1.0)
+  Alcotest.(check bool) "imbalance >= 1" true (a.Runtime.Pool.a_imbalance >= 1.0)
 
 (* ---- Par_eval: transformed programs on real domains vs the sequential
    interpreter ---- *)
@@ -203,9 +176,9 @@ let run_seq prog =
   let r = Mil.Interp.run ~instrument:false prog in
   (r.Mil.Interp.result, r.Mil.Interp.final_globals)
 
-let check_equiv name prog ~domains (transformed : Mil.Ast.program) =
+let check_equiv ?pool name prog (transformed : Mil.Ast.program) =
   let seq_result, seq_globals = run_seq prog in
-  let pr = Mil.Par_eval.run ~domains transformed in
+  let pr = Mil.Par_eval.run ?pool transformed in
   Alcotest.(check int) (name ^ ": result") seq_result pr.Mil.Par_eval.result;
   (* the transform may add helper globals (__dx_rdy hand-off flags); only
      the original's globals are observable state *)
@@ -230,13 +203,14 @@ let find_workload name =
     (Workloads.Textbook.all @ Workloads.Bots.all)
 
 (* A sequential program (no Par, no sync) must evaluate identically: same
-   result, globals and print stream as the interpreter, at 1 and 2 domains,
-   on every such registry program. *)
+   result, globals and print stream as the interpreter, without a pool and
+   on a 2-domain pool, on every such registry program. *)
 let test_par_eval_sequential () =
+  with_pool ~domains:2 @@ fun pool ->
   let prog =
     Workloads.Registry.program ~size:300 (find_workload "histogram")
   in
-  check_equiv "histogram untransformed" prog ~domains:2 prog;
+  check_equiv ~pool "histogram untransformed" prog prog;
   let observe run =
     let prints = ref [] in
     let result, globals = run (fun vs -> prints := vs :: !prints) in
@@ -254,16 +228,16 @@ let test_par_eval_sequential () =
               (r.Mil.Interp.result, r.Mil.Interp.final_globals))
         in
         List.iter
-          (fun domains ->
+          (fun pool ->
             let got =
               observe (fun on_print ->
-                  let r = Mil.Par_eval.run ~domains ~on_print prog in
+                  let r = Mil.Par_eval.run ?pool ~on_print prog in
                   (r.Mil.Par_eval.result, r.Mil.Par_eval.final_globals))
             in
             if got <> want then
-              Alcotest.failf "%s: Par_eval at %d domains differs from Interp"
-                w.name domains)
-          [ 1; 2 ]
+              Alcotest.failf "%s: Par_eval %s differs from Interp" w.name
+                (if pool = None then "without a pool" else "on the pool"))
+          [ None; Some pool ]
       end)
     (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
    @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
@@ -276,8 +250,9 @@ let test_par_eval_doall () =
     (fun (name, size) ->
       let prog = Workloads.Registry.program ~size (find_workload name) in
       let t = transform_first prog in
-      check_equiv name prog ~domains:2 t.P.transformed;
-      check_equiv (name ^ " d1") prog ~domains:1 t.P.transformed)
+      with_pool ~domains:2 (fun pool ->
+          check_equiv ~pool name prog t.P.transformed);
+      check_equiv (name ^ " d1") prog t.P.transformed)
     [ ("histogram", 400); ("dotprod", 600); ("matmul", 8) ]
 
 (* bots fib through the fork-join transform: a real recursive task graph
@@ -285,8 +260,8 @@ let test_par_eval_doall () =
 let test_par_eval_fib () =
   let prog = Workloads.Registry.program ~size:13 (find_workload "fib") in
   let t = transform_first prog in
-  check_equiv "fib" prog ~domains:4 t.P.transformed;
-  check_equiv "fib d1" prog ~domains:1 t.P.transformed
+  with_pool (fun pool -> check_equiv ~pool "fib" prog t.P.transformed);
+  check_equiv "fib d1" prog t.P.transformed
 
 (* DOACROSS fission: the serialized hand-off loop busy-waits under a lock,
    so its arms must land on dedicated domains (never pool workers). *)
@@ -318,7 +293,9 @@ let test_par_eval_doacross () =
   in
   match P.apply ~chunks:3 report suggestion with
   | Error e -> Alcotest.failf "DOACROSS transform failed: %s" e
-  | Ok t -> check_equiv "doacross" prog ~domains:3 t.P.transformed
+  | Ok t ->
+      with_pool ~domains:3 (fun pool ->
+          check_equiv ~pool "doacross" prog t.P.transformed)
 
 (* Runtime errors inside a task surface, and don't wedge the run. *)
 let test_par_eval_error_propagates () =
@@ -330,26 +307,56 @@ let test_par_eval_error_propagates () =
              [ par [ [ seti "a" (i 99) (i 1) ]; [ seti "a" (i 0) (i 1) ] ];
                return (i 0) ] ])
   in
-  match Mil.Par_eval.run ~domains:2 prog with
+  with_pool ~domains:2 @@ fun pool ->
+  match Mil.Par_eval.run ~pool prog with
   | _ -> Alcotest.fail "expected Runtime_error"
   | exception Mil.Interp.Runtime_error _ -> ()
+
+(* The caller of [Par_eval.run] is executor 0 and runs a sync-free [Par]'s
+   first arm as one of its tasks, so two equal arms on a 2-domain pool
+   keep both executors busy, and every arm is counted. *)
+let test_par_eval_two_arms () =
+  let prog =
+    let open Mil.Builder in
+    let arm x =
+      [ for_ "i" (i 0) (i 400_000) [ set x ((v x + v "i") % i 1009) ] ]
+    in
+    number
+      (program
+         ~globals:[ gscalar "x" 0; gscalar "y" 0 ]
+         ~entry:"main" "two_arms"
+         [ func "main" [ par [ arm "x"; arm "y" ]; return (v "x" + v "y") ] ])
+  in
+  let want = (Mil.Interp.run ~instrument:false prog).Mil.Interp.result in
+  with_pool ~domains:2 @@ fun pool ->
+  for _ = 1 to 5 do
+    let before = Runtime.Pool.stats pool in
+    let r = Mil.Par_eval.run ~pool prog in
+    let after = Runtime.Pool.stats pool in
+    Alcotest.(check int) "result" want r.Mil.Par_eval.result;
+    Array.iteri
+      (fun e (s : Runtime.Pool.stats) ->
+        let busy = s.busy_ns - before.(e).busy_ns in
+        if busy <= 0 then Alcotest.failf "executor %d was never busy" e)
+      after;
+    let a = Runtime.Pool.activity ~before after in
+    Alcotest.(check int) "both arms counted" 2 a.Runtime.Pool.a_tasks;
+    if a.Runtime.Pool.a_imbalance >= 1.5 then
+      Alcotest.failf "imbalance %.2f" a.Runtime.Pool.a_imbalance
+  done
 
 let tests =
   [ Alcotest.test_case "deque: owner LIFO / thief FIFO" `Quick
       test_deque_sequential;
     Alcotest.test_case "deque: multi-domain steal stress" `Quick
       test_deque_steal_stress;
-    Alcotest.test_case "parallel_for: sum invariant across chunkings" `Quick
-      test_parallel_for_determinism;
-    Alcotest.test_case "parallel_for_ranges: exact cover" `Quick
-      test_parallel_for_ranges_cover;
     Alcotest.test_case "async/await: recursive fib" `Quick test_async_await_fib;
     Alcotest.test_case "async/await: exception propagation" `Quick
       test_await_reraises;
     Alcotest.test_case "pool: shutdown drains in-flight tasks" `Quick
       test_shutdown_in_flight;
-    Alcotest.test_case "pool: external submit via inject queue" `Quick
-      test_external_submit;
+    Alcotest.test_case "pool: submit from a non-executor raises" `Quick
+      test_submit_non_executor;
     Alcotest.test_case "pool: stats accounting" `Quick test_pool_stats;
     Alcotest.test_case "par_eval: sequential program equivalence" `Quick
       test_par_eval_sequential;
@@ -360,4 +367,6 @@ let tests =
     Alcotest.test_case "par_eval: DOACROSS hand-offs match interp" `Quick
       test_par_eval_doacross;
     Alcotest.test_case "par_eval: task errors propagate" `Quick
-      test_par_eval_error_propagates ]
+      test_par_eval_error_propagates;
+    Alcotest.test_case "par_eval: two equal arms keep both executors busy"
+      `Quick test_par_eval_two_arms ]
