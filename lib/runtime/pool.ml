@@ -7,6 +7,15 @@
    help: [async]/[await]/[inline] from any other domain raise
    [Invalid_argument].
 
+   Executor 0 is exclusive across domains: the deques' owner operations
+   are single-threaded, so a second domain's [run] waits until the first
+   one's returns.  [run] on a domain already enrolled in the pool (nesting,
+   or a task calling back in) keeps its executor.
+
+   [shared d] is the process's persistent pool of [d] executors, created
+   on first use and never shut down, so callers that enrol in turn (Validate,
+   Measure) reuse one set of worker domains instead of spawning their own.
+
    Tasks must not block: [await] helps (pop own deque, then steal) instead
    of waiting, so as long as every submitted task is itself non-blocking
    the pool cannot deadlock.  Code that needs real blocking (the
@@ -27,9 +36,11 @@ type t = {
   stop : bool Atomic.t;
   pending : int Atomic.t; (* submitted but not yet completed *)
   mutable workers : unit Domain.t array;
+  exec0 : Mutex.t; (* held by the domain enrolled as executor 0 *)
   c_tasks : Obs.counter;
   c_steals : Obs.counter;
   c_busy : Obs.counter array;
+  h_wake : Obs.histogram;
 }
 
 let next_uid = Atomic.make 0
@@ -117,12 +128,16 @@ type 'a state = Pending | Done of 'a | Raised of exn
 type 'a future = 'a state Atomic.t
 
 (* Queue [f] on the calling executor's deque.  The future captures [f]'s
-   exception, so none reaches the executor that runs it. *)
+   exception, so none reaches the executor that runs it.  A task run by
+   another executor than its submitter's was stolen: its push-to-start
+   delay goes to [runtime.wake_ns]. *)
 let async pool f =
   let i = executor pool in
   let fut = Atomic.make Pending in
+  let pushed = Obs.now_ns () in
   ignore (Atomic.fetch_and_add pool.pending 1);
   Deque.push pool.deques.(i) (fun j ->
+      if j <> i then Obs.Histogram.observe pool.h_wake (Obs.now_ns () - pushed);
       let r = counted pool j (fun () -> try Done (f ()) with e -> Raised e) in
       Atomic.set fut r);
   fut
@@ -179,11 +194,13 @@ let create ?(domains = Domain.recommended_domain_count ()) () =
       stop = Atomic.make false;
       pending = Atomic.make 0;
       workers = [||];
+      exec0 = Mutex.create ();
       c_tasks = Obs.counter "runtime.tasks";
       c_steals = Obs.counter "runtime.steals";
       c_busy =
         Array.init n (fun i ->
             Obs.counter (Printf.sprintf "runtime.worker%d.busy_ns" i));
+      h_wake = Obs.histogram "runtime.wake_ns";
     }
   in
   pool.workers <-
@@ -191,12 +208,33 @@ let create ?(domains = Domain.recommended_domain_count ()) () =
   pool
 
 (* Enrol the calling domain as executor 0 for the duration of [f], so its
-   submissions go to its own deque and its awaits help. *)
+   submissions go to its own deque and its awaits help.  A domain that is
+   already one of this pool's executors runs [f] as that executor. *)
 let run pool f =
   let cell = Domain.DLS.get dls in
-  let saved = !cell in
-  cell := Some (pool.uid, 0);
-  Fun.protect ~finally:(fun () -> cell := saved) f
+  match !cell with
+  | Some (uid, _) when uid = pool.uid -> f ()
+  | saved ->
+      Mutex.lock pool.exec0;
+      cell := Some (pool.uid, 0);
+      Fun.protect
+        ~finally:(fun () ->
+          cell := saved;
+          Mutex.unlock pool.exec0)
+        f
+
+let shared_pools : (int, t) Hashtbl.t = Hashtbl.create 4
+let shared_mu = Mutex.create ()
+
+let shared d =
+  let d = max 1 d in
+  Mutex.protect shared_mu (fun () ->
+      match Hashtbl.find_opt shared_pools d with
+      | Some pool -> pool
+      | None ->
+          let pool = create ~domains:d () in
+          Hashtbl.replace shared_pools d pool;
+          pool)
 
 (* Workers finish everything already submitted, then exit. *)
 let shutdown pool =

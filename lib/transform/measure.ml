@@ -1,8 +1,9 @@
 (* Measured wall-clock speedups (see measure.mli).
 
    Protocol, per domain count d of the sweep:
-     1. create the pool (d > 1) OUTSIDE the timed region — persistent
-        workers, so domain spawn never pollutes a measurement;
+     1. take the process's persistent pool of d executors (d > 1,
+        {!Runtime.Pool.shared}), which exists before the timed region, so
+        domain spawn never pollutes a measurement;
      2. [warmup] untimed runs (page-table faults, arena growth, OCaml
         code warm);
      3. [reps] timed runs; the reported wall is the MEDIAN;
@@ -11,7 +12,8 @@
         of a wrong answer is worthless;
      5. task/steal/busy counters are deltas over the timed reps only
         ({!Runtime.Pool.activity}); the measuring domain is the pool's
-        executor 0 during each run, so they include its share.
+        executor 0 for the whole row, so they include its share and no
+        other domain's.
 
    The sequential baseline is the uninstrumented {!Mil.Interp} on the
    *original* program, same warmup/reps/median policy. *)
@@ -79,42 +81,44 @@ let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
   in
   let seq_wall = median seq_walls in
   let run_one d =
-    let pool = if d > 1 then Some (Runtime.Pool.create ~domains:d ()) else None in
-    Fun.protect
-      ~finally:(fun () ->
-        match pool with Some p -> Runtime.Pool.shutdown p | None -> ())
-      (fun () ->
-        let go () = observe_par ?pool ~seed transformed in
-        let equal = ref true in
-        let check obs =
-          if V.diff_observations seq_obs obs <> [] then equal := false
-        in
-        for _ = 1 to warmup do
-          check (go ())
-        done;
-        let snapshot () =
-          match pool with Some p -> Runtime.Pool.stats p | None -> [||]
-        in
-        let before = snapshot () in
-        let walls =
-          List.init reps (fun _ ->
-              let dt, obs = time go in
-              check obs;
-              dt)
-        in
-        let a = Runtime.Pool.activity ~before (snapshot ()) in
-        let wall = median walls in
-        let speedup = if wall > 0. then seq_wall /. wall else 0. in
-        {
-          r_domains = d;
-          r_wall_s = wall;
-          r_speedup = speedup;
-          r_efficiency = speedup /. float_of_int d;
-          r_equal = !equal;
-          r_tasks = a.a_tasks;
-          r_steals = a.a_steals;
-          r_imbalance = a.a_imbalance;
-        })
+    let pool = if d > 1 then Some (Runtime.Pool.shared d) else None in
+    (* Enrolled for the whole row: no other domain's work lands in the
+       pool's stats between the two snapshots. *)
+    let enrolled f =
+      match pool with Some p -> Runtime.Pool.run p f | None -> f ()
+    in
+    enrolled @@ fun () ->
+    let go () = observe_par ?pool ~seed transformed in
+    let equal = ref true in
+    let check obs =
+      if V.diff_observations seq_obs obs <> [] then equal := false
+    in
+    for _ = 1 to warmup do
+      check (go ())
+    done;
+    let snapshot () =
+      match pool with Some p -> Runtime.Pool.stats p | None -> [||]
+    in
+    let before = snapshot () in
+    let walls =
+      List.init reps (fun _ ->
+          let dt, obs = time go in
+          check obs;
+          dt)
+    in
+    let a = Runtime.Pool.activity ~before (snapshot ()) in
+    let wall = median walls in
+    let speedup = if wall > 0. then seq_wall /. wall else 0. in
+    {
+      r_domains = d;
+      r_wall_s = wall;
+      r_speedup = speedup;
+      r_efficiency = speedup /. float_of_int d;
+      r_equal = !equal;
+      r_tasks = a.a_tasks;
+      r_steals = a.a_steals;
+      r_imbalance = a.a_imbalance;
+    }
   in
   let runs = List.map run_one (domain_counts domains) in
   let m_equal = List.for_all (fun r -> r.r_equal) runs in

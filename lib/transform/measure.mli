@@ -48,8 +48,9 @@ val measure :
   original:Mil.Ast.program ->
   Mil.Ast.program ->
   t
-(** Defaults: [domains] = 4, [warmup] = 1, [reps] = 3, [seed] = 42.  The
-    pool for each domain count is created and warmed before the timed
+(** Defaults: [domains] = 4, [warmup] = 1, [reps] = 3, [seed] = 42.  Each
+    domain count d > 1 runs on the process's persistent pool of d
+    executors ({!Runtime.Pool.shared}), which exists before the timed
     region.  Publishes per-run gauges [measure.<name>.speedup_d<d>] and
     [measure.<name>.equal] (1/0) in the [Obs] registry. *)
 

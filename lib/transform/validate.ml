@@ -133,16 +133,43 @@ let default_seeds = [ 42; 1009; 77777 ]
    program, and of an original with [Par]; an original without [Par] is
    not race-run, since one thread's accesses are never delayed by the
    scrambler and nothing in it can be racy. A seed-free original is
-   observed once for every seed. *)
+   observed once for every seed.
+
+   The plain observations do not depend on the race runs, so they run as
+   one task of the shared pool while the caller, its executor 0, runs the
+   race runs; with one executor, [await] runs the task inline afterwards.
+   Every run is deterministic given its seed, so the verdict does not
+   depend on which domain runs what. *)
 let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     ~(transformed : Mil.Ast.program) () : verdict =
   let seed0 = match seeds with s :: _ -> s | [] -> 42 in
+  let race_original = Mil.Rewrite.has_par original in
+  let pool =
+    Runtime.Pool.shared (min 2 (Domain.recommended_domain_count ()))
+  in
+  Runtime.Pool.run pool @@ fun () ->
+  (* Per seed, the observations of original and transformed, [None] where
+     a race run gives it. *)
+  let plain =
+    Runtime.Pool.async pool @@ fun () ->
+    Obs.Span.with_ ~phase:"validate.observe" @@ fun () ->
+    let once = lazy (observe original) in
+    List.map
+      (fun seed ->
+        let first = seed = seed0 in
+        ( seed,
+          (if first && race_original then None
+           else if seed_free original then Some (Lazy.force once)
+           else Some (observe ~seed original)),
+          if first then None else Some (observe ~seed transformed) ))
+      seeds
+  in
   (* Only the observations outlive the race check, not the detectors'
      racy records. *)
-  let orig_obs, new_racy, racy_raw, tran_obs =
+  let race_check () =
     Obs.Span.with_ ~phase:"validate.race_check" @@ fun () ->
     let orig_obs, base =
-      if Mil.Rewrite.has_par original then
+      if race_original then
         let o = race_run ~seed:seed0 original in
         (Some o.observation, racy_names o.races o.racy)
       else (None, [])
@@ -155,22 +182,20 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
       racy_raw_count t.racy,
       t.observation )
   in
+  (* The task is awaited even when a race run raises, so it never outlives
+     this enrolment. *)
+  let race = try Ok (race_check ()) with e -> Error e in
+  let plain = Runtime.Pool.await pool plain in
+  let orig_obs, new_racy, racy_raw, tran_obs =
+    match race with Ok r -> r | Error e -> raise e
+  in
   let mismatches =
-    Obs.Span.with_ ~phase:"validate.observe" @@ fun () ->
-    let once =
-      if seed_free original then Some (lazy (observe original)) else None
-    in
     List.concat_map
-      (fun seed ->
-        let a =
-          match (orig_obs, once) with
-          | Some o, _ when seed = seed0 -> o
-          | _, Some o -> Lazy.force o
-          | _ -> observe ~seed original
-        in
-        let b = if seed = seed0 then tran_obs else observe ~seed transformed in
+      (fun (seed, a, b) ->
+        let a = match a with Some o -> o | None -> Option.get orig_obs in
+        let b = Option.value b ~default:tran_obs in
         List.map (fun issue -> (seed, issue)) (diff_observations a b))
-      seeds
+      plain
   in
   let v_ok = mismatches = [] && new_racy = [] in
   Obs.Counter.incr (if v_ok then c_pass else c_fail);

@@ -16,7 +16,15 @@
     first seed is also that seed's observation, and a {!seed_free}
     original is observed once for every seed. Per seed after the first,
     the transformed program and a non-seed-free original run once each,
-    uninstrumented. *)
+    uninstrumented.
+
+    Those plain observations do not depend on the race runs, so
+    {!differential} enrols as executor 0 of
+    [Runtime.Pool.shared (min 2 (Domain.recommended_domain_count ()))],
+    submits them as one task and runs the race runs itself before awaiting
+    it: on two cores the two halves overlap, and on one the task runs
+    inline after the race runs. Every run is deterministic given its seed,
+    so the verdict is the same either way. *)
 
 type observation = {
   o_result : int;
@@ -64,7 +72,9 @@ val differential :
   verdict
 (** Counts the outcome in the [Obs] registry
     ([transform.validate.pass] / [transform.validate.fail]), and times its
-    two halves as the [validate.race_check] and [validate.observe] spans.
+    two halves as the [validate.race_check] and [validate.observe] spans;
+    the second is the one pool task a call adds to [runtime.tasks], and
+    may run on another domain.
     Its race runs publish no [profiler.*] metrics and no [profile] span. *)
 
 val verdict_to_string : verdict -> string

@@ -166,6 +166,45 @@ let test_pool_stats () =
   Alcotest.(check bool) "busy time recorded" true (busy > 0);
   Alcotest.(check bool) "imbalance >= 1" true (a.Runtime.Pool.a_imbalance >= 1.0)
 
+(* Executor 0 of a pool is one domain at a time: while one domain is
+   enrolled, another's [run] waits, so the two never own deque 0 together. *)
+let test_executor0_exclusive () =
+  let pool = Runtime.Pool.create ~domains:2 () in
+  let inside = Atomic.make 0 and overlaps = Atomic.make 0 in
+  let enrol () =
+    for _ = 1 to 20 do
+      Runtime.Pool.run pool (fun () ->
+          if Atomic.fetch_and_add inside 1 > 0 then Atomic.incr overlaps;
+          Runtime.Pool.await pool (Runtime.Pool.async pool Domain.cpu_relax);
+          Unix.sleepf 0.0002;
+          Atomic.decr inside)
+    done
+  in
+  let other = Domain.spawn enrol in
+  enrol ();
+  Domain.join other;
+  Runtime.Pool.shutdown pool;
+  Alcotest.(check int) "no two domains enrolled at once" 0
+    (Atomic.get overlaps)
+
+(* Validation enrols in the shared pool: two domains validating at once
+   get the verdicts a sequential call gives. *)
+let test_concurrent_validation () =
+  let verdict (t : Transform.Parallelize.t) =
+    Transform.Validate.verdict_to_string
+      (Transform.Validate.differential ~original:t.original
+         ~transformed:t.transformed ())
+  in
+  let ts = List.map Helpers.transform_case [ ("histogram", 500); ("fib", 12) ] in
+  let want = List.map verdict ts in
+  for _ = 1 to 3 do
+    let got =
+      List.map (fun t -> Domain.spawn (fun () -> verdict t)) ts
+      |> List.map Domain.join
+    in
+    Alcotest.(check (list string)) "concurrent verdicts" want got
+  done
+
 (* ---- Par_eval: transformed programs on real domains vs the sequential
    interpreter ---- *)
 
@@ -345,6 +384,31 @@ let test_par_eval_two_arms () =
       Alcotest.failf "imbalance %.2f" a.Runtime.Pool.a_imbalance
   done
 
+(* One persistent pool per executor count; Measure's 2-domain row runs on
+   it, and the pool's stats grow by exactly the tasks Measure reports. *)
+let test_shared_pool_measure () =
+  let pool = Runtime.Pool.shared 2 in
+  Alcotest.(check bool) "one pool per executor count" true
+    (pool == Runtime.Pool.shared 2);
+  let t =
+    transform_first
+      (Workloads.Registry.program ~size:500 (find_workload "histogram"))
+  in
+  let before = Runtime.Pool.stats pool in
+  let m =
+    Transform.Measure.measure ~domains:2 ~warmup:0 ~reps:3 ~name:"histogram"
+      ~original:t.original t.transformed
+  in
+  let a = Runtime.Pool.activity ~before (Runtime.Pool.stats pool) in
+  let d2 =
+    List.find
+      (fun (r : Transform.Measure.run_stat) -> r.r_domains = 2)
+      m.Transform.Measure.m_runs
+  in
+  Alcotest.(check int) "one task per chunk and rep" 12 d2.r_tasks;
+  Alcotest.(check int) "the shared pool ran them" d2.r_tasks
+    a.Runtime.Pool.a_tasks
+
 let tests =
   [ Alcotest.test_case "deque: owner LIFO / thief FIFO" `Quick
       test_deque_sequential;
@@ -358,6 +422,12 @@ let tests =
     Alcotest.test_case "pool: submit from a non-executor raises" `Quick
       test_submit_non_executor;
     Alcotest.test_case "pool: stats accounting" `Quick test_pool_stats;
+    Alcotest.test_case "pool: executor 0 is exclusive across domains" `Quick
+      test_executor0_exclusive;
+    Alcotest.test_case "pool: concurrent validations match sequential" `Quick
+      test_concurrent_validation;
+    Alcotest.test_case "pool: shared pool runs Measure's 2-domain row" `Quick
+      test_shared_pool_measure;
     Alcotest.test_case "par_eval: sequential program equivalence" `Quick
       test_par_eval_sequential;
     Alcotest.test_case "par_eval: DOALL transforms match interp" `Quick

@@ -175,6 +175,18 @@ let test_validation_counted () =
         (Obs.Span.calls phase))
     [ "validate.observe"; "validate.race_check" ]
 
+(* The plain observations are one task of the shared pool, run beside the
+   race runs: a validation adds exactly one to [runtime.tasks]. *)
+let test_validation_one_task () =
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let t = apply_first_exn (analyze reduction_prog) in
+  let before = Obs.counter_value "runtime.tasks" in
+  ignore (V.differential ~original:t.original ~transformed:t.transformed ());
+  Alcotest.(check int) "one pool task per validation" 1
+    (Obs.counter_value "runtime.tasks" - before)
+
 (* The transform-measure programs at small sizes validate cleanly: equal
    observations under every seed, no new racy variable, and no racy RAW
    record in the transformed profile. *)
@@ -407,6 +419,8 @@ let tests =
       test_wrong_transform_rejected;
     Alcotest.test_case "validation outcomes counted" `Quick
       test_validation_counted;
+    Alcotest.test_case "validation is one pool task" `Quick
+      test_validation_one_task;
     Alcotest.test_case "transform-measure verdicts at small sizes" `Slow
       test_transform_measure_verdicts;
     Alcotest.test_case "sequential originals never race" `Slow
