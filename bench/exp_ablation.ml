@@ -4,9 +4,7 @@
      table — time and memory;
    - variable-lifetime analysis (§2.3.5): false dependences without it;
    - runtime dependence merging (§2.3.5): output file size with and without
-     (the paper's 6.1 GB -> 53 KB, ~1e5x reduction);
-   - hot-address redistribution (§2.3.3): worker load balance with and
-     without. *)
+     (the paper's 6.1 GB -> 53 KB, ~1e5x reduction). *)
 
 module Dep = Profiler.Dep
 

@@ -142,10 +142,9 @@ let profile_cmd =
     save r.deps;
     if config.workers > 0 then
       Printf.printf
-        "# parallel profiler: %d workers, %d accesses, %d deps, %d redistributions\n"
+        "# parallel profiler: %d workers, %d accesses, %d deps\n"
         config.workers r.accesses
         (Profiler.Dep.Set_.cardinal r.deps)
-        r.redistributions
     else begin
       Printf.printf "# serial profiler: %d accesses, %d deps (merging %.1fx)\n"
         r.accesses

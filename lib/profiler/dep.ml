@@ -140,8 +140,9 @@ module Set_ = struct
     |> List.sort (fun (a, na, _) (b, nb, _) ->
            match Stdlib.compare nb na with 0 -> compare a b | c -> c)
 
-  (* The earliest witness wins: after a hot-address redistribution the same
-     record can be witnessed by two workers. *)
+  (* The earliest witness wins: one record's addresses (the elements of an
+     array, say) can land on different workers, so two workers can witness
+     the same record. *)
   let union into from =
     Hashtbl.iter
       (fun d c ->

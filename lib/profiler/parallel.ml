@@ -7,11 +7,13 @@
    over their address shard, and store dependences in thread-local maps that
    are merged at the end — duplicate-free, so the merge is cheap.
 
-   Addresses are distributed by [addr mod W] (Eq. 2.1). Access frequencies
-   are monitored and the most heavily accessed addresses are periodically
-   redistributed via a rules map that takes priority over the modulo function.
-   Redistribution retires the address's signature slot on the old owner, so
-   subsequent accesses build a fresh dependence chain on the new owner.
+   Addresses are distributed by [addr mod W] (Eq. 2.1), and an address never
+   changes owner, so each worker sees every access to its addresses in
+   program order and the merged dependences are the serial profiler's. The
+   paper also moves the hottest addresses to other workers; that is
+   deliberately left out (see DESIGN.md): moving one loses the dependences
+   that span the move, and the per-access frequency counting cost more than
+   it balanced.
 
    A lock-based variant (mutex-protected queues) exists solely as the
    baseline of Fig. 2.9's lock-free-vs-lock-based comparison. *)
@@ -161,11 +163,6 @@ let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
   in
   loop 1
 
-(* How often (in accesses) the producer re-evaluates the hot-address
-   distribution; the paper checks every 50,000 chunks. *)
-let rebalance_interval = 50_000
-let top_n_hot = 10
-
 (* Chunks a forward queue holds before the producer backs off. *)
 let queue_capacity = 64
 
@@ -243,19 +240,6 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   (* Counter-track names for per-queue depth samples, allocated up front so
      the traced push path does no formatting. *)
   let depth_tracks = Array.init w (Printf.sprintf "queue.%d.depth") in
-  let rules : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let counts : (int, int ref) Hashtbl.t = Hashtbl.create 4096 in
-  let since_rebalance = ref 0 in
-  let redistributions = ref 0 in
-  (* No rule is ever added at one worker, nor before the first
-     rebalance moves an address: skip the hash then. *)
-  let route addr =
-    if Hashtbl.length rules = 0 then addr mod w
-    else
-      match Hashtbl.find_opt rules addr with
-      | Some worker -> worker
-      | None -> addr mod w
-  in
   let ship worker c =
     channel_push channels.(worker) (Ichunk c);
     if Obs.is_enabled () then
@@ -269,38 +253,10 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     Chunk.push_remove c addr;
     if Chunk.is_full c then ship worker c
   in
-  let rebalance () =
-    since_rebalance := 0;
-    let hot =
-      Hashtbl.fold (fun addr n acc -> (addr, !n) :: acc) counts []
-      |> List.sort (fun (_, a) (_, b) -> compare b a)
-      |> List.filteri (fun i _ -> i < top_n_hot)
-    in
-    (* Spread the top-N hot addresses round-robin over the workers. *)
-    List.iteri
-      (fun i (addr, _) ->
-        let target = i mod w in
-        let current = route addr in
-        if current <> target then begin
-          incr redistributions;
-          (* Retire the signature state on the old owner before re-routing. *)
-          push_remove current addr;
-          Hashtbl.replace rules addr target
-        end)
-      hot
-  in
   let petb = Pet.create_builder () in
   let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     Pet.feed_access_line petb ~line;
-    (* One worker owns every address: there is nothing to rebalance. *)
-    if w > 1 then begin
-      (match Hashtbl.find_opt counts addr with
-      | Some r -> incr r
-      | None -> Hashtbl.replace counts addr (ref 1));
-      incr since_rebalance;
-      if !since_rebalance >= rebalance_interval then rebalance ()
-    end;
-    let worker = route addr in
+    let worker = addr mod w in
     let c = open_chunks.(worker) in
     Chunk.push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
       ~locked;
@@ -313,7 +269,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         List.iter
           (fun (base, len, _) ->
             for addr = base to base + len - 1 do
-              push_remove (route addr) addr
+              push_remove (addr mod w) addr
             done)
           addrs
     | _ -> ()
@@ -367,10 +323,9 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
       accesses = Array.fold_left (fun acc r -> acc + r.w_processed) 0 results;
       per_worker = Array.map (fun r -> r.w_processed) results;
       footprint_words =
-        Array.fold_left (fun acc r -> acc + r.w_footprint) 0 results
-        + (8 * Hashtbl.length counts);
+        Array.fold_left (fun acc r -> acc + r.w_footprint) 0 results;
       merging_factor = Dep.Set_.merging_factor deps;
-      redistributions = !redistributions;
+      redistributions = 0;
       skip_stats;
       interp }
   in
@@ -379,7 +334,6 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
        identical counter instances, keeping serial and parallel comparable. *)
     Serial.publish ~accesses:r.accesses ~deps ~footprint_words:r.footprint_words
       ~merging_factor:r.merging_factor ~lstacks;
-    Obs.Counter.add (Obs.counter "profiler.rebalance.events") !redistributions;
     Obs.Counter.add (Obs.counter "profiler.chunk.reuses") !chunk_reuses;
     Obs.Counter.add (Obs.counter "profiler.chunk.drained") !chunks_drained;
     Obs.Gauge.set_int (Obs.gauge "profiler.queue.max_depth") !max_depth;

@@ -3,21 +3,14 @@
     The main thread executes the target program and packs its accesses into
     per-worker chunks ({!Trace.Chunk}); worker domains consume chunks
     through lock-free SPSC queues, run the dependence engine over their
-    address shard (addresses
-    distributed by [addr mod W], Eq. 2.1, with hot addresses periodically
-    redistributed through a rules map), and keep thread-local dependence maps
-    merged at the end. A mutex-protected queue variant exists solely as the
-    lock-based baseline of Fig. 2.9. *)
+    address shard (addresses distributed by [addr mod W], Eq. 2.1, and never
+    moved), and keep thread-local dependence maps merged at the end, so the
+    result equals {!Serial.profile}'s. A mutex-protected queue variant exists
+    solely as the lock-based baseline of Fig. 2.9. *)
 
 type queue_kind = Lockfree | Lock_based
 
 type result = Serial.result
-
-val rebalance_interval : int
-(** Accesses between hot-address re-evaluations (the paper checks every
-    50,000 chunks). *)
-
-val top_n_hot : int
 
 val profile :
   ?workers:int ->

@@ -12,7 +12,7 @@ type result = {
   skip_stats : Engine.skip_stats;
   footprint_words : int;     (* resident words of profiling structures *)
   merging_factor : float;
-  redistributions : int;     (* hot-address migrations; 0 when serial *)
+  redistributions : int;     (* always 0: no profiler moves an address *)
   per_worker : int array;    (* accesses per worker; [| accesses |] when serial *)
   interp : Mil.Interp.run_result;
 }

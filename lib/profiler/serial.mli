@@ -12,7 +12,8 @@ type result = {
   footprint_words : int;     (** resident words of profiling structures *)
   merging_factor : float;
   redistributions : int;
-  (** hot-address migrations of a parallel run; 0 for a serial one *)
+  (** always 0: neither profiler moves an address between workers. Kept
+      because the repository benchmark still reads it. *)
   per_worker : int array;
   (** accesses processed by each parallel worker, summing to [accesses];
       [[| accesses |]] for a serial run *)

@@ -96,24 +96,47 @@ let test_registry_digest () =
    the MD5 of [Pet.to_string] from the serial profiler and from the parallel
    profiler at two workers, both perfect shadow with skip on. Unlike the
    digest above it covers node order, instance merging, per-node instruction
-   totals, line spans and [dep_count].
+   totals, line spans and [dep_count]. The two columns are equal: an address
+   never changes worker, so the parallel profiler's output is the serial
+   one's.
+
+   The same runs also check that the parallel report (the text `discopop
+   profile` prints, lines sorted) equals the serial one, and a second pair
+   checks report and PET at four workers with skip off.
 
    Regenerate (only for a deliberate change to the tree) with
      PET_GOLDEN_OUT=test/golden/pet.golden \
        dune exec test/test_main.exe -- test registry *)
+let check_parallel_equals_serial ~what (w : R.t) (serial : Profiler.Serial.result)
+    (parallel : Profiler.Serial.result) =
+  let report r =
+    Profiler.Serial.report ~threads:w.parallel_target r
+    |> String.split_on_char '\n' |> List.sort compare
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s: report, %s" w.name what)
+    (report serial) (report parallel);
+  Alcotest.(check string)
+    (Printf.sprintf "%s: PET, %s" w.name what)
+    (Profiler.Pet.to_string serial.pet)
+    (Profiler.Pet.to_string parallel.pet)
+
 let pet_line (w : R.t) =
   let prog = R.program w in
-  let serial =
-    (Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect ~skip:true prog)
-      .Profiler.Serial.pet
+  let serial ~skip =
+    Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect ~skip prog
   in
-  let parallel =
-    (Profiler.Parallel.profile ~workers:2 ~perfect:true ~skip:true prog)
-      .pet
+  let parallel ~workers ~skip =
+    Profiler.Parallel.profile ~workers ~perfect:true ~skip prog
   in
+  let s_skip = serial ~skip:true and p_skip = parallel ~workers:2 ~skip:true in
+  check_parallel_equals_serial ~what:"2 workers, skip on" w s_skip p_skip;
+  check_parallel_equals_serial ~what:"4 workers, skip off" w
+    (serial ~skip:false)
+    (parallel ~workers:4 ~skip:false);
   Printf.sprintf "%s %s %s" w.name
-    (md5 (Profiler.Pet.to_string serial))
-    (md5 (Profiler.Pet.to_string parallel))
+    (md5 (Profiler.Pet.to_string s_skip.pet))
+    (md5 (Profiler.Pet.to_string p_skip.pet))
 
 let test_pet_golden () =
   check_golden ~env:"PET_GOLDEN_OUT" ~file:"pet.golden" ~what:"PET"
