@@ -31,13 +31,6 @@ let sample_default =
   [ "histogram"; "mandelbrot"; "matmul"; "dotprod"; "jacobi"; "match_count";
     "fib" ]
 
-let find_workload name =
-  List.find_opt
-    (fun (w : R.t) -> w.name = name)
-    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-   @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-   @ Workloads.Numerics.all @ Workloads.Parsec.all)
-
 (* Spearman's rank correlation, with ties given their average rank. *)
 let ranks (xs : float array) =
   let n = Array.length xs in
@@ -94,7 +87,7 @@ let run () =
   let results =
     List.filter_map
       (fun name ->
-        match find_workload name with
+        match Workloads.Catalog.find name with
         | None ->
             Printf.printf "  (measure: unknown workload %s, skipped)\n" name;
             None

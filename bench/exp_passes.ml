@@ -20,11 +20,6 @@
 
 module R = Workloads.Registry
 
-let registry : R.t list =
-  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-  @ Workloads.Numerics.all @ Workloads.Parsec.all
-
 (* Wall-time sample: profiling the full registry twice would dominate CI;
    these five stand in for the shapes that matter (dense loops, recursion,
    stencils). *)
@@ -32,12 +27,12 @@ let profile_sample = [ "histogram"; "matmul"; "prefix_sum"; "fib"; "jacobi" ]
 
 let sample () =
   match Sys.getenv_opt "PASSES_WORKLOADS" with
-  | None | Some "" -> registry
+  | None | Some "" -> Workloads.Catalog.all
   | Some s ->
       let wanted = String.split_on_char ',' s |> List.map String.trim in
       List.filter_map
         (fun name ->
-          match List.find_opt (fun (w : R.t) -> w.name = name) registry with
+          match Workloads.Catalog.find name with
           | Some w -> Some w
           | None ->
               Printf.printf "  (passes: unknown workload %s, skipped)\n" name;

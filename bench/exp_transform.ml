@@ -24,11 +24,7 @@ let workloads =
   [ "histogram"; "mandelbrot"; "matmul"; "dotprod"; "jacobi"; "match_count";
     "prefix_sum"; "fib"; "uts"; "floorplan" ]
 
-let find name =
-  List.find (fun (w : R.t) -> w.name = name)
-    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-   @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-   @ Workloads.Numerics.all @ Workloads.Parsec.all)
+let find name = Option.get (Workloads.Catalog.find name)
 
 (* p_kind is the full suggestion string; compress to the construct tag. *)
 let short_kind k =

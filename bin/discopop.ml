@@ -4,15 +4,8 @@
 
 open Cmdliner
 
-let all_workloads =
-  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-  @ Workloads.Numerics.all @ Workloads.Parsec.all
-
 let find_workload name =
-  match
-    List.find_opt (fun (w : Workloads.Registry.t) -> w.name = name) all_workloads
-  with
+  match Workloads.Catalog.find name with
   | Some w -> Ok w
   | None ->
       Error
@@ -106,7 +99,7 @@ let list_cmd =
       (fun (w : Workloads.Registry.t) ->
         Printf.printf "%-14s %-10s size=%-6d %s\n" w.name w.suite w.default_size
           (if w.parallel_target then "(multi-threaded target)" else ""))
-      all_workloads
+      Workloads.Catalog.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())
 
@@ -1086,11 +1079,11 @@ let batch_cmd =
       match names with
       | [] -> (
           match suite with
-          | None -> all_workloads
+          | None -> Workloads.Catalog.all
           | Some s ->
               List.filter
                 (fun (w : Workloads.Registry.t) -> w.suite = s)
-                all_workloads)
+                Workloads.Catalog.all)
       | names -> List.map (fun n -> or_die (find_workload n)) names
     in
     if ws = [] then

@@ -130,16 +130,9 @@ let analyze (p : Ast.program) : (string, t) Hashtbl.t =
   let max_line =
     List.fold_left
       (fun acc (f : Ast.func) ->
-        let rec m acc (s : Ast.stmt) =
-          let acc = max acc s.Ast.line in
-          match s.Ast.node with
-          | Ast.If (_, t, e) -> List.fold_left m acc (t @ e)
-          | Ast.While (_, b) -> List.fold_left m acc b
-          | Ast.For { body; _ } -> List.fold_left m acc body
-          | Ast.Par bs -> List.fold_left m acc (List.concat bs)
-          | _ -> acc
-        in
-        List.fold_left m (max acc f.Ast.fline) f.Ast.body)
+        Ast.fold_block
+          (fun acc (s : Ast.stmt) -> max acc s.Ast.line)
+          (max acc f.Ast.fline) f.Ast.body)
       0 p.Ast.funcs
   in
   List.iter

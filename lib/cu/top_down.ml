@@ -46,86 +46,47 @@ let region_lines (st : Static.t) rid =
   in
   span [] r.id
 
-let rec stmt_lines (s : Ast.stmt) =
-  s.line
-  ::
-  (match s.node with
-  | Ast.If (_, t, e) -> List.concat_map stmt_lines (t @ e)
-  | Ast.While (_, b) -> List.concat_map stmt_lines b
-  | Ast.For { body; _ } -> List.concat_map stmt_lines body
-  | Ast.Par bs -> List.concat_map stmt_lines (List.concat bs)
-  | _ -> [])
+(* Every line of the statement's subtree, in pre-order. *)
+let stmt_lines (s : Ast.stmt) =
+  List.rev (Ast.fold_block (fun acc (t : Ast.stmt) -> t.line :: acc) [] [ s ])
 
-let rec stmt_weight (s : Ast.stmt) =
-  match s.node with
-  | Ast.If (_, t, e) -> 1 + List.fold_left (fun a s -> a + stmt_weight s) 0 (t @ e)
-  | Ast.While (_, b) | Ast.For { body = b; _ } ->
-      1 + List.fold_left (fun a s -> a + stmt_weight s) 0 b
-  | Ast.Par bs ->
-      1 + List.fold_left (fun a s -> a + stmt_weight s) 0 (List.concat bs)
-  | _ -> 1
-
-let rec stmt_has_call (s : Ast.stmt) =
-  let expr_has_call e = Static.expr_callees e [] <> [] in
-  match s.node with
-  | Ast.Call_stmt _ -> true
-  | Ast.Decl (_, e) | Ast.Assign (_, e) | Ast.Atomic_assign (_, e)
-  | Ast.Decl_arr (_, e) | Ast.Return (Some e) ->
-      expr_has_call e
-  | Ast.If (c, t, e) -> expr_has_call c || List.exists stmt_has_call (t @ e)
-  | Ast.While (c, b) -> expr_has_call c || List.exists stmt_has_call b
-  | Ast.For { lo; hi; step; body; _ } ->
-      expr_has_call lo || expr_has_call hi || expr_has_call step
-      || List.exists stmt_has_call body
-  | Ast.Par bs -> List.exists stmt_has_call (List.concat bs)
-  | Ast.Return None | Ast.Break | Ast.Lock _ | Ast.Unlock _ | Ast.Barrier _
-  | Ast.Free _ ->
-      false
+(* A call anywhere in the statement's subtree: a call statement, or a call
+   in any expression a statement evaluates (an assignment target's index
+   included). *)
+let stmt_has_call (s : Ast.stmt) =
+  Ast.exists_block (fun t -> Rewrite.stmt_calls t [] <> []) [ s ]
 
 (* Reads and writes of the directly-evaluated expressions of a statement,
    including interprocedural call effects. Nested blocks are NOT included —
    they become their own items. *)
 let shallow_rw (st : Static.t) (s : Ast.stmt) : SS.t * SS.t =
-  let reads_of e = Static.expr_read_vars e SS.empty in
-  let call_effects e =
-    List.fold_left
-      (fun (r, w) (callee_name, args) ->
-        match List.find_opt (fun g -> g.Ast.fname = callee_name) st.program.funcs with
-        | None -> (r, w)
-        | Some callee -> (
-            match Static.summary st callee_name with
-            | None -> (r, w)
-            | Some callee_sum ->
-                let cr, cw = Static.apply_call_summary ~callee_sum ~callee ~args in
-                (SS.union r cr, SS.union w cw)))
-      (SS.empty, SS.empty) (Static.expr_callees e [])
+  let exprs = Ast.stmt_exprs s in
+  let calls = List.fold_left (fun acc e -> Static.expr_callees e acc) [] exprs in
+  let calls =
+    match s.node with Ast.Call_stmt (f, args) -> (f, args) :: calls | _ -> calls
   in
-  let of_expr e =
-    let cr, cw = call_effects e in
-    (SS.union (reads_of e) cr, cw)
+  let reads = List.fold_left (fun acc e -> Static.expr_read_vars e acc) SS.empty exprs in
+  let writes =
+    match s.node with
+    | Ast.Decl (x, _) | Ast.Decl_arr (x, _) | Ast.Free x -> SS.singleton x
+    | Ast.Assign (l, _) | Ast.Atomic_assign (l, _) ->
+        SS.singleton (Static.lhs_written l)
+    | Ast.Return _ -> SS.singleton "ret"
+    | Ast.If _ | Ast.While _ | Ast.For _ | Ast.Call_stmt _ | Ast.Break
+    | Ast.Lock _ | Ast.Unlock _ | Ast.Barrier _ | Ast.Par _ ->
+        SS.empty
   in
-  match s.node with
-  | Ast.Decl (x, e) | Ast.Decl_arr (x, e) ->
-      let r, w = of_expr e in
-      (r, SS.add x w)
-  | Ast.Assign (l, e) | Ast.Atomic_assign (l, e) ->
-      let r, w = of_expr e in
-      let r = SS.union r (Static.lhs_index_reads l) in
-      (r, SS.add (Static.lhs_written l) w)
-  | Ast.Call_stmt (f, args) -> of_expr (Ast.Call (f, args))
-  | Ast.Return (Some e) ->
-      let r, w = of_expr e in
-      (r, SS.add "ret" w)
-  | Ast.Return None -> (SS.empty, SS.singleton "ret")
-  | Ast.If (c, _, _) | Ast.While (c, _) -> of_expr c
-  | Ast.For { lo; hi; step; _ } ->
-      let r1, w1 = of_expr lo in
-      let r2, w2 = of_expr hi in
-      let r3, w3 = of_expr step in
-      (SS.union r1 (SS.union r2 r3), SS.union w1 (SS.union w2 w3))
-  | Ast.Free x -> (SS.empty, SS.singleton x)
-  | Ast.Break | Ast.Lock _ | Ast.Unlock _ | Ast.Barrier _ | Ast.Par _ ->
-      (SS.empty, SS.empty)
+  List.fold_left
+    (fun (r, w) (callee_name, args) ->
+      match List.find_opt (fun g -> g.Ast.fname = callee_name) st.program.funcs with
+      | None -> (r, w)
+      | Some callee -> (
+          match Static.summary st callee_name with
+          | None -> (r, w)
+          | Some callee_sum ->
+              let cr, cw = Static.apply_call_summary ~callee_sum ~callee ~args in
+              (SS.union r cr, SS.union w cw)))
+    (reads, writes) calls
 
 (* The variable set used for CU construction in region [rid]: variables global
    to the region, with the §3.2.5 special rules applied — function parameters
@@ -156,34 +117,24 @@ let items_of_region (st : Static.t) rid gv : item list =
     r.children;
   List.map
     (fun (s : Ast.stmt) ->
-      match s.node with
-      | Ast.If _ | Ast.While _ | Ast.For _ | Ast.Par _ ->
-          let subregions =
-            try Hashtbl.find child_of_line s.line with Not_found -> []
-          in
-          let reads, writes =
-            List.fold_left
-              (fun (r_acc, w_acc) cid ->
-                let c = st.regions.(cid) in
-                (SS.union r_acc c.globals_read, SS.union w_acc c.globals_written))
-              (shallow_rw st s) subregions
-          in
-          { it_line = s.line;
-            it_reads = SS.inter reads gv;
-            it_writes = SS.inter writes gv;
-            it_lines = stmt_lines s;
-            it_weight = stmt_weight s;
-            it_call = stmt_has_call s;
-            it_region = (match subregions with [ c ] -> Some c | _ -> None) }
-      | _ ->
-          let reads, writes = shallow_rw st s in
-          { it_line = s.line;
-            it_reads = SS.inter reads gv;
-            it_writes = SS.inter writes gv;
-            it_lines = [ s.line ];
-            it_weight = stmt_weight s;
-            it_call = stmt_has_call s;
-            it_region = None })
+      let subregions =
+        if Ast.stmt_blocks s = [] then []
+        else try Hashtbl.find child_of_line s.line with Not_found -> []
+      in
+      let reads, writes =
+        List.fold_left
+          (fun (r_acc, w_acc) cid ->
+            let c = st.regions.(cid) in
+            (SS.union r_acc c.globals_read, SS.union w_acc c.globals_written))
+          (shallow_rw st s) subregions
+      in
+      { it_line = s.line;
+        it_reads = SS.inter reads gv;
+        it_writes = SS.inter writes gv;
+        it_lines = stmt_lines s;
+        it_weight = Rewrite.count_stmts [ s ];
+        it_call = stmt_has_call s;
+        it_region = (match subregions with [ c ] -> Some c | _ -> None) })
     r.stmts
 
 (* Partition the item sequence of one region into CUs: cut before every item

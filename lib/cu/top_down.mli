@@ -47,6 +47,10 @@ val partition_items : item list -> item list list
 (** Cut before every item containing a violating read. *)
 
 val stmt_lines : Mil.Ast.stmt -> int list
-val stmt_weight : Mil.Ast.stmt -> int
+(** Every line of the statement's subtree, in pre-order. *)
+
 val stmt_has_call : Mil.Ast.stmt -> bool
+(** A call anywhere in the statement's subtree, assignment-target indices
+    included. *)
+
 val region_lines : Mil.Static.t -> int -> int list

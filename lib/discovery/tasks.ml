@@ -34,28 +34,11 @@ type mpmd = {
 (* ---- SPMD ---- *)
 
 let call_sites_to (f : string) (block : Mil.Ast.block) : int list =
-  let expr_calls e acc =
-    List.fold_left
-      (fun acc (name, _) -> if name = f then true :: acc else acc)
-      acc
-      (Static.expr_callees e [])
-  in
-  let rec go (s : Mil.Ast.stmt) acc =
-    let has_call e = expr_calls e [] <> [] in
-    match s.Mil.Ast.node with
-    | Mil.Ast.Call_stmt (name, args) ->
-        if name = f || has_call (Mil.Ast.Call (name, args)) then s.Mil.Ast.line :: acc
-        else acc
-    | Mil.Ast.Decl (_, e) | Mil.Ast.Assign (_, e) | Mil.Ast.Atomic_assign (_, e)
-    | Mil.Ast.Decl_arr (_, e) | Mil.Ast.Return (Some e) ->
-        if has_call e then s.Mil.Ast.line :: acc else acc
-    | Mil.Ast.If (_, t, e) -> List.fold_right go (t @ e) acc
-    | Mil.Ast.While (_, b) -> List.fold_right go b acc
-    | Mil.Ast.For { body; _ } -> List.fold_right go body acc
-    | Mil.Ast.Par bs -> List.fold_right go (List.concat bs) acc
-    | _ -> acc
-  in
-  List.fold_right go block []
+  Mil.Ast.fold_block
+    (fun acc (s : Mil.Ast.stmt) ->
+      if List.mem f (Mil.Rewrite.stmt_calls s []) then s.line :: acc else acc)
+    [] block
+  |> List.rev
 
 (* Recursive fork-join: a function with >=2 recursive call sites whose
    subtasks are mutually independent (the classic fib pattern, Fig 4.3).

@@ -73,6 +73,104 @@ type program = {
   entry : string;             (* name of the entry function *)
 }
 
+(* ---- the walker ----
+
+   The tree's shape, described once: which sub-expressions an expression
+   has, which expressions a statement evaluates itself and which blocks it
+   nests. The syntactic readers and rewriters of MIL are built on these;
+   walks where the order of bindings matters (propagation environments,
+   region scopes) recurse by hand and take their default case from
+   [map_stmt]. *)
+
+let sub_exprs = function
+  | Int _ | Var _ | Len _ -> []
+  | Idx (_, e) | Neg e | Not e -> [ e ]
+  | Bin (_, a, b) -> [ a; b ]
+  | Call (_, args) -> args
+
+let map_sub_exprs f = function
+  | (Int _ | Var _ | Len _) as e -> e
+  | Idx (a, e) -> Idx (a, f e)
+  | Neg e -> Neg (f e)
+  | Not e -> Not (f e)
+  | Bin (op, a, b) ->
+      let a = f a in
+      Bin (op, a, f b)
+  | Call (g, args) -> Call (g, List.map f args)
+
+let rec fold_expr f acc e = List.fold_left (fold_expr f) (f acc e) (sub_exprs e)
+let rec exists_expr p e = p e || List.exists (exists_expr p) (sub_exprs e)
+let rec map_expr f e = f (map_sub_exprs (map_expr f) e)
+
+let stmt_exprs s =
+  match s.node with
+  | Decl (_, e) | Decl_arr (_, e) | Return (Some e)
+  | Assign (Lvar _, e) | Atomic_assign (Lvar _, e) ->
+      [ e ]
+  | Assign (Lidx (_, i), e) | Atomic_assign (Lidx (_, i), e) -> [ i; e ]
+  | If (c, _, _) | While (c, _) -> [ c ]
+  | For { lo; hi; step; _ } -> [ lo; hi; step ]
+  | Call_stmt (_, args) -> args
+  | Return None | Break | Par _ | Lock _ | Unlock _ | Barrier _ | Free _ -> []
+
+let stmt_blocks s =
+  match s.node with
+  | If (_, t, e) -> [ t; e ]
+  | While (_, b) | For { body = b; _ } -> [ b ]
+  | Par arms -> arms
+  | Decl _ | Decl_arr _ | Assign _ | Atomic_assign _ | Call_stmt _ | Return _
+  | Break | Lock _ | Unlock _ | Barrier _ | Free _ ->
+      []
+
+(* Children are mapped left to right, expressions before blocks, so a
+   stateful [expr] or [block] sees them in source order. *)
+let map_stmt ?(expr = Fun.id) ?(block = Fun.id) s =
+  let assign l e =
+    match l with
+    | Lvar _ -> (l, expr e)
+    | Lidx (a, i) ->
+        let i = expr i in
+        (Lidx (a, i), expr e)
+  in
+  let node =
+    match s.node with
+    | Decl (x, e) -> Decl (x, expr e)
+    | Decl_arr (x, e) -> Decl_arr (x, expr e)
+    | Assign (l, e) ->
+        let l, e = assign l e in
+        Assign (l, e)
+    | Atomic_assign (l, e) ->
+        let l, e = assign l e in
+        Atomic_assign (l, e)
+    | If (c, t, e) ->
+        let c = expr c in
+        let t = block t in
+        If (c, t, block e)
+    | While (c, b) ->
+        let c = expr c in
+        While (c, block b)
+    | For f ->
+        let lo = expr f.lo in
+        let hi = expr f.hi in
+        let step = expr f.step in
+        For { f with lo; hi; step; body = block f.body }
+    | Call_stmt (g, args) -> Call_stmt (g, List.map expr args)
+    | Return (Some e) -> Return (Some (expr e))
+    | Par arms -> Par (List.map block arms)
+    | (Return None | Break | Lock _ | Unlock _ | Barrier _ | Free _) as n -> n
+  in
+  { line = s.line; node }
+
+let rec fold_block f acc b =
+  List.fold_left
+    (fun acc s -> List.fold_left (fold_block f) (f acc s) (stmt_blocks s))
+    acc b
+
+let rec exists_block p b =
+  List.exists (fun s -> p s || List.exists (exists_block p) (stmt_blocks s)) b
+
+let rec map_block f b = List.map (fun s -> map_stmt ~block:(map_block f) (f s)) b
+
 let find_func program name =
   match List.find_opt (fun f -> f.fname = name) program.funcs with
   | Some f -> f

@@ -73,6 +73,54 @@ type program = {
   entry : string;             (** name of the entry function *)
 }
 
+(** {1 The walker}
+
+    The tree's shape, described once: an expression's sub-expressions, the
+    expressions a statement evaluates itself, and the blocks it nests. The
+    traversals below are pre-order: a node is visited before its children,
+    children left to right. *)
+
+val sub_exprs : expr -> expr list
+(** Immediate sub-expressions, left to right. *)
+
+val map_sub_exprs : (expr -> expr) -> expr -> expr
+(** The expression rebuilt from its immediate sub-expressions mapped by [f]. *)
+
+val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
+(** Folds over the expression and every sub-expression, pre-order. *)
+
+val exists_expr : (expr -> bool) -> expr -> bool
+
+val map_expr : (expr -> expr) -> expr -> expr
+(** Bottom-up rewrite: [f] sees each node with its sub-expressions already
+    mapped; its result is not traversed again. *)
+
+val stmt_exprs : stmt -> expr list
+(** The expressions a statement evaluates itself, in source order: an assignment target's index, then the right-hand side;
+    a branch or loop condition; [for] bounds and step; call arguments.
+    Nested blocks are not entered. *)
+
+val stmt_blocks : stmt -> block list
+(** The blocks a statement nests: both arms of an [if], a loop body, every
+    [par] arm. *)
+
+val map_stmt : ?expr:(expr -> expr) -> ?block:(block -> block) -> stmt -> stmt
+(** A fresh statement with the same line and shape, [expr] applied to each
+    of {!stmt_exprs} and [block] to each of {!stmt_blocks} (both default to
+    the identity), left to right, expressions first. Names (binders,
+    targets, callees) are kept. *)
+
+val fold_block : ('a -> stmt -> 'a) -> 'a -> block -> 'a
+(** Folds over every statement of the block, nested ones included,
+    pre-order. *)
+
+val exists_block : (stmt -> bool) -> block -> bool
+
+val map_block : (stmt -> stmt) -> block -> block
+(** Every statement rebuilt pre-order: [f] is applied to a statement, then
+    the blocks of its result are mapped. Every record is fresh, so
+    [map_block Fun.id] is a deep copy. *)
+
 val find_func : program -> string -> func
 (** @raise Invalid_argument on unknown function names. *)
 

@@ -89,23 +89,9 @@ let number (p : program) : program =
     next := Stdlib.( + ) n 1;
     n
   in
-  let rec number_block block = List.iter number_stmt block
-  and number_stmt s =
-    s.line <- fresh ();
-    match s.node with
-    | Decl _ | Decl_arr _ | Assign _ | Call_stmt _ | Return _ | Break
-    | Lock _ | Unlock _ | Barrier _ | Free _ | Atomic_assign _ ->
-        ()
-    | If (_, t, e) ->
-        number_block t;
-        number_block e
-    | While (_, body) -> number_block body
-    | For { body; _ } -> number_block body
-    | Par blocks -> List.iter number_block blocks
-  in
   List.iter
     (fun f ->
       f.fline <- fresh ();
-      number_block f.body)
+      fold_block (fun () s -> s.line <- fresh ()) () f.body)
     p.funcs;
   p

@@ -32,154 +32,53 @@ module SS = Static.SS
 
 (* ---- syntactic helpers ---- *)
 
-let rec pure_simple (e : expr) =
-  (* No faults, no events beyond scalar reads, no calls: safe to evaluate
-     anywhere the same names are in scope, and safe to drop. [Len]/[Idx]
-     are excluded — they fault on unbound arrays / OOB indices. *)
-  match e with
-  | Int _ | Var _ -> true
-  | Bin (_, a, b) -> pure_simple a && pure_simple b
-  | Neg a | Not a -> pure_simple a
-  | Idx _ | Len _ | Call _ -> false
+(* No faults, no events beyond scalar reads, no calls: safe to evaluate
+   anywhere the same names are in scope, and safe to drop. [Len]/[Idx] are
+   excluded — they fault on unbound arrays / OOB indices. *)
+let pure_simple e =
+  not (exists_expr (function Idx _ | Len _ | Call _ -> true | _ -> false) e)
 
 let expr_reads e = Static.expr_read_vars e SS.empty
-
-let rec expr_has_idx = function
-  | Int _ | Var _ | Len _ -> false
-  | Idx _ -> true
-  | Neg a | Not a -> expr_has_idx a
-  | Bin (_, a, b) -> expr_has_idx a || expr_has_idx b
-  | Call (_, args) -> List.exists expr_has_idx args
+let add_names names acc = List.fold_left (fun acc x -> SS.add x acc) acc names
 
 (* Every name an expression mentions, including array names. *)
-let rec expr_mentions e acc =
-  match e with
-  | Int _ -> acc
-  | Var x | Len x -> SS.add x acc
-  | Idx (a, i) -> expr_mentions i (SS.add a acc)
-  | Neg a | Not a -> expr_mentions a acc
-  | Bin (_, a, b) -> expr_mentions a (expr_mentions b acc)
-  | Call (_, args) -> List.fold_left (fun acc a -> expr_mentions a acc) acc args
-
-let lhs_mentions l acc =
-  match l with
-  | Lvar x -> SS.add x acc
-  | Lidx (a, i) -> expr_mentions i (SS.add a acc)
+let expr_mentions e acc =
+  fold_expr
+    (fun acc e -> match e with Var x | Len x | Idx (x, _) -> SS.add x acc | _ -> acc)
+    acc e
 
 (* All names a block mentions anywhere: reads, writes, binders, indices. *)
-let rec block_mentions b acc = List.fold_left (fun acc s -> stmt_mentions s acc) acc b
-
-and stmt_mentions s acc =
-  match s.node with
-  | Decl (x, e) -> expr_mentions e (SS.add x acc)
-  | Decl_arr (x, e) -> expr_mentions e (SS.add x acc)
-  | Assign (l, e) | Atomic_assign (l, e) -> expr_mentions e (lhs_mentions l acc)
-  | If (c, t, el) -> block_mentions el (block_mentions t (expr_mentions c acc))
-  | While (c, body) -> block_mentions body (expr_mentions c acc)
-  | For { index; lo; hi; step; body } ->
-      block_mentions body
-        (expr_mentions step
-           (expr_mentions hi (expr_mentions lo (SS.add index acc))))
-  | Call_stmt (_, args) ->
-      List.fold_left (fun acc a -> expr_mentions a acc) acc args
-  | Return (Some e) -> expr_mentions e acc
-  | Return None | Break | Lock _ | Unlock _ | Barrier _ -> acc
-  | Free x -> SS.add x acc
-  | Par arms -> List.fold_left (fun acc b -> block_mentions b acc) acc arms
+let block_mentions b acc =
+  fold_block (fun acc s -> add_names (Rewrite.stmt_names s []) acc) acc b
 
 (* Names assigned (scalar writes) anywhere in a block, at any depth. *)
-let rec block_assigns b acc = List.fold_left (fun acc s -> stmt_assigns s acc) acc b
-
-and stmt_assigns s acc =
-  match s.node with
-  | Assign (Lvar x, _) | Atomic_assign (Lvar x, _) -> SS.add x acc
-  | Assign (Lidx _, _) | Atomic_assign (Lidx _, _) -> acc
-  | Decl _ | Decl_arr _ | Call_stmt _ | Return _ | Break | Lock _ | Unlock _
-  | Barrier _ | Free _ ->
-      acc
-  | If (_, t, el) -> block_assigns el (block_assigns t acc)
-  | While (_, body) -> block_assigns body acc
-  | For { body; _ } -> block_assigns body acc
-  | Par arms -> List.fold_left (fun acc b -> block_assigns b acc) acc arms
+let block_assigns b acc =
+  fold_block
+    (fun acc s ->
+      match s.node with
+      | Assign (Lvar x, _) | Atomic_assign (Lvar x, _) -> SS.add x acc
+      | _ -> acc)
+    acc b
 
 (* Names bound by Decl/Decl_arr or used as a For index, at any depth. *)
-let rec block_binders b acc = List.fold_left (fun acc s -> stmt_binders s acc) acc b
+let block_binders b acc =
+  fold_block
+    (fun acc s ->
+      match s.node with
+      | Decl (x, _) | Decl_arr (x, _) | For { index = x; _ } -> SS.add x acc
+      | _ -> acc)
+    acc b
 
-and stmt_binders s acc =
-  match s.node with
-  | Decl (x, _) | Decl_arr (x, _) -> SS.add x acc
-  | For { index; body; _ } -> block_binders body (SS.add index acc)
-  | If (_, t, el) -> block_binders el (block_binders t acc)
-  | While (_, body) -> block_binders body acc
-  | Par arms -> List.fold_left (fun acc b -> block_binders b acc) acc arms
-  | Assign _ | Atomic_assign _ | Call_stmt _ | Return _ | Break | Lock _
-  | Unlock _ | Barrier _ | Free _ ->
-      acc
-
-let rec block_frees b acc = List.fold_left (fun acc s -> stmt_frees s acc) acc b
-
-and stmt_frees s acc =
-  match s.node with
-  | Free x -> SS.add x acc
-  | If (_, t, el) -> block_frees el (block_frees t acc)
-  | While (_, body) -> block_frees body acc
-  | For { body; _ } -> block_frees body acc
-  | Par arms -> List.fold_left (fun acc b -> block_frees b acc) acc arms
-  | _ -> acc
-
-let rec count_stmts b = List.fold_left (fun n s -> n + count_stmt s) 0 b
-
-and count_stmt s =
-  1
-  +
-  match s.node with
-  | If (_, t, el) -> count_stmts t + count_stmts el
-  | While (_, body) | For { body; _ } -> count_stmts body
-  | Par arms -> List.fold_left (fun n b -> n + count_stmts b) 0 arms
-  | _ -> 0
+let block_frees b acc =
+  fold_block (fun acc s -> match s.node with Free x -> SS.add x acc | _ -> acc) acc b
 
 let mk line node = { line; node }
 
-(* Substitute [Var x] by expression [by] everywhere in an expression.
-   Callers must ensure no binder of [x] shadows inside the walked region. *)
-let rec subst_var x by e =
-  match e with
-  | Var y when y = x -> by
-  | Int _ | Var _ | Len _ -> e
-  | Idx (a, i) -> Idx (a, subst_var x by i)
-  | Neg a -> Neg (subst_var x by a)
-  | Not a -> Not (subst_var x by a)
-  | Bin (op, a, b) -> Bin (op, subst_var x by a, subst_var x by b)
-  | Call (f, args) -> Call (f, List.map (subst_var x by) args)
-
-let rec subst_var_block x by b = List.map (subst_var_stmt x by) b
-
-and subst_var_stmt x by s =
-  let e = subst_var x by in
-  let node =
-    match s.node with
-    | Decl (y, rhs) -> Decl (y, e rhs)
-    | Decl_arr (y, se) -> Decl_arr (y, e se)
-    | Assign (l, rhs) -> Assign (subst_lhs x by l, e rhs)
-    | Atomic_assign (l, rhs) -> Atomic_assign (subst_lhs x by l, e rhs)
-    | If (c, t, el) -> If (e c, subst_var_block x by t, subst_var_block x by el)
-    | While (c, body) -> While (e c, subst_var_block x by body)
-    | For f ->
-        For
-          { f with
-            lo = e f.lo;
-            hi = e f.hi;
-            step = e f.step;
-            body = subst_var_block x by f.body }
-    | Call_stmt (f, args) -> Call_stmt (f, List.map e args)
-    | Return (Some r) -> Return (Some (e r))
-    | (Return None | Break | Lock _ | Unlock _ | Barrier _ | Free _) as n -> n
-    | Par arms -> Par (List.map (subst_var_block x by) arms)
-  in
-  mk s.line node
-
-and subst_lhs x by l =
-  match l with Lvar _ -> l | Lidx (a, i) -> Lidx (a, subst_var x by i)
+(* Substitute [Var x] by expression [by] everywhere in a block. Callers
+   must ensure no binder of [x] shadows inside the walked region. *)
+let subst_var_block x by b =
+  let e = map_expr (function Var y when y = x -> by | e -> e) in
+  map_block (map_stmt ~expr:e) b
 
 (* Can this expression's evaluation be skipped without dropping an effect?
    Scalar arithmetic always; calls only when everything transitively
@@ -187,7 +86,7 @@ and subst_lhs x by l =
    no array params) and never reaches [rand]/[print]. [Idx] is refused so a
    pass never masks an out-of-bounds fault the seed would have hit. *)
 let droppable_rhs (st : Static.t Lazy.t) prog (e : expr) =
-  (not (expr_has_idx e))
+  (not (exists_expr (function Idx _ -> true | _ -> false) e))
   &&
   if not (Rewrite.expr_has_call e) then true
   else
@@ -243,34 +142,20 @@ let map_funcs f (p : program) =
 (* ---- constant folding ---- *)
 
 let fold_pass =
-  let rec fe ctx e =
+  let fe ctx e =
+    let hit e' =
+      note ctx "exprs_folded" 1;
+      e'
+    in
     match e with
-    | Int _ | Var _ | Len _ -> e
-    | Idx (a, i) -> Idx (a, fe ctx i)
-    | Neg a -> (
-        match fe ctx a with
-        | Int n ->
-            note ctx "exprs_folded" 1;
-            Int (-n)
-        | a' -> Neg a')
-    | Not a -> (
-        match fe ctx a with
-        | Int n ->
-            note ctx "exprs_folded" 1;
-            Int (if n <> 0 then 0 else 1)
-        | a' -> Not a')
-    | Call (f, args) -> Call (f, List.map (fe ctx) args)
+    | Neg (Int n) -> hit (Int (-n))
+    | Not (Int n) -> hit (Int (if n <> 0 then 0 else 1))
     | Bin (op, a, b) -> (
-        let a = fe ctx a and b = fe ctx b in
-        let hit e' =
-          note ctx "exprs_folded" 1;
-          e'
-        in
         match (op, a, b) with
         (* Division/mod by a literal zero is left intact: the interpreter
            defines it (yields 0), but the fold must not normalise away the
            anomaly the source spells out. *)
-        | (Div | Mod), _, Int 0 -> Bin (op, a, b)
+        | (Div | Mod), _, Int 0 -> e
         | _, Int x, Int y -> hit (Int (Compile.apply_binop op x y))
         | Add, x, Int 0 | Add, Int 0, x | Sub, x, Int 0 -> hit x
         | Mul, x, Int 1 | Mul, Int 1, x | Div, x, Int 1 -> hit x
@@ -279,39 +164,15 @@ let fold_pass =
         | And, x, Int 0 | And, Int 0, x when pure_simple x -> hit (Int 0)
         | Or, x, Int c when c <> 0 && pure_simple x -> hit (Int 1)
         | Or, Int c, x when c <> 0 && pure_simple x -> hit (Int 1)
-        | _ -> Bin (op, a, b))
-  in
-  let rec fs ctx s =
-    let e = fe ctx in
-    let node =
-      match s.node with
-      | Decl (x, rhs) -> Decl (x, e rhs)
-      | Decl_arr (x, se) -> Decl_arr (x, e se)
-      | Assign (l, rhs) -> Assign (flhs ctx l, e rhs)
-      | Atomic_assign (l, rhs) -> Atomic_assign (flhs ctx l, e rhs)
-      | If (c, t, el) -> If (e c, List.map (fs ctx) t, List.map (fs ctx) el)
-      | While (c, body) -> While (e c, List.map (fs ctx) body)
-      | For f ->
-          For
-            { f with
-              lo = e f.lo;
-              hi = e f.hi;
-              step = e f.step;
-              body = List.map (fs ctx) f.body }
-      | Call_stmt (f, args) -> Call_stmt (f, List.map e args)
-      | Return (Some r) -> Return (Some (e r))
-      | (Return None | Break | Lock _ | Unlock _ | Barrier _ | Free _) as n -> n
-      | Par arms -> Par (List.map (List.map (fs ctx)) arms)
-    in
-    mk s.line node
-  and flhs ctx = function
-    | Lvar x -> Lvar x
-    | Lidx (a, i) -> Lidx (a, fe ctx i)
+        | _ -> e)
+    | e -> e
   in
   { name = "fold";
     doc = "constant folding and algebraic identities (div/mod-by-zero kept)";
     restructuring = false;
-    rewrite = (fun ctx p -> map_funcs (fun _ b -> List.map (fs ctx) b) p) }
+    rewrite =
+      (fun ctx p ->
+        map_funcs (fun _ b -> map_block (map_stmt ~expr:(map_expr (fe ctx))) b) p) }
 
 (* ---- constant propagation ---- *)
 
@@ -325,95 +186,60 @@ let fold_pass =
    [__c0]/[__c1] into literal loop bounds. *)
 let prop_pass =
   let module SM = Map.Make (String) in
-  let rec subst ctx (env : int SM.t) e =
+  let subst ctx (env : int SM.t) e =
     if SM.is_empty env then e
     else
-      match e with
-      | Var x -> (
-          match SM.find_opt x env with
-          | Some v ->
-              note ctx "exprs_folded" 1;
-              Int v
-          | None -> e)
-      | Int _ | Len _ -> e
-      | Idx (a, i) -> Idx (a, subst ctx env i)
-      | Neg a -> Neg (subst ctx env a)
-      | Not a -> Not (subst ctx env a)
-      | Bin (op, a, b) -> Bin (op, subst ctx env a, subst ctx env b)
-      | Call (f, args) -> Call (f, List.map (subst ctx env) args)
+      map_expr
+        (function
+          | Var x as e -> (
+              match SM.find_opt x env with
+              | Some v ->
+                  note ctx "exprs_folded" 1;
+                  Int v
+              | None -> e)
+          | e -> e)
+        e
   in
   let rec walk ctx env block =
     match block with
     | [] -> []
-    | s :: rest -> (
-        match s.node with
-        | Decl (x, rhs) ->
-            let rhs = subst ctx !env rhs in
-            (match rhs with
-            | Int v
-              when (not (SS.mem x (block_assigns rest SS.empty)))
-                   && not (SS.mem x (block_frees rest SS.empty)) ->
-                env := SM.add x v !env
-            | _ -> env := SM.remove x !env);
-            mk s.line (Decl (x, rhs)) :: walk ctx env rest
-        | Decl_arr (x, se) ->
-            let se = subst ctx !env se in
-            env := SM.remove x !env;
-            mk s.line (Decl_arr (x, se)) :: walk ctx env rest
-        | Free x ->
-            env := SM.remove x !env;
-            s :: walk ctx env rest
-        | Assign (l, rhs) ->
-            let l = subst_l ctx !env l in
-            let rhs = subst ctx !env rhs in
-            (match l with Lvar x -> env := SM.remove x !env | Lidx _ -> ());
-            mk s.line (Assign (l, rhs)) :: walk ctx env rest
-        | Atomic_assign (l, rhs) ->
-            let l = subst_l ctx !env l in
-            let rhs = subst ctx !env rhs in
-            (match l with Lvar x -> env := SM.remove x !env | Lidx _ -> ());
-            mk s.line (Atomic_assign (l, rhs)) :: walk ctx env rest
-        | If (c, t, el) ->
-            let c = subst ctx !env c in
-            let t = walk ctx (ref !env) t and el = walk ctx (ref !env) el in
-            mk s.line (If (c, t, el)) :: walk ctx env rest
-        | While (c, body) ->
-            (* Anything the body writes is unknown across iterations — and
-               the condition is re-evaluated after the body ran. *)
-            let killed = block_assigns body (block_binders body SS.empty) in
-            let env' = SM.filter (fun x _ -> not (SS.mem x killed)) !env in
-            env := env';
-            let c = subst ctx env' c in
-            let body = walk ctx (ref env') body in
-            mk s.line (While (c, body)) :: walk ctx env rest
-        | For f ->
-            let killed = block_assigns f.body (block_binders f.body SS.empty) in
-            let env' = SM.filter (fun x _ -> not (SS.mem x killed)) !env in
-            env := env';
-            let lo = subst ctx env' f.lo in
-            (* hi/step are evaluated with the index in scope. *)
-            let env_in = SM.remove f.index env' in
-            let hi = subst ctx env_in f.hi
-            and step = subst ctx env_in f.step in
-            let body = walk ctx (ref env_in) f.body in
-            mk s.line (For { f with lo; hi; step; body }) :: walk ctx env rest
-        | Call_stmt (f, args) ->
-            mk s.line (Call_stmt (f, List.map (subst ctx !env) args))
-            :: walk ctx env rest
-        | Return (Some r) ->
-            mk s.line (Return (Some (subst ctx !env r))) :: walk ctx env rest
-        | Return None | Break | Lock _ | Unlock _ | Barrier _ ->
-            s :: walk ctx env rest
-        | Par arms ->
-            (* Arms share the parent's bindings (copy-on-fork of the
-               binding table, same addresses): a name is only propagated if
-               no arm writes it — [block_assigns] above sees through [Par],
-               and arm-local declarations shadow via the recursive walk. *)
-            let arms = List.map (fun b -> walk ctx (ref !env) b) arms in
-            mk s.line (Par arms) :: walk ctx env rest)
-  and subst_l ctx env = function
-    | Lvar x -> Lvar x
-    | Lidx (a, i) -> Lidx (a, subst ctx env i)
+    | s :: rest ->
+        (* Nested blocks start from the current bindings: branch arms, and
+           [Par] arms too (copy-on-fork of the binding table, same
+           addresses) — a name is only propagated if no arm writes it, as
+           [block_assigns] sees through [Par]. *)
+        let nested env b = walk ctx (ref env) b in
+        (* Anything a loop body writes is unknown across iterations — and
+           the condition is re-evaluated after the body ran. *)
+        let kill body =
+          let killed = block_assigns body (block_binders body SS.empty) in
+          env := SM.filter (fun x _ -> not (SS.mem x killed)) !env
+        in
+        let s' =
+          match s.node with
+          | For f ->
+              kill f.body;
+              let lo = subst ctx !env f.lo in
+              (* hi/step are evaluated with the index in scope. *)
+              let env_in = SM.remove f.index !env in
+              let hi = subst ctx env_in f.hi
+              and step = subst ctx env_in f.step in
+              mk s.line (For { f with lo; hi; step; body = nested env_in f.body })
+          | While (_, body) ->
+              kill body;
+              map_stmt ~expr:(subst ctx !env) ~block:(nested !env) s
+          | _ -> map_stmt ~expr:(subst ctx !env) ~block:(nested !env) s
+        in
+        (match s'.node with
+        | Decl (x, Int v)
+          when (not (SS.mem x (block_assigns rest SS.empty)))
+               && not (SS.mem x (block_frees rest SS.empty)) ->
+            env := SM.add x v !env
+        | Decl (x, _) | Decl_arr (x, _) | Free x
+        | Assign (Lvar x, _) | Atomic_assign (Lvar x, _) ->
+            env := SM.remove x !env
+        | _ -> ());
+        s' :: walk ctx env rest
   in
   let run ctx p =
     (* Scalar globals never assigned anywhere are program-wide constants. *)
@@ -454,7 +280,7 @@ let simplify_pass =
     match s.node with
     | If (Int c, t, el) ->
         let live, dead = if Compile.truthy c then (t, el) else (el, t) in
-        let dropped = count_stmts dead in
+        let dropped = Rewrite.count_stmts dead in
         note ctx "stmts_removed" dropped;
         if c <> 1 || dead <> [] then note ctx "normalized" 1;
         let live = walk ctx live in
@@ -478,17 +304,13 @@ let simplify_pass =
     | If (c, [], el) when el <> [] ->
         note ctx "normalized" 1;
         [ mk s.line (If (Not c, walk ctx el, [])) ]
-    | If (c, t, el) -> [ mk s.line (If (c, walk ctx t, walk ctx el)) ]
     | While (Int 0, body) when ctx.sequential ->
-        note ctx "stmts_removed" (1 + count_stmts body);
+        note ctx "stmts_removed" (1 + Rewrite.count_stmts body);
         []
-    | While (c, body) -> [ mk s.line (While (c, walk ctx body)) ]
     | For ({ lo = Int l; hi = Int h; _ } as f) when ctx.sequential && h <= l ->
-        note ctx "stmts_removed" (1 + count_stmts f.body);
+        note ctx "stmts_removed" (1 + Rewrite.count_stmts f.body);
         []
-    | For f -> [ mk s.line (For { f with body = walk ctx f.body }) ]
-    | Par arms -> [ mk s.line (Par (List.map (walk ctx) arms)) ]
-    | _ -> [ s ]
+    | _ -> [ map_stmt ~block:(walk ctx) s ]
   in
   { name = "simplify";
     doc = "branch simplification on known conditions, empty-arm collapse";
@@ -502,31 +324,21 @@ let simplify_pass =
 (* ---- dead code elimination ---- *)
 
 (* Names a function actually *reads* (any occurrence that is not a plain
-   scalar-assignment target): removal candidates must stay out of this set. *)
+   scalar-assignment target or a binder): removal candidates must stay out
+   of this set. *)
 let func_reads (fn : func) =
-  let rec blk b acc = List.fold_left (fun acc s -> stmt s acc) acc b
-  and stmt s acc =
-    match s.node with
-    | Decl (_, e) | Decl_arr (_, e) -> expr_mentions e acc
-    | Assign (Lvar _, e) | Atomic_assign (Lvar _, e) -> expr_mentions e acc
-    | Assign (Lidx (a, i), e) | Atomic_assign (Lidx (a, i), e) ->
-        expr_mentions e (expr_mentions i (SS.add a acc))
-    | If (c, t, el) -> blk el (blk t (expr_mentions c acc))
-    | While (c, body) -> blk body (expr_mentions c acc)
-    | For { index; lo; hi; step; body } ->
-        (* the loop's own bookkeeping reads the index address every
-           iteration, so an index written in the body is live *)
-        blk body
-          (expr_mentions step
-             (expr_mentions hi (expr_mentions lo (SS.add index acc))))
-    | Call_stmt (_, args) ->
-        List.fold_left (fun acc a -> expr_mentions a acc) acc args
-    | Return (Some e) -> expr_mentions e acc
-    | Return None | Break | Lock _ | Unlock _ | Barrier _ -> acc
-    | Free x -> SS.add x acc
-    | Par arms -> List.fold_left (fun acc b -> blk b acc) acc arms
-  in
-  blk fn.body SS.empty
+  fold_block
+    (fun acc s ->
+      let acc = List.fold_left (fun acc e -> expr_mentions e acc) acc (stmt_exprs s) in
+      match s.node with
+      | Assign (Lidx (a, _), _) | Atomic_assign (Lidx (a, _), _) | Free a ->
+          SS.add a acc
+      | For { index; _ } ->
+          (* the loop's own bookkeeping reads the index address every
+             iteration, so an index written in the body is live *)
+          SS.add index acc
+      | _ -> acc)
+    SS.empty fn.body
 
 let dce_pass =
   let run ctx p =
@@ -547,30 +359,21 @@ let dce_pass =
         in
         let rhs_ok e = droppable_rhs ctx.static ctx.prog e in
         (* First reject names with any non-droppable write. *)
-        let blocked = ref SS.empty in
-        let rec scan b =
-          List.iter
-            (fun s ->
+        let blocked =
+          fold_block
+            (fun blocked s ->
               match s.node with
-              | Decl (x, e) when dead_ok x && not (rhs_ok e) ->
-                  blocked := SS.add x !blocked
+              | Decl (x, e) when dead_ok x && not (rhs_ok e) -> SS.add x blocked
               | Assign (Lvar x, e) when dead_ok x && not (rhs_ok e) ->
-                  blocked := SS.add x !blocked
-              | Atomic_assign (Lvar x, _) when dead_ok x ->
-                  blocked := SS.add x !blocked
+                  SS.add x blocked
+              | Atomic_assign (Lvar x, _) when dead_ok x -> SS.add x blocked
               | Decl_arr (x, _) when dead_ok x ->
                   (* arrays keep their allocation (Len/addr semantics) *)
-                  blocked := SS.add x !blocked
-              | If (_, t, el) ->
-                  scan t;
-                  scan el
-              | While (_, body) | For { body; _ } -> scan body
-              | Par arms -> List.iter scan arms
-              | _ -> ())
-            b
+                  SS.add x blocked
+              | _ -> blocked)
+            SS.empty body
         in
-        scan body;
-        let removable x = dead_ok x && not (SS.mem x !blocked) in
+        let removable x = dead_ok x && not (SS.mem x blocked) in
         let rec sweep b =
           let b =
             (* post-Return/Break trimming: nothing after an unconditional
@@ -578,7 +381,7 @@ let dce_pass =
             let rec cut = function
               | [] -> []
               | ({ node = Return _ | Break; _ } as s) :: rest ->
-                  note ctx "stmts_removed" (count_stmts rest);
+                  note ctx "stmts_removed" (Rewrite.count_stmts rest);
                   [ s ]
               | s :: rest -> s :: cut rest
             in
@@ -587,17 +390,10 @@ let dce_pass =
           List.concat_map
             (fun s ->
               match s.node with
-              | Decl (x, _) when removable x ->
+              | Decl (x, _) | Assign (Lvar x, _) when removable x ->
                   note ctx "stmts_removed" 1;
                   []
-              | Assign (Lvar x, _) when removable x ->
-                  note ctx "stmts_removed" 1;
-                  []
-              | If (c, t, el) -> [ mk s.line (If (c, sweep t, sweep el)) ]
-              | While (c, body) -> [ mk s.line (While (c, sweep body)) ]
-              | For f -> [ mk s.line (For { f with body = sweep f.body }) ]
-              | Par arms -> [ mk s.line (Par (List.map sweep arms)) ]
-              | _ -> [ s ])
+              | _ -> [ map_stmt ~block:sweep s ])
             b
         in
         sweep body)
@@ -610,11 +406,6 @@ let dce_pass =
 
 (* ---- loop-invariant hoisting ---- *)
 
-let without_body = function
-  | While (c, _) -> While (c, [])
-  | For f -> For { f with body = [] }
-  | n -> n
-
 let hoist_pass =
   let run ctx p =
     map_funcs
@@ -624,34 +415,17 @@ let hoist_pass =
           match block with
           | [] -> []
           | s :: rest -> (
-              let continue_with s' vis = s' :: walk vis rest in
               match s.node with
-              | Decl (x, _) | Decl_arr (x, _) ->
-                  continue_with s (SS.add x visible)
-              | If (c, t, el) ->
-                  continue_with
-                    (mk s.line (If (c, walk visible t, walk visible el)))
-                    visible
+              | Decl (x, _) | Decl_arr (x, _) -> s :: walk (SS.add x visible) rest
               | While (c, wb) ->
                   let hoisted, wb' = hoist_from visible s wb in
                   hoisted
-                  @ continue_with
-                      (mk s.line (While (c, walk visible wb')))
-                      visible
+                  @ (mk s.line (While (c, walk visible wb')) :: walk visible rest)
               | For f ->
                   let hoisted, fb' = hoist_from visible s f.body in
-                  hoisted
-                  @ continue_with
-                      (mk s.line
-                         (For
-                            { f with
-                              body = walk (SS.add f.index visible) fb' }))
-                      visible
-              | Par arms ->
-                  continue_with
-                    (mk s.line (Par (List.map (walk visible) arms)))
-                    visible
-              | _ -> continue_with s visible)
+                  let body = walk (SS.add f.index visible) fb' in
+                  hoisted @ (mk s.line (For { f with body }) :: walk visible rest)
+              | _ -> map_stmt ~block:(walk visible) s :: walk visible rest)
         (* Pull invariant leading declarations out of a loop body. *)
         and hoist_from visible loop_stmt body =
           let index_of =
@@ -668,23 +442,11 @@ let hoist_pass =
           let rec mentions_excl b acc =
             List.fold_left
               (fun acc s ->
-                if s != loop_stmt then stmt_mentions_excl s acc
-                else stmt_mentions { s with node = without_body s.node } acc)
+                let acc = add_names (Rewrite.stmt_names s []) acc in
+                if s == loop_stmt then acc
+                else
+                  List.fold_left (fun acc b -> mentions_excl b acc) acc (stmt_blocks s))
               acc b
-          and stmt_mentions_excl s acc =
-            match s.node with
-            | If (c, t, el) ->
-                mentions_excl el
-                  (mentions_excl t (expr_mentions c acc))
-            | While (c, b) -> mentions_excl b (expr_mentions c acc)
-            | For { index; lo; hi; step; body = b; _ } ->
-                mentions_excl b
-                  (expr_mentions step
-                     (expr_mentions hi
-                        (expr_mentions lo (SS.add index acc))))
-            | Par arms ->
-                List.fold_left (fun acc b -> mentions_excl b acc) acc arms
-            | _ -> stmt_mentions s acc
           in
           let outside_mentions = mentions_excl fn.body SS.empty in
           let rec take prefix rest =
@@ -737,27 +499,18 @@ let unroll_pass =
   let marked index =
     String.length index >= 3 && String.sub index 0 3 = "__u"
   in
-  let rec body_plain b =
-    (* statements that neither escape the loop nor manage storage *)
-    List.for_all
-      (fun s ->
-        match s.node with
-        | Break | Return _ | Par _ | Lock _ | Unlock _ | Barrier _ | Free _
-        | Decl_arr _ | Atomic_assign _ ->
-            false
-        | If (_, t, el) -> body_plain t && body_plain el
-        | While (_, body) | For { body; _ } -> body_plain body
-        | Decl _ | Assign _ | Call_stmt _ -> true)
-      b
+  (* statements that neither escape the loop nor manage storage *)
+  let body_plain =
+    Fun.negate
+      (exists_block (fun s ->
+           match s.node with
+           | Break | Return _ | Par _ | Lock _ | Unlock _ | Barrier _ | Free _
+           | Decl_arr _ | Atomic_assign _ ->
+               true
+           | Decl _ | Assign _ | Call_stmt _ | If _ | While _ | For _ -> false))
   in
-  let rec has_loop b =
-    List.exists
-      (fun s ->
-        match s.node with
-        | While _ | For _ -> true
-        | If (_, t, el) -> has_loop t || has_loop el
-        | _ -> false)
-      b
+  let has_loop =
+    exists_block (fun s -> match s.node with While _ | For _ -> true | _ -> false)
   in
   (* Partial unrolling pays a per-entry prelude (trip + main-bound decls);
      a loop that calls user code per iteration is dominated by the callee
@@ -766,7 +519,7 @@ let unroll_pass =
   let has_user_call b =
     List.exists
       (fun f -> not (List.mem f [ "rand"; "abs"; "print" ]))
-      (Rewrite.block_calls b [])
+      (Rewrite.block_calls b)
   in
   (* No top-level-declared name may be mentioned before its declaration:
      copies concatenate into one scope, so an early read would see the
@@ -780,7 +533,7 @@ let unroll_pass =
               if SS.mem x (expr_mentions rhs SS.empty) then false
               else go (SS.add x seen) rest
           | _ ->
-              let m = stmt_mentions s SS.empty in
+              let m = block_mentions [ s ] SS.empty in
               let later_decls =
                 List.fold_left
                   (fun acc s' ->
@@ -832,9 +585,6 @@ let unroll_pass =
   let rec walk ctx block = List.concat_map (one ctx) block
   and one ctx s =
     match s.node with
-    | If (c, t, el) -> [ mk s.line (If (c, walk ctx t, walk ctx el)) ]
-    | While (c, body) -> [ mk s.line (While (c, walk ctx body)) ]
-    | Par arms -> [ mk s.line (Par (List.map (walk ctx) arms)) ]
     | For f when not (marked f.index) -> (
         let body = walk ctx f.body in
         let f = { f with body } in
@@ -850,7 +600,7 @@ let unroll_pass =
         | Int l, Int h, Int st
           when base_ok && st > 0 && h > l
                && (h - l + st - 1) / st <= 8
-               && (h - l + st - 1) / st * count_stmts f.body <= 48 ->
+               && (h - l + st - 1) / st * Rewrite.count_stmts f.body <= 48 ->
             (* full unroll: the index becomes a literal everywhere *)
             let trip = (h - l + st - 1) / st in
             let uid = ctx.fresh in
@@ -865,7 +615,7 @@ let unroll_pass =
                && (not (has_loop f.body))
                && (not (has_user_call f.body))
                && pure_simple lo && pure_simple hi
-               && count_stmts f.body <= 16
+               && Rewrite.count_stmts f.body <= 16
                &&
                let bound_vars = expr_reads hi (* lo too *) in
                let bound_vars = SS.union bound_vars (expr_reads lo) in
@@ -926,8 +676,7 @@ let unroll_pass =
                      step = Int st;
                      body = remainder_body }) ]
         | _ -> [ mk s.line (For f) ])
-    | For f -> [ mk s.line (For { f with body = walk ctx f.body }) ]
-    | _ -> [ s ]
+    | _ -> [ map_stmt ~block:(walk ctx) s ]
   in
   { name = "unroll";
     doc = "full unroll of small constant loops, 4x partial unroll of hot \

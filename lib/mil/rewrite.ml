@@ -1,4 +1,5 @@
-(* Rewrite and substitution utilities over MIL ASTs.
+(* Rewrite and substitution utilities over MIL ASTs, built on the walker in
+   {!Ast}.
 
    The transform subsystem (lib/transform) edits programs mechanically:
    deep-copy (statements are mutable because of [line] patching, so a
@@ -12,25 +13,10 @@ open Ast
 
 (* ---- deep copy ---- *)
 
-let rec copy_stmt (s : stmt) : stmt =
-  let node =
-    match s.node with
-    | Decl _ | Decl_arr _ | Assign _ | Atomic_assign _ | Call_stmt _
-    | Return _ | Break | Lock _ | Unlock _ | Barrier _ | Free _ ->
-        s.node
-    | If (c, t, e) -> If (c, copy_block t, copy_block e)
-    | While (c, b) -> While (c, copy_block b)
-    | For f -> For { f with body = copy_block f.body }
-    | Par blocks -> Par (List.map copy_block blocks)
-  in
-  { line = s.line; node }
-
-and copy_block (b : block) : block = List.map copy_stmt b
-
-let copy_func (f : func) : func = { f with body = copy_block f.body }
+let copy_block (b : block) : block = map_block Fun.id b
 
 let copy_program (p : program) : program =
-  { p with funcs = List.map copy_func p.funcs }
+  { p with funcs = List.map (fun f -> { f with body = copy_block f.body }) p.funcs }
 
 (* ---- variable renaming ----
 
@@ -39,155 +25,81 @@ let copy_program (p : program) : program =
    arguments are expressions and rename with the rest; callee bodies are
    separate scopes and are not touched. *)
 
-let rec rename_expr ~from ~to_ (e : expr) : expr =
-  let r = rename_expr ~from ~to_ in
-  match e with
-  | Int _ -> e
-  | Var x -> if x = from then Var to_ else e
-  | Idx (a, ie) -> Idx ((if a = from then to_ else a), r ie)
-  | Len a -> if a = from then Len to_ else e
-  | Bin (op, e1, e2) -> Bin (op, r e1, r e2)
-  | Neg e1 -> Neg (r e1)
-  | Not e1 -> Not (r e1)
-  | Call (f, args) -> Call (f, List.map r args)
+let rename_expr ~from ~to_ (e : expr) : expr =
+  let n x = if x = from then to_ else x in
+  map_expr
+    (function
+      | Var x -> Var (n x)
+      | Idx (a, i) -> Idx (n a, i)
+      | Len a -> Len (n a)
+      | e -> e)
+    e
 
-let rename_lhs ~from ~to_ (l : lhs) : lhs =
-  match l with
-  | Lvar x -> if x = from then Lvar to_ else l
-  | Lidx (a, ie) ->
-      Lidx ((if a = from then to_ else a), rename_expr ~from ~to_ ie)
-
-let rec rename_stmt ~from ~to_ (s : stmt) : stmt =
-  let re = rename_expr ~from ~to_ in
-  let rl = rename_lhs ~from ~to_ in
-  let rb = rename_block ~from ~to_ in
+let rename_stmt ~from ~to_ (s : stmt) : stmt =
+  let n x = if x = from then to_ else x in
+  let lhs = function Lvar x -> Lvar (n x) | Lidx (a, i) -> Lidx (n a, i) in
   let node =
     match s.node with
-    | Decl (x, e) -> Decl ((if x = from then to_ else x), re e)
-    | Decl_arr (x, e) -> Decl_arr ((if x = from then to_ else x), re e)
-    | Assign (l, e) -> Assign (rl l, re e)
-    | Atomic_assign (l, e) -> Atomic_assign (rl l, re e)
-    | If (c, t, e) -> If (re c, rb t, rb e)
-    | While (c, b) -> While (re c, rb b)
-    | For f ->
-        For
-          { index = (if f.index = from then to_ else f.index);
-            lo = re f.lo; hi = re f.hi; step = re f.step; body = rb f.body }
-    | Call_stmt (f, args) -> Call_stmt (f, List.map re args)
-    | Return (Some e) -> Return (Some (re e))
-    | Return None | Break | Lock _ | Unlock _ | Barrier _ -> s.node
-    | Free x -> Free (if x = from then to_ else x)
-    | Par blocks -> Par (List.map rb blocks)
+    | Decl (x, e) -> Decl (n x, e)
+    | Decl_arr (x, e) -> Decl_arr (n x, e)
+    | Assign (l, e) -> Assign (lhs l, e)
+    | Atomic_assign (l, e) -> Atomic_assign (lhs l, e)
+    | For f -> For { f with index = n f.index }
+    | Free x -> Free (n x)
+    | node -> node
   in
-  { line = s.line; node }
+  map_stmt ~expr:(rename_expr ~from ~to_) { s with node }
 
-and rename_block ~from ~to_ (b : block) : block =
-  List.map (rename_stmt ~from ~to_) b
+let rename_block ~from ~to_ (b : block) : block =
+  map_block (rename_stmt ~from ~to_) b
 
 (* ---- statement search / replacement by source line ---- *)
 
-let rec replace_in_block (b : block) ~line ~(f : stmt -> stmt list) :
-    block * bool =
-  match b with
-  | [] -> ([], false)
-  | s :: rest when s.line = line ->
-      (f s @ rest, true)
-  | s :: rest ->
-      let s', hit = replace_in_stmt s ~line ~f in
-      if hit then (s' :: rest, true)
-      else
-        let rest', hit = replace_in_block rest ~line ~f in
-        (s :: rest', hit)
-
-and replace_in_stmt (s : stmt) ~line ~f : stmt * bool =
-  let wrap node = { line = s.line; node } in
-  match s.node with
-  | If (c, t, e) ->
-      let t', hit = replace_in_block t ~line ~f in
-      if hit then (wrap (If (c, t', e)), true)
-      else
-        let e', hit = replace_in_block e ~line ~f in
-        (wrap (If (c, t, e')), hit)
-  | While (c, b) ->
-      let b', hit = replace_in_block b ~line ~f in
-      (wrap (While (c, b')), hit)
-  | For fl ->
-      let b', hit = replace_in_block fl.body ~line ~f in
-      (wrap (For { fl with body = b' }), hit)
-  | Par blocks ->
-      let rec go = function
-        | [] -> ([], false)
-        | blk :: rest ->
-            let blk', hit = replace_in_block blk ~line ~f in
-            if hit then (blk' :: rest, true)
-            else
-              let rest', hit = go rest in
-              (blk :: rest', hit)
-      in
-      let blocks', hit = go blocks in
-      (wrap (Par blocks'), hit)
-  | _ -> (s, false)
-
-let replace_by_line (p : program) ~line ~(f : stmt -> stmt list) :
+let replace_lines (p : program) ~lines ~(f : stmt list -> stmt list) :
     program option =
-  let rec go = function
-    | [] -> None
-    | fn :: rest -> (
-        let body', hit = replace_in_block fn.body ~line ~f in
-        if hit then Some ({ fn with body = body' } :: rest)
-        else match go rest with Some rest' -> Some (fn :: rest') | None -> None)
+  let first = List.hd lines and n = List.length lines in
+  let hit = ref false in
+  let rec splice b =
+    match b with
+    | s :: _ when (not !hit) && s.line = first ->
+        let seg = List.filteri (fun i _ -> i < n) b in
+        if List.map (fun t -> t.line) seg <> lines then b
+        else begin
+          hit := true;
+          f seg @ List.filteri (fun i _ -> i >= n) b
+        end
+    | s :: rest when not !hit ->
+        let s = if stmt_blocks s = [] then s else map_stmt ~block:splice s in
+        s :: splice rest
+    | b -> b
   in
-  Option.map (fun funcs -> { p with funcs }) (go p.funcs)
+  let funcs =
+    List.map (fun fn -> if !hit then fn else { fn with body = splice fn.body }) p.funcs
+  in
+  if !hit then Some { p with funcs } else None
 
-let rec find_in_block (b : block) ~line : stmt option =
-  List.find_map
-    (fun s ->
-      if s.line = line then Some s
-      else
-        match s.node with
-        | If (_, t, e) -> (
-            match find_in_block t ~line with
-            | Some r -> Some r
-            | None -> find_in_block e ~line)
-        | While (_, body) | For { body; _ } -> find_in_block body ~line
-        | Par blocks -> List.find_map (fun blk -> find_in_block blk ~line) blocks
-        | _ -> None)
-    b
-
-let find_by_line (p : program) ~line : (stmt * string) option =
+let find_by_line (p : program) ~line : stmt option =
   List.find_map
     (fun fn ->
-      Option.map (fun s -> (s, fn.fname)) (find_in_block fn.body ~line))
+      fold_block
+        (fun found s ->
+          match found with
+          | Some _ -> found
+          | None -> if s.line = line then Some s else None)
+        None fn.body)
     p.funcs
 
 (* ---- syntactic probes ---- *)
 
-let rec expr_calls (e : expr) acc =
-  match e with
-  | Int _ | Var _ | Len _ -> acc
-  | Idx (_, ie) -> expr_calls ie acc
-  | Bin (_, e1, e2) -> expr_calls e1 (expr_calls e2 acc)
-  | Neg e1 | Not e1 -> expr_calls e1 acc
-  | Call (f, args) -> f :: List.fold_right expr_calls args acc
+let stmt_calls (s : stmt) acc =
+  let acc = match s.node with Call_stmt (f, _) -> f :: acc | _ -> acc in
+  List.fold_left
+    (fold_expr (fun acc e -> match e with Call (f, _) -> f :: acc | _ -> acc))
+    acc (stmt_exprs s)
 
-let expr_has_call e = expr_calls e [] <> []
+let expr_has_call = exists_expr (function Call _ -> true | _ -> false)
 
-let rec block_calls (b : block) acc =
-  List.fold_right
-    (fun s acc ->
-      match s.node with
-      | Decl (_, e) | Decl_arr (_, e) | Return (Some e) -> expr_calls e acc
-      | Assign (l, e) | Atomic_assign (l, e) ->
-          let acc = expr_calls e acc in
-          (match l with Lidx (_, ie) -> expr_calls ie acc | Lvar _ -> acc)
-      | If (c, t, els) -> expr_calls c (block_calls t (block_calls els acc))
-      | While (c, body) -> expr_calls c (block_calls body acc)
-      | For { lo; hi; step; body; _ } ->
-          expr_calls lo (expr_calls hi (expr_calls step (block_calls body acc)))
-      | Call_stmt (f, args) -> f :: List.fold_right expr_calls args acc
-      | Par blocks -> List.fold_right block_calls blocks acc
-      | Return None | Break | Lock _ | Unlock _ | Barrier _ | Free _ -> acc)
-    b acc
+let block_calls (b : block) = fold_block (fun acc s -> stmt_calls s acc) [] b
 
 (* Transitive closure of the call names reachable from [b], following user
    function bodies; builtin names ("rand", "abs", "print") stay in the set
@@ -200,51 +112,49 @@ let reachable_calls (p : program) (b : block) : string list =
         if not (Hashtbl.mem seen name) then begin
           Hashtbl.add seen name ();
           match List.find_opt (fun f -> f.fname = name) p.funcs with
-          | Some f -> visit (block_calls f.body [])
+          | Some f -> visit (block_calls f.body)
           | None -> ()
         end)
       names
   in
-  visit (block_calls b []);
+  visit (block_calls b);
   Hashtbl.fold (fun k () acc -> k :: acc) seen []
 
 let calls_transitively (p : program) (b : block) name =
   List.mem name (reachable_calls p b)
 
+let stmt_names (s : stmt) acc =
+  let acc =
+    List.fold_left
+      (fold_expr (fun acc e ->
+           match e with Var x | Len x | Idx (x, _) -> x :: acc | _ -> acc))
+      acc (stmt_exprs s)
+  in
+  match s.node with
+  | Decl (x, _) | Decl_arr (x, _) | Free x | For { index = x; _ }
+  | Assign ((Lvar x | Lidx (x, _)), _)
+  | Atomic_assign ((Lvar x | Lidx (x, _)), _) ->
+      x :: acc
+  | If _ | While _ | Call_stmt _ | Return _ | Break | Par _ | Lock _
+  | Unlock _ | Barrier _ ->
+      acc
+
+let mentions (b : block) x = exists_block (fun s -> List.mem x (stmt_names s [])) b
+
+let count_stmts (b : block) = fold_block (fun n _ -> n + 1) 0 b
+
 (* Thread-parallelism or synchronisation constructs anywhere in the block
    (directly; callee bodies are not inspected). *)
-let rec has_sync (b : block) =
-  List.exists
-    (fun s ->
-      match s.node with
-      | Par _ | Lock _ | Unlock _ | Barrier _ -> true
-      | If (_, t, e) -> has_sync t || has_sync e
-      | While (_, body) | For { body; _ } -> has_sync body
-      | _ -> false)
-    b
+let has_sync =
+  exists_block (fun s ->
+      match s.node with Par _ | Lock _ | Unlock _ | Barrier _ -> true | _ -> false)
 
-let rec block_has_par (b : block) =
+let has_par (p : program) =
   List.exists
-    (fun s ->
-      match s.node with
-      | Par _ -> true
-      | If (_, t, e) -> block_has_par t || block_has_par e
-      | While (_, body) | For { body; _ } -> block_has_par body
-      | _ -> false)
-    b
+    (fun f -> exists_block (fun s -> match s.node with Par _ -> true | _ -> false) f.body)
+    p.funcs
 
-let has_par (p : program) = List.exists (fun f -> block_has_par f.body) p.funcs
-
-let rec has_return (b : block) =
-  List.exists
-    (fun s ->
-      match s.node with
-      | Return _ -> true
-      | If (_, t, e) -> has_return t || has_return e
-      | While (_, body) | For { body; _ } -> has_return body
-      | Par blocks -> List.exists has_return blocks
-      | _ -> false)
-    b
+let has_return = exists_block (fun s -> match s.node with Return _ -> true | _ -> false)
 
 (* A [Break] that would escape the region's own loop: one not nested inside
    a deeper loop of the block. *)
@@ -253,8 +163,6 @@ let rec has_toplevel_break (b : block) =
     (fun s ->
       match s.node with
       | Break -> true
-      | If (_, t, e) -> has_toplevel_break t || has_toplevel_break e
       | While _ | For _ -> false
-      | Par blocks -> List.exists has_toplevel_break blocks
-      | _ -> false)
+      | _ -> List.exists has_toplevel_break (stmt_blocks s))
     b

@@ -1,5 +1,6 @@
 (** Rewrite and substitution utilities over MIL ASTs, used by the
-    [lib/transform] auto-parallelization subsystem.
+    [lib/transform] auto-parallelization subsystem and the passes, all
+    built on the walker in {!Ast}.
 
     Statements carry a mutable [line] field that {!Builder.number} patches
     in place, so a program about to be edited and renumbered must first be
@@ -9,9 +10,7 @@
 
 (** {1 Deep copy} *)
 
-val copy_stmt : Ast.stmt -> Ast.stmt
 val copy_block : Ast.block -> Ast.block
-val copy_func : Ast.func -> Ast.func
 val copy_program : Ast.program -> Ast.program
 
 (** {1 Variable renaming}
@@ -21,28 +20,43 @@ val copy_program : Ast.program -> Ast.program
     separate scopes and are not entered. *)
 
 val rename_expr : from:string -> to_:string -> Ast.expr -> Ast.expr
+
 val rename_stmt : from:string -> to_:string -> Ast.stmt -> Ast.stmt
+(** The statement's own occurrences: its binder, index or target and the
+    expressions it evaluates. Nested blocks are left as they are. *)
+
 val rename_block : from:string -> to_:string -> Ast.block -> Ast.block
+(** Every occurrence in the block, nested blocks included. *)
 
 (** {1 Search / replace by source line} *)
 
-val replace_by_line :
-  Ast.program -> line:int -> f:(Ast.stmt -> Ast.stmt list) -> Ast.program option
-(** Replace the unique statement at [line] with the statements produced by
-    [f]; [None] if no statement carries that line. The replacement is pure:
-    enclosing blocks are rebuilt, untouched siblings are shared. *)
+val replace_lines :
+  Ast.program ->
+  lines:int list ->
+  f:(Ast.stmt list -> Ast.stmt list) ->
+  Ast.program option
+(** Replace the consecutive statements of one block that carry exactly
+    [lines], in order, with [f] of them; a single statement is the segment
+    [[line]]. The first statement carrying [List.hd lines] in pre-order
+    decides: [None] if there is none or the segment does not follow it.
+    [f]'s result is not searched again. The replacement is pure: enclosing
+    statements are rebuilt. *)
 
-val find_by_line : Ast.program -> line:int -> (Ast.stmt * string) option
-(** The statement at [line] and the name of its enclosing function. *)
+val find_by_line : Ast.program -> line:int -> Ast.stmt option
+(** The first statement, in pre-order, at [line]. *)
 
-(** {1 Syntactic feasibility probes} *)
+(** {1 Syntactic probes} *)
 
-val expr_calls : Ast.expr -> string list -> string list
-(** Names of all calls in the expression, prepended to the accumulator. *)
+val stmt_calls : Ast.stmt -> string list -> string list
+(** Names of the calls the statement makes itself — a call statement's
+    callee and every call in {!Ast.stmt_exprs} — prepended to the
+    accumulator. Nested blocks are not entered. *)
 
 val expr_has_call : Ast.expr -> bool
 
-val block_calls : Ast.block -> string list -> string list
+val block_calls : Ast.block -> string list
+(** {!stmt_calls} of every statement of the block, nested ones included;
+    a name appears once per call site. *)
 
 val reachable_calls : Ast.program -> Ast.block -> string list
 (** Transitive closure of call targets reachable from the block through
@@ -50,6 +64,18 @@ val reachable_calls : Ast.program -> Ast.block -> string list
     leaves. *)
 
 val calls_transitively : Ast.program -> Ast.block -> string -> bool
+
+val stmt_names : Ast.stmt -> string list -> string list
+(** Every variable the statement mentions itself — binder, loop index,
+    assignment target or freed array, and every scalar, array and length
+    name in {!Ast.stmt_exprs} — prepended to the accumulator. Callee and
+    lock names are not variables. *)
+
+val mentions : Ast.block -> string -> bool
+(** The name occurs anywhere in the block, by {!stmt_names}. *)
+
+val count_stmts : Ast.block -> int
+(** Statements in the block, nested ones included. *)
 
 val has_sync : Ast.block -> bool
 (** [Par] / [Lock] / [Unlock] / [Barrier] anywhere in the block. *)

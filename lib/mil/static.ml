@@ -138,12 +138,9 @@ let reduction_only_vars (p : program) :
         note_plain_write ~in_loop (lhs_written l)
     | None, (Decl (x, _) | Decl_arr (x, _)) -> note_plain_write ~in_loop x
     | None, Free x -> note_plain_write ~in_loop x
-    | None, If (_, t, e) ->
-        List.iter (stmt ~in_loop) t;
-        List.iter (stmt ~in_loop) e
-    | None, (While (_, b) | For { body = b; _ }) -> List.iter (stmt ~in_loop:true) b
-    | None, Par bs -> List.iter (List.iter (stmt ~in_loop)) bs
-    | None, (Call_stmt _ | Return _ | Break | Lock _ | Unlock _ | Barrier _) -> ()
+    | None, (While _ | For _) ->
+        List.iter (List.iter (stmt ~in_loop:true)) (stmt_blocks s)
+    | None, _ -> List.iter (List.iter (stmt ~in_loop)) (stmt_blocks s)
   in
   List.iter
     (fun f -> List.iter (stmt ~in_loop:false) f.body)
@@ -479,17 +476,11 @@ let analyze (p : program) : t =
     in
     List.iter pop_decl scoped
   and block_writes_var block x =
-    List.exists
+    exists_block
       (fun s ->
         match s.node with
         | Assign (l, _) | Atomic_assign (l, _) -> lhs_written l = x
-        | If (_, t, e) -> block_writes_var t x || block_writes_var e x
-        | While (_, b) -> block_writes_var b x
-        | For { body; _ } -> block_writes_var body x
-        | Par bs -> List.exists (fun b -> block_writes_var b x) bs
-        | Decl _ | Decl_arr _ | Call_stmt _ | Return _ | Break | Lock _
-        | Unlock _ | Barrier _ | Free _ ->
-            false)
+        | _ -> false)
       block
   in
   List.iter

@@ -78,7 +78,6 @@ val expr_callees : Ast.expr -> (string * Ast.expr list) list -> (string * Ast.ex
 (** Call sites named in an expression, with their argument lists. *)
 
 val lhs_written : Ast.lhs -> string
-val lhs_index_reads : Ast.lhs -> SS.t
 
 val reduction_of_stmt : Ast.stmt -> (string * Ast.binop) option
 (** Recognise [x = x op e] / [a[i] = a[i] op e] with a reduction operator

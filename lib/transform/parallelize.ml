@@ -58,32 +58,20 @@ type t = {
 
 (* ---- small helpers ---- *)
 
-(* Probe for any syntactic occurrence of [x]: renaming to a name that can
-   never appear in a program ('\000' is not produced by any builder) changes
-   the block iff [x] occurs. *)
-let mentions_var (b : Ast.block) x =
-  R.rename_block ~from:x ~to_:"\000probe" b <> b
-
 let array_names (p : Ast.program) : SS.t =
-  let acc = ref SS.empty in
-  List.iter
-    (function Ast.Garray (n, _) -> acc := SS.add n !acc | Ast.Gscalar _ -> ())
-    p.globals;
-  let rec scan_block b = List.iter scan_stmt b
-  and scan_stmt (s : Ast.stmt) =
-    match s.node with
-    | Decl_arr (x, _) -> acc := SS.add x !acc
-    | If (_, t, e) -> scan_block t; scan_block e
-    | While (_, b) | For { body = b; _ } -> scan_block b
-    | Par bs -> List.iter scan_block bs
-    | _ -> ()
+  let globals =
+    List.filter_map
+      (function Ast.Garray (n, _) -> Some n | Ast.Gscalar _ -> None)
+      p.globals
   in
-  List.iter
-    (fun (f : Ast.func) ->
-      List.iter (fun a -> acc := SS.add a !acc) f.arr_params;
-      scan_block f.body)
-    p.funcs;
-  !acc
+  List.fold_left
+    (fun acc (f : Ast.func) ->
+      Ast.fold_block
+        (fun acc (s : Ast.stmt) ->
+          match s.node with Decl_arr (x, _) -> SS.add x acc | _ -> acc)
+        (SS.union acc (SS.of_list f.arr_params))
+        f.body)
+    (SS.of_list globals) p.funcs
 
 let identity_of_op (op : Ast.binop) =
   match op with
@@ -97,50 +85,28 @@ let identity_of_op (op : Ast.binop) =
 (* Rename [from] only within the statements at the given lines (used to
    redirect reduction statements to a per-chunk accumulator while leaving
    the rest of the body alone). *)
-let rec rename_at_lines ~from ~to_ lines (b : Ast.block) : Ast.block =
-  List.map
-    (fun (s : Ast.stmt) ->
-      if List.mem s.line lines then R.rename_stmt ~from ~to_ s
-      else
-        let node =
-          match s.node with
-          | Ast.If (c, t, e) ->
-              Ast.If (c, rename_at_lines ~from ~to_ lines t,
-                      rename_at_lines ~from ~to_ lines e)
-          | While (c, body) ->
-              While (c, rename_at_lines ~from ~to_ lines body)
-          | For f -> For { f with body = rename_at_lines ~from ~to_ lines f.body }
-          | Par bs -> Par (List.map (rename_at_lines ~from ~to_ lines) bs)
-          | n -> n
-        in
-        { s with node })
+let rename_at_lines ~from ~to_ lines (b : Ast.block) : Ast.block =
+  Ast.map_block
+    (fun s -> if List.mem s.Ast.line lines then R.rename_stmt ~from ~to_ s else s)
     b
 
-let rec reduction_lines_in r op (b : Ast.block) : int list =
-  List.concat_map
-    (fun (s : Ast.stmt) ->
-      let here =
-        match Static.reduction_of_stmt s with
-        | Some (r', op') when r' = r && op' = op -> [ s.line ]
-        | _ -> []
-      in
-      let nested =
-        match s.node with
-        | Ast.If (_, t, e) ->
-            reduction_lines_in r op t @ reduction_lines_in r op e
-        | While (_, body) | For { body; _ } -> reduction_lines_in r op body
-        | Par bs -> List.concat_map (reduction_lines_in r op) bs
-        | _ -> []
-      in
-      here @ nested)
-    b
+let reduction_lines_in r op (b : Ast.block) : int list =
+  Ast.fold_block
+    (fun acc (s : Ast.stmt) ->
+      match Static.reduction_of_stmt s with
+      | Some (r', op') when r' = r && op' = op -> s.line :: acc
+      | _ -> acc)
+    [] b
+  |> List.rev
 
 let atomicize prog line =
   match
-    R.replace_by_line prog ~line ~f:(fun s ->
-        match s.Ast.node with
-        | Ast.Assign (l, e) -> [ { s with node = Ast.Atomic_assign (l, e) } ]
-        | _ -> [ s ])
+    R.replace_lines prog ~lines:[ line ]
+      ~f:
+        (List.map (fun (s : Ast.stmt) ->
+             match s.node with
+             | Ast.Assign (l, e) -> { s with node = Ast.Atomic_assign (l, e) }
+             | _ -> s))
   with
   | Some p -> p
   | None -> prog
@@ -207,7 +173,7 @@ let doall ~chunks prog (la : Loops.analysis) :
   in
   let* stmt =
     match R.find_by_line prog ~line:la.Loops.loop_line with
-    | Some (s, _) -> Ok s
+    | Some s -> Ok s
     | None -> Error "loop line not found"
   in
   let* f, step = check_loop_shape prog la stmt in
@@ -253,14 +219,14 @@ let doall ~chunks prog (la : Loops.analysis) :
         let* body = body in
         match plan with
         | `Atomic (r, _) ->
-            if mentions_var body r then
+            if R.mentions body r then
               Error ("callee-reduced variable " ^ r ^ " also accessed in body")
             else Ok body
         | `Local (r, _, _, lines) ->
             let body =
               rename_at_lines ~from:r ~to_:("__red_" ^ r) lines body
             in
-            if mentions_var body r then
+            if R.mentions body r then
               Error ("reduction variable " ^ r ^ " accessed outside its reduction")
             else Ok body)
       (Ok f.body) red_plans
@@ -330,7 +296,7 @@ let doall ~chunks prog (la : Loops.analysis) :
   in
   let par_stmt = B.par (List.init chunks chunk) in
   let* prog =
-    match R.replace_by_line prog ~line:la.loop_line ~f:(fun _ -> [ par_stmt ]) with
+    match R.replace_lines prog ~lines:[ la.loop_line ] ~f:(fun _ -> [ par_stmt ]) with
     | Some p -> Ok p
     | None -> Error "loop statement vanished during rewriting"
   in
@@ -366,7 +332,7 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
     (Ast.program * string list, string) result =
   let* stmt =
     match R.find_by_line prog ~line:la.Loops.loop_line with
-    | Some (s, _) -> Ok s
+    | Some s -> Ok s
     | None -> Error "loop line not found"
   in
   let* f, step = check_loop_shape prog la stmt in
@@ -426,8 +392,8 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
       (fun acc (s : Ast.stmt) ->
         let* acc = acc in
         match s.node with
-        | Ast.Decl (x, _) when mentions_var b_stmts x -> Ok (x :: acc)
-        | Ast.Decl_arr (x, _) when mentions_var b_stmts x ->
+        | Ast.Decl (x, _) when R.mentions b_stmts x -> Ok (x :: acc)
+        | Ast.Decl_arr (x, _) when R.mentions b_stmts x ->
             Error ("local array " ^ x ^ " flows from prefix into carried suffix")
         | _ -> Ok acc)
       (Ok []) a_stmts
@@ -474,7 +440,7 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
   in
   let par_stmt = B.par (List.init chunks chunk) in
   let* prog =
-    match R.replace_by_line prog ~line:la.loop_line ~f:(fun _ -> [ par_stmt ]) with
+    match R.replace_lines prog ~lines:[ la.loop_line ] ~f:(fun _ -> [ par_stmt ]) with
     | Some p -> Ok p
     | None -> Error "loop statement vanished during rewriting"
   in
@@ -511,8 +477,7 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
    shared state inside callees need this interprocedural view. *)
 let stmt_effects (static : Static.t) (prog : Ast.program) (s : Ast.stmt) :
     SS.t * SS.t =
-  let reads = ref SS.empty and writes = ref SS.empty in
-  let add_call (callee, args) =
+  let add_call (reads, writes) (callee, args) =
     match
       ( Static.summary static callee,
         List.find_opt
@@ -521,49 +486,27 @@ let stmt_effects (static : Static.t) (prog : Ast.program) (s : Ast.stmt) :
     with
     | Some sum, Some fn ->
         let r, w = Static.apply_call_summary ~callee_sum:sum ~callee:fn ~args in
-        reads := SS.union r !reads;
-        writes := SS.union w !writes
-    | _ -> ()
+        (SS.union r reads, SS.union w writes)
+    | _ -> (reads, writes)
   in
-  let expr e =
-    reads := Static.expr_read_vars e !reads;
-    List.iter add_call (Static.expr_callees e [])
-  in
-  let lhs l =
-    writes := SS.add (Static.lhs_written l) !writes;
-    reads := SS.union (Static.lhs_index_reads l) !reads
-  in
-  let rec stmt (s : Ast.stmt) =
-    match s.Ast.node with
-    | Ast.Decl (x, e) | Ast.Decl_arr (x, e) ->
-        writes := SS.add x !writes;
-        expr e
-    | Assign (l, e) | Atomic_assign (l, e) ->
-        lhs l;
-        expr e
-    | Call_stmt (callee, args) ->
-        List.iter expr args;
-        add_call (callee, args)
-    | If (c, t, e) ->
-        expr c;
-        List.iter stmt t;
-        List.iter stmt e
-    | While (c, b) ->
-        expr c;
-        List.iter stmt b
-    | For f ->
-        writes := SS.add f.index !writes;
-        reads := SS.add f.index !reads;
-        expr f.lo;
-        expr f.hi;
-        expr f.step;
-        List.iter stmt f.body
-    | Par bs -> List.iter (List.iter stmt) bs
-    | Return (Some e) -> expr e
-    | Return None | Break | Lock _ | Unlock _ | Barrier _ | Free _ -> ()
-  in
-  stmt s;
-  (!reads, !writes)
+  Ast.fold_block
+    (fun (reads, writes) (s : Ast.stmt) ->
+      let exprs = Ast.stmt_exprs s in
+      let reads = List.fold_left (fun r e -> Static.expr_read_vars e r) reads exprs in
+      let calls = List.fold_left (fun c e -> Static.expr_callees e c) [] exprs in
+      let reads, writes, calls =
+        match s.node with
+        | Ast.Decl (x, _) | Decl_arr (x, _) -> (reads, SS.add x writes, calls)
+        | Assign (l, _) | Atomic_assign (l, _) ->
+            (reads, SS.add (Static.lhs_written l) writes, calls)
+        | Call_stmt (callee, args) -> (reads, writes, (callee, args) :: calls)
+        | For f -> (SS.add f.index reads, SS.add f.index writes, calls)
+        | If _ | While _ | Par _ | Return _ | Break | Lock _ | Unlock _
+        | Barrier _ | Free _ ->
+            (reads, writes, calls)
+      in
+      List.fold_left add_call (reads, writes) calls)
+    (SS.empty, SS.empty) [ s ]
 
 let task_eligible prog task_lines (s : Ast.stmt) =
   List.mem s.Ast.line task_lines
@@ -589,47 +532,31 @@ let forkjoin prog fname task_lines : (Ast.program * string list, string) result 
     in
     hoists @ [ B.par threads ]
   in
-  let rec go b : Ast.block * bool =
+  let hit = ref false in
+  let rec go (b : Ast.block) : Ast.block =
     match b with
-    | [] -> ([], false)
-    | s :: rest when eligible s ->
+    | s :: rest when (not !hit) && eligible s ->
         let rec take acc = function
           | t :: more when eligible t -> take (t :: acc) more
           | more -> (List.rev acc, more)
         in
         let run, rest' = take [ s ] rest in
-        if List.length run >= 2 then (parize run @ rest', true)
-        else
-          let rest2, hit = go rest' in
-          (run @ rest2, hit)
-    | s :: rest ->
-        let s', hit = descend s in
-        if hit then (s' :: rest, true)
-        else
-          let rest', hit = go rest in
-          (s :: rest', hit)
-  and descend (s : Ast.stmt) : Ast.stmt * bool =
-    let wrap node = { s with Ast.node } in
-    match s.node with
-    | Ast.If (c, t, e) ->
-        let t', hit = go t in
-        if hit then (wrap (Ast.If (c, t', e)), true)
-        else
-          let e', hit = go e in
-          (wrap (Ast.If (c, t, e')), hit)
-    | While (c, body) ->
-        let body', hit = go body in
-        (wrap (Ast.While (c, body')), hit)
-    | For fl ->
-        let body', hit = go fl.body in
-        (wrap (Ast.For { fl with body = body' }), hit)
-    | _ -> (s, false)
+        if List.length run >= 2 then begin
+          hit := true;
+          parize run @ rest'
+        end
+        else run @ go rest'
+    | ({ node = Ast.Par _; _ } as s) :: rest when not !hit -> s :: go rest
+    | s :: rest when not !hit ->
+        let s = Ast.map_stmt ~block:go s in
+        s :: go rest
+    | b -> b
   in
   match List.find_opt (fun (fn : Ast.func) -> fn.fname = fname) prog.Ast.funcs with
   | None -> Error ("no function " ^ fname)
   | Some fn -> (
-      let body', hit = go fn.body in
-      if not hit then Error "no consecutive pair of task statements"
+      let body' = go fn.body in
+      if not !hit then Error "no consecutive pair of task statements"
       else
         (* The forked tasks run unsynchronized, so any variable one task
            writes and another touches must be a reduction-only global (a
@@ -696,54 +623,6 @@ let spmd ~chunks prog (report : Suggestion.report) (sp : Tasks.spmd) =
   | `Recursive_forkjoin fname -> forkjoin prog fname sp.s_task_lines
 
 (* ---- MPMD: task-graph stages ---- *)
-
-(* Replace the consecutive statement segment starting at [List.hd lines]
-   and matching [lines] exactly. *)
-let replace_segment prog ~lines ~f : Ast.program option =
-  let n = List.length lines in
-  let rec seg_in_block (b : Ast.block) : Ast.block * bool =
-    match b with
-    | [] -> ([], false)
-    | s :: _ when s.Ast.line = List.hd lines ->
-        let seg = List.filteri (fun i _ -> i < n) b in
-        let rest = List.filteri (fun i _ -> i >= n) b in
-        if List.map (fun (t : Ast.stmt) -> t.Ast.line) seg = lines then
-          (f seg @ rest, true)
-        else (b, false)
-    | s :: rest ->
-        let s', hit = seg_in_stmt s in
-        if hit then (s' :: rest, true)
-        else
-          let rest', hit = seg_in_block rest in
-          (s :: rest', hit)
-  and seg_in_stmt (s : Ast.stmt) : Ast.stmt * bool =
-    let wrap node = { s with Ast.node } in
-    match s.node with
-    | Ast.If (c, t, e) ->
-        let t', hit = seg_in_block t in
-        if hit then (wrap (Ast.If (c, t', e)), true)
-        else
-          let e', hit = seg_in_block e in
-          (wrap (Ast.If (c, t, e')), hit)
-    | While (c, body) ->
-        let body', hit = seg_in_block body in
-        (wrap (Ast.While (c, body')), hit)
-    | For fl ->
-        let body', hit = seg_in_block fl.body in
-        (wrap (Ast.For { fl with body = body' }), hit)
-    | _ -> (s, false)
-  in
-  let rec go = function
-    | [] -> None
-    | (fn : Ast.func) :: rest -> (
-        let body', hit = seg_in_block fn.body in
-        if hit then Some ({ fn with body = body' } :: rest)
-        else
-          match go rest with
-          | Some rest' -> Some (fn :: rest')
-          | None -> None)
-  in
-  Option.map (fun funcs -> { prog with Ast.funcs }) (go prog.Ast.funcs)
 
 let mpmd prog (report : Suggestion.report) (m : Tasks.mpmd) :
     (Ast.program * string list, string) result =
@@ -840,7 +719,7 @@ let mpmd prog (report : Suggestion.report) (m : Tasks.mpmd) :
         if not (all_pairs members) then None
         else
           match
-            replace_segment prog ~lines ~f:(fun seg ->
+            R.replace_lines prog ~lines ~f:(fun seg ->
                 if List.for_all stmt_ok seg && effects_independent seg then
                   parize seg
                 else seg)
@@ -873,7 +752,7 @@ let naive_doall ?(chunks = 4) (prog : Ast.program) ~line :
     (Ast.program, string) result =
   let prog = R.copy_program prog in
   match R.find_by_line prog ~line with
-  | Some ({ Ast.node = Ast.For ({ step = Ast.Int step; _ } as f); _ }, _)
+  | Some { Ast.node = Ast.For ({ step = Ast.Int step; _ } as f); _ }
     when step > 0 ->
       let chunk k =
         bounds_prelude f ~step ~chunks ~k
@@ -881,7 +760,7 @@ let naive_doall ?(chunks = 4) (prog : Ast.program) ~line :
               (R.copy_block f.body) ]
       in
       let par_stmt = B.par (List.init chunks chunk) in
-      (match R.replace_by_line prog ~line ~f:(fun _ -> [ par_stmt ]) with
+      (match R.replace_lines prog ~lines:[ line ] ~f:(fun _ -> [ par_stmt ]) with
       | Some p ->
           Ok (B.number { p with pname = p.pname ^ "_naive" })
       | None -> Error "loop not found")

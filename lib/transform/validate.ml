@@ -59,7 +59,7 @@ let seed_free (prog : Mil.Ast.program) =
   && not
        (List.exists
           (fun (f : Mil.Ast.func) ->
-            List.mem "rand" (Mil.Rewrite.block_calls f.body []))
+            List.mem "rand" (Mil.Rewrite.block_calls f.body))
           prog.funcs)
 
 let diff_observations (a : observation) (b : observation) : string list =
@@ -238,7 +238,7 @@ type distribution = {
 
 let measure ?(seed = 42) ?label ~(original : Mil.Ast.program)
     (transformed : Mil.Ast.program) : distribution =
-  let serial = Interp.run ~seed original in
+  let serial = Interp.run ~seed ~instrument:false original in
   let d_serial_total = serial.r_stats.reads + serial.r_stats.writes in
   let per_thread = Hashtbl.create 8 in
   let _ =

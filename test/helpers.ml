@@ -38,14 +38,9 @@ let fig34 =
           decl "b" (v "x" - call "rand" [ i 10 ] / v "x");
           set "x" (v "a" + v "b") ] ]
 
-(* The 71 registry programs, and one of them by name. *)
-let registry =
-  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-  @ Workloads.Numerics.all @ Workloads.Parsec.all
-
+(* One registry program by name. *)
 let workload name =
-  match List.find_opt (fun (w : Workloads.Registry.t) -> w.name = name) registry with
+  match Workloads.Catalog.find name with
   | Some w -> w
   | None -> Alcotest.failf "unknown workload %s" name
 

@@ -272,9 +272,7 @@ let test_every_workload_runs () =
         (w.R.name ^ " profiled some accesses")
         true
         (report.Discovery.Suggestion.profile.Profiler.Serial.accesses > 0))
-    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-   @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-   @ Workloads.Numerics.all @ Workloads.Parsec.all)
+    Workloads.Catalog.all
 
 let tests =
   tests @ [ Alcotest.test_case "every workload runs" `Slow test_every_workload_runs ]

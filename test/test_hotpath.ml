@@ -38,13 +38,6 @@ let workload_of_file f =
        Profiler.Engine.Signature 4096)
   | _ -> (base, Profiler.Engine.Perfect)
 
-let find_workload name =
-  List.find_opt
-    (fun (w : Workloads.Registry.t) -> w.name = name)
-    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-   @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-   @ Workloads.Numerics.all @ Workloads.Parsec.all)
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -59,7 +52,7 @@ let test_golden_sweep () =
   List.iter
     (fun f ->
       let name, shadow = workload_of_file f in
-      match find_workload name with
+      match Workloads.Catalog.find name with
       | None -> Alcotest.failf "golden %s: unknown workload %s" f name
       | Some w ->
           let size =
@@ -93,7 +86,7 @@ let scramble_output () =
   List.iter
     (fun (name, size) ->
       let w =
-        match find_workload name with
+        match Workloads.Catalog.find name with
         | Some w -> w
         | None -> Alcotest.failf "scramble oracle: unknown workload %s" name
       in
@@ -149,7 +142,7 @@ let replay e stream =
 
 let test_alloc_regression () =
   let w =
-    match find_workload "histogram" with
+    match Workloads.Catalog.find "histogram" with
     | Some w -> w
     | None -> Alcotest.fail "histogram workload missing"
   in

@@ -1,6 +1,7 @@
 let () =
   Alcotest.run "discopop"
     [ ("mil", Test_mil.tests);
+      ("walker", Test_walker.tests);
       ("trace", Test_trace.tests);
       ("sigmem", Test_sigmem.tests);
       ("profiler", Test_profiler.tests);

@@ -520,11 +520,6 @@ let test_pretty_parallel () =
 
 (* ---- MIL text parser (lib/mil/parse) ---- *)
 
-let all_registry_workloads =
-  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-  @ Workloads.Numerics.all @ Workloads.Parsec.all
-
 (* Every bundled workload's rendering must parse, and parse∘render must be
    idempotent: the first parse may renumber programs whose builders share
    statement values, but from then on text -> AST -> text is a fixpoint.
@@ -547,7 +542,7 @@ let test_parse_registry_roundtrip () =
               Alcotest.(check string)
                 (name ^ ": parse∘render is idempotent") r1
                 (Pretty.render_program p2)))
-    all_registry_workloads
+    Workloads.Catalog.all
 
 (* The parsed program must also behave like the original: same entry result
    on the (small, fast) textbook suite. *)

@@ -169,9 +169,7 @@ let test_registry_render_roundtrip () =
             (w.name ^ ": parse . render idempotent")
             src
             (Pretty.render_program p2))
-    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-   @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-   @ Workloads.Numerics.all @ Workloads.Parsec.all)
+    Workloads.Catalog.all
 
 (* Observation preservation with the interpreter is the expensive check;
    the full registry runs nightly in bench/exp_passes (CI-gated to 0

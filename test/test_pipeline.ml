@@ -6,11 +6,6 @@
 module R = Workloads.Registry
 module S = Discovery.Suggestion
 
-let all_workloads =
-  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-  @ Workloads.Numerics.all @ Workloads.Parsec.all
-
 let fresh_dir =
   let n = ref 0 in
   fun () ->
@@ -208,7 +203,7 @@ let ranking_is_finite_and_total () =
                 (compare ab 0 = compare 0 ba))
             report.S.suggestions)
         report.S.suggestions)
-    all_workloads
+    Workloads.Catalog.all
 
 let rank_key_nan () =
   let s =

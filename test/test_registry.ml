@@ -23,11 +23,6 @@
 module R = Workloads.Registry
 module S = Discovery.Suggestion
 
-let registry =
-  Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-  @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-  @ Workloads.Numerics.all @ Workloads.Parsec.all
-
 let md5 s = Digest.to_hex (Digest.string s)
 
 let interp_digest prog =
@@ -90,7 +85,7 @@ let check_golden ~env ~file ~what got =
 let test_registry_digest () =
   check_golden ~env:"REGISTRY_DIGEST_OUT" ~file:"registry.digest"
     ~what:"registry digest"
-    (List.map digest_line registry)
+    (List.map digest_line Workloads.Catalog.all)
 
 (* [golden/pet.golden] pins the Program Execution Tree: per registry program,
    the MD5 of [Pet.to_string] from the serial profiler and from the parallel
@@ -140,7 +135,7 @@ let pet_line (w : R.t) =
 
 let test_pet_golden () =
   check_golden ~env:"PET_GOLDEN_OUT" ~file:"pet.golden" ~what:"PET"
-    (List.map pet_line registry)
+    (List.map pet_line Workloads.Catalog.all)
 
 (* [golden/engine.golden] pins the engine's counters, which the dependence
    digests above do not cover: per registry program, for [Serial.profile] at
@@ -193,7 +188,7 @@ let engine_line (w : R.t) =
 let test_engine_golden () =
   check_golden ~env:"ENGINE_GOLDEN_OUT" ~file:"engine.golden"
     ~what:"engine counters"
-    (List.map engine_line registry)
+    (List.map engine_line Workloads.Catalog.all)
 
 (* [golden/interleave.golden] pins the fiber scheduler's interleavings, the
    part of the interpreter that the goldens above see only through the
@@ -305,7 +300,7 @@ let interleave_lines () =
         let prog = R.program w in
         if Mil.Rewrite.has_par prog then Some (interleave_line w.name prog)
         else None)
-      registry
+      Workloads.Catalog.all
   in
   let transformed =
     List.map
@@ -321,20 +316,28 @@ let test_interleave_golden () =
   check_golden ~env:"INTERLEAVE_GOLDEN_OUT" ~file:"interleave.golden"
     ~what:"interleavings" (interleave_lines ())
 
+(* The first transformable suggestion of every registry program at its
+   default size ([Parallelize.apply_first ~chunks:2] after a 2-thread
+   analysis), computed once and shared by the two goldens below. *)
+let first_transforms =
+  lazy
+    (List.map
+       (fun (w : R.t) ->
+         let report = S.analyze ~threads:2 (R.program w) in
+         (w, Result.to_option (Transform.Parallelize.apply_first ~chunks:2 report)))
+       Workloads.Catalog.all)
+
 (* [golden/validate.golden] pins [Validate.differential]: for every registry
-   program at its default size whose first transformable suggestion
-   ([Parallelize.apply_first ~chunks:2] after a 2-thread analysis) applies,
+   program whose first transformable suggestion applies,
    [verdict_to_string] at the default seeds and at seed 42 alone, its lines
    joined by " / ".
 
    Regenerate (only for a deliberate change to validation) with
      VALIDATE_GOLDEN_OUT=test/golden/validate.golden \
        dune exec test/test_main.exe -- test registry *)
-let validate_line (w : R.t) =
-  let report = S.analyze ~threads:2 (R.program w) in
-  match Transform.Parallelize.apply_first ~chunks:2 report with
-  | Error _ -> None
-  | Ok (t, _) ->
+let validate_line ((w : R.t), t) =
+  Option.map
+    (fun ((t : Transform.Parallelize.t), _) ->
       let verdict seeds =
         Transform.Validate.(
           verdict_to_string
@@ -344,13 +347,41 @@ let validate_line (w : R.t) =
         |> List.filter (fun l -> l <> "")
         |> List.map String.trim |> String.concat " / "
       in
-      Some
-        (Printf.sprintf "%s %s || %s" w.name (verdict None)
-           (verdict (Some [ 42 ])))
+      Printf.sprintf "%s %s || %s" w.name (verdict None)
+        (verdict (Some [ 42 ])))
+    t
 
 let test_validate_golden () =
   check_golden ~env:"VALIDATE_GOLDEN_OUT" ~file:"validate.golden"
-    ~what:"verdict" (List.filter_map validate_line registry)
+    ~what:"verdict"
+    (List.filter_map validate_line (Lazy.force first_transforms))
+
+(* [golden/rewrite.golden] pins the programs the transform and the passes
+   produce, which the verdicts above and the passes' event-ratio gate do
+   not: per registry program, the MD5 of the rendered first transform ("-"
+   when no suggestion applies) and of the rendered [Pass.run] output under
+   the default pipeline.
+
+   Regenerate (only for a deliberate change to a transform or a pass) with
+     REWRITE_GOLDEN_OUT=test/golden/rewrite.golden \
+       dune exec test/test_main.exe -- test registry *)
+let rewrite_line ((w : R.t), t) =
+  let transformed =
+    match t with
+    | Some ((t : Transform.Parallelize.t), _) ->
+        md5 (Mil.Pretty.render_program t.transformed)
+    | None -> "-"
+  in
+  let passed =
+    match Mil.Pass.run (R.program w) with
+    | Ok r -> md5 (Mil.Pretty.render_program r.Mil.Pass.program)
+    | Error e -> "error:" ^ e
+  in
+  Printf.sprintf "%s %s %s" w.name transformed passed
+
+let test_rewrite_golden () =
+  check_golden ~env:"REWRITE_GOLDEN_OUT" ~file:"rewrite.golden"
+    ~what:"rewrite" (List.map rewrite_line (Lazy.force first_transforms))
 
 let tests =
   [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
@@ -360,4 +391,6 @@ let tests =
       test_engine_golden;
     Alcotest.test_case "interleave golden (streams, scramble, observation)"
       `Slow test_interleave_golden;
-    Alcotest.test_case "validate golden (verdicts)" `Slow test_validate_golden ]
+    Alcotest.test_case "validate golden (verdicts)" `Slow test_validate_golden;
+    Alcotest.test_case "rewrite golden (transform, passes)" `Slow
+      test_rewrite_golden ]

@@ -278,9 +278,7 @@ let test_par_eval_sequential () =
                 (if pool = None then "without a pool" else "on the pool"))
           [ None; Some pool ]
       end)
-    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Starbench.all
-   @ Workloads.Bots.all @ Workloads.Apps.all @ Workloads.Splash2x.all
-   @ Workloads.Numerics.all @ Workloads.Parsec.all);
+    Workloads.Catalog.all;
   Alcotest.(check bool) "most of the registry is sequential" true (!checked > 40)
 
 (* DOALL chunking with privatization + reduction merges, on the pool. *)

@@ -218,7 +218,7 @@ let test_sequential_original_never_racy () =
   let sequential =
     List.filter
       (fun w -> not (Rewrite.has_par (Workloads.Registry.program w)))
-      Helpers.registry
+      Workloads.Catalog.all
   in
   Alcotest.(check bool) "most of the registry is sequential" true
     (List.length sequential > 40);
@@ -359,7 +359,7 @@ let test_race_matches_engine () =
             (fun seed -> ignore (race_matches_engine ~what ~seed prog))
             V.default_seeds)
         ((w.name, original) :: transformed))
-    Helpers.registry;
+    Workloads.Catalog.all;
   let racy_transformed =
     match P.apply_first ~chunks:2 (S.analyze ~threads:2 racy_original) with
     | Ok (t, _) -> t.P.transformed
@@ -402,7 +402,7 @@ let test_seed_free_premise () =
             [ 1009; 77777 ]
         end;
         free)
-      Helpers.registry
+      Workloads.Catalog.all
   in
   List.iter
     (fun name ->
@@ -411,8 +411,26 @@ let test_seed_free_premise () =
     [ "histogram"; "match_count" ];
   Alcotest.(check int) "seed-free registry programs" 20 (List.length accepted)
 
+(* [measure] counts the original's accesses from an uninstrumented run: the
+   count must equal the instrumented run's access events. *)
+let test_measure_serial_total () =
+  List.iter
+    (fun name ->
+      let p = Workloads.Registry.program (Helpers.workload name) in
+      let events = ref 0 in
+      ignore
+        (Interp.run ~seed:42
+           ~on_access:(fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_
+               ~op:_ ~lstack:_ ~locked:_ -> incr events)
+           p);
+      let d = V.measure ~seed:42 ~original:p p in
+      Alcotest.(check int) (name ^ ": serial total") !events d.V.d_serial_total)
+    [ "histogram"; "fib" ]
+
 let tests =
   [ Alcotest.test_case "DOALL with reduction" `Quick test_doall_reduction;
+    Alcotest.test_case "measure's serial total is the access count" `Quick
+      test_measure_serial_total;
     Alcotest.test_case "DOACROSS pipeline" `Quick test_doacross_pipeline;
     Alcotest.test_case "recursive fork-join" `Quick test_recursive_forkjoin;
     Alcotest.test_case "wrong transform rejected" `Quick
