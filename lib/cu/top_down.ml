@@ -57,36 +57,15 @@ let stmt_has_call (s : Ast.stmt) =
   Ast.exists_block (fun t -> Rewrite.stmt_calls t [] <> []) [ s ]
 
 (* Reads and writes of the directly-evaluated expressions of a statement,
-   including interprocedural call effects. Nested blocks are NOT included —
-   they become their own items. *)
+   including interprocedural call effects, with a declaration's binder as a
+   write and the virtual [ret] written by a return. Nested blocks are NOT
+   included — they become their own items. *)
 let shallow_rw (st : Static.t) (s : Ast.stmt) : SS.t * SS.t =
-  let exprs = Ast.stmt_exprs s in
-  let calls = List.fold_left (fun acc e -> Static.expr_callees e acc) [] exprs in
-  let calls =
-    match s.node with Ast.Call_stmt (f, args) -> (f, args) :: calls | _ -> calls
-  in
-  let reads = List.fold_left (fun acc e -> Static.expr_read_vars e acc) SS.empty exprs in
-  let writes =
-    match s.node with
-    | Ast.Decl (x, _) | Ast.Decl_arr (x, _) | Ast.Free x -> SS.singleton x
-    | Ast.Assign (l, _) | Ast.Atomic_assign (l, _) ->
-        SS.singleton (Static.lhs_written l)
-    | Ast.Return _ -> SS.singleton "ret"
-    | Ast.If _ | Ast.While _ | Ast.For _ | Ast.Call_stmt _ | Ast.Break
-    | Ast.Lock _ | Ast.Unlock _ | Ast.Barrier _ | Ast.Par _ ->
-        SS.empty
-  in
-  List.fold_left
-    (fun (r, w) (callee_name, args) ->
-      match List.find_opt (fun g -> g.Ast.fname = callee_name) st.program.funcs with
-      | None -> (r, w)
-      | Some callee -> (
-          match Static.summary st callee_name with
-          | None -> (r, w)
-          | Some callee_sum ->
-              let cr, cw = Static.apply_call_summary ~callee_sum ~callee ~args in
-              (SS.union r cr, SS.union w cw)))
-    (reads, writes) calls
+  let fx = Static.effects st s in
+  let writes = SS.union fx.fx_writes (SS.of_list (Option.to_list fx.fx_binds)) in
+  match s.node with
+  | Ast.Return _ -> (fx.fx_reads, SS.add "ret" writes)
+  | _ -> (fx.fx_reads, writes)
 
 (* The variable set used for CU construction in region [rid]: variables global
    to the region, with the §3.2.5 special rules applied — function parameters
@@ -99,7 +78,7 @@ let construction_globals (st : Static.t) rid =
   | Static.Rloop { index = Some ix; _ } ->
       if r.index_written_in_body then SS.add ix gv else SS.remove ix gv
   | Static.Rfunc fname ->
-      let f = Ast.find_func st.program fname in
+      let f = Hashtbl.find st.funcs fname in
       SS.add "ret" (SS.union gv (SS.of_list f.Ast.params))
   | Static.Rloop { index = None; _ } | Static.Rbranch _ -> gv
 
@@ -174,7 +153,7 @@ let build (st : Static.t) : result =
     let param_filter =
       match st.regions.(rid).kind with
       | Static.Rfunc fname ->
-          let f = Ast.find_func st.program fname in
+          let f = Hashtbl.find st.funcs fname in
           fun ws -> List.fold_left (fun acc p -> SS.remove p acc) ws f.Ast.params
       | Static.Rloop _ | Static.Rbranch _ -> Fun.id
     in

@@ -34,10 +34,6 @@ val region_is_single_cu : result -> int -> bool
 
 (** {1 Exposed internals (testing, custom analyses)} *)
 
-val shallow_rw : Mil.Static.t -> Mil.Ast.stmt -> SS.t * SS.t
-(** Reads/writes of a statement's directly-evaluated expressions, including
-    interprocedural call effects; nested blocks excluded. *)
-
 val construction_globals : Mil.Static.t -> int -> SS.t
 (** The variable set used for CU construction in the region, with the
     §3.2.5 special rules applied. *)

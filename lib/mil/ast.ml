@@ -82,11 +82,11 @@ type program = {
    region scopes) recurse by hand and take their default case from
    [map_stmt]. *)
 
-let sub_exprs = function
-  | Int _ | Var _ | Len _ -> []
-  | Idx (_, e) | Neg e | Not e -> [ e ]
-  | Bin (_, a, b) -> [ a; b ]
-  | Call (_, args) -> args
+let fold_sub_exprs f acc = function
+  | Int _ | Var _ | Len _ -> acc
+  | Idx (_, e) | Neg e | Not e -> f acc e
+  | Bin (_, a, b) -> f (f acc a) b
+  | Call (_, args) -> List.fold_left f acc args
 
 let map_sub_exprs f = function
   | (Int _ | Var _ | Len _) as e -> e
@@ -98,8 +98,14 @@ let map_sub_exprs f = function
       Bin (op, a, f b)
   | Call (g, args) -> Call (g, List.map f args)
 
-let rec fold_expr f acc e = List.fold_left (fold_expr f) (f acc e) (sub_exprs e)
-let rec exists_expr p e = p e || List.exists (exists_expr p) (sub_exprs e)
+let fold_expr f acc e =
+  let rec go acc e = fold_sub_exprs go (f acc e) e in
+  go acc e
+
+let exists_expr p e =
+  let rec go hit e = hit || p e || fold_sub_exprs go false e in
+  go false e
+
 let rec map_expr f e = f (map_sub_exprs (map_expr f) e)
 
 let stmt_exprs s =

@@ -91,25 +91,15 @@ end
 (* Lock, unlock or barrier anywhere in the blocks, nested [Par] bodies and
    the bodies of every function they reach included. *)
 let syncs prog blocks =
-  let rec direct b =
-    List.exists
-      (fun s ->
-        match s.node with
-        | Lock _ | Unlock _ | Barrier _ -> true
-        | If (_, t, e) -> direct t || direct e
-        | While (_, b) | For { body = b; _ } -> direct b
-        | Par bs -> List.exists direct bs
-        | _ -> false)
-      b
+  let direct =
+    exists_block (fun s ->
+        match s.node with Lock _ | Unlock _ | Barrier _ -> true | _ -> false)
   in
   let b = List.concat blocks in
   direct b
-  || List.exists
-       (fun name ->
-         match List.find_opt (fun f -> f.fname = name) prog.funcs with
-         | Some f -> direct f.body
-         | None -> false)
-       (Rewrite.reachable_calls prog b)
+  ||
+  let reached = Rewrite.reachable_calls prog b in
+  List.exists (fun f -> List.mem f.fname reached && direct f.body) prog.funcs
 
 module type BACKEND = sig
   type ctx

@@ -45,6 +45,7 @@ type summary = {
 
 type t = {
   program : program;
+  funcs : (string, func) Hashtbl.t;      (* callee lookup by name *)
   regions : region array;
   func_region : (string, int) Hashtbl.t;
   summaries : (string, summary) Hashtbl.t;
@@ -56,26 +57,12 @@ let region t id = t.regions.(id)
 let func_region t name = Hashtbl.find t.func_region name
 let summary t name = Hashtbl.find_opt t.summaries name
 
-let rec expr_read_vars e acc =
-  match e with
-  | Int _ | Len _ -> acc
-  | Var x -> SS.add x acc
-  | Idx (a, e1) -> expr_read_vars e1 (SS.add a acc)
-  | Bin (_, e1, e2) -> expr_read_vars e2 (expr_read_vars e1 acc)
-  | Neg e1 | Not e1 -> expr_read_vars e1 acc
-  | Call (_, args) -> List.fold_left (fun acc e1 -> expr_read_vars e1 acc) acc args
-
-(* Callees named in an expression, for summary propagation. *)
-let rec expr_callees e acc =
-  match e with
-  | Int _ | Var _ | Len _ -> acc
-  | Idx (_, e1) | Neg e1 | Not e1 -> expr_callees e1 acc
-  | Bin (_, e1, e2) -> expr_callees e2 (expr_callees e1 acc)
-  | Call (f, args) ->
-      List.fold_left (fun acc e1 -> expr_callees e1 acc) ((f, args) :: acc) args
+let expr_read_vars e acc =
+  fold_expr
+    (fun acc e -> match e with Var x | Idx (x, _) -> SS.add x acc | _ -> acc)
+    acc e
 
 let lhs_written = function Lvar x | Lidx (x, _) -> x
-let lhs_index_reads = function Lvar _ -> SS.empty | Lidx (_, e) -> expr_read_vars e SS.empty
 
 (* Recognise a reduction statement: [x = x op e] or [a[i] = a[i] op e] with a
    commutative-associative operator, where [e] does not read the reduced
@@ -166,132 +153,107 @@ let summary_equal a b =
   && SS.equal a.sum_pread b.sum_pread
   && SS.equal a.sum_pwritten b.sum_pwritten
 
+(* ---- Statement effects ---- *)
+
+type effects = { fx_reads : SS.t; fx_writes : SS.t; fx_binds : string option }
+
 (* Map a callee summary through a call site: array-parameter effects become
    effects on the actual argument arrays (which may be the caller's params,
-   locals, or program globals). Actual array arguments in MIL are written as
-   [Var name] in the argument list positions that correspond to array params. *)
-let apply_call_summary ~callee_sum ~callee ~args =
-  let n_scalars = List.length callee.params in
-  let arr_actuals =
-    (* Array actuals follow the scalar actuals positionally. *)
-    List.filteri (fun k _ -> k >= n_scalars) args
-    |> List.map (function
-         | Var a -> Some a
-         | _ -> None)
-  in
-  let map_params pset =
-    List.fold_left2
-      (fun acc formal actual ->
-        if SS.mem formal pset then
-          match actual with Some a -> SS.add a acc | None -> acc
-        else acc)
-      SS.empty callee.arr_params
-      (if List.length arr_actuals = List.length callee.arr_params then arr_actuals
-       else List.map (fun _ -> None) callee.arr_params)
-  in
-  let reads = SS.union callee_sum.sum_gread (map_params callee_sum.sum_pread) in
-  let writes = SS.union callee_sum.sum_gwritten (map_params callee_sum.sum_pwritten) in
-  (reads, writes)
+   locals, or program globals). Array actuals follow the scalar actuals
+   positionally and are written [Var name]. *)
+let call_effects funcs summaries (reads, writes) (name, args) =
+  match Hashtbl.find_opt funcs name with
+  | None -> (reads, writes)
+  | Some callee ->
+      let sum =
+        Option.value (Hashtbl.find_opt summaries name) ~default:empty_summary
+      in
+      let arr_actuals = List.filteri (fun k _ -> k >= List.length callee.params) args in
+      let map_params pset acc =
+        if List.compare_lengths arr_actuals callee.arr_params <> 0 then acc
+        else
+          List.fold_left2
+            (fun acc formal actual ->
+              match actual with
+              | Var a when SS.mem formal pset -> SS.add a acc
+              | _ -> acc)
+            acc callee.arr_params arr_actuals
+      in
+      ( map_params sum.sum_pread (SS.union sum.sum_gread reads),
+        map_params sum.sum_pwritten (SS.union sum.sum_gwritten writes) )
 
-let compute_summaries (p : program) (program_globals : SS.t) :
+(* What one statement does itself, nested blocks excluded: the names its
+   expressions read (assignment-target indices included), the write of its
+   target, and the effects of every call it makes, mapped through the callee
+   summaries in [summaries]. A declaration's binder is reported apart from
+   the writes: it names a new local, which the caller scopes. *)
+let stmt_effects funcs summaries s =
+  let reads, calls =
+    List.fold_left
+      (fold_expr (fun ((reads, calls) as acc) e ->
+           match e with
+           | Var x | Idx (x, _) -> (SS.add x reads, calls)
+           | Call (f, args) -> (reads, (f, args) :: calls)
+           | Int _ | Len _ | Bin _ | Neg _ | Not _ -> acc))
+      (SS.empty, match s.node with Call_stmt (f, args) -> [ (f, args) ] | _ -> [])
+      (stmt_exprs s)
+  in
+  let writes, binds =
+    match s.node with
+    | Assign (l, _) | Atomic_assign (l, _) -> (SS.singleton (lhs_written l), None)
+    | Free x -> (SS.singleton x, None)
+    | Decl (x, _) | Decl_arr (x, _) -> (SS.empty, Some x)
+    | If _ | While _ | For _ | Call_stmt _ | Return _ | Break | Par _ | Lock _
+    | Unlock _ | Barrier _ ->
+        (SS.empty, None)
+  in
+  let reads, writes =
+    List.fold_left (call_effects funcs summaries) (reads, writes) calls
+  in
+  { fx_reads = reads; fx_writes = writes; fx_binds = binds }
+
+let effects t s = stmt_effects t.funcs t.summaries s
+
+let compute_summaries (p : program) funcs (program_globals : SS.t) :
     (string, summary) Hashtbl.t =
   let tbl = Hashtbl.create 16 in
   List.iter (fun f -> Hashtbl.replace tbl f.fname empty_summary) p.funcs;
-  let get name = try Hashtbl.find tbl name with Not_found -> empty_summary in
-  let classify f name (gr, gw, pr, pw) ~write =
+  let summarize f =
     (* A name touched inside [f] contributes to the summary if it is a program
        global or one of [f]'s array parameters; everything else is local. *)
-    if List.mem name f.arr_params then
-      if write then (gr, gw, pr, SS.add name pw) else (gr, gw, SS.add name pr, pw)
-    else if SS.mem name program_globals && not (List.mem name f.params) then
-      if write then (gr, SS.add name gw, pr, pw) else (SS.add name gr, gw, pr, pw)
-    else (gr, gw, pr, pw)
-  in
-  let rec stmt_effects f locals acc s =
-    let add_reads e (acc, locals) =
-      let acc =
+    let classify ~write x s =
+      if List.mem x f.arr_params then
+        if write then { s with sum_pwritten = SS.add x s.sum_pwritten }
+        else { s with sum_pread = SS.add x s.sum_pread }
+      else if SS.mem x program_globals && not (List.mem x f.params) then
+        if write then { s with sum_gwritten = SS.add x s.sum_gwritten }
+        else { s with sum_gread = SS.add x s.sum_gread }
+      else s
+    in
+    let rec block locals acc b = fst (List.fold_left stmt (acc, locals) b)
+    and stmt (acc, locals) s =
+      let fx = stmt_effects funcs tbl s in
+      let visible ~write names acc =
         SS.fold
-          (fun x acc -> if SS.mem x locals then acc else classify f x acc ~write:false)
-          (expr_read_vars e SS.empty) acc
+          (fun x acc -> if SS.mem x locals then acc else classify ~write x acc)
+          names acc
       in
       let acc =
-        List.fold_left
-          (fun acc (callee_name, args) ->
-            match List.find_opt (fun g -> g.fname = callee_name) p.funcs with
-            | None -> acc
-            | Some callee ->
-                let reads, writes =
-                  apply_call_summary ~callee_sum:(get callee_name) ~callee ~args
-                in
-                let acc =
-                  SS.fold
-                    (fun x acc ->
-                      if SS.mem x locals then acc else classify f x acc ~write:false)
-                    reads acc
-                in
-                SS.fold
-                  (fun x acc ->
-                    if SS.mem x locals then acc else classify f x acc ~write:true)
-                  writes acc)
-          acc (expr_callees e [])
+        visible ~write:true fx.fx_writes (visible ~write:false fx.fx_reads acc)
       in
-      (acc, locals)
+      let inner =
+        match s.node with For { index; _ } -> SS.add index locals | _ -> locals
+      in
+      let acc = List.fold_left (block inner) acc (stmt_blocks s) in
+      (acc, Option.fold ~none:locals ~some:(fun x -> SS.add x locals) fx.fx_binds)
     in
-    let add_write name (acc, locals) =
-      if SS.mem name locals then (acc, locals)
-      else (classify f name acc ~write:true, locals)
-    in
-    match s.node with
-    | Decl (x, e) ->
-        let acc, _ = add_reads e (acc, locals) in
-        (acc, SS.add x locals)
-    | Decl_arr (x, e) ->
-        let acc, _ = add_reads e (acc, locals) in
-        (acc, SS.add x locals)
-    | Assign (l, e) | Atomic_assign (l, e) ->
-        (acc, locals)
-        |> add_reads e
-        |> (fun (acc, locals) ->
-             SS.fold
-               (fun x acc -> if SS.mem x locals then acc else classify f x acc ~write:false)
-               (lhs_index_reads l) acc
-             |> fun acc -> (acc, locals))
-        |> add_write (lhs_written l)
-    | Call_stmt (name, args) ->
-        add_reads (Call (name, args)) (acc, locals)
-    | Return (Some e) -> add_reads e (acc, locals)
-    | Return None | Break | Lock _ | Unlock _ | Barrier _ -> (acc, locals)
-    | Free x -> add_write x (acc, locals)
-    | If (c, t, e) ->
-        let acc, locals = add_reads c (acc, locals) in
-        let acc = block_effects f locals acc t in
-        let acc = block_effects f locals acc e in
-        (acc, locals)
-    | While (c, body) ->
-        let acc, locals = add_reads c (acc, locals) in
-        (block_effects f locals acc body, locals)
-    | For { index; lo; hi; step; body } ->
-        let acc, locals = add_reads lo (acc, locals) in
-        let acc, locals = add_reads hi (acc, locals) in
-        let acc, locals = add_reads step (acc, locals) in
-        (block_effects f (SS.add index locals) acc body, locals)
-    | Par blocks ->
-        (List.fold_left (fun acc b -> block_effects f locals acc b) acc blocks, locals)
-  and block_effects f locals acc block =
-    let acc, _ =
-      List.fold_left (fun (acc, locals) s -> stmt_effects f locals acc s) (acc, locals) block
-    in
-    acc
+    block (SS.of_list f.params) empty_summary f.body
   in
   let step () =
     List.fold_left
       (fun changed f ->
-        let locals = SS.of_list f.params in
-        let gr, gw, pr, pw =
-          block_effects f locals (SS.empty, SS.empty, SS.empty, SS.empty) f.body
-        in
-        let s' = { sum_gread = gr; sum_gwritten = gw; sum_pread = pr; sum_pwritten = pw } in
-        if summary_equal (get f.fname) s' then changed
+        let s' = summarize f in
+        if summary_equal (Hashtbl.find tbl f.fname) s' then changed
         else begin
           Hashtbl.replace tbl f.fname s';
           true
@@ -310,7 +272,9 @@ let analyze (p : program) : t =
       (fun acc g -> match g with Gscalar (n, _) | Garray (n, _) -> SS.add n acc)
       SS.empty p.globals
   in
-  let summaries = compute_summaries p program_globals in
+  let funcs = Hashtbl.create 16 in
+  List.iter (fun f -> Hashtbl.replace funcs f.fname f) (List.rev p.funcs);
+  let summaries = compute_summaries p funcs program_globals in
   let regions : region list ref = ref [] in
   let n_regions = ref 0 in
   let func_region = Hashtbl.create 16 in
@@ -329,9 +293,10 @@ let analyze (p : program) : t =
   (* [decl_region] maps a variable name to the region stack of its current
      declaration; shadowing pushes, region exit pops. *)
   let decl_region : (string, int list) Hashtbl.t = Hashtbl.create 64 in
-  let push_decl x rid =
+  let push_decl x (r : region) =
     let prev = try Hashtbl.find decl_region x with Not_found -> [] in
-    Hashtbl.replace decl_region x (rid :: prev)
+    Hashtbl.replace decl_region x (r.id :: prev);
+    r.locals <- SS.add x r.locals
   in
   let pop_decl x =
     match Hashtbl.find_opt decl_region x with
@@ -361,26 +326,26 @@ let analyze (p : program) : t =
   (* First pass: build the region tree and collect locals; record accesses in
      a worklist to replay once the array is available. *)
   let accesses : (bool * string * int * int) list ref = ref [] in
-  let note ~write x rid =
+  let note ~write rid x =
     accesses := (write, x, rid, declaring_region x) :: !accesses
   in
-  let note_expr e rid =
-    SS.iter (fun x -> note ~write:false x rid) (expr_read_vars e SS.empty);
-    List.iter
-      (fun (callee_name, args) ->
-        match List.find_opt (fun g -> g.fname = callee_name) p.funcs with
-        | None -> ()
-        | Some callee ->
-            let callee_sum =
-              try Hashtbl.find summaries callee_name with Not_found -> empty_summary
-            in
-            let reads, writes = apply_call_summary ~callee_sum ~callee ~args in
-            SS.iter (fun x -> note ~write:false x rid) reads;
-            SS.iter (fun x -> note ~write:true x rid) writes)
-      (expr_callees e [])
+  (* The region a nested block of [s] opens; [None] for an empty else arm. *)
+  let child_kind s k b =
+    match s.node with
+    | If _ when k = 1 && b = [] -> None
+    | If _ -> Some (Rbranch { arm_then = k = 0 })
+    | Par _ -> Some (Rbranch { arm_then = true })
+    | While (c, _) ->
+        Some (Rloop { index = None; cond_vars = expr_read_vars c SS.empty })
+    | For { index; hi; _ } ->
+        let cond_vars = expr_read_vars hi (SS.singleton index) in
+        Some (Rloop { index = Some index; cond_vars })
+    | Decl _ | Decl_arr _ | Assign _ | Atomic_assign _ | Call_stmt _ | Return _
+    | Break | Lock _ | Unlock _ | Barrier _ | Free _ ->
+        None
   in
+  (* [scoped] holds the names declared in the block, popped on exit. *)
   let rec walk_block block (r : region) scoped =
-    (* [scoped] accumulates names declared in this block, popped on exit. *)
     let scoped =
       List.fold_left
         (fun scoped s ->
@@ -390,88 +355,37 @@ let analyze (p : program) : t =
           | Some (x, op) when not (List.mem_assoc x r.reductions) ->
               r.reductions <- (x, op) :: r.reductions
           | _ -> ());
-          match s.node with
-          | Decl (x, e) | Decl_arr (x, e) ->
-              note_expr e r.id;
-              push_decl x r.id;
-              r.locals <- SS.add x r.locals;
-              note ~write:true x r.id;
-              x :: scoped
-          | Assign (l, e) | Atomic_assign (l, e) ->
-              note_expr e r.id;
-              note_expr (match l with Lvar _ -> Int 0 | Lidx (_, ie) -> ie) r.id;
-              note ~write:true (lhs_written l) r.id;
-              scoped
-          | Call_stmt (name, args) ->
-              note_expr (Call (name, args)) r.id;
-              scoped
-          | Return (Some e) ->
-              note_expr e r.id;
-              scoped
-          | Return None | Break | Lock _ | Unlock _ | Barrier _ -> scoped
-          | Free x ->
-              note ~write:true x r.id;
-              scoped
-          | If (c, t, e) ->
-              note_expr c r.id;
-              let rt =
-                new_region ~kind:(Rbranch { arm_then = true }) ~parent:r.id
-                  ~depth:(r.depth + 1) ~first_line:s.line ~stmts:t
-              in
-              r.children <- r.children @ [ rt.id ];
-              walk_block t rt [];
-              r.last_line <- max r.last_line rt.last_line;
-              if e <> [] then begin
-                let re =
-                  new_region ~kind:(Rbranch { arm_then = false }) ~parent:r.id
-                    ~depth:(r.depth + 1) ~first_line:s.line ~stmts:e
-                in
-                r.children <- r.children @ [ re.id ];
-                walk_block e re [];
-                r.last_line <- max r.last_line re.last_line
-              end;
-              scoped
-          | While (c, body) ->
-              note_expr c r.id;
-              let rl =
-                new_region
-                  ~kind:(Rloop { index = None; cond_vars = expr_read_vars c SS.empty })
-                  ~parent:r.id ~depth:(r.depth + 1) ~first_line:s.line ~stmts:body
-              in
-              r.children <- r.children @ [ rl.id ];
-              walk_block body rl [];
-              r.last_line <- max r.last_line rl.last_line;
-              scoped
-          | For { index; lo; hi; step; body } ->
-              note_expr lo r.id;
-              note_expr hi r.id;
-              note_expr step r.id;
-              let cond_vars = expr_read_vars hi (SS.singleton index) in
-              let rl =
-                new_region ~kind:(Rloop { index = Some index; cond_vars })
-                  ~parent:r.id ~depth:(r.depth + 1) ~first_line:s.line ~stmts:body
-              in
-              r.children <- r.children @ [ rl.id ];
-              push_decl index rl.id;
-              rl.locals <- SS.add index rl.locals;
-              walk_block body rl [];
-              pop_decl index;
-              (* §3.2.5: an index written in the body becomes global to it. *)
-              rl.index_written_in_body <- block_writes_var body index;
-              r.last_line <- max r.last_line rl.last_line;
-              scoped
-          | Par blocks ->
-              List.iter
-                (fun b ->
-                  let rb =
-                    new_region ~kind:(Rbranch { arm_then = true }) ~parent:r.id
-                      ~depth:(r.depth + 1) ~first_line:s.line ~stmts:b
+          let fx = stmt_effects funcs summaries s in
+          SS.iter (note ~write:false r.id) fx.fx_reads;
+          SS.iter (note ~write:true r.id) fx.fx_writes;
+          List.iteri
+            (fun k b ->
+              Option.iter
+                (fun kind ->
+                  let c =
+                    new_region ~kind ~parent:r.id ~depth:(r.depth + 1)
+                      ~first_line:s.line ~stmts:b
                   in
-                  r.children <- r.children @ [ rb.id ];
-                  walk_block b rb [];
-                  r.last_line <- max r.last_line rb.last_line)
-                blocks;
-              scoped)
+                  r.children <- r.children @ [ c.id ];
+                  let index =
+                    match kind with
+                    | Rloop { index; _ } -> index
+                    | Rfunc _ | Rbranch _ -> None
+                  in
+                  Option.iter (fun ix -> push_decl ix c) index;
+                  walk_block b c (Option.to_list index);
+                  (* §3.2.5: an index written in the body becomes global to it. *)
+                  c.index_written_in_body <-
+                    Option.fold ~none:false ~some:(block_writes_var b) index;
+                  r.last_line <- max r.last_line c.last_line)
+                (child_kind s k b))
+            (stmt_blocks s);
+          match fx.fx_binds with
+          | Some x ->
+              push_decl x r;
+              note ~write:true r.id x;
+              x :: scoped
+          | None -> scoped)
         scoped block
     in
     List.iter pop_decl scoped
@@ -491,11 +405,9 @@ let analyze (p : program) : t =
       in
       Hashtbl.replace func_region f.fname rf.id;
       Hashtbl.replace line_region f.fline rf.id;
-      List.iter (fun x -> push_decl x rf.id) f.params;
-      rf.locals <- SS.union rf.locals (SS.of_list f.params);
       (* Array params are by-reference: global to the function body. *)
-      walk_block f.body rf [];
-      List.iter pop_decl f.params)
+      List.iter (fun x -> push_decl x rf) f.params;
+      walk_block f.body rf f.params)
     p.funcs;
   let arr =
     match !regions with
@@ -505,7 +417,7 @@ let analyze (p : program) : t =
   List.iter (fun r -> arr.(r.id) <- r) !regions;
   all_regions := arr;
   List.iter (fun (write, x, rid, d) -> record_access ~write x rid d) (List.rev !accesses);
-  { program = p; regions = arr; func_region; summaries; line_region;
+  { program = p; funcs; regions = arr; func_region; summaries; line_region;
     program_globals }
 
 (* Variables global to a region, per the paper's definition. *)

@@ -44,6 +44,7 @@ type summary = {
 
 type t = {
   program : Ast.program;
+  funcs : (string, Ast.func) Hashtbl.t;  (** callee lookup by name *)
   regions : region array;
   func_region : (string, int) Hashtbl.t;
   summaries : (string, summary) Hashtbl.t;
@@ -52,6 +53,22 @@ type t = {
 }
 
 val analyze : Ast.program -> t
+
+(** What one statement does itself, nested blocks excluded. *)
+type effects = {
+  fx_reads : SS.t;
+      (** names its expressions read, assignment-target indices included,
+          and what its callees read *)
+  fx_writes : SS.t;
+      (** its assignment target or freed array, and what its callees write *)
+  fx_binds : string option;
+      (** the local a declaration introduces, apart from the writes: it is
+          in scope only after the statement *)
+}
+
+val effects : t -> Ast.stmt -> effects
+(** Callee effects are mapped through the call sites: array-parameter
+    effects become effects on the actual argument arrays. *)
 
 (** {1 Accessors} *)
 
@@ -74,11 +91,6 @@ val func_of_region : t -> int -> string
 val expr_read_vars : Ast.expr -> SS.t -> SS.t
 (** Variable names an expression reads, added to the accumulator. *)
 
-val expr_callees : Ast.expr -> (string * Ast.expr list) list -> (string * Ast.expr list) list
-(** Call sites named in an expression, with their argument lists. *)
-
-val lhs_written : Ast.lhs -> string
-
 val reduction_of_stmt : Ast.stmt -> (string * Ast.binop) option
 (** Recognise [x = x op e] / [a[i] = a[i] op e] with a reduction operator
     where [e] does not re-read the reduced variable ([a[i] = a[i] + a[i-1]]
@@ -91,14 +103,3 @@ val reduction_only_vars :
     the operator and the reduction statement lines. Carried RAW dependences
     on such variables whose sink is one of those lines are resolvable by
     parallel reduction even when the update happens inside a callee. *)
-
-val apply_call_summary :
-  callee_sum:summary -> callee:Ast.func -> args:Ast.expr list -> SS.t * SS.t
-(** Map a callee summary through a call site: array-parameter effects become
-    effects on the actual argument arrays. Returns [(reads, writes)]. *)
-
-val compute_summaries : Ast.program -> SS.t -> (string, summary) Hashtbl.t
-(** Fixpoint over the call graph; exposed for testing. *)
-
-val empty_summary : summary
-val summary_equal : summary -> summary -> bool

@@ -470,43 +470,39 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
 
 (* ---- SPMD: recursive fork-join and taskloops ---- *)
 
-(* Full read/write effect of one statement, including callee effects mapped
-   through call sites (array-parameter writes become writes of the actual
-   argument arrays). The top-down item sets only cover the region's
-   construction variables at the direct level; task statements that touch
-   shared state inside callees need this interprocedural view. *)
-let stmt_effects (static : Static.t) (prog : Ast.program) (s : Ast.stmt) :
-    SS.t * SS.t =
-  let add_call (reads, writes) (callee, args) =
-    match
-      ( Static.summary static callee,
-        List.find_opt
-          (fun (fn : Ast.func) -> fn.Ast.fname = callee)
-          prog.Ast.funcs )
-    with
-    | Some sum, Some fn ->
-        let r, w = Static.apply_call_summary ~callee_sum:sum ~callee:fn ~args in
-        (SS.union r reads, SS.union w writes)
-    | _ -> (reads, writes)
-  in
+(* Full read/write effect of one statement and of every statement nested
+   in it: their [Static.effects] (callee effects included), declaration
+   binders as writes, and a loop's index read and written. The top-down item
+   sets only cover the region's construction variables at the direct level;
+   task statements that touch shared state inside callees need this
+   interprocedural view. *)
+let stmt_effects (static : Static.t) (s : Ast.stmt) : SS.t * SS.t =
   Ast.fold_block
     (fun (reads, writes) (s : Ast.stmt) ->
-      let exprs = Ast.stmt_exprs s in
-      let reads = List.fold_left (fun r e -> Static.expr_read_vars e r) reads exprs in
-      let calls = List.fold_left (fun c e -> Static.expr_callees e c) [] exprs in
-      let reads, writes, calls =
-        match s.node with
-        | Ast.Decl (x, _) | Decl_arr (x, _) -> (reads, SS.add x writes, calls)
-        | Assign (l, _) | Atomic_assign (l, _) ->
-            (reads, SS.add (Static.lhs_written l) writes, calls)
-        | Call_stmt (callee, args) -> (reads, writes, (callee, args) :: calls)
-        | For f -> (SS.add f.index reads, SS.add f.index writes, calls)
-        | If _ | While _ | Par _ | Return _ | Break | Lock _ | Unlock _
-        | Barrier _ | Free _ ->
-            (reads, writes, calls)
-      in
-      List.fold_left add_call (reads, writes) calls)
+      let fx = Static.effects static s in
+      let reads = SS.union fx.fx_reads reads in
+      let writes = SS.union fx.fx_writes writes in
+      let writes = SS.union (SS.of_list (Option.to_list fx.fx_binds)) writes in
+      match s.node with
+      | Ast.For f -> (SS.add f.index reads, SS.add f.index writes)
+      | _ -> (reads, writes))
     (SS.empty, SS.empty) [ s ]
+
+(* Variables one effect writes and another reads or writes, over every pair
+   of a list of [(reads, writes)]: the tasks' shared state. *)
+let conflicts effs =
+  let rec pairs acc = function
+    | [] -> acc
+    | (r1, w1) :: rest ->
+        let acc =
+          List.fold_left
+            (fun acc (r2, w2) ->
+              SS.union acc (SS.union (SS.inter w1 (SS.union r2 w2)) (SS.inter r1 w2)))
+            acc rest
+        in
+        pairs acc rest
+  in
+  pairs SS.empty effs
 
 let task_eligible prog task_lines (s : Ast.stmt) =
   List.mem s.Ast.line task_lines
@@ -517,7 +513,7 @@ let task_eligible prog task_lines (s : Ast.stmt) =
 
 (* Replace the first run of >= 2 consecutive task statements in the
    function body with hoisted result declarations plus a [Par]. *)
-let forkjoin prog fname task_lines : (Ast.program * string list, string) result =
+let forkjoin static prog fname task_lines : (Ast.program * string list, string) result =
   let eligible = task_eligible prog task_lines in
   let captured = ref None in
   let parize run =
@@ -552,63 +548,40 @@ let forkjoin prog fname task_lines : (Ast.program * string list, string) result 
         s :: go rest
     | b -> b
   in
-  match List.find_opt (fun (fn : Ast.func) -> fn.fname = fname) prog.Ast.funcs with
-  | None -> Error ("no function " ^ fname)
-  | Some fn -> (
-      let body' = go fn.body in
-      if not !hit then Error "no consecutive pair of task statements"
-      else
-        (* The forked tasks run unsynchronized, so any variable one task
-           writes and another touches must be a reduction-only global (a
-           recursive branch-and-bound minimum, a task counter): its update
-           statements are made atomic; any other shared write rejects the
-           fork. *)
-        let run = match !captured with Some r -> r | None -> [] in
-        let static = Static.analyze prog in
-        let effs = List.map (stmt_effects static prog) run in
-        let conflicts =
-          let rec pairs acc = function
-            | [] -> acc
-            | (r1, w1) :: rest ->
-                let acc =
-                  List.fold_left
-                    (fun acc (r2, w2) ->
-                      SS.union (SS.inter w1 w2)
-                        (SS.union (SS.inter w1 r2)
-                           (SS.union (SS.inter r1 w2) acc)))
-                    acc rest
-                in
-                pairs acc rest
-          in
-          pairs SS.empty effs
-        in
-        let greds = Static.reduction_only_vars prog in
-        let* atomic_lines =
-          SS.fold
-            (fun v acc ->
-              let* ls = acc in
-              match Hashtbl.find_opt greds v with
-              | Some (_, lines) -> Ok (lines @ ls)
-              | None -> Error ("tasks share non-reduction variable " ^ v))
-            conflicts (Ok [])
-        in
-        let funcs =
-          List.map
-            (fun (g : Ast.func) ->
-              if g.fname = fname then { g with body = body' } else g)
-            prog.funcs
-        in
-        let prog = List.fold_left atomicize { prog with funcs } atomic_lines in
-        let notes =
-          Printf.sprintf "recursive tasks of %s spawned as Par threads" fname
-          ::
-          (if atomic_lines = [] then []
-           else
-             [ Printf.sprintf "shared reduction update(s) made atomic at line(s) %s"
-                 (String.concat ","
-                    (List.map string_of_int (List.sort_uniq compare atomic_lines))) ])
-        in
-        Ok (prog, notes))
+  let funcs =
+    List.map
+      (fun (g : Ast.func) -> if g.fname = fname then { g with body = go g.body } else g)
+      prog.Ast.funcs
+  in
+  if not !hit then Error "no consecutive pair of task statements"
+  else
+    (* The forked tasks run unsynchronized, so any variable one task writes
+       and another touches must be a reduction-only global (a recursive
+       branch-and-bound minimum, a task counter): its update statements are
+       made atomic; any other shared write rejects the fork. *)
+    let run = match !captured with Some r -> r | None -> [] in
+    let greds = Static.reduction_only_vars prog in
+    let* atomic_lines =
+      SS.fold
+        (fun v acc ->
+          let* ls = acc in
+          match Hashtbl.find_opt greds v with
+          | Some (_, lines) -> Ok (lines @ ls)
+          | None -> Error ("tasks share non-reduction variable " ^ v))
+        (conflicts (List.map (stmt_effects static) run))
+        (Ok [])
+    in
+    let prog = List.fold_left atomicize { prog with funcs } atomic_lines in
+    let notes =
+      Printf.sprintf "recursive tasks of %s spawned as Par threads" fname
+      ::
+      (if atomic_lines = [] then []
+       else
+         [ Printf.sprintf "shared reduction update(s) made atomic at line(s) %s"
+             (String.concat ","
+                (List.map string_of_int (List.sort_uniq compare atomic_lines))) ])
+    in
+    Ok (prog, notes)
 
 let spmd ~chunks prog (report : Suggestion.report) (sp : Tasks.spmd) =
   match sp.Tasks.s_kind with
@@ -620,7 +593,8 @@ let spmd ~chunks prog (report : Suggestion.report) (sp : Tasks.spmd) =
       with
       | Some la -> doall ~chunks prog la
       | None -> Error "no loop analysis for taskloop region")
-  | `Recursive_forkjoin fname -> forkjoin prog fname sp.s_task_lines
+  | `Recursive_forkjoin fname ->
+      forkjoin report.static prog fname sp.s_task_lines
 
 (* ---- MPMD: task-graph stages ---- *)
 
@@ -639,11 +613,6 @@ let mpmd prog (report : Suggestion.report) (m : Tasks.mpmd) :
   let item_by_line l =
     List.find_opt (fun (it : TD.item) -> it.it_line = l) items
   in
-  let indep (a : TD.item) (b : TD.item) =
-    SS.is_empty (SS.inter a.it_writes b.it_writes)
-    && SS.is_empty (SS.inter a.it_writes b.it_reads)
-    && SS.is_empty (SS.inter a.it_reads b.it_writes)
-  in
   let stmt_ok (s : Ast.stmt) =
     (match s.node with
     | Ast.Decl _ | Ast.Assign _ | Ast.Atomic_assign _ | Ast.Call_stmt _
@@ -659,19 +628,7 @@ let mpmd prog (report : Suggestion.report) (m : Tasks.mpmd) :
      may write a variable another statement reads or writes, counting
      callee effects. *)
   let effects_independent seg =
-    let effs = List.map (stmt_effects static prog) seg in
-    let rec ok = function
-      | [] -> true
-      | (r1, w1) :: rest ->
-          List.for_all
-            (fun (r2, w2) ->
-              SS.is_empty (SS.inter w1 w2)
-              && SS.is_empty (SS.inter w1 r2)
-              && SS.is_empty (SS.inter r1 w2))
-            rest
-          && ok rest
-    in
-    ok effs
+    SS.is_empty (conflicts (List.map (stmt_effects static) seg))
   in
   let parize seg =
     let hoists, threads =
@@ -712,11 +669,8 @@ let mpmd prog (report : Suggestion.report) (m : Tasks.mpmd) :
       if List.length members <> List.length lines then None
       else if not (consecutive lines) then None
       else
-        let rec all_pairs = function
-          | [] -> true
-          | x :: rest -> List.for_all (indep x) rest && all_pairs rest
-        in
-        if not (all_pairs members) then None
+        let item_effects (it : TD.item) = (it.it_reads, it.it_writes) in
+        if not (SS.is_empty (conflicts (List.map item_effects members))) then None
         else
           match
             R.replace_lines prog ~lines ~f:(fun seg ->

@@ -58,3 +58,9 @@ val naive_doall :
     as the fixture that differential validation must reject. *)
 
 val plan_to_string : plan -> string
+
+val stmt_effects : Mil.Static.t -> Mil.Ast.stmt -> Mil.Static.SS.t * Mil.Static.SS.t
+(** [(reads, writes)] of a statement and every statement nested in it, callee
+    effects included, declaration binders and a [for] index counted as
+    writes: the effects fork-join tasks and task-graph stages are checked
+    against. *)

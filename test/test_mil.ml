@@ -458,6 +458,38 @@ let test_recursive_summary () =
     (Static.SS.mem "g" s.Static.sum_gwritten);
   Alcotest.(check bool) "and reads it" true (Static.SS.mem "g" s.Static.sum_gread)
 
+(* A call inside an assignment target's index is part of the statement's
+   effects: [h] writes [g] through [b[f()] = 2], so its summary, its
+   caller's region and its caller's top-down item all see the write. *)
+let test_summary_target_index_call () =
+  let p =
+    let open B in
+    B.number
+      (B.program ~entry:"main" "t" ~globals:[ B.gscalar "g" 0 ]
+         [ B.func "f" [ set "g" (v "g" + i 1); return (v "g") ];
+           B.func "h"
+             [ decl_arr "b" (i 4); seti "b" (call "f" []) (i 2); return (i 0) ];
+           B.func "main" [ decl "x" (call "h" []); return (v "x") ] ])
+  in
+  let st = Static.analyze p in
+  let h = Option.get (Static.summary st "h") in
+  Alcotest.(check bool) "h reads g" true (Static.SS.mem "g" h.Static.sum_gread);
+  Alcotest.(check bool) "h writes g" true (Static.SS.mem "g" h.Static.sum_gwritten);
+  let main = Static.region st (Static.func_region st "main") in
+  Alcotest.(check bool) "main's region writes g" true
+    (Static.SS.mem "g" main.Static.globals_written);
+  let fx = Static.effects st (List.hd main.Static.stmts) in
+  Alcotest.(check bool) "var x = h() writes g" true
+    (Static.SS.mem "g" fx.Static.fx_writes);
+  Alcotest.(check (option string)) "and binds x apart" (Some "x") fx.Static.fx_binds;
+  match
+    Cunit.Top_down.items_of_region st main.Static.id (Static.SS.singleton "g")
+  with
+  | item :: _ ->
+      Alcotest.(check bool) "its top-down item writes g" true
+        (Static.SS.mem "g" item.Cunit.Top_down.it_writes)
+  | [] -> Alcotest.fail "main has no items"
+
 let test_free_statement () =
   let p =
     let open B in
@@ -619,6 +651,8 @@ let tests =
   tests
   @ [ Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
       Alcotest.test_case "recursive summary fixpoint" `Quick test_recursive_summary;
+      Alcotest.test_case "summary sees calls in target indices" `Quick
+        test_summary_target_index_call;
       Alcotest.test_case "free statement" `Quick test_free_statement;
       Alcotest.test_case "pretty expressions" `Quick test_pretty_exprs;
       Alcotest.test_case "pretty parallel constructs" `Quick test_pretty_parallel;

@@ -383,6 +383,64 @@ let test_rewrite_golden () =
   check_golden ~env:"REWRITE_GOLDEN_OUT" ~file:"rewrite.golden"
     ~what:"rewrite" (List.map rewrite_line (Lazy.force first_transforms))
 
+(* [golden/static.golden] pins [Static]'s answers, which every later phase
+   reads: per registry program, the MD5 of
+   - every function's summary;
+   - every region's kind, first and last line, global reads and writes,
+     locals, reductions and the §3.2.5 index flag;
+   - the reads and writes of every top-down item of every region, over the
+     region's construction variables and its locals (the set MPMD uses).
+
+   Regenerate (only for a deliberate change to the analysis) with
+     STATIC_GOLDEN_OUT=test/golden/static.golden \
+       dune exec test/test_main.exe -- test registry *)
+let static_line (w : R.t) =
+  let module St = Mil.Static in
+  let st = St.analyze (R.program w) in
+  let b = Buffer.create 1024 in
+  let set s = String.concat "," (St.SS.elements s) in
+  List.iter
+    (fun (f : Mil.Ast.func) ->
+      match St.summary st f.fname with
+      | Some s ->
+          Printf.bprintf b "F %s r=%s w=%s pr=%s pw=%s\n" f.fname
+            (set s.St.sum_gread) (set s.sum_gwritten) (set s.sum_pread)
+            (set s.sum_pwritten)
+      | None -> Printf.bprintf b "F %s none\n" f.fname)
+    st.St.program.funcs;
+  Array.iter
+    (fun (r : St.region) ->
+      let kind =
+        match r.kind with
+        | St.Rfunc f -> "func " ^ f
+        | Rloop { index; cond_vars } ->
+            Printf.sprintf "loop %s cond=%s"
+              (Option.value index ~default:"-") (set cond_vars)
+        | Rbranch { arm_then } -> if arm_then then "then" else "else"
+      in
+      Printf.bprintf b "R %d %s %d-%d gr=%s gw=%s loc=%s red=%s ix=%b\n" r.id
+        kind r.first_line r.last_line (set r.globals_read)
+        (set r.globals_written) (set r.locals)
+        (String.concat ","
+           (List.map
+              (fun (x, op) -> x ^ Mil.Ast.string_of_binop op)
+              r.reductions))
+        r.index_written_in_body;
+      let gv =
+        St.SS.union (Cunit.Top_down.construction_globals st r.id) r.locals
+      in
+      List.iter
+        (fun (it : Cunit.Top_down.item) ->
+          Printf.bprintf b "I %d r=%s w=%s\n" it.it_line (set it.it_reads)
+            (set it.it_writes))
+        (Cunit.Top_down.items_of_region st r.id gv))
+    st.regions;
+  Printf.sprintf "%s %s" w.name (md5 (Buffer.contents b))
+
+let test_static_golden () =
+  check_golden ~env:"STATIC_GOLDEN_OUT" ~file:"static.golden"
+    ~what:"static" (List.map static_line Workloads.Catalog.all)
+
 let tests =
   [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
       test_registry_digest;
@@ -393,4 +451,6 @@ let tests =
       `Slow test_interleave_golden;
     Alcotest.test_case "validate golden (verdicts)" `Slow test_validate_golden;
     Alcotest.test_case "rewrite golden (transform, passes)" `Slow
-      test_rewrite_golden ]
+      test_rewrite_golden;
+    Alcotest.test_case "static golden (summaries, regions, items)" `Slow
+      test_static_golden ]

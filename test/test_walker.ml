@@ -124,6 +124,23 @@ let test_rename_and_mentions () =
   Alcotest.(check bool) "back again" true
     (Rewrite.rename_block ~from:"b" ~to_:"a" renamed = body)
 
+(* A [free] nested in a loop is a write of the array in the loop's folded
+   effects, as it is in a function summary and in a top-down item. *)
+let test_nested_free_effects () =
+  let open B in
+  let p =
+    prog_of_funcs
+      [ func "main"
+          [ decl_arr "a" (i 4);
+            for_ "k" (i 0) (i 1) [ when_ (v "k" == i 0) [ free "a" ] ];
+            return (i 0) ] ]
+  in
+  let st = Static.analyze p in
+  let loop = List.nth (Ast.find_func p "main").body 1 in
+  let reads, writes = Transform.Parallelize.stmt_effects st loop in
+  Alcotest.(check (list string)) "writes" [ "a"; "k" ] (Static.SS.elements writes);
+  Alcotest.(check (list string)) "reads" [ "k" ] (Static.SS.elements reads)
+
 let tests =
   [ Alcotest.test_case "pre-order fold, count, deep copy" `Quick test_pre_order;
     Alcotest.test_case "call sites in every expression position" `Quick
@@ -134,4 +151,6 @@ let tests =
       test_call_site_target_index;
     Alcotest.test_case "segment replacement inside a par arm" `Quick
       test_replace_in_par_arm;
-    Alcotest.test_case "rename and mentions" `Quick test_rename_and_mentions ]
+    Alcotest.test_case "rename and mentions" `Quick test_rename_and_mentions;
+    Alcotest.test_case "nested free is a write in folded effects" `Quick
+      test_nested_free_effects ]
