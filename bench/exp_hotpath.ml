@@ -12,6 +12,10 @@
      calling domain, which runs the interpreter and packs the chunks;
    - the event producer alone: interpreted statements/sec, instrumented
      with sinks that drop every event, and uninstrumented (native);
+   - the scrambled two-thread producer validation runs: the workload's
+     first transform in two chunks, interpreted with [scramble_unlocked]
+     into no-op sinks (statements/sec), and fed to the race-only detector
+     ([Profiler.Race.run], accesses/sec);
    - the whole serial profiler (interpreter, engine and PET): accesses/sec;
    - the end-to-end serial slowdown factor (profiled / native wall time).
 
@@ -124,6 +128,29 @@ let measure_interp ~instrument prog =
     (fun () -> Mil.Interp.run ~instrument prog)
     (fun r -> r.Mil.Interp.r_stats.statements)
 
+(* The workload's best transformable suggestion after a 2-thread analysis,
+   applied in 2 chunks: the program [Transform.Validate]'s race run
+   interprets. *)
+let two_chunk_transform prog =
+  match
+    Transform.Parallelize.apply_first ~chunks:2
+      (Discovery.Suggestion.analyze ~threads:2 prog)
+  with
+  | Ok (t, _) -> Some t.Transform.Parallelize.transformed
+  | Error _ -> None
+
+(* Executed statements per second of a scrambled run into no-op sinks. *)
+let measure_scrambled prog =
+  best_rate
+    (fun () -> Mil.Interp.run ~scramble_unlocked:true prog)
+    (fun r -> r.Mil.Interp.r_stats.statements)
+
+(* Accesses per second of a validation race run. *)
+let measure_race_run prog =
+  best_rate
+    (fun () -> snd (Profiler.Race.run prog))
+    (fun r -> r.Mil.Interp.r_stats.reads + r.r_stats.writes)
+
 (* Accesses per second of the whole serial profiler — interpreter, engine
    and PET together — perfect shadow with skip on. *)
 let measure_serial prog =
@@ -152,6 +179,11 @@ let run () =
         let interp_sps = measure_interp ~instrument:true prog in
         let native_sps = measure_interp ~instrument:false prog in
         let serial_aps = measure_serial prog in
+        let scrambled =
+          Option.map
+            (fun t -> (measure_scrambled t, measure_race_run t))
+            (two_chunk_transform prog)
+        in
         let t_native = Util.native_time prog in
         let t_serial =
           Util.med_time (fun () ->
@@ -174,16 +206,28 @@ let run () =
           native_sps;
         g (Printf.sprintf "hotpath.%s.serial.accesses_per_sec" w.name)
           serial_aps;
+        Option.iter
+          (fun (sps, aps) ->
+            g (Printf.sprintf "hotpath.%s.interp.scrambled_stmts_per_sec" w.name)
+              sps;
+            g (Printf.sprintf "hotpath.%s.race_run.accesses_per_sec" w.name) aps)
+          scrambled;
         g (Printf.sprintf "hotpath.%s.slowdown_serial" w.name) slowdown;
         Obs.Counter.add
           (Obs.counter (Printf.sprintf "hotpath.%s.accesses" w.name))
           n;
+        let scrambled_cell f =
+          match scrambled with
+          | Some r -> Printf.sprintf "%.2e" (f r)
+          | None -> "-"
+        in
         [ w.name; string_of_int n;
           Printf.sprintf "%.2e" sig_eps; Printf.sprintf "%.1f" sig_wpa;
           Printf.sprintf "%.2e" perf_eps; Printf.sprintf "%.1f" perf_wpa;
           Printf.sprintf "%.2e" race_eps; Printf.sprintf "%.1f" race_wpa;
           Printf.sprintf "%.1f" par_wpa;
           Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
+          scrambled_cell fst; scrambled_cell snd;
           Printf.sprintf "%.2e" serial_aps; Printf.sprintf "%.0f" slowdown ])
       (sample ())
   in
@@ -191,12 +235,15 @@ let run () =
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
         "perf w/acc"; "race ev/s"; "race w/acc"; "par w/acc"; "interp st/s";
-        "native st/s"; "serial acc/s"; "slowdown" ]
+        "native st/s"; "scram st/s"; "race run acc/s"; "serial acc/s";
+        "slowdown" ]
     rows;
   print_endline
     "(events/sec: engine (race: race-only detector) alone over a\n\
     \ pre-recorded stream; w/acc: GC minor words allocated per access, par:\n\
     \ the parallel profiler's producer;\n\
     \ st/s: interpreted statements/sec,\n\
-    \ instrumented into no-op sinks and native; serial acc/s: the whole serial\n\
-    \ profiler, perfect + skip; slowdown: serial profiled vs native)"
+    \ instrumented into no-op sinks and native; scram st/s: the same for the\n\
+    \ 2-chunk transform, scrambled; race run acc/s: Race.run on it (-: no\n\
+    \ transform); serial acc/s: the whole serial profiler, perfect + skip;\n\
+    \ slowdown: serial profiled vs native)"

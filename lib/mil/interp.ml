@@ -59,6 +59,77 @@ let no_work =
   Start
     (ignore, { tid = -1; lstack = 0; held = 0; group = -1; group_live = ref 0 })
 
+(* ---- the scramble buffer ---- *)
+
+module Scramble = struct
+  (* The buffer holds at most [max_pending] accesses of [width] ints each:
+     kind (0 read, 1 write), addr, var, line, thread, time, op, lstack.
+     Delayed accesses are unlocked by definition. *)
+  let max_pending = 5
+  let width = 8
+  let f_thread = 4
+
+  (* The drain's working state, reused across drains. Thread slots [j <
+     nt], in ascending thread id: [tids.(j)] and the index [cur.(j)] of its
+     oldest entry not yet emitted; per entry [i], [next.(i)] is the index
+     of its thread's next entry, or the entry count when it is the last. *)
+  type scratch = { tids : int array; cur : int array; next : int array }
+
+  let scratch () =
+    { tids = Array.make max_pending 0; cur = Array.make max_pending 0;
+      next = Array.make max_pending 0 }
+
+  (* Emit the [n] buffered accesses of [p] into [sink] in a scrambled
+     cross-thread interleaving. A profiling thread pushes its own accesses
+     in program order — only the interleaving between threads is
+     nondeterministic (§2.3.4) — so per-thread order is preserved and
+     timestamp reversals (the race signal) are only ever manufactured
+     across threads. Each step draws one of the threads with accesses
+     left, in ascending thread id, and emits its oldest. Every step is
+     O(1) but for shifting at most [max_pending] slots in place when a
+     thread is added or runs out. *)
+  let drain sc rng (p : int array) n (sink : Event.access_sink) =
+    let tids = sc.tids and cur = sc.cur and next = sc.next in
+    let nt = ref 0 in
+    (* Newest first, so each entry links to the one its thread's cursor
+       held, and the cursors end on the oldest. *)
+    for i = n - 1 downto 0 do
+      let t = p.((i * width) + f_thread) in
+      let j = ref 0 in
+      while !j < !nt && tids.(!j) < t do incr j done;
+      let j = !j in
+      if j < !nt && tids.(j) = t then next.(i) <- cur.(j)
+      else begin
+        for k = !nt downto j + 1 do
+          tids.(k) <- tids.(k - 1);
+          cur.(k) <- cur.(k - 1)
+        done;
+        tids.(j) <- t;
+        next.(i) <- n;
+        incr nt
+      end;
+      cur.(j) <- i
+    done;
+    while !nt > 0 do
+      let j = Rng.int rng !nt in
+      let i = cur.(j) in
+      let b = i * width in
+      sink
+        ~kind:(if p.(b) = 0 then Event.Read else Event.Write)
+        ~addr:p.(b + 1) ~var:p.(b + 2) ~line:p.(b + 3) ~thread:tids.(j)
+        ~time:p.(b + 5) ~op:p.(b + 6) ~lstack:p.(b + 7) ~locked:false;
+      let i = next.(i) in
+      if i < n then cur.(j) <- i
+      else begin
+        for k = j to !nt - 2 do
+          tids.(k) <- tids.(k + 1);
+          cur.(k) <- cur.(k + 1)
+        done;
+        decr nt
+      end
+    done
+end
+
 type state = {
   emit : Event.region -> unit;
   on_access : Event.access_sink;
@@ -69,6 +140,7 @@ type state = {
   recycled : Compile.Recycle.t;
   mutable time : int;
   mutable op_ids : int array;     (* packed (line,kind,occ) -> op id *)
+  op_cache : int array;           (* direct-mapped (key, id) pairs *)
   mutable n_ops : int;
   mutable occ : int;              (* occurrence counter within a statement *)
   mutable caller_occ : int;       (* [occ] of the statement making a call *)
@@ -92,7 +164,7 @@ type state = {
   scramble_unlocked : bool;
   pending : int array;    (* delayed unlocked accesses, oldest first *)
   mutable n_pending : int;
-  flush_tids : int array; (* [flush_pending]'s threads still to drain *)
+  drain : Scramble.scratch;
   (* Cooperative cancellation: polled every 2048 statements so a deadline
      watchdog (batch driver, serve daemon) can stop a run without
      per-statement cost. *)
@@ -101,53 +173,11 @@ type state = {
 
 (* ---- event emission ---- *)
 
-(* The scramble buffer holds at most [max_pending] accesses of
-   [pending_width] ints each: kind (0 read, 1 write), addr, var, line,
-   thread, time, op, lstack. Delayed accesses are unlocked by definition. *)
-let max_pending = 5
-let pending_width = 8
-let f_thread = 4
-
-(* Emit delayed unlocked accesses in a scrambled cross-thread interleaving.
-   A profiling thread pushes its own accesses in program order — only the
-   interleaving between threads is nondeterministic (§2.3.4) — so
-   per-thread order is preserved and timestamp reversals (the race signal)
-   are only ever manufactured across threads. Each step draws one of the
-   threads with accesses left, in ascending thread id, and emits its oldest;
-   an emitted access's thread becomes -1. *)
+(* Emit the delayed accesses, emptying the buffer first. *)
 let drain_pending st =
   let n = st.n_pending in
   st.n_pending <- 0;
-  let p = st.pending and tids = st.flush_tids in
-  let nt = ref 0 in
-  for i = 0 to n - 1 do
-    let t = p.((i * pending_width) + f_thread) in
-    let j = ref 0 in
-    while !j < !nt && tids.(!j) < t do incr j done;
-    if !j = !nt || tids.(!j) <> t then begin
-      Array.blit tids !j tids (!j + 1) (!nt - !j);
-      tids.(!j) <- t;
-      incr nt
-    end
-  done;
-  while !nt > 0 do
-    let j = Rng.int st.rng !nt in
-    let thread = tids.(j) in
-    let i = ref 0 in
-    while p.((!i * pending_width) + f_thread) <> thread do incr i done;
-    let b = !i * pending_width in
-    p.(b + f_thread) <- -1;
-    st.on_access
-      ~kind:(if p.(b) = 0 then Event.Read else Event.Write)
-      ~addr:p.(b + 1) ~var:p.(b + 2) ~line:p.(b + 3) ~thread
-      ~time:p.(b + 5) ~op:p.(b + 6) ~lstack:p.(b + 7) ~locked:false;
-    let i = ref (!i + 1) in
-    while !i < n && p.((!i * pending_width) + f_thread) <> thread do incr i done;
-    if !i = n then begin
-      Array.blit tids (j + 1) tids j (!nt - j - 1);
-      decr nt
-    end
-  done
+  Scramble.drain st.drain st.rng st.pending n st.on_access
 
 (* Small enough to inline: every unscrambled access passes here. *)
 let flush_pending st = if st.n_pending > 0 then drain_pending st
@@ -168,41 +198,64 @@ let op_add tbl key id =
   tbl.(2 * i) <- key;
   tbl.((2 * i) + 1) <- id
 
-let intern_op st line kind =
-  let key = (line * 64 + st.occ) * 2 + (match kind with Event.Read -> 0 | Event.Write -> 1) in
-  st.occ <- st.occ + 1;
+(* The table's answer for [key], which first-seen numbering makes the
+   source of ids, remembered at [op_cache] pair [c]. *)
+let intern_op_table st key c =
   let i = op_index st.op_ids key in
-  if st.op_ids.(2 * i) = key then st.op_ids.((2 * i) + 1)
-  else begin
-    let id = st.n_ops in
-    st.n_ops <- id + 1;
-    op_add st.op_ids key id;
-    if 4 * st.n_ops > Array.length st.op_ids then begin
-      let old = st.op_ids in
-      st.op_ids <- Array.make (2 * Array.length old) (-1);
-      for j = 0 to (Array.length old / 2) - 1 do
-        if old.(2 * j) <> -1 then op_add st.op_ids old.(2 * j) old.((2 * j) + 1)
-      done
-    end;
-    id
-  end
+  let id =
+    if st.op_ids.(2 * i) = key then st.op_ids.((2 * i) + 1)
+    else begin
+      let id = st.n_ops in
+      st.n_ops <- id + 1;
+      op_add st.op_ids key id;
+      if 4 * st.n_ops > Array.length st.op_ids then begin
+        let old = st.op_ids in
+        st.op_ids <- Array.make (2 * Array.length old) (-1);
+        for j = 0 to (Array.length old / 2) - 1 do
+          if old.(2 * j) <> -1 then op_add st.op_ids old.(2 * j) old.((2 * j) + 1)
+        done
+      end;
+      id
+    end
+  in
+  st.op_cache.(c) <- key;
+  st.op_cache.(c + 1) <- id;
+  id
+
+(* In front of the table, a direct-mapped cache of [op_cache_size] (key,
+   id) pairs indexed by line, occurrence and kind, so the ops of up to
+   [op_cache_size / 16] adjacent lines with fewer than 8 accesses each map
+   to distinct pairs: a hot loop's accesses hit it without a probe. *)
+let op_cache_size = 2048
+
+let intern_op st line kind =
+  let k = match kind with Event.Read -> 0 | Event.Write -> 1 in
+  let occ = st.occ in
+  st.occ <- occ + 1;
+  let key = (((line * 64) + occ) * 2) + k in
+  let c = 2 * (((line lsl 4) + (occ lsl 1) + k) land (op_cache_size - 1)) in
+  (* [c] is masked below [2 * op_cache_size], the cache's length whenever
+     accesses are instrumented. *)
+  if Array.unsafe_get st.op_cache c = key then
+    Array.unsafe_get st.op_cache (c + 1)
+  else intern_op_table st key c
 
 let emit_access st kind addr var line =
   st.time <- st.time + 1;
   let op = intern_op st line kind in
   let locked = st.cur.held > 0 in
   if st.scramble_unlocked && st.live_threads > 1 && not locked then begin
-    let p = st.pending and b = st.n_pending * pending_width in
+    let p = st.pending and b = st.n_pending * Scramble.width in
     p.(b) <- (match kind with Event.Read -> 0 | Event.Write -> 1);
     p.(b + 1) <- addr;
     p.(b + 2) <- var;
     p.(b + 3) <- line;
-    p.(b + f_thread) <- st.cur.tid;
+    p.(b + Scramble.f_thread) <- st.cur.tid;
     p.(b + 5) <- st.time;
     p.(b + 6) <- op;
     p.(b + 7) <- st.cur.lstack;
     st.n_pending <- st.n_pending + 1;
-    if st.n_pending = max_pending then flush_pending st
+    if st.n_pending = Scramble.max_pending then flush_pending st
   end
   else begin
     flush_pending st;
@@ -414,7 +467,9 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
   let st =
     { emit; on_access; instrument; lstacks; mem = Array.make 4096 0; brk = 1;
       recycled = Compile.Recycle.create (); time = 0;
-      op_ids = Array.make 512 (-1); n_ops = 0; occ = 0; caller_occ = 0;
+      op_ids = Array.make 512 (-1);
+      op_cache = Array.make (if instrument then 2 * op_cache_size else 0) (-1);
+      n_ops = 0; occ = 0; caller_occ = 0;
       rng = Rng.create seed; on_print; loop_inst = 0;
       cur =
         { tid = 0; lstack = Intern.Lstack.empty; held = 0; group = 0;
@@ -424,8 +479,9 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
       stats =
         { reads = 0; writes = 0; loop_iterations = 0; calls = 0; statements = 0;
           switches = 0; spawns = 0 };
-      scramble_unlocked; pending = Array.make (max_pending * pending_width) 0;
-      n_pending = 0; flush_tids = Array.make max_pending 0; cancelled }
+      scramble_unlocked;
+      pending = Array.make (Scramble.max_pending * Scramble.width) 0;
+      n_pending = 0; drain = Scramble.scratch (); cancelled }
   in
   let compiled = C.prepare ~deallocs:instrument st prog in
   let entry = find_func prog prog.entry in

@@ -79,3 +79,27 @@ val trace :
   run_result * Trace.Event.t list
 (** Run and collect all events in order, accesses as [Event.Access]
     records; convenient for tests and offline analyses. *)
+
+(** The buffer [scramble_unlocked] delays unlocked accesses in. *)
+module Scramble : sig
+  val max_pending : int
+  (** Accesses the buffer holds before it is drained. *)
+
+  val width : int
+  (** Ints per buffered access: kind (0 read, 1 write), addr, var, line,
+      thread, time, op, lstack. *)
+
+  type scratch
+  (** The drain's working state, reused across drains. *)
+
+  val scratch : unit -> scratch
+
+  val drain :
+    scratch -> Compile.Rng.t -> int array -> int -> Trace.Event.access_sink ->
+    unit
+  (** [drain sc rng p n sink] emits the first [n <= max_pending] accesses
+      of [p] into [sink], unlocked. Each step draws, with [Rng.int rng nt],
+      one of the [nt] threads with accesses left, in ascending thread id,
+      and emits that thread's oldest: each thread's accesses keep their
+      order, and only the interleaving across threads is scrambled. *)
+end

@@ -110,19 +110,23 @@ let make_memo lstacks =
     m_code = Array.make memo_size 0 }
 
 (* Index is masked, so the probes are always in bounds. Inlined: it runs
-   once or twice per access, and a miss is the only call it makes. *)
+   once or twice per access, and a miss is the only call it makes. Equal
+   stacks are never carried, and answered before hashing: they would
+   otherwise miss whenever the pair's slot holds another pair. *)
 let[@inline] memo_probe m ~src ~snk =
-  let h = (src * 0x9E3779B1) lxor (snk * 0x85EBCA77) in
-  let i = h land (memo_size - 1) in
-  if Array.unsafe_get m.m_src i = src && Array.unsafe_get m.m_snk i = snk then
-    Array.unsafe_get m.m_code i
-  else begin
-    let code = Intern.Lstack.carrier_code m.lstacks ~src ~snk in
-    Array.unsafe_set m.m_src i src;
-    Array.unsafe_set m.m_snk i snk;
-    Array.unsafe_set m.m_code i code;
-    code
-  end
+  if src = snk then -1
+  else
+    let h = (src * 0x9E3779B1) lxor (snk * 0x85EBCA77) in
+    let i = h land (memo_size - 1) in
+    if Array.unsafe_get m.m_src i = src && Array.unsafe_get m.m_snk i = snk
+    then Array.unsafe_get m.m_code i
+    else begin
+      let code = Intern.Lstack.carrier_code m.lstacks ~src ~snk in
+      Array.unsafe_set m.m_src i src;
+      Array.unsafe_set m.m_snk i snk;
+      Array.unsafe_set m.m_code i code;
+      code
+    end
 
 (* Slot fields, at their {!Sigmem.Store} layout offsets from a slot's base;
    a pair's write slot sits [wslot] after its read slot. Local constants, so
@@ -173,6 +177,7 @@ type t = {
   mutable races : (string * int * int) list;  (* var, line-a, line-b *)
   mutable n_processed : int;
   mutable lifetime_removals : int;
+  mutable dedup_misses : int;  (* records neither dedup way held *)
 }
 
 (* Initial per-op capacity. Deliberately small: op ids are dense interpreter
@@ -214,7 +219,8 @@ let create ?(skip = false) ?(lifetime = true) ~lstacks kind =
         shadow_update_elided = 0 };
     races = [];
     n_processed = 0;
-    lifetime_removals = 0 }
+    lifetime_removals = 0;
+    dedup_misses = 0 }
 
 (* Make [op] index every per-op array; the caller checks the bound. *)
 let grow_ops t op =
@@ -281,6 +287,7 @@ let[@inline] slot_matches (slot : dslot) ~src_line ~src_thread ~src_var ~ccode
    [w0]. Out of line: this runs once per distinct record and eviction. *)
 let note_new t ~sink_line ~sink_thread ~sink_time dtype ~src_line ~src_thread
     ~src_var ~ccode ~racy (w0 : dslot) (w1 : dslot) =
+  t.dedup_misses <- t.dedup_misses + 1;
   let d =
     { Dep.sink_line; sink_thread; dtype; src_line; src_thread;
       var = Intern.Sym.name src_var;
@@ -552,6 +559,7 @@ let observe ?(prefix = "engine") t =
     c ".accesses" t.n_processed;
     c ".deps" (Dep.Set_.cardinal t.deps);
     c ".lifetime.removals" t.lifetime_removals;
+    c ".dedup.misses" t.dedup_misses;
     c ".skip.reads_total" s.reads_total;
     c ".skip.writes_total" s.writes_total;
     c ".skip.reads_skipped" s.reads_skipped;

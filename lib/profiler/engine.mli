@@ -60,4 +60,6 @@ val word_footprint : t -> int
 val observe : ?prefix:string -> t -> unit
 (** Publish end-of-run statistics (accesses, deps, skip stats, shadow slot
     usage and footprint) into the {!Obs} registry under [prefix] (default
-    ["engine"]). No-op when observability is disabled. *)
+    ["engine"]). No-op when observability is disabled. [.dedup.misses]
+    counts the records neither way of their operation's dedup slots held,
+    each of which was looked up in the dependence table. *)

@@ -51,61 +51,90 @@ module Lstack = struct
      a hash-consing memo would never hit, and distinct ids are distinct
      stacks anyway.
 
+     Layout. Nodes live in fixed-size blocks of [block_nodes] nodes, each
+     node [width] adjacent ints, so the carrier walk reads one cache line
+     per node. Node [id] sits in block [id lsr block_bits] at
+     [width * (id land block_mask)]. A block, once allocated, never moves
+     and is never copied: growing the table allocates one more block, and
+     only the block directory (one pointer per block) is ever copied.
+
      Concurrency. Only the producer (the interpreter's domain) pushes.
      Parallel-profiler workers read nodes by ids they received through the
      SPSC queues, whose push/pop is the happens-before edge publishing every
-     node an id refers to. Growth copies into bigger arrays and swaps them
-     in with [Atomic.set] after the copy, so a reader never sees a store
-     whose prefix is not fully initialised. *)
+     node an id refers to, and the directory entry of its block, both
+     written before the id was pushed. A directory that fills up is copied
+     into one twice as long and swapped in with [Atomic.set] after the
+     copy, so a reader never sees a directory whose prefix is not fully
+     initialised. *)
 
-  (* Node store: stack id -> frame fields + parent stack id. Id 0 is the
-     empty stack. Struct-of-arrays keeps the carrier walk on int arrays. *)
-  type store = {
-    parent : int array;
-    line : int array;    (* loop header line *)
-    inst : int array;    (* dynamic loop-instance id *)
-    iter : int array;    (* iteration number *)
-    depth : int array;   (* 0 for the empty stack *)
+  let block_bits = 10
+  let block_nodes = 1 lsl block_bits
+  let block_mask = block_nodes - 1
+
+  (* Node fields: parent stack id, loop header line, dynamic loop-instance
+     id, iteration number, and depth (0 for the empty stack). *)
+  let width = 5
+  let f_parent = 0
+  let f_line = 1
+  let f_inst = 2
+  let f_iter = 3
+  let f_depth = 4
+
+  type t = {
+    dir : int array array Atomic.t;  (* block directory; [[||]] unallocated *)
+    mutable block : int array;       (* the block [next - 1] sits in *)
+    mutable next : int;
   }
 
-  type t = { store : store Atomic.t; mutable next : int }
+  (* A block is [width * block_nodes] = 5120 words: past 256 words, it is
+     allocated directly in the major heap, where a table that lives for the
+     whole run belongs, so the profiler's minor allocation per access stays
+     as it was. Id 0, the empty stack, is preallocated as all-zero. *)
+  let new_block () = Array.make (width * block_nodes) 0
 
-  let mk_store n =
-    { parent = Array.make n 0; line = Array.make n 0; inst = Array.make n 0;
-      iter = Array.make n 0; depth = Array.make n 0 }
-
-  (* Id 0, the empty stack, is preallocated as all-zero. Arrays longer than
-     256 words are allocated directly in the major heap, where a table that
-     lives for the whole run belongs: the profiler's minor allocation per
-     access stays as it was. *)
-  let create () = { store = Atomic.make (mk_store 1024); next = 1 }
+  let create () =
+    let b = new_block () in
+    let dir = Array.make 8 [||] in
+    dir.(0) <- b;
+    { dir = Atomic.make dir; block = b; next = 1 }
 
   let empty = 0
 
-  (* A store twice as big, holding the [n] nodes of [cur]. *)
-  let grow t (cur : store) n =
-    let bigger = mk_store (2 * Array.length cur.parent) in
-    Array.blit cur.parent 0 bigger.parent 0 n;
-    Array.blit cur.line 0 bigger.line 0 n;
-    Array.blit cur.inst 0 bigger.inst 0 n;
-    Array.blit cur.iter 0 bigger.iter 0 n;
-    Array.blit cur.depth 0 bigger.depth 0 n;
-    Atomic.set t.store bigger;
-    bigger
+  (* The node fields of [id] in directory [d] start at [base id] of its
+     block [blk d id]. *)
+  let[@inline] blk (d : int array array) id = d.(id lsr block_bits)
+  let[@inline] base id = width * (id land block_mask)
+  let[@inline] field d id f = (blk d id).(base id + f)
+
+  (* Start block [bi]: the producer writes its directory entry before any
+     of its ids is published. Out of line: it runs once per
+     [block_nodes] pushes. *)
+  let add_block t bi =
+    let b = new_block () in
+    let d = Atomic.get t.dir in
+    if bi < Array.length d then d.(bi) <- b
+    else begin
+      let d' = Array.make (2 * Array.length d) [||] in
+      Array.blit d 0 d' 0 (Array.length d);
+      d'.(bi) <- b;
+      Atomic.set t.dir d'
+    end;
+    t.block <- b
 
   let push t ~parent ~loop_line ~inst ~iter : int =
     let id = t.next in
     t.next <- id + 1;
-    let cur = Atomic.get t.store in
-    let s = if id < Array.length cur.parent then cur else grow t cur id in
-    s.parent.(id) <- parent;
-    s.line.(id) <- loop_line;
-    s.inst.(id) <- inst;
-    s.iter.(id) <- iter;
-    s.depth.(id) <- s.depth.(parent) + 1;
+    if id land block_mask = 0 then add_block t (id lsr block_bits);
+    let depth = field (Atomic.get t.dir) parent f_depth + 1 in
+    let b = t.block and o = base id in
+    b.(o + f_parent) <- parent;
+    b.(o + f_line) <- loop_line;
+    b.(o + f_inst) <- inst;
+    b.(o + f_iter) <- iter;
+    b.(o + f_depth) <- depth;
     id
 
-  let depth t id = (Atomic.get t.store).depth.(id)
+  let depth t id = field (Atomic.get t.dir) id f_depth
 
   (* Carrier of a dependence between loop stacks [src] and [snk], as a code:
      the carrying loop's header line, or [-1] when the dependence is not
@@ -121,34 +150,38 @@ module Lstack = struct
      upward IS the deepest common frame of the prefix zip, and its ids
      differ iff the iterations differ (the dependence is carried by that
      loop). *)
-  (* The walk helpers take the store snapshot as an argument: as closures
-     capturing [s] they would be allocated afresh on every call, and this
-     sits on the profiler's per-access hot path. *)
-  let rec cc_up s id n = if n <= 0 then id else cc_up s s.parent.(id) (n - 1)
+  (* The walk helpers take the directory snapshot as an argument: as
+     closures capturing it they would be allocated afresh on every call, and
+     this sits on the profiler's per-access hot path. *)
+  let rec cc_up d id n = if n <= 0 then id else cc_up d (field d id f_parent) (n - 1)
 
-  let rec cc_walk s a b =
+  let rec cc_walk d a b =
     if a = b then -1
-    else if s.line.(a) = s.line.(b) && s.inst.(a) = s.inst.(b) then s.line.(a)
-    else cc_walk s s.parent.(a) s.parent.(b)
+    else
+      let ba = blk d a and oa = base a and bb = blk d b and ob = base b in
+      let line = ba.(oa + f_line) in
+      if line = bb.(ob + f_line) && ba.(oa + f_inst) = bb.(ob + f_inst) then
+        line
+      else cc_walk d ba.(oa + f_parent) bb.(ob + f_parent)
 
   let carrier_code t ~src ~snk : int =
     if src = snk then -1
     else
-      let s = Atomic.get t.store in
-      let da = s.depth.(src) and db = s.depth.(snk) in
-      let a = if da > db then cc_up s src (da - db) else src in
-      let b = if db > da then cc_up s snk (db - da) else snk in
-      cc_walk s a b
+      let d = Atomic.get t.dir in
+      let da = field d src f_depth and db = field d snk f_depth in
+      let a = if da > db then cc_up d src (da - db) else src in
+      let b = if db > da then cc_up d snk (db - da) else snk in
+      cc_walk d a b
 
   (* Conversions to/from the list representation, for tests and reporting. *)
   let to_frames t id : Event.frame list =
-    let s = Atomic.get t.store in
+    let d = Atomic.get t.dir in
     let rec go id acc =
       if id = 0 then acc
       else
-        go s.parent.(id)
-          ({ Event.loop_line = s.line.(id); inst = s.inst.(id);
-             iter = s.iter.(id) }
+        go (field d id f_parent)
+          ({ Event.loop_line = field d id f_line; inst = field d id f_inst;
+             iter = field d id f_iter }
           :: acc)
     in
     go id []
@@ -158,12 +191,12 @@ module Lstack = struct
   let of_frames t (frames : Event.frame list) : int =
     List.fold_left
       (fun parent { Event.loop_line; inst; iter } ->
-        let s = Atomic.get t.store in
+        let d = Atomic.get t.dir in
         let rec find id =
           if id >= t.next then push t ~parent ~loop_line ~inst ~iter
           else if
-            s.parent.(id) = parent && s.line.(id) = loop_line
-            && s.inst.(id) = inst && s.iter.(id) = iter
+            field d id f_parent = parent && field d id f_line = loop_line
+            && field d id f_inst = inst && field d id f_iter = iter
           then id
           else find (id + 1)
         in
@@ -172,6 +205,10 @@ module Lstack = struct
 
   let nodes t = t.next
 
-  (* The five node arrays and their headers, the store and table records. *)
-  let words t = (5 * (Array.length (Atomic.get t.store).parent + 1)) + 9
+  (* The allocated blocks with their headers, the directory with its
+     header, and the table record and its atomic cell. *)
+  let words t =
+    let blocks = ((t.next - 1) lsr block_bits) + 1 in
+    (blocks * ((width * block_nodes) + 1))
+    + Array.length (Atomic.get t.dir) + 1 + 4 + 2
 end

@@ -18,11 +18,17 @@ end
 (** One run's loop stacks: a stack is an int id into an append-only table.
     Nothing is hash-consed: within a run every pushed frame is new (fresh
     loop-instance ids, each iteration pushed once), so distinct ids are
-    distinct stacks. The table becomes garbage when the run ends. *)
+    distinct stacks. Nodes sit in fixed-size blocks that never move, so a
+    push never copies the table. The table becomes garbage when the run
+    ends. *)
 module Lstack : sig
   type t
 
   val create : unit -> t
+
+  val block_nodes : int
+  (** Nodes per block: the table grows by one block every [block_nodes]
+      pushes. *)
 
   val empty : int
   (** The empty stack (id 0), in every table. *)
@@ -47,5 +53,6 @@ module Lstack : sig
   (** Node count, the empty stack included. *)
 
   val words : t -> int
-  (** Words the table holds, spare capacity included. *)
+  (** Words the table holds: every allocated block, the unused part of the
+      last one included, and the block directory. *)
 end

@@ -369,6 +369,210 @@ let qcheck_carrier_agreement =
           carrier_of_table t ~src ~snk = carrier_reference ~src ~snk)
         pairs)
 
+(* ---- loop-stack blocks ---- *)
+
+(* A loop nest as a run pushes it: fresh instance ids, every iteration of an
+   instance pushed once onto the instance's fixed outer stack, inner loops
+   started under random iterations. Pushes [n] nodes into [t] and returns
+   the flat reference: per id, (parent, line, inst, iter, depth). *)
+let push_nest t ~n st =
+  let refs = Array.make (n + 1) (0, 0, 0, 0, 0) in
+  let count = ref 0 and next_inst = ref 0 in
+  let rec loop outer depth =
+    incr next_inst;
+    let inst = !next_inst and line = 3 + (4 * Random.State.int st 4) in
+    for iter = 0 to Random.State.int st 40 do
+      if !count < n then begin
+        let id = Intern.Lstack.push t ~parent:outer ~loop_line:line ~inst ~iter in
+        incr count;
+        if id <> !count then Alcotest.failf "push %d returned id %d" !count id;
+        refs.(id) <- (outer, line, inst, iter, depth + 1);
+        if depth < 5 && Random.State.int st 3 = 0 then loop id (depth + 1)
+      end
+    done
+  in
+  while !count < n do loop Intern.Lstack.empty 0 done;
+  refs
+
+let rec ref_frames refs id acc =
+  if id = 0 then acc
+  else
+    let parent, loop_line, inst, iter, _ = refs.(id) in
+    ref_frames refs parent ({ Event.loop_line; inst; iter } :: acc)
+
+(* Three and a half blocks of nodes, parents in earlier blocks among them:
+   every node reads back as the flat reference holds it, and the carrier of
+   random pairs is the list-based reference's. *)
+let test_lstack_blocks () =
+  let st = Random.State.make [| 29 |] in
+  let t = Intern.Lstack.create () in
+  let n = (7 * Intern.Lstack.block_nodes / 2) in
+  let refs = push_nest t ~n st in
+  Alcotest.(check int) "nodes" (n + 1) (Intern.Lstack.nodes t);
+  let block id = id / Intern.Lstack.block_nodes in
+  let cross = ref 0 in
+  for id = 1 to n do
+    let parent, _, _, _, depth = refs.(id) in
+    if block parent < block id then incr cross;
+    if Intern.Lstack.depth t id <> depth then
+      Alcotest.failf "depth of %d: %d, want %d" id (Intern.Lstack.depth t id)
+        depth;
+    if Intern.Lstack.to_frames t id <> ref_frames refs id [] then
+      Alcotest.failf "frames of %d differ" id
+  done;
+  Alcotest.(check bool) "parents in earlier blocks" true (!cross > 100);
+  for _ = 1 to 20_000 do
+    let src = Random.State.int st (n + 1) and snk = Random.State.int st (n + 1) in
+    let want =
+      carrier_reference ~src:(ref_frames refs src []) ~snk:(ref_frames refs snk [])
+    in
+    let got = Intern.Lstack.carrier_code t ~src ~snk in
+    if got <> want then
+      Alcotest.failf "carrier %d -> %d: %d, want %d" src snk got want
+  done;
+  Alcotest.(check bool) "words cover four blocks" true
+    (Intern.Lstack.words t >= 4 * 5 * Intern.Lstack.block_nodes)
+
+(* The parallel profiler's publication pattern: the producer pushes nodes
+   and sends their ids through an SPSC queue to a reader domain, which reads
+   each node as soon as it arrives, while the producer crosses block
+   boundaries. *)
+let test_lstack_reader_domain () =
+  let st = Random.State.make [| 31 |] in
+  let t = Intern.Lstack.create () in
+  let n = 3 * Intern.Lstack.block_nodes + 100 in
+  let q = Profiler.Spsc_queue.create ~capacity:64 in
+  let reader =
+    Domain.spawn (fun () ->
+        let bad = ref 0 and seen = ref 0 in
+        let rec go () =
+          match Profiler.Spsc_queue.try_pop q with
+          | None -> Domain.cpu_relax (); go ()
+          | Some (-1, _) -> ()
+          | Some (id, (_, line, inst, iter, depth)) ->
+              incr seen;
+              (match List.rev (Intern.Lstack.to_frames t id) with
+              | f :: _
+                when f.Event.loop_line = line && f.inst = inst && f.iter = iter
+                     && Intern.Lstack.depth t id = depth -> ()
+              | _ -> incr bad);
+              go ()
+        in
+        go ();
+        (!seen, !bad))
+  in
+  let count = ref 0 and next_inst = ref 0 in
+  let rec loop outer depth =
+    incr next_inst;
+    let inst = !next_inst and line = 5 + Random.State.int st 3 in
+    for iter = 0 to Random.State.int st 30 do
+      if !count < n then begin
+        let id = Intern.Lstack.push t ~parent:outer ~loop_line:line ~inst ~iter in
+        incr count;
+        Profiler.Spsc_queue.push q (id, (outer, line, inst, iter, depth + 1));
+        if depth < 4 && Random.State.int st 3 = 0 then loop id (depth + 1)
+      end
+    done
+  in
+  while !count < n do loop Intern.Lstack.empty 0 done;
+  Profiler.Spsc_queue.push q (-1, (0, 0, 0, 0, 0));
+  let seen, bad = Domain.join reader in
+  Alcotest.(check int) "every id read" n seen;
+  Alcotest.(check int) "every node read correctly" 0 bad
+
+(* ---- the scramble drain ---- *)
+
+module Scramble = Mil.Interp.Scramble
+module Rng = Mil.Compile.Rng
+
+(* The drain as it was first written, kept as the oracle: thread ids are
+   kept sorted with [Array.blit], and each step rescans the buffer from
+   slot 0 for the drawn thread's oldest access. *)
+let oracle_drain rng (p : int array) n (sink : Event.access_sink) =
+  let width = Scramble.width and f_thread = 4 in
+  let p = Array.copy p and tids = Array.make Scramble.max_pending 0 in
+  let nt = ref 0 in
+  for i = 0 to n - 1 do
+    let t = p.((i * width) + f_thread) in
+    let j = ref 0 in
+    while !j < !nt && tids.(!j) < t do incr j done;
+    if !j = !nt || tids.(!j) <> t then begin
+      Array.blit tids !j tids (!j + 1) (!nt - !j);
+      tids.(!j) <- t;
+      incr nt
+    end
+  done;
+  while !nt > 0 do
+    let j = Rng.int rng !nt in
+    let thread = tids.(j) in
+    let i = ref 0 in
+    while p.((!i * width) + f_thread) <> thread do incr i done;
+    let b = !i * width in
+    p.(b + f_thread) <- -1;
+    sink
+      ~kind:(if p.(b) = 0 then Event.Read else Event.Write)
+      ~addr:p.(b + 1) ~var:p.(b + 2) ~line:p.(b + 3) ~thread
+      ~time:p.(b + 5) ~op:p.(b + 6) ~lstack:p.(b + 7) ~locked:false;
+    let i = ref (!i + 1) in
+    while !i < n && p.((!i * width) + f_thread) <> thread do incr i done;
+    if !i = n then begin
+      Array.blit tids (j + 1) tids j (!nt - j - 1);
+      decr nt
+    end
+  done
+
+let collect drain seed p n =
+  let rng = Rng.create seed and acc = ref [] in
+  drain rng p n (fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked ->
+      acc :=
+        Event.Access { kind; addr; var; line; thread; time; op; lstack; locked }
+        :: !acc);
+  (List.rev !acc, List.init 4 (fun _ -> Rng.int rng max_int))
+
+(* Random buffers: 1-5 entries over a set of 1-5 thread ids in any order,
+   random fields and seeds. The drain must emit what the oracle emits and
+   leave the generator where the oracle leaves it. *)
+let qcheck_drain_oracle =
+  let open QCheck.Gen in
+  let gen =
+    let* n = int_range 1 Scramble.max_pending in
+    let* nthreads = int_range 1 Scramble.max_pending in
+    let* threads = list_repeat nthreads (int_bound 20) in
+    let* entries =
+      list_repeat n
+        (let* thread = oneofl threads in
+         let* kind = int_bound 1 in
+         let+ fields = list_repeat 6 (int_bound 1000) in
+         (thread, kind, fields))
+    in
+    let+ seed = int in
+    (seed, entries)
+  in
+  let buffer entries =
+    let p = Array.make (Scramble.max_pending * Scramble.width) 0 in
+    List.iteri
+      (fun i (thread, kind, fields) ->
+        let b = i * Scramble.width in
+        p.(b) <- kind;
+        p.(b + 4) <- thread;
+        List.iteri
+          (fun k v -> p.(b + [| 1; 2; 3; 5; 6; 7 |].(k)) <- v)
+          fields)
+      entries;
+    p
+  in
+  let print (seed, entries) =
+    Printf.sprintf "seed %d, threads [%s]" seed
+      (String.concat ";"
+         (List.map (fun (t, _, _) -> string_of_int t) entries))
+  in
+  QCheck.Test.make ~name:"scramble drain agrees with the oracle" ~count:2000
+    (QCheck.make ~print gen)
+    (fun (seed, entries) ->
+      let p = buffer entries and n = List.length entries in
+      let sc = Scramble.scratch () in
+      collect (Scramble.drain sc) seed p n = collect oracle_drain seed p n)
+
 (* ---- chunk pooling ---- *)
 
 (* A recycled chunk decodes only its new fill: reset forgets the old
@@ -426,6 +630,10 @@ let tests =
     Alcotest.test_case "interned carrier agrees with reference" `Quick
       test_carrier_agreement;
     QCheck_alcotest.to_alcotest qcheck_carrier_agreement;
+    Alcotest.test_case "loop stacks across blocks" `Quick test_lstack_blocks;
+    Alcotest.test_case "loop stacks read from another domain" `Quick
+      test_lstack_reader_domain;
+    QCheck_alcotest.to_alcotest qcheck_drain_oracle;
     Alcotest.test_case "chunk fill/reset/seq" `Quick test_chunk_fill_reset;
     Alcotest.test_case "pooled parallel equals serial" `Quick
       test_pooled_parallel_equivalence ]

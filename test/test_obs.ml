@@ -173,6 +173,30 @@ let test_lstack_gauges_agree () =
   Alcotest.(check (float 0.)) "parallel node count" nodes
     (Obs.gauge_value "profiler.lstack.nodes")
 
+(* The engine counts the records neither dedup way of their operation
+   held (INIT records aside). On one thread c-ray misses fewer times than
+   twice its distinct records; its
+   two-thread variant alternates sink threads per access, so its misses
+   outnumber its records a hundredfold. *)
+let test_dedup_misses () =
+  with_registry @@ fun () ->
+  let misses name =
+    Obs.reset ();
+    let w = Option.get (Workloads.Catalog.find name) in
+    let r = Profiler.Serial.profile ~skip:true (Workloads.Registry.program w) in
+    (Obs.counter_value "engine.dedup.misses", Profiler.Dep.Set_.cardinal r.deps)
+  in
+  let m, records = misses "c-ray" in
+  Alcotest.(check bool)
+    (Printf.sprintf "c-ray: %d misses within 2x its %d records" m records)
+    true
+    (m <= 2 * records);
+  let m, records = misses "c-ray-par" in
+  Alcotest.(check bool)
+    (Printf.sprintf "c-ray-par: %d misses over 100x its %d records" m records)
+    true
+    (m > 100 * records)
+
 (* The interpreter publishes its fiber counts once per run: a sequential
    program never switches; two threads switch at some statement boundaries,
    but not at all of them, since the running fiber is often drawn again.
@@ -537,6 +561,7 @@ let tests =
       test_serial_parallel_counters_agree;
     Alcotest.test_case "loop-stack gauges agree" `Quick
       test_lstack_gauges_agree;
+    Alcotest.test_case "engine dedup misses" `Quick test_dedup_misses;
     Alcotest.test_case "interpreter fiber counters" `Quick test_fiber_counters;
     Alcotest.test_case "reset zeroes values" `Quick test_reset_zeroes;
     Alcotest.test_case "prometheus format validity" `Quick
