@@ -383,6 +383,52 @@ let test_rewrite_golden () =
   check_golden ~env:"REWRITE_GOLDEN_OUT" ~file:"rewrite.golden"
     ~what:"rewrite" (List.map rewrite_line (Lazy.force first_transforms))
 
+(* [golden/transform.golden] pins every transform, not just the first that
+   applies: per registry program (2-thread analysis, default size), one line
+   per suggestion in rank order with, at 2 and at 4 chunks, the MD5 of the
+   rendered transformed program followed by its plan, or the refusal reason.
+   Two fixtures follow: every suggestion of [Test_transform.doacross_prog]
+   (the only transformable DOACROSS) and [naive_doall] on
+   [Test_transform.recurrence_prog].
+
+   Regenerate (only for a deliberate change to a transform) with
+     TRANSFORM_GOLDEN_OUT=test/golden/transform.golden \
+       dune exec test/test_main.exe -- test registry *)
+let transform_lines name prog =
+  let module P = Transform.Parallelize in
+  let report = S.analyze ~threads:2 prog in
+  let at chunks s =
+    match P.apply ~chunks report s with
+    | Ok t ->
+        md5 (Mil.Pretty.render_program t.transformed ^ P.plan_to_string t.plan)
+    | Error e -> Printf.sprintf "refused %S" e
+  in
+  match report.suggestions with
+  | [] -> [ name ^ " no suggestions" ]
+  | ss ->
+      List.mapi
+        (fun k (s : S.t) ->
+          Printf.sprintf "%s #%d region %d: c2 %s c4 %s" name (k + 1) s.region
+            (at 2 s) (at 4 s))
+        ss
+
+let test_transform_golden () =
+  let naive chunks =
+    match
+      Transform.Parallelize.naive_doall ~chunks Test_transform.recurrence_prog
+        ~line:Test_transform.recurrence_line
+    with
+    | Ok p -> md5 (Mil.Pretty.render_program p)
+    | Error e -> Printf.sprintf "refused %S" e
+  in
+  check_golden ~env:"TRANSFORM_GOLDEN_OUT" ~file:"transform.golden"
+    ~what:"transform"
+    (List.concat_map
+       (fun (w : R.t) -> transform_lines w.name (R.program w))
+       Workloads.Catalog.all
+    @ transform_lines "fixture:doacross" Test_transform.doacross_prog
+    @ [ Printf.sprintf "fixture:naive_doall c2 %s c4 %s" (naive 2) (naive 4) ])
+
 (* [golden/static.golden] pins [Static]'s answers, which every later phase
    reads: per registry program, the MD5 of
    - every function's summary;
@@ -453,4 +499,6 @@ let tests =
     Alcotest.test_case "rewrite golden (transform, passes)" `Slow
       test_rewrite_golden;
     Alcotest.test_case "static golden (summaries, regions, items)" `Slow
-      test_static_golden ]
+      test_static_golden;
+    Alcotest.test_case "transform golden (every suggestion, 2 and 4 chunks)"
+      `Slow test_transform_golden ]
