@@ -26,19 +26,6 @@ let workloads =
 
 let find name = Option.get (Workloads.Catalog.find name)
 
-(* p_kind is the full suggestion string; compress to the construct tag. *)
-let short_kind k =
-  let contains needle =
-    let h = String.length k and n = String.length needle in
-    let rec at i = i + n <= h && (String.sub k i n = needle || at (i + 1)) in
-    at 0
-  in
-  if contains "DOALL" then "DOALL"
-  else if contains "DOACROSS" then "DOACROSS"
-  else if contains "fork-join" || contains "SPMD" then "SPMD"
-  else if contains "MPMD" then "MPMD"
-  else "?"
-
 (* No registry workload has a transformable DOACROSS (their carried chains
    run through arrays, which the rewriter refuses to hand off); this
    synthetic recurrence exercises the pipelined path: a dependence-free
@@ -57,26 +44,20 @@ let pipeline_prog =
                  seti "b" (v "i") (v "s") ];
              return (v "s" + "b".%[i 4000]) ] ])
 
-let transform_row name report applied =
+let transform_row name applied =
   match applied with
   | Error _ -> [ name; "-"; "-"; "-"; "not transformable" ]
   | Ok (t : P.t) ->
-      let modeled =
-        match
-          List.find_opt
-            (fun (s : S.t) ->
-              s.region = t.plan.P.p_region
-              && S.kind_to_string s.kind = t.plan.P.p_kind)
-            report.S.suggestions
-        with
-        | Some s -> Printf.sprintf "%.2fx" s.score.Discovery.Ranking.combined
-        | None -> "-"
-      in
+      let s = t.plan.P.p_suggestion in
       let d = V.measure ~original:t.original t.transformed in
       let v = V.differential ~original:t.original ~transformed:t.transformed () in
       [ name;
-        short_kind t.plan.P.p_kind;
-        modeled;
+        (match s.kind with
+        | S.Sdoall _ -> "DOALL"
+        | Sdoacross _ -> "DOACROSS"
+        | Sspmd _ -> "SPMD"
+        | Smpmd _ -> "MPMD");
+        Printf.sprintf "%.2fx" s.score.Discovery.Ranking.combined;
         Printf.sprintf "%.2fx" d.V.d_measured_speedup;
         (if v.V.v_ok then "PASS"
          else
@@ -90,7 +71,7 @@ let run () =
       (fun name ->
         let w = find name in
         let report = S.analyze ~threads (R.program w) in
-        transform_row name report
+        transform_row name
           (Result.map fst (P.apply_first ~chunks:threads report)))
       workloads
   in
@@ -106,7 +87,7 @@ let run () =
       | Some s -> P.apply ~chunks:threads report s
       | None -> Error "no DOACROSS suggestion"
     in
-    transform_row "pipeline*" report applied
+    transform_row "pipeline*" applied
   in
   Util.table
     ~columns:[ "program"; "transform"; "modeled"; "applied"; "validation" ]

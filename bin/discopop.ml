@@ -18,6 +18,10 @@ let size_arg =
   Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N"
          ~doc:"Override the workload's input size.")
 
+(* The size a workload runs at: [--size] when given, else its default. *)
+let size_or_default (w : Workloads.Registry.t) size =
+  Option.value size ~default:w.default_size
+
 let sig_arg =
   Arg.(value & opt (some int) None & info [ "signature" ] ~docv:"SLOTS"
          ~doc:"Use a signature shadow memory with SLOTS slots instead of the \
@@ -657,8 +661,7 @@ let optimize_cmd =
           (Transform.Validate.observe report.program)
       in
       let refused = not (Mil.Pass.sequential_program seed) in
-      Printf.printf "# optimize %s (size %d)\n" w.name
-        (match size with Some s -> s | None -> w.default_size);
+      Printf.printf "# optimize %s (size %d)\n" w.name (size_or_default w size);
       List.iter
         (fun (p, n) -> Printf.printf "pass %-10s %d rewrite(s)\n" p n)
         report.per_pass;
@@ -676,9 +679,7 @@ let optimize_cmd =
       let json =
         Obs.Json.Obj
           [ ("workload", Obs.Json.String w.name);
-            ( "size",
-              Obs.Json.Int
-                (match size with Some s -> s | None -> w.default_size) );
+            ("size", Obs.Json.Int (size_or_default w size));
             ( "passes",
               Obs.Json.List
                 (List.map
@@ -801,8 +802,7 @@ let parallelize_cmd =
       let buf = Buffer.create 1024 in
       let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
       out "# parallelize %s (size %d, %d chunks)\n" w.name
-        (match size with Some s -> s | None -> w.default_size)
-        chunks;
+        (size_or_default w size) chunks;
       (* Rejection diagnostics go to stderr so stdout stays a clean report
          (or clean JSON with --json); they are also collected for the JSON
          summary. *)
@@ -885,19 +885,9 @@ let parallelize_cmd =
             out "%s" (Transform.Parallelize.plan_to_string t.plan);
             if emit then
               out "\n%s\n" (Mil.Pretty.render_program t.transformed);
-            let modeled =
-              List.find_opt
-                (fun (s : Discovery.Suggestion.t) ->
-                  s.region = t.plan.Transform.Parallelize.p_region
-                  && Discovery.Suggestion.kind_to_string s.kind
-                     = t.plan.Transform.Parallelize.p_kind)
-                report.Discovery.Suggestion.suggestions
-            in
-            (match modeled with
-            | Some s ->
-                out "modeled speedup (Amdahl x imbalance): %.2fx\n"
-                  s.score.Discovery.Ranking.combined
-            | None -> ());
+            let chosen = t.plan.Transform.Parallelize.p_suggestion in
+            out "modeled speedup (Amdahl x imbalance): %.2fx\n"
+              chosen.score.Discovery.Ranking.combined;
             let d =
               Transform.Validate.measure ~label:w.name ~original:t.original
                 t.transformed
@@ -934,21 +924,26 @@ let parallelize_cmd =
               end
               else None
             in
+            let ok =
+              Option.fold ~none:true
+                ~some:(fun v -> v.Transform.Validate.v_ok)
+                verdict
+              && Option.fold ~none:true
+                   ~some:(fun m -> m.Transform.Measure.m_equal)
+                   measured
+            in
             if json then begin
               let fields =
                 [ ("workload", Obs.Json.String w.name);
-                  ( "size",
-                    Obs.Json.Int
-                      (match size with Some s -> s | None -> w.default_size) );
+                  ("size", Obs.Json.Int (size_or_default w size));
                   ("chunks", Obs.Json.Int chunks);
-                  ("kind", Obs.Json.String t.plan.Transform.Parallelize.p_kind);
-                  ("region", Obs.Json.Int t.plan.Transform.Parallelize.p_region);
+                  ( "kind",
+                    Obs.Json.String
+                      (Discovery.Suggestion.kind_to_string chosen.kind) );
+                  ("region", Obs.Json.Int chosen.region);
                   ("line", Obs.Json.Int t.plan.Transform.Parallelize.p_line);
                   ( "modeled_speedup",
-                    match modeled with
-                    | Some s ->
-                        Obs.Json.Float s.score.Discovery.Ranking.combined
-                    | None -> Obs.Json.Null );
+                    Obs.Json.Float chosen.score.Discovery.Ranking.combined );
                   ( "proxy_speedup",
                     Obs.Json.Float d.Transform.Validate.d_measured_speedup );
                   ("skipped", json_skipped ()) ]
@@ -966,29 +961,11 @@ let parallelize_cmd =
                   | Some m -> [ ("measure", Transform.Measure.to_json m) ]
                   | None -> [])
               in
-              let ok =
-                (match verdict with
-                | Some v -> v.Transform.Validate.v_ok
-                | None -> true)
-                && match measured with
-                   | Some m -> m.Transform.Measure.m_equal
-                   | None -> true
-              in
               print_endline
                 (Obs.Json.pretty
                    (Obs.Json.Obj (fields @ [ ("ok", Obs.Json.Bool ok) ])))
             end;
-            let validate_failed =
-              match verdict with
-              | Some v -> not v.Transform.Validate.v_ok
-              | None -> false
-            in
-            let measure_failed =
-              match measured with
-              | Some m -> not m.Transform.Measure.m_equal
-              | None -> false
-            in
-            if validate_failed || measure_failed then 1 else 0
+            if ok then 0 else 1
       in
       if not json then print_string (Buffer.contents buf);
       (match output with

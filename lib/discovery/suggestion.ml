@@ -93,7 +93,7 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
     |> List.filter_map (fun (r : Static.region) ->
            match r.Static.kind with
            | Static.Rfunc _ | Static.Rloop _ -> (
-               match Tasks.mpmd_of_region cures deps r.Static.id with
+               match Tasks.mpmd_of_region cures r.Static.id with
                | Some m when m.Tasks.m_width >= 2 ->
                    Some
                      { kind = Smpmd m; region = r.Static.id;

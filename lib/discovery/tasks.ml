@@ -26,9 +26,10 @@ type mpmd_shape = Taskgraph | Pipeline
 type mpmd = {
   m_region : int;
   m_shape : mpmd_shape;
-  m_stages : int list list;    (* CU ids per stage, in dataflow order *)
+  m_stages : int list list;    (* member item lines per stage, in dataflow order *)
   m_width : int;               (* size of the largest antichain *)
   m_evidence : string;
+  m_items : Cunit.Top_down.item list;  (* the region's items the stages level *)
 }
 
 (* ---- SPMD ---- *)
@@ -145,10 +146,8 @@ let loop_tasks (loops : Loops.analysis list) : spmd list =
    variable A wrote earlier. Levelling that DAG yields the stage structure
    of Fig 4.5: an antichain of width >= 2 is a task graph, a substantial
    chain a pipeline. *)
-let mpmd_of_region (cures : Cunit.Top_down.result) (deps : Dep.Set_.t)
-    (rid : int) : mpmd option =
+let mpmd_of_region (cures : Cunit.Top_down.result) (rid : int) : mpmd option =
   Obs.Span.with_ ~phase:"discovery.tasks" @@ fun () ->
-  ignore deps;
   let st = cures.Cunit.Top_down.static in
   (* Dataflow between a region's items also travels through its direct
      locals (e.g. the per-chunk fingerprint handed from stage to stage), so
@@ -208,7 +207,8 @@ let mpmd_of_region (cures : Cunit.Top_down.result) (deps : Dep.Set_.t)
           m_evidence =
             Printf.sprintf
               "%d items -> %d dataflow stages (width %d, %d substantial tasks)"
-              n n_levels width substantial_total }
+              n n_levels width substantial_total;
+          m_items = items }
     end
   end
 

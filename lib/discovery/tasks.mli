@@ -20,6 +20,9 @@ type mpmd = {
   m_stages : int list list;    (** member item lines per stage, dataflow order *)
   m_width : int;               (** substantial tasks in the widest stage *)
   m_evidence : string;
+  m_items : Cunit.Top_down.item list;
+      (** the region's items, in statement order, whose dataflow the stages
+          level (sets over the construction globals and the region's locals) *)
 }
 
 val call_sites_to : string -> Mil.Ast.block -> int list
@@ -36,8 +39,7 @@ val loop_tasks : Loops.analysis list -> spmd list
 (** DOALL(-reduction) loops whose bodies do heavy work through calls become
     one-task-per-iteration suggestions (BOTS style). *)
 
-val mpmd_of_region :
-  Cunit.Top_down.result -> Dep.Set_.t -> int -> mpmd option
+val mpmd_of_region : Cunit.Top_down.result -> int -> mpmd option
 (** Level the region's item dataflow graph (Fig. 4.5): [Some] when at least
     two stages with at least two substantial tasks remain. An antichain of
     width >= 2 is a task graph; a substantial chain is a pipeline. *)

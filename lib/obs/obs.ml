@@ -6,8 +6,8 @@
    paths (the dependence engine, the parallel profiler's producer loop)
    without perturbing the slowdown numbers the benchmarks measure. When
    enabled — by `--stats` on the CLI or by the bench harness — a run yields a
-   phase-by-phase cost breakdown exportable as one JSON document or as JSONL
-   (one metric per line).
+   phase-by-phase cost breakdown exportable as one JSON document or in the
+   Prometheus text format.
 
    Counters are atomic so profiler worker domains can publish concurrently;
    registration takes a mutex but happens once per metric name. *)
@@ -357,8 +357,6 @@ module Trace = struct
   let set_track name =
     if Atomic.get tracing then (Domain.DLS.get key).b_track <- Some name
 
-  let begin_ name = if Atomic.get tracing then push 'B' name 0
-  let end_ name = if Atomic.get tracing then push 'E' name 0
   let instant name = if Atomic.get tracing then push 'i' name 0
   let counter name v = if Atomic.get tracing then push 'C' name v
 
@@ -953,47 +951,7 @@ let snapshot () =
             (sorted_entries histograms)))
     ]
 
-(* JSONL: one self-describing object per line, parseable line by line. *)
-let to_jsonl () =
-  let b = Buffer.create 1024 in
-  let line kind name fields =
-    Buffer.add_string b
-      (Json.to_string
-         (Json.Obj
-            (("kind", Json.String kind) :: ("name", Json.String name) :: fields)));
-    Buffer.add_char b '\n'
-  in
-  List.iter
-    (fun (k, c) -> line "counter" k [ ("value", Json.Int (Atomic.get c.c_v)) ])
-    (sorted_entries counters);
-  List.iter
-    (fun (k, g) -> line "gauge" k [ ("value", Json.Float (Atomic.get g.g_v)) ])
-    (sorted_entries gauges);
-  List.iter
-    (fun (k, s) ->
-      line "span" k
-        [ ("ns", Json.Int (Atomic.get s.s_ns));
-          ("calls", Json.Int (Atomic.get s.s_calls)) ])
-    (sorted_entries spans);
-  List.iter
-    (fun (k, m) ->
-      line "meter" k
-        [ ("count", Json.Int (Atomic.get m.m_count));
-          ("per", Json.String m.m_per);
-          ("rate_per_s", Json.Float (Meter.rate m)) ])
-    (sorted_entries meters);
-  List.iter
-    (fun (k, h) ->
-      line "histogram" k
-        [ ("count", Json.Int (Atomic.get h.h_count));
-          ("p50_ns", Json.Float (Histogram.quantile_ns h 0.50));
-          ("p99_ns", Json.Float (Histogram.quantile_ns h 0.99));
-          ("max_ns", Json.Int (Atomic.get h.h_max_ns)) ])
-    (sorted_entries histograms);
-  Buffer.contents b
-
 let write_json path = write_file path (Json.pretty (snapshot ()) ^ "\n")
-let write_jsonl path = write_file path (to_jsonl ())
 
 (* ---- Prometheus text exposition ---- *)
 

@@ -1,6 +1,6 @@
 (** Lightweight observability for the profiling pipeline: named counters,
     gauges, monotonic timing spans and per-phase throughput meters in one
-    global, domain-safe registry, with JSON / JSONL exporters.
+    global, domain-safe registry, with JSON and Prometheus exporters.
 
     The registry starts {e disabled}: every update is a single atomic flag
     load plus a branch, so instrumentation can sit in hot paths without
@@ -56,17 +56,14 @@ module Trace : sig
   val set_track : string -> unit
   (** Name the calling domain's track in the exported timeline. *)
 
-  val begin_ : string -> unit
-  (** Open a duration slice on the calling domain's track. *)
-
-  val end_ : string -> unit
   val instant : string -> unit
 
   val counter : string -> int -> unit
   (** A sample of a named counter track (e.g. a queue depth). *)
 
   val with_span : string -> (unit -> 'a) -> 'a
-  (** [begin_]/[end_] around [f]; calls [f] directly when disabled. *)
+  (** A duration slice on the calling domain's track around [f]; calls [f]
+      directly when disabled. *)
 
   val event_count : unit -> int
   (** Buffered events across all domains. *)
@@ -269,11 +266,7 @@ val snapshot : unit -> Json.t
     [counters]/[gauges]/[spans]/[meters]/[histograms] sections, each sorted
     by name. *)
 
-val to_jsonl : unit -> string
-(** One self-describing JSON object per line per metric. *)
-
 val write_json : string -> unit
-val write_jsonl : string -> unit
 
 val prometheus : unit -> string
 (** The registry in the Prometheus text exposition format

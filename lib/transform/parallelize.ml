@@ -43,8 +43,7 @@ let c_unsupported = Obs.counter "transform.unsupported"
 let ( let* ) = Result.bind
 
 type plan = {
-  p_kind : string;
-  p_region : int;
+  p_suggestion : Suggestion.t;
   p_line : int;  (* header line of the transformed construct (original) *)
   p_chunks : int;
   p_notes : string list;
@@ -111,6 +110,27 @@ let atomicize prog line =
   | Some p -> p
   | None -> prog
 
+(* ---- shape: what may run in a spawned thread ---- *)
+
+(* The one shape check, for a loop body about to be chunked and for a
+   statement about to become a task: code that synchronizes, returns from
+   the enclosing function or breaks out of its loop cannot move into a
+   thread, and a [rand] draw would come out of the stream in another order. *)
+let movable prog (b : Ast.block) =
+  if R.has_sync b then Error "body already contains synchronization"
+  else if R.has_return b then Error "body returns from the enclosing function"
+  else if R.has_toplevel_break b then Error "body breaks out of the loop"
+  else if R.calls_transitively prog b "rand" then
+    Error "body calls rand (chunking would perturb the stream)"
+  else Ok ()
+
+(* A statement that may become one thread of a [Par]: movable, and not an
+   array declaration or a [Free], whose scope a thread would change (only
+   scalar declarations are hoisted, by {!spawn}). *)
+let task_shaped prog (s : Ast.stmt) =
+  (match s.node with Ast.Decl_arr _ | Ast.Free _ -> false | _ -> true)
+  && Result.is_ok (movable prog [ s ])
+
 (* ---- loop chunking (shared by DOALL and DOACROSS) ----
 
    A chunk k of C covers iterations [lo + floor(k*n/C)*step,
@@ -140,27 +160,88 @@ let clamp_chunks (f : Ast.for_loop) ~step ~chunks =
       max 1 (min chunks trip)
   | _ -> chunks
 
-let check_loop_shape prog (la : Loops.analysis) (stmt : Ast.stmt) =
-  match stmt.Ast.node with
-  | Ast.For f ->
-      let* step =
-        match f.step with
-        | Ast.Int s when s > 0 -> Ok s
-        | _ -> Error "non-constant or non-positive step"
-      in
-      if R.expr_has_call f.lo || R.expr_has_call f.hi then
-        Error "calls in loop bounds"
-      else if R.has_sync f.body then
-        Error "body already contains synchronization"
-      else if R.has_return f.body then
-        Error "body returns from the enclosing function"
-      else if R.has_toplevel_break f.body then Error "body breaks out of the loop"
-      else if la.Loops.region.Static.index_written_in_body then
-        Error "loop index written in body"
-      else if R.calls_transitively prog f.body "rand" then
-        Error "body calls rand (chunking would perturb the stream)"
-      else Ok (f, step)
-  | _ -> Error "suggested region is not a for loop"
+(* The loop prologue of DOALL and DOACROSS: the suggested loop once its
+   shape is safe to chunk, its constant step, the chunk count clamped to
+   the trip count, and the clamp's wording for the plan notes. *)
+let loop_prologue prog (la : Loops.analysis) ~chunks =
+  let* f =
+    match R.find_by_line prog ~line:la.Loops.loop_line with
+    | Some { Ast.node = Ast.For f; _ } -> Ok f
+    | Some _ -> Error "suggested region is not a for loop"
+    | None -> Error "loop line not found"
+  in
+  let* step =
+    match f.step with
+    | Ast.Int s when s > 0 -> Ok s
+    | _ -> Error "non-constant or non-positive step"
+  in
+  let* () =
+    if R.expr_has_call f.lo || R.expr_has_call f.hi then
+      Error "calls in loop bounds"
+    else if la.region.Static.index_written_in_body then
+      Error "loop index written in body"
+    else movable prog f.body
+  in
+  let clamped = clamp_chunks f ~step ~chunks in
+  Ok
+    ( f,
+      step,
+      clamped,
+      if clamped < chunks then
+        Printf.sprintf " (clamped from %d to the trip count)" chunks
+      else "" )
+
+(* The one chunked-[Par] emitter: the loop at [line] becomes a [Par] of
+   [chunks] arms, arm k binding its slice's bounds and then running [arm k].
+   [arm] is called once per chunk, so every arm gets statements of its own
+   (numbering assigns lines in place). *)
+let chunked_par prog ~line (f : Ast.for_loop) ~step ~chunks arm =
+  let par =
+    B.par
+      (List.init chunks (fun k -> bounds_prelude f ~step ~chunks ~k @ arm k))
+  in
+  match R.replace_lines prog ~lines:[ line ] ~f:(fun _ -> [ par ]) with
+  | Some p -> Ok p
+  | None -> Error "loop statement vanished during rewriting"
+
+(* One chunk's slice of the iteration space, running a copy of [body]. *)
+let slice (f : Ast.for_loop) ~step body =
+  B.for_step f.index (B.v "__c0") (B.v "__c1") (B.i step) (R.copy_block body)
+
+(* DOALL chunks: each arm declares its reduction accumulators and private
+   copies, runs its slice, combines the accumulators atomically and, in the
+   last non-empty chunk, writes the privates back. With no reductions and
+   no privates this is plain chunking. *)
+let doall_par prog ~line f ~step ~chunks ~reds ~privates body =
+  chunked_par prog ~line f ~step ~chunks (fun _ ->
+      List.concat_map
+        (function
+          | `Atomic _ -> []
+          | `Local (r, _, ident, _, true) ->
+              [ B.decl_arr ("__red_" ^ r) (B.len r);
+                B.for_ "__ri" (B.i 0) (B.len r)
+                  [ B.seti ("__red_" ^ r) (B.v "__ri") (B.i ident) ] ]
+          | `Local (r, _, ident, _, false) -> [ B.decl ("__red_" ^ r) (B.i ident) ])
+        reds
+      @ List.map (fun p -> B.decl ("__pv_" ^ p) (B.i 0)) privates
+      @ [ slice f ~step body ]
+      @ List.concat_map
+          (function
+            | `Atomic _ -> []
+            | `Local (r, op, _, _, true) ->
+                [ B.for_ "__ri" (B.i 0) (B.len r)
+                    [ B.atomic_seti r (B.v "__ri")
+                        (Ast.Bin (op, Ast.Idx (r, Ast.Var "__ri"),
+                                  Ast.Idx ("__red_" ^ r, Ast.Var "__ri"))) ] ]
+            | `Local (r, op, _, _, false) ->
+                [ B.atomic_set r (Ast.Bin (op, Ast.Var r, Ast.Var ("__red_" ^ r))) ])
+          reds
+      @ List.map
+          (fun p ->
+            B.when_
+              B.(v "__c1" == v "__end" && v "__c0" < v "__c1")
+              [ B.atomic_set p (B.v ("__pv_" ^ p)) ])
+          privates)
 
 (* ---- DOALL ---- *)
 
@@ -171,14 +252,7 @@ let doall ~chunks prog (la : Loops.analysis) :
     | Loops.Doall | Loops.Doall_reduction -> Ok ()
     | _ -> Error "loop is not classified DOALL"
   in
-  let* stmt =
-    match R.find_by_line prog ~line:la.Loops.loop_line with
-    | Some s -> Ok s
-    | None -> Error "loop line not found"
-  in
-  let* f, step = check_loop_shape prog la stmt in
-  let requested = chunks in
-  let chunks = clamp_chunks f ~step ~chunks in
+  let* f, step, chunks, clamped = loop_prologue prog la ~chunks in
   let arrays = array_names prog in
   let bound_reads =
     Static.expr_read_vars f.lo (Static.expr_read_vars f.hi SS.empty)
@@ -203,7 +277,8 @@ let doall ~chunks prog (la : Loops.analysis) :
           | None -> Error ("no identity for reduction op on " ^ r)
         in
         let body_lines = reduction_lines_in r op f.body in
-        if body_lines <> [] then Ok ((`Local (r, op, ident, body_lines)) :: acc)
+        if body_lines <> [] then
+          Ok (`Local (r, op, ident, body_lines, SS.mem r arrays) :: acc)
         else
           match Hashtbl.find_opt global_reductions r with
           | Some (op', lines) when op' = op -> Ok (`Atomic (r, lines) :: acc)
@@ -222,7 +297,7 @@ let doall ~chunks prog (la : Loops.analysis) :
             if R.mentions body r then
               Error ("callee-reduced variable " ^ r ^ " also accessed in body")
             else Ok body
-        | `Local (r, _, _, lines) ->
+        | `Local (r, _, _, lines, _) ->
             let body =
               rename_at_lines ~from:r ~to_:("__red_" ^ r) lines body
             in
@@ -250,55 +325,9 @@ let doall ~chunks prog (la : Loops.analysis) :
       (fun b p -> R.rename_block ~from:p ~to_:("__pv_" ^ p) b)
       body la.private_vars
   in
-  (* Per-chunk pieces. All names are [Decl]s local to the chunk's thread, so
-     the same names can be reused across chunks. *)
-  let red_decls () =
-    List.concat_map
-      (function
-        | `Atomic _ -> []
-        | `Local (r, _, ident, _) ->
-            if SS.mem r arrays then
-              [ B.decl_arr ("__red_" ^ r) (B.len r);
-                B.for_ "__ri" (B.i 0) (B.len r)
-                  [ B.seti ("__red_" ^ r) (B.v "__ri") (B.i ident) ] ]
-            else [ B.decl ("__red_" ^ r) (B.i ident) ])
-      red_plans
-  in
-  let red_combines () =
-    List.concat_map
-      (function
-        | `Atomic _ -> []
-        | `Local (r, op, _, _) ->
-            if SS.mem r arrays then
-              [ B.for_ "__ri" (B.i 0) (B.len r)
-                  [ B.atomic_seti r (B.v "__ri")
-                      (Ast.Bin (op, Ast.Idx (r, Ast.Var "__ri"),
-                                Ast.Idx ("__red_" ^ r, Ast.Var "__ri"))) ] ]
-            else
-              [ B.atomic_set r (Ast.Bin (op, Ast.Var r, Ast.Var ("__red_" ^ r))) ])
-      red_plans
-  in
-  let lastprivates () =
-    List.map
-      (fun p ->
-        B.when_
-          B.(v "__c1" == v "__end" && v "__c0" < v "__c1")
-          [ B.atomic_set p (B.v ("__pv_" ^ p)) ])
-      la.private_vars
-  in
-  let priv_decls () = List.map (fun p -> B.decl ("__pv_" ^ p) (B.i 0)) la.private_vars in
-  let chunk k =
-    bounds_prelude f ~step ~chunks ~k
-    @ red_decls () @ priv_decls ()
-    @ [ B.for_step f.index (B.v "__c0") (B.v "__c1") (B.i step)
-          (R.copy_block body) ]
-    @ red_combines () @ lastprivates ()
-  in
-  let par_stmt = B.par (List.init chunks chunk) in
   let* prog =
-    match R.replace_lines prog ~lines:[ la.loop_line ] ~f:(fun _ -> [ par_stmt ]) with
-    | Some p -> Ok p
-    | None -> Error "loop statement vanished during rewriting"
+    doall_par prog ~line:la.loop_line f ~step ~chunks ~reds:red_plans
+      ~privates:la.private_vars body
   in
   let prog =
     List.fold_left
@@ -309,13 +338,10 @@ let doall ~chunks prog (la : Loops.analysis) :
       prog red_plans
   in
   let notes =
-    (if chunks < requested then
-       Printf.sprintf "%d chunks over iteration space (clamped from %d to the \
-                       trip count)" chunks requested
-     else Printf.sprintf "%d chunks over iteration space" chunks)
+    Printf.sprintf "%d chunks over iteration space%s" chunks clamped
     :: List.map
          (function
-           | `Local (r, op, _, _) ->
+           | `Local (r, op, _, _, _) ->
                Printf.sprintf "reduction %s (%s) via per-chunk accumulator" r
                  (Ast.string_of_binop op)
            | `Atomic (r, lines) ->
@@ -330,14 +356,7 @@ let doall ~chunks prog (la : Loops.analysis) :
 
 let doacross ~chunks ~deps prog (la : Loops.analysis) :
     (Ast.program * string list, string) result =
-  let* stmt =
-    match R.find_by_line prog ~line:la.Loops.loop_line with
-    | Some s -> Ok s
-    | None -> Error "loop line not found"
-  in
-  let* f, step = check_loop_shape prog la stmt in
-  let requested = chunks in
-  let chunks = clamp_chunks f ~step ~chunks in
+  let* f, step, chunks, clamped = loop_prologue prog la ~chunks in
   let body_lines = List.concat_map TD.stmt_lines f.body in
   let carried =
     Dep.Set_.in_range deps ~lo:la.region.Static.first_line
@@ -417,32 +436,24 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
   in
   let mutex = "__dx_m" in
   let rdy k = "__dx_rdy" ^ string_of_int k in
-  let chunk k =
-    bounds_prelude f ~step ~chunks ~k
-    @ List.map (fun x -> B.decl_arr (buf x) B.(v "__c1" - v "__c0")) buffered
-    @ [ B.for_step f.index (B.v "__c0") (B.v "__c1") (B.i step)
-          (R.copy_block a_body) ]
-    @ (if k = 0 then []
-       else
-         [ B.decl "__dx_t" (B.i 0);
-           B.while_
-             B.(v "__dx_t" == i 0)
-             [ B.lock mutex; B.set "__dx_t" (B.v (rdy k)); B.unlock mutex ] ])
-    @ [ B.lock mutex ]
-    @ List.map (fun v -> B.decl ("__dx_" ^ v) (B.v v)) handoff
-    @ [ B.unlock mutex ]
-    @ [ B.for_step f.index (B.v "__c0") (B.v "__c1") (B.i step)
-          (R.copy_block b_body) ]
-    @ [ B.lock mutex ]
-    @ List.map (fun v -> B.set v (B.v ("__dx_" ^ v))) handoff
-    @ (if k < chunks - 1 then [ B.set (rdy (k + 1)) (B.i 1) ] else [])
-    @ [ B.unlock mutex ]
-  in
-  let par_stmt = B.par (List.init chunks chunk) in
   let* prog =
-    match R.replace_lines prog ~lines:[ la.loop_line ] ~f:(fun _ -> [ par_stmt ]) with
-    | Some p -> Ok p
-    | None -> Error "loop statement vanished during rewriting"
+    chunked_par prog ~line:la.loop_line f ~step ~chunks (fun k ->
+        List.map (fun x -> B.decl_arr (buf x) B.(v "__c1" - v "__c0")) buffered
+        @ [ slice f ~step a_body ]
+        @ (if k = 0 then []
+           else
+             [ B.decl "__dx_t" (B.i 0);
+               B.while_
+                 B.(v "__dx_t" == i 0)
+                 [ B.lock mutex; B.set "__dx_t" (B.v (rdy k)); B.unlock mutex ] ])
+        @ [ B.lock mutex ]
+        @ List.map (fun v -> B.decl ("__dx_" ^ v) (B.v v)) handoff
+        @ [ B.unlock mutex ]
+        @ [ slice f ~step b_body ]
+        @ [ B.lock mutex ]
+        @ List.map (fun v -> B.set v (B.v ("__dx_" ^ v))) handoff
+        @ (if k < chunks - 1 then [ B.set (rdy (k + 1)) (B.i 1) ] else [])
+        @ [ B.unlock mutex ])
   in
   let prog =
     { prog with
@@ -454,11 +465,7 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
     [ Printf.sprintf
         "%d pipelined chunks%s: %d free statement(s) overlap, %d carried \
          statement(s) serialized"
-        chunks
-        (if chunks < requested then
-           Printf.sprintf " (clamped from %d to the trip count)" requested
-         else "")
-        p (n_stmts - p);
+        chunks clamped p (n_stmts - p);
       Printf.sprintf "carried scalar(s) %s handed off through locked sections"
         (String.concat "," handoff) ]
     @ (if buffered <> [] then
@@ -468,7 +475,7 @@ let doacross ~chunks ~deps prog (la : Loops.analysis) :
   in
   Ok (prog, notes)
 
-(* ---- SPMD: recursive fork-join and taskloops ---- *)
+(* ---- tasks: effects and the Par spawner (SPMD fork-join and MPMD) ---- *)
 
 (* Full read/write effect of one statement and of every statement nested
    in it: their [Static.effects] (callee effects included), declaration
@@ -488,9 +495,9 @@ let stmt_effects (static : Static.t) (s : Ast.stmt) : SS.t * SS.t =
       | _ -> (reads, writes))
     (SS.empty, SS.empty) [ s ]
 
-(* Variables one effect writes and another reads or writes, over every pair
-   of a list of [(reads, writes)]: the tasks' shared state. *)
-let conflicts effs =
+(* Variables one task writes and another reads or writes, over every pair
+   of statements: the tasks' shared state. *)
+let conflicts static run =
   let rec pairs acc = function
     | [] -> acc
     | (r1, w1) :: rest ->
@@ -502,48 +509,47 @@ let conflicts effs =
         in
         pairs acc rest
   in
-  pairs SS.empty effs
+  pairs SS.empty (List.map (stmt_effects static) run)
 
-let task_eligible prog task_lines (s : Ast.stmt) =
-  List.mem s.Ast.line task_lines
-  && (match s.Ast.node with
-     | Ast.Decl _ | Ast.Call_stmt _ | Ast.Assign _ | Ast.Atomic_assign _ -> true
-     | _ -> false)
-  && not (R.calls_transitively prog [ s ] "rand")
+(* The one [Par] spawner: each statement of [run] becomes a thread; a
+   declaration is hoisted in front of the [Par] as a zero-initialised
+   scalar its thread assigns, so the result outlives the thread. *)
+let spawn run =
+  let hoists, threads =
+    List.fold_right
+      (fun (ts : Ast.stmt) (hs, bs) ->
+        match ts.node with
+        | Ast.Decl (x, e) -> (B.decl x (B.i 0) :: hs, [ B.set x e ] :: bs)
+        | _ -> (hs, [ ts ] :: bs))
+      run ([], [])
+  in
+  hoists @ [ B.par threads ]
+
+(* ---- SPMD: recursive fork-join and taskloops ---- *)
 
 (* Replace the first run of >= 2 consecutive task statements in the
    function body with hoisted result declarations plus a [Par]. *)
 let forkjoin static prog fname task_lines : (Ast.program * string list, string) result =
-  let eligible = task_eligible prog task_lines in
-  let captured = ref None in
-  let parize run =
-    captured := Some run;
-    let hoists, threads =
-      List.fold_right
-        (fun (ts : Ast.stmt) (hs, bs) ->
-          match ts.node with
-          | Ast.Decl (x, e) -> (B.decl x (B.i 0) :: hs, [ B.set x e ] :: bs)
-          | _ -> (hs, [ ts ] :: bs))
-        run ([], [])
-    in
-    hoists @ [ B.par threads ]
+  let eligible (s : Ast.stmt) =
+    List.mem s.line task_lines && task_shaped prog s
   in
-  let hit = ref false in
+  let spawned = ref None in
   let rec go (b : Ast.block) : Ast.block =
     match b with
-    | s :: rest when (not !hit) && eligible s ->
+    | s :: rest when Option.is_none !spawned && eligible s ->
         let rec take acc = function
           | t :: more when eligible t -> take (t :: acc) more
           | more -> (List.rev acc, more)
         in
         let run, rest' = take [ s ] rest in
         if List.length run >= 2 then begin
-          hit := true;
-          parize run @ rest'
+          spawned := Some run;
+          spawn run @ rest'
         end
         else run @ go rest'
-    | ({ node = Ast.Par _; _ } as s) :: rest when not !hit -> s :: go rest
-    | s :: rest when not !hit ->
+    | ({ node = Ast.Par _; _ } as s) :: rest when Option.is_none !spawned ->
+        s :: go rest
+    | s :: rest when Option.is_none !spawned ->
         let s = Ast.map_stmt ~block:go s in
         s :: go rest
     | b -> b
@@ -553,35 +559,35 @@ let forkjoin static prog fname task_lines : (Ast.program * string list, string) 
       (fun (g : Ast.func) -> if g.fname = fname then { g with body = go g.body } else g)
       prog.Ast.funcs
   in
-  if not !hit then Error "no consecutive pair of task statements"
-  else
-    (* The forked tasks run unsynchronized, so any variable one task writes
-       and another touches must be a reduction-only global (a recursive
-       branch-and-bound minimum, a task counter): its update statements are
-       made atomic; any other shared write rejects the fork. *)
-    let run = match !captured with Some r -> r | None -> [] in
-    let greds = Static.reduction_only_vars prog in
-    let* atomic_lines =
-      SS.fold
-        (fun v acc ->
-          let* ls = acc in
-          match Hashtbl.find_opt greds v with
-          | Some (_, lines) -> Ok (lines @ ls)
-          | None -> Error ("tasks share non-reduction variable " ^ v))
-        (conflicts (List.map (stmt_effects static) run))
-        (Ok [])
-    in
-    let prog = List.fold_left atomicize { prog with funcs } atomic_lines in
-    let notes =
-      Printf.sprintf "recursive tasks of %s spawned as Par threads" fname
-      ::
-      (if atomic_lines = [] then []
-       else
-         [ Printf.sprintf "shared reduction update(s) made atomic at line(s) %s"
-             (String.concat ","
-                (List.map string_of_int (List.sort_uniq compare atomic_lines))) ])
-    in
-    Ok (prog, notes)
+  match !spawned with
+  | None -> Error "no consecutive pair of task statements"
+  | Some run ->
+      (* The forked tasks run unsynchronized, so any variable one task writes
+         and another touches must be a reduction-only global (a recursive
+         branch-and-bound minimum, a task counter): its update statements are
+         made atomic; any other shared write rejects the fork. *)
+      let greds = Static.reduction_only_vars prog in
+      let* atomic_lines =
+        SS.fold
+          (fun v acc ->
+            let* ls = acc in
+            match Hashtbl.find_opt greds v with
+            | Some (_, lines) -> Ok (lines @ ls)
+            | None -> Error ("tasks share non-reduction variable " ^ v))
+          (conflicts static run)
+          (Ok [])
+      in
+      let prog = List.fold_left atomicize { prog with funcs } atomic_lines in
+      let notes =
+        Printf.sprintf "recursive tasks of %s spawned as Par threads" fname
+        ::
+        (if atomic_lines = [] then []
+         else
+           [ Printf.sprintf "shared reduction update(s) made atomic at line(s) %s"
+               (String.concat ","
+                  (List.map string_of_int (List.sort_uniq compare atomic_lines))) ])
+      in
+      Ok (prog, notes)
 
 let spmd ~chunks prog (report : Suggestion.report) (sp : Tasks.spmd) =
   match sp.Tasks.s_kind with
@@ -598,101 +604,54 @@ let spmd ~chunks prog (report : Suggestion.report) (sp : Tasks.spmd) =
 
 (* ---- MPMD: task-graph stages ---- *)
 
-let mpmd prog (report : Suggestion.report) (m : Tasks.mpmd) :
+(* A stage becomes one [Par] when its members are consecutive items of the
+   region, task-shaped, and pairwise independent at the effect level: no
+   statement may write a variable another reads or writes, callee effects
+   counted. That check subsumes one over the items' own sets: an item's
+   reads and writes are its statement's direct effects and binder plus its
+   nested regions' globals, restricted to the region's variables, and all
+   of them are in [stmt_effects], so an item conflict is an effect
+   conflict. *)
+let mpmd static prog (m : Tasks.mpmd) :
     (Ast.program * string list, string) result =
   let* () =
     if m.Tasks.m_shape = Tasks.Taskgraph then Ok ()
     else Error "pipeline-shaped task graphs unsupported"
   in
-  let static = report.static in
-  let region = Static.region static m.m_region in
-  let gv =
-    SS.union (TD.construction_globals static m.m_region) region.Static.locals
-  in
-  let items = TD.items_of_region static m.m_region gv in
-  let item_by_line l =
-    List.find_opt (fun (it : TD.item) -> it.it_line = l) items
-  in
-  let stmt_ok (s : Ast.stmt) =
-    (match s.node with
-    | Ast.Decl _ | Ast.Assign _ | Ast.Atomic_assign _ | Ast.Call_stmt _
-    | Ast.If _ | Ast.While _ | Ast.For _ ->
-        true
-    | _ -> false)
-    && (not (R.has_return [ s ]))
-    && (not (R.has_sync [ s ]))
-    && (not (R.has_toplevel_break [ s ]))
-    && not (R.calls_transitively prog [ s ] "rand")
-  in
-  (* Pairwise independence at the effect level: no statement of the stage
-     may write a variable another statement reads or writes, counting
-     callee effects. *)
-  let effects_independent seg =
-    SS.is_empty (conflicts (List.map (stmt_effects static) seg))
-  in
-  let parize seg =
-    let hoists, threads =
-      List.fold_right
-        (fun (ts : Ast.stmt) (hs, bs) ->
-          match ts.Ast.node with
-          | Ast.Decl (x, e) -> (B.decl x (B.i 0) :: hs, [ B.set x e ] :: bs)
-          | _ -> (hs, [ ts ] :: bs))
-        seg ([], [])
-    in
-    hoists @ [ B.par threads ]
-  in
-  (* A stage is parallelizable when its members are consecutive items of
-     the region, pairwise independent, and shape-safe statements. *)
-  let item_lines = List.map (fun (it : TD.item) -> it.it_line) items in
   let consecutive lines =
-    let idx l =
-      let rec at i = function
-        | [] -> -1
-        | x :: _ when x = l -> i
-        | _ :: r -> at (i + 1) r
-      in
-      at 0 item_lines
-    in
-    let idxs = List.map idx lines in
-    List.for_all (fun i -> i >= 0) idxs
-    &&
-    let sorted = List.sort compare idxs in
-    List.mapi (fun i x -> x - i) sorted |> function
-    | [] -> false
-    | d :: rest -> List.for_all (fun x -> x = d) rest
+    let at l = List.find_index (fun (it : TD.item) -> it.it_line = l) m.m_items in
+    match List.sort compare (List.map at lines) with
+    | Some i :: _ as idxs ->
+        idxs = List.init (List.length idxs) (fun k -> Some (i + k))
+    | _ -> false
   in
-  let try_stage prog stage =
-    if List.length stage < 2 then None
+  let try_stage cur stage =
+    let lines = List.sort compare stage in
+    if List.length lines < 2 || not (consecutive lines) then None
     else
-      let lines = List.sort compare stage in
-      let members = List.filter_map item_by_line lines in
-      if List.length members <> List.length lines then None
-      else if not (consecutive lines) then None
-      else
-        let item_effects (it : TD.item) = (it.it_reads, it.it_writes) in
-        if not (SS.is_empty (conflicts (List.map item_effects members))) then None
-        else
-          match
-            R.replace_lines prog ~lines ~f:(fun seg ->
-                if List.for_all stmt_ok seg && effects_independent seg then
-                  parize seg
-                else seg)
-          with
-          | Some prog' when prog' <> prog -> Some (prog', List.length lines)
-          | _ -> None
+      match
+        R.replace_lines cur ~lines ~f:(fun seg ->
+            if
+              List.for_all (task_shaped prog) seg
+              && SS.is_empty (conflicts static seg)
+            then spawn seg
+            else seg)
+      with
+      | Some next when next <> cur -> Some (next, List.length lines)
+      | _ -> None
   in
-  let prog', widths =
+  let transformed, widths =
     List.fold_left
-      (fun (prog, ws) stage ->
-        match try_stage prog stage with
-        | Some (prog', w) -> (prog', w :: ws)
-        | None -> (prog, ws))
+      (fun (cur, ws) stage ->
+        match try_stage cur stage with
+        | Some (next, w) -> (next, w :: ws)
+        | None -> (cur, ws))
       (prog, []) m.m_stages
   in
   if widths = [] then Error "no stage with a consecutive independent run"
   else
     Ok
-      ( prog',
+      ( transformed,
         [ Printf.sprintf "%d task-graph stage(s) spawned as Par (widths %s)"
             (List.length widths)
             (String.concat "," (List.map string_of_int (List.rev widths))) ] )
@@ -700,24 +659,18 @@ let mpmd prog (report : Suggestion.report) (m : Tasks.mpmd) :
 (* ---- naive (deliberately wrong) transform: the validation fixture ---- *)
 
 (* Chunk a loop with NO privatization, reduction or carried-dependence
-   handling. On any loop that is not plain DOALL this miscompiles — the
-   fixture differential validation must reject. *)
+   handling: the DOALL emitter with neither. On any loop that is not plain
+   DOALL this miscompiles — the fixture differential validation must
+   reject. *)
 let naive_doall ?(chunks = 4) (prog : Ast.program) ~line :
     (Ast.program, string) result =
   let prog = R.copy_program prog in
   match R.find_by_line prog ~line with
   | Some { Ast.node = Ast.For ({ step = Ast.Int step; _ } as f); _ }
     when step > 0 ->
-      let chunk k =
-        bounds_prelude f ~step ~chunks ~k
-        @ [ B.for_step f.index (B.v "__c0") (B.v "__c1") (B.i step)
-              (R.copy_block f.body) ]
-      in
-      let par_stmt = B.par (List.init chunks chunk) in
-      (match R.replace_lines prog ~lines:[ line ] ~f:(fun _ -> [ par_stmt ]) with
-      | Some p ->
-          Ok (B.number { p with pname = p.pname ^ "_naive" })
-      | None -> Error "loop not found")
+      doall_par prog ~line f ~step ~chunks ~reds:[] ~privates:[] f.body
+      |> Result.map (fun (p : Ast.program) ->
+             B.number { p with pname = p.pname ^ "_naive" })
   | Some _ -> Error "not a constant-step for loop"
   | None -> Error "no statement at that line"
 
@@ -732,7 +685,7 @@ let apply ?(chunks = 4) (report : Suggestion.report) (s : Suggestion.t) :
     | Suggestion.Sdoall la -> doall ~chunks prog la
     | Sdoacross la -> doacross ~chunks ~deps prog la
     | Sspmd sp -> spmd ~chunks prog report sp
-    | Smpmd m -> mpmd prog report m
+    | Smpmd m -> mpmd report.static prog m
   in
   match result with
   | Error e ->
@@ -746,8 +699,7 @@ let apply ?(chunks = 4) (report : Suggestion.report) (s : Suggestion.t) :
         { original = report.program;
           transformed = prog';
           plan =
-            { p_kind = Suggestion.kind_to_string s.kind;
-              p_region = s.region;
+            { p_suggestion = s;
               p_line = region.Static.first_line;
               p_chunks = chunks;
               p_notes = notes } }
@@ -764,6 +716,7 @@ let apply_first ?chunks (report : Suggestion.report) :
   go [] report.suggestions
 
 let plan_to_string (p : plan) =
-  Printf.sprintf "%s @ region %d (line %d), %d chunks\n%s" p.p_kind p.p_region
+  Printf.sprintf "%s @ region %d (line %d), %d chunks\n%s"
+    (Suggestion.kind_to_string p.p_suggestion.kind) p.p_suggestion.region
     p.p_line p.p_chunks
     (String.concat "" (List.map (fun n -> "  - " ^ n ^ "\n") p.p_notes))

@@ -19,8 +19,7 @@
     next suggestion. {!Validate} is the dynamic backstop. *)
 
 type plan = {
-  p_kind : string;    (** suggestion kind, e.g. "DOALL" *)
-  p_region : int;     (** region id in the original program *)
+  p_suggestion : Discovery.Suggestion.t;  (** the suggestion applied *)
   p_line : int;       (** header line of the transformed construct *)
   p_chunks : int;
   p_notes : string list;  (** human-readable transform decisions *)

@@ -1,7 +1,7 @@
 (* Tests for the observability layer (lib/obs): the JSON value type
-   round-trips through its own parser, the JSONL export is parseable line by
-   line, disabled mode is a no-op, and the serial and parallel profilers
-   publish identical deterministic counters for the same workload. *)
+   round-trips through its own parser, disabled mode is a no-op, and the
+   serial and parallel profilers publish identical deterministic counters
+   for the same workload. *)
 
 module J = Obs.Json
 
@@ -82,44 +82,6 @@ let test_span_and_meter () =
   Alcotest.(check int) "span ran once" 1 (Obs.Span.calls "t.work");
   Alcotest.(check bool) "span took time" true (Obs.Span.ns "t.work" >= 0);
   Alcotest.(check int) "meter counted" 10 (Obs.Meter.count m)
-
-(* --- JSONL exporter --- *)
-
-let test_jsonl_parses () =
-  with_registry @@ fun () ->
-  Obs.Counter.add (Obs.counter "t.c") 3;
-  Obs.Gauge.set (Obs.gauge "t.g") 0.5;
-  Obs.Span.with_ ~phase:"t.s" (fun () -> ());
-  Obs.Meter.mark (Obs.meter "t.m" ~per:"t.s") 1;
-  let lines =
-    String.split_on_char '\n' (Obs.to_jsonl ())
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  Alcotest.(check bool) "has lines" true (List.length lines >= 4);
-  List.iter
-    (fun line ->
-      match J.of_string line with
-      | Ok (J.Obj fields) ->
-          Alcotest.(check bool) "has kind" true (List.mem_assoc "kind" fields);
-          Alcotest.(check bool) "has name" true (List.mem_assoc "name" fields)
-      | Ok _ -> Alcotest.failf "JSONL line is not an object: %s" line
-      | Error msg -> Alcotest.failf "JSONL line unparseable (%s): %s" msg line)
-    lines;
-  (* the counter's value survives the round trip *)
-  let counter_line =
-    List.find
-      (fun l ->
-        match J.of_string l with
-        | Ok o ->
-            J.member "kind" o = Some (J.String "counter")
-            && J.member "name" o = Some (J.String "t.c")
-        | Error _ -> false)
-      lines
-  in
-  match J.of_string counter_line with
-  | Ok o -> Alcotest.(check (option int)) "value" (Some 3)
-              (Option.map J.get_int (J.member "value" o) |> Option.join)
-  | Error _ -> assert false
 
 let test_snapshot_shape () =
   with_registry @@ fun () ->
@@ -555,7 +517,6 @@ let tests =
       test_json_floats_stay_floats;
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
     Alcotest.test_case "span and meter" `Quick test_span_and_meter;
-    Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_parses;
     Alcotest.test_case "snapshot sections" `Quick test_snapshot_shape;
     Alcotest.test_case "serial/parallel counters agree" `Quick
       test_serial_parallel_counters_agree;

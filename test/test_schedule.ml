@@ -109,9 +109,8 @@ let test_mpmd_facedetect_width () =
   let prog = Workloads.Registry.program ~size:100 w in
   let st = Mil.Static.analyze prog in
   let cures = Cunit.Top_down.build st in
-  let r = Profiler.Serial.profile prog in
   let main_region = Mil.Static.func_region st "main" in
-  match Discovery.Tasks.mpmd_of_region cures r.deps main_region with
+  match Discovery.Tasks.mpmd_of_region cures main_region with
   | Some m ->
       Alcotest.(check int) "Fig 4.10 width is exactly 2" 2
         m.Discovery.Tasks.m_width;
@@ -127,7 +126,6 @@ let test_mpmd_ferret_pipeline () =
   let prog = Workloads.Registry.program ~size:20 w in
   let st = Mil.Static.analyze prog in
   let cures = Cunit.Top_down.build st in
-  let r = Profiler.Serial.profile prog in
   let qloop =
     List.filter
       (fun (reg : Mil.Static.region) ->
@@ -135,7 +133,7 @@ let test_mpmd_ferret_pipeline () =
       (Mil.Static.loop_regions st)
     |> List.rev |> List.hd
   in
-  match Discovery.Tasks.mpmd_of_region cures r.deps qloop.Mil.Static.id with
+  match Discovery.Tasks.mpmd_of_region cures qloop.Mil.Static.id with
   | Some m ->
       Alcotest.(check int) "four pipeline stages" 4
         (List.length m.Discovery.Tasks.m_stages);
