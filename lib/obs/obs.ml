@@ -436,6 +436,54 @@ module Trace = struct
         ("displayTimeUnit", Json.String "ms") ]
 
   let write path = write_file path (Json.to_string (export ()) ^ "\n")
+
+  exception Invalid of string
+
+  let check doc =
+    let invalid fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt in
+    (* Buffers are appended in clock order, so within one (pid, tid) track
+       the exported ts sequence must be non-decreasing. *)
+    let last_ts : (int * int, float) Hashtbl.t = Hashtbl.create 8 in
+    let check_event i ev =
+      let field name =
+        match Json.member name ev with
+        | Some v -> v
+        | None -> invalid "event %d lacks field %S" i name
+      in
+      let int_field name =
+        match Json.get_int (field name) with
+        | Some v -> v
+        | None -> invalid "event %d: %S not an int" i name
+      in
+      ignore (field "name");
+      (match Json.get_string (field "ph") with
+      | Some ("B" | "E" | "i" | "C" | "M" | "X") -> ()
+      | _ -> invalid "event %d: bad \"ph\"" i);
+      let ts =
+        match Json.get_float (field "ts") with
+        | Some t -> t
+        | None -> invalid "event %d: \"ts\" not a number" i
+      in
+      let tid = int_field "tid" in
+      let pid = int_field "pid" in
+      (match Hashtbl.find_opt last_ts (pid, tid) with
+      | Some prev when ts < prev ->
+          invalid "event %d: ts %.3f goes backwards on track %d/%d" i ts pid
+            tid
+      | _ -> ());
+      Hashtbl.replace last_ts (pid, tid) ts
+    in
+    try
+      let evs =
+        match Result.map (Json.member "traceEvents") (Json.of_string doc) with
+        | Error msg -> invalid "unparseable JSON (%s)" msg
+        | Ok (Some (Json.List [])) -> invalid "traceEvents is empty"
+        | Ok (Some (Json.List evs)) -> evs
+        | Ok _ -> invalid "no traceEvents list"
+      in
+      List.iteri check_event evs;
+      Ok (List.length evs, Hashtbl.length last_ts)
+    with Invalid msg -> Error msg
 end
 
 (* ---- request-scoped span collection ---- *)

@@ -74,6 +74,12 @@ module Trace : sig
       microseconds and one [thread_name] metadata record per named track. *)
 
   val write : string -> unit
+
+  val check : string -> (int * int, string) result
+  (** Validate a Chrome Trace Event document: it parses, [traceEvents] is
+      non-empty, each event has a [name], a known [ph], a numeric [ts] and
+      integer [pid]/[tid], and [ts] never decreases on a (pid, tid) track.
+      [Ok (events, tracks)], or [Error] naming the first broken rule. *)
 end
 
 (** Request-scoped span collection for the serve daemon. A handler domain

@@ -325,47 +325,45 @@ type report = {
   b_wall_s : float;
 }
 
-let program_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
-    ~(config : Cache.config) (prog : Mil.Ast.program) : job =
+let job_ok ~cache_hit entries ((deps, summary) as entry) =
+  { jr_summary = summary;
+    jr_deps = Profiler.Dep.Set_.cardinal deps;
+    jr_suggestions = List.length entries;
+    jr_cache_hit = cache_hit;
+    jr_entry = entry }
+
+let uncached_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
+    ~(config : Cache.config) ~key (prog : Mil.Ast.program) : job =
+  let run ~cancelled =
+    Obs.Counter.incr c_cache_miss;
+    let profile = Profiler.Profile.run ~cancelled config.Cache.profile prog in
+    let report =
+      Suggestion.analyze_profiled ~threads:config.Cache.threads prog profile
+    in
+    let entries = Suggestion.summarize report in
+    let summary = Suggestion.summary_to_string ~name entries in
+    let deps = profile.Profiler.Serial.deps in
+    Option.iter
+      (fun dir -> Cache.store ~limits:cache_limits ~dir ~key ~deps ~summary ())
+      cache_dir;
+    Option.iter (fun m -> Mem_cache.add m key (deps, summary)) mem;
+    job_ok ~cache_hit:false entries (deps, summary)
+  in
+  { j_name = name; j_run = run }
+
+let program_job ?cache_dir ?cache_limits ?mem ~name ~(config : Cache.config)
+    (prog : Mil.Ast.program) : job =
   let run ~cancelled =
     let key = Cache.key config prog in
     match lookup ?mem ?dir:cache_dir ~key () with
-    | Some (deps, summary), _tier ->
+    | Some ((_, summary) as entry), _tier ->
         Obs.Counter.incr c_cache_hit;
-        let entries =
-          match Suggestion.summary_of_string summary with
-          | Ok es -> es
-          | Error _ -> [] (* unreachable: load validated it *)
-        in
-        { jr_summary = summary;
-          jr_deps = Profiler.Dep.Set_.cardinal deps;
-          jr_suggestions = List.length entries;
-          jr_cache_hit = true;
-          jr_entry = (deps, summary) }
+        (* Every tier holds summaries that parse: load validates them. *)
+        let entries = Suggestion.summary_of_string summary in
+        job_ok ~cache_hit:true (Result.value entries ~default:[]) entry
     | None, _ ->
-        Obs.Counter.incr c_cache_miss;
-        let profile =
-          Profiler.Profile.run ~cancelled config.Cache.profile prog
-        in
-        let report =
-          Suggestion.analyze_profiled ~threads:config.Cache.threads prog
-            profile
-        in
-        let summary =
-          Suggestion.summary_to_string ~name (Suggestion.summarize report)
-        in
-        let deps = profile.Profiler.Serial.deps in
-        Option.iter
-          (fun dir ->
-            Cache.store ~limits:cache_limits ~dir ~key ~deps ~summary ())
-          cache_dir;
-        Option.iter (fun m -> Mem_cache.add m key (deps, summary)) mem;
-        { jr_summary = summary;
-          jr_deps = Profiler.Dep.Set_.cardinal deps;
-          jr_suggestions =
-            List.length report.Suggestion.suggestions;
-          jr_cache_hit = false;
-          jr_entry = (deps, summary) }
+        (uncached_job ?cache_dir ?cache_limits ?mem ~name ~config ~key prog)
+          .j_run ~cancelled
   in
   { j_name = name; j_run = run }
 

@@ -165,6 +165,13 @@ val program_job :
     populate both tiers. [cache_limits] (default {!Cache.no_limits}) is
     enforced by a sweep at each disk publish. *)
 
+val uncached_job :
+  ?cache_dir:string -> ?cache_limits:Cache.limits -> ?mem:Mem_cache.t ->
+  name:string -> config:Cache.config -> key:string -> Mil.Ast.program -> job
+(** {!program_job} for a program the caller has already looked up under
+    [key] (its {!Cache.key}) and found in neither tier: profile, analyze,
+    summarize and populate both tiers, with no second key or lookup. *)
+
 val workload_job :
   ?cache_dir:string -> ?cache_limits:Cache.limits -> ?mem:Mem_cache.t ->
   ?size:int -> config:Cache.config -> Workloads.Registry.t -> job

@@ -435,9 +435,9 @@ let handle_profile t (req : request) ~(enqueued : float) cx =
           | None, _ -> (
               Obs.Counter.incr c_miss;
               let job =
-                Pipeline.program_job ?cache_dir:t.cfg.cache_dir
+                Pipeline.uncached_job ?cache_dir:t.cfg.cache_dir
                   ~cache_limits:t.cfg.cache_limits ~mem:t.mem ~name ~config
-                  prog
+                  ~key prog
               in
               match Pipeline.run_job ~cancelled job with
               | Pipeline.Ok_ ok ->

@@ -169,14 +169,19 @@ let test_depfile_v1_compat () =
 
 (* --- tracing: export round-trips through the bundled parser --- *)
 
-let events_of_export () =
-  let doc = Obs.Trace.export () in
-  match J.of_string (J.to_string doc) with
-  | Error msg -> Alcotest.failf "trace export unparseable: %s" msg
-  | Ok j -> (
+(* The export, which must pass trace-check's rules ([Obs.Trace.check]), and
+   the number of tracks it holds. *)
+let checked_export () =
+  let doc = J.to_string (Obs.Trace.export ()) in
+  match (Obs.Trace.check doc, J.of_string doc) with
+  | Error msg, _ -> Alcotest.failf "trace export invalid: %s" msg
+  | Ok (_, tracks), Ok j -> (
       match J.member "traceEvents" j with
-      | Some (J.List evs) -> evs
+      | Some (J.List evs) -> (evs, tracks)
       | _ -> Alcotest.fail "no traceEvents list")
+  | Ok _, Error msg -> Alcotest.failf "trace export unparseable: %s" msg
+
+let events_of_export () = fst (checked_export ())
 
 let field name ev =
   match J.member name ev with
@@ -193,7 +198,7 @@ let test_trace_roundtrip () =
   Obs.Trace.set_track "test track";
   Obs.Trace.with_span "outer" (fun () -> Obs.Trace.instant "tick");
   Obs.Trace.counter "depth" 3;
-  let evs = events_of_export () in
+  let evs, tracks = checked_export () in
   (* metadata + B + i + E + C *)
   Alcotest.(check int) "event count" 5 (List.length evs);
   let phases = List.map (fun e -> str_field "ph" e) evs in
@@ -201,22 +206,18 @@ let test_trace_roundtrip () =
     (fun ph ->
       Alcotest.(check bool) (ph ^ " present") true (List.mem ph phases))
     [ "M"; "B"; "i"; "E"; "C" ];
-  let last_ts = ref neg_infinity in
+  (* single-domain trace: one track, so the check's per-track monotone
+     timestamps are globally monotone *)
+  Alcotest.(check int) "one track" 1 tracks;
   List.iter
     (fun ev ->
       ignore (str_field "name" ev);
       (match J.get_int (field "pid" ev) with
       | Some 1 -> ()
       | _ -> Alcotest.fail "pid must be 1");
-      (match J.get_int (field "tid" ev) with
+      match J.get_int (field "tid" ev) with
       | Some t -> Alcotest.(check bool) "tid nonneg" true (t >= 0)
-      | None -> Alcotest.fail "tid not an int");
-      match J.get_float (field "ts" ev) with
-      | Some ts ->
-          (* single-domain trace: timestamps are globally monotone *)
-          Alcotest.(check bool) "ts monotone" true (ts >= !last_ts);
-          last_ts := ts
-      | None -> Alcotest.fail "ts not a number")
+      | None -> Alcotest.fail "tid not an int")
     evs;
   (* the named track surfaces as a thread_name metadata record *)
   let meta = List.find (fun e -> str_field "ph" e = "M") evs in

@@ -183,6 +183,28 @@ let test_http_profile_and_cache_tiers () =
       ("workers=-1", "workers must be >= 0\n");
       ("workers=9", "workers must be <= 8\n") ]
 
+(* A cold request computes its key once and probes each tier once: one
+   memory-tier miss, one serve.cache.miss, one uncached pipeline job. *)
+let test_cold_request_looks_up_once () =
+  let dir = fresh_dir () in
+  with_server ~cache_dir:dir @@ fun t ->
+  let counters = [ "serve.cache.miss"; "pipeline.jobs.cache_miss";
+                   "pipeline.jobs.cache_hit" ] in
+  let values () =
+    List.map (fun c -> Obs.Counter.value (Obs.counter c)) counters
+  in
+  let before = values () in
+  let r =
+    ok_response
+      (Serve.Client.post ~port:(Serve.port t) ~body:small_src
+         "/profile?name=once")
+  in
+  Alcotest.(check int) "cold 200" 200 r.Serve.Client.status;
+  Alcotest.(check int) "one memory-tier miss" 1
+    (P.Mem_cache.misses (Serve.mem_cache t));
+  Alcotest.(check (list int)) "one miss, one uncached job, no hit" [ 1; 1; 0 ]
+    (List.map2 ( - ) (values ()) before)
+
 let test_http_deadline_504 () =
   with_server @@ fun t ->
   let port = Serve.port t in
@@ -262,6 +284,9 @@ let test_http_trace_roundtrip () =
   in
   let tr = ok_response (Serve.Client.get ~port ("/trace?id=" ^ tid)) in
   Alcotest.(check int) "trace 200" 200 tr.Serve.Client.status;
+  (match Obs.Trace.check tr.Serve.Client.body with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "trace fails trace-check: %s" msg);
   (match Obs.Json.of_string tr.Serve.Client.body with
   | Error msg -> Alcotest.failf "trace is not JSON: %s" msg
   | Ok doc ->
@@ -445,6 +470,8 @@ let tests =
       test_http_health_and_routing;
     Alcotest.test_case "HTTP profile + cache tiers" `Quick
       test_http_profile_and_cache_tiers;
+    Alcotest.test_case "cold request looks up once" `Quick
+      test_cold_request_looks_up_once;
     Alcotest.test_case "HTTP deadline 504" `Quick test_http_deadline_504;
     Alcotest.test_case "HTTP parallel profile deadline 504" `Quick
       test_http_parallel_deadline_504;
