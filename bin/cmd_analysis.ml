@@ -27,7 +27,7 @@ let list_cmd =
 let source_cmd =
   let doc = "Print a workload's numbered source." in
   let run wl = print_string (Mil.Pretty.render_program wl.prog) in
-  Cmd.v (Cmd.info "source" ~doc) Term.(const run $ workload)
+  Cmd.v (Cmd.info "source" ~doc) @@ on_workload (Term.const run)
 
 let profile_cmd =
   let doc = "Run the data-dependence profiler and print the dependence report." in
@@ -58,13 +58,13 @@ let profile_cmd =
         (Discovery.Loops.analyze_all st (Cunit.Top_down.build st) r.deps r.pet)
     end
   in
-  Cmd.v (Cmd.info "profile" ~doc)
-    Term.(
+  Cmd.v (Cmd.info "profile" ~doc) @@
+    on_workload Term.(
       const run $ profile_config
       $ output
           ~doc:"Also write the merged dependences to FILE (discopop-deps \
                 format, readable with `discopop read-deps`)."
-      $ obs $ workload)
+      $ obs)
 
 let read_deps_cmd =
   let doc = "Read a dependence file back and print it in the report format." in
@@ -91,7 +91,7 @@ let pet_cmd =
     with_obs obs @@ fun () ->
     print_string (Profiler.Pet.to_string (Profiler.Serial.profile wl.prog).pet)
   in
-  Cmd.v (Cmd.info "pet" ~doc) Term.(const run $ trace_only $ workload)
+  Cmd.v (Cmd.info "pet" ~doc) @@ on_workload Term.(const run $ trace_only)
 
 let cus_cmd =
   let doc = "Construct computational units (top-down) and print them." in
@@ -106,7 +106,7 @@ let cus_cmd =
       print_string (Cunit.Graph.to_dot (cu_graph prog deps))
     else List.iter (fun cu -> print_endline (Cunit.Cu.to_string cu)) (cus prog)
   in
-  Cmd.v (Cmd.info "cus" ~doc) Term.(const run $ dot_arg $ obs $ workload)
+  Cmd.v (Cmd.info "cus" ~doc) @@ on_workload Term.(const run $ dot_arg $ obs)
 
 let discover_cmd =
   let doc = "Run the full pipeline and print ranked parallelization suggestions." in
@@ -119,11 +119,11 @@ let discover_cmd =
       (fun a -> Printf.printf "  %s\n" (Discovery.Loops.to_string a))
       report.loops
   in
-  Cmd.v (Cmd.info "discover" ~doc)
-    Term.(
+  Cmd.v (Cmd.info "discover" ~doc) @@
+    on_workload Term.(
       const run
       $ threads ~doc:"Thread count assumed by the local-speedup metric."
-      $ obs $ workload)
+      $ obs)
 
 let explain_cmd =
   let doc =
@@ -165,10 +165,9 @@ let explain_cmd =
         (Profiler.Report.render_explain ~top ~threads:w.parallel_target deps)
     end
   in
-  Cmd.v (Cmd.info "explain" ~doc)
-    Term.(
-      const run $ profile_config $ top_arg $ dot_arg $ threshold_arg $ obs
-      $ workload)
+  Cmd.v (Cmd.info "explain" ~doc) @@
+    on_workload Term.(
+      const run $ profile_config $ top_arg $ dot_arg $ threshold_arg $ obs)
 
 let races_cmd =
   let doc =
@@ -195,8 +194,8 @@ let races_cmd =
             l1 l2)
         found
   in
-  Cmd.v (Cmd.info "races" ~doc)
-    Term.(const run $ schedules_arg $ trace_only $ workload)
+  Cmd.v (Cmd.info "races" ~doc) @@
+    on_workload Term.(const run $ schedules_arg $ trace_only)
 
 let cmds =
   [ list_cmd; source_cmd; profile_cmd; read_deps_cmd; pet_cmd; cus_cmd;

@@ -82,8 +82,8 @@ let optimize_cmd =
            ("ok", Bool (diffs = [])) ]);
     if diffs <> [] then 1 else 0
   in
-  Cmd.v (Cmd.info "optimize" ~doc)
-    Term.(const run $ passes_arg $ emit_arg "optimized" $ obs $ workload)
+  Cmd.v (Cmd.info "optimize" ~doc) @@
+    on_workload Term.(const run $ passes_arg $ emit_arg "optimized" $ obs)
 
 (* The scheduler seeds --validate runs under: the default ones first. *)
 let seed_list n =
@@ -299,13 +299,13 @@ let parallelize_cmd =
     Option.iter (fun path -> write_text path (Buffer.contents buf)) output;
     code
   in
-  Cmd.v (Cmd.info "parallelize" ~doc)
-    Term.(
+  Cmd.v (Cmd.info "parallelize" ~doc) @@
+    on_workload Term.(
       const run $ suggestion_arg $ chunks_arg $ validate_arg $ seeds_arg
       $ emit_arg "transformed"
       $ output ~doc:"Also write the transform report to FILE."
       $ threads ~doc:"Thread count assumed by the modeled-speedup metric."
       $ measure_arg $ domains_arg $ warmup_arg $ reps_arg $ json_arg
-      $ optimize_arg $ obs $ workload)
+      $ optimize_arg $ obs)
 
 let cmds = [ optimize_cmd; parallelize_cmd ]

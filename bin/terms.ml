@@ -40,7 +40,8 @@ let threads ~doc =
   Arg.(value & opt positive 4 & info [ "threads" ] ~docv:"T" ~doc)
 
 let output ~doc =
-  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+  Arg.(value & opt (some string) None
+       & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
 let file_pos docv = Arg.(required & pos 0 (some file) None & info [] ~docv)
 
@@ -52,17 +53,19 @@ let find_workload name =
         (Error
            (Printf.sprintf "unknown workload %s (try `discopop list`)" name))
 
-(* WORKLOAD and --size: the registry entry, the size it runs at (--size, or
-   its default) and its program. An unknown name exits 1. Apply this term
-   last: its error then comes after every other flag's, as when the name
-   was looked up in the command itself. *)
+(* A workload: its registry entry, the size it runs at (--size, or its
+   default) and its program. *)
 type workload = {
   w : Workloads.Registry.t;
   size : int;
   prog : Mil.Ast.program;
 }
 
-let workload =
+(* [on_workload cmd] adds WORKLOAD and --size to the command [cmd] and runs
+   it on that workload. The two are parsed before [cmd]'s flags and the name
+   is looked up after them, so an unknown name (exit 1) is reported after
+   any bad flag. *)
+let on_workload cmd =
   let name_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
   in
@@ -70,13 +73,14 @@ let workload =
     Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N"
            ~doc:"Override the workload's input size.")
   in
-  let make name size =
+  let run name size cmd =
     let w = find_workload name in
-    { w;
-      size = Option.value size ~default:w.default_size;
-      prog = Workloads.Registry.program ?size w }
+    cmd
+      { w;
+        size = Option.value size ~default:w.default_size;
+        prog = Workloads.Registry.program ?size w }
   in
-  Term.(const make $ name_arg $ size_arg)
+  Term.(const run $ name_arg $ size_arg $ cmd)
 
 (* --signature/--skip/--workers as one checked profiler config: a bad value
    exits 1 with the message serve answers 400 with. *)
