@@ -9,9 +9,13 @@ let or_die = function
       prerr_endline msg;
       exit 1
 
-(* Write FILE with [write], then say so on stderr. *)
-let write_out path write =
-  write path;
+(* Write FILE with [write], then say so on stderr. A file that cannot be
+   written exits 1, naming [what] was written (default "output"). *)
+let write_out ?(what = "output") path write =
+  (try write path
+   with Sys_error msg ->
+     Printf.eprintf "cannot write %s file: %s\n" what msg;
+     exit 1);
   Printf.eprintf "wrote %s\n" path
 
 let write_text path text =
@@ -70,7 +74,7 @@ let on_workload cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD")
   in
   let size_arg =
-    Arg.(value & opt (some int) None & info [ "size" ] ~docv:"N"
+    Arg.(value & opt (some positive) None & info [ "size" ] ~docv:"N"
            ~doc:"Override the workload's input size.")
   in
   let run name size cmd =
@@ -167,12 +171,6 @@ let with_obs { stats; trace } f =
   let r = f () in
   (* Allocation counters ride along in every --stats export. *)
   Obs.publish_gc ();
-  let write what write_fn path =
-    try write_out path write_fn
-    with Sys_error msg ->
-      Printf.eprintf "cannot write %s file: %s\n" what msg;
-      exit 1
-  in
-  Option.iter (write "stats" Obs.write_json) stats;
-  Option.iter (write "trace" Obs.Trace.write) trace;
+  Option.iter (fun p -> write_out ~what:"stats" p Obs.write_json) stats;
+  Option.iter (fun p -> write_out ~what:"trace" p Obs.Trace.write) trace;
   r
