@@ -3,8 +3,8 @@
 
    - engine events/sec over a pre-recorded access stream (interpreter cost
      excluded, so this isolates Algorithm 2 + shadow-memory throughput), and
-     the same for the race-only detector ([Profiler.Race]) that validation
-     and [discopop races] feed;
+     the same for the happens-before detector
+     ([Profiler.Happens_before]) that validation feeds;
    - GC minor words allocated per access during that feed (the per-access
      metadata cost that §2.3's cheap shadow lookups and dependence merging
      exist to suppress);
@@ -12,10 +12,11 @@
      calling domain, which runs the interpreter and packs the chunks;
    - the event producer alone: interpreted statements/sec, instrumented
      with sinks that drop every event, and uninstrumented (native);
-   - the scrambled two-thread producer validation runs: the workload's
-     first transform in two chunks, interpreted with [scramble_unlocked]
-     into no-op sinks (statements/sec), and fed to the race-only detector
-     ([Profiler.Race.run], accesses/sec);
+   - the two-thread producer: the workload's first transform in two
+     chunks, interpreted with [scramble_unlocked] into no-op sinks
+     (statements/sec), and validation's race run of it, unscrambled into
+     the happens-before detector ([Profiler.Happens_before.run],
+     accesses/sec);
    - the whole serial profiler (interpreter, engine and PET): accesses/sec;
    - the end-to-end serial slowdown factor (profiled / native wall time).
 
@@ -96,10 +97,10 @@ let measure_engine shadow =
     (fun lstacks -> Profiler.Engine.create ~lstacks shadow)
     Profiler.Engine.feed_fields
 
-let measure_race =
+let measure_hb =
   measure_feed
-    (fun lstacks -> Profiler.Race.create ~lstacks)
-    Profiler.Race.feed_fields
+    (fun _ -> Profiler.Happens_before.create ())
+    Profiler.Happens_before.feed_fields
 
 (* Minor words per access the parallel profiler allocates on the calling
    domain, after one warm-up run. *)
@@ -146,9 +147,9 @@ let measure_scrambled prog =
     (fun r -> r.Mil.Interp.r_stats.statements)
 
 (* Accesses per second of a validation race run. *)
-let measure_race_run prog =
+let measure_hb_run prog =
   best_rate
-    (fun () -> snd (Profiler.Race.run prog))
+    (fun () -> snd (Profiler.Happens_before.run prog))
     (fun r -> r.Mil.Interp.r_stats.reads + r.r_stats.writes)
 
 (* Accesses per second of the whole serial profiler — interpreter, engine
@@ -174,14 +175,14 @@ let run () =
           measure_engine (Profiler.Engine.Signature 65_536) stream
         in
         let perf_eps, perf_wpa = measure_engine Profiler.Engine.Perfect stream in
-        let race_eps, race_wpa = measure_race stream in
+        let hb_eps, hb_wpa = measure_hb stream in
         let par_wpa = measure_parallel_producer prog in
         let interp_sps = measure_interp ~instrument:true prog in
         let native_sps = measure_interp ~instrument:false prog in
         let serial_aps = measure_serial prog in
         let scrambled =
           Option.map
-            (fun t -> (measure_scrambled t, measure_race_run t))
+            (fun t -> (measure_scrambled t, measure_hb_run t))
             (two_chunk_transform prog)
         in
         let t_native = Util.native_time prog in
@@ -196,9 +197,8 @@ let run () =
         g (Printf.sprintf "hotpath.%s.perfect.events_per_sec" w.name) perf_eps;
         g (Printf.sprintf "hotpath.%s.perfect.minor_words_per_access" w.name)
           perf_wpa;
-        g (Printf.sprintf "hotpath.%s.race.events_per_sec" w.name) race_eps;
-        g (Printf.sprintf "hotpath.%s.race.minor_words_per_access" w.name)
-          race_wpa;
+        g (Printf.sprintf "hotpath.%s.hb.events_per_sec" w.name) hb_eps;
+        g (Printf.sprintf "hotpath.%s.hb.minor_words_per_access" w.name) hb_wpa;
         g (Printf.sprintf "hotpath.%s.parallel.minor_words_per_access" w.name)
           par_wpa;
         g (Printf.sprintf "hotpath.%s.interp.stmts_per_sec" w.name) interp_sps;
@@ -210,7 +210,7 @@ let run () =
           (fun (sps, aps) ->
             g (Printf.sprintf "hotpath.%s.interp.scrambled_stmts_per_sec" w.name)
               sps;
-            g (Printf.sprintf "hotpath.%s.race_run.accesses_per_sec" w.name) aps)
+            g (Printf.sprintf "hotpath.%s.hb_run.accesses_per_sec" w.name) aps)
           scrambled;
         g (Printf.sprintf "hotpath.%s.slowdown_serial" w.name) slowdown;
         Obs.Counter.add
@@ -224,7 +224,7 @@ let run () =
         [ w.name; string_of_int n;
           Printf.sprintf "%.2e" sig_eps; Printf.sprintf "%.1f" sig_wpa;
           Printf.sprintf "%.2e" perf_eps; Printf.sprintf "%.1f" perf_wpa;
-          Printf.sprintf "%.2e" race_eps; Printf.sprintf "%.1f" race_wpa;
+          Printf.sprintf "%.2e" hb_eps; Printf.sprintf "%.1f" hb_wpa;
           Printf.sprintf "%.1f" par_wpa;
           Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
           scrambled_cell fst; scrambled_cell snd;
@@ -234,16 +234,16 @@ let run () =
   Util.table
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
-        "perf w/acc"; "race ev/s"; "race w/acc"; "par w/acc"; "interp st/s";
-        "native st/s"; "scram st/s"; "race run acc/s"; "serial acc/s";
+        "perf w/acc"; "hb ev/s"; "hb w/acc"; "par w/acc"; "interp st/s";
+        "native st/s"; "scram st/s"; "hb run acc/s"; "serial acc/s";
         "slowdown" ]
     rows;
   print_endline
-    "(events/sec: engine (race: race-only detector) alone over a\n\
+    "(events/sec: engine (hb: happens-before detector) alone over a\n\
     \ pre-recorded stream; w/acc: GC minor words allocated per access, par:\n\
     \ the parallel profiler's producer;\n\
     \ st/s: interpreted statements/sec,\n\
     \ instrumented into no-op sinks and native; scram st/s: the same for the\n\
-    \ 2-chunk transform, scrambled; race run acc/s: Race.run on it (-: no\n\
-    \ transform); serial acc/s: the whole serial profiler, perfect + skip;\n\
+    \ 2-chunk transform, scrambled; hb run acc/s: Happens_before.run on it,\n\
+    \ unscrambled (-: no transform); serial acc/s: the whole serial profiler, perfect + skip;\n\
     \ slowdown: serial profiled vs native)"

@@ -177,13 +177,15 @@ let races_cmd =
     Arg.(value & opt positive 5 & info [ "schedules" ] ~docv:"N"
            ~doc:"Number of thread schedules to try.")
   in
+  (* The paper's rule (§2.3.4): timestamp reversals under scrambled
+     pushes, over [schedules] seeds. *)
   let run schedules obs { prog; _ } =
     with_obs obs @@ fun () ->
     let found = Hashtbl.create 8 in
     for seed = 1 to schedules do
       List.iter
         (fun race -> Hashtbl.replace found race ())
-        (Profiler.Race.races (fst (Profiler.Race.run ~seed prog)))
+        (Profiler.Serial.profile ~scramble_unlocked:true ~seed prog).races
     done;
     if Hashtbl.length found = 0 then
       print_endline "no potential races observed on these schedules"

@@ -49,6 +49,7 @@ val run :
   ?scramble_unlocked:bool ->
   ?emit:(Trace.Event.region -> unit) ->
   ?on_access:Trace.Event.access_sink ->
+  ?on_sync:Trace.Event.sync_sink ->
   ?on_print:(int list -> unit) ->
   ?cancelled:(unit -> bool) ->
   Ast.program ->
@@ -62,6 +63,12 @@ val run :
     dropping them. [scramble_unlocked] delays and reorders the delivery of
     unlocked accesses from concurrent threads, modelling the access/push
     atomicity violation that exposes potential data races (§2.3.4).
+    [on_sync] receives every fork and join of a [Par] arm, every lock
+    handed to or released by a thread while another is live, every atomic
+    update made while another thread is live (as its variable's lock), and
+    every barrier arrival and departure, at the point they take effect;
+    it defaults to dropping them. Sync operations are never delayed, so a
+    happens-before consumer must read an unscrambled run.
     With Obs enabled, a finished run adds its [switches] and [spawns] to
     the [interp.fiber.switches] and [interp.fiber.spawns] counters.
     [on_print] observes each [print] builtin call's
@@ -102,4 +109,22 @@ module Scramble : sig
       one of the [nt] threads with accesses left, in ascending thread id,
       and emits that thread's oldest: each thread's accesses keep their
       order, and only the interleaving across threads is scrambled. *)
+end
+
+(** The scheduler's ready bag: fibers in the order they were readied, and
+    the [k]-th most recently readied taken out in a scan of per-word
+    occupancy counts rather than a shift of everything readied after it. *)
+module Bag : sig
+  type 'a t
+
+  val create : 'a -> 'a t
+  (** An empty bag; the element is a placeholder never returned. *)
+
+  val length : 'a t -> int
+  val add : 'a t -> 'a -> unit
+
+  val take : 'a t -> int -> 'a
+  (** [take b k] removes and returns the [k]-th most recently added
+      element still in [b]: [k = 0] is the newest, [k = length b - 1] the
+      oldest. [k] must be below [length b]. *)
 end

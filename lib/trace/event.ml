@@ -36,6 +36,10 @@ type access_sink =
   locked:bool ->
   unit
 
+type sync = Fork | Join | Acquire | Release | Arrive | Depart
+
+type sync_sink = sync -> thread:int -> obj:int -> unit
+
 type region =
   | Loop_entry of { line : int; inst : int }
   | Loop_iter of { line : int; inst : int; iter : int }

@@ -44,6 +44,24 @@ type access_sink =
   locked:bool ->
   unit
 
+(** A synchronisation operation of a threaded run: what a happens-before
+    race detector needs besides the accesses. [thread] performs it on
+    [obj]. *)
+type sync =
+  | Fork  (** [thread] starts the child thread [obj] *)
+  | Join  (** the child thread [obj] has ended and [thread] joins it *)
+  | Acquire  (** [thread] takes lock [obj] *)
+  | Release  (** [thread] releases lock [obj] *)
+  | Arrive  (** [thread] arrives at barrier [obj] *)
+  | Depart
+      (** [thread] leaves barrier [obj]: every participant has arrived *)
+
+(** A consumer of sync operations, as unboxed fields. Lock ids [>= 0] are
+    named locks, numbered per run in first-use order; an atomic update of
+    the variable with symbol [v] acquires and releases lock [-(v + 1)].
+    Barrier ids are numbered per run. *)
+type sync_sink = sync -> thread:int -> obj:int -> unit
+
 (** Control-region and lifetime events. *)
 type region =
   | Loop_entry of { line : int; inst : int }

@@ -10,19 +10,20 @@
       [print] output stream. The first seed's run of a threaded program is
       its race run (below); a seed-free original runs once.
    2. Race check: run both programs, the original only if it has [Par],
-      with [scramble_unlocked] (the §2.3.4 reordering that exposes
-      unsynchronized accesses) into a race-only detector, and require the
+      instrumented into a happens-before detector, and require the
       transformed program to introduce no *new* racy variables — in
       particular no unsynchronized cross-chunk RAW on transformed DOALL
-      regions. Variables introduced by the transform itself (the "__"
-      namespace) only count if actually racy; original-program lines moved
-      by renumbering are compared by variable, which renumbering preserves.
+      regions. Happens-before sees every pair of conflicting accesses the
+      run's forks, joins, locks, barriers and atomics leave unordered,
+      whatever the interleaving, so one run per program decides. Variables
+      introduced by the transform itself (the "__" namespace) only count if
+      actually racy; original-program lines moved by renumbering are
+      compared by variable, which renumbering preserves.
    3. Work distribution: count profiled accesses per thread of the
       transformed run, giving a measured speedup proxy (total work over
       the critical chunk) to place next to the modeled Schedule speedup. *)
 
 module Interp = Mil.Interp
-module Dep = Profiler.Dep
 
 let c_pass = Obs.counter "transform.validate.pass"
 let c_fail = Obs.counter "transform.validate.fail"
@@ -78,45 +79,30 @@ let diff_observations (a : observation) (b : observation) : string list =
   if a.o_prints <> b.o_prints then issues := "print stream differs" :: !issues;
   List.rev !issues
 
-(* Racy variables: names with an observed timestamp reversal, from a race
-   list and the racy flag on dependence records (an engine's whole table or
-   a race detector's racy ones). Comparing by name survives the transform's
-   renumbering. *)
-let racy_names races deps =
-  let acc = ref [] in
-  List.iter (fun (v, _, _) -> acc := v :: !acc) races;
-  Dep.Set_.iter (fun d _ -> if d.Dep.racy then acc := d.Dep.var :: !acc) deps;
-  List.sort_uniq compare !acc
+(* Racy variables: names in a race list. Comparing by name survives the
+   transform's renumbering. *)
+let racy_names races = List.sort_uniq compare (List.map (fun (v, _, _) -> v) races)
 
-let racy_vars (r : Profiler.Serial.result) = racy_names r.races r.deps
-
-let racy_raw_count deps =
-  let n = ref 0 in
-  Dep.Set_.iter
-    (fun d _ -> if d.Dep.racy && d.Dep.dtype = Dep.Raw then incr n)
-    deps;
-  !n
-
-(* A race run: the program under [scramble_unlocked] (§2.3.4), fed to a
-   race-only detector ({!Profiler.Race}: perfect shadow, the engine's rule
-   with no skip and lifetime analysis on), which builds only the racy
-   records a verdict reads. Its result and prints are also the program's
-   observation at [seed]. *)
+(* A race run: the program instrumented at [seed] into a happens-before
+   detector. Its result and prints are also the program's observation at
+   [seed]. *)
 type race_run = {
   observation : observation;
-  races : (string * int * int) list;
-  racy : Dep.Set_.t;
+  racy : string list;
+  racy_raw : int;
 }
 
 let race_run ~seed prog =
   let prints = ref [] in
-  let race, r =
-    Profiler.Race.run ~seed ~on_print:(fun vs -> prints := vs :: !prints) prog
+  let hb, r =
+    Profiler.Happens_before.run ~seed
+      ~on_print:(fun vs -> prints := vs :: !prints)
+      prog
   in
   { observation =
       observation_of ~result:r.result ~globals:r.final_globals !prints;
-    races = Profiler.Race.races race;
-    racy = Profiler.Race.racy race }
+    racy = racy_names (Profiler.Happens_before.races hb);
+    racy_raw = Profiler.Happens_before.racy_raw hb }
 
 type verdict = {
   v_ok : bool;
@@ -131,9 +117,9 @@ let default_seeds = [ 42; 1009; 77777 ]
 (* Each program runs as few times as the verdict needs. The race run at
    the first seed is also that seed's observation of the transformed
    program, and of an original with [Par]; an original without [Par] is
-   not race-run, since one thread's accesses are never delayed by the
-   scrambler and nothing in it can be racy. A seed-free original is
-   observed once for every seed.
+   not race-run, since one thread's accesses are all ordered and nothing
+   in it can be racy. A seed-free original is observed once for every
+   seed.
 
    The plain observations do not depend on the race runs, so they run as
    one task of the shared pool while the caller, its executor 0, runs the
@@ -164,22 +150,20 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
           if first then None else Some (observe ~seed transformed) ))
       seeds
   in
-  (* Only the observations outlive the race check, not the detectors'
-     racy records. *)
+  (* Only the observations and race summaries outlive the race check, not
+     the detectors. *)
   let race_check () =
     Obs.Span.with_ ~phase:"validate.race_check" @@ fun () ->
     let orig_obs, base =
       if race_original then
         let o = race_run ~seed:seed0 original in
-        (Some o.observation, racy_names o.races o.racy)
+        (Some o.observation, o.racy)
       else (None, [])
     in
     let t = race_run ~seed:seed0 transformed in
     ( orig_obs,
-      List.filter
-        (fun v -> not (List.mem v base))
-        (racy_names t.races t.racy),
-      racy_raw_count t.racy,
+      List.filter (fun v -> not (List.mem v base)) t.racy,
+      t.racy_raw,
       t.observation )
   in
   (* The task is awaited even when a race run raises, so it never outlives

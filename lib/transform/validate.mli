@@ -4,13 +4,15 @@
 
     State equivalence runs original and transformed under several scheduler
     seeds and compares observable state (entry return value, final globals
-    of the original program, [print] stream); the race check runs both
-    with [scramble_unlocked] into {!Profiler.Race}, which applies the
-    engine's timestamp-reversal rule but builds only the racy dependence
-    records, and requires no {e new} racy variables in the transformed
-    program. {!verdict}'s [v_racy_raw] still counts the transformed run's
-    racy RAW records exactly. An original without [Par] is not race-run: a
-    single thread has no racy variables.
+    of the original program, [print] stream); the race check runs both,
+    instrumented and unscrambled, into {!Profiler.Happens_before}, and
+    requires no {e new} racy variables in the transformed program: a
+    variable with two conflicting accesses that the run's forks, joins,
+    locks, barriers and atomics leave unordered. {!verdict}'s
+    [v_racy_raw] counts the transformed run's distinct read-after-write
+    races. An original without [Par] is not race-run: a single thread has
+    no racy variables. (The paper's timestamp-reversal rule, §2.3.4, stays
+    in [Serial.profile ~scramble_unlocked:true] and [discopop races].)
 
     Each program runs as few times as the verdict needs: a race run at the
     first seed is also that seed's observation, and a {!seed_free}
@@ -54,13 +56,9 @@ type verdict = {
   v_mismatches : (int * string) list;  (** (seed, issue) *)
   v_new_racy : string list;
       (** variables racy in the transformed race run but not the original *)
-  v_racy_raw : int;  (** racy RAW records in the transformed race run *)
+  v_racy_raw : int;
+      (** distinct read-after-write races in the transformed race run *)
 }
-
-val racy_vars : Profiler.Serial.result -> string list
-(** Variables with an observed timestamp reversal, from the race list and
-    the racy flag of merged records, sorted — what {!differential} computes
-    from its race runs. *)
 
 val default_seeds : int list
 

@@ -44,17 +44,6 @@ let workload name =
   | Some w -> w
   | None -> Alcotest.failf "unknown workload %s" name
 
-(* The racy records of a dependence set, sink included, as comparable
-   strings: what a [Profiler.Race] must agree on with an [Engine]. *)
-let racy_records set =
-  Profiler.Dep.Set_.to_list set
-  |> List.filter_map (fun ((d : Profiler.Dep.t), _) ->
-         if d.racy then
-           Some
-             (Printf.sprintf "%d|%d <- %s" d.sink_line d.sink_thread
-                (Profiler.Dep.to_string ~threads:true d))
-         else None)
-
 (* The transform-measure benchmark's seven programs at reduced sizes, and
    one of them parallelized as that benchmark does: the first transformable
    suggestion of a 2-thread analysis, in 2 chunks. *)

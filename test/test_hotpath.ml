@@ -69,9 +69,9 @@ let test_golden_sweep () =
 
 (* ---- scramble-mode oracle ----
 
-   Race detection (§2.3.4) and [Validate]'s race check profile with
-   [scramble_unlocked], which delays and reorders unlocked accesses of
-   concurrent threads before the engine sees them. "scramble.golden" pins
+   The paper's race detection (§2.3.4) profiles with [scramble_unlocked],
+   which delays and reorders unlocked accesses of concurrent threads
+   before the engine sees them. "scramble.golden" pins
    that path on two threaded programs whose threads share data without
    locks: per (program, seed), the depfile bytes and the sorted race list.
 
@@ -163,19 +163,19 @@ let test_alloc_regression () =
           per_access alloc_cap)
     [ ("sig", Profiler.Engine.Signature 4096);
       ("perfect", Profiler.Engine.Perfect) ];
-  (* The race-only detector's path is held to the engines' cap. *)
-  let race () =
+  (* The happens-before detector's path is held to the engines' cap. *)
+  let hb () =
     Chunk.iter stream
-      ~access:(Profiler.Race.feed_fields (Profiler.Race.create ~lstacks))
+      ~access:(Profiler.Happens_before.feed_fields (Profiler.Happens_before.create ()))
       ~remove:ignore
   in
-  race ();
+  hb ();
   let w0 = Gc.minor_words () in
-  race ();
+  hb ();
   let per_access = (Gc.minor_words () -. w0) /. n in
   if per_access > alloc_cap then
-    Alcotest.failf "race: %.2f minor words/access exceeds cap %.1f" per_access
-      alloc_cap;
+    Alcotest.failf "happens-before: %.2f minor words/access exceeds cap %.1f"
+      per_access alloc_cap;
   (* The parallel profiler's producer runs the interpreter and packs every
      access into a chunk on the calling domain; the engines run on the
      worker's. Its cap is wider: the interpreter and the hot-address
@@ -573,6 +573,43 @@ let qcheck_drain_oracle =
       let sc = Scramble.scratch () in
       collect (Scramble.drain sc) seed p n = collect oracle_drain seed p n)
 
+(* ---- the ready bag ----
+
+   [Interp.Bag] against the list the scheduler once kept: a random run of
+   adds and takes, with bursts that grow the bag past several words and
+   drain it, must take the same elements in the same order. *)
+let qcheck_bag_oracle =
+  let gen =
+    QCheck.Gen.(list_size (int_range 1 600) (pair (int_bound 9) (int_bound 1_000_000)))
+  in
+  QCheck.Test.make ~name:"ready bag agrees with a list" ~count:300
+    (QCheck.make gen)
+    (fun ops ->
+      let bag = Mil.Interp.Bag.create (-1) in
+      (* Newest first. *)
+      let oracle = ref [] and next = ref 0 in
+      List.for_all
+        (fun (op, r) ->
+          let n = List.length !oracle in
+          if op > 5 || n = 0 then begin
+            (* One add in ten is a burst of up to 100. *)
+            let burst = if op = 9 then 1 + (r mod 100) else 1 in
+            for _ = 1 to burst do
+              Mil.Interp.Bag.add bag !next;
+              oracle := !next :: !oracle;
+              incr next
+            done;
+            Mil.Interp.Bag.length bag = List.length !oracle
+          end
+          else begin
+            let k = r mod n in
+            let want = List.nth !oracle k in
+            oracle := List.filteri (fun i _ -> i <> k) !oracle;
+            Mil.Interp.Bag.take bag k = want
+            && Mil.Interp.Bag.length bag = n - 1
+          end)
+        ops)
+
 (* ---- chunk pooling ---- *)
 
 (* A recycled chunk decodes only its new fill: reset forgets the old
@@ -634,6 +671,7 @@ let tests =
     Alcotest.test_case "loop stacks read from another domain" `Quick
       test_lstack_reader_domain;
     QCheck_alcotest.to_alcotest qcheck_drain_oracle;
+    QCheck_alcotest.to_alcotest qcheck_bag_oracle;
     Alcotest.test_case "chunk fill/reset/seq" `Quick test_chunk_fill_reset;
     Alcotest.test_case "pooled parallel equals serial" `Quick
       test_pooled_parallel_equivalence ]

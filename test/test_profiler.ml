@@ -966,60 +966,103 @@ let tests =
       Alcotest.test_case "Profile.run dispatches as the direct calls" `Quick
         test_profile_run_dispatch ]
 
-(* [Race] against [Engine] (perfect, skip off, lifetime on) on random
-   streams whose timestamps are shuffled within a small window: every
-   combination of empty, older and newer read and write slots occurs, with
-   deallocations, loop-carried sources and an address past the shadow's
-   initial size. Races and racy records must agree. *)
-let test_race_random_streams () =
-  let module E = Profiler.Engine in
-  let module L = Trace.Intern.Lstack in
-  let lstacks = L.create () in
-  let outer = L.push lstacks ~parent:L.empty ~loop_line:10 ~inst:1 ~iter:0 in
-  let stacks =
-    [| L.empty; outer;
-       L.push lstacks ~parent:L.empty ~loop_line:10 ~inst:1 ~iter:1;
-       L.push lstacks ~parent:outer ~loop_line:20 ~inst:2 ~iter:0;
-       L.push lstacks ~parent:outer ~loop_line:20 ~inst:2 ~iter:1 |]
-  in
-  let vars = Array.map Trace.Intern.Sym.intern [| "p"; "q"; "r" |] in
-  let addrs = [| 1; 2; 3; 4; 5000 |] in
-  let total_races = ref 0 in
-  for seed = 1 to 40 do
+(* [Happens_before] against a reference on random traces: up to 8
+   threads forking, ending into their parent's join, taking and releasing
+   two locks, and reading, writing and freeing four addresses. The
+   reference keeps every access with its thread's full vector clock and
+   checks each new access against all earlier ones of the address. FastTrack
+   keeps only the last write and the reads since, but reports a race on
+   every address the reference finds racy, and on no other. *)
+let test_hb_random_traces () =
+  let module HB = Profiler.Happens_before in
+  let n = 8 in
+  let vars = Array.init 5 (fun a -> Trace.Intern.Sym.intern (Printf.sprintf "x%d" a)) in
+  let racy_traces = ref 0 and clean_traces = ref 0 in
+  for seed = 1 to 300 do
     let rng = Random.State.make [| seed |] in
-    let pick a = a.(Random.State.int rng (Array.length a)) in
-    let engine = E.create ~skip:false ~lifetime:true ~lstacks E.Perfect in
-    let race = Profiler.Race.create ~lstacks in
-    for k = 1 to 400 do
-      if Random.State.int rng 50 = 0 then begin
-        let d = [ (pick addrs, 1 + Random.State.int rng 2, "p") ] in
-        E.feed_dealloc engine d;
-        Profiler.Race.feed_dealloc race d
-      end
-      else begin
-        let kind = if Random.State.bool rng then Trace.Event.Read else Write in
-        let addr = pick addrs and var = pick vars and lstack = pick stacks in
-        let line = 1 + Random.State.int rng 6 in
-        let thread = Random.State.int rng 3 in
-        let time = max 1 ((4 * k) + Random.State.int rng 13 - 6) in
-        let locked = Random.State.int rng 4 = 0 in
-        E.feed_fields engine ~kind ~addr ~var ~line ~thread ~time ~op:line
-          ~lstack ~locked;
-        Profiler.Race.feed_fields race ~kind ~addr ~var ~line ~thread ~time
-          ~op:line ~lstack ~locked
-      end
+    let hb = HB.create () in
+    let vc = Array.make_matrix n n 0 and lockc = Array.make_matrix 2 n 0 in
+    vc.(0).(0) <- 1;
+    let join_into dst src = Array.iteri (fun i c -> if c > dst.(i) then dst.(i) <- c) src in
+    (* 0: not started, 1: running, 2: waiting for its children, 3: ended *)
+    let state = Array.make n 0 and parent = Array.make n 0
+    and pending = Array.make n 0 and held = Array.make 2 (-1) in
+    state.(0) <- 1;
+    let next = ref 1 in
+    let hist = Array.make 5 [] and ref_racy = Array.make 5 false in
+    for line = 1 to 10 + (seed mod 90) do
+      let running = List.filter (fun t -> state.(t) = 1) (List.init n Fun.id) in
+      let r = List.nth running (Random.State.int rng (List.length running)) in
+      let sync op obj = HB.feed_sync hb op ~thread:r ~obj in
+      match Random.State.int rng 20 with
+      | 0 when !next + 2 <= n ->
+          let k = 1 + Random.State.int rng 2 in
+          for _ = 1 to k do
+            let c = !next in
+            incr next;
+            sync Trace.Event.Fork c;
+            vc.(c) <- Array.copy vc.(r);
+            vc.(c).(c) <- 1;
+            vc.(r).(r) <- vc.(r).(r) + 1;
+            state.(c) <- 1;
+            parent.(c) <- r
+          done;
+          state.(r) <- 2;
+          pending.(r) <- k
+      | 1 when r <> 0 && not (Array.mem r held) ->
+          let p = parent.(r) in
+          state.(r) <- 3;
+          HB.feed_sync hb Trace.Event.Join ~thread:p ~obj:r;
+          join_into vc.(p) vc.(r);
+          vc.(p).(p) <- vc.(p).(p) + 1;
+          pending.(p) <- pending.(p) - 1;
+          if pending.(p) = 0 then state.(p) <- 1
+      | 2 | 3 ->
+          let m = Random.State.int rng 2 in
+          if held.(m) = r then begin
+            sync Trace.Event.Release m;
+            join_into lockc.(m) vc.(r);
+            vc.(r).(r) <- vc.(r).(r) + 1;
+            held.(m) <- -1
+          end
+          else if held.(m) = -1 then begin
+            sync Trace.Event.Acquire m;
+            join_into vc.(r) lockc.(m);
+            held.(m) <- r
+          end
+      | 4 ->
+          let a = 1 + Random.State.int rng 4 in
+          HB.feed_dealloc hb [ (a, 1, "x") ];
+          hist.(a) <- []
+      | _ ->
+          let a = 1 + Random.State.int rng 4 in
+          let write = Random.State.bool rng in
+          List.iter
+            (fun (t, c, w) ->
+              if t <> r && (w || write) && c > vc.(r).(t) then
+                ref_racy.(a) <- true)
+            hist.(a);
+          hist.(a) <- (r, vc.(r).(r), write) :: hist.(a);
+          HB.feed_fields hb
+            ~kind:(if write then Trace.Event.Write else Read)
+            ~addr:a ~var:vars.(a) ~line ~thread:r ~time:line ~op:0 ~lstack:0
+            ~locked:false
     done;
-    let what = Printf.sprintf "stream %d" seed in
-    Alcotest.(check (list (triple string int int))) (what ^ ": races")
-      (E.races engine) (Profiler.Race.races race);
-    Alcotest.(check (list string)) (what ^ ": racy records")
-      (Helpers.racy_records (E.deps engine))
-      (Helpers.racy_records (Profiler.Race.racy race));
-    total_races := !total_races + List.length (Profiler.Race.races race)
+    let want =
+      List.filter_map
+        (fun a -> if ref_racy.(a) then Some (Trace.Intern.Sym.name vars.(a)) else None)
+        [ 1; 2; 3; 4 ]
+    in
+    let got = List.sort_uniq compare (List.map (fun (v, _, _) -> v) (HB.races hb)) in
+    Alcotest.(check (list string)) (Printf.sprintf "trace %d: racy addresses" seed)
+      want got;
+    if want = [] then incr clean_traces else incr racy_traces
   done;
-  Alcotest.(check bool) "the streams race" true (!total_races > 0)
+  if !racy_traces < 50 || !clean_traces < 50 then
+    Alcotest.failf "%d racy and %d clean traces: too few of either"
+      !racy_traces !clean_traces
 
 let tests =
   tests
-  @ [ Alcotest.test_case "race detector = engine on random streams" `Quick
-        test_race_random_streams ]
+  @ [ Alcotest.test_case "happens-before = reference on random traces" `Quick
+        test_hb_random_traces ]

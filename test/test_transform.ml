@@ -198,17 +198,16 @@ let test_transform_measure_verdicts () =
       Alcotest.(check int) (what "racy RAW") 0 v.V.v_racy_raw)
     Helpers.transform_cases
 
-let racy_records (r : Profiler.Serial.result) =
-  let n = ref 0 in
-  Profiler.Dep.Set_.iter
-    (fun d _ -> if d.Profiler.Dep.racy then incr n)
-    r.Profiler.Serial.deps;
-  !n
+module HB = Profiler.Happens_before
 
-(* Validation does not race-profile an original without [Par]: one thread's
-   accesses are never delayed by the scrambler, so they reach the engine in
-   timestamp order and nothing can be racy. Every such registry program
-   bears this out. *)
+let hb_races ?seed prog = HB.races (fst (HB.run ?seed prog))
+
+let racy_vars ?seed prog =
+  List.sort_uniq compare (List.map (fun (v, _, _) -> v) (hb_races ?seed prog))
+
+(* Validation does not race-run an original without [Par]: one thread's
+   accesses are all ordered, so nothing can be racy. Every such registry
+   program bears this out. *)
 let test_sequential_original_never_racy () =
   let sequential =
     List.filter
@@ -219,13 +218,8 @@ let test_sequential_original_never_racy () =
     (List.length sequential > 40);
   List.iter
     (fun (w : Workloads.Registry.t) ->
-      let r =
-        Profiler.Serial.profile ~scramble_unlocked:true
-          (Workloads.Registry.program w)
-      in
       Alcotest.(check int) (w.name ^ ": races") 0
-        (List.length r.Profiler.Serial.races);
-      Alcotest.(check int) (w.name ^ ": racy records") 0 (racy_records r))
+        (List.length (hb_races (Workloads.Registry.program w))))
     sequential
 
 (* A threaded original that already races: two threads bump [c] without a
@@ -244,9 +238,7 @@ let racy_original =
              return (v "c" + "a".%[i 63]) ] ])
 
 let test_threaded_original_race_kept () =
-  let original_racy =
-    V.racy_vars (Profiler.Serial.profile ~scramble_unlocked:true racy_original)
-  in
+  let original_racy = racy_vars racy_original in
   Alcotest.(check (list string)) "the original races on c" [ "c" ]
     original_racy;
   let t =
@@ -256,9 +248,7 @@ let test_threaded_original_race_kept () =
   in
   Alcotest.(check bool) "transformed has a Par" true
     (Rewrite.has_par t.transformed);
-  let transformed_racy =
-    V.racy_vars (Profiler.Serial.profile ~scramble_unlocked:true t.transformed)
-  in
+  let transformed_racy = racy_vars t.transformed in
   Alcotest.(check bool) "the transformed program still races on c" true
     (List.mem "c" transformed_racy);
   let v = V.differential ~original:t.original ~transformed:t.transformed () in
@@ -294,88 +284,133 @@ let test_one_seed_compares () =
     v.V.v_ok
 
 (* The two-thread counter of examples/race_finder.ml: one arm bumps [hits]
-   under a lock, the other forgets it. *)
-let buggy_counter =
+   under a lock, the other forgets it, unless [locked]. *)
+let buggy_counter ?(locked = false) () =
   let open Builder in
+  (* Fresh statements per use: [number] writes each statement's line. *)
+  let bump () = set "hits" (v "hits" + i 1) in
+  let locked_bump () = [ lock "m"; bump (); unlock "m" ] in
   number
     (program ~entry:"main" "buggy_counter" ~globals:[ gscalar "hits" 0 ]
        [ func "main"
            [ par
-               [ [ for_ "k" (i 0) (i 50)
-                     [ lock "m"; set "hits" (v "hits" + i 1); unlock "m" ] ];
-                 [ for_ "k" (i 0) (i 50) [ set "hits" (v "hits" + i 1) ] ] ];
+               [ [ for_ "k" (i 0) (i 50) (locked_bump ()) ];
+                 [ for_ "k" (i 0) (i 50)
+                     (if locked then locked_bump () else [ bump () ]) ] ];
              return (v "hits") ] ])
 
-(* [Race] against its reference: one scrambled run feeds both a [Race] and
-   an [Engine] configured as validation used to run it (perfect shadow, no
-   skip, lifetime on). Returns the number of races found. *)
-let race_matches_engine ~what ~seed prog =
-  let lstacks = Trace.Intern.Lstack.create () in
-  let engine =
-    Profiler.Engine.create ~skip:false ~lifetime:true ~lstacks
-      Profiler.Engine.Perfect
-  in
-  let race = Profiler.Race.create ~lstacks in
-  ignore
-    (Interp.run ~seed ~lstacks ~scramble_unlocked:true
-       ~emit:(function
-         | Trace.Event.Dealloc { addrs } ->
-             Profiler.Engine.feed_dealloc engine addrs;
-             Profiler.Race.feed_dealloc race addrs
-         | _ -> ())
-       ~on_access:(fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
-           ~locked ->
-         Profiler.Engine.feed_fields engine ~kind ~addr ~var ~line ~thread
-           ~time ~op ~lstack ~locked;
-         Profiler.Race.feed_fields race ~kind ~addr ~var ~line ~thread ~time
-           ~op ~lstack ~locked)
-       prog);
-  let what = Printf.sprintf "%s at seed %d" what seed in
-  let races = Profiler.Race.races race in
-  Alcotest.(check (list (triple string int int))) (what ^ ": races")
-    (Profiler.Engine.races engine) races;
-  Alcotest.(check (list string)) (what ^ ": racy records")
-    (Helpers.racy_records (Profiler.Engine.deps engine))
-    (Helpers.racy_records (Profiler.Race.racy race));
-  List.length races
+let test_buggy_counter () =
+  Alcotest.(check (list string)) "the unlocked arm races on hits" [ "hits" ]
+    (racy_vars (buggy_counter ()));
+  Alcotest.(check (list string)) "two locked arms are clean" []
+    (racy_vars (buggy_counter ~locked:true ()))
 
-let test_race_matches_engine () =
+(* The counter of ROADMAP item 2's table: two [Par] arms, each [prefix]
+   then [for i in 0..40] of [body] and [c = c + 1]. The scrambler misses
+   its race whenever a declaration's deallocation flushes the buffer at
+   the wrong moment; happens-before finds it at one seed on every row. *)
+let counter ?(prefix = fun () -> []) ?(body = fun () -> []) () =
+  let open Builder in
+  (* Fresh statements per arm: [number] writes each statement's line. *)
+  let arm () =
+    prefix () @ [ for_ "i" (i 0) (i 40) (body () @ [ set "c" (v "c" + i 1) ]) ]
+  in
+  number
+    (program ~globals:[ gscalar "c" 0 ] ~entry:"main" "counter"
+       [ func "main" [ par [ arm (); arm () ]; return (v "c") ] ])
+
+let test_counter_table () =
+  let open Builder in
+  List.iter
+    (fun (row, prog) ->
+      Alcotest.(check (list string)) (row ^ ": c races at seed 42") [ "c" ]
+        (racy_vars ~seed:42 prog))
+    [ ("nothing", counter ());
+      ("one leading var", counter ~prefix:(fun () -> [ decl "t" (i 0) ]) ());
+      ( "two leading vars",
+        counter ~prefix:(fun () -> [ decl "t" (i 0); decl "u" (i 1) ]) () );
+      ( "three leading vars",
+        counter
+          ~prefix:(fun () -> [ decl "t" (i 0); decl "u" (i 1); decl "w" (i 2) ])
+          () );
+      ("a leading array", counter ~prefix:(fun () -> [ decl_arr "t" (i 4) ]) ());
+      ( "a leading var set in the body",
+        counter
+          ~prefix:(fun () -> [ decl "t" (i 0) ])
+          ~body:(fun () -> [ set "t" (v "i") ])
+          () );
+      ("a var in the body", counter ~body:(fun () -> [ decl "t" (v "i") ]) ()) ]
+
+(* The unsound chunking of the same counter: its observations equal the
+   original's (each increment is one statement, and fibers switch only
+   between statements), so only the race check can reject it. *)
+let test_naive_counter_rejected () =
+  let open Builder in
+  let prog =
+    number
+      (program ~globals:[ gscalar "c" 0 ] ~entry:"main" "counter"
+         [ func "main"
+             [ for_ "i" (i 0) (i 40) [ set "c" (v "c" + i 1) ];
+               return (v "c") ] ])
+  in
+  let line =
+    match prog.funcs with
+    | [ { body = s :: _; _ } ] -> s.Ast.line
+    | _ -> assert false
+  in
+  match P.naive_doall ~chunks:2 prog ~line with
+  | Error e -> Alcotest.failf "naive chunking unexpectedly refused: %s" e
+  | Ok transformed ->
+      let v = V.differential ~original:prog ~transformed () in
+      Alcotest.(check (list (pair int string))) "observations agree" []
+        v.V.v_mismatches;
+      Alcotest.(check (list string)) "c is a new racy variable" [ "c" ]
+        v.V.v_new_racy;
+      Alcotest.(check bool) "validation fails" false v.V.v_ok
+
+(* Every race the paper's rule reports (a timestamp reversal under
+   [scramble_unlocked]) on a registry program, happens-before reports at
+   the same seed, as the same variable and pair of lines, but one: fmm's
+   line 17 writes coarse[1] before barrier(up) and line 10 reads it after.
+   The scrambler does not drain its buffer at a barrier, so it can deliver
+   the two out of order, though the barrier orders them. *)
+let test_hb_contains_reversals () =
+  let pair (v, a, b) = (v, min a b, max a b) in
+  let barrier_ordered = [ ("fmm", ("coarse", 10, 17)) ] in
+  let found = ref 0 in
   List.iter
     (fun (w : Workloads.Registry.t) ->
-      let original = Workloads.Registry.program w in
-      let transformed =
-        match P.apply_first ~chunks:2 (S.analyze ~threads:2 original) with
-        | Ok (t, _) -> [ ("transformed " ^ w.name, t.P.transformed) ]
-        | Error _ -> []
-      in
+      let prog = Workloads.Registry.program w in
       List.iter
-        (fun (what, prog) ->
+        (fun seed ->
+          let hb = List.map pair (hb_races ~seed prog) in
           List.iter
-            (fun seed -> ignore (race_matches_engine ~what ~seed prog))
-            V.default_seeds)
-        ((w.name, original) :: transformed))
+            (fun r ->
+              let r = pair r in
+              incr found;
+              if not (List.mem r hb || List.mem (w.name, r) barrier_ordered)
+              then
+                let v, a, b = r in
+                Alcotest.failf "%s at seed %d: %s %d-%d missed" w.name seed v
+                  a b)
+            (Profiler.Serial.profile ~scramble_unlocked:true ~seed prog)
+              .Profiler.Serial.races)
+        [ 1; 2; 3; 4; 5; 42; 1009; 77777 ])
     Workloads.Catalog.all;
-  let racy_transformed =
-    match P.apply_first ~chunks:2 (S.analyze ~threads:2 racy_original) with
-    | Ok (t, _) -> t.P.transformed
-    | Error _ -> Alcotest.fail "nothing transformable"
-  in
-  let racy_runs (what, prog) =
-    List.filter
-      (fun seed -> race_matches_engine ~what ~seed prog > 0)
-      ([ 1; 2; 3; 4; 5 ] @ V.default_seeds)
-  in
-  (* Not vacuous: [racy_original] and its transform do race. [buggy_counter]
-     shows no race at these seeds (a known blind spot of the scrambler, not
-     of the detector: the engine agrees), so it is compared but not counted
-     on. *)
-  List.iter
-    (fun (what, prog) ->
-      Alcotest.(check bool) (what ^ " races at some seed") true
-        (racy_runs (what, prog) <> []))
-    [ ("racy_original", racy_original);
-      ("transformed racy_original", racy_transformed) ];
-  ignore (racy_runs ("buggy_counter", buggy_counter))
+  Alcotest.(check bool) "the registry has reversals" true (!found > 0)
+
+(* Clocks hold only the threads in each thread's past: transformed fib@15
+   spawns 1,972 threads, and its clocks never hold 8 entries per spawned
+   thread between them (dense clocks would hold one per spawned thread
+   each). *)
+let test_fib_clocks_small () =
+  let t = Helpers.transform_case ("fib", 15) in
+  let hb, r = HB.run t.P.transformed in
+  let spawns = r.Interp.r_stats.spawns in
+  Alcotest.(check int) "fib@15 spawns" 1972 spawns;
+  Alcotest.(check (list (triple string int int))) "no races" [] (HB.races hb);
+  if HB.peak_entries hb >= 8 * spawns then
+    Alcotest.failf "%d clock entries for %d threads" (HB.peak_entries hb) spawns
 
 (* [seed_free] is what lets validation observe an original once: whatever it
    accepts must observe the same at every seed. *)
@@ -444,5 +479,13 @@ let tests =
       test_one_seed_compares;
     Alcotest.test_case "seed-free originals observe alike at every seed" `Slow
       test_seed_free_premise;
-    Alcotest.test_case "race detector agrees with the engine" `Slow
-      test_race_matches_engine ]
+    Alcotest.test_case "happens-before finds buggy_counter's race" `Quick
+      test_buggy_counter;
+    Alcotest.test_case "happens-before finds every counter row at one seed"
+      `Quick test_counter_table;
+    Alcotest.test_case "naive chunking of a counter fails validation" `Quick
+      test_naive_counter_rejected;
+    Alcotest.test_case "happens-before contains the reversal races" `Slow
+      test_hb_contains_reversals;
+    Alcotest.test_case "fork-join clocks stay small" `Quick
+      test_fib_clocks_small ]
