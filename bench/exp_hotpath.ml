@@ -245,5 +245,6 @@ let run () =
     \ st/s: interpreted statements/sec,\n\
     \ instrumented into no-op sinks and native; scram st/s: the same for the\n\
     \ 2-chunk transform, scrambled; hb run acc/s: Happens_before.run on it,\n\
-    \ unscrambled (-: no transform); serial acc/s: the whole serial profiler, perfect + skip;\n\
+    \ unscrambled (-: no transform); serial acc/s: the whole serial\n\
+    \ profiler, perfect + skip;\n\
     \ slowdown: serial profiled vs native)"

@@ -26,7 +26,8 @@ let buggy_counter = counter ~locked:false
 
 let print_races races =
   List.iter
-    (fun (var, l1, l2) -> Printf.printf "  %s between lines %d and %d\n" var l1 l2)
+    (fun (var, l1, l2) ->
+      Printf.printf "  %s between lines %d and %d\n" var l1 l2)
     races;
   if races = [] then print_endline "  (none)"
 
@@ -44,7 +45,8 @@ let () =
     [ 1; 2; 3; 4; 5 ];
   Printf.printf "\npotential data races (var, line-a, line-b):\n";
   List.iter
-    (fun (var, l1, l2) -> Printf.printf "  %s between lines %d and %d\n" var l1 l2)
+    (fun (var, l1, l2) ->
+      Printf.printf "  %s between lines %d and %d\n" var l1 l2)
     (List.sort compare !found);
   if !found = [] then print_endline "  (none found on these schedules)";
 

@@ -130,112 +130,6 @@ module Scramble = struct
     done
 end
 
-(* ---- the ready bag ---- *)
-
-module Bag = struct
-  (* Elements at increasing positions of [items] in insertion order,
-     [length] of the [next] positions used since the last compaction still
-     occupied, the rest [none]. Bit [p mod word_bits] of [bits.(p /
-     word_bits)] marks position [p] occupied, and [counts] has each word's
-     population count. *)
-  type 'a t = {
-    none : 'a;
-    mutable items : 'a array;
-    mutable bits : int array;
-    mutable counts : int array;
-    mutable next : int;
-    mutable length : int;
-  }
-
-  let word_bits = 62
-
-  let create none =
-    { none; items = Array.make word_bits none; bits = [| 0 |];
-      counts = [| 0 |]; next = 0; length = 0 }
-
-  let[@inline] length b = b.length
-
-  (* The [r]-th lowest set bit of [x], counting from 0: bytes by their
-     population counts, then bits. *)
-  let select_bit x r =
-    let c = x - ((x lsr 1) land 0x1555555555555555) in
-    let c = (c land 0x3333333333333333) + ((c lsr 2) land 0x3333333333333333) in
-    let c = (c + (c lsr 4)) land 0x0f0f0f0f0f0f0f0f in
-    let r = ref r and bit = ref 0 in
-    while (c lsr !bit) land 0xff <= !r do
-      r := !r - ((c lsr !bit) land 0xff);
-      bit := !bit + 8
-    done;
-    while !r > 0 || (x lsr !bit) land 1 = 0 do
-      if (x lsr !bit) land 1 = 1 then decr r;
-      incr bit
-    done;
-    !bit
-
-  (* Move the elements to positions [0, length), keeping their order, in a
-     bag at least twice as large as they are. *)
-  let compact b =
-    let n = b.length in
-    if 2 * n > Array.length b.items then begin
-      let words = 2 * Array.length b.bits in
-      let items = Array.make (words * word_bits) b.none in
-      Array.blit b.items 0 items 0 (Array.length b.items);
-      b.items <- items;
-      b.bits <- Array.make words 0;
-      b.counts <- Array.make words 0
-    end;
-    let items = b.items and j = ref 0 in
-    for p = 0 to b.next - 1 do
-      let w = Array.unsafe_get items p in
-      if w != b.none then begin
-        if p > !j then begin
-          Array.unsafe_set items !j w;
-          Array.unsafe_set items p b.none
-        end;
-        incr j
-      end
-    done;
-    b.next <- n;
-    for i = 0 to Array.length b.bits - 1 do
-      let c = Int.max 0 (Int.min word_bits (n - (i * word_bits))) in
-      b.bits.(i) <- (1 lsl c) - 1;
-      b.counts.(i) <- c
-    done
-
-  let add b w =
-    if b.next = Array.length b.items then compact b;
-    let p = b.next in
-    let i = p / word_bits in
-    Array.unsafe_set b.items p w;
-    b.bits.(i) <- b.bits.(i) lor (1 lsl (p - (i * word_bits)));
-    b.counts.(i) <- b.counts.(i) + 1;
-    b.next <- p + 1;
-    b.length <- b.length + 1
-
-  (* Remove and return the [k]-th most recently added element, [k <
-     length], leaving [none] in its place. The words are scanned from the
-     newest by their counts, then the word's bit is selected: a few dozen
-     steps at a thousand elements, where shifting them took hundreds. *)
-  let take b k =
-    let counts = b.counts in
-    let i = ref ((b.next - 1) / word_bits) and k = ref k in
-    while !k >= counts.(!i) do
-      k := !k - counts.(!i);
-      decr i
-    done;
-    let i = !i in
-    let x = b.bits.(i) in
-    let bit = select_bit x (counts.(i) - 1 - !k) in
-    b.bits.(i) <- x lxor (1 lsl bit);
-    counts.(i) <- counts.(i) - 1;
-    let p = (i * word_bits) + bit in
-    b.length <- b.length - 1;
-    if b.length = 0 then b.next <- 0 else if p = b.next - 1 then b.next <- p;
-    let w = Array.unsafe_get b.items p in
-    Array.unsafe_set b.items p b.none;
-    w
-end
-
 type state = {
   emit : Event.region -> unit;
   on_access : Event.access_sink;
@@ -257,7 +151,14 @@ type state = {
   mutable cur : tcb;
   mutable live_threads : int;
   mutable next_tid : int;
-  ready : work Bag.t;  (* runnable fibers, in the order they were readied *)
+  (* The ready bag. Fibers sit in [slots]; [order] is a permutation of
+     the slot ids whose first [n_ready] are the ready fibers' in enqueue
+     order, [order.(n_ready - 1)] the most recently readied, and whose
+     rest are the free slots. Taking a fiber shifts ints in [order], not
+     pointers, so it costs no write barrier. *)
+  mutable slots : work array;
+  mutable order : int array;
+  mutable n_ready : int;
   stats : stats;
   (* Optional reordering of unlocked pushes, to exercise race detection: the
      access as seen by the profiler may arrive out of timestamp order. *)
@@ -417,7 +318,7 @@ module Backend = struct
      as if readied first, and only a switch to another fiber suspends it. *)
   let stmt st =
     if st.live_threads > 1 then begin
-      let k = Rng.int st.rng (Bag.length st.ready + 1) in
+      let k = Rng.int st.rng (st.n_ready + 1) in
       if k > 0 then Effect.perform (Yield k)
     end;
     let s = st.stats in
@@ -536,6 +437,36 @@ let no_lstacks = Intern.Lstack.create ()
 let c_switches = Obs.counter "interp.fiber.switches"
 let c_spawns = Obs.counter "interp.fiber.spawns"
 
+let enqueue st w =
+  let n = Array.length st.slots in
+  if st.n_ready = n then begin
+    let slots = Array.make (2 * n) no_work in
+    Array.blit st.slots 0 slots 0 n;
+    st.slots <- slots;
+    st.order <- Array.init (2 * n) (fun i -> if i < n then st.order.(i) else i)
+  end;
+  let s = Array.unsafe_get st.order st.n_ready in
+  Array.unsafe_set st.slots s w;
+  st.n_ready <- st.n_ready + 1
+
+(* Remove the [k]-th most recently readied fiber from the bag, clearing its
+   slot so no continuation outlives its turn. Callers draw [k] below
+   [n_ready], and [order] holds slot ids only, so no index can be out of
+   bounds. At small bag sizes a bounds check costs about as much as the
+   shift, so the accesses are unchecked. *)
+let take st k =
+  let order = st.order and last = st.n_ready - 1 in
+  let i = last - k in
+  let s = Array.unsafe_get order i in
+  for j = i to last - 1 do
+    Array.unsafe_set order j (Array.unsafe_get order (j + 1))
+  done;
+  Array.unsafe_set order last s;
+  st.n_ready <- last;
+  let w = Array.unsafe_get st.slots s in
+  Array.unsafe_set st.slots s no_work;
+  w
+
 let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
     ?(emit = fun (_ : Event.region) -> ())
     ?(on_access = fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
@@ -549,7 +480,8 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
     | None -> if instrument then Intern.Lstack.create () else no_lstacks
   in
   let st =
-    { emit; on_access; on_sync; instrument; lstacks; mem = Array.make 4096 0; brk = 1;
+    { emit; on_access; on_sync; instrument; lstacks; mem = Array.make 4096 0;
+      brk = 1;
       recycled = Compile.Recycle.create (); time = 0;
       op_ids = Array.make 512 (-1);
       op_cache = Array.make (if instrument then 2 * op_cache_size else 0) (-1);
@@ -558,7 +490,8 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
       cur =
         { tid = 0; lstack = Intern.Lstack.empty; held = 0; group = 0;
           group_live = ref 1 };
-      live_threads = 1; next_tid = 1; ready = Bag.create no_work;
+      live_threads = 1; next_tid = 1; slots = Array.make 8 no_work;
+      order = Array.init 8 Fun.id; n_ready = 0;
       stats =
         { reads = 0; writes = 0; loop_iterations = 0; calls = 0; statements = 0;
           switches = 0; spawns = 0 };
@@ -577,13 +510,15 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
     match Hashtbl.find_opt locks m with
     | Some l -> l
     | None ->
-        let l = { lid = Hashtbl.length locks; held = false; queue = Queue.create () } in
+        let l =
+          { lid = Hashtbl.length locks; held = false; queue = Queue.create () }
+        in
         Hashtbl.add locks m l;
         l
   in
   (* (group, name) -> its barrier. *)
   let barriers : (int * string, barrier) Hashtbl.t = Hashtbl.create 8 in
-  let enqueue = Bag.add st.ready in
+  let enqueue = enqueue st in
   (* A barrier opens when every live thread of the group has arrived; it is
      also re-checked when a group member finishes without reaching it. *)
   let release_barriers group =
@@ -610,8 +545,7 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
         st.cur <- tcb;
         run_fiber tcb thunk
   and schedule () =
-    let n = Bag.length st.ready in
-    if n > 0 then dispatch (Bag.take st.ready (Rng.int st.rng n))
+    if st.n_ready > 0 then dispatch (take st (Rng.int st.rng st.n_ready))
     else begin
       let blocked =
         Hashtbl.fold (fun _ l n -> n + Queue.length l.queue) locks 0
@@ -636,7 +570,7 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
                   (fun (k : (b, unit) Effect.Deep.continuation) ->
                     st.stats.switches <- st.stats.switches + 1;
                     enqueue (Resume (k, (), tcb));
-                    dispatch (Bag.take st.ready j))
+                    dispatch (take st j))
             | Spawn thunks ->
                 Some
                   (fun (k : (b, unit) Effect.Deep.continuation) ->
@@ -692,7 +626,9 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
                       match Hashtbl.find_opt barriers key with
                       | Some b -> b
                       | None ->
-                          let b = { bid = Hashtbl.length barriers; waiters = [] } in
+                          let b =
+                            { bid = Hashtbl.length barriers; waiters = [] }
+                          in
                           Hashtbl.replace barriers key b;
                           b
                     in

@@ -110,21 +110,3 @@ module Scramble : sig
       and emits that thread's oldest: each thread's accesses keep their
       order, and only the interleaving across threads is scrambled. *)
 end
-
-(** The scheduler's ready bag: fibers in the order they were readied, and
-    the [k]-th most recently readied taken out in a scan of per-word
-    occupancy counts rather than a shift of everything readied after it. *)
-module Bag : sig
-  type 'a t
-
-  val create : 'a -> 'a t
-  (** An empty bag; the element is a placeholder never returned. *)
-
-  val length : 'a t -> int
-  val add : 'a t -> 'a -> unit
-
-  val take : 'a t -> int -> 'a
-  (** [take b k] removes and returns the [k]-th most recently added
-      element still in [b]: [k = 0] is the newest, [k = length b - 1] the
-      oldest. [k] must be below [length b]. *)
-end

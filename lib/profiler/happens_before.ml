@@ -29,74 +29,62 @@ let f_wline = 1
 let f_read = 2
 let f_rline = 3
 
-(* A vector clock: thread ids in ascending order and their clocks; absent
-   threads are at 0. Never mutated once built. *)
-type vc = { tids : int array; clks : int array }
+(* A vector clock: one int per thread with a non-zero entry, [(tid lsl
+   clock_bits) lor clock], ascending, so in thread order; absent threads are
+   at 0. Never mutated once built. Thread ids stay below [tid_mask], which
+   a merge uses as its end sentinel. *)
+type vc = int array
 
-let empty = { tids = [||]; clks = [||] }
+let clock_bits = 62 - tid_bits
+let clock_mask = (1 lsl clock_bits) - 1
+let empty : vc = [||]
+let entry tid c = (tid lsl clock_bits) lor c
 
-let get vc tid =
-  let tids = vc.tids in
-  let lo = ref 0 and hi = ref (Array.length tids) in
+let get (vc : vc) tid =
+  let lo = ref 0 and hi = ref (Array.length vc) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in
-    if Array.unsafe_get tids mid < tid then lo := mid + 1 else hi := mid
+    if Array.unsafe_get vc mid lsr clock_bits < tid then lo := mid + 1
+    else hi := mid
   done;
-  if !lo < Array.length tids && Array.unsafe_get tids !lo = tid then
-    Array.unsafe_get vc.clks !lo
+  if !lo < Array.length vc && Array.unsafe_get vc !lo lsr clock_bits = tid then
+    Array.unsafe_get vc !lo land clock_mask
   else 0
 
-(* [a] joined with [b]: [a] itself when [b] adds nothing. Two passes over
-   both: the merged size and whether [b] adds anything, then the merge. *)
-let join a b =
-  let at = a.tids and bt = b.tids and ac = a.clks and bc = b.clks in
-  let na = Array.length at and nb = Array.length bt in
-  let i = ref 0 and j = ref 0 and n = ref 0 and adds = ref false in
-  while !j < nb do
-    let tb = Array.unsafe_get bt !j in
-    if !i < na && Array.unsafe_get at !i < tb then incr i
+(* [a] joined with [b]: [a] itself when [b] adds nothing. A first pass
+   counts [b]'s threads that [a] lacks and sees whether [b] adds anything;
+   the second merges. Of two entries for one thread the larger int holds
+   the larger clock. *)
+let join (a : vc) (b : vc) =
+  let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and fresh = ref 0 and adds = ref false in
+  for j = 0 to nb - 1 do
+    let e = Array.unsafe_get b j in
+    let u = e lsr clock_bits in
+    while !i < na && Array.unsafe_get a !i lsr clock_bits < u do incr i done;
+    if !i < na && Array.unsafe_get a !i lsr clock_bits = u then begin
+      if e > Array.unsafe_get a !i then adds := true
+    end
     else begin
-      if !i < na && Array.unsafe_get at !i = tb then begin
-        if Array.unsafe_get bc !j > Array.unsafe_get ac !i then adds := true;
-        incr i
-      end
-      else begin
-        adds := true;
-        incr n
-      end;
-      incr j
+      adds := true;
+      incr fresh
     end
   done;
   if not !adds then a
   else begin
-    let m = na + !n in
-    let tids = Array.make m 0 and clks = Array.make m 0 in
-    let i = ref 0 and j = ref 0 in
+    let m = na + !fresh in
+    let c = Array.make m 0 and i = ref 0 and j = ref 0 in
     for k = 0 to m - 1 do
-      if !j >= nb || (!i < na && Array.unsafe_get at !i < Array.unsafe_get bt !j)
-      then begin
-        Array.unsafe_set tids k (Array.unsafe_get at !i);
-        Array.unsafe_set clks k (Array.unsafe_get ac !i);
-        incr i
-      end
-      else if !i >= na || Array.unsafe_get bt !j < Array.unsafe_get at !i then begin
-        Array.unsafe_set tids k (Array.unsafe_get bt !j);
-        Array.unsafe_set clks k (Array.unsafe_get bc !j);
-        incr j
-      end
-      else begin
-        Array.unsafe_set tids k (Array.unsafe_get at !i);
-        Array.unsafe_set clks k
-          (let x = Array.unsafe_get ac !i and y = Array.unsafe_get bc !j in
-           if x >= y then x else y);
-        incr i;
-        incr j
-      end
+      let x = if !i < na then Array.unsafe_get a !i else max_int
+      and y = if !j < nb then Array.unsafe_get b !j else max_int in
+      let tx = x lsr clock_bits and ty = y lsr clock_bits in
+      if tx <= ty then incr i;
+      if ty <= tx then incr j;
+      Array.unsafe_set c k
+        (if tx < ty then x else if ty < tx then y else if x >= y then x else y)
     done;
-    { tids; clks }
+    c
   end
-
-let single tid c = { tids = [| tid |]; clks = [| c |] }
 
 type t = {
   (* Per thread id: its clock of the other threads, and its own. *)
@@ -158,7 +146,7 @@ let[@inline] ordered t e =
 (* ---- threads ---- *)
 
 let check_tid t tid =
-  if tid < 0 || tid > tid_mask then
+  if tid < 0 || tid >= tid_mask then
     invalid_arg (Printf.sprintf "Happens_before: thread id %d" tid);
   if tid >= Array.length t.own then begin
     t.past <- grow t.past (tid + 1) empty;
@@ -166,12 +154,12 @@ let check_tid t tid =
   end
 
 let set_past t tid vc =
-  t.entries <- t.entries - Array.length t.past.(tid).tids + Array.length vc.tids;
+  t.entries <- t.entries - Array.length t.past.(tid) + Array.length vc;
   if t.entries > t.peak_entries then t.peak_entries <- t.entries;
   t.past.(tid) <- vc
 
 (* Thread [tid]'s whole clock, its own component included. *)
-let clock t tid = join t.past.(tid) (single tid t.own.(tid))
+let clock t tid = join t.past.(tid) [| entry tid t.own.(tid) |]
 
 let fork t ~parent ~child =
   check_tid t child;
@@ -197,7 +185,8 @@ let feed_sync t (op : Event.sync) ~thread ~obj =
   | Event.Acquire ->
       set_past t thread (join t.past.(thread) (sync_clock t.locks obj))
   | Event.Release ->
-      Hashtbl.replace t.locks obj (join (sync_clock t.locks obj) (clock t thread));
+      Hashtbl.replace t.locks obj
+        (join (sync_clock t.locks obj) (clock t thread));
       t.own.(thread) <- t.own.(thread) + 1
   | Event.Arrive ->
       Hashtbl.replace t.barriers obj

@@ -13,8 +13,8 @@
 
     Clocks are sparse: a thread's holds only the threads in its past, so a
     fork-join recursion's clocks hold O(n log n) entries in all, not one
-    per spawned thread each. Nothing is allocated per access but on a race or when two
-    concurrent reads of an address first meet. *)
+    per spawned thread each. Nothing is allocated per access but on a
+    race or when two concurrent reads of an address first meet. *)
 
 type t
 

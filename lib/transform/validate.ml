@@ -81,7 +81,8 @@ let diff_observations (a : observation) (b : observation) : string list =
 
 (* Racy variables: names in a race list. Comparing by name survives the
    transform's renumbering. *)
-let racy_names races = List.sort_uniq compare (List.map (fun (v, _, _) -> v) races)
+let racy_names races =
+  List.sort_uniq compare (List.map (fun (v, _, _) -> v) races)
 
 (* A race run: the program instrumented at [seed] into a happens-before
    detector. Its result and prints are also the program's observation at

@@ -166,7 +166,8 @@ let test_alloc_regression () =
   (* The happens-before detector's path is held to the engines' cap. *)
   let hb () =
     Chunk.iter stream
-      ~access:(Profiler.Happens_before.feed_fields (Profiler.Happens_before.create ()))
+      ~access:
+        (Profiler.Happens_before.feed_fields (Profiler.Happens_before.create ()))
       ~remove:ignore
   in
   hb ();
@@ -573,43 +574,6 @@ let qcheck_drain_oracle =
       let sc = Scramble.scratch () in
       collect (Scramble.drain sc) seed p n = collect oracle_drain seed p n)
 
-(* ---- the ready bag ----
-
-   [Interp.Bag] against the list the scheduler once kept: a random run of
-   adds and takes, with bursts that grow the bag past several words and
-   drain it, must take the same elements in the same order. *)
-let qcheck_bag_oracle =
-  let gen =
-    QCheck.Gen.(list_size (int_range 1 600) (pair (int_bound 9) (int_bound 1_000_000)))
-  in
-  QCheck.Test.make ~name:"ready bag agrees with a list" ~count:300
-    (QCheck.make gen)
-    (fun ops ->
-      let bag = Mil.Interp.Bag.create (-1) in
-      (* Newest first. *)
-      let oracle = ref [] and next = ref 0 in
-      List.for_all
-        (fun (op, r) ->
-          let n = List.length !oracle in
-          if op > 5 || n = 0 then begin
-            (* One add in ten is a burst of up to 100. *)
-            let burst = if op = 9 then 1 + (r mod 100) else 1 in
-            for _ = 1 to burst do
-              Mil.Interp.Bag.add bag !next;
-              oracle := !next :: !oracle;
-              incr next
-            done;
-            Mil.Interp.Bag.length bag = List.length !oracle
-          end
-          else begin
-            let k = r mod n in
-            let want = List.nth !oracle k in
-            oracle := List.filteri (fun i _ -> i <> k) !oracle;
-            Mil.Interp.Bag.take bag k = want
-            && Mil.Interp.Bag.length bag = n - 1
-          end)
-        ops)
-
 (* ---- chunk pooling ---- *)
 
 (* A recycled chunk decodes only its new fill: reset forgets the old
@@ -671,7 +635,6 @@ let tests =
     Alcotest.test_case "loop stacks read from another domain" `Quick
       test_lstack_reader_domain;
     QCheck_alcotest.to_alcotest qcheck_drain_oracle;
-    QCheck_alcotest.to_alcotest qcheck_bag_oracle;
     Alcotest.test_case "chunk fill/reset/seq" `Quick test_chunk_fill_reset;
     Alcotest.test_case "pooled parallel equals serial" `Quick
       test_pooled_parallel_equivalence ]

@@ -976,14 +976,18 @@ let tests =
 let test_hb_random_traces () =
   let module HB = Profiler.Happens_before in
   let n = 8 in
-  let vars = Array.init 5 (fun a -> Trace.Intern.Sym.intern (Printf.sprintf "x%d" a)) in
+  let vars =
+    Array.init 5 (fun a -> Trace.Intern.Sym.intern (Printf.sprintf "x%d" a))
+  in
   let racy_traces = ref 0 and clean_traces = ref 0 in
   for seed = 1 to 300 do
     let rng = Random.State.make [| seed |] in
     let hb = HB.create () in
     let vc = Array.make_matrix n n 0 and lockc = Array.make_matrix 2 n 0 in
     vc.(0).(0) <- 1;
-    let join_into dst src = Array.iteri (fun i c -> if c > dst.(i) then dst.(i) <- c) src in
+    let join_into dst src =
+      Array.iteri (fun i c -> if c > dst.(i) then dst.(i) <- c) src
+    in
     (* 0: not started, 1: running, 2: waiting for its children, 3: ended *)
     let state = Array.make n 0 and parent = Array.make n 0
     and pending = Array.make n 0 and held = Array.make 2 (-1) in
@@ -1050,10 +1054,13 @@ let test_hb_random_traces () =
     done;
     let want =
       List.filter_map
-        (fun a -> if ref_racy.(a) then Some (Trace.Intern.Sym.name vars.(a)) else None)
+        (fun a ->
+          if ref_racy.(a) then Some (Trace.Intern.Sym.name vars.(a)) else None)
         [ 1; 2; 3; 4 ]
     in
-    let got = List.sort_uniq compare (List.map (fun (v, _, _) -> v) (HB.races hb)) in
+    let got =
+      List.sort_uniq compare (List.map (fun (v, _, _) -> v) (HB.races hb))
+    in
     Alcotest.(check (list string)) (Printf.sprintf "trace %d: racy addresses" seed)
       want got;
     if want = [] then incr clean_traces else incr racy_traces
