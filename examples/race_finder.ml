@@ -24,12 +24,12 @@ let counter ~locked =
 
 let buggy_counter = counter ~locked:false
 
-let print_races races =
+let print_races ?(none = "(none)") races =
   List.iter
     (fun (var, l1, l2) ->
       Printf.printf "  %s between lines %d and %d\n" var l1 l2)
     races;
-  if races = [] then print_endline "  (none)"
+  if races = [] then print_endline ("  " ^ none)
 
 let () =
   print_string (Mil.Pretty.render_program buggy_counter);
@@ -44,11 +44,7 @@ let () =
         r.Profiler.Serial.races)
     [ 1; 2; 3; 4; 5 ];
   Printf.printf "\npotential data races (var, line-a, line-b):\n";
-  List.iter
-    (fun (var, l1, l2) ->
-      Printf.printf "  %s between lines %d and %d\n" var l1 l2)
-    (List.sort compare !found);
-  if !found = [] then print_endline "  (none found on these schedules)";
+  print_races ~none:"(none found on these schedules)" (List.sort compare !found);
 
   (* Happens-before needs no scrambled schedule: two conflicting accesses
      that no fork, join, lock, barrier or atomic orders are a race in the
