@@ -306,9 +306,10 @@ let test_buggy_counter () =
     (racy_vars (buggy_counter ~locked:true ()))
 
 (* The counter of ROADMAP item 2's table: two [Par] arms, each [prefix]
-   then [for i in 0..40] of [body] and [c = c + 1]. The scrambler misses
-   its race whenever a declaration's deallocation flushes the buffer at
-   the wrong moment; happens-before finds it at one seed on every row. *)
+   then [for i in 0..40] of [body] and [c = c + 1]. The paper's rule found
+   no race on four of these rows at any of eight seeds, since whether two
+   accesses fall in one scramble window depends on the declarations around
+   them; happens-before finds it at one seed on every row. *)
 let counter ?(prefix = fun () -> []) ?(body = fun () -> []) () =
   let open Builder in
   (* Fresh statements per arm: [number] writes each statement's line. *)
