@@ -17,7 +17,7 @@ let run () =
   let r = Profiler.Serial.profile prog in
   let main_region = Mil.Static.func_region st "main" in
   let cus = Cunit.Top_down.cus_of_region cures main_region in
-  let g = Cunit.Graph.build ~cus ~deps:r.deps () in
+  let g = Cunit.Graph.build ~cus ~deps:r.deps in
   List.iter (fun cu -> Printf.printf "  %s\n" (Cunit.Cu.to_string cu)) cus;
   Printf.printf "  edges: %d (RAW chain over the src -> mid -> yout buffers)\n"
     (List.length g.Cunit.Graph.edges);

@@ -34,11 +34,6 @@ let sample_default =
   [ ("histogram", 4000); ("matmul", 24); ("prefix_sum", 4000);
     ("gauss_seidel", 300); ("fib", 15) ]
 
-let find_workload name =
-  List.find_opt (fun (w : R.t) -> w.name = name)
-    (Workloads.Textbook.all @ Workloads.Nas.all @ Workloads.Bots.all
-   @ Workloads.Numerics.all)
-
 let sample () =
   let wanted =
     match Sys.getenv_opt "HOTPATH_WORKLOADS" with
@@ -47,7 +42,7 @@ let sample () =
   in
   List.filter_map
     (fun name ->
-      match find_workload name with
+      match Workloads.Catalog.find name with
       | None ->
           Printf.printf "  (hotpath: unknown workload %s, skipped)\n" name;
           None

@@ -40,7 +40,7 @@ let sample () =
         wanted
 
 let access_events prog =
-  let r = Mil.Interp.run prog in
+  let r = Mil.Interp.run ~instrument:false prog in
   r.r_stats.reads + r.r_stats.writes
 
 let run () =

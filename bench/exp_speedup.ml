@@ -51,7 +51,7 @@ let modeled_speedup (w : R.t) =
   | Some hot ->
       Discovery.Schedule.doall_speedup ~processors:threads
         ~iterations:(max 1 hot.L.iterations)
-        ~loop_instructions:par_instr ~total_instructions:total ()
+        ~loop_instructions:par_instr ~total_instructions:total
 
 (* Native Domains implementations of a few representative suggestions, for
    wall-clock measurement. *)

@@ -11,7 +11,7 @@ let static prog =
 let cus prog = (Cunit.Top_down.build (static prog)).Cunit.Top_down.cus
 
 (* The whole-program CU graph over profiled dependences. *)
-let cu_graph prog deps = Cunit.Graph.build ~cus:(cus prog) ~deps ()
+let cu_graph prog deps = Cunit.Graph.build ~cus:(cus prog) ~deps
 
 let list_cmd =
   let doc = "List the bundled workload programs." in

@@ -37,7 +37,7 @@ let optimize_cmd =
     in
     let report = or_die (Mil.Pass.run ?passes seed) in
     let events p =
-      let r = Mil.Interp.run p in
+      let r = Mil.Interp.run ~instrument:false p in
       r.r_stats.reads + r.r_stats.writes
     in
     let before = events seed and after = events report.program in

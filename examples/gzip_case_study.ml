@@ -45,7 +45,7 @@ let () =
           let sp =
             Discovery.Schedule.doall_speedup ~processors:p
               ~iterations:a.L.iterations ~loop_instructions:a.L.instructions
-              ~total_instructions:total ()
+              ~total_instructions:total
           in
           Printf.printf "  %2d threads -> modeled %.2fx\n" p sp)
         [ 2; 4; 8 ];

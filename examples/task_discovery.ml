@@ -28,6 +28,6 @@ let () =
   let profile = Profiler.Serial.profile prog in
   let main_region = Mil.Static.func_region st "main" in
   let cus = Cunit.Top_down.cus_of_region cures main_region in
-  let g = Cunit.Graph.build ~cus ~deps:profile.Profiler.Serial.deps () in
+  let g = Cunit.Graph.build ~cus ~deps:profile.Profiler.Serial.deps in
   print_endline "--- CU graph of facedetect main (graphviz) ---";
   print_string (Cunit.Graph.to_dot g)

@@ -62,7 +62,7 @@ let best_stump ~(xs : float array array) ~(ys : bool array) ~(w : float array)
   done;
   !best
 
-let train ?(rounds = 20) (samples : Features.sample list) : model =
+let train (samples : Features.sample list) : model =
   let xs = Array.of_list (List.map (fun s -> s.Features.x) samples) in
   let ys = Array.of_list (List.map (fun s -> s.Features.y) samples) in
   let n = Array.length xs in
@@ -71,7 +71,8 @@ let train ?(rounds = 20) (samples : Features.sample list) : model =
     let w = Array.make n (1.0 /. float_of_int n) in
     let stumps = ref [] in
     (try
-       for _ = 1 to rounds do
+       (* 20 boosting rounds, or fewer once no stump beats chance *)
+       for _ = 1 to 20 do
          let s, err = best_stump ~xs ~ys ~w ~n_features:Features.dim in
          let err = max err 1e-10 in
          if err >= 0.5 then raise Exit;
@@ -139,6 +140,7 @@ let evaluate (m : model) (samples : Features.sample list) : scores =
        else 2.0 *. precision *. recall /. (precision +. recall));
     n = List.length samples }
 
-(* Deterministic train/test split by hash of the sample tag. *)
-let split ?(test_share = 3) (samples : Features.sample list) =
-  List.partition (fun s -> Hashtbl.hash s.Features.tag mod test_share <> 0) samples
+(* Deterministic train/test split by hash of the sample tag: about one
+   sample in three is held out. *)
+let split (samples : Features.sample list) =
+  List.partition (fun s -> Hashtbl.hash s.Features.tag mod 3 <> 0) samples

@@ -13,7 +13,8 @@ type model
 val predict_stump : stump -> float array -> bool
 val predict : model -> float array -> bool
 
-val train : ?rounds:int -> Features.sample list -> model
+val train : Features.sample list -> model
+(** 20 boosting rounds, fewer if no stump beats chance first. *)
 
 val feature_importance : model -> (string * float) list
 (** Share of total ensemble weight per feature, descending (Table 5.2). *)
@@ -28,7 +29,6 @@ type scores = {
 
 val evaluate : model -> Features.sample list -> scores
 
-val split : ?test_share:int -> Features.sample list ->
-  Features.sample list * Features.sample list
+val split : Features.sample list -> Features.sample list * Features.sample list
 (** Deterministic train/test split by hash of the sample tag; roughly one in
-    [test_share] samples goes to the test set. *)
+    three samples goes to the test set. *)

@@ -12,7 +12,7 @@ type matrix = {
   counts : int array array;  (* consumer x producer *)
 }
 
-let of_deps ?(max_threads = 32) (deps : Dep.Set_.t) : matrix =
+let of_deps (deps : Dep.Set_.t) : matrix =
   let top = ref 0 in
   Dep.Set_.iter
     (fun d _ ->
@@ -21,7 +21,8 @@ let of_deps ?(max_threads = 32) (deps : Dep.Set_.t) : matrix =
         if d.Dep.src_thread > !top then top := d.Dep.src_thread
       end)
     deps;
-  let n = min max_threads (!top + 1) in
+  (* Threads past the 32nd are left out of the matrix. *)
+  let n = min 32 (!top + 1) in
   let counts = Array.make_matrix n n 0 in
   Dep.Set_.iter
     (fun d cnt ->
@@ -64,11 +65,11 @@ let pattern_to_string = function
   | Uncoupled -> "uncoupled"
 
 (* ASCII heatmap in the style of Fig. 5.1. Self-communication (the diagonal)
-   is not communication between threads and is suppressed by default so the
+   is not communication between threads and is suppressed so the
    inter-thread structure is visible. *)
-let render ?(diagonal = false) (m : matrix) : string =
+let render (m : matrix) : string =
   let buf = Buffer.create 256 in
-  let cell c p = if (not diagonal) && c = p then 0 else m.counts.(c).(p) in
+  let cell c p = if c = p then 0 else m.counts.(c).(p) in
   let maxc = ref 1 in
   Array.iteri
     (fun c row -> Array.iteri (fun p _ -> if cell c p > !maxc then maxc := cell c p) row)
@@ -85,7 +86,7 @@ let render ?(diagonal = false) (m : matrix) : string =
             if v = 0 then 0 else 1 + (v * (Array.length shades - 2) / !maxc)
           in
           Buffer.add_char buf
-            (if (not diagonal) && c = p then '-'
+            (if c = p then '-'
              else shades.(min lvl (Array.length shades - 1)));
           Buffer.add_char buf ' ')
         row;

@@ -10,13 +10,14 @@ type matrix = {
   counts : int array array;  (** consumer x producer *)
 }
 
-val of_deps : ?max_threads:int -> Dep.Set_.t -> matrix
+val of_deps : Dep.Set_.t -> matrix
+(** Threads 0 to 31; dependences of later threads are left out. *)
 
 type pattern = All_to_all | Master_worker | Neighbour | Uncoupled
 
 val classify : matrix -> pattern
 val pattern_to_string : pattern -> string
 
-val render : ?diagonal:bool -> matrix -> string
+val render : matrix -> string
 (** ASCII heatmap in the style of Fig. 5.1; the diagonal (self-communication)
-    is suppressed unless [diagonal] is set. *)
+    is suppressed. *)

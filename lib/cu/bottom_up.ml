@@ -1,88 +1,10 @@
-(* Bottom-up CU construction (§3.2.3).
-
-   The dynamic alternative to Algorithm 3: every instruction starts as its own
-   CU; a CU is merged with the CUs of the instructions it anti-depends on
-   (WAR), while true dependences (RAW) become graph edges. The paper found
-   the resulting CUs too fine-grained for task discovery (Fig 3.7) but uses
-   them for fine-grained views; we reproduce the method at source-line
-   granularity over the profiled dependence set, with dependences on
-   region-local variables excluded per step 2 of the algorithm. *)
-
-module Dep = Profiler.Dep
-module SS = Mil.Static.SS
-
-type t = {
-  group_of_line : (int, int) Hashtbl.t;  (* line -> CU group id *)
-  groups : (int, int list) Hashtbl.t;    (* group id -> member lines *)
-  raw_edges : (int * int) list;          (* group -> group true dependences *)
-}
-
-let c_groups = Obs.counter "cu.bottom_up.groups"
-
-(* Union-find over lines. *)
-let build ?(exclude_vars = SS.empty) ~lo ~hi (deps : Dep.Set_.t) : t =
-  Obs.Span.with_ ~phase:"cu.bottom_up" @@ fun () ->
-  let parent : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let rec find l =
-    match Hashtbl.find_opt parent l with
-    | Some p when p <> l ->
-        let r = find p in
-        Hashtbl.replace parent l r;
-        r
-    | Some _ -> l
-    | None ->
-        Hashtbl.replace parent l l;
-        l
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then Hashtbl.replace parent rb ra
-  in
-  let in_range l = l >= lo && l <= hi in
-  (* Merge along anti-dependences. *)
-  Dep.Set_.iter
-    (fun d _ ->
-      if
-        d.Dep.dtype = Dep.War
-        && (not (SS.mem d.Dep.var exclude_vars))
-        && in_range d.Dep.sink_line && in_range d.Dep.src_line
-      then union d.Dep.src_line d.Dep.sink_line)
-    deps;
-  (* Collect groups and RAW edges between them. *)
-  let group_of_line = Hashtbl.create 64 in
-  let groups = Hashtbl.create 64 in
-  for l = lo to hi do
-    if Hashtbl.mem parent l then begin
-      let g = find l in
-      Hashtbl.replace group_of_line l g;
-      let prev = try Hashtbl.find groups g with Not_found -> [] in
-      Hashtbl.replace groups g (l :: prev)
-    end
-  done;
-  let raw_edges = ref [] in
-  Dep.Set_.iter
-    (fun d _ ->
-      if
-        d.Dep.dtype = Dep.Raw
-        && (not (SS.mem d.Dep.var exclude_vars))
-        && in_range d.Dep.sink_line && in_range d.Dep.src_line
-      then begin
-        let gs = find d.Dep.sink_line and gd = find d.Dep.src_line in
-        raw_edges := (gs, gd) :: !raw_edges
-      end)
-    deps;
-  Obs.Counter.add c_groups (Hashtbl.length groups);
-  { group_of_line; groups; raw_edges = List.sort_uniq compare !raw_edges }
-
-let n_groups t = Hashtbl.length t.groups
-
-(* The dynamic, instruction-level variant (§3.2.3's on-the-fly algorithm):
-   every static memory operation starts as its own CU; a write merges with
-   the operations it anti-depends on (the last readers of the address), true
-   dependences become edges, and local-variable accesses are excluded by the
-   caller's [exclude_vars]. This is the construction whose output is "too
-   fine to discover coarse-grained parallel tasks" (Fig 3.7) — the reason
-   the framework adopted the top-down algorithm. *)
+(* Bottom-up CU construction (§3.2.3), the dynamic alternative to
+   Algorithm 3 built on the fly over the instruction stream: every static
+   memory operation starts as its own CU; a write merges with the operations
+   it anti-depends on (WAR: the last readers of the address), and true
+   dependences (RAW) become edges. This is the construction whose output is
+   "too fine to discover coarse-grained parallel tasks" (Fig 3.7) — the
+   reason the framework adopted the top-down algorithm. *)
 
 type dynamic = {
   group_of_op : (int, int) Hashtbl.t;      (* op id -> group representative *)
@@ -91,8 +13,7 @@ type dynamic = {
   n_ops : int;
 }
 
-let build_dynamic ?(exclude_vars = SS.empty) (events : Trace.Event.t list) :
-    dynamic =
+let build_dynamic (events : Trace.Event.t list) : dynamic =
   Obs.Span.with_ ~phase:"cu.bottom_up" @@ fun () ->
   let parent : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let rec find o =
@@ -118,9 +39,7 @@ let build_dynamic ?(exclude_vars = SS.empty) (events : Trace.Event.t list) :
   List.iter
     (fun ev ->
       match ev with
-      | Trace.Event.Access a
-        when not (SS.mem (Trace.Intern.Sym.name a.Trace.Event.var) exclude_vars)
-        ->
+      | Trace.Event.Access a ->
           Hashtbl.replace op_lines a.Trace.Event.op a.Trace.Event.line;
           ignore (find a.Trace.Event.op);
           (match a.Trace.Event.kind with
@@ -140,7 +59,6 @@ let build_dynamic ?(exclude_vars = SS.empty) (events : Trace.Event.t list) :
               | None -> ());
               Hashtbl.replace writer a.Trace.Event.addr a.Trace.Event.op;
               Hashtbl.replace readers a.Trace.Event.addr [])
-      | Trace.Event.Access _ -> ()
       | Trace.Event.Region (Trace.Event.Dealloc { addrs }) ->
           List.iter
             (fun (base, len, _) ->

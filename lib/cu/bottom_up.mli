@@ -1,30 +1,9 @@
-(** Bottom-up CU construction (§3.2.3): every instruction starts as its own
-    CU; CUs merge along anti-dependences (WAR) while true dependences become
-    edges. Reproduced at source-line granularity over the profiled
-    dependence set; the paper found the result too fine for task discovery
-    (Fig. 3.7) but uses it for fine-grained views. *)
+(** Bottom-up CU construction (§3.2.3), built on the fly as the trace
+    streams by: static memory operations start as their own CUs and merge
+    along anti-dependences (WAR), while true dependences (RAW) become edges —
+    the fine-grained CU graph of Fig. 3.7, which the paper found too fine for
+    task discovery. *)
 
-module Dep = Profiler.Dep
-module SS = Mil.Static.SS
-
-type t = {
-  group_of_line : (int, int) Hashtbl.t;  (** line -> CU group id *)
-  groups : (int, int list) Hashtbl.t;    (** group id -> member lines *)
-  raw_edges : (int * int) list;          (** group -> group true deps *)
-}
-
-val build : ?exclude_vars:SS.t -> lo:int -> hi:int -> Dep.Set_.t -> t
-(** Build over the dependences whose lines lie within [[lo, hi]];
-    [exclude_vars] drops dependences on region-local variables (step 2 of
-    the bottom-up algorithm). *)
-
-val n_groups : t -> int
-
-(** {1 Dynamic instruction-level variant} *)
-
-(** The on-the-fly construction of §3.2.3: static memory operations merged
-    along anti-dependences as the trace streams by — the fine-grained CU
-    graph of Fig 3.7. *)
 type dynamic = {
   group_of_op : (int, int) Hashtbl.t;  (** op id -> group representative *)
   op_lines : (int, int) Hashtbl.t;     (** op id -> source line *)
@@ -32,5 +11,5 @@ type dynamic = {
   n_ops : int;
 }
 
-val build_dynamic : ?exclude_vars:SS.t -> Trace.Event.t list -> dynamic
+val build_dynamic : Trace.Event.t list -> dynamic
 val dynamic_group_count : dynamic -> int

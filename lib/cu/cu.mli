@@ -20,7 +20,6 @@ type t = {
   contains_region : bool; (** spans a nested loop/branch *)
 }
 
-val line_key : int -> string
 val mem_line : t -> int -> bool
 
 val make :

@@ -39,7 +39,7 @@ let line_map (cus : Cu.t list) =
     cus;
   m
 
-let build ?(static_edges = true) ~(cus : Cu.t list) ~(deps : Dep.Set_.t) () : t =
+let build ~(cus : Cu.t list) ~(deps : Dep.Set_.t) : t =
   let arr = Array.of_list cus in
   let index_of = Hashtbl.create (Array.length arr) in
   Array.iteri (fun i cu -> Hashtbl.replace index_of cu.Cu.id i) arr;
@@ -89,42 +89,39 @@ let build ?(static_edges = true) ~(cus : Cu.t list) ~(deps : Dep.Set_.t) () : t 
      read/write sets can. Add a static RAW edge whenever a later CU of the
      same region reads a variable an earlier one wrote. *)
   let edges =
-    if not static_edges then edges
-    else begin
-      let by_region = Hashtbl.create 8 in
-      List.iter
-        (fun (cu : Cu.t) ->
-          let prev = try Hashtbl.find by_region cu.Cu.region with Not_found -> [] in
-          Hashtbl.replace by_region cu.Cu.region (cu :: prev))
-        cus;
-      Hashtbl.fold
-        (fun _ group acc ->
-          let ordered =
-            List.sort (fun (a : Cu.t) b -> compare a.Cu.first_line b.Cu.first_line)
-              group
-          in
-          let rec pairs acc = function
-            | [] -> acc
-            | (a : Cu.t) :: rest ->
-                let acc =
-                  List.fold_left
-                    (fun acc (b : Cu.t) ->
-                      match
-                        Cu.SS.choose_opt (Cu.SS.inter a.Cu.write_set b.Cu.read_set)
-                      with
-                      | Some var ->
-                          { e_from = b.Cu.id; e_to = a.Cu.id; e_type = Dep.Raw;
-                            e_var = var; e_carried = None; e_count = 0;
-                            e_risk = 0.0 }
-                          :: acc
-                      | None -> acc)
-                    acc rest
-                in
-                pairs acc rest
-          in
-          pairs acc ordered)
-        by_region edges
-    end
+    let by_region = Hashtbl.create 8 in
+    List.iter
+      (fun (cu : Cu.t) ->
+        let prev = try Hashtbl.find by_region cu.Cu.region with Not_found -> [] in
+        Hashtbl.replace by_region cu.Cu.region (cu :: prev))
+      cus;
+    Hashtbl.fold
+      (fun _ group acc ->
+        let ordered =
+          List.sort (fun (a : Cu.t) b -> compare a.Cu.first_line b.Cu.first_line)
+            group
+        in
+        let rec pairs acc = function
+          | [] -> acc
+          | (a : Cu.t) :: rest ->
+              let acc =
+                List.fold_left
+                  (fun acc (b : Cu.t) ->
+                    match
+                      Cu.SS.choose_opt (Cu.SS.inter a.Cu.write_set b.Cu.read_set)
+                    with
+                    | Some var ->
+                        { e_from = b.Cu.id; e_to = a.Cu.id; e_type = Dep.Raw;
+                          e_var = var; e_carried = None; e_count = 0;
+                          e_risk = 0.0 }
+                        :: acc
+                    | None -> acc)
+                  acc rest
+              in
+              pairs acc rest
+        in
+        pairs acc ordered)
+      by_region edges
   in
   let n = Array.length arr in
   let succ = Array.make n [] and pred = Array.make n [] in
@@ -143,18 +140,14 @@ let build ?(static_edges = true) ~(cus : Cu.t list) ~(deps : Dep.Set_.t) () : t 
 let size g = Array.length g.cus
 let cu g i = g.cus.(i)
 
-let edges_between g ~from_ ~to_ =
-  List.filter (fun e -> e.e_from = from_ && e.e_to = to_) g.edges
-
 (* RAW edges only, by graph position — the "true dependences that cannot be
-   broken" view used for task discovery. [exclude_vars] drops edges on
-   variables resolvable by parallel reduction. *)
-let raw_succ ?(exclude_vars = fun (_ : string) -> false) g =
+   broken" view used for task discovery. *)
+let raw_succ g =
   let n = size g in
   let adj = Array.make n [] in
   List.iter
     (fun e ->
-      if e.e_type = Dep.Raw && not (exclude_vars e.e_var) then
+      if e.e_type = Dep.Raw then
         match (Hashtbl.find_opt g.index_of e.e_from, Hashtbl.find_opt g.index_of e.e_to) with
         | Some i, Some j when i <> j -> adj.(i) <- j :: adj.(i)
         | _ -> ())

@@ -24,19 +24,16 @@ type t = {
   pred : int list array;
 }
 
-val build : ?static_edges:bool -> cus:Cu.t list -> deps:Dep.Set_.t -> unit -> t
-(** [static_edges] (default true) adds RAW edges from the CUs'
+val build : cus:Cu.t list -> deps:Dep.Set_.t -> t
+(** Besides the profiled edges, adds RAW edges from the CUs'
     interprocedural read/write sets — dataflow through callees is profiled on
     callee lines and cannot be attributed to the calling CUs otherwise. *)
 
 val size : t -> int
 val cu : t -> int -> Cu.t
-val edges_between : t -> from_:int -> to_:int -> edge list
 
-val raw_succ : ?exclude_vars:(string -> bool) -> t -> int list array
-(** RAW-only adjacency (the unbreakable true dependences), by position.
-    [exclude_vars] drops edges on variables resolvable by parallel
-    reduction. *)
+val raw_succ : t -> int list array
+(** RAW-only adjacency (the unbreakable true dependences), by position. *)
 
 val self_raw : t -> int list
 (** Positions of CUs with RAW self-edges: iterative feedback (Fig. 3.4). *)

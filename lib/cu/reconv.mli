@@ -5,7 +5,6 @@
 
 type t
 
-val build_function : Mil.Ast.func -> exit_line:int -> t
 val analyze : Mil.Ast.program -> (string, t) Hashtbl.t
 (** One CFG per function; the synthetic exit line is one past the program's
     last line. *)

@@ -1,6 +1,6 @@
 (* Tarjan's strongly-connected-components algorithm over adjacency arrays.
-   Used to contract cyclically-dependent CU groups into single vertices when
-   simplifying the CU graph for task discovery (Fig 4.5). *)
+   Used to contract cyclically-dependent CUs into single vertices when
+   scoring a region's CU graph (§4.3): CUs on a cycle run sequentially. *)
 
 type result = {
   component : int array;   (* node -> component id *)
@@ -65,22 +65,3 @@ let condense (adj : int list array) (r : result) : int list array =
         ws)
     adj;
   Array.map (List.sort_uniq compare) cadj
-
-(* Chain contraction (Fig 4.5): merge maximal paths of nodes with exactly one
-   predecessor and one successor into single vertices. Returns the group id
-   of each node. *)
-let contract_chains (adj : int list array) : int array =
-  let n = Array.length adj in
-  let preds = Array.make n [] in
-  Array.iteri (fun v ws -> List.iter (fun w -> preds.(w) <- v :: preds.(w)) ws) adj;
-  let group = Array.init n (fun i -> i) in
-  let rec find g v = if g.(v) = v then v else find g g.(v) in
-  for v = 0 to n - 1 do
-    match adj.(v) with
-    | [ w ] when v <> w && List.length preds.(w) = 1 ->
-        (* v -> w is a chain link: merge. *)
-        let gv = find group v and gw = find group w in
-        if gv <> gw then group.(gw) <- gv
-    | _ -> ()
-  done;
-  Array.init n (fun v -> find group v)

@@ -1,5 +1,6 @@
-(** Tarjan's strongly-connected components and the graph contractions used to
-    simplify CU graphs for task discovery (Fig. 4.5). *)
+(** Tarjan's strongly-connected components and their condensation, used to
+    score a region's CU graph (§4.3): CUs on a dependence cycle run
+    sequentially. *)
 
 type result = {
   component : int array;          (** node -> component id *)
@@ -11,7 +12,3 @@ val run : int list array -> result
 
 val condense : int list array -> result -> int list array
 (** The DAG of components. *)
-
-val contract_chains : int list array -> int array
-(** Merge maximal single-predecessor/single-successor paths; returns each
-    node's group representative. *)

@@ -34,18 +34,6 @@ type result = {
   static : Static.t;
 }
 
-let region_lines (st : Static.t) rid =
-  let r = st.regions.(rid) in
-  let rec span lines id =
-    let r = st.regions.(id) in
-    let lines = ref lines in
-    for l = r.first_line to r.last_line do
-      if Hashtbl.find_opt st.line_region l = Some id then lines := l :: !lines
-    done;
-    List.fold_left span !lines r.children
-  in
-  span [] r.id
-
 (* Every line of the statement's subtree, in pre-order. *)
 let stmt_lines (s : Ast.stmt) =
   List.rev (Ast.fold_block (fun acc (t : Ast.stmt) -> t.line :: acc) [] [ s ])

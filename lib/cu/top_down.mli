@@ -39,8 +39,6 @@ val construction_globals : Mil.Static.t -> int -> SS.t
     §3.2.5 special rules applied. *)
 
 val items_of_region : Mil.Static.t -> int -> SS.t -> item list
-val partition_items : item list -> item list list
-(** Cut before every item containing a violating read. *)
 
 val stmt_lines : Mil.Ast.stmt -> int list
 (** Every line of the statement's subtree, in pre-order. *)
@@ -48,5 +46,3 @@ val stmt_lines : Mil.Ast.stmt -> int list
 val stmt_has_call : Mil.Ast.stmt -> bool
 (** A call anywhere in the statement's subtree, assignment-target indices
     included. *)
-
-val region_lines : Mil.Static.t -> int -> int list

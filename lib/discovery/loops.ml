@@ -70,14 +70,9 @@ let pet_stats (pet : Profiler.Pet.t) line =
     pet;
   (!iters, !instr)
 
-let analyze_loop ?global_reductions (st : Static.t)
+let analyze_loop ~global_reductions (st : Static.t)
     (cures : Cunit.Top_down.result) (deps : Dep.Set_.t) (pet : Profiler.Pet.t)
     (r : Static.region) : analysis =
-  let global_reductions =
-    match global_reductions with
-    | Some g -> g
-    | None -> Static.reduction_only_vars st.Static.program
-  in
   let loop_line = r.first_line in
   let index_var =
     match r.kind with

@@ -29,19 +29,6 @@ type analysis = {
   instructions : int;           (** dynamic memory instructions in the loop *)
 }
 
-val loop_level_reductions :
-  Static.t -> int -> (string * Mil.Ast.binop * int) list
-(** Reduction statements anywhere in the loop's subtree:
-    (variable, operator, statement line). *)
-
-val pet_stats : Profiler.Pet.t -> int -> int * int
-(** [(iterations, instructions)] of the loop with the given header line. *)
-
-val analyze_loop :
-  ?global_reductions:(string, Mil.Ast.binop * int list) Hashtbl.t ->
-  Static.t -> Cunit.Top_down.result -> Dep.Set_.t -> Profiler.Pet.t ->
-  Static.region -> analysis
-
 val analyze_all :
   Static.t -> Cunit.Top_down.result -> Dep.Set_.t -> Profiler.Pet.t ->
   analysis list

@@ -79,16 +79,21 @@ let coverage_of_region (st : Static.t) (pet : Profiler.Pet.t) (rid : int) : floa
       (float_of_int !acc /. float_of_int total)
   end
 
-(* Work/span bound over the RAW CU graph of a region. SCCs execute
-   sequentially, so an SCC's span is its total weight. *)
-let local_speedup_of_cus (g : Cunit.Graph.t) : float =
+(* The RAW CU graph of a region condensed into its SCCs, which execute
+   sequentially; both CU-graph scores read it. *)
+let condense (g : Cunit.Graph.t) : Cunit.Scc.result * int list array =
+  let adj = Cunit.Graph.raw_succ g in
+  let scc = Cunit.Scc.run adj in
+  (scc, Cunit.Scc.condense adj scc)
+
+(* Work/span bound over the condensed graph: an SCC's span is its total
+   weight. *)
+let local_speedup_of_cus (g : Cunit.Graph.t) (scc : Cunit.Scc.result) cadj :
+    float =
   let n = Cunit.Graph.size g in
   if n = 0 then 1.0
   else begin
     let weight i = float_of_int (max 1 (Cunit.Graph.cu g i).Cunit.Cu.weight) in
-    let adj = Cunit.Graph.raw_succ g in
-    let scc = Cunit.Scc.run adj in
-    let cadj = Cunit.Scc.condense adj scc in
     let cweight =
       Array.map
         (fun members -> List.fold_left (fun acc v -> acc +. weight v) 0.0 members)
@@ -110,13 +115,11 @@ let local_speedup_of_cus (g : Cunit.Graph.t) : float =
 
 (* Imbalance of the concurrently-runnable CUs: coefficient of variation of
    antichain member weights, normalised to [0, 1]. *)
-let imbalance_of_cus (g : Cunit.Graph.t) : float =
+let imbalance_of_cus (g : Cunit.Graph.t) (scc : Cunit.Scc.result) cadj :
+    float =
   let n = Cunit.Graph.size g in
   if n < 2 then 0.0
   else begin
-    let adj = Cunit.Graph.raw_succ g in
-    let scc = Cunit.Scc.run adj in
-    let cadj = Cunit.Scc.condense adj scc in
     let weight c =
       List.fold_left
         (fun acc v -> acc + max 1 (Cunit.Graph.cu g v).Cunit.Cu.weight)
@@ -171,10 +174,11 @@ let score_region (st : Static.t) (cures : Cunit.Top_down.result)
   Obs.Span.with_ ~phase:"discovery.ranking" @@ fun () ->
   Obs.Counter.incr c_scored;
   let cus = Cunit.Top_down.cus_of_region cures rid in
-  let g = Cunit.Graph.build ~cus ~deps () in
+  let g = Cunit.Graph.build ~cus ~deps in
   let coverage = coverage_of_region st pet rid in
-  let local_speedup = local_speedup_of_cus g in
-  let imbalance = imbalance_of_cus g in
+  let scc, cadj = condense g in
+  let local_speedup = local_speedup_of_cus g scc cadj in
+  let imbalance = imbalance_of_cus g scc cadj in
   (* Combined rank: expected whole-program gain by Amdahl, discounted by
      imbalance; [combine] clamps every input so the result is finite. *)
   combine ~coverage ~local_speedup ~imbalance

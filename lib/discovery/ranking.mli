@@ -22,9 +22,6 @@ val combine :
     range (NaN and infinities included) so every field — [combined] in
     particular — is finite. *)
 
-val coverage_of_region : Static.t -> Profiler.Pet.t -> int -> float
-val local_speedup_of_cus : Cunit.Graph.t -> float
-val imbalance_of_cus : Cunit.Graph.t -> float
 
 val score_region :
   Static.t -> Cunit.Top_down.result -> Dep.Set_.t -> Profiler.Pet.t -> int ->

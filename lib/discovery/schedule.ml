@@ -91,15 +91,15 @@ let independent costs =
   List.mapi (fun k c -> { t_id = k; t_cost = c; t_deps = [] }) costs
 
 (* Model a DOALL loop suggestion: iterations are distributed over
-   [chunks_per_proc * processors] chunks (static OpenMP-style scheduling),
-   each chunk paying a small spawn/reduction overhead; everything outside
-   the loop is serial work. The overhead is what keeps modeled speedups in
-   the paper's 2.5-3.9x band instead of the ideal p. *)
-let doall_speedup ?(chunks_per_proc = 4) ?(overhead_frac = 0.04) ~processors
-    ~iterations ~loop_instructions ~total_instructions () =
-  let chunks = max 1 (min iterations (chunks_per_proc * processors)) in
+   4 chunks per processor (static OpenMP-style scheduling), each chunk
+   paying a spawn/reduction overhead of 4% of its work plus 16; everything
+   outside the loop is serial work. The overhead is what keeps modeled
+   speedups in the paper's 2.5-3.9x band instead of the ideal p. *)
+let doall_speedup ~processors ~iterations ~loop_instructions
+    ~total_instructions =
+  let chunks = max 1 (min iterations (4 * processors)) in
   let per_chunk = max 1 (loop_instructions / chunks) in
-  let overhead = int_of_float (float_of_int per_chunk *. overhead_frac) + 16 in
+  let overhead = int_of_float (float_of_int per_chunk *. 0.04) + 16 in
   let tasks = independent (List.init chunks (fun _ -> per_chunk + overhead)) in
   let serial = max 0 (total_instructions - loop_instructions) in
   let t1 = total_instructions in

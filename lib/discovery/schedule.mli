@@ -19,13 +19,11 @@ val independent : int list -> task list
 (** Tasks with the given costs and no dependences. *)
 
 val doall_speedup :
-  ?chunks_per_proc:int ->
-  ?overhead_frac:float ->
   processors:int ->
   iterations:int ->
   loop_instructions:int ->
   total_instructions:int ->
-  unit ->
   float
-(** A DOALL suggestion modeled as OpenMP-style static chunks, each paying a
-    small spawn/reduction overhead; work outside the loop is serial. *)
+(** A DOALL suggestion modeled as OpenMP-style static chunks, 4 per
+    processor, each paying a spawn/reduction overhead of 4% of its work plus
+    16; work outside the loop is serial. *)

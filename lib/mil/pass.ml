@@ -114,7 +114,6 @@ type ctx = {
   mutable changes : int;
   mutable fresh : int; (* unroll name counter, unique per driver run *)
   pass : string;
-  debug : bool;
 }
 
 let click ctx what n =
@@ -123,9 +122,7 @@ let click ctx what n =
 let note ctx what n =
   if n > 0 then begin
     ctx.changes <- ctx.changes + n;
-    click ctx what n;
-    if ctx.debug then
-      Printf.eprintf "[pass.%s] %s +%d\n%!" ctx.pass what n
+    click ctx what n
   end
 
 type t = {
@@ -703,8 +700,7 @@ type report = {
 let sequential_program (p : program) =
   not (List.exists (fun f -> Rewrite.has_sync f.body) p.funcs)
 
-let run ?(passes = default_pipeline) ?(max_rounds = 8) ?(debug = false) prog :
-    (report, string) result =
+let run ?(passes = default_pipeline) prog : (report, string) result =
   match
     List.filter (fun n -> not (List.exists (fun p -> p.name = n) all)) passes
   with
@@ -719,7 +715,8 @@ let run ?(passes = default_pipeline) ?(max_rounds = 8) ?(debug = false) prog :
       let rounds = ref 0 and total = ref 0 in
       let fresh = ref 0 in
       let continue_ = ref true in
-      while !continue_ && !rounds < max_rounds do
+      (* A fixpoint not reached in 8 rounds is cut off there. *)
+      while !continue_ && !rounds < 8 do
         incr rounds;
         let round_changes = ref 0 in
         List.iter
@@ -742,8 +739,7 @@ let run ?(passes = default_pipeline) ?(max_rounds = 8) ?(debug = false) prog :
                   static = lazy (Static.analyze !prog);
                   changes = 0;
                   fresh = !fresh;
-                  pass = pass.name;
-                  debug }
+                  pass = pass.name }
               in
               let p' = pass.rewrite ctx !prog in
               fresh := ctx.fresh;
@@ -754,10 +750,7 @@ let run ?(passes = default_pipeline) ?(max_rounds = 8) ?(debug = false) prog :
                 round_changes := !round_changes + ctx.changes;
                 Hashtbl.replace totals pass.name
                   ((try Hashtbl.find totals pass.name with Not_found -> 0)
-                  + ctx.changes);
-                if debug then
-                  Printf.eprintf "[pass.%s] round %d: %d change(s)\n%!"
-                    pass.name !rounds ctx.changes
+                  + ctx.changes)
               end
             end)
           selected;

@@ -41,13 +41,7 @@ type report = {
   per_pass : (string * int) list;  (** changes attributed to each pass *)
 }
 
-val run :
-  ?passes:string list ->
-  ?max_rounds:int ->
-  ?debug:bool ->
-  Ast.program ->
-  (report, string) result
+val run : ?passes:string list -> Ast.program -> (report, string) result
 (** Run the selected passes (default {!default_pipeline}) in list order,
-    repeating the whole sequence until a round makes no change or
-    [max_rounds] (default 8) is hit. [debug] traces per-pass rewrite counts
-    to stderr. [Error] names the first unknown pass. *)
+    repeating the whole sequence until a round makes no change or 8 rounds
+    have run. [Error] names the first unknown pass. *)

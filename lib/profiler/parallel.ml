@@ -167,8 +167,7 @@ let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
 let queue_capacity = 64
 
 let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
-    ?(skip = false) ?(queue = Lockfree) ?(chunk_capacity = Chunk.default_capacity)
-    ?cancelled (prog : Mil.Ast.program) : result =
+    ?(skip = false) ?(queue = Lockfree) ?cancelled (prog : Mil.Ast.program) : result =
   Obs.Span.with_ ~phase:"profile" @@ fun () ->
   Obs.Trace.set_track "producer (main)";
   let w = max 1 workers in
@@ -234,7 +233,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         incr chunk_reuses;
         Chunk.set_seq c !next_seq;
         c
-    | None -> Chunk.create ~capacity:chunk_capacity ~seq:!next_seq ()
+    | None -> Chunk.create ~seq:!next_seq ()
   in
   let open_chunks = Array.init w fresh_chunk in
   (* Counter-track names for per-queue depth samples, allocated up front so

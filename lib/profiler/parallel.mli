@@ -18,7 +18,6 @@ val profile :
   ?perfect:bool ->
   ?skip:bool ->
   ?queue:queue_kind ->
-  ?chunk_capacity:int ->
   ?cancelled:(unit -> bool) ->
   Mil.Ast.program ->
   result

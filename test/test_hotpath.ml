@@ -603,17 +603,30 @@ let test_chunk_fill_reset () =
 
 (* Parallel profiling with chunk recycling must agree with serial profiling
    (same merged records) — the pool must never tear or resurrect entries.
-   A tiny chunk capacity maximizes recycling churn. *)
+   300k accesses over 3 workers fill each worker's 64-chunk queue with
+   512-entry chunks past capacity, and a worker returns a drained chunk
+   before it takes the next, so the producer must reuse chunks. *)
 let test_pooled_parallel_equivalence () =
-  let prog = Helpers.fig27 in
+  let prog =
+    Workloads.Registry.program ~size:20_000 (Helpers.workload "histogram")
+  in
   let serial =
     (Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect prog)
       .Profiler.Serial.deps
   in
-  let par =
-    (Profiler.Parallel.profile ~workers:3 ~perfect:true ~chunk_capacity:8 prog)
-      .deps
+  Obs.disable ();
+  Obs.reset ();
+  Obs.enable ();
+  let par, reuses =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let r = Profiler.Parallel.profile ~workers:3 ~perfect:true prog in
+        (r.deps, Obs.counter_value "profiler.chunk.reuses"))
   in
+  Alcotest.(check bool) "chunks were recycled" true (reuses > 0);
   Helpers.check_same_deps "pooled parallel differs from serial" serial par
 
 let tests =

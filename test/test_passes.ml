@@ -33,7 +33,8 @@ let cascade_prog =
 
 let test_fixpoint_cascade () =
   let r = run_exn cascade_prog in
-  Alcotest.(check bool) "terminated before max_rounds" true (r.Pass.rounds < 8);
+  Alcotest.(check bool) "terminated before the 8-round cap" true
+    (r.Pass.rounds < 8);
   Alcotest.(check bool) "did rewrite" true (r.Pass.changes > 0);
   (* A fixpoint is a fixpoint: re-running the pipeline changes nothing. *)
   let r2 = run_exn r.Pass.program in

@@ -46,7 +46,7 @@ let test_speedup_monotone_in_processors () =
 let test_doall_model () =
   let sp =
     Sch.doall_speedup ~processors:4 ~iterations:1000 ~loop_instructions:100_000
-      ~total_instructions:100_000 ()
+      ~total_instructions:100_000
   in
   Alcotest.(check bool)
     (Printf.sprintf "fully parallel loop near 4x (got %.2f)" sp)
@@ -54,14 +54,14 @@ let test_doall_model () =
     (sp > 3.2 && sp <= 4.0);
   let amdahl =
     Sch.doall_speedup ~processors:4 ~iterations:1000 ~loop_instructions:50_000
-      ~total_instructions:100_000 ()
+      ~total_instructions:100_000
   in
   Alcotest.(check bool)
     (Printf.sprintf "half-serial program below 2x (got %.2f)" amdahl)
     true (amdahl < 2.0);
   let tiny =
     Sch.doall_speedup ~processors:4 ~iterations:2 ~loop_instructions:100
-      ~total_instructions:100 ()
+      ~total_instructions:100
   in
   Alcotest.(check bool) "two iterations cap at 2x" true (tiny <= 2.0)
 
