@@ -29,8 +29,7 @@ let run () =
   let prog = Workloads.Registry.program ~size:24 cg in
   let st = Mil.Static.analyze prog in
   let cures = Cunit.Top_down.build st in
-  let _, events = Mil.Interp.trace prog in
-  let fine = Cunit.Bottom_up.build_dynamic events in
+  let fine = Cunit.Bottom_up.build_dynamic prog in
   Printf.printf
     "  top-down: %d CUs across all regions\n\
     \  bottom-up: %d memory operations -> %d fine-grained CUs, %d RAW edges\n"

@@ -6,9 +6,10 @@
    equality against the sequential original.
 
    Alongside the per-workload tables, the experiment correlates the
-   critical-path *proxy* speedup (Validate.measure — what the ranking uses
-   to order suggestions) with the speedup actually measured at the maximum
-   domain count: Spearman's rank correlation, published as the
+   critical-path *proxy* speedup (Validate.measure, one of the three
+   speedup estimators; the ranking orders suggestions by a per-kind bound
+   instead) with the speedup actually measured at the maximum domain
+   count: Spearman's rank correlation, published as the
    measure.proxy_rank_corr gauge. A proxy that ranks workloads in a
    different order than the hardware does is a mis-ranking bug the modeled
    numbers alone cannot expose.

@@ -89,7 +89,8 @@ let pet_cmd =
   let doc = "Print the program execution tree (§2.3.6)." in
   let run obs wl =
     with_obs obs @@ fun () ->
-    print_string (Profiler.Pet.to_string (Profiler.Serial.profile wl.prog).pet)
+    let r = Profiler.Serial.profile wl.prog in
+    print_string (Profiler.Pet.to_string r.pet r.deps)
   in
   Cmd.v (Cmd.info "pet" ~doc) @@ on_workload Term.(const run $ trace_only)
 

@@ -37,4 +37,4 @@ let () =
   print_string (Profiler.Serial.report result);
 
   print_endline "\n--- program execution tree (§2.3.6) ---";
-  print_string (Profiler.Pet.to_string result.pet)
+  print_string (Profiler.Pet.to_string result.pet result.deps)

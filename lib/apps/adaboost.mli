@@ -10,9 +10,6 @@ type stump = {
 
 type model
 
-val predict_stump : stump -> float array -> bool
-val predict : model -> float array -> bool
-
 val train : Features.sample list -> model
 (** 20 boosting rounds, fewer if no stump beats chance first. *)
 

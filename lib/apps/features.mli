@@ -21,9 +21,6 @@ type vector = {
 
 val names : string list
 val dim : int
-val to_array : vector -> float array
-
-val of_loop : Dep.Set_.t -> Profiler.Pet.t -> L.analysis -> vector
 
 (** A labelled corpus row. *)
 type sample = { x : float array; y : bool; tag : string }

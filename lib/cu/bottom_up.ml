@@ -1,8 +1,9 @@
 (* Bottom-up CU construction (§3.2.3), the dynamic alternative to
-   Algorithm 3 built on the fly over the instruction stream: every static
-   memory operation starts as its own CU; a write merges with the operations
-   it anti-depends on (WAR: the last readers of the address), and true
-   dependences (RAW) become edges. This is the construction whose output is
+   Algorithm 3 built on the fly over the instruction stream, each event
+   consumed as the interpreter emits it: every static memory operation
+   starts as its own CU; a write merges with the operations it anti-depends
+   on (WAR: the last readers of the address), and true dependences (RAW)
+   become edges. This is the construction whose output is
    "too fine to discover coarse-grained parallel tasks" (Fig 3.7) — the
    reason the framework adopted the top-down algorithm. *)
 
@@ -13,7 +14,7 @@ type dynamic = {
   n_ops : int;
 }
 
-let build_dynamic (events : Trace.Event.t list) : dynamic =
+let build_dynamic (prog : Mil.Ast.program) : dynamic =
   Obs.Span.with_ ~phase:"cu.bottom_up" @@ fun () ->
   let parent : (int, int) Hashtbl.t = Hashtbl.create 256 in
   let rec find o =
@@ -36,39 +37,37 @@ let build_dynamic (events : Trace.Event.t list) : dynamic =
   let readers : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
   let writer : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   let raw = ref [] in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Trace.Event.Access a ->
-          Hashtbl.replace op_lines a.Trace.Event.op a.Trace.Event.line;
-          ignore (find a.Trace.Event.op);
-          (match a.Trace.Event.kind with
-          | Trace.Event.Read ->
-              (match Hashtbl.find_opt writer a.Trace.Event.addr with
-              | Some w -> raw := (a.Trace.Event.op, w) :: !raw
-              | None -> ());
-              let prev =
-                try Hashtbl.find readers a.Trace.Event.addr with Not_found -> []
-              in
-              Hashtbl.replace readers a.Trace.Event.addr
-                (a.Trace.Event.op :: List.filteri (fun i _ -> i < 7) prev)
-          | Trace.Event.Write ->
-              (* merge with the operations this write anti-depends on *)
-              (match Hashtbl.find_opt readers a.Trace.Event.addr with
-              | Some rs -> List.iter (fun r -> union r a.Trace.Event.op) rs
-              | None -> ());
-              Hashtbl.replace writer a.Trace.Event.addr a.Trace.Event.op;
-              Hashtbl.replace readers a.Trace.Event.addr [])
-      | Trace.Event.Region (Trace.Event.Dealloc { addrs }) ->
-          List.iter
-            (fun (base, len, _) ->
-              for addr = base to base + len - 1 do
-                Hashtbl.remove readers addr;
-                Hashtbl.remove writer addr
-              done)
-            addrs
-      | Trace.Event.Region _ -> ())
-    events;
+  let on_access ~kind ~addr ~var:_ ~line ~thread:_ ~time:_ ~op ~lstack:_
+      ~locked:_ =
+    Hashtbl.replace op_lines op line;
+    ignore (find op);
+    match kind with
+    | Trace.Event.Read ->
+        (match Hashtbl.find_opt writer addr with
+        | Some w -> raw := (op, w) :: !raw
+        | None -> ());
+        let prev = try Hashtbl.find readers addr with Not_found -> [] in
+        Hashtbl.replace readers addr (op :: List.filteri (fun i _ -> i < 7) prev)
+    | Trace.Event.Write ->
+        (* merge with the operations this write anti-depends on *)
+        (match Hashtbl.find_opt readers addr with
+        | Some rs -> List.iter (fun r -> union r op) rs
+        | None -> ());
+        Hashtbl.replace writer addr op;
+        Hashtbl.replace readers addr []
+  in
+  let emit = function
+    | Trace.Event.Dealloc { addrs } ->
+        List.iter
+          (fun (base, len, _) ->
+            for addr = base to base + len - 1 do
+              Hashtbl.remove readers addr;
+              Hashtbl.remove writer addr
+            done)
+          addrs
+    | _ -> ()
+  in
+  ignore (Mil.Interp.run ~on_access ~emit prog);
   let group_of_op = Hashtbl.create 256 in
   Hashtbl.iter (fun o _ -> Hashtbl.replace group_of_op o (find o)) parent;
   let d_raw_edges =

@@ -11,5 +11,8 @@ type dynamic = {
   n_ops : int;
 }
 
-val build_dynamic : Trace.Event.t list -> dynamic
+val build_dynamic : Mil.Ast.program -> dynamic
+(** Run the program once under the instrumenting interpreter, consuming
+    its accesses and [Dealloc] events as they are emitted. *)
+
 val dynamic_group_count : dynamic -> int

@@ -3,9 +3,10 @@
    - instruction coverage: dynamic memory instructions spent in the target
      region divided by the whole program's — parallelising a region the
      program barely executes cannot pay off.
-   - local speedup: the bound obtained from the region's CU graph — total CU
-     weight over critical-path weight (work over span), capped by the thread
-     count when one is given.
+   - local speedup: the caller's bound for the suggestion's kind
+     ([Suggestion.analyze_profiled]: iterations, overlappable body CUs,
+     threads, task-graph width or pipeline stages, capped by the thread
+     count); the ranking only clamps it.
    - CU imbalance: how unevenly the concurrently-runnable CUs are sized; a
      perfectly balanced antichain scores 0, a lopsided one approaches 1
      (Fig 4.6). Imbalanced opportunities waste the threads assigned to the
@@ -79,42 +80,9 @@ let coverage_of_region (st : Static.t) (pet : Profiler.Pet.t) (rid : int) : floa
       (float_of_int !acc /. float_of_int total)
   end
 
-(* The RAW CU graph of a region condensed into its SCCs, which execute
-   sequentially; both CU-graph scores read it. *)
-let condense (g : Cunit.Graph.t) : Cunit.Scc.result * int list array =
-  let adj = Cunit.Graph.raw_succ g in
-  let scc = Cunit.Scc.run adj in
-  (scc, Cunit.Scc.condense adj scc)
-
-(* Work/span bound over the condensed graph: an SCC's span is its total
-   weight. *)
-let local_speedup_of_cus (g : Cunit.Graph.t) (scc : Cunit.Scc.result) cadj :
-    float =
-  let n = Cunit.Graph.size g in
-  if n = 0 then 1.0
-  else begin
-    let weight i = float_of_int (max 1 (Cunit.Graph.cu g i).Cunit.Cu.weight) in
-    let cweight =
-      Array.map
-        (fun members -> List.fold_left (fun acc v -> acc +. weight v) 0.0 members)
-        scc.Cunit.Scc.components
-    in
-    let total = Array.fold_left ( +. ) 0.0 cweight in
-    let memo = Array.make scc.Cunit.Scc.count 0.0 in
-    let rec span c =
-      if memo.(c) > 0.0 then memo.(c)
-      else begin
-        let below = List.fold_left (fun m w -> max m (span w)) 0.0 cadj.(c) in
-        memo.(c) <- cweight.(c) +. below;
-        memo.(c)
-      end
-    in
-    let critical = Array.fold_left max 1.0 (Array.init scc.Cunit.Scc.count span) in
-    clamp ~lo:1.0 ~hi:1e9 ~nan:1.0 (total /. critical)
-  end
-
 (* Imbalance of the concurrently-runnable CUs: coefficient of variation of
-   antichain member weights, normalised to [0, 1]. *)
+   antichain member weights, normalised to [0, 1]. [scc] and [cadj] are the
+   RAW CU graph condensed into its SCCs, which execute sequentially. *)
 let imbalance_of_cus (g : Cunit.Graph.t) (scc : Cunit.Scc.result) cadj :
     float =
   let n = Cunit.Graph.size g in
@@ -169,16 +137,16 @@ let imbalance_of_cus (g : Cunit.Graph.t) (scc : Cunit.Scc.result) cadj :
 
 let c_scored = Obs.counter "discovery.ranking.regions_scored"
 
-let score_region (st : Static.t) (cures : Cunit.Top_down.result)
+let score_region ~local_speedup (st : Static.t) (cures : Cunit.Top_down.result)
     (deps : Dep.Set_.t) (pet : Profiler.Pet.t) (rid : int) : score =
   Obs.Span.with_ ~phase:"discovery.ranking" @@ fun () ->
   Obs.Counter.incr c_scored;
   let cus = Cunit.Top_down.cus_of_region cures rid in
   let g = Cunit.Graph.build ~cus ~deps in
   let coverage = coverage_of_region st pet rid in
-  let scc, cadj = condense g in
-  let local_speedup = local_speedup_of_cus g scc cadj in
-  let imbalance = imbalance_of_cus g scc cadj in
+  let adj = Cunit.Graph.raw_succ g in
+  let scc = Cunit.Scc.run adj in
+  let imbalance = imbalance_of_cus g scc (Cunit.Scc.condense adj scc) in
   (* Combined rank: expected whole-program gain by Amdahl, discounted by
      imbalance; [combine] clamps every input so the result is finite. *)
   combine ~coverage ~local_speedup ~imbalance

@@ -53,18 +53,13 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
   Obs.Span.with_ ~phase:"discovery" @@ fun () ->
   let loops = Loops.analyze_all static cures deps pet in
   let t = float_of_int (max 1 threads) in
-  (* Kind-aware local speedup: DOALL iterations scale with the thread count;
-     DOACROSS is bounded by the number of overlappable body CUs; task shapes
-     are bounded by the CU-graph work/span (computed by Ranking). *)
-  let score ?local rid =
-    let s = Ranking.score_region static cures deps pet rid in
-    let local_speedup =
-      match local with
-      | Some l -> min l t
-      | None -> min s.Ranking.local_speedup t
-    in
-    Ranking.combine ~coverage:s.Ranking.coverage ~local_speedup
-      ~imbalance:s.Ranking.imbalance
+  (* The ranking's estimator is a per-kind local speedup bound, capped by
+     the thread count: DOALL iterations; DOACROSS the number of overlappable
+     body CUs; SPMD the thread count itself; an MPMD task graph its width
+     and a pipeline its stage count. [Ranking.combine] clamps it to >= 1. *)
+  let score ~bound rid =
+    Ranking.score_region ~local_speedup:(min (float_of_int bound) t) static
+      cures deps pet rid
   in
   let loop_suggestions =
     List.filter_map
@@ -72,12 +67,14 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
         let rid = a.Loops.region.Static.id in
         match a.Loops.cls with
         | Loops.Doall | Loops.Doall_reduction ->
-            let local = min t (float_of_int (max 1 a.Loops.iterations)) in
-            Some { kind = Sdoall a; region = rid; score = score ~local rid }
+            Some
+              { kind = Sdoall a; region = rid;
+                score = score ~bound:a.Loops.iterations rid }
         | Loops.Doacross ->
             let stages = max 2 (List.length a.Loops.body_cus) in
-            let local = min t (float_of_int stages) in
-            Some { kind = Sdoacross a; region = rid; score = score ~local rid }
+            Some
+              { kind = Sdoacross a; region = rid;
+                score = score ~bound:stages rid }
         | Loops.Sequential -> None)
       loops
   in
@@ -85,7 +82,7 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
     Tasks.recursive_forkjoin static cures deps @ Tasks.loop_tasks loops
     |> List.map (fun (s : Tasks.spmd) ->
            { kind = Sspmd s; region = s.Tasks.s_region;
-             score = score ~local:t s.Tasks.s_region })
+             score = score ~bound:threads s.Tasks.s_region })
   in
   let mpmd =
     (* Look for MPMD structure in every function and executed loop body. *)
@@ -97,9 +94,7 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
                | Some m when m.Tasks.m_width >= 2 ->
                    Some
                      { kind = Smpmd m; region = r.Static.id;
-                       score =
-                         score ~local:(float_of_int m.Tasks.m_width)
-                           r.Static.id }
+                       score = score ~bound:m.Tasks.m_width r.Static.id }
                | Some ({ Tasks.m_shape = Tasks.Pipeline; _ } as m)
                  when List.length m.Tasks.m_stages >= 3
                       && (match r.Static.kind with
@@ -111,8 +106,7 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
                    Some
                      { kind = Smpmd m; region = r.Static.id;
                        score =
-                         score
-                           ~local:(float_of_int (List.length m.Tasks.m_stages))
+                         score ~bound:(List.length m.Tasks.m_stages)
                            r.Static.id }
                | Some _ | None -> None)
            | Static.Rbranch _ -> None)

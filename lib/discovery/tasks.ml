@@ -6,10 +6,9 @@
    CU graph (fib/nqueens-style fork-join).
 
    MPMD-style tasks: different computations that may run concurrently —
-   found by simplifying the CU graph (contract SCCs, then chains of CUs, per
-   Fig 4.5) and looking for antichains in the resulting DAG; a linear DAG
-   whose stages are only self-dependent across a surrounding loop is a
-   pipeline. *)
+   found by levelling a region's items by their data flow into stages (Fig
+   4.5): a stage with two or more substantial tasks is an antichain, making
+   a task graph; a chain of single-task stages is a pipeline. *)
 
 module Dep = Profiler.Dep
 module Static = Mil.Static

@@ -1,6 +1,6 @@
 (** Task parallelism discovery (§4.2): SPMD-style tasks (taskloops and
-    recursive fork-join) and MPMD-style task graphs found by simplifying the
-    CU graph (SCC and chain contraction, Fig. 4.5). *)
+    recursive fork-join) and MPMD-style task graphs and pipelines, found by
+    grouping a region's items into stages by their data flow (Fig. 4.5). *)
 
 module Dep = Profiler.Dep
 module Static = Mil.Static

@@ -80,12 +80,6 @@ type program = {
     traversals below are pre-order: a node is visited before its children,
     children left to right. *)
 
-val fold_sub_exprs : ('a -> expr -> 'a) -> 'a -> expr -> 'a
-(** Folds over the immediate sub-expressions, left to right. *)
-
-val map_sub_exprs : (expr -> expr) -> expr -> expr
-(** The expression rebuilt from its immediate sub-expressions mapped by [f]. *)
-
 val fold_expr : ('a -> expr -> 'a) -> 'a -> expr -> 'a
 (** Folds over the expression and every sub-expression, pre-order. *)
 

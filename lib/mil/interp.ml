@@ -665,18 +665,3 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
   Obs.Counter.add c_spawns st.stats.spawns;
   { result = !result; r_stats = st.stats; dynamic_ops = st.n_ops;
     final_globals = C.final_globals compiled st }
-
-(* Run and collect all events into a list; convenient for tests and for the
-   offline (phase-2) analyses. *)
-let trace ?seed ?scramble_unlocked prog =
-  let acc = ref [] in
-  let res =
-    run ?seed ?scramble_unlocked
-      ~emit:(fun r -> acc := Event.Region r :: !acc)
-      ~on_access:(fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked ->
-        acc :=
-          Event.Access { kind; addr; var; line; thread; time; op; lstack; locked }
-          :: !acc)
-      prog
-  in
-  (res, List.rev !acc)

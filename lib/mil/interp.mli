@@ -81,12 +81,6 @@ val run :
     are), and a local redeclared in the same block leaks the earlier
     address. *)
 
-val trace :
-  ?seed:int -> ?scramble_unlocked:bool -> Ast.program ->
-  run_result * Trace.Event.t list
-(** Run and collect all events in order, accesses as [Event.Access]
-    records; convenient for tests and offline analyses. *)
-
 (** The buffer [scramble_unlocked] delays unlocked accesses in. *)
 module Scramble : sig
   val max_pending : int

@@ -25,10 +25,6 @@ val names : unit -> string list
 val doc : string -> string option
 (** One-line description of a pass, if registered. *)
 
-val default_pipeline : string list
-(** The standard cleanup pipeline:
-    fold → prop → simplify → dce → unroll → hoist. *)
-
 val sequential_program : Ast.program -> bool
 (** No [Par]/[Lock]/[Unlock]/[Barrier] anywhere — the precondition for
     restructuring passes (statement counts drive the fiber scheduler's
@@ -42,6 +38,7 @@ type report = {
 }
 
 val run : ?passes:string list -> Ast.program -> (report, string) result
-(** Run the selected passes (default {!default_pipeline}) in list order,
+(** Run the selected passes (default the cleanup pipeline fold → prop →
+    simplify → dce → unroll → hoist) in list order,
     repeating the whole sequence until a round makes no change or 8 rounds
     have run. [Error] names the first unknown pass. *)

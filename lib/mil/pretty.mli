@@ -2,5 +2,4 @@
     correlate profiler output (fileID:lineID) with code. *)
 
 val expr_to_string : Ast.expr -> string
-val lhs_to_string : Ast.lhs -> string
 val render_program : Ast.program -> string

@@ -19,8 +19,6 @@ val copy_program : Ast.program -> Ast.program
     reads/writes, lengths, declarations, loop indices. Callee bodies are
     separate scopes and are not entered. *)
 
-val rename_expr : from:string -> to_:string -> Ast.expr -> Ast.expr
-
 val rename_stmt : from:string -> to_:string -> Ast.stmt -> Ast.stmt
 (** The statement's own occurrences: its binder, index or target and the
     expressions it evaluates. Nested blocks are left as they are. *)

@@ -49,7 +49,6 @@ type t = {
   regions : region array;
   func_region : (string, int) Hashtbl.t;
   summaries : (string, summary) Hashtbl.t;
-  line_region : (int, int) Hashtbl.t;    (* statement line -> region id *)
   program_globals : SS.t;
 }
 
@@ -278,7 +277,6 @@ let analyze (p : program) : t =
   let regions : region list ref = ref [] in
   let n_regions = ref 0 in
   let func_region = Hashtbl.create 16 in
-  let line_region = Hashtbl.create 256 in
   let new_region ~kind ~parent ~depth ~first_line ~stmts =
     let r =
       { id = !n_regions; kind; parent; depth; children = []; first_line;
@@ -349,7 +347,6 @@ let analyze (p : program) : t =
     let scoped =
       List.fold_left
         (fun scoped s ->
-          Hashtbl.replace line_region s.line r.id;
           r.last_line <- max r.last_line s.line;
           (match reduction_of_stmt s with
           | Some (x, op) when not (List.mem_assoc x r.reductions) ->
@@ -404,7 +401,6 @@ let analyze (p : program) : t =
           ~first_line:f.fline ~stmts:f.body
       in
       Hashtbl.replace func_region f.fname rf.id;
-      Hashtbl.replace line_region f.fline rf.id;
       (* Array params are by-reference: global to the function body. *)
       List.iter (fun x -> push_decl x rf) f.params;
       walk_block f.body rf f.params)
@@ -417,26 +413,12 @@ let analyze (p : program) : t =
   List.iter (fun r -> arr.(r.id) <- r) !regions;
   all_regions := arr;
   List.iter (fun (write, x, rid, d) -> record_access ~write x rid d) (List.rev !accesses);
-  { program = p; funcs; regions = arr; func_region; summaries; line_region;
-    program_globals }
+  { program = p; funcs; regions = arr; func_region; summaries; program_globals }
 
 (* Variables global to a region, per the paper's definition. *)
 let global_vars t rid =
   let r = t.regions.(rid) in
   SS.union r.globals_read r.globals_written
-
-let region_of_line t line = Hashtbl.find_opt t.line_region line
-
-(* Enclosing loop regions of a region, innermost first. *)
-let enclosing_loops t rid =
-  let rec up id acc =
-    if id < 0 then List.rev acc
-    else
-      let r = t.regions.(id) in
-      let acc = match r.kind with Rloop _ -> r :: acc | _ -> acc in
-      up r.parent acc
-  in
-  List.rev (up rid [])
 
 let loop_regions t =
   Array.to_list t.regions

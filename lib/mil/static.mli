@@ -48,7 +48,6 @@ type t = {
   regions : region array;
   func_region : (string, int) Hashtbl.t;
   summaries : (string, summary) Hashtbl.t;
-  line_region : (int, int) Hashtbl.t;    (** statement line -> region id *)
   program_globals : SS.t;
 }
 
@@ -77,10 +76,6 @@ val func_region : t -> string -> int
 val summary : t -> string -> summary option
 val global_vars : t -> int -> SS.t
 (** Variables global to a region (read or written), per §3.2.1. *)
-
-val region_of_line : t -> int -> int option
-val enclosing_loops : t -> int -> region list
-(** Enclosing loop regions, innermost first. *)
 
 val loop_regions : t -> region list
 val func_of_region : t -> int -> string

@@ -597,7 +597,6 @@ module Flight = struct
     Fun.protect ~finally:(fun () -> Mutex.unlock t.fl_lock) f
 
   let capacity t = Array.length t.fl_ring
-  let slow_threshold_ns t = t.fl_slow_ns
 
   let record t r =
     locked t @@ fun () ->
@@ -917,8 +916,6 @@ module Histogram = struct
   let mean_ns h =
     let n = Atomic.get h.h_count in
     if n = 0 then 0.0 else float_of_int (Atomic.get h.h_sum_ns) /. float_of_int n
-
-  let max_ns h = Atomic.get h.h_max_ns
 end
 
 let counter_value name =

@@ -115,8 +115,6 @@ module Req : sig
   val finish : unit -> entry list
   (** Uninstall the collector and return its spans in chronological order
       (by start time). Empty list if none was installed. *)
-
-  val entry_json : entry -> Json.t
 end
 
 (** Flight recorder: two fixed-size rings of completed request records. The
@@ -150,7 +148,6 @@ module Flight : sig
 
   val slow_total : t -> int
   val capacity : t -> int
-  val slow_threshold_ns : t -> int
 
   val recent : t -> record list
   (** The main ring's retained records, newest first. *)
@@ -248,12 +245,7 @@ module Histogram : sig
 
   val count : histogram -> int
 
-  val quantile_ns : histogram -> float -> float
-  (** The value at quantile [q] (clamped to [0,1]); 0 when empty. Exported
-      snapshots carry p50/p90/p99 precomputed. *)
-
   val mean_ns : histogram -> float
-  val max_ns : histogram -> int
 end
 
 val counter_value : string -> int

@@ -206,13 +206,6 @@ module Set_ = struct
     in
     (fpr, fnr)
 
-  (* Dependences whose sink is at [line]. *)
-  let at_sink t line =
-    Hashtbl.fold
-      (fun d _ acc -> if d.sink_line = line then d :: acc else acc)
-      t.tbl []
-    |> List.sort compare
-
   (* All dependences whose sink lies within [lo, hi]. *)
   let in_range t ~lo ~hi =
     Hashtbl.fold

@@ -111,9 +111,6 @@ module Set_ : sig
       the millions of instances of hot true dependences — how the paper's
       Table 2.6 reaches sub-percent rates. *)
 
-  val at_sink : t -> int -> dep list
-  (** Dependences whose sink is at the given line. *)
-
   val in_range : t -> lo:int -> hi:int -> dep list
   (** Dependences whose sink lies in [[lo, hi]]. *)
 end

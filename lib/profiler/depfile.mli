@@ -4,9 +4,6 @@
 
 exception Parse_error of string
 
-val record_line : Dep.t -> int -> string
-(** One record with its occurrence count. *)
-
 val render : Dep.Set_.t -> string
 val write : string -> Dep.Set_.t -> unit
 val parse : string -> Dep.Set_.t

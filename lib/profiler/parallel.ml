@@ -273,11 +273,8 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
           addrs
     | _ -> ()
   in
-  let interp =
-    try
-      Mil.Interp.run ~lstacks ?cancelled ~emit ~on_access prog
-    with e -> abort e
-  in
+  (try ignore (Mil.Interp.run ~lstacks ?cancelled ~emit ~on_access prog)
+   with e -> abort e);
   (* Flush partial chunks and stop the workers. *)
   Array.iteri
     (fun i c ->
@@ -306,7 +303,6 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   let deps = Dep.Set_.create () in
   Array.iter (fun r -> Dep.Set_.union deps r.w_deps) results;
   let pet = Pet.finish petb in
-  Pet.attach_deps pet deps;
   let skip_stats =
     Array.fold_left
       (fun acc r -> sum_skip acc r.w_skip)
@@ -325,8 +321,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         Array.fold_left (fun acc r -> acc + r.w_footprint) 0 results;
       merging_factor = Dep.Set_.merging_factor deps;
       redistributions = 0;
-      skip_stats;
-      interp }
+      skip_stats }
   in
   if Obs.is_enabled () then begin
     (* Same run-level names as Serial.publish: the registry hands back the

@@ -3,8 +3,9 @@
    Nodes are functions, loops, and blocks of straight-line code; edges are
    "calling" and "containing". Multiple dynamic instances of the same static
    construct are merged into one node (the paper treats a loop "as a whole"),
-   with counters accumulating across instances. Per-node metrics (executed
-   memory instructions, iterations, dependences) drive the ranking phase. *)
+   with counters accumulating across instances. Subtree instruction totals
+   feed the ranking's coverage and the loop classifier; the printer also
+   counts the dependences whose sink lies in each node's span. *)
 
 module Event = Trace.Event
 
@@ -23,7 +24,6 @@ type node = {
   mutable instances : int;     (* dynamic instances merged into this node *)
   mutable first_line : int;
   mutable last_line : int;
-  mutable dep_count : int;     (* dependences with sink in the span *)
 }
 
 type t = {
@@ -74,8 +74,7 @@ let no_key = -1
 
 let dummy_node =
   { id = -1; kind = Bnode 0; parent = -1; children = []; instructions = 0;
-    iterations = 0; instances = 0; first_line = 0; last_line = 0;
-    dep_count = 0 }
+    iterations = 0; instances = 0; first_line = 0; last_line = 0 }
 
 let create_builder () =
   { barr = Array.make 64 dummy_node; count = 0; index = Itbl.create 64;
@@ -108,7 +107,7 @@ let add_node b kind parent line =
   end;
   b.barr.(id) <- { id; kind; parent; children = []; instructions = 0;
                    iterations = 0; instances = 0; first_line = line;
-                   last_line = line; dep_count = 0 };
+                   last_line = line };
   b.count <- id + 1;
   if parent >= 0 then begin
     let p = b.barr.(parent) in
@@ -228,9 +227,15 @@ let rank a x ~incl =
   done;
   !lo
 
-(* Attribute merged dependences to the PET: a dependence counts for every
-   node whose line span contains its sink. *)
-let attach_deps t (deps : Dep.Set_.t) =
+let iter f t =
+  for i = 0 to t.n - 1 do
+    f t.nodes.(i)
+  done
+
+(* A dependence counts for every node whose line span contains its sink:
+   sort the distinct records' sink lines once, then count each node's span
+   with two binary searches. *)
+let to_string t (deps : Dep.Set_.t) =
   let sinks = Array.make (Dep.Set_.cardinal deps) 0 in
   let k = ref 0 in
   Dep.Set_.iter
@@ -239,19 +244,9 @@ let attach_deps t (deps : Dep.Set_.t) =
       incr k)
     deps;
   Array.sort Int.compare sinks;
-  Array.iter
-    (fun n ->
-      n.dep_count <-
-        max 0
-          (rank sinks n.last_line ~incl:true - rank sinks n.first_line ~incl:false))
-    t.nodes
-
-let iter f t =
-  for i = 0 to t.n - 1 do
-    f t.nodes.(i)
-  done
-
-let to_string t =
+  let deps_in_span n =
+    max 0 (rank sinks n.last_line ~incl:true - rank sinks n.first_line ~incl:false)
+  in
   let buf = Buffer.create 256 in
   let rec go indent id =
     let n = t.nodes.(id) in
@@ -264,7 +259,7 @@ let to_string t =
     Buffer.add_string buf
       (Printf.sprintf "%s%s [lines %d-%d, %d instr, %d deps]\n"
          (String.make indent ' ') label n.first_line n.last_line
-         (subtree_instructions t id) n.dep_count);
+         (subtree_instructions t id) (deps_in_span n));
     List.iter (go (indent + 2)) n.children
   in
   go 0 t.root;

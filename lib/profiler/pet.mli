@@ -1,7 +1,8 @@
 (** The Program Execution Tree (§2.3.6): functions, loops, and straight-line
     blocks with "calling"/"containing" edges. Multiple dynamic instances of a
-    static construct are merged into one node; per-node metrics (executed
-    instructions, iterations, dependences) feed the ranking phase. *)
+    static construct are merged into one node. Subtree instruction totals
+    feed the ranking's coverage and iteration counts the loop classifier;
+    dependence counts are computed only by {!to_string}. *)
 
 type kind =
   | Fnode of string           (** function *)
@@ -18,7 +19,6 @@ type node = {
   mutable instances : int;     (** dynamic instances merged into this node *)
   mutable first_line : int;
   mutable last_line : int;
-  mutable dep_count : int;     (** dependences whose sink lies in the span *)
 }
 
 type t
@@ -48,10 +48,8 @@ val subtree_instructions : t -> int -> int
 
 val total_instructions : t -> int
 
-val attach_deps : t -> Dep.Set_.t -> unit
-(** Set each node's [dep_count] to the number of distinct dependence records
-    whose sink line lies in its span. Calling it again with the same set
-    changes nothing. *)
-
 val iter : (node -> unit) -> t -> unit
-val to_string : t -> string
+val to_string : t -> Dep.Set_.t -> string
+(** The tree, one node per line, each with its line span, subtree
+    instructions and the number of distinct dependence records in the set
+    whose sink line lies in the span. *)

@@ -10,8 +10,6 @@ type control = {
   func_end : (int, string) Hashtbl.t;
 }
 
-val empty_control : unit -> control
-
 val control_of_pet : Pet.t -> control
 (** Derive the markers from a program execution tree. *)
 

@@ -14,7 +14,6 @@ type result = {
   merging_factor : float;
   redistributions : int;     (* always 0: no profiler moves an address *)
   per_worker : int array;    (* accesses per worker; [| accesses |] when serial *)
-  interp : Mil.Interp.run_result;
 }
 
 (* Run-level metrics shared with the parallel profiler, so serial and
@@ -59,13 +58,11 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
     | _ -> ());
     Pet.feed_region petb r
   in
-  let interp =
-    Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ?cancelled ~emit ~on_access
-      prog
-  in
+  ignore
+    (Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ?cancelled ~emit
+       ~on_access prog);
   let pet = Pet.finish petb in
   let deps = Engine.deps engine in
-  Pet.attach_deps pet deps;
   let accesses = Engine.processed engine in
   let r =
     { deps;
@@ -76,8 +73,7 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
       footprint_words = Engine.word_footprint engine;
       merging_factor = Dep.Set_.merging_factor deps;
       redistributions = 0;
-      per_worker = [| accesses |];
-      interp }
+      per_worker = [| accesses |] }
   in
   publish ~accesses:r.accesses ~deps ~footprint_words:r.footprint_words
     ~merging_factor:r.merging_factor ~lstacks;

@@ -17,7 +17,6 @@ type result = {
   per_worker : int array;
   (** accesses processed by each parallel worker, summing to [accesses];
       [[| accesses |]] for a serial run *)
-  interp : Mil.Interp.run_result;
 }
 
 val profile :

@@ -89,14 +89,11 @@ val mem_cache : t -> Pipeline.Mem_cache.t
 val flight : t -> Obs.Flight.t
 (** The daemon's flight recorder (tests inspect records directly). *)
 
-val request_stop : t -> unit
-(** Flag shutdown and wake every domain; returns immediately. In-flight
-    profile jobs see the flag through their cancel poll. *)
-
 val stopping : t -> bool
 
 val stop : t -> unit
-(** {!request_stop}, then join the acceptor and workers (queued connections
+(** Flag shutdown and wake every domain (in-flight profile jobs see the
+    flag through their cancel poll), then join the acceptor and workers (queued connections
     drain first), close the listener and any still-queued connections. *)
 
 val run : config -> unit

@@ -7,11 +7,9 @@
 
 type t
 
-val default_capacity : int
-
 val create : ?capacity:int -> ?seq:int -> unit -> t
-(** A fresh chunk of [capacity] entries; [seq] (default 0) is the
-    producer-assigned sequence number. *)
+(** A fresh chunk of [capacity] (default 512) entries; [seq] (default 0)
+    is the producer-assigned sequence number. *)
 
 val seq : t -> int
 (** The producer-assigned sequence number — labels this chunk's consumption

@@ -52,8 +52,6 @@ type region =
   | Thread_start of { thread : int }
   | Thread_end of { thread : int }
 
-type t = Access of access | Region of region
-
 let kind_to_string = function Read -> "read" | Write -> "write"
 
 (* Deepest loop at which two accesses share a dynamic instance. *)

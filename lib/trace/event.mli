@@ -75,12 +75,7 @@ type region =
   | Thread_start of { thread : int }
   | Thread_end of { thread : int }
 
-type t = Access of access | Region of region
-
 val kind_to_string : kind -> string
-
-val common_frames : frame list -> frame list -> (frame * frame) list
-(** Longest common prefix of two loop stacks sharing loop instances. *)
 
 val carrier : src:frame list -> snk:frame list -> frame option
 (** If a dependence between accesses with loop stacks [src] and [snk] is

@@ -35,10 +35,6 @@ type t = {
   m_best_speedup : float;       (** best over the sweep *)
 }
 
-val domain_counts : int -> int list
-(** The sweep for a maximum of [n]: powers of two up to [n], plus [n] —
-    [4 -> [1;2;4]], [6 -> [1;2;4;6]]. *)
-
 val measure :
   ?domains:int ->
   ?warmup:int ->
@@ -55,10 +51,6 @@ val measure :
     [measure.<name>.equal] (1/0) in the [Obs] registry. *)
 
 val to_json : t -> Obs.Json.t
-
-val table_rows : t -> string list list
-(** Rows for a [domains | wall ms | speedup | efficiency | equal | tasks |
-    steals | imbalance] table. *)
 
 val to_string : t -> string
 (** The rendered table with a header line, for the CLI report. *)

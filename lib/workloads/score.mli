@@ -12,8 +12,6 @@ type loop_result = {
   binary : bool;       (** parallelisable-vs-not matches (Table 4.1) *)
 }
 
-val parallelisable_expected : Registry.expectation -> bool
-val parallelisable_got : L.loop_class -> bool
 val exact_match : Registry.expectation -> L.loop_class -> bool
 
 val score_workload : ?size:int -> Registry.t -> loop_result list

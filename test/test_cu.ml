@@ -194,8 +194,7 @@ let test_bottom_up () =
         set "x" (i 2);         (* line 4: WAR with line 3 -> merge *)
         set "y" (v "t") ]      (* line 5 *)
   in
-  let _, events = Mil.Interp.trace p in
-  let d = Cunit.Bottom_up.build_dynamic events in
+  let d = Cunit.Bottom_up.build_dynamic p in
   let groups_on line =
     Hashtbl.fold
       (fun op l acc ->

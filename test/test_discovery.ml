@@ -4,6 +4,8 @@
 
 module L = Discovery.Loops
 module R = Workloads.Registry
+module S = Discovery.Suggestion
+module T = Discovery.Tasks
 
 let scoreable w = w.R.expected_loops <> [] && not w.R.parallel_target
 
@@ -215,6 +217,33 @@ let test_ranking_bounds () =
       end)
     Workloads.Textbook.all
 
+(* The ranking's local speedup is the bound of the suggestion's kind, capped
+   by the thread count [t] and clamped to >= 1. [registry.digest] pins the
+   resulting numbers; this pins the rule. *)
+let test_ranking_kind_bounds () =
+  let threads = 4 in
+  let t = float_of_int threads in
+  let bound (s : S.t) =
+    let n = float_of_int in
+    match s.S.kind with
+    | S.Sdoall a -> min t (n a.L.iterations)
+    | S.Sdoacross a -> min t (n (max 2 (List.length a.L.body_cus)))
+    | S.Sspmd _ -> t
+    | S.Smpmd ({ T.m_shape = T.Taskgraph; _ } as m) -> min t (n m.T.m_width)
+    | S.Smpmd ({ T.m_shape = T.Pipeline; _ } as m) ->
+        min t (n (List.length m.T.m_stages))
+  in
+  List.iter
+    (fun (w : R.t) ->
+      let report = S.analyze ~threads (R.program w) in
+      List.iter
+        (fun (s : S.t) ->
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s: %s" w.R.name (S.kind_to_string s.S.kind))
+            (Float.max 1.0 (bound s)) s.S.score.Discovery.Ranking.local_speedup)
+        report.S.suggestions)
+    Workloads.Catalog.all
+
 let test_ranking_prefers_hot_loop () =
   (* In histogram the counting loop dominates; it must outrank the fill. *)
   let w = List.find (fun w -> w.R.name = "histogram") Workloads.Textbook.all in
@@ -254,6 +283,8 @@ let tests =
     Alcotest.test_case "while cond var blocks" `Quick test_while_cond_var_blocks;
     Alcotest.test_case "zero-iteration loops" `Quick test_zero_iteration_loops_skipped;
     Alcotest.test_case "ranking bounds" `Slow test_ranking_bounds;
+    Alcotest.test_case "ranking local speedup is the kind's bound" `Slow
+      test_ranking_kind_bounds;
     Alcotest.test_case "ranking prefers hot loop" `Quick test_ranking_prefers_hot_loop;
     Alcotest.test_case "suggestions sorted" `Quick test_suggestions_sorted;
     Alcotest.test_case "render report" `Quick test_render_report ]

@@ -526,7 +526,7 @@ let collect drain seed p n =
   let rng = Rng.create seed and acc = ref [] in
   drain rng p n (fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked ->
       acc :=
-        Event.Access { kind; addr; var; line; thread; time; op; lstack; locked }
+        { Event.kind; addr; var; line; thread; time; op; lstack; locked }
         :: !acc);
   (List.rev !acc, List.init 4 (fun _ -> Rng.int rng max_int))
 

@@ -232,12 +232,13 @@ let test_pet_merges_instances () =
     r.Profiler.Serial.pet;
   Alcotest.(check int) "exactly one merged node" 1 !count
 
-(* [attach_deps] against the naive count it replaces: for every node, the
-   distinct records whose sink lies in [first_line, last_line]. The tree is
-   a root function with one block per span; the spans are then overwritten
-   with random ones, inverted (empty) and [first_line = 0] included. Sinks
-   are a multiset: records sharing a sink line differ by thread, and a
-   repeated (line, thread) pair is one record. *)
+(* The printer's per-node dependence counts against the naive count: for
+   every node, the distinct records whose sink lies in [first_line,
+   last_line]. The tree is a root function with one block per span; the
+   spans are then overwritten with random ones, inverted (empty) and
+   [first_line = 0] included. Sinks are a multiset: records sharing a sink
+   line differ by thread, and a repeated (line, thread) pair is one
+   record. *)
 let pet_with_spans spans =
   let b = Profiler.Pet.create_builder () in
   Profiler.Pet.feed_region b
@@ -284,10 +285,10 @@ let test_pet_wide_lines () =
     [ (3, 2); (3 + (1 lsl 29), 1); (-1, 2); (max_int, 1) ]
     (List.rev !blocks)
 
-let qcheck_attach_deps_sweep =
+let qcheck_pet_printed_counts =
   let open QCheck in
   let line = int_range 0 24 in
-  Test.make ~name:"attach_deps equals the naive per-node count" ~count:300
+  Test.make ~name:"PET printer counts equal the naive count" ~count:300
     (pair
        (list_of_size Gen.(0 -- 30) (pair line line))
        (list_of_size Gen.(0 -- 40) (pair line (int_range 0 2))))
@@ -298,24 +299,29 @@ let qcheck_attach_deps_sweep =
         (fun (sink_line, sink_thread) ->
           Dep.Set_.add deps (Dep.init_dep ~sink_line ~sink_thread))
         sinks;
-      let naive (n : Profiler.Pet.node) =
+      let naive first last =
         let c = ref 0 in
         Dep.Set_.iter
           (fun d _ ->
-            if d.Dep.sink_line >= n.first_line && d.Dep.sink_line <= n.last_line
-            then incr c)
+            if d.Dep.sink_line >= first && d.Dep.sink_line <= last then incr c)
           deps;
         !c
       in
-      let counts () =
-        List.init (Profiler.Pet.size pet) (fun id ->
-            (Profiler.Pet.node pet id).Profiler.Pet.dep_count)
+      (* Every printed node, its span and its count:
+         "<label> [lines F-L, I instr, D deps]". *)
+      let printed =
+        Profiler.Pet.to_string pet deps
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map (fun l ->
+               let b = String.rindex l '[' in
+               Scanf.sscanf
+                 (String.sub l b (String.length l - b))
+                 "[lines %d-%d, %_d instr, %d deps]"
+                 (fun first last d -> (first, last, d)))
       in
-      Profiler.Pet.attach_deps pet deps;
-      let once = counts () in
-      Profiler.Pet.attach_deps pet deps;
-      once = List.init (Profiler.Pet.size pet) (fun id -> naive (Profiler.Pet.node pet id))
-      && counts () = once)
+      List.length printed = Profiler.Pet.size pet
+      && List.for_all (fun (first, last, d) -> d = naive first last) printed)
 
 (* ---- report format ---- *)
 
@@ -551,7 +557,7 @@ let tests =
     Alcotest.test_case "lifetime ablation" `Quick test_lifetime_off_creates_false_deps;
     Alcotest.test_case "SPSC queue" `Quick test_spsc_queue;
     Alcotest.test_case "SPSC cross-domain" `Quick test_spsc_cross_domain;
-    QCheck_alcotest.to_alcotest qcheck_attach_deps_sweep;
+    QCheck_alcotest.to_alcotest qcheck_pet_printed_counts;
     QCheck_alcotest.to_alcotest qcheck_skip_equivalence;
     QCheck_alcotest.to_alcotest qcheck_parallel_equivalence ]
 
@@ -571,7 +577,7 @@ let test_depfile_rejects_garbage () =
 
 let test_pet_to_string () =
   let r = Helpers.profile Helpers.fig27 in
-  let s = Profiler.Pet.to_string r.Profiler.Serial.pet in
+  let s = Profiler.Pet.to_string r.Profiler.Serial.pet r.Profiler.Serial.deps in
   Alcotest.(check bool) "func line" true (Astring_contains.contains s "func main");
   Alcotest.(check bool) "loop with iterations" true
     (Astring_contains.contains s "100 iterations")
@@ -817,7 +823,7 @@ let qcheck_report_renders =
          an empty dependence report *)
       (String.length (Profiler.Serial.report r) > 0
       || Dep.Set_.cardinal r.Profiler.Serial.deps = 0)
-      && String.length (Profiler.Pet.to_string r.Profiler.Serial.pet) > 0)
+      && String.length (Profiler.Pet.to_string r.Profiler.Serial.pet r.Profiler.Serial.deps) > 0)
 
 let qcheck_depfile_roundtrip_random =
   let open QCheck in
@@ -878,7 +884,7 @@ let test_concurrent_profiles () =
   let digest name =
     let r = Helpers.profile (Workloads.Registry.program (Helpers.workload name)) in
     ( without_domain (Profiler.Depfile.render r.Profiler.Serial.deps),
-      Profiler.Pet.to_string r.Profiler.Serial.pet,
+      Profiler.Pet.to_string r.Profiler.Serial.pet r.Profiler.Serial.deps,
       r.Profiler.Serial.races )
   in
   let subsets =
@@ -922,8 +928,8 @@ let test_profile_run_dispatch () =
       (List.sort compare (Helpers.dep_strings b.deps));
     Alcotest.(check int) (msg ^ ": occurrences")
       (Dep.Set_.occurrences a.deps) (Dep.Set_.occurrences b.deps);
-    Alcotest.(check string) (msg ^ ": PET") (Profiler.Pet.to_string a.pet)
-      (Profiler.Pet.to_string b.pet);
+    Alcotest.(check string) (msg ^ ": PET") (Profiler.Pet.to_string a.pet a.deps)
+      (Profiler.Pet.to_string b.pet b.deps);
     Alcotest.(check int) (msg ^ ": accesses") a.accesses b.accesses;
     (* counts the shadow's slots: pins how many each worker got *)
     Alcotest.(check int) (msg ^ ": footprint") a.footprint_words

@@ -91,7 +91,7 @@ let test_registry_digest () =
    the MD5 of [Pet.to_string] from the serial profiler and from the parallel
    profiler at two workers, both perfect shadow with skip on. Unlike the
    digest above it covers node order, instance merging, per-node instruction
-   totals, line spans and [dep_count]. The two columns are equal: an address
+   totals, line spans and per-node dependence counts. The two columns are equal: an address
    never changes worker, so the parallel profiler's output is the serial
    one's.
 
@@ -113,8 +113,8 @@ let check_parallel_equals_serial ~what (w : R.t) (serial : Profiler.Serial.resul
     (report serial) (report parallel);
   Alcotest.(check string)
     (Printf.sprintf "%s: PET, %s" w.name what)
-    (Profiler.Pet.to_string serial.pet)
-    (Profiler.Pet.to_string parallel.pet)
+    (Profiler.Pet.to_string serial.pet serial.deps)
+    (Profiler.Pet.to_string parallel.pet parallel.deps)
 
 let pet_line (w : R.t) =
   let prog = R.program w in
@@ -130,8 +130,8 @@ let pet_line (w : R.t) =
     (serial ~skip:false)
     (parallel ~workers:4 ~skip:false);
   Printf.sprintf "%s %s %s" w.name
-    (md5 (Profiler.Pet.to_string s_skip.pet))
-    (md5 (Profiler.Pet.to_string p_skip.pet))
+    (md5 (Profiler.Pet.to_string s_skip.pet s_skip.deps))
+    (md5 (Profiler.Pet.to_string p_skip.pet p_skip.deps))
 
 let test_pet_golden () =
   check_golden ~env:"PET_GOLDEN_OUT" ~file:"pet.golden" ~what:"PET"

@@ -79,8 +79,7 @@ let qcheck_makespan_brent =
 (* ---- dynamic bottom-up ---- *)
 
 let test_bottom_up_dynamic () =
-  let _, events = Mil.Interp.trace Helpers.fig34 in
-  let d = Cunit.Bottom_up.build_dynamic events in
+  let d = Cunit.Bottom_up.build_dynamic Helpers.fig34 in
   Alcotest.(check bool) "operations tracked" true (d.Cunit.Bottom_up.n_ops > 5);
   let groups = Cunit.Bottom_up.dynamic_group_count d in
   Alcotest.(check bool) "merging reduced groups" true
@@ -93,8 +92,15 @@ let test_bottom_up_finer_than_top_down () =
   let prog = Workloads.Registry.program ~size:16 w in
   let st = Mil.Static.analyze prog in
   let cures = Cunit.Top_down.build st in
-  let _, events = Mil.Interp.trace prog in
-  let fine = Cunit.Bottom_up.build_dynamic events in
+  let fine = Cunit.Bottom_up.build_dynamic prog in
+  (* CG's counts, pinned: a port of either construction that changes them
+     must say so here. *)
+  Alcotest.(check int) "top-down CUs" 15 (List.length cures.Cunit.Top_down.cus);
+  Alcotest.(check int) "memory operations" 83 fine.Cunit.Bottom_up.n_ops;
+  Alcotest.(check int) "bottom-up groups" 40
+    (Cunit.Bottom_up.dynamic_group_count fine);
+  Alcotest.(check int) "RAW edges" 22
+    (List.length fine.Cunit.Bottom_up.d_raw_edges);
   Alcotest.(check bool) "bottom-up is finer (Fig 3.7)" true
     (Cunit.Bottom_up.dynamic_group_count fine
     > List.length cures.Cunit.Top_down.cus)
