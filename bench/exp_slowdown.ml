@@ -3,11 +3,12 @@
    configurations; Fig. 2.10/2.11 — the same for multi-threaded Starbench
    targets.
 
-   Note: on a single-core host the parallel profiler's worker domains
-   time-slice with the producer, so its wall-clock "slowdown" shows pure
-   synchronization overhead without any concurrency benefit. The lock-free
-   vs lock-based comparison is still meaningful, as is the load-balance
-   statistic. *)
+   Note: the parallel columns run 4 and 8 workers beside the producer; on a
+   host with fewer cores than that the domains time-slice, so those columns
+   show synchronization cost more than concurrency. The lock-free vs
+   lock-based comparison is still meaningful, as is the load-balance
+   statistic. The profile-large rows at the end compare 1 worker with the
+   serial profiler, which two cores can run side by side. *)
 
 let words_to_mb w = float_of_int (w * 8) /. 1024.0 /. 1024.0
 
@@ -91,12 +92,137 @@ let run_load_balance () =
     \ hot addresses are redistributed; here they are not, so the output\n\
     \ equals the serial profiler's and hot scalars keep their worker busy)"
 
+(* The parallel profiler at one worker against the serial profiler, on the
+   profile-large benchmark's programs and sizes (perfect shadow; serial with
+   skip on, the worker with skip off, as that workload runs them), with the
+   [profiler.parallel.*] ledger of where the parallel run's time went.
+
+   A fresh process first runs its two domains on one CPU for a second or
+   two, so the rows start after a warm-up of at least 3 s. Each program is
+   then timed 11 times, serial and parallel alternated, and every column is
+   the median of its 11 values. SLOWDOWN_LARGE=name,name,... restricts the
+   programs (CI runs histogram alone, with no timing gate). *)
+let large_programs () =
+  let all = Benchmark.Gen.large in
+  match Sys.getenv_opt "SLOWDOWN_LARGE" with
+  | None | Some "" -> all
+  | Some s ->
+      List.filter_map
+        (fun name ->
+          match List.assoc_opt name all with
+          | Some size -> Some (name, size)
+          | None ->
+              Printf.printf "  (slowdown-seq: %s is not a profile-large program)\n"
+                name;
+              None)
+        (String.split_on_char ',' s |> List.map String.trim)
+
+let large_reps = 11
+let warmup_s = 3.0
+
+(* One parallel run: its time and the ledger's counters over that run. *)
+let ledger_names =
+  [ "producer_ns"; "push_wait_ns"; "push_waits"; "producer_parks";
+    "chunks_shipped";
+    "worker.0.engine_ns"; "worker.0.idle_ns"; "worker.0.parks"; "merge_ns";
+    "pet_finish_ns"; "minor_gcs" ]
+
+let ledger_value name = Obs.counter_value ("profiler.parallel." ^ name)
+
+let run_parallel prog =
+  let before = List.map ledger_value ledger_names in
+  let _, t =
+    Util.time (fun () -> Profiler.Parallel.profile ~workers:1 ~perfect:true prog)
+  in
+  (t, List.map2 (fun name b -> ledger_value name - b) ledger_names before)
+
+let run_serial prog =
+  snd
+    (Util.time (fun () ->
+         Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect ~skip:true prog))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let run_one_worker () =
+  Util.header
+    "Fig 2.9 on profile-large: serial vs 1-worker parallel, with its ledger";
+  let progs =
+    List.map
+      (fun s -> (Benchmark.Gen.label s, Benchmark.Gen.build s))
+      (large_programs ())
+  in
+  let t0 = Unix.gettimeofday () in
+  while progs <> [] && Unix.gettimeofday () -. t0 < warmup_s do
+    List.iter
+      (fun (_, prog) ->
+        ignore (run_serial prog);
+        ignore (run_parallel prog))
+      progs
+  done;
+  let ratios = ref [] in
+  let rows =
+    List.map
+      (fun (label, prog) ->
+        let runs =
+          List.init large_reps (fun _ ->
+              let s = run_serial prog in
+              let p, ledger = run_parallel prog in
+              (s, p, ledger))
+        in
+        let ms xs = 1e3 *. median xs in
+        let serial = ms (List.map (fun (s, _, _) -> s) runs) in
+        let par = ms (List.map (fun (_, p, _) -> p) runs) in
+        let ratio = par /. serial in
+        ratios := ratio :: !ratios;
+        let ledger =
+          List.mapi
+            (fun k name ->
+              (name, median (List.map (fun (_, _, l) -> List.nth l k) runs)))
+            ledger_names
+        in
+        let g name v =
+          Obs.Gauge.set
+            (Obs.gauge (Printf.sprintf "slowdown.large.%s.%s" label name))
+            v
+        in
+        g "serial_ms" serial;
+        g "parallel_ms" par;
+        g "ratio" ratio;
+        List.iter (fun (name, v) -> g name (float_of_int v)) ledger;
+        let l name = List.assoc name ledger in
+        let ns_ms name = Printf.sprintf "%.1f" (float_of_int (l name) /. 1e6) in
+        let ns_us name = Printf.sprintf "%.0f" (float_of_int (l name) /. 1e3) in
+        [ label; Util.f1 serial; Util.f1 par; Util.f2 ratio; ns_ms "producer_ns";
+          ns_ms "push_wait_ns";
+          Printf.sprintf "%d/%d" (l "push_waits") (l "chunks_shipped");
+          string_of_int (l "producer_parks");
+          ns_ms "worker.0.engine_ns"; ns_ms "worker.0.idle_ns";
+          string_of_int (l "worker.0.parks"); ns_us "merge_ns";
+          ns_us "pet_finish_ns"; string_of_int (l "minor_gcs") ])
+      progs
+  in
+  Util.table
+    ~columns:
+      [ "program"; "serial ms"; "1w ms"; "1w/serial"; "producer"; "push wait";
+        "waited/chunks"; "producer parks"; "engine"; "idle"; "worker parks";
+        "merge us"; "pet us"; "minor GCs" ]
+    rows;
+  Printf.printf
+    "(ms, median of %d alternated runs after a %.0f s warm-up; %d of %d \
+     programs at 1w/serial <= 0.80)\n"
+    large_reps warmup_s
+    (List.length (List.filter (fun r -> r <= 0.80) !ratios))
+    (List.length !ratios)
+
 let run_sequential () =
   Util.header
     "Fig 2.9: profiler slowdown (x native) and memory, sequential programs";
   print_endline
-    "(single-core host: parallel-profiler columns measure synchronization\n\
-    \ overhead only; the paper's 16-core speedups need real cores)";
+    "(4 and 8 workers beside the producer time-slice on a host with fewer\n\
+    \ cores; the paper's 16-core speedups need real cores)";
   let rows = List.map profile_row (Util.nas @ Util.starbench_seq) in
   Util.table
     ~columns:
@@ -105,7 +231,8 @@ let run_sequential () =
     rows;
   print_endline
     "(paper: serial 190x avg; 8T lock-based ~1.6x slower than lock-free;\n\
-    \ 16T lock-free 78x avg; 649 MB avg memory)"
+    \ 16T lock-free 78x avg; 649 MB avg memory)";
+  run_one_worker ()
 
 let run_parallel_targets () =
   Util.header "Fig 2.10/2.11: profiling multi-threaded Starbench targets";

@@ -135,21 +135,20 @@ let imbalance_of_cus (g : Cunit.Graph.t) (scc : Cunit.Scc.result) cadj :
     min 1.0 !worst
   end
 
+type factors = { f_coverage : float; f_imbalance : float }
+
 let c_scored = Obs.counter "discovery.ranking.regions_scored"
 
-let score_region ~local_speedup (st : Static.t) (cures : Cunit.Top_down.result)
-    (deps : Dep.Set_.t) (pet : Profiler.Pet.t) (rid : int) : score =
+let region_factors (st : Static.t) (cures : Cunit.Top_down.result)
+    (deps : Dep.Set_.t) (pet : Profiler.Pet.t) (rid : int) : factors =
   Obs.Span.with_ ~phase:"discovery.ranking" @@ fun () ->
   Obs.Counter.incr c_scored;
   let cus = Cunit.Top_down.cus_of_region cures rid in
   let g = Cunit.Graph.build ~cus ~deps in
-  let coverage = coverage_of_region st pet rid in
   let adj = Cunit.Graph.raw_succ g in
   let scc = Cunit.Scc.run adj in
-  let imbalance = imbalance_of_cus g scc (Cunit.Scc.condense adj scc) in
-  (* Combined rank: expected whole-program gain by Amdahl, discounted by
-     imbalance; [combine] clamps every input so the result is finite. *)
-  combine ~coverage ~local_speedup ~imbalance
+  { f_coverage = coverage_of_region st pet rid;
+    f_imbalance = imbalance_of_cus g scc (Cunit.Scc.condense adj scc) }
 
 let to_string s =
   Printf.sprintf "coverage=%.2f local-speedup=%.2f imbalance=%.2f rank=%.3f"

@@ -22,12 +22,17 @@ val combine :
     range (NaN and infinities included) so every field — [combined] in
     particular — is finite. *)
 
-val score_region :
-  local_speedup:float ->
+type factors = {
+  f_coverage : float;   (** instruction coverage from the PET *)
+  f_imbalance : float;  (** CU imbalance of the region's RAW CU graph *)
+}
+(** What a score takes from its region alone; {!combine} adds the bound. *)
+
+val region_factors :
   Static.t -> Cunit.Top_down.result -> Dep.Set_.t -> Profiler.Pet.t -> int ->
-  score
-(** [score_region ~local_speedup st cures deps pet rid] scores region [rid]:
-    its instruction coverage from the PET and its CU imbalance from the
-    region's RAW CU graph, combined with the given bound. *)
+  factors
+(** [region_factors st cures deps pet rid] measures region [rid]. Each call
+    builds the region's CU graph and walks the PET, and counts itself in
+    [discovery.ranking.regions_scored]. *)
 
 val to_string : score -> string

@@ -56,10 +56,21 @@ let analyze_profiled ?(threads = 4) (prog : Mil.Ast.program)
   (* The ranking's estimator is a per-kind local speedup bound, capped by
      the thread count: DOALL iterations; DOACROSS the number of overlappable
      body CUs; SPMD the thread count itself; an MPMD task graph its width
-     and a pipeline its stage count. [Ranking.combine] clamps it to >= 1. *)
+     and a pipeline its stage count. [Ranking.combine] clamps it to >= 1.
+     A region can carry several suggestions (a DOALL loop is also a
+     loop-tasks SPMD one); its factors are measured once. *)
+  let factors = Hashtbl.create 16 in
   let score ~bound rid =
-    Ranking.score_region ~local_speedup:(min (float_of_int bound) t) static
-      cures deps pet rid
+    let f =
+      match Hashtbl.find_opt factors rid with
+      | Some f -> f
+      | None ->
+          let f = Ranking.region_factors static cures deps pet rid in
+          Hashtbl.add factors rid f;
+          f
+    in
+    Ranking.combine ~coverage:f.Ranking.f_coverage
+      ~local_speedup:(min (float_of_int bound) t) ~imbalance:f.f_imbalance
   in
   let loop_suggestions =
     List.filter_map

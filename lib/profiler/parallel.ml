@@ -27,45 +27,62 @@ type item =
 
 type queue_kind = Lockfree | Lock_based
 
-(* Mutex-protected queue used only for the lock-based comparison baseline. *)
+(* Mutex-protected queue used only for the lock-based comparison baseline.
+   Both sides spin while they wait; they keep the same wait ledger as
+   {!Spsc_queue}, with no parks. *)
 module Locked_queue = struct
   type 'a t = {
     q : 'a Queue.t;
     m : Mutex.t;
     capacity : int;
-    mutable stalls : int;    (* producer-owned: full-queue backoff rounds *)
+    mutable push_waits : int;    (* producer-owned *)
+    mutable push_wait_ns : int;
+    mutable pop_waits : int;     (* consumer-owned *)
+    mutable pop_wait_ns : int;
   }
 
   let create ~capacity =
-    { q = Queue.create (); m = Mutex.create (); capacity; stalls = 0 }
+    { q = Queue.create (); m = Mutex.create (); capacity; push_waits = 0;
+      push_wait_ns = 0; pop_waits = 0; pop_wait_ns = 0 }
+
+  let try_push t x =
+    Mutex.protect t.m (fun () ->
+        Queue.length t.q < t.capacity && (Queue.push x t.q; true))
+
+  let try_pop t = Mutex.protect t.m (fun () -> Queue.take_opt t.q)
+
+  (* Spin with backoff until [attempt] succeeds; the time spent waiting. *)
+  let spin attempt =
+    let t0 = Obs.now_ns () in
+    let rec go backoff =
+      match attempt () with
+      | Some x -> x
+      | None ->
+          for _ = 1 to backoff do
+            Domain.cpu_relax ()
+          done;
+          go (min (2 * backoff) 256)
+    in
+    let x = go 1 in
+    (x, Obs.now_ns () - t0)
 
   let push t x =
-    let rec go () =
-      Mutex.lock t.m;
-      if Queue.length t.q >= t.capacity then begin
-        Mutex.unlock t.m;
-        t.stalls <- t.stalls + 1;
-        Domain.cpu_relax ();
-        go ()
-      end
-      else begin
-        Queue.push x t.q;
-        Mutex.unlock t.m
-      end
-    in
-    go ()
+    if not (try_push t x) then begin
+      let (), ns = spin (fun () -> if try_push t x then Some () else None) in
+      t.push_waits <- t.push_waits + 1;
+      t.push_wait_ns <- t.push_wait_ns + ns
+    end
 
-  let try_pop t =
-    Mutex.lock t.m;
-    let r = Queue.take_opt t.q in
-    Mutex.unlock t.m;
-    r
+  let pop t =
+    match try_pop t with
+    | Some x -> x
+    | None ->
+        let x, ns = spin (fun () -> try_pop t) in
+        t.pop_waits <- t.pop_waits + 1;
+        t.pop_wait_ns <- t.pop_wait_ns + ns;
+        x
 
-  let length t =
-    Mutex.lock t.m;
-    let n = Queue.length t.q in
-    Mutex.unlock t.m;
-    n
+  let length t = Mutex.protect t.m (fun () -> Queue.length t.q)
 end
 
 type channel =
@@ -77,20 +94,29 @@ let channel_push c x =
   | Cfree q -> Spsc_queue.push q x
   | Clocked q -> Locked_queue.push q x
 
-let channel_try_pop c =
+let channel_pop c =
   match c with
-  | Cfree q -> Spsc_queue.try_pop q
-  | Clocked q -> Locked_queue.try_pop q
-
-let channel_stalls c =
-  match c with
-  | Cfree q -> Spsc_queue.stalls q
-  | Clocked q -> q.Locked_queue.stalls
+  | Cfree q -> Spsc_queue.pop q
+  | Clocked q -> Locked_queue.pop q
 
 let channel_depth c =
   match c with
   | Cfree q -> Spsc_queue.length q
   | Clocked q -> Locked_queue.length q
+
+let producer_waits c =
+  match c with
+  | Cfree q -> Spsc_queue.producer_waits q
+  | Clocked q ->
+      { Spsc_queue.waits = q.Locked_queue.push_waits;
+        wait_ns = q.push_wait_ns; parks = 0 }
+
+let consumer_waits c =
+  match c with
+  | Cfree q -> Spsc_queue.consumer_waits q
+  | Clocked q ->
+      { Spsc_queue.waits = q.Locked_queue.pop_waits;
+        wait_ns = q.pop_wait_ns; parks = 0 }
 
 type worker_result = {
   w_deps : Dep.Set_.t;
@@ -99,7 +125,7 @@ type worker_result = {
   w_footprint : int;
   w_skip : Engine.skip_stats;
   w_chunks : int;          (* chunks consumed by this worker *)
-  w_idle_spins : int;      (* empty-queue backoff rounds (consumer stalls) *)
+  w_engine_ns : int;       (* time in the engine; 0 unless [ledger] *)
 }
 
 type result = Serial.result
@@ -114,8 +140,10 @@ let sum_skip (a : Engine.skip_stats) (b : Engine.skip_stats) : Engine.skip_stats
     skipped_waw = a.skipped_waw + b.skipped_waw;
     shadow_update_elided = a.shadow_update_elided + b.shadow_update_elided }
 
+(* [ledger]: time each chunk's pass through the engine (two clock reads per
+   chunk, none per access). The wait ledger lives in the queue. *)
 let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
-    ~index ~lstacks ~shadow ~skip () : worker_result =
+    ~index ~lstacks ~shadow ~skip ~ledger () : worker_result =
   (* Name this domain's track on the trace timeline (no-op when tracing is
      off); each worker then appears as its own row in chrome://tracing. *)
   Obs.Trace.set_track (Printf.sprintf "worker %d" index);
@@ -123,24 +151,26 @@ let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
   let access = Engine.feed_fields engine in
   let remove addr = Engine.feed_dealloc engine [ (addr, 1, "") ] in
   let chunks = ref 0 in
-  let idle_spins = ref 0 in
-  let rec loop backoff =
-    match channel_try_pop queue with
-    | Some (Ichunk chunk) ->
+  let engine_ns = ref 0 in
+  let rec loop () =
+    match channel_pop queue with
+    | Ichunk chunk ->
         incr chunks;
+        let t0 = if ledger then Obs.now_ns () else 0 in
         let consume () = Chunk.iter chunk ~access ~remove in
         if Obs.Trace.is_enabled () then
           Obs.Trace.with_span
             (Printf.sprintf "chunk.%d" (Chunk.seq chunk))
             consume
         else consume ();
+        if ledger then engine_ns := !engine_ns + (Obs.now_ns () - t0);
         (* Hand the drained chunk back to the producer for recycling. The
            return channel is SPSC with this worker as producer; when it is
            full the chunk is simply dropped for the GC — never block here. *)
         Chunk.reset chunk;
         ignore (Spsc_queue.try_push returns chunk);
-        loop 1
-    | Some Istop ->
+        loop ()
+    | Istop ->
         (* Per-worker shadow/skip statistics go out under a per-worker engine
            prefix (engine.w0, engine.w1, …): concurrent workers must not
            overwrite each other's shadow gauges under the shared default
@@ -153,23 +183,24 @@ let worker_loop (queue : channel) ~(returns : Chunk.t Spsc_queue.t)
           w_footprint = Engine.word_footprint engine;
           w_skip = Engine.skip_stats engine;
           w_chunks = !chunks;
-          w_idle_spins = !idle_spins }
-    | None ->
-        incr idle_spins;
-        for _ = 1 to backoff do
-          Domain.cpu_relax ()
-        done;
-        loop (min (2 * backoff) 256)
+          w_engine_ns = !engine_ns }
   in
-  loop 1
+  loop ()
 
-(* Chunks a forward queue holds before the producer backs off. *)
+(* Chunks a forward queue holds before the producer waits. *)
 let queue_capacity = 64
+
+let minor_gcs () = (Gc.quick_stat ()).Gc.minor_collections
 
 let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     ?(skip = false) ?(queue = Lockfree) ?cancelled (prog : Mil.Ast.program) : result =
   Obs.Span.with_ ~phase:"profile" @@ fun () ->
   Obs.Trace.set_track "producer (main)";
+  (* The ledger ([profiler.parallel.*]) reads the clock a few times per run,
+     on wait paths and, when the registry is on, twice per chunk. *)
+  let ledger = Obs.is_enabled () in
+  let t_start = Obs.now_ns () in
+  let gcs_start = minor_gcs () in
   let w = max 1 workers in
   let shadow_kind =
     if perfect then Engine.Perfect else Engine.Signature (max 1 (shadow_slots / w))
@@ -192,8 +223,8 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   (* Workers started so far, latest first. On any exception before the
      normal stop (a [Domain.spawn] past the runtime's domain limit, the
      program raising, a cancel), [abort] stops and joins exactly these, then
-     re-raises: a worker never told to stop spins forever and keeps its
-     domain. *)
+     re-raises. The push of [Istop] wakes a worker parked on its empty
+     queue; a worker never told to stop would keep its domain forever. *)
   let spawned = ref [] in
   let abort e =
     let bt = Printexc.get_raw_backtrace () in
@@ -211,7 +242,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
           let d =
             Domain.spawn
               (worker_loop c ~returns:returns.(i) ~index:i ~lstacks
-                 ~shadow:shadow_kind ~skip)
+                 ~shadow:shadow_kind ~skip ~ledger)
           in
           spawned := (i, d) :: !spawned;
           d)
@@ -224,6 +255,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   (* Producer state *)
   let next_seq = ref 0 in
   let chunk_reuses = ref 0 in
+  let shipped = ref 0 in
   (* Prefer a recycled chunk from the worker's return channel over a fresh
      allocation. *)
   let fresh_chunk worker =
@@ -235,31 +267,60 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         c
     | None -> Chunk.create ~seq:!next_seq ()
   in
+  (* Each worker's open chunk, its packed entries and the index of its next
+     free int. The per-access path writes the entries in place, with no
+     call into [Chunk]; only shipping a full chunk does. *)
   let open_chunks = Array.init w fresh_chunk in
+  let datas = Array.map Chunk.data open_chunks in
+  let fill = Array.make w 0 in
+  let stride = Chunk.stride in
+  let write_code = Chunk.write_code and locked_code = Chunk.locked_code in
+  let remove_code = Chunk.remove_code in
   (* Counter-track names for per-queue depth samples, allocated up front so
      the traced push path does no formatting. *)
   let depth_tracks = Array.init w (Printf.sprintf "queue.%d.depth") in
-  let ship worker c =
+  let send worker =
+    let c = open_chunks.(worker) in
+    Chunk.set_length c (fill.(worker) / stride);
     channel_push channels.(worker) (Ichunk c);
-    if Obs.is_enabled () then
-      max_depth := max !max_depth (channel_depth channels.(worker));
+    incr shipped
+  in
+  let ship worker =
+    send worker;
+    if ledger then max_depth := max !max_depth (channel_depth channels.(worker));
     if Obs.Trace.is_enabled () then
       Obs.Trace.counter depth_tracks.(worker) (channel_depth channels.(worker));
-    open_chunks.(worker) <- fresh_chunk worker
+    let c = fresh_chunk worker in
+    open_chunks.(worker) <- c;
+    datas.(worker) <- Chunk.data c;
+    fill.(worker) <- 0
   in
   let push_remove worker addr =
-    let c = open_chunks.(worker) in
-    Chunk.push_remove c addr;
-    if Chunk.is_full c then ship worker c
+    let d = datas.(worker) and b = fill.(worker) in
+    d.(b) <- remove_code;
+    d.(b + 1) <- addr;
+    let b = b + stride in
+    fill.(worker) <- b;
+    if b = Array.length d then ship worker
   in
   let petb = Pet.create_builder () in
   let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     Pet.feed_access_line petb ~line;
     let worker = addr mod w in
-    let c = open_chunks.(worker) in
-    Chunk.push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
-      ~locked;
-    if Chunk.is_full c then ship worker c
+    let d = datas.(worker) and b = fill.(worker) in
+    d.(b) <-
+      (match kind with Event.Read -> 0 | Event.Write -> write_code)
+      + if locked then locked_code else 0;
+    d.(b + 1) <- addr;
+    d.(b + 2) <- var;
+    d.(b + 3) <- line;
+    d.(b + 4) <- thread;
+    d.(b + 5) <- time;
+    d.(b + 6) <- op;
+    d.(b + 7) <- lstack;
+    let b = b + stride in
+    fill.(worker) <- b;
+    if b = Array.length d then ship worker
   in
   let emit r =
     Pet.feed_region petb r;
@@ -276,11 +337,11 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
   (try ignore (Mil.Interp.run ~lstacks ?cancelled ~emit ~on_access prog)
    with e -> abort e);
   (* Flush partial chunks and stop the workers. *)
-  Array.iteri
-    (fun i c ->
-      if not (Chunk.is_empty c) then channel_push channels.(i) (Ichunk c);
-      channel_push channels.(i) Istop)
-    open_chunks;
+  for i = 0 to w - 1 do
+    if fill.(i) > 0 then send i;
+    channel_push channels.(i) Istop
+  done;
+  let producer_ns = Obs.now_ns () - t_start in
   let results = Array.map Domain.join domains in
   (* Drain the worker->producer return channels now that the workers are
      gone: the final flush's chunks (and any returned after the producer's
@@ -300,9 +361,12 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     returns;
   (* Merge thread-local maps into the global map (duplicate-free locally, so
      this is the cheap final step of Fig. 2.2). *)
+  let t_merge = Obs.now_ns () in
   let deps = Dep.Set_.create () in
   Array.iter (fun r -> Dep.Set_.union deps r.w_deps) results;
+  let t_pet = Obs.now_ns () in
   let pet = Pet.finish petb in
+  let t_end = Obs.now_ns () in
   let skip_stats =
     Array.fold_left
       (fun acc r -> sum_skip acc r.w_skip)
@@ -331,19 +395,37 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
     Obs.Counter.add (Obs.counter "profiler.chunk.reuses") !chunk_reuses;
     Obs.Counter.add (Obs.counter "profiler.chunk.drained") !chunks_drained;
     Obs.Gauge.set_int (Obs.gauge "profiler.queue.max_depth") !max_depth;
-    Obs.Counter.add
-      (Obs.counter "profiler.queue.push_stalls")
-      (Array.fold_left (fun acc c -> acc + channel_stalls c) 0 channels);
+    (* The ledger: where the producer's and each worker's time went. *)
+    let c name v = Obs.Counter.add (Obs.counter ("profiler.parallel." ^ name)) v in
+    let pushes =
+      Array.fold_left
+        (fun (acc : Spsc_queue.waits) ch ->
+          let p = producer_waits ch in
+          { Spsc_queue.waits = acc.waits + p.waits;
+            wait_ns = acc.wait_ns + p.wait_ns;
+            parks = acc.parks + p.parks })
+        { Spsc_queue.waits = 0; wait_ns = 0; parks = 0 }
+        channels
+    in
+    c "producer_ns" producer_ns;
+    c "push_waits" pushes.waits;
+    c "push_wait_ns" pushes.wait_ns;
+    c "producer_parks" pushes.parks;
+    c "chunks_shipped" !shipped;
+    c "merge_ns" (t_pet - t_merge);
+    c "pet_finish_ns" (t_end - t_pet);
+    c "minor_gcs" (minor_gcs () - gcs_start);
     Array.iteri
       (fun i (wr : worker_result) ->
-        let c name v =
-          Obs.Counter.add
-            (Obs.counter (Printf.sprintf "profiler.worker.%d.%s" i name))
-            v
-        in
-        c "accesses" wr.w_processed;
-        c "chunks" wr.w_chunks;
-        c "idle_spins" wr.w_idle_spins)
+        let idle = consumer_waits channels.(i) in
+        let cw name v = c (Printf.sprintf "worker.%d.%s" i name) v in
+        cw "chunks" wr.w_chunks;
+        cw "engine_ns" wr.w_engine_ns;
+        cw "idle_ns" idle.wait_ns;
+        cw "parks" idle.parks;
+        Obs.Counter.add
+          (Obs.counter (Printf.sprintf "profiler.worker.%d.accesses" i))
+          wr.w_processed)
       results
   end;
   r

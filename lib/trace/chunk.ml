@@ -17,6 +17,8 @@ let stride = 8
 
 (* Kind codes: a read or a write, plus 2 when the thread held a lock; a slot
    removal carries only its address. *)
+let write_code = 1
+let locked_code = 2
 let remove_code = 4
 
 let default_capacity = 512
@@ -26,6 +28,8 @@ let create ?(capacity = default_capacity) ?(seq = 0) () =
 
 let seq c = c.seq
 let set_seq c s = c.seq <- s
+let data c = c.data
+let set_length c n = c.used <- n
 
 let capacity c = Array.length c.data / stride
 let length c = c.used
@@ -35,8 +39,8 @@ let is_empty c = c.used = 0
 let push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
   let d = c.data and b = c.used * stride in
   d.(b) <-
-    (match kind with Event.Read -> 0 | Event.Write -> 1)
-    + if locked then 2 else 0;
+    (match kind with Event.Read -> 0 | Event.Write -> write_code)
+    + if locked then locked_code else 0;
   d.(b + 1) <- addr;
   d.(b + 2) <- var;
   d.(b + 3) <- line;
@@ -60,9 +64,10 @@ let iter c ~access ~remove =
     if code = remove_code then remove d.(b + 1)
     else
       access
-        ~kind:(if code land 1 = 0 then Event.Read else Event.Write)
+        ~kind:(if code land write_code = 0 then Event.Read else Event.Write)
         ~addr:d.(b + 1) ~var:d.(b + 2) ~line:d.(b + 3) ~thread:d.(b + 4)
-        ~time:d.(b + 5) ~op:d.(b + 6) ~lstack:d.(b + 7) ~locked:(code >= 2)
+        ~time:d.(b + 5) ~op:d.(b + 6) ~lstack:d.(b + 7)
+        ~locked:(code land locked_code <> 0)
   done
 
 let reset c = c.used <- 0

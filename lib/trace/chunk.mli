@@ -17,6 +17,27 @@ val seq : t -> int
 
 val set_seq : t -> int -> unit
 
+(** {2 The packed layout}
+
+    A producer on a hot path may fill {!data} in place instead of calling
+    {!push_access}, then publish the entry count with {!set_length}. Entry
+    [i] occupies [data.(stride * i)] to [data.(stride * i + stride - 1)]:
+    the kind code, then [addr], [var], [line], [thread], [time], [op] and
+    [lstack]. The kind code is 0 for a read, {!write_code} for a write,
+    plus {!locked_code} when the thread held a lock; a slot removal is
+    {!remove_code} followed by its address. *)
+
+val stride : int
+val write_code : int
+val locked_code : int
+val remove_code : int
+
+val data : t -> int array
+(** The packed entries; its length is [stride * capacity]. *)
+
+val set_length : t -> int -> unit
+(** Set the number of filled entries, after filling {!data} in place. *)
+
 val capacity : t -> int
 val length : t -> int
 val is_full : t -> bool

@@ -80,10 +80,26 @@ module Lstack = struct
   let f_iter = 3
   let f_depth = 4
 
+  (* The producer's write cursor, kept off every cache line a worker reads.
+     [push] writes [next] once per loop iteration, and a parallel-profiler
+     worker reads [dir] on every carrier-memo miss, which every new
+     iteration causes. In one record the two shared a 64-byte line, so each
+     push invalidated the worker's copy of [dir] (false sharing). OCaml 5.1
+     has no [Atomic.make_contended], so the cursor is padded by hand: seven
+     unused words on each side of its two fields fill every cache line the
+     fields can sit on, wherever the allocator places the record. *)
+  type cursor = {
+    _p0 : int; _p1 : int; _p2 : int; _p3 : int; _p4 : int; _p5 : int;
+    _p6 : int;
+    mutable block : int array;  (* the block [next - 1] sits in *)
+    mutable next : int;
+    _q0 : int; _q1 : int; _q2 : int; _q3 : int; _q4 : int; _q5 : int;
+    _q6 : int;
+  }
+
   type t = {
     dir : int array array Atomic.t;  (* block directory; [[||]] unallocated *)
-    mutable block : int array;       (* the block [next - 1] sits in *)
-    mutable next : int;
+    cur : cursor;                    (* written by the producer only *)
   }
 
   (* A block is [width * block_nodes] = 5120 words: past 256 words, it is
@@ -96,7 +112,11 @@ module Lstack = struct
     let b = new_block () in
     let dir = Array.make 8 [||] in
     dir.(0) <- b;
-    { dir = Atomic.make dir; block = b; next = 1 }
+    { dir = Atomic.make dir;
+      cur =
+        { _p0 = 0; _p1 = 0; _p2 = 0; _p3 = 0; _p4 = 0; _p5 = 0; _p6 = 0;
+          block = b; next = 1;
+          _q0 = 0; _q1 = 0; _q2 = 0; _q3 = 0; _q4 = 0; _q5 = 0; _q6 = 0 } }
 
   let empty = 0
 
@@ -119,14 +139,15 @@ module Lstack = struct
       d'.(bi) <- b;
       Atomic.set t.dir d'
     end;
-    t.block <- b
+    t.cur.block <- b
 
   let push t ~parent ~loop_line ~inst ~iter : int =
-    let id = t.next in
-    t.next <- id + 1;
+    let c = t.cur in
+    let id = c.next in
+    c.next <- id + 1;
     if id land block_mask = 0 then add_block t (id lsr block_bits);
     let depth = field (Atomic.get t.dir) parent f_depth + 1 in
-    let b = t.block and o = base id in
+    let b = c.block and o = base id in
     b.(o + f_parent) <- parent;
     b.(o + f_line) <- loop_line;
     b.(o + f_inst) <- inst;
@@ -193,7 +214,7 @@ module Lstack = struct
       (fun parent { Event.loop_line; inst; iter } ->
         let d = Atomic.get t.dir in
         let rec find id =
-          if id >= t.next then push t ~parent ~loop_line ~inst ~iter
+          if id >= t.cur.next then push t ~parent ~loop_line ~inst ~iter
           else if
             field d id f_parent = parent && field d id f_line = loop_line
             && field d id f_inst = inst && field d id f_iter = iter
@@ -203,12 +224,12 @@ module Lstack = struct
         find 1)
       empty frames
 
-  let nodes t = t.next
+  let nodes t = t.cur.next
 
   (* The allocated blocks with their headers, the directory with its
-     header, and the table record and its atomic cell. *)
+     header, the table record, its atomic cell and the padded cursor. *)
   let words t =
-    let blocks = ((t.next - 1) lsr block_bits) + 1 in
+    let blocks = ((t.cur.next - 1) lsr block_bits) + 1 in
     (blocks * ((width * block_nodes) + 1))
-    + Array.length (Atomic.get t.dir) + 1 + 4 + 2
+    + Array.length (Atomic.get t.dir) + 1 + 3 + 2 + 17
 end

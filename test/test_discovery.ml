@@ -305,5 +305,38 @@ let test_every_workload_runs () =
         (report.Discovery.Suggestion.profile.Profiler.Serial.accesses > 0))
     Workloads.Catalog.all
 
+(* A region that carries several suggestions (a DOALL loop that is also a
+   loop-tasks SPMD one) is measured once: over the whole registry the
+   ranking measures exactly the distinct regions that get a suggestion. *)
+let test_ranking_measures_each_region_once () =
+  Obs.disable ();
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+  @@ fun () ->
+  let suggestions, regions =
+    List.fold_left
+      (fun (n, regions) w ->
+        let report = Discovery.Suggestion.analyze (R.program w) in
+        let distinct =
+          List.sort_uniq compare
+            (List.map
+               (fun (s : Discovery.Suggestion.t) -> s.region)
+               report.suggestions)
+        in
+        (n + List.length report.suggestions, regions + List.length distinct))
+      (0, 0) Workloads.Catalog.all
+  in
+  Alcotest.(check bool) "some regions carry two suggestions" true
+    (suggestions > regions);
+  Alcotest.(check int) "one measurement per distinct region" regions
+    (Obs.counter_value "discovery.ranking.regions_scored")
+
 let tests =
-  tests @ [ Alcotest.test_case "every workload runs" `Slow test_every_workload_runs ]
+  tests
+  @ [ Alcotest.test_case "every workload runs" `Slow test_every_workload_runs;
+      Alcotest.test_case "ranking measures each region once" `Slow
+        test_ranking_measures_each_region_once ]

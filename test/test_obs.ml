@@ -120,6 +120,46 @@ let test_serial_parallel_counters_agree () =
   Alcotest.(check int) "worker accesses sum to total" s_acc
     (List.fold_left ( + ) 0 per_worker)
 
+(* The parallel profiler's ledger: its exact counts agree with each other
+   (every chunk shipped is consumed by one worker, no push waits twice) and
+   every timed share is published. *)
+let test_parallel_ledger () =
+  with_registry @@ fun () ->
+  let prog =
+    Workloads.Registry.program ~size:20_000 (Option.get (Workloads.Catalog.find "histogram"))
+  in
+  List.iter
+    (fun workers ->
+      Obs.reset ();
+      let r = Profiler.Parallel.profile ~workers ~perfect:true prog in
+      let c name = Obs.counter_value ("profiler.parallel." ^ name) in
+      let per_worker name =
+        List.init workers (fun i -> c (Printf.sprintf "worker.%d.%s" i name))
+      in
+      let shipped = c "chunks_shipped" in
+      Alcotest.(check bool) "several chunks" true (shipped > workers);
+      Alcotest.(check int)
+        (Printf.sprintf "%d workers: chunks shipped = consumed" workers)
+        shipped
+        (List.fold_left ( + ) 0 (per_worker "chunks"));
+      Alcotest.(check bool) "pushes that waited <= chunks" true
+        (c "push_waits" <= shipped);
+      Alcotest.(check bool) "producer parks <= push waits" true
+        (c "producer_parks" <= c "push_waits");
+      Alcotest.(check bool) "producer time" true (c "producer_ns" > 0);
+      Alcotest.(check bool) "engine time" true
+        (List.for_all (fun ns -> ns > 0) (per_worker "engine_ns"));
+      Alcotest.(check bool) "waits and merge are non-negative" true
+        (List.for_all (fun v -> v >= 0)
+           ([ c "push_wait_ns"; c "merge_ns"; c "pet_finish_ns"; c "minor_gcs" ]
+           @ per_worker "idle_ns" @ per_worker "parks"));
+      Alcotest.(check int) "worker accesses sum to total" r.accesses
+        (List.fold_left ( + ) 0
+           (List.init workers (fun i ->
+                Obs.counter_value
+                  (Printf.sprintf "profiler.worker.%d.accesses" i)))))
+    [ 1; 2 ]
+
 (* Both profilers publish the size of the run's loop-stack table: one node
    per loop iteration executed, whoever consumes the accesses. *)
 let test_lstack_gauges_agree () =
@@ -520,6 +560,7 @@ let tests =
     Alcotest.test_case "snapshot sections" `Quick test_snapshot_shape;
     Alcotest.test_case "serial/parallel counters agree" `Quick
       test_serial_parallel_counters_agree;
+    Alcotest.test_case "parallel profiler ledger" `Quick test_parallel_ledger;
     Alcotest.test_case "loop-stack gauges agree" `Quick
       test_lstack_gauges_agree;
     Alcotest.test_case "engine dedup misses" `Quick test_dedup_misses;

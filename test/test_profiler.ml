@@ -491,6 +491,31 @@ let test_lifetime_off_creates_false_deps () =
   Alcotest.(check bool) "stale deps appear with lifetime off" true
     (cross off.Profiler.Serial.deps)
 
+(* A worker parks on its empty queue once it has spun for about a chunk's
+   fill time (microseconds). Here the program is cancelled at the
+   interpreter's first poll after a 50 ms pause, so every worker has long
+   parked when the producer aborts; [abort] must wake each one with its
+   stop item and join it before re-raising. A lost wake-up hangs the
+   test instead of failing it. *)
+let test_parallel_raise_after_park () =
+  let prog =
+    Workloads.Registry.program ~size:20_000 (Option.get (Workloads.Catalog.find "histogram"))
+  in
+  List.iter
+    (fun workers ->
+      let polls = ref 0 in
+      let cancelled () =
+        incr polls;
+        if !polls = 2 then Unix.sleepf 0.05;
+        !polls >= 2
+      in
+      match Profiler.Parallel.profile ~workers ~perfect:true ~cancelled prog with
+      | _ -> Alcotest.failf "%d workers: expected Cancelled" workers
+      | exception Interp.Cancelled -> ())
+    [ 1; 2; 4 ];
+  let r = Profiler.Parallel.profile ~workers:2 Helpers.fig27 in
+  Alcotest.(check bool) "a later profile runs" true (r.accesses > 0)
+
 (* ---- queues ---- *)
 
 let test_spsc_queue () =
@@ -527,6 +552,32 @@ let test_spsc_cross_domain () =
     (n * (n + 1) / 2)
     (Domain.join consumer)
 
+(* Each blocking side parks once its spin is over, and the other side's
+   next index move wakes it: a consumer on an empty queue, then a producer
+   on a full one. Each wait's ledger counts one wait and one park. *)
+let test_spsc_parks_and_wakes () =
+  let module Q = Profiler.Spsc_queue in
+  let q = Q.create ~capacity:2 in
+  let consumer = Domain.spawn (fun () -> Q.pop q) in
+  Unix.sleepf 0.05;
+  ignore (Q.try_push q 7 : bool);
+  Alcotest.(check int) "parked consumer gets the item" 7 (Domain.join consumer);
+  let c = Q.consumer_waits q in
+  Alcotest.(check (pair int int)) "one wait, parked" (1, 1) (c.waits, c.parks);
+  Alcotest.(check bool) "waited the pause" true (c.wait_ns >= 40_000_000);
+  Q.push q 1;
+  Q.push q 2;
+  let producer = Domain.spawn (fun () -> Q.push q 3) in
+  Unix.sleepf 0.05;
+  Alcotest.(check (option int)) "fifo" (Some 1) (Q.try_pop q);
+  Domain.join producer;
+  Alcotest.(check (list (option int))) "parked producer's item follows"
+    [ Some 2; Some 3; None ]
+    (List.init 3 (fun _ -> Q.try_pop q));
+  let p = Q.producer_waits q in
+  Alcotest.(check (pair int int)) "one push waited, parked" (1, 1)
+    (p.waits, p.parks)
+
 let tests =
   [ Alcotest.test_case "Table 2.2 dependence set" `Quick test_fig27_deps;
     Alcotest.test_case "RAR ignored" `Quick test_rar_ignored;
@@ -552,11 +603,14 @@ let tests =
     Alcotest.test_case "parallel hot scalar" `Quick test_parallel_hot_scalar;
     Alcotest.test_case "parallel stops workers on raise" `Quick
       test_parallel_stops_workers_on_raise;
+    Alcotest.test_case "parallel re-raises after workers park" `Quick
+      test_parallel_raise_after_park;
     Alcotest.test_case "depfile round trip" `Quick test_depfile_roundtrip;
     Alcotest.test_case "depfile on disk" `Quick test_depfile_disk;
     Alcotest.test_case "lifetime ablation" `Quick test_lifetime_off_creates_false_deps;
     Alcotest.test_case "SPSC queue" `Quick test_spsc_queue;
     Alcotest.test_case "SPSC cross-domain" `Quick test_spsc_cross_domain;
+    Alcotest.test_case "SPSC parks and wakes" `Quick test_spsc_parks_and_wakes;
     QCheck_alcotest.to_alcotest qcheck_pet_printed_counts;
     QCheck_alcotest.to_alcotest qcheck_skip_equivalence;
     QCheck_alcotest.to_alcotest qcheck_parallel_equivalence ]

@@ -96,8 +96,9 @@ let test_registry_digest () =
    one's.
 
    The same runs also check that the parallel report (the text `discopop
-   profile` prints, lines sorted) equals the serial one, and a second pair
-   checks report and PET at four workers with skip off.
+   profile` prints, lines sorted) equals the serial one, and the serial run
+   with skip off is checked against report and PET at one worker (the
+   profile-large benchmark's configuration) and at four.
 
    Regenerate (only for a deliberate change to the tree) with
      PET_GOLDEN_OUT=test/golden/pet.golden \
@@ -126,8 +127,10 @@ let pet_line (w : R.t) =
   in
   let s_skip = serial ~skip:true and p_skip = parallel ~workers:2 ~skip:true in
   check_parallel_equals_serial ~what:"2 workers, skip on" w s_skip p_skip;
-  check_parallel_equals_serial ~what:"4 workers, skip off" w
-    (serial ~skip:false)
+  let s_off = serial ~skip:false in
+  check_parallel_equals_serial ~what:"1 worker, skip off" w s_off
+    (parallel ~workers:1 ~skip:false);
+  check_parallel_equals_serial ~what:"4 workers, skip off" w s_off
     (parallel ~workers:4 ~skip:false);
   Printf.sprintf "%s %s %s" w.name
     (md5 (Profiler.Pet.to_string s_skip.pet s_skip.deps))
