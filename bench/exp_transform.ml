@@ -5,11 +5,13 @@
    scheduler.
 
    Columns: the transform kind chosen by apply_first, the modeled speedup of
-   that suggestion (Amdahl x imbalance, from the ranking), the measured
-   "applied" speedup (serial accesses over the critical-path proxy of the
-   transformed run), and the differential-validation verdict.
+   that suggestion (Amdahl x imbalance, from the ranking), Validate's
+   critical-path proxy (serial accesses over main-thread work plus the
+   heaviest spawned thread of the transformed run; counted, not timed),
+   the interpreter runs the differential validation made
+   ([transform.validate.runs], race runs included), and its verdict.
 
-   The applied number trails the model for DOACROSS rows by construction:
+   The proxy trails the model for DOACROSS rows by construction:
    the transform serializes the carried suffix through lock hand-offs chunk
    to chunk, while the model assumes perfectly overlapped stages. *)
 
@@ -46,11 +48,13 @@ let pipeline_prog =
 
 let transform_row name applied =
   match applied with
-  | Error _ -> [ name; "-"; "-"; "-"; "not transformable" ]
+  | Error _ -> [ name; "-"; "-"; "-"; "-"; "not transformable" ]
   | Ok (t : P.t) ->
       let s = t.plan.P.p_suggestion in
       let d = V.measure ~original:t.original t.transformed in
+      let runs = Obs.counter_value "transform.validate.runs" in
       let v = V.differential ~original:t.original ~transformed:t.transformed () in
+      let runs = Obs.counter_value "transform.validate.runs" - runs in
       [ name;
         (match s.kind with
         | S.Sdoall _ -> "DOALL"
@@ -59,6 +63,7 @@ let transform_row name applied =
         | Smpmd _ -> "MPMD");
         Printf.sprintf "%.2fx" s.score.Discovery.Ranking.combined;
         Printf.sprintf "%.2fx" d.V.d_measured_speedup;
+        string_of_int runs;
         (if v.V.v_ok then "PASS"
          else
            Printf.sprintf "FAIL (%d issues)"
@@ -90,16 +95,17 @@ let run () =
     transform_row "pipeline*" applied
   in
   Util.table
-    ~columns:[ "program"; "transform"; "modeled"; "applied"; "validation" ]
+    ~columns:
+      [ "program"; "transform"; "modeled"; "proxy"; "runs"; "validation" ]
     (rows @ [ doacross_row ]);
   print_newline ();
   print_endline
     "* synthetic scalar recurrence; registry DOACROSS candidates carry their\n\
     \  chains through arrays, which the rewriter conservatively refuses.";
   print_endline
-    "applied < modeled on the DOACROSS row: the lock hand-off serializes the\n\
+    "proxy < modeled on the DOACROSS row: the lock hand-off serializes the\n\
      carried suffix chunk-to-chunk, where the model assumes overlapped stages.";
   print_endline
-    "applied >> modeled on fork-join rows: the critical-path proxy\n\
+    "proxy >> modeled on fork-join rows: the critical-path proxy\n\
      (main-thread work + heaviest single task) understates the spawn-chain\n\
      depth of recursive decompositions."

@@ -25,7 +25,7 @@
 type stats = {
   mutable tasks : int;  (* tasks executed by this executor *)
   mutable steals : int; (* successful steals by this executor *)
-  mutable busy_ns : int; (* wall time spent inside tasks *)
+  mutable busy_ns : int; (* wall time spent inside outermost tasks *)
 }
 
 type t = {
@@ -33,6 +33,7 @@ type t = {
   n : int; (* executors, including the caller slot 0 *)
   deques : (int -> unit) Deque.t array; (* a task gets its executor's index *)
   stats : stats array;
+  depth : int array; (* tasks running on each executor, nested by helping *)
   stop : bool Atomic.t;
   pending : int Atomic.t; (* submitted but not yet completed *)
   mutable workers : unit Domain.t array;
@@ -65,15 +66,23 @@ let rand_next st =
 
 (* Run [f] as one of executor [i]'s tasks.  The task is recorded before
    [counted] returns, so whoever learns of its completion afterwards (a
-   future's awaiter) reads stats that already include it. *)
+   future's awaiter) reads stats that already include it.  A task that
+   awaits helps by running others inside its own time, so only the
+   outermost task on an executor adds to [busy_ns]: the nested ones would
+   count the same wall time twice. *)
 let counted pool i f =
-  let t0 = Obs.now_ns () in
+  let outer = pool.depth.(i) = 0 in
+  let t0 = if outer then Obs.now_ns () else 0 in
+  pool.depth.(i) <- pool.depth.(i) + 1;
   let record () =
-    let dt = Obs.now_ns () - t0 in
+    pool.depth.(i) <- pool.depth.(i) - 1;
     let st = pool.stats.(i) in
     st.tasks <- st.tasks + 1;
-    st.busy_ns <- st.busy_ns + dt;
-    Obs.Counter.add pool.c_busy.(i) dt;
+    if outer then begin
+      let dt = Obs.now_ns () - t0 in
+      st.busy_ns <- st.busy_ns + dt;
+      Obs.Counter.add pool.c_busy.(i) dt
+    end;
     Obs.Counter.incr pool.c_tasks
   in
   match f () with
@@ -191,6 +200,7 @@ let create ?(domains = Domain.recommended_domain_count ()) () =
       n;
       deques = Array.init n (fun _ -> Deque.create ());
       stats = Array.init n (fun _ -> { tasks = 0; steals = 0; busy_ns = 0 });
+      depth = Array.make n 0;
       stop = Atomic.make false;
       pending = Atomic.make 0;
       workers = [||];

@@ -8,7 +8,9 @@
       scheduler seeds and compare the observable state — entry return
       value, final values of the original program's globals, and the
       [print] output stream. The first seed's run of a threaded program is
-      its race run (below); a seed-free original runs once.
+      its race run (below); a seed-free original runs once, and so, in
+      effect, does a schedule-determinate transform whose race run is
+      race-free (below).
    2. Race check: run both programs, the original only if it has [Par],
       instrumented into a happens-before detector, and require the
       transformed program to introduce no *new* racy variables — in
@@ -21,12 +23,37 @@
       compared by variable, which renumbering preserves.
    3. Work distribution: count profiled accesses per thread of the
       transformed run, giving a measured speedup proxy (total work over
-      the critical chunk) to place next to the modeled Schedule speedup. *)
+      the critical chunk) to place next to the modeled Schedule speedup.
+
+   The one-run argument also covers state equivalence for a
+   schedule-determinate program: one that calls neither [rand] nor
+   [print] and contains no [Lock], [Unlock], [Barrier], [Atomic_assign]
+   or [Free].
+   - In [Interp], the seed reaches a run only through the PRNG: the
+     scheduler's draws and [rand].
+   - Without the constructs above, its threads meet only at [Par]'s fork
+     and join, so a seed changes only the interleaving of their
+     statements.
+   - A fork-join run with no determinacy race reads the same write at
+     every read under every interleaving (Feng & Leiserson, SPAA 1997),
+     so it ends in the same state. Happens-before reports a race of the
+     executed trace whatever the interleaving, so one race-free run
+     stands for every seed.
+   - Memory a thread allocates does not carry an earlier owner's values:
+     [Compile.alloc] zeroes recycled cells, and no thread outlives the
+     scope of a local it can reach. [Free] is excluded because
+     [Happens_before.feed_dealloc] forgets a freed range instead of
+     treating the free as a write, so an access through a stale name
+     would go unseen.
+   If the race run reports any race, internal "__" names included, the
+   argument does not apply and every seed runs. *)
 
 module Interp = Mil.Interp
 
 let c_pass = Obs.counter "transform.validate.pass"
 let c_fail = Obs.counter "transform.validate.fail"
+let c_runs = Obs.counter "transform.validate.runs"
+let c_decided = Obs.counter "transform.validate.decided"
 
 let is_internal name = String.length name >= 2 && String.sub name 0 2 = "__"
 
@@ -62,6 +89,23 @@ let seed_free (prog : Mil.Ast.program) =
           (fun (f : Mil.Ast.func) ->
             List.mem "rand" (Mil.Rewrite.block_calls f.body))
           prog.funcs)
+
+(* See the header: such a program's race-free run observes what every
+   seed's run would. *)
+let schedule_determinate (prog : Mil.Ast.program) =
+  List.for_all
+    (fun (f : Mil.Ast.func) ->
+      let calls = Mil.Rewrite.block_calls f.body in
+      (not (List.mem "rand" calls || List.mem "print" calls))
+      && not
+           (Mil.Ast.exists_block
+              (fun (s : Mil.Ast.stmt) ->
+                match s.node with
+                | Lock _ | Unlock _ | Barrier _ | Atomic_assign _ | Free _ ->
+                    true
+                | _ -> false)
+              f.body))
+    prog.funcs
 
 let diff_observations (a : observation) (b : observation) : string list =
   let issues = ref [] in
@@ -115,40 +159,56 @@ type verdict = {
 
 let default_seeds = [ 42; 1009; 77777 ]
 
+(* Where one seed's observation of one program comes from. *)
+type source =
+  | Race_run  (* the program's race run, at the first seed *)
+  | Task of observation Runtime.Pool.future
+  | Undecided (* the race run's if it is race-free, else a task *)
+
 (* Each program runs as few times as the verdict needs. The race run at
    the first seed is also that seed's observation of the transformed
    program, and of an original with [Par]; an original without [Par] is
    not race-run, since one thread's accesses are all ordered and nothing
    in it can be racy. A seed-free original is observed once for every
-   seed.
+   seed, and a schedule-determinate transform's race-free race run stands
+   for its later seeds.
 
-   The plain observations do not depend on the race runs, so they run as
-   one task of the shared pool while the caller, its executor 0, runs the
-   race runs; with one executor, [await] runs the task inline afterwards.
-   Every run is deterministic given its seed, so the verdict does not
-   depend on which domain runs what. *)
+   Every other observation is one task of the shared pool, submitted
+   before the caller, its executor 0, runs the race runs; the caller then
+   awaits them help-first, taking what the other executor has not
+   started, and with one executor runs them all inline. Every run is
+   deterministic given its seed, so the verdict does not depend on which
+   domain runs what. *)
 let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     ~(transformed : Mil.Ast.program) () : verdict =
   let seed0 = match seeds with s :: _ -> s | [] -> 42 in
   let race_original = Mil.Rewrite.has_par original in
+  let once_for_all = seed_free original in
+  let determinate = schedule_determinate transformed in
   let pool =
     Runtime.Pool.shared (min 2 (Domain.recommended_domain_count ()))
   in
   Runtime.Pool.run pool @@ fun () ->
-  (* Per seed, the observations of original and transformed, [None] where
-     a race run gives it. *)
+  let runs = ref (if race_original then 2 else 1) and decided = ref 0 in
+  let submit ?seed prog =
+    incr runs;
+    Task
+      ( Runtime.Pool.async pool @@ fun () ->
+        Obs.Span.with_ ~phase:"validate.observe" @@ fun () ->
+        observe ?seed prog )
+  in
+  let once = lazy (submit original) in
   let plain =
-    Runtime.Pool.async pool @@ fun () ->
-    Obs.Span.with_ ~phase:"validate.observe" @@ fun () ->
-    let once = lazy (observe original) in
     List.map
       (fun seed ->
         let first = seed = seed0 in
         ( seed,
-          (if first && race_original then None
-           else if seed_free original then Some (Lazy.force once)
-           else Some (observe ~seed original)),
-          if first then None else Some (observe ~seed transformed) ))
+          (if first && race_original then Race_run
+           else if once_for_all then Lazy.force once
+           else submit ~seed original),
+          if first then Race_run
+          else if determinate then Undecided
+          else submit ~seed transformed ))
       seeds
   in
   (* Only the observations and race summaries outlive the race check, not
@@ -162,23 +222,47 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
       else (None, [])
     in
     let t = race_run ~seed:seed0 transformed in
-    ( orig_obs,
-      List.filter (fun v -> not (List.mem v base)) t.racy,
-      t.racy_raw,
-      t.observation )
+    (orig_obs, List.filter (fun v -> not (List.mem v base)) t.racy, t)
   in
-  (* The task is awaited even when a race run raises, so it never outlives
-     this enrolment. *)
   let race = try Ok (race_check ()) with e -> Error e in
-  let plain = Runtime.Pool.await pool plain in
-  let orig_obs, new_racy, racy_raw, tran_obs =
+  let race_free = match race with Ok (_, _, t) -> t.racy = [] | _ -> false in
+  let plain =
+    List.map
+      (fun (seed, a, b) ->
+        ( seed,
+          a,
+          match b with
+          | Undecided when race_free ->
+              incr decided;
+              Race_run
+          | Undecided -> submit ~seed transformed
+          | b -> b ))
+      plain
+  in
+  (* Every task is awaited, even after a race run or another task raised,
+     so none outlives this enrolment. *)
+  let failed = ref None in
+  let await = function
+    | Task fut -> (
+        match Runtime.Pool.await pool fut with
+        | o -> Some o
+        | exception e ->
+            if Option.is_none !failed then failed := Some e;
+            None)
+    | Race_run | Undecided -> None
+  in
+  let plain = List.map (fun (seed, a, b) -> (seed, await a, await b)) plain in
+  Obs.Counter.add c_runs !runs;
+  Obs.Counter.add c_decided !decided;
+  Option.iter raise !failed;
+  let orig_obs, new_racy, t =
     match race with Ok r -> r | Error e -> raise e
   in
   let mismatches =
     List.concat_map
       (fun (seed, a, b) ->
         let a = match a with Some o -> o | None -> Option.get orig_obs in
-        let b = Option.value b ~default:tran_obs in
+        let b = Option.value b ~default:t.observation in
         List.map (fun issue -> (seed, issue)) (diff_observations a b))
       plain
   in
@@ -188,7 +272,7 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     v_seeds = seeds;
     v_mismatches = mismatches;
     v_new_racy = new_racy;
-    v_racy_raw = racy_raw }
+    v_racy_raw = t.racy_raw }
 
 let verdict_to_string (v : verdict) =
   let b = Buffer.create 256 in

@@ -16,17 +16,32 @@
 
     Each program runs as few times as the verdict needs: a race run at the
     first seed is also that seed's observation, and a {!seed_free}
-    original is observed once for every seed. Per seed after the first,
-    the transformed program and a non-seed-free original run once each,
-    uninstrumented.
+    original is observed once for every seed. A {!schedule_determinate}
+    transform whose race run reports no race at all, internal ["__"] names
+    included, is not run again: that run is its observation at every seed.
+    - In [Interp], the seed reaches a run only through the PRNG: the
+      scheduler's draws and [rand].
+    - With no [rand], [print], lock, barrier, atomic or [Free], seeds
+      change only the interleaving of a fork-join program, and a fork-join
+      run with no determinacy race reads the same write at every read
+      under every interleaving (Feng & Leiserson, SPAA 1997).
+    - [Compile.alloc] zeroes recycled memory, so a thread's fresh local
+      does not carry an earlier owner's values.
+    - [Free] is excluded because [Happens_before.feed_dealloc] forgets a
+      freed range instead of treating the free as a write.
+    If the race run reports a race, the transform runs at every seed, as
+    any other does. Per seed after the first, the transformed program
+    otherwise runs once, uninstrumented, and so does a non-seed-free
+    original.
 
     Those plain observations do not depend on the race runs, so
     {!differential} enrols as executor 0 of
     [Runtime.Pool.shared (min 2 (Domain.recommended_domain_count ()))],
-    submits them as one task and runs the race runs itself before awaiting
-    it: on two cores the two halves overlap, and on one the task runs
-    inline after the race runs. Every run is deterministic given its seed,
-    so the verdict is the same either way. *)
+    submits each as a pool task and runs the race runs itself before
+    awaiting them help-first: on two cores the two halves overlap, and the
+    caller takes whatever observations the other executor has not
+    started; on one core they run inline after the race runs. Every run is
+    deterministic given its seed, so the verdict is the same either way. *)
 
 type observation = {
   o_result : int;
@@ -46,6 +61,12 @@ val seed_free : Mil.Ast.program -> bool
 (** No [Par] and no call to [rand] in any function: the scheduler's seed
     cannot reach such a program's run, so it observes the same at every
     seed. *)
+
+val schedule_determinate : Mil.Ast.program -> bool
+(** No function calls [rand] or [print], and none contains [Lock],
+    [Unlock], [Barrier], [Atomic_assign] or [Free]: the program's threads
+    meet only at [Par]'s fork and join. A race-free run of such a program
+    observes what its run at any other seed would. *)
 
 val diff_observations : observation -> observation -> string list
 (** Human-readable discrepancies; empty means observably equal. *)
@@ -69,10 +90,14 @@ val differential :
   unit ->
   verdict
 (** Counts the outcome in the [Obs] registry
-    ([transform.validate.pass] / [transform.validate.fail]), and times its
-    two halves as the [validate.race_check] and [validate.observe] spans;
-    the second is the one pool task a call adds to [runtime.tasks], and
-    may run on another domain.
+    ([transform.validate.pass] / [transform.validate.fail]), the
+    interpreter runs it made, race runs included
+    ([transform.validate.runs]), and the transformed program's
+    observations at later seeds that its race run decided
+    ([transform.validate.decided]). Times the race runs as one
+    [validate.race_check] span and each plain observation as a
+    [validate.observe] span; each of those is one pool task, counted in
+    [runtime.tasks], and may run on another domain.
     Its race runs publish no [profiler.*] metrics and no [profile] span. *)
 
 val verdict_to_string : verdict -> string

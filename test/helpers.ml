@@ -60,6 +60,20 @@ let transform_case (name, size) =
   | Ok (t, _) -> t
   | Error _ -> Alcotest.failf "%s@%d: nothing transformable" name size
 
+(* The first transformable suggestion of every registry program at its
+   default size ([Parallelize.apply_first ~chunks:2] after a 2-thread
+   analysis), computed once and shared by the validate and rewrite goldens
+   and the determinacy test. *)
+let first_transforms =
+  lazy
+    (List.map
+       (fun (w : Workloads.Registry.t) ->
+         let report =
+           Discovery.Suggestion.analyze ~threads:2 (Workloads.Registry.program w)
+         in
+         (w, Result.to_option (Transform.Parallelize.apply_first ~chunks:2 report)))
+       Workloads.Catalog.all)
+
 let profile ?shadow ?skip ?seed ?scramble_unlocked p =
   Profiler.Serial.profile ?shadow ?skip ?seed ?scramble_unlocked p
 

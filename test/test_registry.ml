@@ -319,17 +319,6 @@ let test_interleave_golden () =
   check_golden ~env:"INTERLEAVE_GOLDEN_OUT" ~file:"interleave.golden"
     ~what:"interleavings" (interleave_lines ())
 
-(* The first transformable suggestion of every registry program at its
-   default size ([Parallelize.apply_first ~chunks:2] after a 2-thread
-   analysis), computed once and shared by the two goldens below. *)
-let first_transforms =
-  lazy
-    (List.map
-       (fun (w : R.t) ->
-         let report = S.analyze ~threads:2 (R.program w) in
-         (w, Result.to_option (Transform.Parallelize.apply_first ~chunks:2 report)))
-       Workloads.Catalog.all)
-
 (* [golden/validate.golden] pins [Validate.differential]: for every registry
    program whose first transformable suggestion applies,
    [verdict_to_string] at the default seeds and at seed 42 alone, its lines
@@ -357,7 +346,7 @@ let validate_line ((w : R.t), t) =
 let test_validate_golden () =
   check_golden ~env:"VALIDATE_GOLDEN_OUT" ~file:"validate.golden"
     ~what:"verdict"
-    (List.filter_map validate_line (Lazy.force first_transforms))
+    (List.filter_map validate_line (Lazy.force Helpers.first_transforms))
 
 (* [golden/rewrite.golden] pins the programs the transform and the passes
    produce, which the verdicts above and the passes' event-ratio gate do
@@ -384,7 +373,7 @@ let rewrite_line ((w : R.t), t) =
 
 let test_rewrite_golden () =
   check_golden ~env:"REWRITE_GOLDEN_OUT" ~file:"rewrite.golden"
-    ~what:"rewrite" (List.map rewrite_line (Lazy.force first_transforms))
+    ~what:"rewrite" (List.map rewrite_line (Lazy.force Helpers.first_transforms))
 
 (* [golden/transform.golden] pins every transform, not just the first that
    applies: per registry program (2-thread analysis, default size), one line

@@ -98,6 +98,33 @@ let test_async_await_fib () =
       in
       Alcotest.(check int) "fib 22" (fib_seq 22) (fib 22))
 
+(* A task that awaits helps by running other tasks inside its own time, so
+   only the outermost task on an executor is busy time: over a recursive
+   fib task graph, the executors' busy time cannot exceed their number
+   times the wall time. *)
+let test_busy_not_nested () =
+  let rec fib_seq k = if k < 2 then k else fib_seq (k - 1) + fib_seq (k - 2) in
+  with_pool ~domains:2 (fun pool ->
+      let rec fib k =
+        if k < 12 then fib_seq k
+        else
+          let a = Runtime.Pool.async pool (fun () -> fib (k - 1)) in
+          let b = fib (k - 2) in
+          Runtime.Pool.await pool a + b
+      in
+      let before = Runtime.Pool.stats pool in
+      let t0 = Obs.now_ns () in
+      let got = Runtime.Pool.await pool (Runtime.Pool.async pool (fun () -> fib 24)) in
+      let wall = Obs.now_ns () - t0 in
+      let after = Runtime.Pool.stats pool in
+      Alcotest.(check int) "fib 24" (fib_seq 24) got;
+      let busy =
+        Array.fold_left ( + ) 0
+          (Array.mapi (fun e (s : Runtime.Pool.stats) -> s.busy_ns - before.(e).busy_ns) after)
+      in
+      if busy > 2 * wall then
+        Alcotest.failf "busy %d ns over 2 executors in %d ns of wall time" busy wall)
+
 let test_await_reraises () =
   with_pool (fun pool ->
       let fut =
@@ -437,4 +464,6 @@ let tests =
     Alcotest.test_case "par_eval: task errors propagate" `Quick
       test_par_eval_error_propagates;
     Alcotest.test_case "par_eval: two equal arms keep both executors busy"
-      `Quick test_par_eval_two_arms ]
+      `Quick test_par_eval_two_arms;
+    Alcotest.test_case "pool: helping tasks are not busy twice" `Quick
+      test_busy_not_nested ]

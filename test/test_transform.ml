@@ -90,25 +90,26 @@ let forkjoin_prog =
              return (v "x" + v "y") ];
          func "main" [ return (call "fib" [ i 10 ]) ] ])
 
-let test_recursive_forkjoin () =
-  let report = analyze forkjoin_prog in
-  let spmd =
+(* The first SPMD suggestion for [prog], applied in 4 chunks. *)
+let spmd_transform prog =
+  let report = analyze prog in
+  match
     List.find_opt
       (fun (s : S.t) -> match s.kind with S.Sspmd _ -> true | _ -> false)
       report.suggestions
-  in
-  match spmd with
-  | None -> Alcotest.fail "no SPMD suggestion for recursive fib"
+  with
+  | None -> Alcotest.fail "no SPMD suggestion"
   | Some s -> (
       match P.apply ~chunks:4 report s with
-      | Error e -> Alcotest.failf "fork-join not transformable: %s" e
-      | Ok t ->
-          Alcotest.(check bool) "transformed has a Par" true
-            (Rewrite.has_par t.transformed);
-          let v =
-            V.differential ~original:t.original ~transformed:t.transformed ()
-          in
-          Alcotest.(check bool) "validation passes" true v.V.v_ok)
+      | Ok t -> t
+      | Error e -> Alcotest.failf "fork-join not transformable: %s" e)
+
+let test_recursive_forkjoin () =
+  let t = spmd_transform forkjoin_prog in
+  Alcotest.(check bool) "transformed has a Par" true
+    (Rewrite.has_par t.transformed);
+  let v = V.differential ~original:t.original ~transformed:t.transformed () in
+  Alcotest.(check bool) "validation passes" true v.V.v_ok
 
 (* The wrong transform: chunking a true recurrence (prefix sum) must be
    caught by differential validation — chunk k reads a value chunk k-1 has
@@ -148,7 +149,11 @@ let test_wrong_transform_rejected () =
         (v.V.v_mismatches <> [] || v.V.v_new_racy <> [])
 
 (* Validation outcomes are counted in the Obs registry, and both halves of
-   each validation are timed. *)
+   each validation are timed: one race check per validation, one
+   observation span per pool task. Both transforms run at every seed —
+   the reduction combines its partial sums atomically, and the recurrence
+   chunking races — so each validation observes its seed-free original
+   once and its transform at the two later seeds. *)
 let test_validation_counted () =
   Obs.enable ();
   Obs.reset ();
@@ -164,38 +169,159 @@ let test_validation_counted () =
     (Obs.counter_value "transform.validate.pass" >= 1);
   Alcotest.(check bool) "fail counted" true
     (Obs.counter_value "transform.validate.fail" >= 1);
-  List.iter
-    (fun phase ->
-      Alcotest.(check int) (phase ^ " timed per validation") 2
-        (Obs.Span.calls phase))
-    [ "validate.observe"; "validate.race_check" ]
+  Alcotest.(check int) "validate.race_check timed per validation" 2
+    (Obs.Span.calls "validate.race_check");
+  Alcotest.(check int) "validate.observe timed per pool task" 6
+    (Obs.Span.calls "validate.observe")
 
-(* The plain observations are one task of the shared pool, run beside the
-   race runs: a validation adds exactly one to [runtime.tasks]. *)
-let test_validation_one_task () =
+(* Counter deltas over one validation: (runs, decided, pool tasks). *)
+let validation_counts ?seeds ~original transformed =
   Obs.enable ();
-  Obs.reset ();
   Fun.protect ~finally:Obs.disable @@ fun () ->
-  let t = apply_first_exn (analyze reduction_prog) in
-  let before = Obs.counter_value "runtime.tasks" in
-  ignore (V.differential ~original:t.original ~transformed:t.transformed ());
-  Alcotest.(check int) "one pool task per validation" 1
-    (Obs.counter_value "runtime.tasks" - before)
+  let count () =
+    List.map Obs.counter_value
+      [ "transform.validate.runs"; "transform.validate.decided";
+        "runtime.tasks" ]
+  in
+  let before = count () in
+  let v = V.differential ?seeds ~original ~transformed () in
+  match List.map2 ( - ) (count ()) before with
+  | [ runs; decided; tasks ] -> (v, (runs, decided, tasks))
+  | _ -> assert false
+
+let counts = Alcotest.(triple int int int)
+
+(* Each plain observation is one task of the shared pool, run beside the
+   race runs. [transform.validate.runs] counts every interpreter run, the
+   race run included; [transform.validate.decided] the later seeds a
+   race-free race run stands for. Both originals are seed-free: one run,
+   one task. The reduction's transform updates its sum atomically, so it
+   runs at both later seeds; fib's fork-join transform is decided by its
+   race run, at any number of seeds. *)
+let test_validation_tasks () =
+  let red = apply_first_exn (analyze reduction_prog) in
+  let fib = spmd_transform forkjoin_prog in
+  Alcotest.(check bool) "reduction refused" false
+    (V.schedule_determinate red.transformed);
+  Alcotest.(check bool) "fib admitted" true
+    (V.schedule_determinate fib.transformed);
+  List.iter
+    (fun (what, (t : P.t), seeds, want) ->
+      let v, c = validation_counts ?seeds ~original:t.original t.transformed in
+      Alcotest.(check bool) (what ^ ": passes") true v.V.v_ok;
+      Alcotest.check counts (what ^ ": runs, decided, tasks") want c)
+    [ ("reduction", red, None, (4, 0, 3));
+      ("fib", fib, None, (2, 2, 1));
+      ("fib, 8 seeds", fib, Some (List.init 8 (fun k -> k + 1)), (2, 7, 1)) ]
+
+(* Two arms bump [x] without a lock: the static check admits the program,
+   but its race run reports [x], so every seed runs (one race run, the
+   seed-free original once, two later seeds) and [x] is new racy. *)
+let test_racy_forkjoin_falls_back () =
+  let open Builder in
+  let bump = set "x" (v "x" + i 1) in
+  let prog body =
+    number
+      (program ~globals:[ gscalar "x" 0 ] ~entry:"main" "bump"
+         [ func "main" (body @ [ return (v "x") ]) ])
+  in
+  let original = prog [ bump; bump ]
+  and transformed = prog [ par [ [ bump ]; [ bump ] ] ] in
+  Alcotest.(check bool) "admitted" true (V.schedule_determinate transformed);
+  let v, c = validation_counts ~original transformed in
+  Alcotest.check counts "runs, decided, tasks" (4, 0, 3) c;
+  Alcotest.(check (list string)) "x is new racy" [ "x" ] v.V.v_new_racy;
+  Alcotest.(check bool) "validation fails" false v.V.v_ok
+
+(* Each construct through which a seed or a stale address can reach a run
+   makes a fork-join program inadmissible; without them it is admitted. *)
+let test_determinate_classifier () =
+  let open Builder in
+  let prog arm =
+    number
+      (program
+         ~globals:[ gscalar "x" 0; gscalar "y" 0; garray "a" 4 ]
+         ~entry:"main" "arms"
+         [ func "helper" [ return (i 1) ];
+           func "main"
+             [ par [ [ set "x" (call "helper" []) ]; arm ];
+               return (v "x" + v "y") ] ])
+  in
+  Alcotest.(check bool) "plain fork-join admitted" true
+    (V.schedule_determinate (prog [ set "y" (i 2) ]));
+  List.iter
+    (fun (what, arm) ->
+      Alcotest.(check bool) (what ^ " refused") false
+        (V.schedule_determinate (prog arm)))
+    [ ("rand", [ set "y" (call "rand" [ i 10 ]) ]);
+      ("print", [ call_ "print" [ v "y" ] ]);
+      ("lock", [ lock "m"; set "y" (i 2); unlock "m" ]);
+      ("atomic update", [ atomic_set "y" (v "y" + i 1) ]);
+      ("barrier", [ barrier "b" ]);
+      ("free", [ free "a" ]) ];
+  let in_callee =
+    number
+      (program ~globals:[ gscalar "x" 0 ] ~entry:"main" "callee"
+         [ func "noisy" [ return (call "rand" [ i 3 ]) ];
+           func "main"
+             [ par [ [ set "x" (call "noisy" []) ]; [] ]; return (v "x") ] ])
+  in
+  Alcotest.(check bool) "rand in a callee refused" false
+    (V.schedule_determinate in_callee)
+
+(* The determinacy argument, checked on the corpus: every registry
+   transform the classifier admits and whose race run is race-free
+   observes, at the default seeds and at seeds 1-8, what its race run
+   observed. *)
+let test_determinate_transforms_agree () =
+  let decided =
+    List.filter_map
+      (fun ((w : Workloads.Registry.t), t) ->
+        match t with
+        | Some ((t : P.t), _) when V.schedule_determinate t.transformed ->
+            let hb, r = Profiler.Happens_before.run ~seed:42 t.transformed in
+            if Profiler.Happens_before.races hb <> [] then None
+            else begin
+              let race =
+                V.observation_of ~result:r.Interp.result
+                  ~globals:r.Interp.final_globals []
+              in
+              List.iter
+                (fun seed ->
+                  Alcotest.(check (list string))
+                    (Printf.sprintf "%s: seed %d observes as its race run"
+                       w.name seed)
+                    [] (V.diff_observations race (V.observe ~seed t.transformed)))
+                (V.default_seeds @ List.init 8 (fun k -> k + 1));
+              Some w.name
+            end
+        | _ -> None)
+      (Lazy.force Helpers.first_transforms)
+  in
+  Alcotest.(check int) "registry transforms decided by their race run" 16
+    (List.length decided)
 
 (* The transform-measure programs at small sizes validate cleanly: equal
    observations under every seed, no new racy variable, and no racy RAW
-   record in the transformed profile. *)
+   record in the transformed profile. The five fork-join transforms that
+   never call [rand] have both later seeds decided by their race run;
+   histogram and match_count call [rand] and run every seed. *)
 let test_transform_measure_verdicts () =
   List.iter
     (fun ((name, size) as case) ->
       let t = Helpers.transform_case case in
-      let v = V.differential ~original:t.original ~transformed:t.transformed () in
+      let v, (_, decided, _) =
+        validation_counts ~original:t.original t.transformed
+      in
       let what = Printf.sprintf "%s@%d: %s" name size in
       Alcotest.(check bool) (what "ok") true v.V.v_ok;
       Alcotest.(check (list (pair int string))) (what "mismatches") []
         v.V.v_mismatches;
       Alcotest.(check (list string)) (what "new racy") [] v.V.v_new_racy;
-      Alcotest.(check int) (what "racy RAW") 0 v.V.v_racy_raw)
+      Alcotest.(check int) (what "racy RAW") 0 v.V.v_racy_raw;
+      Alcotest.(check int) (what "seeds decided")
+        (if List.mem name [ "histogram"; "match_count" ] then 0 else 2)
+        decided)
     Helpers.transform_cases
 
 module HB = Profiler.Happens_before
@@ -468,8 +594,14 @@ let tests =
       test_wrong_transform_rejected;
     Alcotest.test_case "validation outcomes counted" `Quick
       test_validation_counted;
-    Alcotest.test_case "validation is one pool task" `Quick
-      test_validation_one_task;
+    Alcotest.test_case "one pool task per plain observation" `Quick
+      test_validation_tasks;
+    Alcotest.test_case "a racy fork-join runs every seed" `Quick
+      test_racy_forkjoin_falls_back;
+    Alcotest.test_case "determinacy classifier refuses each construct" `Quick
+      test_determinate_classifier;
+    Alcotest.test_case "determinate transforms observe as their race run"
+      `Slow test_determinate_transforms_agree;
     Alcotest.test_case "transform-measure verdicts at small sizes" `Slow
       test_transform_measure_verdicts;
     Alcotest.test_case "sequential originals never race" `Slow
