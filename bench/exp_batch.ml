@@ -17,7 +17,7 @@ let summaries (r : Pipeline.report) =
   List.filter_map
     (fun (j : Pipeline.job_result) ->
       match j.Pipeline.r_status with
-      | Pipeline.Ok_ ok -> Some (j.Pipeline.r_name, ok.Pipeline.jr_summary)
+      | Pipeline.Ok_ ok -> Some (j.Pipeline.r_name, snd ok.Pipeline.jr_entry)
       | _ -> None)
     r.Pipeline.b_results
 

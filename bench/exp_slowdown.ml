@@ -120,21 +120,26 @@ let large_programs () =
 let large_reps = 11
 let warmup_s = 3.0
 
-(* One parallel run: its time and the ledger's counters over that run. *)
-let ledger_names =
-  [ "producer_ns"; "push_wait_ns"; "push_waits"; "producer_parks";
-    "chunks_shipped";
-    "worker.0.engine_ns"; "worker.0.idle_ns"; "worker.0.parks"; "merge_ns";
-    "pet_finish_ns"; "minor_gcs" ]
+(* One parallel run: its time and the ledger's counters over that run, plus
+   the buffers its ring allocated. Each is (gauge suffix, counter). *)
+let ledger_counters =
+  List.map
+    (fun name -> (name, "profiler.parallel." ^ name))
+    [ "producer_ns"; "push_wait_ns"; "push_waits"; "producer_parks";
+      "chunks_shipped";
+      "worker.0.engine_ns"; "worker.0.idle_ns"; "worker.0.parks"; "merge_ns";
+      "pet_finish_ns"; "minor_gcs" ]
+  @ [ ("chunk.buffers", "profiler.chunk.buffers") ]
 
-let ledger_value name = Obs.counter_value ("profiler.parallel." ^ name)
+let ledger_names = List.map fst ledger_counters
 
 let run_parallel prog =
-  let before = List.map ledger_value ledger_names in
+  let values () = List.map (fun (_, c) -> Obs.counter_value c) ledger_counters in
+  let before = values () in
   let _, t =
     Util.time (fun () -> Profiler.Parallel.profile ~workers:1 ~perfect:true prog)
   in
-  (t, List.map2 (fun name b -> ledger_value name - b) ledger_names before)
+  (t, List.map2 ( - ) (values ()) before)
 
 let run_serial prog =
   snd

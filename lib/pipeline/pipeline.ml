@@ -294,8 +294,6 @@ let lookup ?mem ?dir ~key () :
 (* ---- jobs ---- *)
 
 type job_ok = {
-  jr_summary : string;
-  jr_deps : int;
   jr_suggestions : int;
   jr_cache_hit : bool;
   jr_entry : Profiler.Dep.Set_.t * string;
@@ -325,10 +323,8 @@ type report = {
   b_wall_s : float;
 }
 
-let job_ok ~cache_hit entries ((deps, summary) as entry) =
-  { jr_summary = summary;
-    jr_deps = Profiler.Dep.Set_.cardinal deps;
-    jr_suggestions = List.length entries;
+let job_ok ~cache_hit entries entry =
+  { jr_suggestions = List.length entries;
     jr_cache_hit = cache_hit;
     jr_entry = entry }
 
@@ -547,8 +543,9 @@ let render (r : report) : string =
     (fun jr ->
       let deps, sugg, detail =
         match jr.r_status with
-        | Ok_ ok -> (string_of_int ok.jr_deps,
-                     string_of_int ok.jr_suggestions, "")
+        | Ok_ ok ->
+            (string_of_int (Profiler.Dep.Set_.cardinal (fst ok.jr_entry)),
+             string_of_int ok.jr_suggestions, "")
         | Failed msg -> ("-", "-", msg)
         | Timed_out -> ("-", "-", "")
       in
@@ -582,11 +579,11 @@ let report_to_json ?suite (r : report) : Obs.Json.t =
     in
     let extra =
       match jr.r_status with
-      | Ok_ ok ->
-          [ ("cached", Bool ok.jr_cache_hit);
-            ("deps", Int ok.jr_deps);
-            ("suggestions", Int ok.jr_suggestions);
-            ("summary", String ok.jr_summary) ]
+      | Ok_ { jr_entry = deps, summary; jr_suggestions; jr_cache_hit } ->
+          [ ("cached", Bool jr_cache_hit);
+            ("deps", Int (Profiler.Dep.Set_.cardinal deps));
+            ("suggestions", Int jr_suggestions);
+            ("summary", String summary) ]
       | Failed msg -> [ ("error", String msg) ]
       | Timed_out -> []
     in

@@ -115,8 +115,6 @@ val lookup :
 
 (** What a successful job yields. *)
 type job_ok = {
-  jr_summary : string;       (** serialized suggestion summary *)
-  jr_deps : int;             (** distinct dependence records *)
   jr_suggestions : int;
   jr_cache_hit : bool;       (** phase 1 was skipped entirely *)
   jr_entry : Profiler.Dep.Set_.t * string;

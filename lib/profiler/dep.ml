@@ -109,6 +109,12 @@ module Set_ = struct
 
   let occurrences_cell t = t.raw_occurrences
 
+  let restore t d ~count pv =
+    t.raw_occurrences := !(t.raw_occurrences) + count;
+    match Hashtbl.find_opt t.tbl d with
+    | Some c -> c.n := !(c.n) + count
+    | None -> Hashtbl.add t.tbl d { n = ref count; pv }
+
   let prov t d =
     match Hashtbl.find_opt t.tbl d with Some c -> c.pv | None -> None
 

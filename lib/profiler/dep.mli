@@ -69,6 +69,10 @@ module Set_ : sig
       [incr n; incr (occurrences_cell t)]: no hashing, no lookup, and no
       call, so the engine does it inline. *)
 
+  val restore : t -> dep -> count:int -> prov option -> unit
+  (** Add [count] instances of [dep] with one lookup, keeping [prov] as its
+      witness when [dep] is new: how {!Depfile.parse} reads a record back. *)
+
   val prov : t -> dep -> prov option
 
   val risk_of : t -> dep -> float

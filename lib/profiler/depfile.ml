@@ -99,16 +99,7 @@ let parse (s : string) : Dep.Set_.t =
   String.split_on_char '\n' s
   |> List.iter (fun line ->
          match parse_line line with
-         | Some (d, n, prov) ->
-             (match prov with
-             | Some p ->
-                 Dep.Set_.add_witness deps d ~time:p.Dep.first_time
-                   ~index:p.Dep.first_index ~domain:p.Dep.witness_domain
-                   ~risk:(fun () -> p.Dep.risk)
-             | None -> Dep.Set_.add deps d);
-             for _ = 2 to n do
-               Dep.Set_.add deps d
-             done
+         | Some (d, count, prov) -> Dep.Set_.restore deps d ~count prov
          | None -> ());
   deps
 

@@ -1,12 +1,14 @@
 (** The parallel DiscoPoP profiler (§2.3.3, Fig. 2.2).
 
     The main thread executes the target program and packs its accesses into
-    per-worker chunks ({!Trace.Chunk}); worker domains consume chunks
-    through lock-free SPSC queues, run the dependence engine over their
-    address shard (addresses distributed by [addr mod W], Eq. 2.1, and never
-    moved), and keep thread-local dependence maps merged at the end, so the
-    result equals {!Serial.profile}'s. A mutex-protected queue variant exists
-    solely as the lock-based baseline of Fig. 2.9. *)
+    per-worker chunks ({!Trace.Chunk}), the slots of one lock-free SPSC ring
+    per worker ({!Spsc_queue}); worker domains read the chunks in place, run
+    the dependence engine over their address shard (addresses distributed
+    by [addr mod W], Eq. 2.1, and never moved), and keep thread-local
+    dependence maps merged at the end, so the result equals
+    {!Serial.profile}'s. [Lock_based] is the lock-based baseline of
+    Fig. 2.9: the same ring with each index read and update under one
+    mutex. *)
 
 type queue_kind = Lockfree | Lock_based
 

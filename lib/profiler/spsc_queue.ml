@@ -1,12 +1,23 @@
-(* Lock-free single-producer-single-consumer bounded queue (§2.3.3).
+(* Single-producer-single-consumer ring of chunk buffers (§2.3.3).
 
    The producer (the executing program's main thread) owns [tail], the
-   consumer (one profiler worker) owns [head]. As long as tail <> head, the
-   two sides touch disjoint slots, so an atomic store with release semantics
-   on the index — OCaml's [Atomic.set] — is the only synchronisation needed;
-   no slot is ever locked.
+   consumer (one profiler worker) owns [head]. The slots from head to
+   tail - 1 are published and belong to the consumer, which reads the head
+   slot in place and advances [head] when done; every other slot belongs to
+   the producer, which fills the tail slot in place and advances [tail] to
+   publish it. So the buffers are never copied, never locked and never
+   handed back: a drained slot is simply refilled when the tail comes round.
+   In the lock-free ring an atomic store with release semantics on the index
+   — OCaml's [Atomic.set] — is the only synchronisation needed.
 
-   A side that must wait (the consumer on an empty queue, the producer on a
+   A slot holds [none] until its first fill, so a short run allocates only
+   the buffers it ships. The stop signal is a published empty slot (the
+   producer publishes no other empty slot); it needs no buffer.
+
+   Fig. 2.9's lock-based baseline is this ring with [index_lock]: every read
+   and update of an index then takes that one mutex.
+
+   A side that must wait (the consumer on an empty ring, the producer on a
    full one) spins for about the time one chunk takes to fill, then parks on
    a condition variable. Spinning alone is not enough: while both domains
    share one CPU (a fresh process's first second or two, or a loaded host),
@@ -21,21 +32,24 @@
    mutex from setting the flag until [Condition.wait] releases it, the
    signal cannot fall between its check and its wait. *)
 
+module Chunk = Trace.Chunk
+
 type waits = { waits : int; wait_ns : int; parks : int }
 
 (* One side's wait ledger, written only by that side and only on its wait
-   path, so the common push/pop path touches none of it. *)
+   path, so the common path touches none of it. *)
 type side = {
   mutable s_waits : int;
   mutable s_wait_ns : int;
   mutable s_parks : int;
 }
 
-type 'a t = {
-  slots : 'a option array;
+type t = {
+  slots : Chunk.t array;     (* [none] until the slot's first fill *)
   mask : int;                (* capacity - 1; capacity is a power of two *)
-  head : int Atomic.t;       (* next index to pop  (consumer-owned) *)
-  tail : int Atomic.t;       (* next index to push (producer-owned) *)
+  head : int Atomic.t;       (* next slot to read (consumer-owned) *)
+  tail : int Atomic.t;       (* next slot to fill (producer-owned) *)
+  index_lock : Mutex.t option;  (* the lock-based baseline's one mutex *)
   lock : Mutex.t;            (* guards only parking and waking *)
   nonempty : Condition.t;    (* the consumer parks on it *)
   nonfull : Condition.t;     (* the producer parks on it *)
@@ -43,29 +57,47 @@ type 'a t = {
   producer_parked : bool Atomic.t;
   prod : side;
   cons : side;
+  mutable buffers : int;     (* producer-owned *)
 }
+
+(* Shared by every ring and never written: an empty slot with no buffer. *)
+let none = Chunk.create ~capacity:0 ()
 
 let new_side () = { s_waits = 0; s_wait_ns = 0; s_parks = 0 }
 
-let create ~capacity =
+let create ~locked ~capacity =
   let cap = max 2 capacity in
   (* round up to a power of two *)
   let rec pow2 n = if n >= cap then n else pow2 (2 * n) in
   let cap = pow2 2 in
-  { slots = Array.make cap None;
+  { slots = Array.make cap none;
     mask = cap - 1;
     head = Atomic.make 0;
     tail = Atomic.make 0;
+    index_lock = (if locked then Some (Mutex.create ()) else None);
     lock = Mutex.create ();
     nonempty = Condition.create ();
     nonfull = Condition.create ();
     consumer_parked = Atomic.make false;
     producer_parked = Atomic.make false;
     prod = new_side ();
-    cons = new_side () }
+    cons = new_side ();
+    buffers = 0 }
 
-let length t = Atomic.get t.tail - Atomic.get t.head
-let is_empty t = length t = 0
+let get t i =
+  match t.index_lock with
+  | None -> Atomic.get i
+  | Some m -> Mutex.protect m (fun () -> Atomic.get i)
+
+let set t i v =
+  match t.index_lock with
+  | None -> Atomic.set i v
+  | Some m -> Mutex.protect m (fun () -> Atomic.set i v)
+
+let length t = get t t.tail - get t t.head
+let has_room t = length t <= t.mask
+let has_item t = length t > 0
+let buffers t = t.buffers
 
 (* How long a waiting side spins before it parks: about the time the
    producer takes to fill one chunk of accesses (512 at some 30-40 ns each,
@@ -108,48 +140,46 @@ let wait t side ~ready ~flag ~cond =
   spin 1;
   side.s_wait_ns <- side.s_wait_ns + (Obs.now_ns () - t0)
 
-let has_room t = Atomic.get t.tail - Atomic.get t.head <= t.mask
-let has_item t = Atomic.get t.head <> Atomic.get t.tail
-
-(* Producer side. Returns false when the queue is full. *)
-let try_push t x =
-  let tail = Atomic.get t.tail in
-  if tail - Atomic.get t.head > t.mask then false
-  else begin
-    t.slots.(tail land t.mask) <- Some x;
-    (* Release: the consumer's acquire-load of [tail] sees the slot write. *)
-    Atomic.set t.tail (tail + 1);
-    wake t t.consumer_parked t.nonempty;
-    true
-  end
-
-let push t x =
-  if not (try_push t x) then begin
+(* Producer side. *)
+let tail_slot t =
+  if not (has_room t) then
     wait t t.prod ~ready:has_room ~flag:t.producer_parked ~cond:t.nonfull;
-    (* Only this producer fills the room the wait saw. *)
-    let pushed = try_push t x in
-    assert pushed
+  get t t.tail land t.mask
+
+let slot t =
+  let i = tail_slot t in
+  let c = t.slots.(i) in
+  if c != none then c
+  else begin
+    let c = Chunk.create () in
+    t.slots.(i) <- c;
+    t.buffers <- t.buffers + 1;
+    c
   end
+
+let publish t =
+  (* Release: the consumer's acquire-load of [tail] sees the slot's fill. *)
+  set t t.tail (get t t.tail + 1);
+  wake t t.consumer_parked t.nonempty
+
+let push t ~length =
+  Chunk.set_length t.slots.(get t t.tail land t.mask) length;
+  publish t
+
+let close t =
+  let c = t.slots.(tail_slot t) in
+  if c != none then Chunk.set_length c 0;
+  publish t
 
 (* Consumer side. *)
-let try_pop t =
-  let head = Atomic.get t.head in
-  if head = Atomic.get t.tail then None
-  else begin
-    let i = head land t.mask in
-    let x = t.slots.(i) in
-    t.slots.(i) <- None;
-    Atomic.set t.head (head + 1);
-    wake t t.producer_parked t.nonfull;
-    x
-  end
+let next t =
+  if not (has_item t) then
+    wait t t.cons ~ready:has_item ~flag:t.consumer_parked ~cond:t.nonempty;
+  t.slots.(get t t.head land t.mask)
 
-let rec pop t =
-  match try_pop t with
-  | Some x -> x
-  | None ->
-      wait t t.cons ~ready:has_item ~flag:t.consumer_parked ~cond:t.nonempty;
-      pop t
+let release t =
+  set t t.head (get t t.head + 1);
+  wake t t.producer_parked t.nonfull
 
 let waits_of s = { waits = s.s_waits; wait_ns = s.s_wait_ns; parks = s.s_parks }
 let producer_waits t = waits_of t.prod

@@ -393,17 +393,17 @@ let handle_profile t (req : request) ~(enqueued : float) cx =
           let respond_entry ~cache_tag (deps, summary) =
             cx.cx_tier <- cache_tag;
             Obs.Span.with_ ~phase:"serve.render" @@ fun () ->
-            let entries =
-              match Discovery.Suggestion.summary_of_string summary with
-              | Ok es -> es
-              | Error _ -> []
-            in
             let headers = [ ("X-Cache", cache_tag) ] in
             match format with
             | "depfile" ->
                 respond cx ~status:200 ~headers
                   (Profiler.Depfile.render deps)
             | "json" ->
+                let entries =
+                  match Discovery.Suggestion.summary_of_string summary with
+                  | Ok es -> es
+                  | Error _ -> []
+                in
                 let open Obs.Json in
                 respond cx ~status:200
                   ~headers:(("Content-Type", "application/json") :: headers)

@@ -1,15 +1,16 @@
 (* Fixed-size chunks, the unit of transfer between the producer (the
    executing program) and the profiler's worker threads (§2.3.3). Chunk size
-   is configurable in the interest of scalability, and empty chunks are
-   recycled to avoid allocation churn.
+   is configurable in the interest of scalability. In the parallel profiler
+   the chunks are the slots of one ring per worker (Profiler.Spsc_queue):
+   filled in place, read in place and refilled when the ring comes round,
+   so none is allocated after the ring's first lap.
 
    Entries are packed into one flat int array, [stride] ints each: a kind
    code, then the access fields. An int array holds no pointers, so filling
-   a chunk needs no write barrier and a recycled one retains nothing. *)
+   a chunk needs no write barrier and a refilled one retains nothing. *)
 
 type t = {
   mutable used : int;  (* entries *)
-  mutable seq : int;   (* producer-assigned sequence number, for tracing *)
   data : int array;
 }
 
@@ -23,11 +24,9 @@ let remove_code = 4
 
 let default_capacity = 512
 
-let create ?(capacity = default_capacity) ?(seq = 0) () =
-  { used = 0; seq; data = Array.make (capacity * stride) 0 }
+let create ?(capacity = default_capacity) () =
+  { used = 0; data = Array.make (capacity * stride) 0 }
 
-let seq c = c.seq
-let set_seq c s = c.seq <- s
 let data c = c.data
 let set_length c n = c.used <- n
 
@@ -69,5 +68,3 @@ let iter c ~access ~remove =
         ~time:d.(b + 5) ~op:d.(b + 6) ~lstack:d.(b + 7)
         ~locked:(code land locked_code <> 0)
   done
-
-let reset c = c.used <- 0

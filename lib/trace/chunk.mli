@@ -1,5 +1,7 @@
 (** Fixed-size chunks, the unit of transfer between the producer (the
-    executing program) and the profiler's worker threads (§2.3.3).
+    executing program) and the profiler's worker threads (§2.3.3). The
+    parallel profiler's chunks are the slots of one ring per worker
+    ([Profiler.Spsc_queue]), each filled and read in place.
 
     A chunk is a packed int buffer with a fixed number of ints per entry.
     An entry is either an access, its fields stored unboxed, or the removal
@@ -7,15 +9,8 @@
 
 type t
 
-val create : ?capacity:int -> ?seq:int -> unit -> t
-(** A fresh chunk of [capacity] (default 512) entries; [seq] (default 0)
-    is the producer-assigned sequence number. *)
-
-val seq : t -> int
-(** The producer-assigned sequence number — labels this chunk's consumption
-    span on a worker's trace timeline. *)
-
-val set_seq : t -> int -> unit
+val create : ?capacity:int -> unit -> t
+(** A fresh chunk of [capacity] (default 512) entries. *)
 
 (** {2 The packed layout}
 
@@ -36,7 +31,8 @@ val data : t -> int array
 (** The packed entries; its length is [stride * capacity]. *)
 
 val set_length : t -> int -> unit
-(** Set the number of filled entries, after filling {!data} in place. *)
+(** Set the number of filled entries, after filling {!data} in place; 0
+    empties the chunk for a refill. *)
 
 val capacity : t -> int
 val length : t -> int
@@ -51,6 +47,3 @@ val push_remove : t -> int -> unit
 
 val iter : t -> access:Event.access_sink -> remove:(int -> unit) -> unit
 (** Decode the entries in push order. *)
-
-val reset : t -> unit
-(** Empty the chunk for reuse (chunk recycling, §2.3.3); O(1). *)

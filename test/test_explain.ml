@@ -133,7 +133,24 @@ let test_depfile_v2_roundtrip () =
       (* risk is serialized with %.6g; compare loosely *)
       Alcotest.(check bool) "risk close" true
         (Float.abs (p.Dep.risk -. q.Dep.risk) < 1e-5))
-    deps
+    deps;
+  (* A registry program's records repeat thousands of times: the distinct
+     records, the instances and each record's own count survive too. *)
+  let deps =
+    (Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect
+       (Workloads.Registry.program (Helpers.workload "dotprod")))
+      .deps
+  in
+  let back = Profiler.Depfile.parse (Profiler.Depfile.render deps) in
+  Alcotest.(check int) "registry cardinal" (Dep.Set_.cardinal deps)
+    (Dep.Set_.cardinal back);
+  Alcotest.(check int) "registry occurrences" (Dep.Set_.occurrences deps)
+    (Dep.Set_.occurrences back);
+  Alcotest.(check bool) "repeated records" true
+    (Dep.Set_.occurrences deps > Dep.Set_.cardinal deps);
+  Alcotest.(check (list (pair string int))) "every record's count"
+    (List.map (fun (d, n) -> (Dep.to_string d, n)) (Dep.Set_.to_list deps))
+    (List.map (fun (d, n) -> (Dep.to_string d, n)) (Dep.Set_.to_list back))
 
 let test_depfile_v1_compat () =
   let deps = (Profiler.Serial.profile Helpers.fig27).deps in

@@ -435,29 +435,34 @@ let test_lstack_blocks () =
     (Intern.Lstack.words t >= 4 * 5 * Intern.Lstack.block_nodes)
 
 (* The parallel profiler's publication pattern: the producer pushes nodes
-   and sends their ids through an SPSC queue to a reader domain, which reads
+   and sends their ids through a chunk ring to a reader domain, which reads
    each node as soon as it arrives, while the producer crosses block
-   boundaries. *)
+   boundaries. Each slot carries one node: its id, loop line, instance,
+   iteration and depth. *)
 let test_lstack_reader_domain () =
+  let module Q = Profiler.Spsc_queue in
   let st = Random.State.make [| 31 |] in
   let t = Intern.Lstack.create () in
   let n = 3 * Intern.Lstack.block_nodes + 100 in
-  let q = Profiler.Spsc_queue.create ~capacity:64 in
+  let q = Q.create ~locked:false ~capacity:64 in
   let reader =
     Domain.spawn (fun () ->
         let bad = ref 0 and seen = ref 0 in
         let rec go () =
-          match Profiler.Spsc_queue.try_pop q with
-          | None -> Domain.cpu_relax (); go ()
-          | Some (-1, _) -> ()
-          | Some (id, (_, line, inst, iter, depth)) ->
-              incr seen;
-              (match List.rev (Intern.Lstack.to_frames t id) with
-              | f :: _
-                when f.Event.loop_line = line && f.inst = inst && f.iter = iter
-                     && Intern.Lstack.depth t id = depth -> ()
-              | _ -> incr bad);
-              go ()
+          let c = Q.next q in
+          if not (Chunk.is_empty c) then begin
+            let d = Chunk.data c in
+            let id = d.(0) and line = d.(1) and inst = d.(2) in
+            let iter = d.(3) and depth = d.(4) in
+            Q.release q;
+            incr seen;
+            (match List.rev (Intern.Lstack.to_frames t id) with
+            | f :: _
+              when f.Event.loop_line = line && f.inst = inst && f.iter = iter
+                   && Intern.Lstack.depth t id = depth -> ()
+            | _ -> incr bad);
+            go ()
+          end
         in
         go ();
         (!seen, !bad))
@@ -470,13 +475,19 @@ let test_lstack_reader_domain () =
       if !count < n then begin
         let id = Intern.Lstack.push t ~parent:outer ~loop_line:line ~inst ~iter in
         incr count;
-        Profiler.Spsc_queue.push q (id, (outer, line, inst, iter, depth + 1));
+        let d = Chunk.data (Q.slot q) in
+        d.(0) <- id;
+        d.(1) <- line;
+        d.(2) <- inst;
+        d.(3) <- iter;
+        d.(4) <- depth + 1;
+        Q.push q ~length:1;
         if depth < 4 && Random.State.int st 3 = 0 then loop id (depth + 1)
       end
     done
   in
   while !count < n do loop Intern.Lstack.empty 0 done;
-  Profiler.Spsc_queue.push q (-1, (0, 0, 0, 0, 0));
+  Q.close q;
   let seen, bad = Domain.join reader in
   Alcotest.(check int) "every id read" n seen;
   Alcotest.(check int) "every node read correctly" 0 bad
@@ -574,16 +585,15 @@ let qcheck_drain_oracle =
       let sc = Scramble.scratch () in
       collect (Scramble.drain sc) seed p n = collect oracle_drain seed p n)
 
-(* ---- chunk pooling ---- *)
+(* ---- chunk rings ---- *)
 
-(* A recycled chunk decodes only its new fill: reset forgets the old
-   entries without clearing them. *)
-let test_chunk_fill_reset () =
-  let c = Chunk.create ~capacity:4 ~seq:7 () in
+(* A refilled chunk decodes only its new fill: a new length forgets the old
+   entries without clearing them, as a ring slot's next lap does. *)
+let test_chunk_fill_refill () =
+  let c = Chunk.create ~capacity:4 () in
   Alcotest.(check bool) "fresh empty" true (Chunk.is_empty c);
   List.iter (Chunk.push_remove c) [ 10; 20; 30; 40 ];
   Alcotest.(check bool) "full" true (Chunk.is_full c);
-  Alcotest.(check int) "seq" 7 (Chunk.seq c);
   let removed () =
     let xs = ref [] in
     Chunk.iter c
@@ -593,19 +603,18 @@ let test_chunk_fill_reset () =
     List.rev !xs
   in
   Alcotest.(check (list int)) "contents" [ 10; 20; 30; 40 ] (removed ());
-  Chunk.reset c;
-  Alcotest.(check bool) "reset empties" true (Chunk.is_empty c);
-  Chunk.set_seq c 42;
+  Chunk.set_length c 0;
+  Alcotest.(check bool) "length 0 empties" true (Chunk.is_empty c);
   List.iter (Chunk.push_remove c) [ 7; 8 ];
-  Alcotest.(check int) "recycled seq" 42 (Chunk.seq c);
   Alcotest.(check (list int)) "iter covers only the new fill" [ 7; 8 ]
     (removed ())
 
-(* Parallel profiling with chunk recycling must agree with serial profiling
-   (same merged records) — the pool must never tear or resurrect entries.
-   300k accesses over 3 workers fill each worker's 64-chunk queue with
-   512-entry chunks past capacity, and a worker returns a drained chunk
-   before it takes the next, so the producer must reuse chunks. *)
+(* Parallel profiling over refilled ring slots must agree with serial
+   profiling (same merged records) — a slot must never tear or resurrect
+   entries — in the lock-free ring and in the lock-based baseline. 300k
+   accesses over 3 workers fill each worker's 64-slot ring with 512-entry
+   chunks past capacity, so the producer waits for slots and refills them:
+   it ships more chunks than it allocates buffers. *)
 let test_pooled_parallel_equivalence () =
   let prog =
     Workloads.Registry.program ~size:20_000 (Helpers.workload "histogram")
@@ -614,20 +623,49 @@ let test_pooled_parallel_equivalence () =
     (Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect prog)
       .Profiler.Serial.deps
   in
-  Obs.disable ();
-  Obs.reset ();
+  let workers = 3 in
+  List.iter
+    (fun queue ->
+      Obs.disable ();
+      Obs.reset ();
+      Obs.enable ();
+      let par, buffers, shipped =
+        Fun.protect
+          ~finally:(fun () ->
+            Obs.disable ();
+            Obs.reset ())
+          (fun () ->
+            let r =
+              Profiler.Parallel.profile ~queue ~workers ~perfect:true prog
+            in
+            ( r.deps,
+              Obs.counter_value "profiler.chunk.buffers",
+              Obs.counter_value "profiler.parallel.chunks_shipped" ))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "buffers %d <= 64 x %d < shipped %d" buffers workers
+           shipped)
+        true
+        (buffers <= 64 * workers && 64 * workers < shipped);
+      Helpers.check_same_deps "pooled parallel differs from serial" serial par)
+    [ Profiler.Parallel.Lockfree; Profiler.Parallel.Lock_based ];
+  (* A short run allocates only the buffers it ships: at most one per
+     worker for fig27's few hundred accesses, none for its stop marks. *)
   Obs.enable ();
-  let par, reuses =
+  let buffers, shipped =
     Fun.protect
       ~finally:(fun () ->
         Obs.disable ();
         Obs.reset ())
       (fun () ->
-        let r = Profiler.Parallel.profile ~workers:3 ~perfect:true prog in
-        (r.deps, Obs.counter_value "profiler.chunk.reuses"))
+        ignore (Profiler.Parallel.profile ~workers:4 ~perfect:true Helpers.fig27);
+        ( Obs.counter_value "profiler.chunk.buffers",
+          Obs.counter_value "profiler.parallel.chunks_shipped" ))
   in
-  Alcotest.(check bool) "chunks were recycled" true (reuses > 0);
-  Helpers.check_same_deps "pooled parallel differs from serial" serial par
+  Alcotest.(check bool)
+    (Printf.sprintf "fig27: buffers %d <= shipped %d <= 4" buffers shipped)
+    true
+    (0 < buffers && buffers <= shipped && shipped <= 4)
 
 let tests =
   [ Alcotest.test_case "golden depfile sweep byte-identical" `Slow
@@ -648,6 +686,6 @@ let tests =
     Alcotest.test_case "loop stacks read from another domain" `Quick
       test_lstack_reader_domain;
     QCheck_alcotest.to_alcotest qcheck_drain_oracle;
-    Alcotest.test_case "chunk fill/reset/seq" `Quick test_chunk_fill_reset;
+    Alcotest.test_case "chunk fill and refill" `Quick test_chunk_fill_refill;
     Alcotest.test_case "pooled parallel equals serial" `Quick
       test_pooled_parallel_equivalence ]

@@ -516,67 +516,104 @@ let test_parallel_raise_after_park () =
   let r = Profiler.Parallel.profile ~workers:2 Helpers.fig27 in
   Alcotest.(check bool) "a later profile runs" true (r.accesses > 0)
 
-(* ---- queues ---- *)
+(* ---- chunk rings ---- *)
 
+module Q = Profiler.Spsc_queue
+module Chunk = Trace.Chunk
+
+(* One int per slot, written and read in place. *)
+let send q k =
+  (Chunk.data (Q.slot q)).(0) <- k;
+  Q.push q ~length:1
+
+let recv q =
+  let k = (Chunk.data (Q.next q)).(0) in
+  Q.release q;
+  k
+
+(* In both modes: FIFO order, a full ring has no room for a push, a slot's
+   buffer is allocated on its first fill and refilled on the next lap, and
+   the stop mark is an empty slot that allocates nothing. *)
 let test_spsc_queue () =
-  let q = Profiler.Spsc_queue.create ~capacity:8 in
-  Alcotest.(check bool) "empty" true (Profiler.Spsc_queue.is_empty q);
-  for k = 1 to 8 do
-    Alcotest.(check bool) "push" true (Profiler.Spsc_queue.try_push q k)
-  done;
-  Alcotest.(check bool) "full rejects" false (Profiler.Spsc_queue.try_push q 9);
-  for k = 1 to 8 do
-    Alcotest.(check (option int)) "fifo" (Some k) (Profiler.Spsc_queue.try_pop q)
-  done;
-  Alcotest.(check (option int)) "drained" None (Profiler.Spsc_queue.try_pop q)
+  List.iter
+    (fun locked ->
+      let q = Q.create ~locked ~capacity:8 in
+      Alcotest.(check bool) "empty" true (Q.length q = 0);
+      for k = 1 to 8 do
+        Alcotest.(check bool) "room" true (Q.has_room q);
+        send q k
+      done;
+      Alcotest.(check bool) "full rejects" false (Q.has_room q);
+      for k = 1 to 8 do
+        Alcotest.(check int) "fifo" k (recv q)
+      done;
+      Alcotest.(check bool) "drained" true (Q.length q = 0);
+      for k = 9 to 12 do
+        send q k
+      done;
+      Alcotest.(check (list int)) "second lap fifo" [ 9; 10; 11; 12 ]
+        (List.init 4 (fun _ -> recv q));
+      Alcotest.(check int) "one buffer per slot" 8 (Q.buffers q);
+      let fresh = Q.create ~locked ~capacity:8 in
+      Q.close fresh;
+      Alcotest.(check bool) "stop mark is empty" true
+        (Chunk.is_empty (Q.next fresh));
+      Alcotest.(check int) "stop allocates nothing" 0 (Q.buffers fresh))
+    [ false; true ]
 
 let test_spsc_cross_domain () =
-  let q = Profiler.Spsc_queue.create ~capacity:16 in
-  let n = 10_000 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let sum = ref 0 and got = ref 0 in
-        while !got < n do
-          match Profiler.Spsc_queue.try_pop q with
-          | Some x ->
-              sum := !sum + x;
-              incr got
-          | None -> Domain.cpu_relax ()
-        done;
-        !sum)
-  in
-  for k = 1 to n do
-    Profiler.Spsc_queue.push q k
-  done;
-  Alcotest.(check int) "all items transferred in order-preserving stream"
-    (n * (n + 1) / 2)
-    (Domain.join consumer)
+  List.iter
+    (fun locked ->
+      let q = Q.create ~locked ~capacity:16 in
+      let n = 10_000 in
+      let consumer =
+        Domain.spawn (fun () ->
+            let sum = ref 0 and in_order = ref true in
+            for k = 1 to n do
+              let x = recv q in
+              if x <> k then in_order := false;
+              sum := !sum + x
+            done;
+            (!sum, !in_order))
+      in
+      for k = 1 to n do
+        send q k
+      done;
+      Alcotest.(check (pair int bool))
+        "all items transferred in order-preserving stream"
+        (n * (n + 1) / 2, true)
+        (Domain.join consumer))
+    [ false; true ]
 
 (* Each blocking side parks once its spin is over, and the other side's
-   next index move wakes it: a consumer on an empty queue, then a producer
+   next index move wakes it: a consumer on an empty ring, then a producer
    on a full one. Each wait's ledger counts one wait and one park. *)
 let test_spsc_parks_and_wakes () =
-  let module Q = Profiler.Spsc_queue in
-  let q = Q.create ~capacity:2 in
-  let consumer = Domain.spawn (fun () -> Q.pop q) in
-  Unix.sleepf 0.05;
-  ignore (Q.try_push q 7 : bool);
-  Alcotest.(check int) "parked consumer gets the item" 7 (Domain.join consumer);
-  let c = Q.consumer_waits q in
-  Alcotest.(check (pair int int)) "one wait, parked" (1, 1) (c.waits, c.parks);
-  Alcotest.(check bool) "waited the pause" true (c.wait_ns >= 40_000_000);
-  Q.push q 1;
-  Q.push q 2;
-  let producer = Domain.spawn (fun () -> Q.push q 3) in
-  Unix.sleepf 0.05;
-  Alcotest.(check (option int)) "fifo" (Some 1) (Q.try_pop q);
-  Domain.join producer;
-  Alcotest.(check (list (option int))) "parked producer's item follows"
-    [ Some 2; Some 3; None ]
-    (List.init 3 (fun _ -> Q.try_pop q));
-  let p = Q.producer_waits q in
-  Alcotest.(check (pair int int)) "one push waited, parked" (1, 1)
-    (p.waits, p.parks)
+  List.iter
+    (fun locked ->
+      let q = Q.create ~locked ~capacity:2 in
+      let consumer = Domain.spawn (fun () -> recv q) in
+      Unix.sleepf 0.05;
+      send q 7;
+      Alcotest.(check int) "parked consumer gets the item" 7
+        (Domain.join consumer);
+      let c = Q.consumer_waits q in
+      Alcotest.(check (pair int int)) "one wait, parked" (1, 1)
+        (c.waits, c.parks);
+      Alcotest.(check bool) "waited the pause" true (c.wait_ns >= 40_000_000);
+      send q 1;
+      send q 2;
+      let producer = Domain.spawn (fun () -> send q 3) in
+      Unix.sleepf 0.05;
+      Alcotest.(check int) "fifo" 1 (recv q);
+      Domain.join producer;
+      Alcotest.(check (list int)) "parked producer's item follows" [ 2; 3 ]
+        (List.init 2 (fun _ -> recv q));
+      Alcotest.(check bool) "drained" true (Q.length q = 0);
+      let p = Q.producer_waits q in
+      Alcotest.(check (pair int int)) "one push waited, parked" (1, 1)
+        (p.waits, p.parks))
+    [ false; true ]
 
 let tests =
   [ Alcotest.test_case "Table 2.2 dependence set" `Quick test_fig27_deps;
