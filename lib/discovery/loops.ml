@@ -57,19 +57,6 @@ let rec loop_level_reductions (st : Static.t) rid =
   in
   List.fold_left (fun acc cid -> acc @ loop_level_reductions st cid) here r.children
 
-(* PET statistics for the loop with header [line]. *)
-let pet_stats (pet : Profiler.Pet.t) line =
-  let iters = ref 0 and instr = ref 0 in
-  Profiler.Pet.iter
-    (fun n ->
-      match n.Profiler.Pet.kind with
-      | Profiler.Pet.Lnode l when l = line ->
-          iters := !iters + n.Profiler.Pet.iterations;
-          instr := !instr + Profiler.Pet.subtree_instructions pet n.Profiler.Pet.id
-      | _ -> ())
-    pet;
-  (!iters, !instr)
-
 let analyze_loop ~global_reductions (st : Static.t)
     (cures : Cunit.Top_down.result) (deps : Dep.Set_.t) (pet : Profiler.Pet.t)
     (r : Static.region) : analysis =
@@ -163,7 +150,9 @@ let analyze_loop ~global_reductions (st : Static.t)
     else if free_cus > 0 || List.length body_cus > 1 then Doacross
     else Sequential
   in
-  let iterations, instructions = pet_stats pet loop_line in
+  let iterations, instructions =
+    Profiler.Pet.totals pet (Profiler.Pet.Lnode loop_line)
+  in
   { region = r; loop_line; cls; blocking; reduction_vars; private_vars;
     body_cus; free_cus; iterations; instructions }
 
@@ -181,7 +170,9 @@ let analyze_all (st : Static.t) (cures : Cunit.Top_down.result)
   let analyses =
     Static.loop_regions st
     |> List.filter_map (fun r ->
-           let iters, _ = pet_stats pet r.Static.first_line in
+           let iters, _ =
+             Profiler.Pet.totals pet (Profiler.Pet.Lnode r.Static.first_line)
+           in
            if iters = 0 then None
            else Some (analyze_loop ~global_reductions st cures deps pet r))
   in

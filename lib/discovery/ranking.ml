@@ -64,20 +64,15 @@ let coverage_of_region (st : Static.t) (pet : Profiler.Pet.t) (rid : int) : floa
   if total <= 0 then 0.0
   else begin
     let r = st.regions.(rid) in
-    let matches (n : Profiler.Pet.node) =
-      match (r.Static.kind, n.Profiler.Pet.kind) with
-      | Static.Rloop _, Profiler.Pet.Lnode l -> l = r.Static.first_line
-      | Static.Rfunc f, Profiler.Pet.Fnode f' -> f = f'
-      | Static.Rbranch _, _ | _, _ -> false
+    let covered =
+      match r.Static.kind with
+      | Static.Rloop _ ->
+          snd (Profiler.Pet.totals pet (Profiler.Pet.Lnode r.Static.first_line))
+      | Static.Rfunc f -> snd (Profiler.Pet.totals pet (Profiler.Pet.Fnode f))
+      | Static.Rbranch _ -> 0
     in
-    let acc = ref 0 in
-    Profiler.Pet.iter
-      (fun n ->
-        if matches n then
-          acc := !acc + Profiler.Pet.subtree_instructions pet n.Profiler.Pet.id)
-      pet;
     clamp ~lo:0.0 ~hi:1.0 ~nan:0.0
-      (float_of_int !acc /. float_of_int total)
+      (float_of_int covered /. float_of_int total)
   end
 
 (* Imbalance of the concurrently-runnable CUs: coefficient of variation of

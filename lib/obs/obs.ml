@@ -1,7 +1,7 @@
 (* Lightweight observability for the profiling pipeline.
 
    One global, domain-safe registry of named counters, gauges, timing spans
-   and throughput meters. The registry starts *disabled*: every update is a
+   and histograms. The registry starts *disabled*: every update is a
    single atomic flag load plus a branch, so instrumentation can live in hot
    paths (the dependence engine, the parallel profiler's producer loop)
    without perturbing the slowdown numbers the benchmarks measure. When
@@ -303,7 +303,11 @@ let write_file path contents =
    to its own buffer — the hot path is a flag load, a DLS read and an array
    store — so worker domains of the parallel profiler can trace concurrently
    without synchronisation. The global buffer list is only locked at domain
-   registration (once per domain) and at export/reset time. *)
+   registration (once per domain) and at export/reset time.
+
+   The same buffer holds serve's request span trees: a request marks its
+   domain's buffer, spans record there while the mark is set even with
+   tracing off, and the request's tree is the slice after the mark. *)
 module Trace = struct
   type ev = {
     e_ph : char;   (* 'B' begin | 'E' end | 'i' instant | 'C' counter *)
@@ -319,6 +323,8 @@ module Trace = struct
     mutable b_track : string option;(* display name of this domain's track *)
     mutable b_evs : ev array;
     mutable b_len : int;
+    mutable b_mark : int;           (* an open request's first event, or -1 *)
+    mutable b_listed : bool;        (* in [bufs], the export list *)
   }
 
   let tracing = Atomic.make false
@@ -331,22 +337,34 @@ module Trace = struct
 
   let key =
     Domain.DLS.new_key (fun () ->
-        let b =
-          { b_tid = (Domain.self () :> int);
-            b_track = None;
-            b_evs = Array.make 256 dummy_ev;
-            b_len = 0 }
-        in
-        Mutex.lock bufs_lock;
-        bufs := b :: !bufs;
-        Mutex.unlock bufs_lock;
-        b)
+        { b_tid = (Domain.self () :> int);
+          b_track = None;
+          b_evs = [||];
+          b_len = 0;
+          b_mark = -1;
+          b_listed = false })
+
+  let buf () = Domain.DLS.get key
+
+  (* A buffer joins the export list when its domain first records or names
+     its track, so a domain that never does leaves nothing behind. *)
+  let list b =
+    if not b.b_listed then begin
+      b.b_listed <- true;
+      Mutex.lock bufs_lock;
+      bufs := b :: !bufs;
+      Mutex.unlock bufs_lock
+    end
+
+  (* Whether spans on [b]'s domain record: tracing is on, or a request is
+     open there. *)
+  let recording b = Atomic.get tracing || b.b_mark >= 0
 
   (* Only the owning domain pushes, so no synchronisation is needed. *)
-  let push ph name value =
-    let b = Domain.DLS.get key in
+  let push b ph name value =
     if b.b_len = Array.length b.b_evs then begin
-      let a = Array.make (2 * b.b_len) dummy_ev in
+      list b;
+      let a = Array.make (max 256 (2 * b.b_len)) dummy_ev in
       Array.blit b.b_evs 0 a 0 b.b_len;
       b.b_evs <- a
     end;
@@ -355,16 +373,60 @@ module Trace = struct
     b.b_len <- b.b_len + 1
 
   let set_track name =
-    if Atomic.get tracing then (Domain.DLS.get key).b_track <- Some name
+    if Atomic.get tracing then begin
+      let b = buf () in
+      list b;
+      b.b_track <- Some name
+    end
 
-  let instant name = if Atomic.get tracing then push 'i' name 0
-  let counter name v = if Atomic.get tracing then push 'C' name v
+  let instant name = if Atomic.get tracing then push (buf ()) 'i' name 0
+  let counter name v = if Atomic.get tracing then push (buf ()) 'C' name v
 
   let with_span name f =
-    if not (Atomic.get tracing) then f ()
+    let b = buf () in
+    if not (recording b) then f ()
     else begin
-      push 'B' name 0;
-      Fun.protect ~finally:(fun () -> push 'E' name 0) f
+      push b 'B' name 0;
+      Fun.protect ~finally:(fun () -> push b 'E' name 0) f
+    end
+
+  type span = {
+    sp_name : string;
+    sp_start_ns : int; (* absolute monotonic nanoseconds *)
+    sp_dur_ns : int;
+    sp_depth : int;    (* nesting depth; 0 = top-level phase *)
+  }
+
+  let start_request () =
+    let b = buf () in
+    b.b_mark <- b.b_len
+
+  (* Pair the begin/end events after the mark into spans, in begin order.
+     Instants, counters and any span still open are skipped. *)
+  let finish_request () =
+    let b = buf () in
+    let mark = min b.b_mark b.b_len in
+    b.b_mark <- -1;
+    if mark < 0 then []
+    else begin
+      let slots = Array.make (b.b_len - mark) None in
+      let n = ref 0 and open_ = ref [] in
+      for i = mark to b.b_len - 1 do
+        let e = b.b_evs.(i) in
+        match (e.e_ph, !open_) with
+        | 'B', _ ->
+            open_ := (!n, e) :: !open_;
+            incr n
+        | 'E', (k, be) :: rest ->
+            open_ := rest;
+            slots.(k) <-
+              Some
+                { sp_name = be.e_name; sp_start_ns = be.e_ts;
+                  sp_dur_ns = e.e_ts - be.e_ts; sp_depth = List.length rest }
+        | _ -> ()
+      done;
+      if not (Atomic.get tracing) then b.b_len <- mark;
+      List.filter_map Fun.id (Array.to_list slots)
     end
 
   let snapshot_bufs () =
@@ -387,25 +449,30 @@ module Trace = struct
 
   (* ---- Chrome Trace Event export ----
 
-     One JSON object per event; [ts] is in microseconds as the format
+     One JSON object per event; times are in microseconds as the format
      requires. Each domain becomes one track (tid); a thread_name metadata
-     record carries the track's display name. *)
+     record carries the track's display name. [event] and [document] are
+     the one encoder of both this timeline and {!Flight.chrome_trace}. *)
 
-  let pid = 1
+  let us ns = Json.Float (float_of_int ns /. 1e3)
+
+  let event ~name ~ph ~ts_ns ~tid fields =
+    Json.Obj
+      (("name", Json.String name) :: ("ph", Json.String ph)
+       :: ("ts", us ts_ns) :: ("pid", Json.Int 1) :: ("tid", Json.Int tid)
+       :: fields)
+
+  let document ?(other = []) events =
+    Json.Obj
+      (("traceEvents", Json.List events)
+       :: ("displayTimeUnit", Json.String "ms") :: other)
 
   let ev_json ~tid e =
-    let base =
-      [ ("name", Json.String e.e_name);
-        ("ph", Json.String (String.make 1 e.e_ph));
-        ("ts", Json.Float (float_of_int e.e_ts /. 1e3));
-        ("pid", Json.Int pid);
-        ("tid", Json.Int tid) ]
-    in
-    match e.e_ph with
-    | 'C' ->
-        Json.Obj (base @ [ ("args", Json.Obj [ ("value", Json.Int e.e_value) ]) ])
-    | 'i' -> Json.Obj (base @ [ ("s", Json.String "t") ])
-    | _ -> Json.Obj base
+    event ~name:e.e_name ~ph:(String.make 1 e.e_ph) ~ts_ns:e.e_ts ~tid
+      (match e.e_ph with
+      | 'C' -> [ ("args", Json.Obj [ ("value", Json.Int e.e_value) ]) ]
+      | 'i' -> [ ("s", Json.String "t") ]
+      | _ -> [])
 
   let export () =
     let bs =
@@ -419,21 +486,14 @@ module Trace = struct
           let meta =
             match b.b_track with
             | Some name ->
-                [ Json.Obj
-                    [ ("name", Json.String "thread_name");
-                      ("ph", Json.String "M");
-                      ("ts", Json.Float 0.0);
-                      ("pid", Json.Int pid);
-                      ("tid", Json.Int b.b_tid);
-                      ("args", Json.Obj [ ("name", Json.String name) ]) ] ]
+                [ event ~name:"thread_name" ~ph:"M" ~ts_ns:0 ~tid:b.b_tid
+                    [ ("args", Json.Obj [ ("name", Json.String name) ]) ] ]
             | None -> []
           in
           meta @ List.init b.b_len (fun i -> ev_json ~tid:b.b_tid b.b_evs.(i)))
         bs
     in
-    Json.Obj
-      [ ("traceEvents", Json.List events);
-        ("displayTimeUnit", Json.String "ms") ]
+    document events
 
   let write path = write_file path (Json.to_string (export ()) ^ "\n")
 
@@ -486,75 +546,6 @@ module Trace = struct
     with Invalid msg -> Error msg
 end
 
-(* ---- request-scoped span collection ---- *)
-
-(* A per-domain collector of completed spans for the *current request*. The
-   serve daemon installs one before dispatching a request and drains it
-   afterwards, so every {!Span.with_} executed on the handling domain —
-   parse, cache lookup, the profiler's own phase spans, rendering — lands in
-   that request's span tree in addition to the global registry/timeline.
-   One domain handles one request at a time, so plain domain-local state
-   (no atomics) is enough; other domains' requests collect independently. *)
-module Req = struct
-  type entry = {
-    sp_name : string;
-    sp_start_ns : int; (* absolute monotonic nanoseconds *)
-    sp_dur_ns : int;
-    sp_depth : int;    (* nesting depth; 0 = top-level phase *)
-  }
-
-  type collector = {
-    mutable rq_entries : entry list; (* completed spans, most recent first *)
-    mutable rq_depth : int;          (* currently open spans *)
-  }
-
-  let key : collector option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let current () = !(Domain.DLS.get key)
-  let active () = current () <> None
-
-  (* Install a fresh collector for this domain, replacing any leftover. *)
-  let start () =
-    Domain.DLS.get key := Some { rq_entries = []; rq_depth = 0 }
-
-  (* Record a span that was not measured by {!Span.with_} — e.g. the queue
-     wait a request suffered before any handler code ran. *)
-  let add ~name ~start_ns ~dur_ns =
-    match current () with
-    | None -> ()
-    | Some c ->
-        c.rq_entries <-
-          { sp_name = name; sp_start_ns = start_ns; sp_dur_ns = dur_ns;
-            sp_depth = c.rq_depth }
-          :: c.rq_entries
-
-  let enter c = c.rq_depth <- c.rq_depth + 1
-
-  let exit_ c ~name ~start_ns ~dur_ns =
-    c.rq_depth <- c.rq_depth - 1;
-    c.rq_entries <-
-      { sp_name = name; sp_start_ns = start_ns; sp_dur_ns = dur_ns;
-        sp_depth = c.rq_depth }
-      :: c.rq_entries
-
-  (* Uninstall the collector and return its spans in chronological order. *)
-  let finish () =
-    let r = Domain.DLS.get key in
-    let entries = match !r with None -> [] | Some c -> c.rq_entries in
-    r := None;
-    List.stable_sort
-      (fun a b -> compare a.sp_start_ns b.sp_start_ns)
-      (List.rev entries)
-
-  let entry_json (e : entry) =
-    Json.Obj
-      [ ("name", Json.String e.sp_name);
-        ("start_ns", Json.Int e.sp_start_ns);
-        ("dur_ns", Json.Int e.sp_dur_ns);
-        ("depth", Json.Int e.sp_depth) ]
-end
-
 (* ---- flight recorder ---- *)
 
 (* Two fixed-size rings of completed request records: the main ring keeps
@@ -572,7 +563,7 @@ module Flight = struct
     fr_queue_ns : int;        (* time spent queued before a handler ran *)
     fr_service_ns : int;      (* handler time, excluding queue wait *)
     fr_done_at : float;       (* unix time at completion *)
-    fr_spans : Req.entry list;(* the request's span tree, chronological *)
+    fr_spans : Trace.span list;(* the request's span tree, chronological *)
   }
 
   type t = {
@@ -640,7 +631,16 @@ module Flight = struct
         ("queue_ns", Json.Int r.fr_queue_ns);
         ("service_ns", Json.Int r.fr_service_ns);
         ("done_at", Json.Float r.fr_done_at);
-        ("spans", Json.List (List.map Req.entry_json r.fr_spans)) ]
+        ("spans",
+         Json.List
+           (List.map
+              (fun (e : Trace.span) ->
+                Json.Obj
+                  [ ("name", Json.String e.sp_name);
+                    ("start_ns", Json.Int e.sp_start_ns);
+                    ("dur_ns", Json.Int e.sp_dur_ns);
+                    ("depth", Json.Int e.sp_depth) ])
+              r.fr_spans)) ]
 
   let to_json t =
     let recent_l, slow_l, total_n, slow_n =
@@ -663,40 +663,32 @@ module Flight = struct
      events on a single track), so `GET /trace?id=` output loads directly
      in chrome://tracing / Perfetto and passes `discopop trace-check`. *)
   let chrome_trace (r : record) =
-    let span_ev (e : Req.entry) =
-      Json.Obj
-        [ ("name", Json.String e.sp_name);
-          ("ph", Json.String "X");
-          ("ts", Json.Float (float_of_int e.sp_start_ns /. 1e3));
-          ("dur", Json.Float (float_of_int e.sp_dur_ns /. 1e3));
-          ("pid", Json.Int 1);
-          ("tid", Json.Int 1) ]
+    let complete ~name ~ts_ns ~dur_ns =
+      Trace.event ~name ~ph:"X" ~ts_ns ~tid:1 [ ("dur", Trace.us dur_ns) ]
     in
     let events =
       match r.fr_spans with
       | [] ->
           (* Nothing ran (e.g. a shed request): one synthetic event still
              makes the document well-formed and self-describing. *)
-          [ Json.Obj
-              [ ("name", Json.String ("request " ^ r.fr_route));
-                ("ph", Json.String "X");
-                ("ts", Json.Float 0.0);
-                ("dur", Json.Float (float_of_int r.fr_service_ns /. 1e3));
-                ("pid", Json.Int 1);
-                ("tid", Json.Int 1) ] ]
-      | spans -> List.map span_ev spans
+          [ complete ~name:("request " ^ r.fr_route) ~ts_ns:0
+              ~dur_ns:r.fr_service_ns ]
+      | spans ->
+          List.map
+            (fun (e : Trace.span) ->
+              complete ~name:e.sp_name ~ts_ns:e.sp_start_ns ~dur_ns:e.sp_dur_ns)
+            spans
     in
-    Json.Obj
-      [ ("traceEvents", Json.List events);
-        ("displayTimeUnit", Json.String "ms");
-        ("otherData",
-         Json.Obj
-           [ ("trace_id", Json.String r.fr_id);
-             ("route", Json.String r.fr_route);
-             ("status", Json.Int r.fr_status);
-             ("cache", Json.String r.fr_tier);
-             ("queue_ns", Json.Int r.fr_queue_ns);
-             ("service_ns", Json.Int r.fr_service_ns) ]) ]
+    Trace.document events
+      ~other:
+        [ ("otherData",
+           Json.Obj
+             [ ("trace_id", Json.String r.fr_id);
+               ("route", Json.String r.fr_route);
+               ("status", Json.Int r.fr_status);
+               ("cache", Json.String r.fr_tier);
+               ("queue_ns", Json.Int r.fr_queue_ns);
+               ("service_ns", Json.Int r.fr_service_ns) ]) ]
 end
 
 (* ---- registry ---- *)
@@ -709,8 +701,6 @@ type span = {
   s_ns : int Atomic.t;     (* accumulated elapsed nanoseconds *)
   s_calls : int Atomic.t;
 }
-
-type meter = { m_name : string; m_per : string; m_count : int Atomic.t }
 
 (* Log-bucketed histogram: 4 sub-buckets per octave (growth ~1.19x, so a
    quantile estimate is within ~9% of the true value) spanning 1ns to ~2^64ns.
@@ -740,7 +730,6 @@ let lock = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 64
 let spans : (string, span) Hashtbl.t = Hashtbl.create 64
-let meters : (string, meter) Hashtbl.t = Hashtbl.create 16
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let locked f =
@@ -767,10 +756,6 @@ let span_of name =
   find_or_add spans name (fun () ->
       { s_name = name; s_ns = Atomic.make 0; s_calls = Atomic.make 0 })
 
-let meter name ~per =
-  find_or_add meters name (fun () ->
-      { m_name = name; m_per = per; m_count = Atomic.make 0 })
-
 let histogram name =
   find_or_add histograms name (fun () ->
       { h_name = name;
@@ -788,7 +773,6 @@ let reset () =
           Atomic.set s.s_ns 0;
           Atomic.set s.s_calls 0)
         spans;
-      Hashtbl.iter (fun _ m -> Atomic.set m.m_count 0) meters;
       Hashtbl.iter
         (fun _ h ->
           Array.iter (fun b -> Atomic.set b 0) h.h_counts;
@@ -810,33 +794,28 @@ module Gauge = struct
 end
 
 module Span = struct
-  (* Spans serve three layers: they accumulate into the metrics registry
-     when stats are enabled, appear as begin/end slices on the timeline when
-     tracing is enabled, AND land in the current request's span tree when
-     this domain has a {!Req} collector installed. All three off (the
-     default) costs two atomic loads and a domain-local read. *)
+  (* Spans have two sinks: they accumulate into the metrics registry when
+     stats are enabled, and push begin/end events into the domain's timeline
+     buffer when it records (tracing is on, or a request is open there).
+     Both off (the default) costs two atomic loads and a domain-local
+     read. *)
   let with_ ~phase f =
     let stats_on = Atomic.get enabled in
-    let trace_on = Atomic.get Trace.tracing in
-    let req = Req.current () in
-    if not (stats_on || trace_on || req <> None) then f ()
+    let b = Trace.buf () in
+    let timeline = Trace.recording b in
+    if not (stats_on || timeline) then f ()
     else begin
-      if trace_on then Trace.push 'B' phase 0;
+      if timeline then Trace.push b 'B' phase 0;
       let s = if stats_on then Some (span_of phase) else None in
-      (match req with Some c -> Req.enter c | None -> ());
       let t0 = now_ns () in
       Fun.protect
         ~finally:(fun () ->
-          let dt = now_ns () - t0 in
           (match s with
           | Some s ->
-              ignore (Atomic.fetch_and_add s.s_ns dt);
+              ignore (Atomic.fetch_and_add s.s_ns (now_ns () - t0));
               ignore (Atomic.fetch_and_add s.s_calls 1)
           | None -> ());
-          (match req with
-          | Some c -> Req.exit_ c ~name:phase ~start_ns:t0 ~dur_ns:dt
-          | None -> ());
-          if Atomic.get Trace.tracing then Trace.push 'E' phase 0)
+          if timeline then Trace.push b 'E' phase 0)
         f
     end
 
@@ -849,20 +828,6 @@ module Span = struct
     match locked (fun () -> Hashtbl.find_opt spans phase) with
     | Some s -> Atomic.get s.s_calls
     | None -> 0
-end
-
-module Meter = struct
-  let mark m n =
-    if Atomic.get enabled then ignore (Atomic.fetch_and_add m.m_count n)
-
-  let count m = Atomic.get m.m_count
-
-  (* Events per second against the accumulated wall time of the [per] span;
-     0 when the span never ran. *)
-  let rate m =
-    let ns = Span.ns m.m_per in
-    if ns <= 0 then 0.0
-    else float_of_int (Atomic.get m.m_count) /. (float_of_int ns /. 1e9)
 end
 
 module Histogram = struct
@@ -956,12 +921,6 @@ let span_json (s : span) =
       ("s", Json.Float (float_of_int ns /. 1e9));
       ("calls", Json.Int (Atomic.get s.s_calls)) ]
 
-let meter_json (m : meter) =
-  Json.Obj
-    [ ("count", Json.Int (Atomic.get m.m_count));
-      ("per", Json.String m.m_per);
-      ("rate_per_s", Json.Float (Meter.rate m)) ]
-
 let histogram_json (h : histogram) =
   Json.Obj
     [ ("count", Json.Int (Atomic.get h.h_count));
@@ -986,9 +945,6 @@ let snapshot () =
       ("spans",
        Json.Obj
          (List.map (fun (k, s) -> (k, span_json s)) (sorted_entries spans)));
-      ("meters",
-       Json.Obj
-         (List.map (fun (k, m) -> (k, meter_json m)) (sorted_entries meters)));
       ("histograms",
        Json.Obj
          (List.map
@@ -1003,8 +959,8 @@ let write_json path = write_file path (Json.pretty (snapshot ()) ^ "\n")
 (* The same registry in the Prometheus text format (text/plain; version
    0.0.4), so a scraper can poll `GET /metrics?format=prometheus` without a
    translation shim. Dotted metric names sanitize to underscore form;
-   counters gain the conventional `_total` suffix; spans and meters render
-   as labelled counter families; histograms become proper cumulative
+   counters gain the conventional `_total` suffix; spans render as labelled
+   counter families; histograms become proper cumulative
    `_bucket`/`_sum`/`_count` series in seconds, emitting a bucket line only
    where the count changes (le boundaries need not be uniform, and 256
    mostly-empty log buckets would drown the useful ones). *)
@@ -1082,19 +1038,6 @@ let prometheus () =
            (Printf.sprintf "discopop_span_calls_total{phase=\"%s\"} %d\n"
               (prom_label_escape k) (Atomic.get s.s_calls)))
        spans_l
-   end);
-  (let meters_l = sorted_entries meters in
-   if meters_l <> [] then begin
-     typ "discopop_meter_events_total" "counter";
-     List.iter
-       (fun (k, m) ->
-         Buffer.add_string b
-           (Printf.sprintf
-              "discopop_meter_events_total{meter=\"%s\",per=\"%s\"} %d\n"
-              (prom_label_escape k)
-              (prom_label_escape m.m_per)
-              (Atomic.get m.m_count)))
-       meters_l
    end);
   List.iter
     (fun (k, h) ->

@@ -1,6 +1,6 @@
 (** Lightweight observability for the profiling pipeline: named counters,
-    gauges, monotonic timing spans and per-phase throughput meters in one
-    global, domain-safe registry, with JSON and Prometheus exporters.
+    gauges, monotonic timing spans and latency histograms in one global,
+    domain-safe registry, with JSON and Prometheus exporters.
 
     The registry starts {e disabled}: every update is a single atomic flag
     load plus a branch, so instrumentation can sit in hot paths without
@@ -43,7 +43,13 @@ end
     worker domains name their tracks via {!set_track}. Like the metrics
     registry, tracing starts {e disabled} and every emission is gated on one
     atomic flag load, so trace points can sit in hot paths for free. Enable
-    it with [--trace FILE] on the CLI or [--trace] on the bench harness. *)
+    it with [--trace FILE] on the CLI or [--trace] on the bench harness.
+
+    The same buffers hold the serve daemon's request span trees: a request
+    marks its domain's buffer with {!start_request}, every {!Span.with_}
+    on that domain records there until {!finish_request} even with tracing
+    off, and the request's tree is the slice after the mark. One domain
+    handles one request at a time. *)
 module Trace : sig
   val enable : unit -> unit
   val disable : unit -> unit
@@ -63,7 +69,25 @@ module Trace : sig
 
   val with_span : string -> (unit -> 'a) -> 'a
   (** A duration slice on the calling domain's track around [f]; calls [f]
-      directly when disabled. *)
+      directly unless tracing is on or a request is open on this domain. *)
+
+  type span = {
+    sp_name : string;
+    sp_start_ns : int;  (** absolute monotonic nanoseconds *)
+    sp_dur_ns : int;
+    sp_depth : int;  (** nesting depth; 0 = top-level phase *)
+  }
+  (** One completed slice of a request's span tree. *)
+
+  val start_request : unit -> unit
+  (** Mark the calling domain's buffer: spans record from here on, tracing
+      on or off, until the {!finish_request} each start is paired with. *)
+
+  val finish_request : unit -> span list
+  (** Pair the begin/end events after the mark into spans, in begin order,
+      and clear the mark. With tracing off the buffer is truncated back to
+      the mark, so the request leaves no events behind. Empty without a
+      mark. *)
 
   val event_count : unit -> int
   (** Buffered events across all domains. *)
@@ -82,41 +106,6 @@ module Trace : sig
       [Ok (events, tracks)], or [Error] naming the first broken rule. *)
 end
 
-(** Request-scoped span collection for the serve daemon. A handler domain
-    installs a collector with {!Req.start} before dispatching a request;
-    every {!Span.with_} that runs on that domain until {!Req.finish} —
-    parse, cache lookup, the profiler's own phase spans, rendering — is
-    recorded into the request's own span tree in addition to the global
-    registry/timeline. One domain handles one request at a time, so the
-    collector is plain domain-local state. Works even when the metrics
-    registry and tracing are disabled. *)
-module Req : sig
-  type entry = {
-    sp_name : string;
-    sp_start_ns : int;  (** absolute monotonic nanoseconds *)
-    sp_dur_ns : int;
-    sp_depth : int;  (** nesting depth; 0 = top-level phase *)
-  }
-
-  type collector
-
-  val start : unit -> unit
-  (** Install a fresh collector on the calling domain, replacing any
-      leftover from an abandoned request. *)
-
-  val active : unit -> bool
-  val current : unit -> collector option
-
-  val add : name:string -> start_ns:int -> dur_ns:int -> unit
-  (** Record a span not measured by {!Span.with_} — e.g. the queue wait a
-      request suffered before any handler code ran. No-op without a
-      collector. *)
-
-  val finish : unit -> entry list
-  (** Uninstall the collector and return its spans in chronological order
-      (by start time). Empty list if none was installed. *)
-end
-
 (** Flight recorder: two fixed-size rings of completed request records. The
     main ring keeps the last N requests of any kind; the slow ring
     additionally retains the last M requests whose service time crossed a
@@ -132,7 +121,7 @@ module Flight : sig
     fr_queue_ns : int;  (** time queued before a handler ran *)
     fr_service_ns : int;  (** handler time, excluding queue wait *)
     fr_done_at : float;  (** unix time at completion *)
-    fr_spans : Req.entry list;  (** the request's span tree, chronological *)
+    fr_spans : Trace.span list;  (** the request's span tree, chronological *)
   }
 
   type t
@@ -174,8 +163,9 @@ end
 
 val now_ns : unit -> int
 (** The monotonic clock in nanoseconds — the same clock {!Span.with_} and
-    {!Req} entries use, so callers can synthesize {!Req.entry} values (e.g.
-    a queue wait measured outside any span) on a comparable timeline. *)
+    {!Trace} events use, so callers can synthesize {!Trace.span} values
+    (e.g. a queue wait measured outside any span) on a comparable
+    timeline. *)
 
 val enable : unit -> unit
 val disable : unit -> unit
@@ -187,17 +177,12 @@ val reset : unit -> unit
 type counter
 type gauge
 type span
-type meter
 type histogram
 
 val counter : string -> counter
 (** Find or register the counter [name]. Cheap after the first call. *)
 
 val gauge : string -> gauge
-val meter : string -> per:string -> meter
-(** A throughput meter: events counted against the accumulated wall time of
-    the span named [per]. *)
-
 val histogram : string -> histogram
 (** A log-bucketed latency histogram (4 sub-buckets per octave, so quantile
     estimates are within ~9% of the true value). Observation is atomic:
@@ -219,23 +204,15 @@ end
 module Span : sig
   val with_ : phase:string -> (unit -> 'a) -> 'a
   (** Time [f] with the monotonic clock and accumulate into the span named
-      [phase] (created on first use); also emits a begin/end slice on the
-      calling domain's {!Trace} track when tracing is enabled. When both
-      layers are disabled, calls [f] directly. *)
+      [phase] (created on first use) when the registry is enabled; also
+      pushes a begin/end slice into the calling domain's {!Trace} buffer
+      when tracing is on or a request is open there. When neither holds,
+      calls [f] directly. *)
 
   val ns : string -> int
   (** Accumulated nanoseconds of a phase; 0 if it never ran. *)
 
   val calls : string -> int
-end
-
-module Meter : sig
-  val mark : meter -> int -> unit
-  val count : meter -> int
-
-  val rate : meter -> float
-  (** Events per second over the [per] span's elapsed time; 0 when the span
-      never ran. *)
 end
 
 module Histogram : sig
@@ -261,7 +238,7 @@ val gauge_value : string -> float
 
 val snapshot : unit -> Json.t
 (** All metrics as one JSON object with
-    [counters]/[gauges]/[spans]/[meters]/[histograms] sections, each sorted
+    [counters]/[gauges]/[spans]/[histograms] sections, each sorted
     by name. *)
 
 val write_json : string -> unit
@@ -269,7 +246,7 @@ val write_json : string -> unit
 val prometheus : unit -> string
 (** The registry in the Prometheus text exposition format
     ([text/plain; version=0.0.4]). Dotted names sanitize to underscore
-    form; counters gain the conventional [_total] suffix; spans and meters
-    render as labelled counter families; histograms become cumulative
+    form; counters gain the conventional [_total] suffix; spans render as
+    labelled counter families; histograms become cumulative
     [_bucket]/[_sum]/[_count] series in seconds (a bucket line is emitted
     only where the count changes, closed by [le="+Inf"]). *)

@@ -104,9 +104,6 @@ module Set_ = struct
                   witness_domain = domain; risk = risk () } };
         n
 
-  let add_witness t d ~time ~index ~domain ~risk =
-    ignore (note t d ~time ~index ~domain ~risk)
-
   let occurrences_cell t = t.raw_occurrences
 
   let restore t d ~count pv =

@@ -48,18 +48,13 @@ module Set_ : sig
   val create : unit -> t
   val add : t -> dep -> unit
 
-  val add_witness :
-    t -> dep -> time:int -> index:int -> domain:int -> risk:(unit -> float) ->
-    unit
-  (** Like {!add}, recording first-witness provenance when [dep] is new;
-      [risk] is only evaluated then. Accesses must arrive in increasing
-      [time] order (as every engine produces them) for the stored witness to
-      be the earliest. *)
-
   val note :
     t -> dep -> time:int -> index:int -> domain:int -> risk:(unit -> float) ->
     int ref
-  (** {!add_witness} returning the record's count cell, for the engine's
+  (** Like {!add}, recording first-witness provenance when [dep] is new;
+      [risk] is only evaluated then. Accesses must arrive in increasing
+      [time] order (as every engine produces them) for the stored witness to
+      be the earliest. Returns the record's count cell, for the engine's
       per-op duplicate-suppression fast path. The cell is owned by this set;
       bump it only together with {!occurrences_cell}. *)
 

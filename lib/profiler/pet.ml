@@ -31,6 +31,8 @@ type t = {
   n : int;
   root : int;
   subtree : int array;        (* instructions in each node's subtree *)
+  totals : (kind, int * int) Hashtbl.t;
+      (* per construct, over all its nodes: iterations, subtree instructions *)
 }
 
 (* Instance merging: a static construct under a given parent maps to one
@@ -208,7 +210,15 @@ let finish b : t =
       subtree.(n.parent) <- subtree.(n.parent) + subtree.(id)
     end
   done;
-  { nodes; n = b.count; root = 0; subtree }
+  let totals = Hashtbl.create 64 in
+  Array.iteri
+    (fun id n ->
+      let iters, instr =
+        Option.value (Hashtbl.find_opt totals n.kind) ~default:(0, 0)
+      in
+      Hashtbl.replace totals n.kind (iters + n.iterations, instr + subtree.(id)))
+    nodes;
+  { nodes; n = b.count; root = 0; subtree; totals }
 
 let node t id = t.nodes.(id)
 let size t = t.n
@@ -216,6 +226,9 @@ let size t = t.n
 (* Total memory instructions in the subtree rooted at [id]. *)
 let subtree_instructions t id = t.subtree.(id)
 let total_instructions t = subtree_instructions t t.root
+
+let totals t kind =
+  Option.value (Hashtbl.find_opt t.totals kind) ~default:(0, 0)
 
 (* Number of elements of the sorted [a] below [x], or at most [x] when
    [incl]. *)

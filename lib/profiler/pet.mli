@@ -48,6 +48,12 @@ val subtree_instructions : t -> int -> int
 
 val total_instructions : t -> int
 
+val totals : t -> kind -> int * int
+(** Iterations and subtree instructions summed over every node of one
+    construct: a loop under several callers, and a recursive function's
+    nested nodes too. [(0, 0)] for a construct that never ran. As of
+    {!finish}; O(1). *)
+
 val iter : (node -> unit) -> t -> unit
 val to_string : t -> Dep.Set_.t -> string
 (** The tree, one node per line, each with its line span, subtree

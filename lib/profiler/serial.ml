@@ -25,7 +25,6 @@ let g_footprint = Obs.gauge "profiler.footprint_words"
 let g_merging = Obs.gauge "profiler.merging_factor"
 let g_lstack_nodes = Obs.gauge "profiler.lstack.nodes"
 let g_lstack_words = Obs.gauge "profiler.lstack.words"
-let m_access_rate = Obs.meter "profiler.access_rate" ~per:"profile"
 
 let publish ~accesses ~deps ~footprint_words ~merging_factor ~lstacks =
   if Obs.is_enabled () then begin
@@ -33,7 +32,6 @@ let publish ~accesses ~deps ~footprint_words ~merging_factor ~lstacks =
     Obs.Gauge.set_int g_lstack_words (Trace.Intern.Lstack.words lstacks);
     Obs.Counter.add c_accesses accesses;
     Obs.Counter.add c_deps (Dep.Set_.cardinal deps);
-    Obs.Meter.mark m_access_rate accesses;
     Obs.Gauge.set_int g_footprint footprint_words;
     Obs.Gauge.set g_merging merging_factor
   end

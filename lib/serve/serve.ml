@@ -177,26 +177,48 @@ let parse_target target =
       in
       (path, params)
 
+(* The head of an HTTP message held in [s]: its start line (untrimmed), its
+   [Name: value] headers (names lowercased, both sides trimmed) and the
+   offset where the body starts. [None] until [s] holds the CRLFCRLF
+   terminator. Requests and responses share it. *)
+let parse_head s =
+  let rec terminator i =
+    if i + 3 >= String.length s then None
+    else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
+            && s.[i + 3] = '\n'
+    then Some i
+    else terminator (i + 1)
+  in
+  Option.map
+    (fun i ->
+      match String.split_on_char '\n' (String.sub s 0 i) with
+      | [] -> assert false (* split_on_char returns at least one piece *)
+      | start_line :: lines ->
+          let headers =
+            List.filter_map
+              (fun line ->
+                match String.index_opt line ':' with
+                | None -> None
+                | Some c ->
+                    let name = String.trim (String.sub line 0 c) in
+                    let value =
+                      String.sub line (c + 1) (String.length line - c - 1)
+                    in
+                    Some (String.lowercase_ascii name, String.trim value))
+              lines
+          in
+          (start_line, headers, i + 4))
+    (terminator 0)
+
 (* Read one request: buffer until the header terminator, then exactly
    Content-Length body bytes. Sockets carry a receive timeout, so a stalled
    client errors out instead of pinning a worker. *)
 let read_request fd : (request, string) result =
   let buf = Buffer.create 1024 in
   let chunk = Bytes.create 4096 in
-  let find_headers_end () =
-    let s = Buffer.contents buf in
-    let rec go i =
-      if i + 3 >= String.length s then None
-      else if s.[i] = '\r' && s.[i + 1] = '\n' && s.[i + 2] = '\r'
-              && s.[i + 3] = '\n'
-      then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
   let rec fill_headers () =
-    match find_headers_end () with
-    | Some i -> Ok i
+    match parse_head (Buffer.contents buf) with
+    | Some head -> Ok head
     | None ->
         if Buffer.length buf > 64 * 1024 then Error "headers too large"
         else
@@ -209,55 +231,35 @@ let read_request fd : (request, string) result =
   in
   match fill_headers () with
   | Error e -> Error e
-  | Ok head_end -> (
-      let head = Buffer.sub buf 0 head_end in
-      match String.split_on_char '\n' head with
-      | [] -> Error "empty request"
-      | request_line :: header_lines -> (
-          let strip s = String.trim s in
-          match String.split_on_char ' ' (strip request_line) with
-          | meth :: target :: _ ->
-              let headers =
-                List.filter_map
-                  (fun line ->
-                    match String.index_opt line ':' with
-                    | None -> None
-                    | Some c ->
-                        Some
-                          ( String.lowercase_ascii (strip (String.sub line 0 c)),
-                            strip
-                              (String.sub line (c + 1)
-                                 (String.length line - c - 1)) ))
-                  header_lines
-              in
-              let content_length =
-                match List.assoc_opt "content-length" headers with
-                | None -> 0
-                | Some v -> ( try int_of_string (strip v) with _ -> -1)
-              in
-              if content_length < 0 || content_length > max_body then
-                Error "bad content-length"
-              else begin
-                let body_start = head_end + 4 in
-                let rec fill_body () =
-                  if Buffer.length buf - body_start >= content_length then
-                    Ok ()
-                  else
-                    let n = try Unix.read fd chunk 0 4096 with _ -> 0 in
-                    if n = 0 then Error "connection closed before body"
-                    else begin
-                      Buffer.add_subbytes buf chunk 0 n;
-                      fill_body ()
-                    end
-                in
-                match fill_body () with
-                | Error e -> Error e
-                | Ok () ->
-                    let body = Buffer.sub buf body_start content_length in
-                    let path, query = parse_target target in
-                    Ok { meth; path; query; headers; body }
-              end
-          | _ -> Error "malformed request line"))
+  | Ok (request_line, headers, body_start) -> (
+      match String.split_on_char ' ' (String.trim request_line) with
+      | meth :: target :: _ ->
+          let content_length =
+            match List.assoc_opt "content-length" headers with
+            | None -> 0
+            | Some v -> ( try int_of_string v with _ -> -1)
+          in
+          if content_length < 0 || content_length > max_body then
+            Error "bad content-length"
+          else begin
+            let rec fill_body () =
+              if Buffer.length buf - body_start >= content_length then Ok ()
+              else
+                let n = try Unix.read fd chunk 0 4096 with _ -> 0 in
+                if n = 0 then Error "connection closed before body"
+                else begin
+                  Buffer.add_subbytes buf chunk 0 n;
+                  fill_body ()
+                end
+            in
+            match fill_body () with
+            | Error e -> Error e
+            | Ok () ->
+                let body = Buffer.sub buf body_start content_length in
+                let path, query = parse_target target in
+                Ok { meth; path; query; headers; body }
+          end
+      | _ -> Error "malformed request line")
 
 (* ---- request-level profiler configuration ---- *)
 
@@ -499,9 +501,10 @@ let handle_conn t ~(enqueued : float) fd =
       cx_status = 0;
       cx_tier = "-" }
   in
-  (* Collect every span the handler runs — parse, cache lookup, the
-     profiler's own phases, rendering — into this request's tree. *)
-  Obs.Req.start ();
+  (* Every span the handler runs — parse, cache lookup, the profiler's own
+     phases, rendering — records on this domain's timeline from here; the
+     slice after the mark is this request's tree. *)
+  Obs.Trace.start_request ();
   let route = ref "(bad)" in
   let profile_req = ref false in
   let dispatch () =
@@ -535,14 +538,14 @@ let handle_conn t ~(enqueued : float) fd =
             respond cx ~status:404 "not found\n")
   in
   let record () =
-    (* The queue wait predates the collector; splice it in as a synthetic
+    (* The queue wait predates the mark; splice it in as a synthetic
        top-level span so the trace starts when the request did. *)
     let spans =
-      { Obs.Req.sp_name = "queue_wait";
+      { Obs.Trace.sp_name = "queue_wait";
         sp_start_ns = started_ns - queue_ns;
         sp_dur_ns = queue_ns;
         sp_depth = 0 }
-      :: Obs.Req.finish ()
+      :: Obs.Trace.finish_request ()
     in
     let done_at = now () in
     let service_ns = max 0 (int_of_float ((done_at -. started) *. 1e9)) in
@@ -758,45 +761,20 @@ module Client = struct
     go ();
     Buffer.contents buf
 
-  let split_head raw =
-    let n = String.length raw in
-    let rec go i =
-      if i + 3 >= n then None
-      else if raw.[i] = '\r' && raw.[i + 1] = '\n' && raw.[i + 2] = '\r'
-              && raw.[i + 3] = '\n'
-      then Some (String.sub raw 0 i, String.sub raw (i + 4) (n - i - 4))
-      else go (i + 1)
-    in
-    go 0
-
   let parse_response raw : (response, string) result =
-    match split_head raw with
+    match parse_head raw with
     | None -> Error "no header terminator in response"
-    | Some (head, body) -> (
-        match String.split_on_char '\n' head with
-        | status_line :: header_lines -> (
-            match String.split_on_char ' ' (String.trim status_line) with
-            | _http :: code :: _ -> (
-                match int_of_string_opt code with
-                | None -> Error ("bad status: " ^ status_line)
-                | Some status ->
-                    let headers =
-                      List.filter_map
-                        (fun line ->
-                          match String.index_opt line ':' with
-                          | None -> None
-                          | Some c ->
-                              Some
-                                ( String.lowercase_ascii
-                                    (String.trim (String.sub line 0 c)),
-                                  String.trim
-                                    (String.sub line (c + 1)
-                                       (String.length line - c - 1)) ))
-                        header_lines
-                    in
-                    Ok { status; headers; body })
-            | _ -> Error ("bad status line: " ^ status_line))
-        | [] -> Error "empty response")
+    | Some (status_line, headers, body_start) -> (
+        match String.split_on_char ' ' (String.trim status_line) with
+        | _http :: code :: _ -> (
+            match int_of_string_opt code with
+            | None -> Error ("bad status: " ^ status_line)
+            | Some status ->
+                let body =
+                  String.sub raw body_start (String.length raw - body_start)
+                in
+                Ok { status; headers; body })
+        | _ -> Error ("bad status line: " ^ status_line))
 
   let request ?(meth = "GET") ?(body = "") ~port path :
       (response, string) result =

@@ -72,16 +72,11 @@ let test_disabled_is_noop () =
   Obs.Counter.add c 5;
   Alcotest.(check int) "counter counts when enabled" 5 (Obs.Counter.value c)
 
-let test_span_and_meter () =
+let test_span () =
   with_registry @@ fun () ->
-  let m = Obs.meter "t.events" ~per:"t.work" in
-  Obs.Span.with_ ~phase:"t.work" (fun () ->
-      for _ = 1 to 10 do
-        Obs.Meter.mark m 1
-      done);
+  Obs.Span.with_ ~phase:"t.work" (fun () -> ());
   Alcotest.(check int) "span ran once" 1 (Obs.Span.calls "t.work");
-  Alcotest.(check bool) "span took time" true (Obs.Span.ns "t.work" >= 0);
-  Alcotest.(check int) "meter counted" 10 (Obs.Meter.count m)
+  Alcotest.(check bool) "span took time" true (Obs.Span.ns "t.work" >= 0)
 
 let test_snapshot_shape () =
   with_registry @@ fun () ->
@@ -93,7 +88,8 @@ let test_snapshot_shape () =
       match J.member section snap with
       | Some (J.Obj _) -> ()
       | _ -> Alcotest.failf "snapshot missing %s section" section)
-    [ "counters"; "gauges"; "spans"; "meters" ]
+    [ "counters"; "gauges"; "spans"; "histograms" ];
+  Alcotest.(check bool) "no meters section" true (J.member "meters" snap = None)
 
 (* --- serial vs parallel profiler determinism --- *)
 
@@ -490,9 +486,9 @@ let test_flight_concurrent_writers () =
 
 let test_flight_chrome_trace () =
   let spans =
-    [ { Obs.Req.sp_name = "queue_wait"; sp_start_ns = 0; sp_dur_ns = 5_000;
+    [ { Obs.Trace.sp_name = "queue_wait"; sp_start_ns = 0; sp_dur_ns = 5_000;
         sp_depth = 0 };
-      { Obs.Req.sp_name = "profile"; sp_start_ns = 5_000; sp_dur_ns = 20_000;
+      { Obs.Trace.sp_name = "profile"; sp_start_ns = 5_000; sp_dur_ns = 20_000;
         sp_depth = 0 } ]
   in
   let doc = Obs.Flight.chrome_trace (mk_record ~spans "rich") in
@@ -516,47 +512,89 @@ let test_flight_chrome_trace () =
         (List.assoc_opt "trace_id" fields = Some (J.String "shed"))
   | _ -> Alcotest.fail "no otherData"
 
-(* --- request-scoped span collection --- *)
+(* --- request span trees: slices of the domain's timeline --- *)
+
+let tree spans =
+  List.map (fun (e : Obs.Trace.span) -> (e.Obs.Trace.sp_name, e.sp_depth)) spans
 
 let test_req_collector () =
-  (* the collector works with the registry AND tracing disabled: request
-     span trees must not require global instrumentation to be on *)
+  (* a request's spans record with the registry AND tracing disabled:
+     request span trees must not require global instrumentation to be on *)
   Obs.disable ();
   Obs.reset ();
-  Alcotest.(check bool) "inactive before start" true (not (Obs.Req.active ()));
+  Obs.Trace.disable ();
+  Obs.Trace.reset ();
   Alcotest.(check (list reject)) "finish without start is empty" []
-    (Obs.Req.finish ());
-  Obs.Req.start ();
-  Alcotest.(check bool) "active after start" true (Obs.Req.active ());
+    (Obs.Trace.finish_request ());
+  Obs.Trace.start_request ();
   Obs.Span.with_ ~phase:"outer" (fun () ->
       Obs.Span.with_ ~phase:"inner" (fun () -> ()));
-  Obs.Req.add ~name:"synthetic" ~start_ns:0 ~dur_ns:42;
-  let entries = Obs.Req.finish () in
-  Alcotest.(check bool) "finish uninstalls" true (not (Obs.Req.active ()));
-  Alcotest.(check (list string)) "chronological order"
-    [ "synthetic"; "outer"; "inner" ]
-    (List.map (fun (e : Obs.Req.entry) -> e.Obs.Req.sp_name) entries);
-  let depth name =
-    (List.find (fun (e : Obs.Req.entry) -> e.Obs.Req.sp_name = name) entries)
-      .Obs.Req.sp_depth
-  in
-  Alcotest.(check int) "outer at depth 0" 0 (depth "outer");
-  Alcotest.(check int) "inner nested at depth 1" 1 (depth "inner");
-  Alcotest.(check int) "synthetic at its given depth" 0 (depth "synthetic");
+  Obs.Span.with_ ~phase:"after" (fun () -> ());
+  let spans = Obs.Trace.finish_request () in
+  Alcotest.(check (list (pair string int))) "begin order, nesting depths"
+    [ ("outer", 0); ("inner", 1); ("after", 0) ]
+    (tree spans);
+  List.iter
+    (fun (e : Obs.Trace.span) ->
+      Alcotest.(check bool) "non-negative duration" true (e.sp_dur_ns >= 0))
+    spans;
+  Alcotest.(check int) "tracing off: the request leaves no events" 0
+    (Obs.Trace.event_count ());
   (* the registry saw none of it *)
   Alcotest.(check int) "no span registered while disabled" 0
     (Obs.Span.calls "outer");
-  (* a second finish is empty: the collector does not leak across requests *)
-  Obs.Req.start ();
-  Alcotest.(check (list reject)) "fresh collector is empty" []
-    (Obs.Req.finish ())
+  (* the mark is cleared: a span outside a request records nothing *)
+  Obs.Span.with_ ~phase:"outside" (fun () -> ());
+  Alcotest.(check int) "no mark, no events" 0 (Obs.Trace.event_count ());
+  Obs.Trace.start_request ();
+  Alcotest.(check (list reject)) "fresh request is empty" []
+    (Obs.Trace.finish_request ())
+
+(* The same request yields the same tree with tracing on and off; with
+   tracing on its events stay on the timeline, interleaved with the
+   timeline-only instants and counters the tree skips. *)
+let test_req_tree_tracing_on_off () =
+  Obs.disable ();
+  Obs.Trace.reset ();
+  let request () =
+    Obs.Trace.start_request ();
+    Obs.Span.with_ ~phase:"parse" (fun () -> Obs.Trace.instant "tick");
+    Obs.Span.with_ ~phase:"profile" (fun () ->
+        Obs.Trace.counter "depth" 2;
+        Obs.Trace.with_span "chunk" (fun () ->
+            Obs.Span.with_ ~phase:"engine" (fun () -> ())));
+    Obs.Span.with_ ~phase:"render" (fun () -> ());
+    tree (Obs.Trace.finish_request ())
+  in
+  Obs.Trace.disable ();
+  let off = request () in
+  Alcotest.(check int) "tracing off: buffer truncated" 0
+    (Obs.Trace.event_count ());
+  Obs.Trace.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Trace.disable ();
+      Obs.Trace.reset ())
+    (fun () ->
+      let on = request () in
+      Alcotest.(check (list (pair string int))) "same tree on and off" off on;
+      Alcotest.(check (list (pair string int))) "the tree"
+        [ ("parse", 0); ("profile", 0); ("chunk", 1); ("engine", 2);
+          ("render", 0) ]
+        on;
+      (* 5 spans (10 events), one instant, one counter *)
+      Alcotest.(check int) "tracing on: events kept" 12
+        (Obs.Trace.event_count ());
+      match Obs.Trace.check (J.to_string (Obs.Trace.export ())) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "timeline fails trace-check: %s" msg)
 
 let tests =
   [ Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
     Alcotest.test_case "json float stays float" `Quick
       test_json_floats_stay_floats;
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
-    Alcotest.test_case "span and meter" `Quick test_span_and_meter;
+    Alcotest.test_case "span timing" `Quick test_span;
     Alcotest.test_case "snapshot sections" `Quick test_snapshot_shape;
     Alcotest.test_case "serial/parallel counters agree" `Quick
       test_serial_parallel_counters_agree;
@@ -577,4 +615,6 @@ let tests =
     Alcotest.test_case "flight concurrent writers" `Quick
       test_flight_concurrent_writers;
     Alcotest.test_case "flight chrome trace" `Quick test_flight_chrome_trace;
-    Alcotest.test_case "request span collector" `Quick test_req_collector ]
+    Alcotest.test_case "request span collector" `Quick test_req_collector;
+    Alcotest.test_case "request span tree same with tracing on/off" `Quick
+      test_req_tree_tracing_on_off ]

@@ -369,6 +369,126 @@ let test_shed_flight_record () =
       Alcotest.(check (list reject)) "shed record has no spans" []
         rec_.Obs.Flight.fr_spans
 
+(* One cold POST /profile on a fresh one-worker daemon: its flight record
+   and, with tracing on, the timeline export taken after it. *)
+let served_profile ~trace =
+  Obs.Trace.reset ();
+  if trace then Obs.Trace.enable () else Obs.Trace.disable ();
+  Fun.protect ~finally:Obs.Trace.disable @@ fun () ->
+  with_server ~jobs:1 @@ fun t ->
+  let r =
+    ok_response
+      (Serve.Client.post ~port:(Serve.port t) ~body:small_src
+         "/profile?name=tl")
+  in
+  Alcotest.(check int) "profile 200" 200 r.Serve.Client.status;
+  let tid =
+    match List.assoc_opt "x-trace-id" r.Serve.Client.headers with
+    | Some id -> id
+    | None -> Alcotest.fail "no X-Trace-Id on the profile response"
+  in
+  (* the daemon closes a connection only after recording its request *)
+  match Obs.Flight.find (Serve.flight t) tid with
+  | None -> Alcotest.failf "no flight record for %s" tid
+  | Some rec_ ->
+      (rec_.Obs.Flight.fr_spans, Obs.Trace.event_count (), Obs.Trace.export ())
+
+let tree spans =
+  List.map (fun (e : Obs.Trace.span) -> (e.Obs.Trace.sp_name, e.sp_depth)) spans
+
+(* A request's span tree is the slice of its domain's timeline: the same
+   tree with tracing on and off; with tracing off the request leaves no
+   events behind; with it on, the timeline export holds the request's
+   spans and passes trace-check. *)
+let test_request_tree_is_timeline_slice () =
+  let off, off_events, _ = served_profile ~trace:false in
+  Alcotest.(check int) "tracing off: no events left" 0 off_events;
+  let on, _, doc = served_profile ~trace:true in
+  Obs.Trace.reset ();
+  Alcotest.(check (list (pair string int))) "same tree on and off" (tree off)
+    (tree on);
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (phase ^ " in the tree") true
+        (List.mem_assoc phase (tree on)))
+    [ "queue_wait"; "serve.parse"; "serve.cache_lookup"; "profile";
+      "serve.render" ];
+  (match Obs.Trace.check (Obs.Json.to_string doc) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "timeline fails trace-check: %s" msg);
+  let begins =
+    match Obs.Json.member "traceEvents" doc with
+    | Some (Obs.Json.List evs) ->
+        List.filter_map
+          (fun e ->
+            match
+              ( Option.bind (Obs.Json.member "ph" e) Obs.Json.get_string,
+                Option.bind (Obs.Json.member "name" e) Obs.Json.get_string )
+            with
+            | Some "B", name -> name
+            | _ -> None)
+          evs
+    | _ -> Alcotest.fail "export has no traceEvents"
+  in
+  (* queue_wait is spliced into the record, not pushed on the timeline *)
+  List.iter
+    (fun (name, _) ->
+      if name <> "queue_wait" then
+        Alcotest.(check bool) (name ^ " on the timeline") true
+          (List.mem name begins))
+    (tree on)
+
+(* Raw bytes on a socket, so malformed requests reach the parser. *)
+let raw_request ~port bytes =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  ignore (Unix.write_substring fd bytes 0 (String.length bytes));
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let buf = Buffer.create 256 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+        Buffer.add_subbytes buf chunk 0 n;
+        go ()
+  in
+  go ();
+  Buffer.contents buf
+
+let test_malformed_requests_400 () =
+  with_server @@ fun t ->
+  let port = Serve.port t in
+  let answers what bytes status msg =
+    let resp = raw_request ~port bytes in
+    let rec body_at i =
+      if i + 4 > String.length resp then
+        Alcotest.failf "%s: no response head" what
+      else if String.sub resp i 4 = "\r\n\r\n" then
+        String.sub resp (i + 4) (String.length resp - i - 4)
+      else body_at (i + 1)
+    in
+    let body = body_at 0 in
+    Alcotest.(check string) (what ^ ": status") status (String.sub resp 9 3);
+    Alcotest.(check string) (what ^ ": message") msg body
+  in
+  answers "one-word request line" "GARBAGE\r\n\r\n" "400"
+    "malformed request line\n";
+  answers "non-numeric length"
+    "POST /profile HTTP/1.1\r\nContent-Length: abc\r\n\r\n" "400"
+    "bad content-length\n";
+  answers "length over max_body"
+    "POST /profile HTTP/1.1\r\nContent-Length: 8388609\r\n\r\n" "400"
+    "bad content-length\n";
+  answers "closed before body"
+    "POST /profile HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc" "400"
+    "connection closed before body\n";
+  (* header names are case-insensitive and values trimmed: the whole body
+     is read and the request routed *)
+  answers "lowercase, padded length"
+    "POST /nope HTTP/1.1\r\ncontent-LENGTH:  3 \r\n\r\nabc" "404"
+    "not found\n"
+
 (* The latency split: one POST /profile bumps serve.queue_wait,
    serve.service and the combined serve.latency by exactly one each, and a
    non-profile request bumps none (the registry is global, so deltas). *)
@@ -487,6 +607,10 @@ let tests =
       test_split_latency_histograms;
     Alcotest.test_case "HTTP prometheus exposition" `Quick
       test_http_metrics_prometheus;
+    Alcotest.test_case "request span tree is a timeline slice" `Quick
+      test_request_tree_is_timeline_slice;
+    Alcotest.test_case "malformed requests answer 400" `Quick
+      test_malformed_requests_400;
     Alcotest.test_case "HTTP shutdown" `Quick test_http_shutdown;
     Alcotest.test_case "start bounds the default workers" `Quick
       test_start_rejects_worker_bound ]
