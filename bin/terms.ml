@@ -122,8 +122,11 @@ let cache =
            ~doc:"Content-addressed on-disk result cache directory (created \
                  if missing), shared by $(b,discopop batch) and \
                  $(b,discopop serve). Key = hash of the MIL program + \
-                 profiler config; entries store Depfile-v2 dependences plus \
-                 the serialized suggestion summary.")
+                 profiler config; each entry is one $(i,KEY).entry file \
+                 holding the serialized suggestion summary and the \
+                 Depfile-v2 dependences behind a length header (not \
+                 readable by $(b,discopop read-deps)). Format-v2 \
+                 .deps/.sugg pairs are ignored.")
   in
   let max_mb =
     Arg.(value & opt (some int) None & info [ "cache-max-mb" ] ~docv:"MB"

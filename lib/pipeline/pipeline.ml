@@ -24,17 +24,20 @@ let c_evicted = Obs.counter "pipeline.cache.evicted"
 
 (* ---- content-addressed cache ---- *)
 
+type entry = Profiler.Dep.Set_.t * string
+
 module Cache = struct
   type config = { profile : Profiler.Profile.config; threads : int }
 
   let default_config = { profile = Profiler.Profile.default; threads = 4 }
 
   (* Bump when the cached representation changes shape (depfile format,
-     summary format, scoring semantics) or the profile behind it changes
-     (v2: scope exits free locals in stack order, which moves instance
-     counts and witnesses): old entries then miss instead of round-tripping
-     stale bytes. *)
-  let format_version = 2
+     summary format, entry framing, scoring semantics) or the profile
+     behind it changes (v2: scope exits free locals in stack order, which
+     moves instance counts and witnesses; v3: one [<key>.entry] file
+     replaces the [.deps]/[.sugg] pair): old entries then miss instead of
+     round-tripping stale bytes. *)
+  let format_version = 3
 
   let config_to_string (c : config) =
     Printf.sprintf "%s threads=%d" (Profiler.Profile.to_string c.profile)
@@ -47,8 +50,43 @@ module Cache = struct
             (config_to_string c)
             (Mil.Pretty.render_program prog)))
 
-  let deps_path ~dir ~key = Filename.concat dir (key ^ ".deps")
-  let sugg_path ~dir ~key = Filename.concat dir (key ^ ".sugg")
+  let entry_path ~dir ~key = Filename.concat dir (key ^ ".entry")
+
+  (* An entry file is one header line giving the byte lengths of the two
+     parts that follow it, the summary then the v2 depfile:
+
+       discopop-entry v3 <summary bytes> <depfile bytes>\n<summary><depfile>
+
+     A file cut anywhere — inside the header, which then has no newline, or
+     inside the body, which is then shorter than the header says — fails
+     [decode] and reads as a miss. *)
+  let encode ((deps, summary) : entry) =
+    let depfile = Profiler.Depfile.render deps in
+    Printf.sprintf "discopop-entry v%d %d %d\n%s%s" format_version
+      (String.length summary) (String.length depfile) summary depfile
+
+  let decode s : entry option =
+    match
+      Scanf.sscanf s "discopop-entry v%u %u %u\n%n" (fun v ns nd at ->
+          (v, ns, nd, at))
+    with
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+    | v, ns, nd, at
+      when v = format_version && String.length s = at + ns + nd -> (
+        let summary = String.sub s at ns in
+        (* A summary that no longer parses is a miss too: the job re-runs
+           and overwrites the entry. *)
+        match
+          ( Profiler.Depfile.parse (String.sub s (at + ns) nd),
+            Suggestion.summary_of_string summary )
+        with
+        | deps, Ok _ -> Some (deps, summary)
+        | _, Error _ -> None
+        | exception
+            (Profiler.Depfile.Parse_error _ | Failure _ | Invalid_argument _)
+          ->
+            None)
+    | _ -> None
 
   type limits = { max_bytes : int option; ttl_s : float option }
 
@@ -57,40 +95,23 @@ module Cache = struct
   let limits ?max_mb ?ttl_s () =
     { max_bytes = Option.map (fun mb -> mb * 1024 * 1024) max_mb; ttl_s }
 
-  (* mtime doubles as the recency stamp: {!load} touches both files of an
-     entry on a hit, so LRU-by-mtime sees reads, not just writes. *)
-  let touch path = try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ()
-
-  (* One entry = the <key>.deps / <key>.sugg pair; its size is the pair's
-     total bytes, its recency the newer of the two mtimes. Files vanishing
-     mid-scan (a concurrent sweep) are skipped, never an error. *)
+  (* One entry = one [<key>.entry] file: its size and mtime are the entry's.
+     Files vanishing mid-scan (a concurrent sweep) are skipped, never an
+     error; anything else in the directory is ignored. *)
   let entries dir =
     match Sys.readdir dir with
     | exception Sys_error _ -> []
     | files ->
-        let tbl = Hashtbl.create 32 in
-        Array.iter
-          (fun f ->
-            match Filename.extension f with
-            | ".deps" | ".sugg" -> (
-                match Unix.stat (Filename.concat dir f) with
-                | exception Unix.Unix_error _ -> ()
-                | st ->
-                    let key = Filename.remove_extension f in
-                    let sz, mt =
-                      try Hashtbl.find tbl key with Not_found -> (0, 0.0)
-                    in
-                    Hashtbl.replace tbl key
-                      ( sz + st.Unix.st_size,
-                        Float.max mt st.Unix.st_mtime ))
-            | _ -> ())
-          files;
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-
-  let remove_entry ~dir ~key =
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ deps_path ~dir ~key; sugg_path ~dir ~key ]
+        Array.to_list files
+        |> List.filter_map (fun f ->
+               if Filename.extension f <> ".entry" then None
+               else
+                 match Unix.stat (Filename.concat dir f) with
+                 | exception Unix.Unix_error _ -> None
+                 | st ->
+                     Some
+                       ( Filename.remove_extension f,
+                         (st.Unix.st_size, st.Unix.st_mtime) ))
 
   (* Evict expired entries (mtime older than the TTL), then — if the
      directory still exceeds the byte budget — least-recently-used entries,
@@ -104,7 +125,7 @@ module Cache = struct
       let keep_key k = keep = Some k in
       let evicted = ref 0 in
       let evict key =
-        remove_entry ~dir ~key;
+        (try Sys.remove (entry_path ~dir ~key) with Sys_error _ -> ());
         incr evicted
       in
       let live = entries dir in
@@ -155,27 +176,20 @@ module Cache = struct
             try Some (really_input_string ic (in_channel_length ic))
             with Sys_error _ | End_of_file -> None)
 
-  let load ~dir ~key : (Profiler.Dep.Set_.t * string) option =
-    match Profiler.Depfile.read_opt (deps_path ~dir ~key) with
-    | None -> None
-    | Some deps -> (
-        match read_file (sugg_path ~dir ~key) with
-        | None -> None
-        | Some summary -> (
-            (* A summary that no longer parses is a miss: the job re-runs
-               and overwrites the entry. *)
-            match Suggestion.summary_of_string summary with
-            | Ok _ ->
-                (* refresh the recency stamp so LRU eviction spares entries
-                   that are actually being read *)
-                touch (deps_path ~dir ~key);
-                touch (sugg_path ~dir ~key);
-                Some (deps, summary)
-            | Error _ -> None))
+  let load ~dir ~key : entry option =
+    let path = entry_path ~dir ~key in
+    let hit = Option.bind (read_file path) decode in
+    (* mtime doubles as the recency stamp: refreshing it on a hit makes LRU
+       eviction spare entries that are actually being read *)
+    if Option.is_some hit then (
+      try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
+    hit
 
   (* Atomic publish: write to a unique temp file in the cache directory,
-     then rename over the final name. Concurrent jobs storing the same key
-     race benignly — both write identical bytes. *)
+     then rename over the final name. A reader opens either the old file
+     or the new one, never a mix. Concurrent writers of one key may write
+     different bytes (each depfile record names the domain that first saw
+     it), and the last rename wins whole. *)
   let write_atomic path contents =
     let dir = Filename.dirname path in
     let tmp =
@@ -196,8 +210,7 @@ module Cache = struct
 
   let store ?(limits = no_limits) ~dir ~key ~deps ~summary () =
     mkdir_p dir;
-    write_atomic (deps_path ~dir ~key) (Profiler.Depfile.render deps);
-    write_atomic (sugg_path ~dir ~key) summary;
+    write_atomic (entry_path ~dir ~key) (encode (deps, summary));
     (* publish-time sweep: the just-written entry is shielded, so a budget
        smaller than one entry still leaves the latest result readable *)
     ignore (sweep ~keep:key ~dir limits)
@@ -209,46 +222,34 @@ end
    disk cache, sitting in front of it. [discopop serve] answers repeat
    requests from here without touching the filesystem; the disk tier
    persists across processes. Entries are immutable after insertion, so a
-   value handed out under the lock is safe to read from any domain. *)
+   value handed out under the lock is safe to read from any domain. Hits
+   and misses are counted by the caller ([serve.cache.*]). *)
 module Mem_cache = struct
   type t = {
     mc_cap : int;
     mc_lock : Mutex.t;
-    mc_tbl : (string, Profiler.Dep.Set_.t * string) Hashtbl.t;
+    mc_tbl : (string, entry) Hashtbl.t;
     (* Most-recently-used first. Capacities are small (tens to hundreds),
        so the O(n) promote/evict list walk is noise next to a request. *)
     mutable mc_order : string list;
-    mutable mc_hits : int;
-    mutable mc_misses : int;
   }
 
   let create ~capacity =
     { mc_cap = max 0 capacity;
       mc_lock = Mutex.create ();
       mc_tbl = Hashtbl.create 64;
-      mc_order = [];
-      mc_hits = 0;
-      mc_misses = 0 }
+      mc_order = [] }
 
   let with_lock t f =
     Mutex.lock t.mc_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.mc_lock) f
 
-  let capacity t = t.mc_cap
-  let length t = with_lock t (fun () -> Hashtbl.length t.mc_tbl)
-  let hits t = with_lock t (fun () -> t.mc_hits)
-  let misses t = with_lock t (fun () -> t.mc_misses)
-
   let find t key =
     with_lock t @@ fun () ->
-    match Hashtbl.find_opt t.mc_tbl key with
-    | Some v ->
-        t.mc_hits <- t.mc_hits + 1;
-        t.mc_order <- key :: List.filter (fun k -> k <> key) t.mc_order;
-        Some v
-    | None ->
-        t.mc_misses <- t.mc_misses + 1;
-        None
+    let v = Hashtbl.find_opt t.mc_tbl key in
+    if Option.is_some v then
+      t.mc_order <- key :: List.filter (fun k -> k <> key) t.mc_order;
+    v
 
   let add t key v =
     if t.mc_cap > 0 then
@@ -263,41 +264,23 @@ module Mem_cache = struct
             t.mc_order <- List.filter (fun k -> k <> victim) t.mc_order
         | [] -> ()
       end
-
-  let invalidate t key =
-    with_lock t @@ fun () ->
-    Hashtbl.remove t.mc_tbl key;
-    t.mc_order <- List.filter (fun k -> k <> key) t.mc_order
-
-  let clear t =
-    with_lock t @@ fun () ->
-    Hashtbl.reset t.mc_tbl;
-    t.mc_order <- []
-
-  let keys_mru_first t = with_lock t (fun () -> t.mc_order)
 end
 
-type cache_tier = Mem | Disk | Uncached
+type cache_tier = Mem | Disk
 
-let lookup ?mem ?dir ~key () :
-    (Profiler.Dep.Set_.t * string) option * cache_tier =
+let lookup ?mem ?dir ~key () : (entry * cache_tier) option =
   match Option.bind mem (fun m -> Mem_cache.find m key) with
-  | Some v -> (Some v, Mem)
-  | None -> (
-      match Option.bind dir (fun d -> Cache.load ~dir:d ~key) with
-      | Some v ->
-          (* Promote disk hits so the next lookup is memory-resident. *)
-          Option.iter (fun m -> Mem_cache.add m key v) mem;
-          (Some v, Disk)
-      | None -> (None, Uncached))
+  | Some v -> Some (v, Mem)
+  | None ->
+      Option.bind dir (fun d -> Cache.load ~dir:d ~key)
+      |> Option.map (fun v ->
+             (* Promote disk hits so the next lookup is memory-resident. *)
+             Option.iter (fun m -> Mem_cache.add m key v) mem;
+             (v, Disk))
 
 (* ---- jobs ---- *)
 
-type job_ok = {
-  jr_suggestions : int;
-  jr_cache_hit : bool;
-  jr_entry : Profiler.Dep.Set_.t * string;
-}
+type job_ok = { jr_suggestions : int; jr_cache_hit : bool; jr_entry : entry }
 
 type status = Ok_ of job_ok | Failed of string | Timed_out
 
@@ -352,12 +335,12 @@ let program_job ?cache_dir ?cache_limits ?mem ~name ~(config : Cache.config)
   let run ~cancelled =
     let key = Cache.key config prog in
     match lookup ?mem ?dir:cache_dir ~key () with
-    | Some ((_, summary) as entry), _tier ->
+    | Some (((_, summary) as entry), _tier) ->
         Obs.Counter.incr c_cache_hit;
         (* Every tier holds summaries that parse: load validates them. *)
         let entries = Suggestion.summary_of_string summary in
         job_ok ~cache_hit:true (Result.value entries ~default:[]) entry
-    | None, _ ->
+    | None ->
         (uncached_job ?cache_dir ?cache_limits ?mem ~name ~config ~key prog)
           .j_run ~cancelled
   in
@@ -375,21 +358,28 @@ let workload_job ?cache_dir ?cache_limits ?mem ?size ~(config : Cache.config)
         (program_job ?cache_dir ?cache_limits ?mem ~name ~config prog).j_run
           ~cancelled) }
 
+(* A job's final status, counted once on [pipeline.jobs.*] by both
+   drivers. *)
+let count_status st =
+  Obs.Counter.incr
+    (match st with
+    | Ok_ _ -> c_ok
+    | Failed _ -> c_failed
+    | Timed_out -> c_timeout)
+
 (* One job outside the batch driver: run it on the calling domain with the
    caller's cancel flag, isolating faults into a [status]. A poll that fires
    mid-profile surfaces as {!Mil.Interp.Cancelled}, reported [Timed_out] —
    the serve daemon's deadline watchdog relies on this. *)
 let run_job ~cancelled (j : job) : status =
-  match j.j_run ~cancelled with
-  | ok ->
-      Obs.Counter.incr c_ok;
-      Ok_ ok
-  | exception Mil.Interp.Cancelled ->
-      Obs.Counter.incr c_timeout;
-      Timed_out
-  | exception e ->
-      Obs.Counter.incr c_failed;
-      Failed (Printexc.to_string e)
+  let st =
+    match j.j_run ~cancelled with
+    | ok -> Ok_ ok
+    | exception Mil.Interp.Cancelled -> Timed_out
+    | exception e -> Failed (Printexc.to_string e)
+  in
+  count_status st;
+  st
 
 (* ---- the bounded-pool driver ---- *)
 
@@ -448,10 +438,7 @@ let run_batch ?(jobs = 4) ?(timeout_s = 120.0) ?(retries = 1)
       Queue.push (r.run_idx, r.run_attempt + 1) pending
     end
     else begin
-      (match st with
-      | Ok_ _ -> Obs.Counter.incr c_ok
-      | Failed _ -> Obs.Counter.incr c_failed
-      | Timed_out -> Obs.Counter.incr c_timeout);
+      count_status st;
       results.(r.run_idx) <-
         Some
           { r_name = jobs_arr.(r.run_idx).j_name;

@@ -1,7 +1,8 @@
 (** Batch pipeline driver: run the full profile -> CU -> discovery ->
     ranking pipeline over many workloads concurrently across a bounded pool
-    of domains, with a content-addressed on-disk result cache, per-job fault
-    isolation (a raising or timed-out job is reported, not fatal, with one
+    of domains, with a content-addressed on-disk result cache (one file per
+    entry) behind an optional in-process LRU tier, per-job fault isolation
+    (a raising or timed-out job is reported, not fatal, with one
     configurable retry) and {!Obs} wiring
     ([pipeline.jobs.{ok,failed,timeout,cache_hit,cache_miss}] counters,
     per-job spans on the trace timeline).
@@ -9,13 +10,20 @@
     Surfaced as [discopop batch] and reused by the bench harness's [batch]
     experiment. *)
 
+(** A cached pipeline result: the dependence set phase 1 produced and the
+    serialized suggestion summary ({!Discovery.Suggestion.summary_to_string})
+    phases 2-3 derived from it. *)
+type entry = Profiler.Dep.Set_.t * string
+
 (** Content-addressed cache of pipeline results. The key is the hash of the
     rendered MIL program plus the profiler configuration (shadow kind, skip
     flag, worker count, thread count) — any change to program or config
     misses; an unchanged workload skips phase 1 entirely on re-runs. Each
-    entry is two files under the cache directory: [<key>.deps] (Depfile v2)
-    and [<key>.sugg] (serialized suggestion summary,
-    {!Discovery.Suggestion.summary_to_string}). *)
+    entry is one file under the cache directory, [<key>.entry]: a header
+    line with the byte lengths of the summary and the Depfile v2 text that
+    follow it, published by one rename. Files with any other extension
+    (such as the [.deps]/[.sugg] pairs of format v2) are neither read nor
+    swept. *)
 module Cache : sig
   type config = {
     profile : Profiler.Profile.config;
@@ -43,12 +51,11 @@ module Cache : sig
   val limits : ?max_mb:int -> ?ttl_s:float -> unit -> limits
   (** Convenience constructor; [max_mb] is converted to bytes. *)
 
-  val load :
-    dir:string -> key:string -> (Profiler.Dep.Set_.t * string) option
-  (** The cached (dependences, suggestion-summary text) for [key], or [None]
-      if either file is absent or fails to parse (a malformed entry is a
-      miss, never an error). A hit refreshes the entry's mtime
-      ([Unix.utimes]) so LRU eviction tracks reads, not just writes. *)
+  val load : dir:string -> key:string -> entry option
+  (** The cached entry for [key], or [None] if its file is absent, cut
+      short, or fails to parse (a malformed entry is a miss, never an
+      error). A hit refreshes the file's mtime ([Unix.utimes]) so LRU
+      eviction tracks reads, not just writes. *)
 
   val store :
     ?limits:limits ->
@@ -58,8 +65,9 @@ module Cache : sig
     summary:string ->
     unit ->
     unit
-  (** Write both files atomically (temp file + rename), creating [dir] if
-      needed; concurrent writers of the same key are safe. With [limits]
+  (** Write the entry file atomically (temp file + one rename), creating
+      [dir] if needed. Concurrent writers of the same key are safe: a
+      reader sees one writer's whole entry. With [limits]
       (default {!no_limits}), runs {!sweep} after publishing, shielding the
       just-written key. *)
 
@@ -67,8 +75,8 @@ module Cache : sig
   (** Enforce [limits] on the directory now: delete entries whose mtime is
       older than [ttl_s], then — while the directory's total size exceeds
       [max_bytes] — the least-recently-used remaining entries (oldest mtime
-      first). An entry is the [<key>.deps]/[<key>.sugg] pair; [keep] shields
-      one key. Returns the number of entries evicted, also added to the
+      first). An entry is one [<key>.entry] file; [keep] shields one key.
+      Returns the number of entries evicted, also added to the
       [pipeline.cache.evicted] counter. With {!no_limits} this is a no-op. *)
 end
 
@@ -76,7 +84,8 @@ end
     {!Cache.key} content hash. [discopop serve] answers repeat requests from
     here without touching the filesystem. All operations take an internal
     lock, so request-handler domains share one instance; entries are
-    immutable once inserted. *)
+    immutable once inserted. It keeps no tallies: callers count outcomes
+    (serve's [serve.cache.*] counters). *)
 module Mem_cache : sig
   type t
 
@@ -85,42 +94,29 @@ module Mem_cache : sig
       the least-recently-used one. [capacity <= 0] disables insertion (every
       lookup misses). *)
 
-  val find : t -> string -> (Profiler.Dep.Set_.t * string) option
-  (** Lookup by cache key; a hit promotes the entry to most-recently-used.
-      Hits and misses are counted (see {!hits}/{!misses}). *)
+  val find : t -> string -> entry option
+  (** Lookup by cache key; a hit promotes the entry to most-recently-used. *)
 
-  val add : t -> string -> Profiler.Dep.Set_.t * string -> unit
-  val invalidate : t -> string -> unit
-  (** Drop one key (e.g. after deleting the disk entry, to keep the tiers
-      coherent); unknown keys are ignored. *)
-
-  val clear : t -> unit
-  val length : t -> int
-  val capacity : t -> int
-  val hits : t -> int
-  val misses : t -> int
-
-  val keys_mru_first : t -> string list
-  (** Resident keys, most-recently-used first (eviction takes the last). *)
+  val add : t -> string -> entry -> unit
 end
 
-type cache_tier = Mem | Disk | Uncached
+type cache_tier = Mem | Disk
 
 val lookup :
   ?mem:Mem_cache.t -> ?dir:string -> key:string -> unit ->
-  (Profiler.Dep.Set_.t * string) option * cache_tier
+  (entry * cache_tier) option
 (** Consult the memory tier, then the disk tier; a disk hit is promoted into
-    [mem] so the next lookup is memory-resident. Returns the entry (if any)
-    and which tier answered. *)
+    [mem] so the next lookup is memory-resident. Returns the entry and the
+    tier that answered, or [None] when neither holds [key]. *)
 
 (** What a successful job yields. *)
 type job_ok = {
   jr_suggestions : int;
   jr_cache_hit : bool;       (** phase 1 was skipped entirely *)
-  jr_entry : Profiler.Dep.Set_.t * string;
-  (** the dependence set + summary the job computed or loaded — the same
-      shape {!lookup} returns, so a renderer can use a fresh result without
-      re-reading the just-written cache tier *)
+  jr_entry : entry;
+  (** the entry the job computed or loaded — what {!lookup} returns, so a
+      renderer can use a fresh result without re-reading the just-written
+      cache tier *)
 }
 
 type status =

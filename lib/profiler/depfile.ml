@@ -111,14 +111,6 @@ let read path =
       let n = in_channel_length ic in
       parse (really_input_string ic n))
 
-(* Tolerant variant for cache lookups: a missing, truncated or otherwise
-   malformed file is a miss, not an error. *)
-let read_opt path =
-  match read path with
-  | deps -> Some deps
-  | exception (Parse_error _ | Sys_error _ | Failure _ | Invalid_argument _) ->
-      None
-
 (* Sizes (in bytes) the dependence file would have with and without runtime
    merging — every dynamic instance would otherwise be its own record. *)
 type sizes = { merged_bytes : int; unmerged_bytes : int; reduction : float }

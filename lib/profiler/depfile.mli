@@ -11,10 +11,6 @@ val parse : string -> Dep.Set_.t
 val read : string -> Dep.Set_.t
 (** @raise Parse_error on malformed input. *)
 
-val read_opt : string -> Dep.Set_.t option
-(** Like {!read}, but a missing or malformed file is [None] — the batch
-    cache treats either as a miss instead of failing the job. *)
-
 (** File sizes with and without runtime merging — every dynamic instance
     would otherwise be its own record. *)
 type sizes = { merged_bytes : int; unmerged_bytes : int; reduction : float }

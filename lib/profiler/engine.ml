@@ -22,9 +22,9 @@
    access, which is a jump, not a call.
 
    The path is zero-allocation: slots are read and written in place, and
-   the access arrives as unboxed int fields, so no [Event.access] record is
-   built on the way in. {!feed_fields} and {!feed_dealloc} are the engine's
-   whole input. *)
+   the access arrives as the unboxed fields of an [Event.access_sink] call,
+   so nothing is built on the way in. {!feed_fields} and {!feed_dealloc}
+   are the engine's whole input. *)
 
 module Event = Trace.Event
 module Intern = Trace.Intern

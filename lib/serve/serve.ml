@@ -337,7 +337,6 @@ type t = {
 }
 
 let port t = t.bound_port
-let mem_cache t = t.mem
 let flight t = t.flight
 
 (* Per-request response context: the trace id rides every response as
@@ -424,17 +423,16 @@ let handle_profile t (req : request) ~(enqueued : float) cx =
             Obs.Span.with_ ~phase:"serve.cache_lookup" (fun () ->
                 Pipeline.lookup ~mem:t.mem ?dir:t.cfg.cache_dir ~key ())
           with
-          | Some entry, tier ->
-              Obs.Counter.incr
-                (match tier with
-                | Pipeline.Mem -> c_mem_hit
-                | Pipeline.Disk -> c_disk_hit
-                | Pipeline.Uncached -> c_miss (* unreachable on a hit *));
+          | Some (entry, tier) ->
+              let counter, cache_tag =
+                match tier with
+                | Pipeline.Mem -> (c_mem_hit, "mem")
+                | Pipeline.Disk -> (c_disk_hit, "disk")
+              in
+              Obs.Counter.incr counter;
               Obs.Counter.incr c_ok;
-              respond_entry
-                ~cache_tag:(match tier with Pipeline.Mem -> "mem" | _ -> "disk")
-                entry
-          | None, _ -> (
+              respond_entry ~cache_tag entry
+          | None -> (
               Obs.Counter.incr c_miss;
               let job =
                 Pipeline.uncached_job ?cache_dir:t.cfg.cache_dir

@@ -83,9 +83,6 @@ val start : config -> t
 val port : t -> int
 (** The bound port — useful with [config.port = 0]. *)
 
-val mem_cache : t -> Pipeline.Mem_cache.t
-(** The daemon's memory cache tier (tests inspect hit counts). *)
-
 val flight : t -> Obs.Flight.t
 (** The daemon's flight recorder (tests inspect records directly). *)
 

@@ -1,8 +1,9 @@
 (* The instrumented instruction stream.
 
-   The MIL interpreter emits one {!access} per dynamic memory instruction and
-   {!region} events at control-region boundaries — the same interface DiscoPoP
-   obtains by instrumenting LLVM IR loads/stores and control regions. *)
+   The MIL interpreter hands one access per dynamic memory instruction to an
+   [access_sink] and emits {!region} events at control-region boundaries —
+   the same interface DiscoPoP obtains by instrumenting LLVM IR loads/stores
+   and control regions. *)
 
 type kind = Read | Write
 
@@ -10,19 +11,6 @@ type kind = Read | Write
    which dynamic instance of it, and the current iteration number. Stacks are
    stored outermost-first and shared immutably between accesses. *)
 type frame = { loop_line : int; inst : int; iter : int }
-
-type access = {
-  kind : kind;
-  addr : int;
-  var : int;            (* source-level variable name, as an Intern.Sym *)
-  line : int;           (* source line of the access *)
-  thread : int;
-  time : int;           (* global timestamp, strictly increasing *)
-  op : int;             (* static memory-operation id (for §2.4 skipping) *)
-  lstack : int;         (* loop stack at the access, an id in the run's
-                           Intern.Lstack table *)
-  locked : bool;        (* thread held >=1 lock / access was atomic *)
-}
 
 type access_sink =
   kind:kind ->

@@ -1,9 +1,9 @@
 (** The instrumented instruction stream.
 
-    The MIL interpreter emits one {!access} per dynamic memory instruction and
-    {!region} events at control-region boundaries — the same interface
-    DiscoPoP obtains by instrumenting LLVM IR loads/stores and control
-    regions. *)
+    The MIL interpreter hands one access per dynamic memory instruction to
+    an {!access_sink} and emits {!region} events at control-region
+    boundaries — the same interface DiscoPoP obtains by instrumenting LLVM
+    IR loads/stores and control regions. *)
 
 type kind = Read | Write
 
@@ -12,26 +12,21 @@ type kind = Read | Write
     are stored outermost-first and shared immutably between accesses. *)
 type frame = { loop_line : int; inst : int; iter : int }
 
-(** A dynamic memory instruction. Variable names and loop stacks are
-    interned ({!Intern}): [var] is a symbol and [lstack] an id into the
-    run's loop-stack table, so an access is a flat record of immediates —
-    the hot path copies no strings and no lists. *)
-type access = {
-  kind : kind;
-  addr : int;           (** memory address (dense, bump-allocated) *)
-  var : int;            (** source-level variable name ({!Intern.Sym}) *)
-  line : int;           (** source line of the access *)
-  thread : int;         (** executing thread id; 0 is the main thread *)
-  time : int;           (** global timestamp, strictly increasing *)
-  op : int;             (** static memory-operation id (for §2.4 skipping) *)
-  lstack : int;         (** loop stack at the access (id in the run's
-                            {!Intern.Lstack.t}) *)
-  locked : bool;        (** the thread held at least one lock *)
-}
-
-(** A consumer of accesses given as the labeled, unboxed fields of an
-    {!access}: the interpreter hands every access to the profilers this way,
-    so the record is never allocated on the way. *)
+(** A consumer of dynamic memory instructions, one call per access with
+    its fields as labeled immediates: the interpreter hands every access to
+    the profilers this way, so nothing is allocated on the way. Variable
+    names and loop stacks are interned ({!Intern}), so the hot path copies
+    no strings and no lists. The fields:
+    - [kind]: read or write;
+    - [addr]: memory address (dense, bump-allocated);
+    - [var]: source-level variable name ({!Intern.Sym});
+    - [line]: source line of the access;
+    - [thread]: executing thread id; 0 is the main thread;
+    - [time]: global timestamp, strictly increasing;
+    - [op]: static memory-operation id (for §2.4 skipping);
+    - [lstack]: loop stack at the access (id in the run's
+      {!Intern.Lstack.t});
+    - [locked]: the thread held at least one lock. *)
 type access_sink =
   kind:kind ->
   addr:int ->

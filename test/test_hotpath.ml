@@ -536,9 +536,7 @@ let oracle_drain rng (p : int array) n (sink : Event.access_sink) =
 let collect drain seed p n =
   let rng = Rng.create seed and acc = ref [] in
   drain rng p n (fun ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked ->
-      acc :=
-        { Event.kind; addr; var; line; thread; time; op; lstack; locked }
-        :: !acc);
+      acc := (kind, addr, var, line, thread, time, op, lstack, locked) :: !acc);
   (List.rev !acc, List.init 4 (fun _ -> Rng.int rng max_int))
 
 (* Random buffers: 1-5 entries over a set of 1-5 thread ids in any order,

@@ -33,8 +33,8 @@ let dep_names (deps : Profiler.Dep.Set_.t) =
   |> List.map (fun (d, _) -> Profiler.Dep.to_string d)
   |> List.sort compare
 
-(* Cache: store then load hits with identical content; a different config is
-   a different key; a corrupted entry is a miss, never an error. *)
+(* Cache: store then load hits with identical content; a different config or
+   program is a different key. *)
 let cache_roundtrip () =
   let w = List.find (fun w -> w.R.name = "histogram") Workloads.Textbook.all in
   let prog = R.program w in
@@ -68,13 +68,7 @@ let cache_roundtrip () =
     (Pipeline.Cache.load ~dir ~key:other = None);
   let other_prog = R.program ~size:(w.R.default_size + 7) w in
   Alcotest.(check bool) "program change changes the key" false
-    (key = Pipeline.Cache.key config other_prog);
-  (* corrupt the deps file: the entry must degrade to a miss *)
-  let oc = open_out (Filename.concat dir (key ^ ".deps")) in
-  output_string oc "not a depfile\n";
-  close_out oc;
-  Alcotest.(check bool) "corrupt entry is a miss" true
-    (Pipeline.Cache.load ~dir ~key = None)
+    (key = Pipeline.Cache.key config other_prog)
 
 (* A cold batch over registry workloads must agree with direct single-run
    analysis, and a warm re-run must be all cache hits with byte-identical
@@ -292,7 +286,7 @@ let parallel_perfect_is_exact () =
     (snd par.Pipeline.jr_entry)
 
 (* The cache key is an on-disk format: entries written by an earlier build
-   must keep hitting. These literals were recorded at format_version 2; a
+   must keep hitting. These literals were recorded at format_version 3; a
    deliberate change to the key bumps the version and re-records them. *)
 let cache_key_pinned () =
   let sig_config =
@@ -307,10 +301,10 @@ let cache_key_pinned () =
     "shadow=signature:4096 skip=false workers=2 threads=8"
     (Pipeline.Cache.config_to_string sig_config);
   Alcotest.(check string) "key of fig27, default config"
-    "80fb9f71d75a864ddaef128d0548855c"
+    "8f7099bceb2204ba32193711660a2fc8"
     (Pipeline.Cache.key Pipeline.Cache.default_config Helpers.fig27);
   Alcotest.(check string) "key of fig27, signature config"
-    "7e49c2fa43b450f80a7de4a70c3b50fb"
+    "2b360009f104170acc63b9fac9cc687f"
     (Pipeline.Cache.key sig_config Helpers.fig27)
 
 (* ---- cache eviction ---- *)
@@ -328,19 +322,16 @@ let dummy_entries =
 
 let dummy_summary name = S.summary_to_string ~name (Lazy.force dummy_entries)
 
-let entry_exists dir key =
-  Sys.file_exists (Filename.concat dir (key ^ ".deps"))
-  && Sys.file_exists (Filename.concat dir (key ^ ".sugg"))
+let entry_path dir key = Filename.concat dir (key ^ ".entry")
+let entry_exists dir key = Sys.file_exists (entry_path dir key)
+let entry_bytes dir key = (Unix.stat (entry_path dir key)).Unix.st_size
 
 let set_age dir key age_s =
   let stamp = Unix.gettimeofday () -. age_s in
-  List.iter
-    (fun ext ->
-      Unix.utimes (Filename.concat dir (key ^ ext)) stamp stamp)
-    [ ".deps"; ".sugg" ]
+  Unix.utimes (entry_path dir key) stamp stamp
 
-(* TTL sweep: expired entries go (both files of the pair), fresh ones stay;
-   no_limits never evicts. *)
+(* TTL sweep: expired entries go, fresh ones stay; no_limits never
+   evicts. *)
 let cache_ttl_eviction () =
   let dir = fresh_dir () in
   let store key =
@@ -376,10 +367,7 @@ let cache_size_eviction () =
   set_age dir "a" 300.0;
   set_age dir "b" 200.0;
   set_age dir "c" 100.0;
-  let entry_bytes =
-    let sz f = (Unix.stat (Filename.concat dir f)).Unix.st_size in
-    sz "a.deps" + sz "a.sugg"
-  in
+  let entry_bytes = entry_bytes dir "a" in
   (* budget fits two entries (entries are near-identical in size) *)
   let budget = (2 * entry_bytes) + (entry_bytes / 2) in
   let n =
@@ -422,10 +410,7 @@ let cache_load_touches () =
   set_age dir2 "used" 200.0;
   Alcotest.(check bool) "load hits" true
     (Pipeline.Cache.load ~dir:dir2 ~key:"used" <> None);
-  let entry_bytes =
-    let sz f = (Unix.stat (Filename.concat dir2 f)).Unix.st_size in
-    sz "used.deps" + sz "used.sugg"
-  in
+  let entry_bytes = entry_bytes dir2 "used" in
   ignore
     (Pipeline.Cache.sweep ~dir:dir2
        { Pipeline.Cache.max_bytes = Some (entry_bytes + (entry_bytes / 2));
@@ -451,6 +436,166 @@ let cache_store_sweeps () =
   Alcotest.(check bool) "shielded entry still loads" true
     (Pipeline.Cache.load ~dir ~key:"second" <> None)
 
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+(* One dependence record whose first witness is [domain], counted [count]
+   times: two writers' entries for one key differ in these fields. *)
+let one_dep ~domain ~count =
+  let deps = Profiler.Dep.Set_.create () in
+  Profiler.Dep.Set_.restore deps
+    { Profiler.Dep.sink_line = 7; sink_thread = 0; dtype = Raw;
+      src_line = 5; src_thread = 0; var = "x"; carrier = Some 3;
+      racy = false }
+    ~count
+    (Some
+       { Profiler.Dep.first_time = 11; first_index = 2;
+         witness_domain = domain; risk = 0.0 });
+  deps
+
+(* An entry file cut at any byte — inside its header, at the header's end,
+   inside the summary, at the summary/depfile seam, at a depfile line
+   boundary or one byte short — loads as a miss, and the next store
+   replaces it whole. So does a whole file whose depfile does not parse. *)
+let cache_truncated_entry_misses () =
+  let dir = fresh_dir () in
+  let key = "cut" in
+  let summary = dummy_summary key in
+  let store () =
+    Pipeline.Cache.store ~dir ~key ~deps:(one_dep ~domain:0 ~count:3)
+      ~summary ()
+  in
+  store ();
+  let full = read_file (entry_path dir key) in
+  let header_end = String.index full '\n' + 1 in
+  let depfile_at = header_end + String.length summary in
+  let depfile_line_end = String.index_from full depfile_at '\n' + 1 in
+  List.iter
+    (fun cut ->
+      write_file (entry_path dir key) (String.sub full 0 cut);
+      Alcotest.(check bool)
+        (Printf.sprintf "cut at %d of %d misses" cut (String.length full))
+        true
+        (Pipeline.Cache.load ~dir ~key = None);
+      store ();
+      Alcotest.(check string)
+        (Printf.sprintf "store after the cut at %d rewrites the file" cut)
+        full
+        (read_file (entry_path dir key)))
+    [ 0; 1; 9; header_end - 2; header_end - 1; header_end;
+      header_end + (String.length summary / 2); depfile_at;
+      depfile_line_end; String.length full - 1 ];
+  Alcotest.(check bool) "the whole file loads" true
+    (Pipeline.Cache.load ~dir ~key <> None);
+  let garbage = "not a depfile\n" in
+  write_file (entry_path dir key)
+    (Printf.sprintf "discopop-entry v3 %d %d\n%s%s" (String.length summary)
+       (String.length garbage) summary garbage);
+  Alcotest.(check bool) "a whole file with a malformed depfile misses" true
+    (Pipeline.Cache.load ~dir ~key = None)
+
+(* A format-v2 entry (a <key>.deps/<key>.sugg pair) left in the directory
+   is neither loaded nor counted by a sweep, nor removed by one. *)
+let cache_ignores_v2_pairs () =
+  let dir = fresh_dir () in
+  let key = "old" in
+  Pipeline.Cache.store ~dir ~key:"new" ~deps:dummy_deps
+    ~summary:(dummy_summary "new") ();
+  let deps_file = Filename.concat dir (key ^ ".deps")
+  and sugg_file = Filename.concat dir (key ^ ".sugg") in
+  write_file deps_file (Profiler.Depfile.render (one_dep ~domain:0 ~count:1));
+  write_file sugg_file (dummy_summary key);
+  set_age dir "new" 3600.0;
+  List.iter (fun f -> Unix.utimes f 1.0 1.0) [ deps_file; sugg_file ];
+  Alcotest.(check bool) "a v2 pair does not load" true
+    (Pipeline.Cache.load ~dir ~key = None);
+  Alcotest.(check int) "a TTL sweep counts only the v3 entry" 1
+    (Pipeline.Cache.sweep ~dir (Pipeline.Cache.limits ~ttl_s:60.0 ()));
+  Alcotest.(check int) "a byte-budget sweep finds nothing to evict" 0
+    (Pipeline.Cache.sweep ~dir
+       { Pipeline.Cache.max_bytes = Some 0; ttl_s = None });
+  Alcotest.(check (list string)) "the v2 pair is left as it was"
+    [ "old.deps"; "old.sugg" ]
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+(* One cache directory shared by concurrent writers and readers: two
+   domains store and load one shared key and a few keys of their own, each
+   store sweeping to a 1-byte budget. Every
+   load is a miss or one store's whole entry: the summary names the store,
+   and the depfile, with its witness-domain field masked, is the one that
+   store wrote. *)
+let cache_shared_dir_never_torn () =
+  let dir = fresh_dir () in
+  let rounds = 200 in
+  let limits = { Pipeline.Cache.max_bytes = Some 1; ttl_s = None } in
+  let keys w =
+    [ "shared"; Printf.sprintf "own%d.a" w; Printf.sprintf "own%d.b" w ]
+  in
+  let tag key w i = Printf.sprintf "%s-w%d-i%d" key w i in
+  let mask depfile =
+    String.split_on_char '\n' depfile
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | "D" :: _ as fields when List.length fields = 14 ->
+               String.concat " "
+                 (List.mapi (fun j f -> if j = 12 then "_" else f) fields)
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  let entry key w i =
+    (one_dep ~domain:w ~count:(i + 1), dummy_summary (tag key w i))
+  in
+  (* summary -> masked depfile of the store that wrote it *)
+  let expected = Hashtbl.create 512 in
+  for w = 0 to 1 do
+    List.iter
+      (fun key ->
+        for i = 0 to rounds - 1 do
+          let deps, summary = entry key w i in
+          Hashtbl.replace expected summary
+            (mask (Profiler.Depfile.render deps))
+        done)
+      (keys w)
+  done;
+  let worker w () =
+    let hits = ref 0 and torn = ref [] in
+    for i = 0 to rounds - 1 do
+      List.iter
+        (fun key ->
+          let deps, summary = entry key w i in
+          Pipeline.Cache.store ~limits ~dir ~key ~deps ~summary ();
+          List.iter
+            (fun k ->
+              match Pipeline.Cache.load ~dir ~key:k with
+              | None -> ()
+              | Some (deps, summary) ->
+                  incr hits;
+                  if Hashtbl.find_opt expected summary
+                     <> Some (mask (Profiler.Depfile.render deps))
+                  then torn := k :: !torn)
+            (keys 0 @ keys 1))
+        (keys w)
+    done;
+    (!hits, !torn)
+  in
+  let d = Domain.spawn (worker 1) in
+  let hits0, torn0 = worker 0 () in
+  let hits1, torn1 = Domain.join d in
+  Alcotest.(check (list string)) "no load mixes two stores" [] (torn0 @ torn1);
+  Alcotest.(check bool) "some loads hit" true (hits0 + hits1 > 0);
+  Array.iter
+    (fun f ->
+      Alcotest.(check string) ("only entry files remain: " ^ f) ".entry"
+        (Filename.extension f))
+    (Sys.readdir dir)
+
 let tests =
   [ Alcotest.test_case "cache round-trip + invalidation" `Quick cache_roundtrip;
     Alcotest.test_case "cache key pinned" `Quick cache_key_pinned;
@@ -460,6 +605,12 @@ let tests =
     Alcotest.test_case "cache load refreshes recency" `Quick cache_load_touches;
     Alcotest.test_case "cache store sweeps, shielding its key" `Quick
       cache_store_sweeps;
+    Alcotest.test_case "cache entry cut at any byte is a miss" `Quick
+      cache_truncated_entry_misses;
+    Alcotest.test_case "cache ignores format-v2 file pairs" `Quick
+      cache_ignores_v2_pairs;
+    Alcotest.test_case "cache shared by two domains is never torn" `Quick
+      cache_shared_dir_never_torn;
     Alcotest.test_case "job entry mirrors the cache tiers" `Quick
       job_entry_matches_summary;
     Alcotest.test_case "parallel perfect profile is exact" `Quick

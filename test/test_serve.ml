@@ -1,5 +1,6 @@
 (* Tests for discopop serve: the in-process LRU cache tier (eviction order,
-   hit/miss counters, coherence with the disk tier), the HTTP daemon's
+   the serve.cache.* counters, coherence with the disk tier across daemons
+   sharing one directory), the HTTP daemon's
    status codes (200/400/404/405/429/504), admission control and the
    /metrics endpoint. Servers bind port 0, so tests never collide. *)
 
@@ -40,6 +41,8 @@ let parse src =
 
 (* ---- memory LRU ---- *)
 
+let resident m key = Option.is_some (P.Mem_cache.find m key)
+
 let test_lru_eviction () =
   let m = P.Mem_cache.create ~capacity:2 in
   P.Mem_cache.add m "k1" (entry "1");
@@ -47,60 +50,24 @@ let test_lru_eviction () =
   (* touch k1 so k2 becomes least-recently-used, then overflow *)
   ignore (P.Mem_cache.find m "k1");
   P.Mem_cache.add m "k3" (entry "3");
-  Alcotest.(check int) "capacity respected" 2 (P.Mem_cache.length m);
-  Alcotest.(check bool) "LRU entry evicted" true
-    (P.Mem_cache.find m "k2" = None);
-  Alcotest.(check bool) "recently-used entry survives" true
-    (P.Mem_cache.find m "k1" <> None);
-  Alcotest.(check bool) "new entry resident" true
-    (P.Mem_cache.find m "k3" <> None);
-  Alcotest.(check (list string)) "MRU order" [ "k3"; "k1" ]
-    (P.Mem_cache.keys_mru_first m)
-
-let test_lru_counters () =
-  let m = P.Mem_cache.create ~capacity:4 in
-  Alcotest.(check bool) "miss on empty" true (P.Mem_cache.find m "k" = None);
-  P.Mem_cache.add m "k" (entry "k");
-  Alcotest.(check bool) "hit after add" true (P.Mem_cache.find m "k" <> None);
-  Alcotest.(check int) "one hit" 1 (P.Mem_cache.hits m);
-  Alcotest.(check int) "one miss" 1 (P.Mem_cache.misses m)
+  Alcotest.(check bool) "LRU entry evicted" false (resident m "k2");
+  Alcotest.(check bool) "recently-used entry survives" true (resident m "k1");
+  Alcotest.(check bool) "new entry resident" true (resident m "k3");
+  (* the finds above left k3 most recent and k1 least: k1 goes next *)
+  P.Mem_cache.add m "k4" (entry "4");
+  Alcotest.(check (list bool)) "MRU order decides the next victim"
+    [ false; true; true ]
+    (List.map (resident m) [ "k1"; "k3"; "k4" ]);
+  (* re-adding a resident key replaces it without evicting another *)
+  P.Mem_cache.add m "k4" (entry "4'");
+  Alcotest.(check (option string)) "replaced in place" (Some "summary 4'")
+    (Option.map snd (P.Mem_cache.find m "k4"));
+  Alcotest.(check bool) "neighbour kept" true (resident m "k3")
 
 let test_lru_capacity_zero () =
   let m = P.Mem_cache.create ~capacity:0 in
   P.Mem_cache.add m "k" (entry "k");
-  Alcotest.(check int) "nothing stored" 0 (P.Mem_cache.length m);
-  Alcotest.(check bool) "every lookup misses" true
-    (P.Mem_cache.find m "k" = None)
-
-(* The memory tier must stay coherent with the disk tier: a disk hit
-   repopulates memory, invalidation drops exactly one key, and deleting the
-   disk entry after invalidation makes the key fully uncached. *)
-let test_tier_coherence () =
-  let dir = fresh_dir () in
-  let mem = P.Mem_cache.create ~capacity:8 in
-  let prog = parse small_src in
-  let config = P.Cache.default_config in
-  let key = P.Cache.key config prog in
-  let job = P.program_job ~cache_dir:dir ~mem ~name:"t" ~config prog in
-  (match P.run_job ~cancelled:(fun () -> false) job with
-  | P.Ok_ ok ->
-      Alcotest.(check bool) "first run is a cache miss" false
-        ok.P.jr_cache_hit
-  | _ -> Alcotest.fail "job failed");
-  let tier () = snd (P.lookup ~mem ~dir ~key ()) in
-  Alcotest.(check bool) "answered from memory" true (tier () = P.Mem);
-  P.Mem_cache.invalidate mem key;
-  Alcotest.(check bool) "after invalidation: disk answers" true
-    (tier () = P.Disk);
-  Alcotest.(check bool) "disk hit repopulated memory" true (tier () = P.Mem);
-  P.Mem_cache.invalidate mem key;
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ Filename.concat dir (key ^ ".deps");
-      Filename.concat dir (key ^ ".sugg") ];
-  match P.lookup ~mem ~dir ~key () with
-  | None, P.Uncached -> ()
-  | _ -> Alcotest.fail "stale entry survived invalidation of both tiers"
+  Alcotest.(check bool) "every lookup misses" false (resident m "k")
 
 (* ---- the daemon ---- *)
 
@@ -125,6 +92,72 @@ let ok_response = function
   | Ok (r : Serve.Client.response) -> r
   | Error msg -> Alcotest.failf "request failed: %s" msg
 
+let x_cache (r : Serve.Client.response) =
+  Option.value ~default:"?" (List.assoc_opt "x-cache" r.Serve.Client.headers)
+
+let post_small t =
+  ok_response
+    (Serve.Client.post ~port:(Serve.port t) ~body:small_src "/profile?name=t")
+
+(* The cache outcomes a daemon reports, in one place: the
+   serve.cache.{mem_hit,disk_hit,miss} counters. [f]'s deltas. *)
+let cache_counter_deltas f =
+  let values () =
+    List.map
+      (fun c -> Obs.Counter.value (Obs.counter ("serve.cache." ^ c)))
+      [ "mem_hit"; "disk_hit"; "miss" ]
+  in
+  let before = values () in
+  let x = f () in
+  (x, List.map2 ( - ) (values ()) before)
+
+let test_lru_counters () =
+  let tiers, deltas =
+    cache_counter_deltas @@ fun () ->
+    with_server @@ fun t ->
+    List.map (fun () -> x_cache (post_small t)) [ (); () ]
+  in
+  Alcotest.(check (list string)) "miss, then memory" [ "miss"; "mem" ] tiers;
+  Alcotest.(check (list int)) "one mem_hit, no disk_hit, one miss"
+    [ 1; 0; 1 ] deltas;
+  let tiers, deltas =
+    cache_counter_deltas @@ fun () ->
+    with_server ~mem:0 @@ fun t ->
+    List.map (fun () -> x_cache (post_small t)) [ (); () ]
+  in
+  Alcotest.(check (list string)) "no memory tier: two misses"
+    [ "miss"; "miss" ] tiers;
+  Alcotest.(check (list int)) "two misses counted" [ 0; 0; 2 ] deltas
+
+(* The memory tier must stay coherent with the disk tier. A daemon computes
+   an entry once and then answers from memory; a second daemon on the same
+   directory answers from disk, promotes the entry and then answers from
+   memory; with the entry file deleted, a third daemon recomputes it and
+   republishes the file. *)
+let test_tier_coherence () =
+  let dir = fresh_dir () in
+  let key = P.Cache.key P.Cache.default_config (parse small_src) in
+  let path = Filename.concat dir (key ^ ".entry") in
+  let daemon () =
+    cache_counter_deltas @@ fun () ->
+    with_server ~cache_dir:dir @@ fun t ->
+    List.map (fun () -> (post_small t).Serve.Client.body) [ (); () ]
+  in
+  let bodies, deltas = daemon () in
+  Alcotest.(check (list int)) "first daemon: miss, then memory" [ 1; 0; 1 ]
+    deltas;
+  Alcotest.(check bool) "entry published" true (Sys.file_exists path);
+  let bodies', deltas = daemon () in
+  Alcotest.(check (list int)) "second daemon: disk, then memory" [ 1; 1; 0 ]
+    deltas;
+  Alcotest.(check (list string)) "every tier answers the same bytes" bodies
+    bodies';
+  Sys.remove path;
+  let _, deltas = daemon () in
+  Alcotest.(check (list int)) "entry deleted: recomputed, then memory"
+    [ 1; 0; 1 ] deltas;
+  Alcotest.(check bool) "entry republished" true (Sys.file_exists path)
+
 let test_http_health_and_routing () =
   with_server @@ fun t ->
   let port = Serve.port t in
@@ -138,27 +171,25 @@ let test_http_health_and_routing () =
 
 let test_http_profile_and_cache_tiers () =
   let dir = fresh_dir () in
-  with_server ~cache_dir:dir @@ fun t ->
-  let port = Serve.port t in
-  let post () =
-    ok_response (Serve.Client.post ~port ~body:small_src "/profile?name=t")
+  let r1, r2 =
+    with_server ~cache_dir:dir @@ fun t ->
+    let r1 = post_small t in
+    (r1, post_small t)
   in
-  let x_cache (r : Serve.Client.response) =
-    Option.value ~default:"?"
-      (List.assoc_opt "x-cache" r.Serve.Client.headers)
-  in
-  let r1 = post () in
   Alcotest.(check int) "cold 200" 200 r1.Serve.Client.status;
   Alcotest.(check string) "cold misses" "miss" (x_cache r1);
-  let r2 = post () in
   Alcotest.(check int) "warm 200" 200 r2.Serve.Client.status;
   Alcotest.(check string) "warm hits memory" "mem" (x_cache r2);
   Alcotest.(check string) "answers byte-identical" r1.Serve.Client.body
     r2.Serve.Client.body;
-  (* drop the memory tier: the disk entry must answer *)
-  P.Mem_cache.clear (Serve.mem_cache t);
-  let r3 = post () in
-  Alcotest.(check string) "disk answers after LRU clear" "disk" (x_cache r3);
+  (* a second daemon on the same directory starts with an empty memory
+     tier: the disk entry must answer *)
+  with_server ~cache_dir:dir @@ fun t ->
+  let port = Serve.port t in
+  let r3 = post_small t in
+  Alcotest.(check string) "disk answers a new daemon" "disk" (x_cache r3);
+  Alcotest.(check string) "disk answer byte-identical" r1.Serve.Client.body
+    r3.Serve.Client.body;
   (* a parse failure is the client's fault *)
   let r =
     ok_response (Serve.Client.post ~port ~body:"not MIL at all" "/profile")
@@ -183,13 +214,15 @@ let test_http_profile_and_cache_tiers () =
       ("workers=-1", "workers must be >= 0\n");
       ("workers=9", "workers must be <= 8\n") ]
 
-(* A cold request computes its key once and probes each tier once: one
-   memory-tier miss, one serve.cache.miss, one uncached pipeline job. *)
+(* A cold request computes its key once and looks it up once: one
+   serve.cache.miss and no tier hit, one uncached pipeline job. *)
 let test_cold_request_looks_up_once () =
   let dir = fresh_dir () in
   with_server ~cache_dir:dir @@ fun t ->
-  let counters = [ "serve.cache.miss"; "pipeline.jobs.cache_miss";
-                   "pipeline.jobs.cache_hit" ] in
+  let counters =
+    [ "serve.cache.miss"; "serve.cache.mem_hit"; "serve.cache.disk_hit";
+      "pipeline.jobs.cache_miss"; "pipeline.jobs.cache_hit" ]
+  in
   let values () =
     List.map (fun c -> Obs.Counter.value (Obs.counter c)) counters
   in
@@ -200,9 +233,8 @@ let test_cold_request_looks_up_once () =
          "/profile?name=once")
   in
   Alcotest.(check int) "cold 200" 200 r.Serve.Client.status;
-  Alcotest.(check int) "one memory-tier miss" 1
-    (P.Mem_cache.misses (Serve.mem_cache t));
-  Alcotest.(check (list int)) "one miss, one uncached job, no hit" [ 1; 1; 0 ]
+  Alcotest.(check (list int)) "one miss, one uncached job, no hit"
+    [ 1; 0; 0; 1; 0 ]
     (List.map2 ( - ) (values ()) before)
 
 let test_http_deadline_504 () =
