@@ -9,7 +9,9 @@
    critical-path proxy (serial accesses over main-thread work plus the
    heaviest spawned thread of the transformed run; counted, not timed),
    the interpreter runs the differential validation made
-   ([transform.validate.runs], race runs included), and its verdict.
+   ([transform.validate.runs], race runs included), how many of them were
+   race runs without preemption ([transform.validate.cooperative]: 1 for a
+   schedule-determinate transform, kept or discarded), and its verdict.
 
    The proxy trails the model for DOACROSS rows by construction:
    the transform serializes the carried suffix through lock hand-offs chunk
@@ -48,13 +50,17 @@ let pipeline_prog =
 
 let transform_row name applied =
   match applied with
-  | Error _ -> [ name; "-"; "-"; "-"; "-"; "not transformable" ]
+  | Error _ -> [ name; "-"; "-"; "-"; "-"; "-"; "not transformable" ]
   | Ok (t : P.t) ->
       let s = t.plan.P.p_suggestion in
       let d = V.measure ~original:t.original t.transformed in
-      let runs = Obs.counter_value "transform.validate.runs" in
+      let count () =
+        ( Obs.counter_value "transform.validate.runs",
+          Obs.counter_value "transform.validate.cooperative" )
+      in
+      let runs0, coop0 = count () in
       let v = V.differential ~original:t.original ~transformed:t.transformed () in
-      let runs = Obs.counter_value "transform.validate.runs" - runs in
+      let runs1, coop1 = count () in
       [ name;
         (match s.kind with
         | S.Sdoall _ -> "DOALL"
@@ -63,7 +69,8 @@ let transform_row name applied =
         | Smpmd _ -> "MPMD");
         Printf.sprintf "%.2fx" s.score.Discovery.Ranking.combined;
         Printf.sprintf "%.2fx" d.V.d_measured_speedup;
-        string_of_int runs;
+        string_of_int (runs1 - runs0);
+        string_of_int (coop1 - coop0);
         (if v.V.v_ok then "PASS"
          else
            Printf.sprintf "FAIL (%d issues)"
@@ -96,7 +103,8 @@ let run () =
   in
   Util.table
     ~columns:
-      [ "program"; "transform"; "modeled"; "proxy"; "runs"; "validation" ]
+      [ "program"; "transform"; "modeled"; "proxy"; "runs"; "coop";
+        "validation" ]
     (rows @ [ doacross_row ]);
   print_newline ();
   print_endline

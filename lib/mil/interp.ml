@@ -146,6 +146,7 @@ type state = {
   mutable occ : int;              (* occurrence counter within a statement *)
   mutable caller_occ : int;       (* [occ] of the statement making a call *)
   rng : Rng.t;
+  preempt : bool;                 (* statements are scheduling points *)
   on_print : int list -> unit;
   mutable loop_inst : int;
   mutable cur : tcb;
@@ -314,10 +315,11 @@ module Backend = struct
 
   let dealloc st addrs = emit_region st (Event.Dealloc { addrs })
 
-  (* A scheduling point: the running fiber is drawn against the ready bag,
-     as if readied first, and only a switch to another fiber suspends it. *)
+  (* A scheduling point when preempting: the running fiber is drawn against
+     the ready bag, as if readied first, and only a switch to another fiber
+     suspends it. *)
   let stmt st =
-    if st.live_threads > 1 then begin
+    if st.live_threads > 1 && st.preempt then begin
       let k = Rng.int st.rng (st.n_ready + 1) in
       if k > 0 then Effect.perform (Yield k)
     end;
@@ -467,7 +469,8 @@ let take st k =
   Array.unsafe_set st.slots s no_work;
   w
 
-let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
+let run ?(seed = 42) ?(preempt = true) ?(instrument = true) ?lstacks
+    ?(scramble_unlocked = false)
     ?(emit = fun (_ : Event.region) -> ())
     ?(on_access = fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
         ~lstack:_ ~locked:_ -> ())
@@ -486,7 +489,7 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
       op_ids = Array.make 512 (-1);
       op_cache = Array.make (if instrument then 2 * op_cache_size else 0) (-1);
       n_ops = 0; occ = 0; caller_occ = 0;
-      rng = Rng.create seed; on_print; loop_inst = 0;
+      rng = Rng.create seed; preempt; on_print; loop_inst = 0;
       cur =
         { tid = 0; lstack = Intern.Lstack.empty; held = 0; group = 0;
           group_live = ref 1 };
@@ -545,7 +548,8 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
         st.cur <- tcb;
         run_fiber tcb thunk
   and schedule () =
-    if st.n_ready > 0 then dispatch (take st (Rng.int st.rng st.n_ready))
+    if st.n_ready > 0 then
+      dispatch (take st (if st.preempt then Rng.int st.rng st.n_ready else 0))
     else begin
       let blocked =
         Hashtbl.fold (fun _ l n -> n + Queue.length l.queue) locks 0
@@ -578,34 +582,42 @@ let run ?(seed = 42) ?(instrument = true) ?lstacks ?(scramble_unlocked = false)
                     st.stats.spawns <- st.stats.spawns + !pending;
                     let group = st.next_tid in
                     let group_live = ref (List.length thunks) in
-                    List.iter
-                      (fun child_thunk ->
-                        let child =
-                          { tid = st.next_tid; lstack = tcb.lstack; held = 0;
-                            group; group_live }
-                        in
-                        st.next_tid <- st.next_tid + 1;
-                        st.live_threads <- st.live_threads + 1;
-                        st.on_sync Event.Fork ~thread:tcb.tid ~obj:child.tid;
-                        let wrapped () =
-                          if st.instrument then
-                            st.emit (Event.Thread_start { thread = child.tid });
-                          child_thunk ();
-                          (* Thread termination is a synchronization edge:
-                             whoever joins on this thread must observe its
-                             accesses already pushed, so delayed unlocked
-                             accesses cannot be scrambled past the join. *)
-                          flush_pending st;
-                          if st.instrument then
-                            st.emit (Event.Thread_end { thread = child.tid });
-                          st.on_sync Event.Join ~thread:tcb.tid ~obj:child.tid;
-                          decr child.group_live;
-                          release_barriers child.group;
-                          decr pending;
-                          if !pending = 0 then enqueue (Resume (k, (), tcb))
-                        in
-                        enqueue (Start (wrapped, child)))
-                      thunks;
+                    let starts =
+                      List.map
+                        (fun child_thunk ->
+                          let child =
+                            { tid = st.next_tid; lstack = tcb.lstack; held = 0;
+                              group; group_live }
+                          in
+                          st.next_tid <- st.next_tid + 1;
+                          st.live_threads <- st.live_threads + 1;
+                          st.on_sync Event.Fork ~thread:tcb.tid ~obj:child.tid;
+                          let wrapped () =
+                            if st.instrument then
+                              st.emit
+                                (Event.Thread_start { thread = child.tid });
+                            child_thunk ();
+                            (* Thread termination is a synchronization edge:
+                               whoever joins on this thread must observe its
+                               accesses already pushed, so delayed unlocked
+                               accesses cannot be scrambled past the join. *)
+                            flush_pending st;
+                            if st.instrument then
+                              st.emit (Event.Thread_end { thread = child.tid });
+                            st.on_sync Event.Join ~thread:tcb.tid
+                              ~obj:child.tid;
+                            decr child.group_live;
+                            release_barriers child.group;
+                            decr pending;
+                            if !pending = 0 then enqueue (Resume (k, (), tcb))
+                          in
+                          Start (wrapped, child))
+                        thunks
+                    in
+                    (* Without preemption the first arm, readied last, runs
+                       first: the serial elision's order. *)
+                    List.iter enqueue
+                      (if st.preempt then starts else List.rev starts);
                     schedule ())
             | Acquire m ->
                 Some

@@ -44,6 +44,7 @@ type run_result = {
 
 val run :
   ?seed:int ->
+  ?preempt:bool ->
   ?instrument:bool ->
   ?lstacks:Trace.Intern.Lstack.t ->
   ?scramble_unlocked:bool ->
@@ -69,6 +70,16 @@ val run :
     every barrier arrival and departure, at the point they take effect;
     it defaults to dropping them. Sync operations are never delayed, so a
     happens-before consumer must read an unscrambled run.
+    [preempt] (default [true]) makes every statement of a run with more
+    than one live thread a scheduling point: the seeded scheduler draws
+    which ready fiber runs next, as it does whenever a fiber blocks or
+    ends. [preempt:false] schedules without preemption or draws: a thread
+    runs until it blocks on a join, a lock or a barrier, or ends; the
+    most recently readied fiber runs next, and a [Par]'s first arm runs
+    first, so a fork-join program without locks or barriers runs in its
+    serial elision's order, depth-first, with no fiber switch. [rand]
+    still draws from the seeded PRNG. A thread that spins on a variable
+    only a later thread writes never ends without preemption.
     With Obs enabled, a finished run adds its [switches] and [spawns] to
     the [interp.fiber.switches] and [interp.fiber.spawns] counters.
     [on_print] observes each [print] builtin call's

@@ -21,6 +21,7 @@ let c_cache_hit = Obs.counter "pipeline.jobs.cache_hit"
 let c_cache_miss = Obs.counter "pipeline.jobs.cache_miss"
 let c_retried = Obs.counter "pipeline.jobs.retried"
 let c_evicted = Obs.counter "pipeline.cache.evicted"
+let c_publish_failed = Obs.counter "pipeline.cache.publish_failed"
 
 (* ---- content-addressed cache ---- *)
 
@@ -189,17 +190,22 @@ module Cache = struct
      then rename over the final name. A reader opens either the old file
      or the new one, never a mix. Concurrent writers of one key may write
      different bytes (each depfile record names the domain that first saw
-     it), and the last rename wins whole. *)
+     it), and the last rename wins whole. A failed write or rename removes
+     the temp file before re-raising: no sweep would. *)
   let write_atomic path contents =
     let dir = Filename.dirname path in
     let tmp =
       Filename.temp_file ~temp_dir:dir "discopop" ".tmp"
     in
-    let oc = open_out_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc contents);
-    Sys.rename tmp path
+    try
+      let oc = open_out_bin tmp in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () -> output_string oc contents);
+      Sys.rename tmp path
+    with e ->
+      (try Sys.remove tmp with Sys_error _ -> ());
+      raise e
 
   let rec mkdir_p dir =
     if dir <> "" && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -322,8 +328,12 @@ let uncached_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
     let entries = Suggestion.summarize report in
     let summary = Suggestion.summary_to_string ~name entries in
     let deps = profile.Profiler.Serial.deps in
+    (* A result that could not be published is still the job's result. *)
     Option.iter
-      (fun dir -> Cache.store ~limits:cache_limits ~dir ~key ~deps ~summary ())
+      (fun dir ->
+        try Cache.store ~limits:cache_limits ~dir ~key ~deps ~summary ()
+        with Sys_error _ | Unix.Unix_error _ ->
+          Obs.Counter.incr c_publish_failed)
       cache_dir;
     Option.iter (fun m -> Mem_cache.add m key (deps, summary)) mem;
     job_ok ~cache_hit:false entries (deps, summary)

@@ -67,7 +67,8 @@ module Cache : sig
     unit
   (** Write the entry file atomically (temp file + one rename), creating
       [dir] if needed. Concurrent writers of the same key are safe: a
-      reader sees one writer's whole entry. With [limits]
+      reader sees one writer's whole entry. A failed write or rename
+      removes the temp file and re-raises. With [limits]
       (default {!no_limits}), runs {!sweep} after publishing, shielding the
       just-written key. *)
 
@@ -164,7 +165,10 @@ val uncached_job :
   name:string -> config:Cache.config -> key:string -> Mil.Ast.program -> job
 (** {!program_job} for a program the caller has already looked up under
     [key] (its {!Cache.key}) and found in neither tier: profile, analyze,
-    summarize and populate both tiers, with no second key or lookup. *)
+    summarize and populate both tiers, with no second key or lookup. A
+    disk publish that fails ([Sys_error] or [Unix_error]) is counted in
+    [pipeline.cache.publish_failed]; the job still returns its result and
+    fills the memory tier. *)
 
 val workload_job :
   ?cache_dir:string -> ?cache_limits:Cache.limits -> ?mem:Mem_cache.t ->

@@ -8,9 +8,9 @@
       scheduler seeds and compare the observable state — entry return
       value, final values of the original program's globals, and the
       [print] output stream. The first seed's run of a threaded program is
-      its race run (below); a seed-free original runs once, and so, in
-      effect, does a schedule-determinate transform whose race run is
-      race-free (below).
+      its race run (below); a seed-free original runs once, and so does a
+      schedule-determinate transform whose race run, made without
+      preemption, is race-free (below).
    2. Race check: run both programs, the original only if it has [Par],
       instrumented into a happens-before detector, and require the
       transformed program to introduce no *new* racy variables — in
@@ -38,15 +38,19 @@
      every read under every interleaving (Feng & Leiserson, SPAA 1997),
      so it ends in the same state. Happens-before reports a race of the
      executed trace whatever the interleaving, so one race-free run
-     stands for every seed.
+     stands for every seed. The run need not be a seeded one: the serial
+     elision, each thread run until it forks or ends, is an interleaving
+     too, and the cheapest, with no fiber switch ([Interp.run
+     ~preempt:false]).
    - Memory a thread allocates does not carry an earlier owner's values:
      [Compile.alloc] zeroes recycled cells, and no thread outlives the
      scope of a local it can reach. [Free] is excluded because
      [Happens_before.feed_dealloc] forgets a freed range instead of
      treating the free as a write, so an access through a stale name
      would go unseen.
-   If the race run reports any race, internal "__" names included, the
-   argument does not apply and every seed runs. *)
+   If that run reports any race, internal "__" names included, or raises,
+   the argument does not apply: it is discarded, and the seeded race run
+   and the per-seed runs follow as for any other transform. *)
 
 module Interp = Mil.Interp
 
@@ -54,6 +58,7 @@ let c_pass = Obs.counter "transform.validate.pass"
 let c_fail = Obs.counter "transform.validate.fail"
 let c_runs = Obs.counter "transform.validate.runs"
 let c_decided = Obs.counter "transform.validate.decided"
+let c_cooperative = Obs.counter "transform.validate.cooperative"
 
 let is_internal name = String.length name >= 2 && String.sub name 0 2 = "__"
 
@@ -129,18 +134,18 @@ let racy_names races =
   List.sort_uniq compare (List.map (fun (v, _, _) -> v) races)
 
 (* A race run: the program instrumented at [seed] into a happens-before
-   detector. Its result and prints are also the program's observation at
-   [seed]. *)
+   detector, preempted at statements unless [preempt] is false. Its result
+   and prints are also the program's observation at [seed]. *)
 type race_run = {
   observation : observation;
   racy : string list;
   racy_raw : int;
 }
 
-let race_run ~seed prog =
+let race_run ?preempt ~seed prog =
   let prints = ref [] in
   let hb, r =
-    Profiler.Happens_before.run ~seed
+    Profiler.Happens_before.run ~seed ?preempt
       ~on_print:(fun vs -> prints := vs :: !prints)
       prog
   in
@@ -189,7 +194,7 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     Runtime.Pool.shared (min 2 (Domain.recommended_domain_count ()))
   in
   Runtime.Pool.run pool @@ fun () ->
-  let runs = ref (if race_original then 2 else 1) and decided = ref 0 in
+  let runs = ref 0 and decided = ref 0 and cooperative = ref 0 in
   let submit ?seed prog =
     incr runs;
     Task
@@ -211,17 +216,32 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
           else submit ~seed transformed ))
       seeds
   in
+  let race_run ?preempt prog =
+    incr runs;
+    race_run ?preempt ~seed:seed0 prog
+  in
   (* Only the observations and race summaries outlive the race check, not
-     the detectors. *)
+     the detectors. A schedule-determinate transform is race-run without
+     preemption first; a race in that run, or its failure, discards it for
+     the seeded race run any other transform gets. *)
   let race_check () =
     Obs.Span.with_ ~phase:"validate.race_check" @@ fun () ->
     let orig_obs, base =
       if race_original then
-        let o = race_run ~seed:seed0 original in
+        let o = race_run original in
         (Some o.observation, o.racy)
       else (None, [])
     in
-    let t = race_run ~seed:seed0 transformed in
+    let seeded () = race_run transformed in
+    let t =
+      if not determinate then seeded ()
+      else begin
+        incr cooperative;
+        match race_run ~preempt:false transformed with
+        | { racy = []; _ } as t -> t
+        | _ | (exception _) -> seeded ()
+      end
+    in
     (orig_obs, List.filter (fun v -> not (List.mem v base)) t.racy, t)
   in
   let race = try Ok (race_check ()) with e -> Error e in
@@ -254,6 +274,7 @@ let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
   let plain = List.map (fun (seed, a, b) -> (seed, await a, await b)) plain in
   Obs.Counter.add c_runs !runs;
   Obs.Counter.add c_decided !decided;
+  Obs.Counter.add c_cooperative !cooperative;
   Option.iter raise !failed;
   let orig_obs, new_racy, t =
     match race with Ok r -> r | Error e -> raise e

@@ -17,22 +17,29 @@
     Each program runs as few times as the verdict needs: a race run at the
     first seed is also that seed's observation, and a {!seed_free}
     original is observed once for every seed. A {!schedule_determinate}
-    transform whose race run reports no race at all, internal ["__"] names
-    included, is not run again: that run is its observation at every seed.
+    transform is race-run without preemption ([Interp.run ~preempt:false]:
+    its serial elision, with no fiber switch and no scheduler draw), and
+    if that run reports no race at all, internal ["__"] names included, it
+    is the transform's race run and its observation at every seed, the
+    first included.
     - In [Interp], the seed reaches a run only through the PRNG: the
       scheduler's draws and [rand].
-    - With no [rand], [print], lock, barrier, atomic or [Free], seeds
-      change only the interleaving of a fork-join program, and a fork-join
-      run with no determinacy race reads the same write at every read
-      under every interleaving (Feng & Leiserson, SPAA 1997).
+    - With no [rand], [print], lock, barrier, atomic or [Free], a
+      fork-join program's threads meet only at [Par]'s fork and join, and
+      a schedule, preemptive at any seed or not, changes only the
+      interleaving of their statements. A fork-join run with no
+      determinacy race reads the same write at every read under every
+      interleaving (Feng & Leiserson, SPAA 1997), so every schedule is
+      race-free too and ends in the same state.
     - [Compile.alloc] zeroes recycled memory, so a thread's fresh local
       does not carry an earlier owner's values.
     - [Free] is excluded because [Happens_before.feed_dealloc] forgets a
       freed range instead of treating the free as a write.
-    If the race run reports a race, the transform runs at every seed, as
-    any other does. Per seed after the first, the transformed program
-    otherwise runs once, uninstrumented, and so does a non-seed-free
-    original.
+    If that run reports a race or raises, it is discarded: the transform
+    gets the seeded race run any other transform gets, and runs at every
+    seed unless that run is race-free. Per seed after the first, the
+    transformed program otherwise runs once, uninstrumented, and so does
+    a non-seed-free original.
 
     Those plain observations do not depend on the race runs, so
     {!differential} enrols as executor 0 of
@@ -92,9 +99,10 @@ val differential :
 (** Counts the outcome in the [Obs] registry
     ([transform.validate.pass] / [transform.validate.fail]), the
     interpreter runs it made, race runs included
-    ([transform.validate.runs]), and the transformed program's
-    observations at later seeds that its race run decided
-    ([transform.validate.decided]). Times the race runs as one
+    ([transform.validate.runs]), the race runs made without preemption,
+    kept or discarded ([transform.validate.cooperative]), and the
+    transformed program's observations at later seeds that its race run
+    decided ([transform.validate.decided]). Times the race runs as one
     [validate.race_check] span and each plain observation as a
     [validate.observe] span; each of those is one pool task, counted in
     [runtime.tasks], and may run on another domain.

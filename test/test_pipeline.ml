@@ -596,6 +596,31 @@ let cache_shared_dir_never_torn () =
         (Filename.extension f))
     (Sys.readdir dir)
 
+(* A cache entry that cannot be published (here a directory stands where
+   its file would go) does not fail the job: the result is reported, the
+   failure counted, and the temp file removed. *)
+let unpublishable_entry_is_counted () =
+  let w = List.find (fun w -> w.R.name = "histogram") Workloads.Textbook.all in
+  let config = Pipeline.Cache.default_config in
+  let dir = fresh_dir () in
+  let key = Pipeline.Cache.key config (R.program w) in
+  Unix.mkdir dir 0o755;
+  Unix.mkdir (Filename.concat dir (key ^ ".entry")) 0o755;
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let failed () = Obs.counter_value "pipeline.cache.publish_failed" in
+  let before = failed () in
+  let rep =
+    Pipeline.run_batch ~jobs:1
+      [ Pipeline.workload_job ~cache_dir:dir ~config w ]
+  in
+  Alcotest.(check int) "the job is ok" 1 rep.Pipeline.b_ok;
+  Alcotest.(check int) "the failed publish is counted" 1 (failed () - before);
+  Alcotest.(check (list string)) "no temp file left" []
+    (List.filter
+       (fun f -> Filename.check_suffix f ".tmp")
+       (Array.to_list (Sys.readdir dir)))
+
 let tests =
   [ Alcotest.test_case "cache round-trip + invalidation" `Quick cache_roundtrip;
     Alcotest.test_case "cache key pinned" `Quick cache_key_pinned;
@@ -611,6 +636,8 @@ let tests =
       cache_ignores_v2_pairs;
     Alcotest.test_case "cache shared by two domains is never torn" `Quick
       cache_shared_dir_never_torn;
+    Alcotest.test_case "an unpublishable entry is counted, not failed" `Quick
+      unpublishable_entry_is_counted;
     Alcotest.test_case "job entry mirrors the cache tiers" `Quick
       job_entry_matches_summary;
     Alcotest.test_case "parallel perfect profile is exact" `Quick

@@ -214,10 +214,9 @@ let test_validation_tasks () =
       ("fib", fib, None, (2, 2, 1));
       ("fib, 8 seeds", fib, Some (List.init 8 (fun k -> k + 1)), (2, 7, 1)) ]
 
-(* Two arms bump [x] without a lock: the static check admits the program,
-   but its race run reports [x], so every seed runs (one race run, the
-   seed-free original once, two later seeds) and [x] is new racy. *)
-let test_racy_forkjoin_falls_back () =
+(* A sequential original that bumps [x] twice, and its transform, whose
+   two arms bump it without a lock. *)
+let racy_bump =
   let open Builder in
   let bump = set "x" (v "x" + i 1) in
   let prog body =
@@ -225,11 +224,17 @@ let test_racy_forkjoin_falls_back () =
       (program ~globals:[ gscalar "x" 0 ] ~entry:"main" "bump"
          [ func "main" (body @ [ return (v "x") ]) ])
   in
-  let original = prog [ bump; bump ]
-  and transformed = prog [ par [ [ bump ]; [ bump ] ] ] in
+  (prog [ bump; bump ], prog [ par [ [ bump ]; [ bump ] ] ])
+
+(* The static check admits the racy transform, but its race run without
+   preemption reports [x], so that run is discarded and every seed runs
+   (the discarded run, the seeded race run, the seed-free original once,
+   two later seeds) and [x] is new racy. *)
+let test_racy_forkjoin_falls_back () =
+  let original, transformed = racy_bump in
   Alcotest.(check bool) "admitted" true (V.schedule_determinate transformed);
   let v, c = validation_counts ~original transformed in
-  Alcotest.check counts "runs, decided, tasks" (4, 0, 3) c;
+  Alcotest.check counts "runs, decided, tasks" (5, 0, 3) c;
   Alcotest.(check (list string)) "x is new racy" [ "x" ] v.V.v_new_racy;
   Alcotest.(check bool) "validation fails" false v.V.v_ok
 
@@ -300,6 +305,108 @@ let test_determinate_transforms_agree () =
   in
   Alcotest.(check int) "registry transforms decided by their race run" 16
     (List.length decided)
+
+(* [transform.validate.cooperative] counts race runs made without
+   preemption: one per schedule-determinate transform, decided or
+   discarded, and none for any other. *)
+let test_cooperative_counted () =
+  let racy_original, racy = racy_bump in
+  let red = apply_first_exn (analyze reduction_prog) in
+  let fib = spmd_transform forkjoin_prog in
+  List.iter
+    (fun (what, original, transformed, want) ->
+      Obs.enable ();
+      Fun.protect ~finally:Obs.disable @@ fun () ->
+      let count () =
+        ( Obs.counter_value "transform.validate.cooperative",
+          Obs.counter_value "transform.validate.decided" )
+      in
+      let c0, d0 = count () in
+      ignore (V.differential ~original ~transformed ());
+      let c1, d1 = count () in
+      Alcotest.(check (pair int int))
+        (what ^ ": cooperative, decided") want (c1 - c0, d1 - d0))
+    [ ("fib", fib.original, fib.transformed, (1, 2));
+      ("racy fork-join", racy_original, racy, (1, 0));
+      ("reduction", red.original, red.transformed, (0, 0)) ]
+
+(* The cooperative race run decides the same transforms as the seeded one:
+   every registry transform the classifier admits reports, without
+   preemption, the racy set and the observation of its seeded race run at
+   each default seed, with no fiber switch. *)
+let test_cooperative_race_run_agrees () =
+  let race_free =
+    List.filter_map
+      (fun ((w : Workloads.Registry.t), t) ->
+        match t with
+        | Some ((t : P.t), _) when V.schedule_determinate t.transformed ->
+            let run ~preempt seed =
+              let hb, r =
+                Profiler.Happens_before.run ~preempt ~seed t.transformed
+              in
+              ( Profiler.Happens_before.races hb,
+                V.observation_of ~result:r.Interp.result
+                  ~globals:r.Interp.final_globals [],
+                r.Interp.r_stats.switches )
+            in
+            let agree seed =
+              let races, obs, _ = run ~preempt:true seed in
+              let coop_races, coop_obs, switches = run ~preempt:false seed in
+              let what = Printf.sprintf "%s, seed %d: %s" w.name seed in
+              Alcotest.(check int) (what "no switch") 0 switches;
+              Alcotest.(check (list string)) (what "same observation") []
+                (V.diff_observations obs coop_obs);
+              Alcotest.(check (list (triple string int int))) (what "same races")
+                races coop_races;
+              races = []
+            in
+            let free = List.map agree V.default_seeds in
+            if List.for_all Fun.id free then Some w.name else None
+        | _ -> None)
+      (Lazy.force Helpers.first_transforms)
+  in
+  Alcotest.(check int) "race-free determinate registry transforms" 16
+    (List.length race_free)
+
+(* Without preemption a fork-join program runs its serial elision: each
+   [Par] runs its first arm first, to its end, nested forks included. *)
+let test_cooperative_serial_elision () =
+  let prog =
+    let open Builder in
+    let out k = call_ "print" [ i k ] in
+    number
+      (program ~globals:[] ~entry:"main" "arms"
+         [ func "main"
+             [ par [ [ out 1; par [ [ out 2 ]; [ out 3 ] ] ]; [ out 4 ] ];
+               return (i 0) ] ])
+  in
+  let prints = ref [] in
+  let r =
+    Interp.run ~preempt:false ~on_print:(fun vs -> prints := vs :: !prints) prog
+  in
+  Alcotest.(check (list (list int))) "arms in program order"
+    [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ] ] (List.rev !prints);
+  Alcotest.(check int) "no switch" 0 r.Interp.r_stats.switches
+
+(* Without preemption a thread runs until it blocks, so locks and barriers
+   still hand threads over: every threaded registry program completes. *)
+let test_cooperative_threaded_complete () =
+  let threaded =
+    List.filter
+      (fun w -> Rewrite.has_par (Workloads.Registry.program w))
+      Workloads.Catalog.all
+  in
+  List.iter
+    (fun (w : Workloads.Registry.t) ->
+      match
+        Profiler.Happens_before.run ~preempt:false (Workloads.Registry.program w)
+      with
+      | _, r ->
+          Alcotest.(check int) (w.name ^ ": no switch") 0
+            r.Interp.r_stats.switches
+      | exception Interp.Deadlock -> Alcotest.failf "%s: deadlock" w.name)
+    threaded;
+  Alcotest.(check int) "threaded registry programs" 17 (List.length threaded)
 
 (* The transform-measure programs at small sizes validate cleanly: equal
    observations under every seed, no new racy variable, and no racy RAW
@@ -598,6 +705,14 @@ let tests =
       test_validation_tasks;
     Alcotest.test_case "a racy fork-join runs every seed" `Quick
       test_racy_forkjoin_falls_back;
+    Alcotest.test_case "cooperative race runs counted" `Quick
+      test_cooperative_counted;
+    Alcotest.test_case "cooperative race run agrees with the seeded one" `Slow
+      test_cooperative_race_run_agrees;
+    Alcotest.test_case "without preemption a fork-join runs serially" `Quick
+      test_cooperative_serial_elision;
+    Alcotest.test_case "threaded programs complete without preemption" `Quick
+      test_cooperative_threaded_complete;
     Alcotest.test_case "determinacy classifier refuses each construct" `Quick
       test_determinate_classifier;
     Alcotest.test_case "determinate transforms observe as their race run"
