@@ -16,7 +16,8 @@
      chunks, interpreted with [scramble_unlocked] into no-op sinks
      (statements/sec), and validation's race run of it, unscrambled into
      the happens-before detector ([Profiler.Happens_before.run],
-     accesses/sec);
+     accesses/sec), seeded and without preemption (the one run validation
+     makes for a schedule-determinate transform);
    - the whole serial profiler (interpreter, engine and PET): accesses/sec;
    - the end-to-end serial slowdown factor (profiled / native wall time).
 
@@ -142,9 +143,9 @@ let measure_scrambled prog =
     (fun r -> r.Mil.Interp.r_stats.statements)
 
 (* Accesses per second of a validation race run. *)
-let measure_hb_run prog =
+let measure_hb_run ?preempt prog =
   best_rate
-    (fun () -> snd (Profiler.Happens_before.run prog))
+    (fun () -> snd (Profiler.Happens_before.run ?preempt prog))
     (fun r -> r.Mil.Interp.r_stats.reads + r.r_stats.writes)
 
 (* Accesses per second of the whole serial profiler — interpreter, engine
@@ -177,7 +178,10 @@ let run () =
         let serial_aps = measure_serial prog in
         let scrambled =
           Option.map
-            (fun t -> (measure_scrambled t, measure_hb_run t))
+            (fun t ->
+              ( measure_scrambled t,
+                measure_hb_run t,
+                measure_hb_run ~preempt:false t ))
             (two_chunk_transform prog)
         in
         let t_native = Util.native_time prog in
@@ -202,10 +206,12 @@ let run () =
         g (Printf.sprintf "hotpath.%s.serial.accesses_per_sec" w.name)
           serial_aps;
         Option.iter
-          (fun (sps, aps) ->
+          (fun (sps, aps, coop_aps) ->
             g (Printf.sprintf "hotpath.%s.interp.scrambled_stmts_per_sec" w.name)
               sps;
-            g (Printf.sprintf "hotpath.%s.hb_run.accesses_per_sec" w.name) aps)
+            g (Printf.sprintf "hotpath.%s.hb_run.accesses_per_sec" w.name) aps;
+            g (Printf.sprintf "hotpath.%s.hb_coop.accesses_per_sec" w.name)
+              coop_aps)
           scrambled;
         g (Printf.sprintf "hotpath.%s.slowdown_serial" w.name) slowdown;
         Obs.Counter.add
@@ -222,7 +228,9 @@ let run () =
           Printf.sprintf "%.2e" hb_eps; Printf.sprintf "%.1f" hb_wpa;
           Printf.sprintf "%.1f" par_wpa;
           Printf.sprintf "%.2e" interp_sps; Printf.sprintf "%.2e" native_sps;
-          scrambled_cell fst; scrambled_cell snd;
+          scrambled_cell (fun (s, _, _) -> s);
+          scrambled_cell (fun (_, a, _) -> a);
+          scrambled_cell (fun (_, _, c) -> c);
           Printf.sprintf "%.2e" serial_aps; Printf.sprintf "%.0f" slowdown ])
       (sample ())
   in
@@ -230,7 +238,8 @@ let run () =
     ~columns:
       [ "program"; "accesses"; "sig ev/s"; "sig w/acc"; "perf ev/s";
         "perf w/acc"; "hb ev/s"; "hb w/acc"; "par w/acc"; "interp st/s";
-        "native st/s"; "scram st/s"; "hb run acc/s"; "serial acc/s";
+        "native st/s"; "scram st/s"; "hb run acc/s"; "hb coop acc/s";
+        "serial acc/s";
         "slowdown" ]
     rows;
   print_endline
@@ -240,6 +249,7 @@ let run () =
     \ st/s: interpreted statements/sec,\n\
     \ instrumented into no-op sinks and native; scram st/s: the same for the\n\
     \ 2-chunk transform, scrambled; hb run acc/s: Happens_before.run on it,\n\
-    \ unscrambled (-: no transform); serial acc/s: the whole serial\n\
+    \ unscrambled (-: no transform); hb coop acc/s: the same with\n\
+    \ ~preempt:false; serial acc/s: the whole serial\n\
     \ profiler, perfect + skip;\n\
     \ slowdown: serial profiled vs native)"

@@ -16,7 +16,7 @@ let tests () =
   (* Store one write access into the write slot of the pair at [b]. *)
   let var = Trace.Intern.Sym.intern "x" in
   let store_write st b =
-    Sigmem.Store.set st (b + Sigmem.Store.field_count) ~time:1 ~locked:false
+    Sigmem.Store.set st (Sigmem.Store.write_slot b) ~time:1 ~locked:false
       ~line:1 ~var ~thread:0 ~op:0 ~lstack:Trace.Intern.Lstack.empty
   in
   [ Test.make ~name:"engine/signature"
@@ -38,7 +38,7 @@ let tests () =
            let s = Sigmem.Signature.create ~slots:65_536 in
            for a = 0 to 4_095 do
              let b = Sigmem.Signature.resolve s a in
-             Sigmem.Signature.count_store s (b + Sigmem.Store.field_count) ~var;
+             Sigmem.Signature.count_store s (Sigmem.Store.write_slot b) ~var;
              store_write s.Sigmem.Signature.store b
            done));
     Test.make ~name:"shadow/perfect-rw"
@@ -55,8 +55,8 @@ let tests () =
      Test.make ~name:"queue/spsc-push-pop"
       (Staged.stage (fun () ->
            for k = 0 to 4_095 do
-             (Trace.Chunk.data (Profiler.Spsc_queue.slot q)).(0) <- k;
-             Profiler.Spsc_queue.push q ~length:1;
+             Trace.Chunk.push_remove (Profiler.Spsc_queue.slot q) k;
+             Profiler.Spsc_queue.push q;
              ignore (Profiler.Spsc_queue.next q);
              Profiler.Spsc_queue.release q
            done))) ]

@@ -18,25 +18,21 @@
    3. Report: per-step records are pulled from the flight recorder by
       completion-time window; queue depth is sampled by a poller domain.
 
-   Env knobs (CI uses a shorter step): SOAK_JOBS, SOAK_QUEUE,
-   SOAK_SENDERS, SOAK_STEP_S, SOAK_RATES (comma-separated multiples),
-   SOAK_CALIB. *)
-
-let env_int name default =
-  match Option.bind (Sys.getenv_opt name) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> default
+   The daemon runs 2 jobs behind an 8-deep queue, 16 senders offer the
+   load, and calibration takes 6 requests. Env knobs: SOAK_STEP_S (the
+   step duration in seconds, default 2.0; CI uses a shorter step) and
+   SOAK_RATES (comma-separated multiples). *)
 
 let env_float name default =
   match Option.bind (Sys.getenv_opt name) float_of_string_opt with
   | Some v when v > 0.0 -> v
   | _ -> default
 
-let jobs = env_int "SOAK_JOBS" 2
-let queue_capacity = env_int "SOAK_QUEUE" 8
-let senders = env_int "SOAK_SENDERS" 16
+let jobs = 2
+let queue_capacity = 8
+let senders = 16
 let step_s = env_float "SOAK_STEP_S" 2.0
-let calib_count = env_int "SOAK_CALIB" 6
+let calib_count = 6
 
 let rate_multiples =
   match Sys.getenv_opt "SOAK_RATES" with

@@ -61,8 +61,8 @@ type prov = {
    provenance) its first-witness record, so a new record costs one lookup
    and one insert. Counts are [int ref]s so the engine's per-op
    duplicate-suppression fast path can bump a record's count without
-   re-hashing it ({!note} hands the count out; the engine bumps it and the
-   occurrence counter in place). *)
+   re-hashing it ({!note} hands the count out, {!bump} counts one more
+   occurrence through it). *)
 module Set_ = struct
   type dep = t
 
@@ -70,7 +70,9 @@ module Set_ = struct
 
   type t = {
     tbl : (dep, cell) Hashtbl.t;
-    raw_occurrences : int ref;  (* pre-merge instance count *)
+    raw_occurrences : int ref;
+        (* pre-merge instance count; a ref, so that [bump]'s increment
+           compiles to one add to memory *)
   }
 
   let create () = { tbl = Hashtbl.create 256; raw_occurrences = ref 0 }
@@ -104,7 +106,9 @@ module Set_ = struct
                   witness_domain = domain; risk = risk () } };
         n
 
-  let occurrences_cell t = t.raw_occurrences
+  let[@inline] bump t n =
+    incr t.raw_occurrences;
+    incr n
 
   let restore t d ~count pv =
     t.raw_occurrences := !(t.raw_occurrences) + count;

@@ -56,13 +56,11 @@ module Set_ : sig
       [time] order (as every engine produces them) for the stored witness to
       be the earliest. Returns the record's count cell, for the engine's
       per-op duplicate-suppression fast path. The cell is owned by this set;
-      bump it only together with {!occurrences_cell}. *)
+      change it only through {!bump}. *)
 
-  val occurrences_cell : t -> int ref
-  (** The set's pre-merge instance counter. One more occurrence of a record
-      whose count cell [n] the caller holds (from {!note}) is
-      [incr n; incr (occurrences_cell t)]: no hashing, no lookup, and no
-      call, so the engine does it inline. *)
+  val bump : t -> int ref -> unit
+  (** [bump t n]: one more occurrence of the record whose count cell [n]
+      the caller holds (from {!note}). No hashing and no lookup; inlined. *)
 
   val restore : t -> dep -> count:int -> prov option -> unit
   (** Add [count] instances of [dep] with one lookup, keeping [prov] as its

@@ -4,22 +4,20 @@
    flagging (§2.3.4). One engine instance also serves as the per-worker
    consumer of the parallel profiler.
 
-   The per-access path ({!feed_fields}) makes at most one call out of this
-   module: the shadow backend's address resolution, which maps the address
-   to the base of its (read, write) slot pair in a flat off-heap
-   {!Sigmem.Store}. The perfect table is indexed by address, so the engine
-   resolves an in-range address itself and calls out only to grow it. Only
-   the rare cases call out again: a carrier-memo miss walks the loop
-   stacks, and a record the dedup slots do not hold goes into [Dep.Set_].
-   Everything else is inline here. The engine reads the source slots' time,
-   op, loop stack, line, variable and thread in place, writes the current
-   access straight from its own arguments, and bumps merged records' counts
-   itself. This is deliberate, not style: the compiler has no flambda, so a
-   functor over the backend would be compiled once with every backend call
-   indirect, and dune's dev profile passes [-opaque], so even a direct call
-   into another module (a [Store] accessor, [Dep.Set_]) is not inlined.
-   The backend is picked by one match on a two-constructor variant per
-   access, which is a jump, not a call.
+   The per-access path ({!feed_fields}) resolves the address to the base of
+   its (read, write) slot pair in a flat off-heap {!Sigmem.Store} through
+   the shadow backend: a call into the signature's hash, or the perfect
+   table's in-range check, which is inlined and calls out only to grow.
+   The engine then reads the source slots' time, op, loop stack, line,
+   variable and thread in place, writes the current access straight from
+   its own arguments, and bumps merged records' counts, all through
+   [[@inline]] accessors of the module that owns each layout ([Store],
+   [Signature.count_store], [Dep.Set_.bump]). Only the rare cases make a
+   call: a carrier-memo miss walks the loop stacks, and a record the dedup
+   slots do not hold goes into [Dep.Set_]. The backend is picked by one
+   match on a two-constructor variant per access, which is a jump, not a
+   call; a functor over the backend would be compiled once with every
+   backend call indirect, since the compiler has no flambda.
 
    The path is zero-allocation: slots are read and written in place, and
    the access arrives as the unboxed fields of an [Event.access_sink] call,
@@ -128,21 +126,6 @@ let[@inline] memo_probe m ~src ~snk =
       code
     end
 
-(* Slot fields, at their {!Sigmem.Store} layout offsets from a slot's base;
-   a pair's write slot sits [wslot] after its read slot. Local constants, so
-   every in-place access below compiles to one load or store. *)
-let f_line = 1
-let f_var = 2
-let f_thread = 3
-let f_op = 4
-let f_lstack = 5
-let wslot = 6
-let pair_width = 12
-let () = assert (wslot = Store.field_count && pair_width = Store.pair_width)
-
-let[@inline] get (st : Store.t) i = Bigarray.Array1.unsafe_get st i
-let[@inline] set (st : Store.t) i v = Bigarray.Array1.unsafe_set st i v
-
 type shadow =
   | Sig of Sigmem.Signature.t
   | Perf of Sigmem.Perfect.t
@@ -150,7 +133,6 @@ type shadow =
 type t = {
   shadow : shadow;
   deps : Dep.Set_.t;
-  occurrences : int ref;  (* [deps]' pre-merge instance counter *)
   risk : unit -> float;
       (* one closure per engine, not per record: [Dep.Set_.note] evaluates
          it only when a record is new *)
@@ -195,10 +177,8 @@ let create ?(skip = false) ?(lifetime = true) ~lstacks kind =
         (Sig s, fun () -> Sigmem.Signature.collision_risk s)
     | Perfect -> (Perf (Sigmem.Perfect.create ()), fun () -> 0.0)
   in
-  let deps = Dep.Set_.create () in
   { shadow;
-    deps;
-    occurrences = Dep.Set_.occurrences_cell deps;
+    deps = Dep.Set_.create ();
     risk;
     skip;
     lifetime;
@@ -251,11 +231,8 @@ let note_race t ~sink_var ~sink_line ~src_line =
   t.races <- (var, src_line, sink_line) :: t.races;
   if Obs.Trace.is_enabled () then Obs.Trace.instant ("race:" ^ var)
 
-(* One more occurrence of the record behind [slot]: [Dep.Set_]'s merge,
-   inline. *)
-let[@inline] hit t (slot : dslot) =
-  incr t.occurrences;
-  incr slot.d_count
+(* One more occurrence of the record behind [slot]. *)
+let[@inline] hit t (slot : dslot) = Dep.Set_.bump t.deps slot.d_count
 
 (* Record the dependence of the current access (sink fields passed unboxed)
    against the source slot at [sb] in [st] through the per-op dedup slots:
@@ -312,14 +289,14 @@ let note_new t ~sink_line ~sink_thread ~sink_time dtype ~src_line ~src_thread
    case. *)
 let[@inline] record t ~sink_line ~sink_thread ~sink_time ~sink_var dtype
     (arr : dslot array) op (st : Store.t) sb ~ccode =
-  let src_line = get st (sb + f_line) in
-  let src_thread = get st (sb + f_thread) in
-  let src_var = get st (sb + f_var) in
+  let src_line = Store.line st sb in
+  let src_thread = Store.thread st sb in
+  let src_var = Store.var st sb in
   let racy =
     (* Timestamp reversal: the recorded "earlier" access actually executed
        later — atomicity of access and push was violated, exposing a
        potential data race (§2.3.4). *)
-    sink_time < get st sb lsr 1
+    sink_time < Store.time st sb
   in
   if racy then note_race t ~sink_var ~sink_line ~src_line;
   let w0 = Array.unsafe_get arr (2 * op) in
@@ -364,17 +341,13 @@ let[@inline] record_init t ~sink_line ~sink_thread ~sink_time (slot : dslot) =
    the skip check, the dependence record, and the skip fingerprint
    update. *)
 let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
-  (* Address -> pair base [rb] in the backend's current store [st]. The
-     perfect table is indexed by address, so an address in range resolves
-     here; only a first touch past its end (or a negative address, which
-     [resolve] rejects) calls out. Resolution comes first, so an access it
-     rejects leaves the engine as it was. *)
+  (* Address -> pair base [rb] in the backend's current store [st].
+     Resolution comes first, so an access it rejects leaves the engine as
+     it was. *)
   let rb =
     match t.shadow with
     | Sig s -> Sigmem.Signature.resolve s addr
-    | Perf p ->
-        if addr >= 0 && addr < p.Sigmem.Perfect.pairs then addr * pair_width
-        else Sigmem.Perfect.resolve p addr
+    | Perf p -> Sigmem.Perfect.resolve p addr
   in
   t.n_processed <- t.n_processed + 1;
   if op >= Array.length t.last_addr then grow_ops t op;
@@ -383,10 +356,10 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     | Sig s -> s.Sigmem.Signature.store
     | Perf p -> p.Sigmem.Perfect.data
   in
-  let wb = rb + wslot in
-  let r_time = get st rb lsr 1 and w_time = get st wb lsr 1 in
-  let status_read = if r_time = 0 then no_op else get st (rb + f_op) in
-  let status_write = if w_time = 0 then no_op else get st (wb + f_op) in
+  let wb = Store.write_slot rb in
+  let r_time = Store.time st rb and w_time = Store.time st wb in
+  let status_read = if r_time = 0 then no_op else Store.op st rb in
+  let status_write = if w_time = 0 then no_op else Store.op st wb in
   (* [grow_ops] guarantees [op] indexes every per-op array. *)
   let base_skip =
     t.skip
@@ -403,7 +376,7 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
          intra-iteration dependence, -2 when there is no write at all. *)
       let raw_code =
         if status_write = no_op then -2
-        else memo_probe t.memo ~src:(get st (wb + f_lstack)) ~snk:lstack
+        else memo_probe t.memo ~src:(Store.lstack st wb) ~snk:lstack
       in
       if status_write <> no_op then
         t.sstats.reads_total <- t.sstats.reads_total + 1;
@@ -442,11 +415,11 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
       in
       let war_code =
         if status_read = no_op then -2
-        else memo_probe t.memo ~src:(get st (rb + f_lstack)) ~snk:lstack
+        else memo_probe t.memo ~src:(Store.lstack st rb) ~snk:lstack
       in
       let waw_code =
         if not waw_applies then -4
-        else memo_probe t.memo ~src:(get st (wb + f_lstack)) ~snk:lstack
+        else memo_probe t.memo ~src:(Store.lstack st wb) ~snk:lstack
       in
       if status_read <> no_op || waw_applies then
         t.sstats.writes_total <- t.sstats.writes_total + 1;
@@ -486,25 +459,11 @@ let feed_fields t ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
           Array.unsafe_set t.last_waw_carrier op waw_code
         end
       end);
-  (* Store the current access, after its dependences are recorded. The
-     signature's occupancy counters follow {!Sigmem.Signature.count_store},
-     inline. *)
+  (* Store the current access, after its dependences are recorded. *)
   (match t.shadow with
-  | Sig s ->
-      let c = s.Sigmem.Signature.counts in
-      if get st ab = 0 then begin
-        match kind with
-        | Event.Read -> c.occupied_reads <- c.occupied_reads + 1
-        | Event.Write -> c.occupied_writes <- c.occupied_writes + 1
-      end
-      else if get st (ab + f_var) <> var then c.takeovers <- c.takeovers + 1
+  | Sig s -> Sigmem.Signature.count_store s ab ~var
   | Perf _ -> ());
-  set st ab ((time lsl 1) lor Bool.to_int locked);
-  set st (ab + f_line) line;
-  set st (ab + f_var) var;
-  set st (ab + f_thread) thread;
-  set st (ab + f_op) op;
-  set st (ab + f_lstack) lstack
+  Store.set st ab ~time ~locked ~line ~var ~thread ~op ~lstack
 
 (* Variable-lifetime analysis: clear dead [(base, len, var)] ranges so their
    slots can be reused without manufacturing false dependences. *)

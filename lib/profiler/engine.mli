@@ -3,13 +3,13 @@
     timestamp-based race flagging (§2.3.4).
 
     One module over both shadow backends: per access, the only call
-    out of the engine is the backend's address resolution (none for an
+    out of the engine is the signature's address hash (none for an
     in-range address of the address-indexed perfect table), and the engine
-    reads and writes the shadow slots in place. (A functor over the backend
-    would not give each backend its own copy: without flambda it is
-    compiled once with indirect calls, and dune's dev profile compiles with
-    [-opaque], which stops cross-module inlining.) One instance also serves
-    as the per-worker consumer of the parallel profiler. *)
+    reads and writes the shadow slots in place through {!Sigmem.Store}'s
+    inlined accessors. (A functor over the backend would not give each
+    backend its own copy: without flambda it is compiled once with
+    indirect calls.) One instance also serves as the per-worker consumer
+    of the parallel profiler. *)
 
 module Event = Trace.Event
 

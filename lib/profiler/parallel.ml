@@ -148,57 +148,41 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
      observability layer is on, so the disabled hot path is untouched. *)
   let max_depth = ref 0 in
   let shipped = ref 0 in
-  (* Each worker's open slot: its packed entries, written in place with no
-     call into [Chunk], and the index of its next free int. No slot is open
-     before a worker's first entry, so a worker given none allocates no
-     buffer. *)
-  let datas = Array.make w [||] in
-  let fill = Array.make w 0 in
-  let stride = Chunk.stride in
-  let write_code = Chunk.write_code and locked_code = Chunk.locked_code in
-  let remove_code = Chunk.remove_code in
+  (* Each worker's open slot. Before a worker's first entry it is [closed],
+     a shared chunk with no room, so a worker given no entry allocates no
+     buffer. A [ref] each: the compiler reads an array of them without the
+     float-array check an array of the abstract [Chunk.t] would need. *)
+  let closed = Chunk.create ~capacity:0 () in
+  let open_slots = Array.init w (fun _ -> ref closed) in
   (* Counter-track names for per-ring depth samples, allocated up front so
      the traced publish path does no formatting. *)
   let depth_tracks = Array.init w (Printf.sprintf "queue.%d.depth") in
   let ship worker =
     let ring = rings.(worker) in
-    Spsc_queue.push ring ~length:(fill.(worker) / stride);
+    Spsc_queue.push ring;
     incr shipped;
     if ledger then max_depth := max !max_depth (Spsc_queue.length ring);
     if Obs.Trace.is_enabled () then
       Obs.Trace.counter depth_tracks.(worker) (Spsc_queue.length ring)
   in
-  (* Before an entry goes into a full slot, or the first one: publish the
-     open slot, if any, and open the next. *)
-  let open_slot worker =
-    if fill.(worker) > 0 then ship worker;
-    datas.(worker) <- Chunk.data (Spsc_queue.slot rings.(worker));
-    fill.(worker) <- 0
-  in
-  let push_remove worker addr =
-    if fill.(worker) = Array.length datas.(worker) then open_slot worker;
-    let d = datas.(worker) and b = fill.(worker) in
-    d.(b) <- remove_code;
-    d.(b + 1) <- addr;
-    fill.(worker) <- b + stride
+  (* The open slot of [worker], with room for one more entry: a full slot,
+     if any, is published first and the next one opened. *)
+  let[@inline] room worker =
+    let open_slot = open_slots.(worker) in
+    let c = !open_slot in
+    if not (Chunk.is_full c) then c
+    else begin
+      if not (Chunk.is_empty c) then ship worker;
+      let c = Spsc_queue.slot rings.(worker) in
+      open_slot := c;
+      c
+    end
   in
   let petb = Pet.create_builder () in
   let on_access ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
     Pet.feed_access_line petb ~line;
-    let worker = addr mod w in
-    if fill.(worker) = Array.length datas.(worker) then open_slot worker;
-    let d = datas.(worker) and b = fill.(worker) in
-    d.(b) <-
-      (match kind with Event.Read -> 0 | Event.Write -> write_code)
-      + if locked then locked_code else 0;
-    d.(b + 1) <- addr;
-    d.(b + 2) <- var;
-    d.(b + 3) <- line;
-    d.(b + 4) <- thread;
-    d.(b + 5) <- time;
-    d.(b + 6) <- op;
-    d.(b + 7) <- lstack;
-    fill.(worker) <- b + stride
+    Chunk.push_access (room (addr mod w)) ~kind ~addr ~var ~line ~thread ~time
+      ~op ~lstack ~locked
   in
   let emit r =
     Pet.feed_region petb r;
@@ -207,7 +191,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
         List.iter
           (fun (base, len, _) ->
             for addr = base to base + len - 1 do
-              push_remove (addr mod w) addr
+              Chunk.push_remove (room (addr mod w)) addr
             done)
           addrs
     | _ -> ()
@@ -216,7 +200,7 @@ let profile ?(workers = 4) ?(shadow_slots = 100_000) ?(perfect = false)
    with e -> abort e);
   (* Publish the open slots, then the stop marks. *)
   for i = 0 to w - 1 do
-    if fill.(i) > 0 then ship i;
+    if not (Chunk.is_empty !(open_slots.(i))) then ship i;
     Spsc_queue.close rings.(i)
   done;
   let producer_ns = Obs.now_ns () - t_start in

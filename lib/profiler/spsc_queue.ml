@@ -149,7 +149,10 @@ let tail_slot t =
 let slot t =
   let i = tail_slot t in
   let c = t.slots.(i) in
-  if c != none then c
+  if c != none then begin
+    Chunk.clear c;
+    c
+  end
   else begin
     let c = Chunk.create () in
     t.slots.(i) <- c;
@@ -157,19 +160,15 @@ let slot t =
     c
   end
 
-let publish t =
+let push t =
   (* Release: the consumer's acquire-load of [tail] sees the slot's fill. *)
   set t t.tail (get t t.tail + 1);
   wake t t.consumer_parked t.nonempty
 
-let push t ~length =
-  Chunk.set_length t.slots.(get t t.tail land t.mask) length;
-  publish t
-
 let close t =
   let c = t.slots.(tail_slot t) in
-  if c != none then Chunk.set_length c 0;
-  publish t
+  if c != none then Chunk.clear c;
+  push t
 
 (* Consumer side. *)
 let next t =

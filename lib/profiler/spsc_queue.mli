@@ -25,11 +25,12 @@ val has_room : t -> bool
 
 val slot : t -> Trace.Chunk.t
 (** Waits (spin, then park) while the ring is full, then returns the tail
-    slot's buffer, allocated on the slot's first fill. Write its entries in
-    place through {!Trace.Chunk.data}; {!push} publishes them. *)
+    slot's buffer, empty, allocated on the slot's first fill. Fill it in
+    place with {!Trace.Chunk.push_access} and {!Trace.Chunk.push_remove};
+    {!push} publishes it. *)
 
-val push : t -> length:int -> unit
-(** Publish the tail slot, filled with [length >= 1] entries since {!slot}
+val push : t -> unit
+(** Publish the tail slot, filled with at least one entry since {!slot}
     returned it. Wakes a parked consumer. *)
 
 val close : t -> unit

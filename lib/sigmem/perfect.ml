@@ -6,7 +6,7 @@
 
    Implementation: a direct, address-indexed flat off-heap {!Store} of
    (read, write) slot pairs — address [a] owns pair [a], at base
-   [a * Store.pair_width]. The interpreter's addresses are dense heap
+   [Store.read_base a]. The interpreter's addresses are dense heap
    indices from 1 up to the heap's break, so no hashing is needed: a first
    touch past the end doubles the store until it covers the address and
    copies the old pairs across. Memory is therefore O(highest address
@@ -17,8 +17,8 @@
 
    Like every backend this is a resolver: {!resolve} maps an address to its
    pair's base in [data], and the caller reads and writes the slots there in
-   place. The engine does the in-range case itself and calls {!resolve} only
-   past the end. *)
+   place. An address in range resolves inline, with one compare and one
+   multiplication; only a first touch past the end calls out, to grow. *)
 
 type t = {
   mutable data : Store.t;
@@ -27,8 +27,8 @@ type t = {
 
 let initial_capacity = 1024
 
-(* Past this, the doubled store's size in words would overflow an int. *)
-let max_addr = max_int / (4 * Store.pair_width)
+(* Past this, the doubled store would have too many pairs. *)
+let max_addr = Store.max_pairs / 4
 
 let create () =
   { data = Store.create initial_capacity; pairs = initial_capacity }
@@ -38,16 +38,19 @@ let create () =
 let grow t addr =
   let pairs = ref t.pairs in
   while !pairs <= addr do pairs := 2 * !pairs done;
-  let data = Store.create !pairs in
-  Bigarray.Array1.blit t.data (Bigarray.Array1.sub data 0 (Store.words t.data));
-  t.data <- data;
+  t.data <- Store.resize t.data !pairs;
   t.pairs <- !pairs
 
-let resolve t addr =
+(* Out of line: the in-range check is the common case. *)
+let[@inline never] resolve_slow t addr =
   if addr < 0 || addr > max_addr then
     invalid_arg "Perfect.resolve: address out of range";
-  if addr >= t.pairs then grow t addr;
-  addr * Store.pair_width
+  grow t addr;
+  Store.read_base addr
+
+let[@inline] resolve t addr =
+  if addr >= 0 && addr < t.pairs then Store.read_base addr
+  else resolve_slow t addr
 
 let remove t ~addr =
   if addr >= 0 && addr < t.pairs then Store.clear_pair t.data addr

@@ -5,17 +5,15 @@
 
     Implemented as a direct, address-indexed flat off-heap {!Store} of
     (read, write) slot pairs: address [a]'s pair sits at base
-    [a * Store.pair_width], so resolving an address in range is one
-    multiplication. Memory is O(highest address touched), 12 words per
-    address. *)
+    [Store.read_base a], so resolving an address in range is one compare
+    and one multiplication, inline. Memory is O(highest address touched),
+    12 words per address. *)
 
 type t = private {
   mutable data : Store.t;
       (** the slot pairs, pair [a] owned by address [a]; replaced when the
           store grows *)
-  mutable pairs : int;
-      (** pairs in [data]: an address in [\[0, pairs)] has its pair at
-          [addr * Store.pair_width] without a call to {!resolve} *)
+  mutable pairs : int;  (** pairs in [data]: addresses [\[0, pairs)] *)
 }
 
 val create : unit -> t
@@ -23,7 +21,8 @@ val create : unit -> t
 val resolve : t -> int -> int
 (** [resolve t addr] is the base of [addr]'s slot pair in [t.data], growing
     the store on a first touch past its end (which replaces [t.data]). Read
-    [t.data] after the call.
+    [t.data] after the call. The in-range case is inlined into the caller;
+    growth stays out of line.
 
     @raise Invalid_argument on a negative address, or one so large that
     the store's size would overflow. *)

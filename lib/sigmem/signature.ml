@@ -14,8 +14,9 @@
 
    Like every backend this is a resolver: {!resolve} maps an address to its
    pair's base in [store], and the caller reads and writes the slots there
-   in place. A caller that stores an access also keeps [counts] up to date
-   ({!count_store}'s rule), which {!Store}-level writes cannot see. *)
+   in place. A caller that stores an access first calls {!count_store},
+   which keeps [counts] up to date: {!Store}-level writes cannot see
+   them. *)
 
 type counts = {
   mutable occupied_reads : int;
@@ -59,22 +60,21 @@ let create ~slots =
    counts: [hash_addr] remains the specification. *)
 let resolve t addr =
   let h = mix addr in
-  (if t.mask <> 0 then h land t.mask else h mod t.slots) * Store.pair_width
+  Store.read_base (if t.mask <> 0 then h land t.mask else h mod t.slots)
 
 (* The counter rule for storing an access of variable [var] into the slot at
-   [base]; the engine applies the same rule inline. *)
-let count_store t base ~var =
+   [base]. Inlined: the engine applies it on every access. *)
+let[@inline] count_store t base ~var =
   let c = t.counts in
-  let write = base mod Store.pair_width <> 0 in
   if Store.is_empty t.store base then begin
-    if write then c.occupied_writes <- c.occupied_writes + 1
+    if Store.is_write_slot base then c.occupied_writes <- c.occupied_writes + 1
     else c.occupied_reads <- c.occupied_reads + 1
   end
   else if Store.var t.store base <> var then c.takeovers <- c.takeovers + 1
 
 let remove t ~addr =
   let rb = resolve t addr in
-  let wb = rb + Store.field_count in
+  let wb = Store.write_slot rb in
   let c = t.counts in
   if not (Store.is_empty t.store rb) then begin
     Store.clear t.store rb;

@@ -38,8 +38,7 @@ val count_store : t -> int -> var:int -> unit
 (** [count_store t base ~var] updates [t.counts] for storing an access to
     [var] into the read or write slot at [base], before the store: an empty
     slot becomes occupied, an occupied one holding another variable is a
-    takeover. Every writer of accesses applies this rule (the engine
-    inline). *)
+    takeover. Every writer of accesses calls it; it is inlined. *)
 
 val remove : t -> addr:int -> unit
 (** Variable-lifetime analysis (§2.3.5): clear [addr]'s slots. *)

@@ -24,10 +24,10 @@
      5  lstack
 
    so 0 in field 0 marks an empty slot ([time = 0] never occurs in real
-   accesses) and emptiness is a single load. [t] is a visible Bigarray
-   alias: the profiler's engine reads and writes slots in place at these
-   offsets, and its [unsafe_get]/[unsafe_set] compile inline. [set] is the
-   same encoding for writers off that path (tests, micro-benchmarks). *)
+   accesses) and emptiness is a single load. This module is the only one
+   that knows the layout: the accessors below are inlined into their
+   callers, so the engine's in-place reads and writes each compile to one
+   load or store. *)
 
 type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -43,23 +43,37 @@ let create pairs : t =
 
 let pairs (t : t) = Bigarray.Array1.dim t / pair_width
 
-(* Base index of the read / write slot of pair [i]. *)
-let read_base i = i * pair_width
-let write_base i = (i * pair_width) + field_count
+(* Past this, the store's size in words would overflow an int. *)
+let max_pairs = max_int / pair_width
 
-let is_empty (t : t) base = Bigarray.Array1.unsafe_get t base = 0
+let resize (t : t) pairs =
+  let a = create pairs in
+  Bigarray.Array1.blit t (Bigarray.Array1.sub a 0 (Bigarray.Array1.dim t));
+  a
 
-let set (t : t) base ~time ~locked ~line ~var ~thread ~op ~lstack =
+let[@inline] read_base i = i * pair_width
+let[@inline] write_slot base = base + field_count
+let[@inline] write_base i = write_slot (read_base i)
+let[@inline] is_write_slot base = base mod pair_width <> 0
+
+let[@inline] get (t : t) i = Bigarray.Array1.unsafe_get t i
+
+let[@inline] is_empty t base = get t base = 0
+let[@inline] time t base = get t base lsr 1
+let[@inline] locked t base = get t base land 1 = 1
+let[@inline] line t base = get t (base + 1)
+let[@inline] var t base = get t (base + 2)
+let[@inline] thread t base = get t (base + 3)
+let[@inline] op t base = get t (base + 4)
+let[@inline] lstack t base = get t (base + 5)
+
+let[@inline] set (t : t) base ~time ~locked ~line ~var ~thread ~op ~lstack =
   Bigarray.Array1.unsafe_set t base ((time lsl 1) lor Bool.to_int locked);
   Bigarray.Array1.unsafe_set t (base + 1) line;
   Bigarray.Array1.unsafe_set t (base + 2) var;
   Bigarray.Array1.unsafe_set t (base + 3) thread;
   Bigarray.Array1.unsafe_set t (base + 4) op;
   Bigarray.Array1.unsafe_set t (base + 5) lstack
-
-(* The stored variable symbol (collision accounting in the signature
-   backend). *)
-let var (t : t) base = Bigarray.Array1.unsafe_get t (base + 2)
 
 let clear (t : t) base =
   for k = 0 to field_count - 1 do
@@ -73,7 +87,7 @@ let occupied (t : t) =
   let n = ref 0 in
   let slots = 2 * pairs t in
   for s = 0 to slots - 1 do
-    if Bigarray.Array1.unsafe_get t (s * field_count) <> 0 then incr n
+    if not (is_empty t (s * field_count)) then incr n
   done;
   !n
 

@@ -2,29 +2,27 @@
 
     A Bigarray of native ints holding fixed-width packed slots in
     (read, write) pairs — one pair per address slot, the write slot right
-    after the read slot. A slot's fields sit at these offsets from its
-    base:
+    after the read slot. A slot holds an access's time, lock bit, line,
+    variable, thread, memory operation and loop stack; an empty slot is a
+    single load away. Updates never touch the GC write barrier (the data
+    lives outside the OCaml heap).
 
-    {v 0  time lsl 1 lor locked   1 line   2 var   3 thread   4 op   5 lstack v}
+    The layout is private to this module. The accessors are [[@inline]],
+    so a caller such as the profiler's engine reads and writes slots in
+    place with no call. *)
 
-    so 0 marks an empty slot and emptiness is a single load. The type is
-    a visible Bigarray alias so that the profiler's engine reads and writes
-    slots in place, inline, at these offsets. Updates never touch the GC write barrier (the data lives outside
-    the OCaml heap). *)
-
-type t = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-val field_count : int
-(** Ints per slot; also the offset of a pair's write slot from its read
-    slot. *)
-
-val pair_width : int
-(** Ints per (read, write) slot pair, [2 * field_count]. *)
+type t
 
 val create : int -> t
 (** [create n] is a zeroed store of [n] slot pairs. *)
 
-val pairs : t -> int
+val max_pairs : int
+(** Stores of more pairs cannot be created: their size in words would
+    overflow an int. *)
+
+val resize : t -> int -> t
+(** [resize t n] is a fresh store of [n >= pairs t] pairs holding [t]'s
+    pairs, the rest empty. *)
 
 val read_base : int -> int
 (** Base index of pair [i]'s read slot, which is also the pair's base. *)
@@ -32,17 +30,29 @@ val read_base : int -> int
 val write_base : int -> int
 (** Base index of pair [i]'s write slot. *)
 
+val write_slot : int -> int
+(** [write_slot base]: the write slot of the pair whose base is [base]. *)
+
+val is_write_slot : int -> bool
+(** Is the slot at [base] a pair's write slot? *)
+
+(** {2 One slot, at its base} *)
+
 val is_empty : t -> int -> bool
-(** [is_empty t base]: is the slot at [base] empty? One load. *)
+(** One load. *)
+
+val time : t -> int -> int
+val locked : t -> int -> bool
+val line : t -> int -> int
+val var : t -> int -> int
+val thread : t -> int -> int
+val op : t -> int -> int
+val lstack : t -> int -> int
 
 val set :
   t -> int -> time:int -> locked:bool -> line:int -> var:int -> thread:int ->
   op:int -> lstack:int -> unit
-(** Encode an access into the slot at [base], for writers other than the
-    engine. *)
-
-val var : t -> int -> int
-(** The stored variable symbol of the slot at [base]. *)
+(** Store an access into the slot at [base]. *)
 
 val clear : t -> int -> unit
 (** Zero the slot at [base]. *)

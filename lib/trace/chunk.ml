@@ -7,7 +7,9 @@
 
    Entries are packed into one flat int array, [stride] ints each: a kind
    code, then the access fields. An int array holds no pointers, so filling
-   a chunk needs no write barrier and a refilled one retains nothing. *)
+   a chunk needs no write barrier and a refilled one retains nothing. This
+   module is the only one that knows the encoding: the writers are
+   [[@inline]], so a producer packs an entry in place with no call. *)
 
 type t = {
   mutable used : int;  (* entries *)
@@ -27,32 +29,39 @@ let default_capacity = 512
 let create ?(capacity = default_capacity) () =
   { used = 0; data = Array.make (capacity * stride) 0 }
 
-let data c = c.data
-let set_length c n = c.used <- n
+let clear c = c.used <- 0
 
 let capacity c = Array.length c.data / stride
 let length c = c.used
-let is_full c = c.used * stride = Array.length c.data
+let[@inline] is_full c = c.used * stride = Array.length c.data
 let is_empty c = c.used = 0
 
-let push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack ~locked =
-  let d = c.data and b = c.used * stride in
-  d.(b) <-
-    (match kind with Event.Read -> 0 | Event.Write -> write_code)
-    + if locked then locked_code else 0;
-  d.(b + 1) <- addr;
-  d.(b + 2) <- var;
-  d.(b + 3) <- line;
-  d.(b + 4) <- thread;
-  d.(b + 5) <- time;
-  d.(b + 6) <- op;
-  d.(b + 7) <- lstack;
+(* One bounds check per entry: it covers the entry's [stride] ints, so the
+   stores that follow need none. *)
+let[@inline] entry_base c =
+  let b = c.used * stride in
+  if b + stride > Array.length c.data then invalid_arg "Chunk: full";
+  b
+
+let[@inline] push_access c ~kind ~addr ~var ~line ~thread ~time ~op ~lstack
+    ~locked =
+  let d = c.data and b = entry_base c in
+  Array.unsafe_set d b
+    ((match kind with Event.Read -> 0 | Event.Write -> write_code)
+    + if locked then locked_code else 0);
+  Array.unsafe_set d (b + 1) addr;
+  Array.unsafe_set d (b + 2) var;
+  Array.unsafe_set d (b + 3) line;
+  Array.unsafe_set d (b + 4) thread;
+  Array.unsafe_set d (b + 5) time;
+  Array.unsafe_set d (b + 6) op;
+  Array.unsafe_set d (b + 7) lstack;
   c.used <- c.used + 1
 
-let push_remove c addr =
-  let b = c.used * stride in
-  c.data.(b) <- remove_code;
-  c.data.(b + 1) <- addr;
+let[@inline] push_remove c addr =
+  let d = c.data and b = entry_base c in
+  Array.unsafe_set d b remove_code;
+  Array.unsafe_set d (b + 1) addr;
   c.used <- c.used + 1
 
 let iter c ~access ~remove =

@@ -5,34 +5,17 @@
 
     A chunk is a packed int buffer with a fixed number of ints per entry.
     An entry is either an access, its fields stored unboxed, or the removal
-    of one address's shadow slot (lifetime analysis, slot migration). *)
+    of one address's shadow slot (lifetime analysis, slot migration). The
+    encoding is private to this module; {!push_access}, {!push_remove} and
+    {!is_full} are inlined into their callers. *)
 
 type t
 
 val create : ?capacity:int -> unit -> t
 (** A fresh chunk of [capacity] (default 512) entries. *)
 
-(** {2 The packed layout}
-
-    A producer on a hot path may fill {!data} in place instead of calling
-    {!push_access}, then publish the entry count with {!set_length}. Entry
-    [i] occupies [data.(stride * i)] to [data.(stride * i + stride - 1)]:
-    the kind code, then [addr], [var], [line], [thread], [time], [op] and
-    [lstack]. The kind code is 0 for a read, {!write_code} for a write,
-    plus {!locked_code} when the thread held a lock; a slot removal is
-    {!remove_code} followed by its address. *)
-
-val stride : int
-val write_code : int
-val locked_code : int
-val remove_code : int
-
-val data : t -> int array
-(** The packed entries; its length is [stride * capacity]. *)
-
-val set_length : t -> int -> unit
-(** Set the number of filled entries, after filling {!data} in place; 0
-    empties the chunk for a refill. *)
+val clear : t -> unit
+(** Empty the chunk for a refill. *)
 
 val capacity : t -> int
 val length : t -> int
@@ -40,10 +23,15 @@ val is_full : t -> bool
 val is_empty : t -> bool
 
 val push_access : t -> Event.access_sink
-(** Append one access. The caller must check {!is_full} first. *)
+(** Append one access. The caller must check {!is_full} first.
+
+    @raise Invalid_argument on a full chunk. *)
 
 val push_remove : t -> int -> unit
-(** Append the removal of one address's shadow slot. *)
+(** Append the removal of one address's shadow slot. The caller must check
+    {!is_full} first.
+
+    @raise Invalid_argument on a full chunk. *)
 
 val iter : t -> access:Event.access_sink -> remove:(int -> unit) -> unit
 (** Decode the entries in push order. *)

@@ -437,8 +437,9 @@ let test_lstack_blocks () =
 (* The parallel profiler's publication pattern: the producer pushes nodes
    and sends their ids through a chunk ring to a reader domain, which reads
    each node as soon as it arrives, while the producer crosses block
-   boundaries. Each slot carries one node: its id, loop line, instance,
-   iteration and depth. *)
+   boundaries. Each slot carries one node as one access entry: its id, loop
+   line, instance, iteration and depth in the address, variable, line,
+   thread and time fields. *)
 let test_lstack_reader_domain () =
   let module Q = Profiler.Spsc_queue in
   let st = Random.State.make [| 31 |] in
@@ -451,16 +452,18 @@ let test_lstack_reader_domain () =
         let rec go () =
           let c = Q.next q in
           if not (Chunk.is_empty c) then begin
-            let d = Chunk.data c in
-            let id = d.(0) and line = d.(1) and inst = d.(2) in
-            let iter = d.(3) and depth = d.(4) in
+            Chunk.iter c
+              ~access:(fun ~kind:_ ~addr:id ~var:line ~line:inst ~thread:iter
+                  ~time:depth ~op:_ ~lstack:_ ~locked:_ ->
+                incr seen;
+                match List.rev (Intern.Lstack.to_frames t id) with
+                | f :: _
+                  when f.Event.loop_line = line && f.inst = inst
+                       && f.iter = iter && Intern.Lstack.depth t id = depth ->
+                    ()
+                | _ -> incr bad)
+              ~remove:(fun _ -> incr bad);
             Q.release q;
-            incr seen;
-            (match List.rev (Intern.Lstack.to_frames t id) with
-            | f :: _
-              when f.Event.loop_line = line && f.inst = inst && f.iter = iter
-                   && Intern.Lstack.depth t id = depth -> ()
-            | _ -> incr bad);
             go ()
           end
         in
@@ -475,13 +478,10 @@ let test_lstack_reader_domain () =
       if !count < n then begin
         let id = Intern.Lstack.push t ~parent:outer ~loop_line:line ~inst ~iter in
         incr count;
-        let d = Chunk.data (Q.slot q) in
-        d.(0) <- id;
-        d.(1) <- line;
-        d.(2) <- inst;
-        d.(3) <- iter;
-        d.(4) <- depth + 1;
-        Q.push q ~length:1;
+        Chunk.push_access (Q.slot q) ~kind:Event.Read ~addr:id ~var:line
+          ~line:inst ~thread:iter ~time:(depth + 1) ~op:0 ~lstack:0
+          ~locked:false;
+        Q.push q;
         if depth < 4 && Random.State.int st 3 = 0 then loop id (depth + 1)
       end
     done
@@ -601,8 +601,8 @@ let test_chunk_fill_refill () =
     List.rev !xs
   in
   Alcotest.(check (list int)) "contents" [ 10; 20; 30; 40 ] (removed ());
-  Chunk.set_length c 0;
-  Alcotest.(check bool) "length 0 empties" true (Chunk.is_empty c);
+  Chunk.clear c;
+  Alcotest.(check bool) "clear empties" true (Chunk.is_empty c);
   List.iter (Chunk.push_remove c) [ 7; 8 ];
   Alcotest.(check (list int)) "iter covers only the new fill" [ 7; 8 ]
     (removed ())

@@ -521,15 +521,23 @@ let test_parallel_raise_after_park () =
 module Q = Profiler.Spsc_queue
 module Chunk = Trace.Chunk
 
-(* One int per slot, written and read in place. *)
+(* One entry per slot, a removal of address [k], written and read in
+   place. *)
 let send q k =
-  (Chunk.data (Q.slot q)).(0) <- k;
-  Q.push q ~length:1
+  Chunk.push_remove (Q.slot q) k;
+  Q.push q
 
 let recv q =
-  let k = (Chunk.data (Q.next q)).(0) in
+  let c = Q.next q in
+  (* A refilled slot must come back empty from [Q.slot]. *)
+  if Chunk.length c <> 1 then Alcotest.failf "%d entries" (Chunk.length c);
+  let k = ref (-1) in
+  Chunk.iter c
+    ~access:(fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_
+        ~lstack:_ ~locked:_ -> Alcotest.fail "no access was sent")
+    ~remove:(fun a -> k := a);
   Q.release q;
-  k
+  !k
 
 (* In both modes: FIFO order, a full ring has no room for a push, a slot's
    buffer is allocated on its first fill and refilled on the next lap, and

@@ -32,7 +32,7 @@ let var_v = Trace.Intern.Sym.intern "v"
 (* Store an access at [line] as [addr]'s last read or write. *)
 let store_line be s ~write ~addr line =
   let st, b = be.locate s addr in
-  let base = if write then b + Store.field_count else b in
+  let base = if write then Store.write_slot b else b in
   be.before_store s base ~var:var_v;
   Store.set st base ~time:(line + 1) ~locked:false ~line ~var:var_v ~thread:0
     ~op:line ~lstack:Trace.Intern.Lstack.empty
@@ -43,9 +43,8 @@ let set_write be s ~addr line = store_line be s ~write:true ~addr line
 (* The line of [addr]'s last read or write; [None] for an empty slot. *)
 let last be s ~write ~addr =
   let st, b = be.locate s addr in
-  let base = if write then b + Store.field_count else b in
-  if Store.is_empty st base then None
-  else Some (Bigarray.Array1.get st (base + 1))
+  let base = if write then Store.write_slot b else b in
+  if Store.is_empty st base then None else Some (Store.line st base)
 
 let last_read be s ~addr = last be s ~write:false ~addr
 let last_write be s ~addr = last be s ~write:true ~addr
@@ -54,23 +53,26 @@ let msig = bsig 64
 let check_line = Alcotest.(check (option int))
 
 let test_store_roundtrip () =
-  (* Every field survives the packed 6-int slot encoding at the offsets the
-     engine reads in place, including the locked bit sharing a word with
-     the timestamp. *)
+  (* Every field survives the packed 6-int slot encoding, read back through
+     the accessors the engine reads in place, including the locked bit
+     sharing a word with the timestamp. *)
   let st = Store.create 4 in
   let var = Trace.Intern.Sym.intern "roundtrip" in
   let b = Store.write_base 2 in
+  Alcotest.(check int) "write slot of the pair" b
+    (Store.write_slot (Store.read_base 2));
+  Alcotest.(check bool) "write slot" true (Store.is_write_slot b);
+  Alcotest.(check bool) "read slot" false
+    (Store.is_write_slot (Store.read_base 2));
   Store.set st b ~time:987654 ~locked:true ~line:123 ~var ~thread:7 ~op:42
     ~lstack:3;
-  let field k = Bigarray.Array1.get st (b + k) in
-  Alcotest.(check int) "line" 123 (field 1);
-  Alcotest.(check int) "var" var (field 2);
-  Alcotest.(check int) "var accessor" var (Store.var st b);
-  Alcotest.(check int) "thread" 7 (field 3);
-  Alcotest.(check int) "time" 987654 (field 0 lsr 1);
-  Alcotest.(check int) "op" 42 (field 4);
-  Alcotest.(check int) "lstack" 3 (field 5);
-  Alcotest.(check bool) "locked" true (field 0 land 1 = 1);
+  Alcotest.(check int) "line" 123 (Store.line st b);
+  Alcotest.(check int) "var" var (Store.var st b);
+  Alcotest.(check int) "thread" 7 (Store.thread st b);
+  Alcotest.(check int) "time" 987654 (Store.time st b);
+  Alcotest.(check int) "op" 42 (Store.op st b);
+  Alcotest.(check int) "lstack" 3 (Store.lstack st b);
+  Alcotest.(check bool) "locked" true (Store.locked st b);
   (* the adjacent read slot of the same pair is untouched *)
   Alcotest.(check bool) "read slot empty" true
     (Store.is_empty st (Store.read_base 2));
@@ -171,7 +173,7 @@ let test_perfect_spans_heap () =
       | Trace.Event.Read -> b
       | Trace.Event.Write ->
           written := Some (addr, line);
-          b + Store.field_count
+          Store.write_slot b
     in
     Store.set s.Perf.data b ~time ~locked ~line ~var ~thread ~op ~lstack
   in

@@ -70,8 +70,8 @@ let test_chunks () =
       "write 102 202 302 2 402 502 602 true";
       "read 103 203 303 3 403 503 603 true" ]
     (List.rev !seen);
-  Chunk.set_length c 0;
-  Alcotest.(check bool) "length 0 empties" true (Chunk.is_empty c);
+  Chunk.clear c;
+  Alcotest.(check bool) "clear empties" true (Chunk.is_empty c);
   Alcotest.(check int) "capacity preserved" 4 (Chunk.capacity c)
 
 let qcheck_carrier_symmetry =
