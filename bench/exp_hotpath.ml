@@ -36,25 +36,13 @@ let sample_default =
     ("gauss_seidel", 300); ("fib", 15) ]
 
 let sample () =
-  let wanted =
-    match Sys.getenv_opt "HOTPATH_WORKLOADS" with
-    | None | Some "" -> List.map fst sample_default
-    | Some s -> String.split_on_char ',' s |> List.map String.trim
-  in
-  List.filter_map
-    (fun name ->
-      match Workloads.Catalog.find name with
-      | None ->
-          Printf.printf "  (hotpath: unknown workload %s, skipped)\n" name;
-          None
-      | Some w ->
-          let size =
-            match List.assoc_opt name sample_default with
-            | Some s -> s
-            | None -> w.default_size
-          in
-          Some (w, size))
-    wanted
+  Util.env_list "HOTPATH_WORKLOADS" ~default:(List.map fst sample_default)
+    ~find:(fun name ->
+      Workloads.Catalog.find name
+      |> Option.map (fun (w : Workloads.Registry.t) ->
+             let size = List.assoc_opt name sample_default in
+             (w, Option.value size ~default:w.default_size)))
+    ~unknown:(Printf.sprintf "  (hotpath: unknown workload %s, skipped)")
 
 (* Best-of-5 timed feeds (after one warm-up) plus one allocation-metered
    feed: minor words are deterministic, so one measurement suffices. The

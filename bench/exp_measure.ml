@@ -73,11 +73,6 @@ let spearman xs ys =
 
 let run () =
   Util.header "Measured speedups on the work-stealing runtime";
-  let names =
-    match Sys.getenv_opt "MEASURE_WORKLOADS" with
-    | None | Some "" -> sample_default
-    | Some s -> String.split_on_char ',' s |> List.map String.trim
-  in
   let domains =
     match Sys.getenv_opt "MEASURE_DOMAINS" with
     | Some s -> ( match int_of_string_opt s with Some d -> max 1 d | None -> 4)
@@ -87,31 +82,29 @@ let run () =
     (Domain.recommended_domain_count ());
   let results =
     List.filter_map
-      (fun name ->
-        match Workloads.Catalog.find name with
-        | None ->
-            Printf.printf "  (measure: unknown workload %s, skipped)\n" name;
+      (fun (w : R.t) ->
+        let name = w.name in
+        let prog = R.program w in
+        let report = S.analyze ~threads:domains prog in
+        match P.apply_first ~chunks:domains report with
+        | Error skipped ->
+            Printf.printf "  (measure: %s not transformable: %s)\n" name
+              (match skipped with
+              | (_, reason) :: _ -> reason
+              | [] -> "no suggestions");
             None
-        | Some w -> (
-            let prog = R.program w in
-            let report = S.analyze ~threads:domains prog in
-            match P.apply_first ~chunks:domains report with
-            | Error skipped ->
-                Printf.printf "  (measure: %s not transformable: %s)\n" name
-                  (match skipped with
-                  | (_, reason) :: _ -> reason
-                  | [] -> "no suggestions");
-                None
-            | Ok (t, _) ->
-                let proxy = V.measure ~label:name ~original:t.P.original t.P.transformed in
-                let m =
-                  M.measure ~domains ~warmup:1 ~reps:3 ~name
-                    ~original:t.P.original t.P.transformed
-                in
-                print_newline ();
-                print_string (M.to_string m);
-                Some (name, proxy.V.d_measured_speedup, m)))
-      names
+        | Ok (t, _) ->
+            let proxy = V.measure ~label:name ~original:t.P.original t.P.transformed in
+            let m =
+              M.measure ~domains ~warmup:1 ~reps:3 ~name
+                ~original:t.P.original t.P.transformed
+            in
+            print_newline ();
+            print_string (M.to_string m);
+            Some (name, proxy.V.d_measured_speedup, m))
+      (Util.env_list "MEASURE_WORKLOADS" ~default:sample_default
+         ~find:Workloads.Catalog.find
+         ~unknown:(Printf.sprintf "  (measure: unknown workload %s, skipped)"))
   in
   let max_d_speedup (m : M.t) =
     match List.rev m.M.m_runs with

@@ -26,18 +26,10 @@ module R = Workloads.Registry
 let profile_sample = [ "histogram"; "matmul"; "prefix_sum"; "fib"; "jacobi" ]
 
 let sample () =
-  match Sys.getenv_opt "PASSES_WORKLOADS" with
-  | None | Some "" -> Workloads.Catalog.all
-  | Some s ->
-      let wanted = String.split_on_char ',' s |> List.map String.trim in
-      List.filter_map
-        (fun name ->
-          match Workloads.Catalog.find name with
-          | Some w -> Some w
-          | None ->
-              Printf.printf "  (passes: unknown workload %s, skipped)\n" name;
-              None)
-        wanted
+  Util.env_list "PASSES_WORKLOADS"
+    ~default:(List.map (fun (w : R.t) -> w.name) Workloads.Catalog.all)
+    ~find:Workloads.Catalog.find
+    ~unknown:(Printf.sprintf "  (passes: unknown workload %s, skipped)")
 
 let access_events prog =
   let r = Mil.Interp.run ~instrument:false prog in

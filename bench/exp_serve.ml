@@ -16,11 +16,6 @@ let requests_per_client =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 50)
   | None -> 50
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
 let post ~port ~name body =
   match Serve.Client.post ~port ~body ("/profile?name=" ^ name) with
   | Ok { Serve.Client.status = 200; _ } -> ()
@@ -72,9 +67,9 @@ let run () =
   Array.sort compare warm_ms;
   let total = Array.length warm_ms in
   let req_per_sec = if wall > 0.0 then float_of_int total /. wall else 0.0 in
-  let p50 = percentile warm_ms 0.50 in
-  let p99 = percentile warm_ms 0.99 in
-  let cold_p50 = percentile cold_ms 0.50 in
+  let p50 = Util.percentile warm_ms 0.50 in
+  let p99 = Util.percentile warm_ms 0.99 in
+  let cold_p50 = Util.percentile cold_ms 0.50 in
   let warm_speedup = if p50 > 0.0 then cold_p50 /. p50 else 0.0 in
   Obs.Gauge.set_int (Obs.gauge "serve.bench.clients") client_count;
   Obs.Gauge.set_int (Obs.gauge "serve.bench.requests") total;

@@ -104,18 +104,9 @@ let run_load_balance () =
    programs (CI runs histogram alone, with no timing gate). *)
 let large_programs () =
   let all = Benchmark.Gen.large in
-  match Sys.getenv_opt "SLOWDOWN_LARGE" with
-  | None | Some "" -> all
-  | Some s ->
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name all with
-          | Some size -> Some (name, size)
-          | None ->
-              Printf.printf "  (slowdown-seq: %s is not a profile-large program)\n"
-                name;
-              None)
-        (String.split_on_char ',' s |> List.map String.trim)
+  Util.env_list "SLOWDOWN_LARGE" ~default:(List.map fst all)
+    ~find:(fun name -> Option.map (fun size -> (name, size)) (List.assoc_opt name all))
+    ~unknown:(Printf.sprintf "  (slowdown-seq: %s is not a profile-large program)")
 
 let large_reps = 11
 let warmup_s = 3.0

@@ -49,11 +49,6 @@ let rate_multiples =
             List.map Option.get parsed
           else [ 0.25; 0.5; 1.0; 1.5; 2.0 ])
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
-
 (* One load step: [senders] domains offer [rate] req/s for [step_s]
    seconds, request i firing at its schedule slot (or immediately when the
    sender is behind — open loop, the backlog is not forgiven). *)
@@ -185,7 +180,7 @@ let run () =
         |> Array.of_list
       in
       Array.sort compare service_ms;
-      let p99 = percentile service_ms 0.99 in
+      let p99 = Util.percentile service_ms 0.99 in
       let depth_max =
         List.fold_left
           (fun acc (ts, d) -> if ts >= t0 && ts <= t1 then Float.max acc d else acc)

@@ -148,20 +148,6 @@ let run_facedetect () =
   let report = Util.analyze_cached w in
   let profile = report.Discovery.Suggestion.profile in
   let pet = profile.pet in
-  (* per-PET-node costs for the pipeline stages *)
-  let stage_cost line =
-    let acc = ref 0 in
-    Profiler.Pet.iter
-      (fun n ->
-        match n.Profiler.Pet.kind with
-        | Profiler.Pet.Fnode _ | Profiler.Pet.Lnode _ ->
-            if n.Profiler.Pet.first_line <= line && line <= n.Profiler.Pet.last_line
-            then acc := max !acc (Profiler.Pet.subtree_instructions pet n.Profiler.Pet.id)
-        | Profiler.Pet.Bnode _ -> ())
-      pet;
-    !acc
-  in
-  ignore stage_cost;
   let total = Profiler.Pet.total_instructions pet in
   (* stages from the loop analysis: filters (parallel pair), merge loop,
      window loop (split into per-window tasks), serial rest *)

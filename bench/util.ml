@@ -19,6 +19,30 @@ let med_time ?(reps = 3) f =
 
 let header title = Printf.printf "\n==== %s ====\n" title
 
+(* [q]-quantile of an ascending array, nearest rank below; 0 when empty. *)
+let percentile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0.0
+  else sorted.(min (n - 1) (int_of_float (q *. float_of_int n)))
+
+(* The comma-separated names in [$env], or [default] when it is unset or
+   empty, each looked up by [find]. A name [find] does not know prints
+   [unknown name] and is skipped. *)
+let env_list env ~default ~find ~unknown =
+  let names =
+    match Sys.getenv_opt env with
+    | None | Some "" -> default
+    | Some s -> String.split_on_char ',' s |> List.map String.trim
+  in
+  List.filter_map
+    (fun name ->
+      match find name with
+      | Some x -> Some x
+      | None ->
+          print_endline (unknown name);
+          None)
+    names
+
 let row fmt = Printf.printf fmt
 
 (* Render a simple aligned table. *)

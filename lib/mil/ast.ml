@@ -182,6 +182,26 @@ let find_func program name =
   | Some f -> f
   | None -> invalid_arg (Printf.sprintf "MIL: unknown function %s" name)
 
+(* ---- builtins and synchronisation ----
+
+   The callees [Compile.call] evaluates itself when no user function has
+   their name, and what the analyses ask of each. *)
+type builtin = Rand | Abs | Print
+
+let builtin = function
+  | "rand" -> Some Rand
+  | "abs" -> Some Abs
+  | "print" -> Some Print
+  | _ -> None
+
+let is_builtin name = Option.is_some (builtin name)
+let draws name = builtin name = Some Rand
+let prints name = builtin name = Some Print
+let pure_builtin name = builtin name = Some Abs
+
+let is_sync s =
+  match s.node with Lock _ | Unlock _ | Barrier _ -> true | _ -> false
+
 (* Reduction operators: loop-carried RAW dependences over these are resolvable
    by parallel reduction and must not block DOALL classification (§4.1.1). *)
 let is_reduction_op = function

@@ -118,6 +118,35 @@ val map_block : (stmt -> stmt) -> block -> block
 val find_func : program -> string -> func
 (** @raise Invalid_argument on unknown function names. *)
 
+(** {1 Builtins and synchronisation} *)
+
+(** The functions a program calls without defining them. A user function of
+    the same name takes precedence at run time ({!Compile}); the predicates
+    below go by the name alone. *)
+type builtin =
+  | Rand   (** [rand(b)] / [rand()]: draws from the run's PRNG *)
+  | Abs    (** [abs(e)]: pure *)
+  | Print  (** [print(e, ...)]: observable output *)
+
+val builtin : string -> builtin option
+val is_builtin : string -> bool
+
+val draws : string -> bool
+(** The callee draws from the run's PRNG ([rand]): its results depend on
+    the seed and on the order of the draws. *)
+
+val prints : string -> bool
+(** The callee is observable output ([print]): the order of its calls is
+    part of the program's observation. *)
+
+val pure_builtin : string -> bool
+(** A builtin with no effect and no draw ([abs]). *)
+
+val is_sync : stmt -> bool
+(** [Lock], [Unlock] or [Barrier]: the statements that synchronise threads.
+    Callers add their own further constructs ([Par], [Atomic_assign],
+    [Free], ...). *)
+
 val is_reduction_op : binop -> bool
 (** Operators over which loop-carried dependences are resolvable by parallel
     reduction (§4.1.1): commutative-associative arithmetic. *)

@@ -24,6 +24,8 @@ let error fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
 module Rng = struct
   type t = { mutable s : int }
 
+  let default_seed = 42
+
   let create seed = { s = (if seed = 0 then 0x9e3779b9 else seed) }
 
   let next t =
@@ -91,10 +93,7 @@ end
 (* Lock, unlock or barrier anywhere in the blocks, nested [Par] bodies and
    the bodies of every function they reach included. *)
 let syncs prog blocks =
-  let direct =
-    exists_block (fun s ->
-        match s.node with Lock _ | Unlock _ | Barrier _ -> true | _ -> false)
-  in
+  let direct = exists_block is_sync in
   let b = List.concat blocks in
   direct b
   ||
@@ -264,23 +263,23 @@ module Make (B : BACKEND) = struct
 
   and call lw sc line name args : frame -> int =
     let ex = expr lw sc line in
-    match (Hashtbl.find_opt lw.funcs name, args) with
-    | Some g, _ -> user_call lw sc line g args
-    | None, [ b ] when name = "rand" ->
+    match (Hashtbl.find_opt lw.funcs name, builtin name, args) with
+    | Some g, _, _ -> user_call lw sc line g args
+    | None, Some Rand, [ b ] ->
         let c = ex b in
         fun f ->
           let b = c f in
           B.rand f.ctx (max b 1)
-    | None, [] when name = "rand" -> fun f -> B.rand f.ctx 0
-    | None, [ e ] when name = "abs" ->
+    | None, Some Rand, [] -> fun f -> B.rand f.ctx 0
+    | None, Some Abs, [ e ] ->
         let c = ex e in
         fun f -> abs (c f)
-    | None, _ when name = "print" ->
+    | None, Some Print, _ ->
         let cs = List.map ex args in
         fun f ->
           B.print f.ctx (List.map (fun c -> c f) cs);
           0
-    | None, _ -> fun _ -> error "unknown function %s (line %d)" name line
+    | None, _, _ -> fun _ -> error "unknown function %s (line %d)" name line
 
   (* Scalars are passed by value into fresh cells, written at the callee's
      header line; arrays by reference, under the callee's parameter name. *)

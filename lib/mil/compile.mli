@@ -25,6 +25,11 @@ exception Cancelled
 module Rng : sig
   type t
 
+  val default_seed : int
+  (** The seed of a run that names none, for both evaluators:
+      [Transform.Measure] compares an [Interp] run with a [Par_eval] run at
+      the same seed. *)
+
   val create : int -> t
 
   val int : t -> int -> int

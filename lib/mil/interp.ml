@@ -469,7 +469,7 @@ let take st k =
   Array.unsafe_set st.slots s no_work;
   w
 
-let run ?(seed = 42) ?(preempt = true) ?(instrument = true) ?lstacks
+let run ?(seed = Rng.default_seed) ?(preempt = true) ?(instrument = true) ?lstacks
     ?(scramble_unlocked = false)
     ?(emit = fun (_ : Event.region) -> ())
     ?(on_access = fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_ ~op:_

@@ -70,6 +70,7 @@ val run :
     every barrier arrival and departure, at the point they take effect;
     it defaults to dropping them. Sync operations are never delayed, so a
     happens-before consumer must read an unscrambled run.
+    [seed] (default {!Compile.Rng.default_seed}) seeds the run's one PRNG.
     [preempt] (default [true]) makes every statement of a run with more
     than one live thread a scheduling point: the seeded scheduler draws
     which ready fiber runs next, as it does whenever a fiber blocks or

@@ -347,7 +347,7 @@ module C = Compile.Make (Backend)
 
 type result = { result : int; final_globals : (string * int array) list }
 
-let run ?pool ?(seed = 42) ?(on_print = fun (_ : int list) -> ())
+let run ?pool ?(seed = Rng.default_seed) ?(on_print = fun (_ : int list) -> ())
     ?(cancelled = fun () -> false) (prog : program) : result =
   let st =
     {

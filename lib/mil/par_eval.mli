@@ -44,4 +44,5 @@ val run :
     domains. [on_print] observes [print] calls (serialized by a mutex when
     tasks race). [cancelled] is polled every ~2k statements per task, as
     in {!Interp.run}; a true verdict raises {!Interp.Cancelled} out of
-    every task and then out of [run]. *)
+    every task and then out of [run]. [seed] defaults to
+    {!Compile.Rng.default_seed}, as in {!Interp.run}. *)

@@ -14,11 +14,13 @@
      normalisation) are legal everywhere, even inside [Par] — the fiber
      scheduler and the [rand] builtin share one PRNG, and yields happen per
      executed statement, so only statement-count changes can perturb
-     scheduling and thereby the rand stream. Restructuring passes (DCE,
-     hoisting, unrolling, splicing) change statement counts and therefore
-     run only on programs with no sync constructs anywhere; on anything
-     else they click [pass.<name>.refused] and return the program
-     untouched, never a silent misrewrite.
+     scheduling and thereby the rand stream. Restructuring passes
+     (simplify, DCE, hoisting, unrolling) change statement counts. The
+     gate is [run]'s alone: it checks {!sequential_program} once per run
+     and, when the program fails it, clicks [pass.<name>.refused] for each
+     restructuring pass instead of running it. A restructuring pass
+     therefore only ever sees a sequential program and checks nothing
+     itself.
 
    - Line identity: surviving statements keep their [line] numbers
      (depfiles and suggestions are keyed by source line), and statements a
@@ -94,21 +96,19 @@ let droppable_rhs (st : Static.t Lazy.t) prog (e : expr) =
     let callees = Rewrite.reachable_calls prog probe in
     List.for_all
       (fun f ->
-        match f with
-        | "rand" | "print" -> false
-        | "abs" -> true
-        | "__probe" -> true
-        | f -> (
-            match Static.summary (Lazy.force st) f with
-            | Some s -> SS.is_empty s.sum_gwritten && SS.is_empty s.sum_pwritten
-            | None -> false))
+        if is_builtin f then pure_builtin f
+        else
+          f = "__probe"
+          ||
+          match Static.summary (Lazy.force st) f with
+          | Some s -> SS.is_empty s.sum_gwritten && SS.is_empty s.sum_pwritten
+          | None -> false)
       callees
 
 (* ---- pass plumbing ---- *)
 
 type ctx = {
   prog : program;
-  sequential : bool; (* no Par/Lock/Unlock/Barrier anywhere in the program *)
   globals : SS.t;
   static : Static.t Lazy.t;
   mutable changes : int;
@@ -128,8 +128,7 @@ let note ctx what n =
 type t = {
   name : string;
   doc : string;
-  restructuring : bool;
-      (* changes dynamic statement counts: sequential programs only *)
+  restructuring : bool; (* changes dynamic statement counts; see the header *)
   rewrite : ctx -> program -> program;
 }
 
@@ -282,11 +281,9 @@ let simplify_pass =
         if c <> 1 || dead <> [] then note ctx "normalized" 1;
         let live = walk ctx live in
         if
-          ctx.sequential
-          && List.for_all
-               (fun s' ->
-                 match s'.node with Decl _ | Decl_arr _ -> false | _ -> true)
-               live
+          List.for_all
+            (fun s' -> match s'.node with Decl _ | Decl_arr _ -> false | _ -> true)
+            live
         then begin
           (* Splicing the arm into the enclosing block removes the branch
              statement itself; arms with top-level declarations keep the
@@ -295,16 +292,16 @@ let simplify_pass =
           live
         end
         else [ mk s.line (If (Int 1, live, [])) ]
-    | If (c, [], []) when ctx.sequential && pure_simple c ->
+    | If (c, [], []) when pure_simple c ->
         note ctx "stmts_removed" 1;
         []
     | If (c, [], el) when el <> [] ->
         note ctx "normalized" 1;
         [ mk s.line (If (Not c, walk ctx el, [])) ]
-    | While (Int 0, body) when ctx.sequential ->
+    | While (Int 0, body) ->
         note ctx "stmts_removed" (1 + Rewrite.count_stmts body);
         []
-    | For ({ lo = Int l; hi = Int h; _ } as f) when ctx.sequential && h <= l ->
+    | For ({ lo = Int l; hi = Int h; _ } as f) when h <= l ->
         note ctx "stmts_removed" (1 + Rewrite.count_stmts f.body);
         []
     | _ -> [ map_stmt ~block:(walk ctx) s ]
@@ -312,10 +309,6 @@ let simplify_pass =
   { name = "simplify";
     doc = "branch simplification on known conditions, empty-arm collapse";
     restructuring = true;
-    (* The statement-count-neutral subset (dead-arm dropping, arm flips)
-       would be legal everywhere, but splice/removal is not; the pass is
-       gated as a whole and applies the neutral subset via [ctx.sequential]
-       checks when it does run. *)
     rewrite = (fun ctx p -> map_funcs (fun _ b -> walk ctx b) p) }
 
 (* ---- dead code elimination ---- *)
@@ -500,11 +493,12 @@ let unroll_pass =
   let body_plain =
     Fun.negate
       (exists_block (fun s ->
+           is_sync s
+           ||
            match s.node with
-           | Break | Return _ | Par _ | Lock _ | Unlock _ | Barrier _ | Free _
-           | Decl_arr _ | Atomic_assign _ ->
+           | Break | Return _ | Par _ | Free _ | Decl_arr _ | Atomic_assign _ ->
                true
-           | Decl _ | Assign _ | Call_stmt _ | If _ | While _ | For _ -> false))
+           | _ -> false))
   in
   let has_loop =
     exists_block (fun s -> match s.node with While _ | For _ -> true | _ -> false)
@@ -514,9 +508,7 @@ let unroll_pass =
      and is typically a short trip entered many times (recursive descent),
      where the prelude is a net loss — refuse those. Builtins stay fine. *)
   let has_user_call b =
-    List.exists
-      (fun f -> not (List.mem f [ "rand"; "abs"; "print" ]))
-      (Rewrite.block_calls b)
+    List.exists (Fun.negate is_builtin) (Rewrite.block_calls b)
   in
   (* No top-level-declared name may be mentioned before its declaration:
      copies concatenate into one scope, so an early read would see the
@@ -551,7 +543,7 @@ let unroll_pass =
   in
   (* One body copy: rename its top-level locals to copy-unique names and
      replace the index variable by [by]. *)
-  let instantiate ctx uid c body index by =
+  let instantiate uid c body index by =
     let copy = Rewrite.copy_block body in
     let copy =
       List.fold_left
@@ -561,7 +553,6 @@ let unroll_pass =
             b)
         copy (top_decls body)
     in
-    ignore ctx;
     subst_var_block index by copy
   in
   let calls_write_any ctx body vars =
@@ -570,12 +561,11 @@ let unroll_pass =
         SS.mem v ctx.globals
         && List.exists
              (fun f ->
-               match f with
-               | "rand" | "abs" | "print" -> false
-               | f -> (
-                   match Static.summary (Lazy.force ctx.static) f with
-                   | Some s -> SS.mem v s.sum_gwritten
-                   | None -> true))
+               (not (is_builtin f))
+               &&
+               match Static.summary (Lazy.force ctx.static) f with
+               | Some s -> SS.mem v s.sum_gwritten
+               | None -> true)
              (Rewrite.reachable_calls ctx.prog body))
       vars
   in
@@ -606,7 +596,7 @@ let unroll_pass =
             note ctx "stmts_removed" 1;
             List.concat
               (List.init trip (fun c ->
-                   instantiate ctx uid c f.body f.index (Int (l + (c * st)))))
+                   instantiate uid c f.body f.index (Int (l + (c * st)))))
         | lo, hi, Int st
           when base_ok && st > 0
                && (not (has_loop f.body))
@@ -650,7 +640,7 @@ let unroll_pass =
                        if c = 0 then Var mi
                        else Bin (Add, Var mi, Int (c * st))
                      in
-                     instantiate ctx uid c f.body f.index by))
+                     instantiate uid c f.body f.index by))
             in
             let remainder_body =
               Rewrite.rename_block ~from:f.index ~to_:ri
@@ -729,7 +719,6 @@ let run ?(passes = default_pipeline) prog : (report, string) result =
             else begin
               let ctx =
                 { prog = !prog;
-                  sequential;
                   globals =
                     List.fold_left
                       (fun acc g ->

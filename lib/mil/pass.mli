@@ -5,10 +5,8 @@
     Counters, under the pipeline's Obs registry:
     - [pass.<name>.fired] — invocations that changed the program
     - [pass.<name>.stmts_removed] / [pass.<name>.exprs_folded] — work done
-    - [pass.<name>.refused] — the pass skipped the whole program because it
-      could not prove safety (restructuring passes on programs containing
-      sync constructs); the program is returned untouched, never silently
-      misrewritten
+    - [pass.<name>.refused] — a restructuring pass {!run} did not run, the
+      program failing {!sequential_program}
     - [pass.pipeline.rounds] — fixpoint rounds executed
 
     Every pass preserves the observable behaviour compared by
@@ -26,9 +24,11 @@ val doc : string -> string option
 (** One-line description of a pass, if registered. *)
 
 val sequential_program : Ast.program -> bool
-(** No [Par]/[Lock]/[Unlock]/[Barrier] anywhere — the precondition for
-    restructuring passes (statement counts drive the fiber scheduler's
-    shared PRNG, so only sequential programs may change them). *)
+(** No [Par]/[Lock]/[Unlock]/[Barrier] anywhere. This is the restructuring
+    gate, and {!run} is its one checker: statement counts drive the fiber
+    scheduler's shared PRNG, so a pass that changes them (simplify, dce,
+    unroll, hoist) runs only on a program that passes; on any other
+    program {!run} skips it. *)
 
 type report = {
   program : Ast.program;  (** the optimized program (input is not mutated) *)

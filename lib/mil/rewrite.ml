@@ -102,8 +102,8 @@ let expr_has_call = exists_expr (function Call _ -> true | _ -> false)
 let block_calls (b : block) = fold_block (fun acc s -> stmt_calls s acc) [] b
 
 (* Transitive closure of the call names reachable from [b], following user
-   function bodies; builtin names ("rand", "abs", "print") stay in the set
-   as leaves. *)
+   function bodies; builtin names ({!Ast.builtin}) stay in the set as
+   leaves. *)
 let reachable_calls (p : program) (b : block) : string list =
   let seen = Hashtbl.create 8 in
   let rec visit names =
@@ -146,8 +146,7 @@ let count_stmts (b : block) = fold_block (fun n _ -> n + 1) 0 b
 (* Thread-parallelism or synchronisation constructs anywhere in the block
    (directly; callee bodies are not inspected). *)
 let has_sync =
-  exists_block (fun s ->
-      match s.node with Par _ | Lock _ | Unlock _ | Barrier _ -> true | _ -> false)
+  exists_block (fun s -> is_sync s || match s.node with Par _ -> true | _ -> false)
 
 let has_par (p : program) =
   List.exists

@@ -58,8 +58,7 @@ val block_calls : Ast.block -> string list
 
 val reachable_calls : Ast.program -> Ast.block -> string list
 (** Transitive closure of call targets reachable from the block through
-    user-function bodies; builtins ("rand", "abs", "print") appear as
-    leaves. *)
+    user-function bodies; builtins ({!Ast.builtin}) appear as leaves. *)
 
 val calls_transitively : Ast.program -> Ast.block -> string -> bool
 

@@ -356,7 +356,7 @@ let program_job ?cache_dir ?cache_limits ?mem ~name ~(config : Cache.config)
   in
   { j_name = name; j_run = run }
 
-let workload_job ?cache_dir ?cache_limits ?mem ?size ~(config : Cache.config)
+let workload_job ?cache_dir ?cache_limits ~(config : Cache.config)
     (w : Workloads.Registry.t) : job =
   let name = w.Workloads.Registry.name in
   (* Build the program inside the job so a raising builder is isolated by
@@ -364,8 +364,8 @@ let workload_job ?cache_dir ?cache_limits ?mem ?size ~(config : Cache.config)
   { j_name = name;
     j_run =
       (fun ~cancelled ->
-        let prog = Workloads.Registry.program ?size w in
-        (program_job ?cache_dir ?cache_limits ?mem ~name ~config prog).j_run
+        let prog = Workloads.Registry.program w in
+        (program_job ?cache_dir ?cache_limits ~name ~config prog).j_run
           ~cancelled) }
 
 (* A job's final status, counted once on [pipeline.jobs.*] by both

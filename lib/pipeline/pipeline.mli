@@ -171,8 +171,8 @@ val uncached_job :
     fills the memory tier. *)
 
 val workload_job :
-  ?cache_dir:string -> ?cache_limits:Cache.limits -> ?mem:Mem_cache.t ->
-  ?size:int -> config:Cache.config -> Workloads.Registry.t -> job
+  ?cache_dir:string -> ?cache_limits:Cache.limits -> config:Cache.config ->
+  Workloads.Registry.t -> job
 (** {!program_job} over one registry workload, built inside the job so a
     raising builder is isolated like any other fault. *)
 

@@ -337,10 +337,10 @@ let races t = List.sort_uniq compare t.races
 let racy_raw t = t.raw
 let peak_entries t = t.peak_entries
 
-let run ?(seed = 42) ?preempt ?on_print prog =
+let run ?seed ?preempt ?on_print prog =
   let t = create () in
   let r =
-    Mil.Interp.run ~seed ?preempt
+    Mil.Interp.run ?seed ?preempt
       ~emit:(function
         | Event.Dealloc { addrs } -> feed_dealloc t addrs | _ -> ())
       ~on_access:(feed_fields t) ~on_sync:(feed_sync t) ?on_print prog

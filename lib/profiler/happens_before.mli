@@ -48,9 +48,9 @@ val run :
   ?on_print:(int list -> unit) ->
   Mil.Ast.program ->
   t * Mil.Interp.run_result
-(** Run [prog] instrumented and unscrambled at [seed] (default 42), its
-    accesses, deallocations and sync operations fed to a fresh
-    detector. [preempt] is {!Mil.Interp.run}'s (default [true]): with
+(** Run [prog] instrumented and unscrambled at [seed] (default
+    {!Mil.Compile.Rng.default_seed}), its accesses, deallocations and sync
+    operations fed to a fresh detector. [preempt] is {!Mil.Interp.run}'s (default [true]): with
     [preempt:false] a fork-join program runs its serial elision, with no
     fiber switch, and the detector still sees every pair of accesses its
     forks and joins leave unordered, since the happens-before order of

@@ -37,7 +37,7 @@ let publish ~accesses ~deps ~footprint_words ~merging_factor ~lstacks =
   end
 
 let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
-    ?(seed = 42) ?(scramble_unlocked = false) ?cancelled
+    ?seed ?(scramble_unlocked = false) ?cancelled
     (prog : Mil.Ast.program) : result =
   Obs.Span.with_ ~phase:"profile" @@ fun () ->
   (* The run's loop stacks: garbage once the profile is built, since
@@ -57,7 +57,7 @@ let profile ?(shadow = Engine.Perfect) ?(skip = false) ?(lifetime = true)
     Pet.feed_region petb r
   in
   ignore
-    (Mil.Interp.run ~seed ~lstacks ~scramble_unlocked ?cancelled ~emit
+    (Mil.Interp.run ?seed ~lstacks ~scramble_unlocked ?cancelled ~emit
        ~on_access prog);
   let pet = Pet.finish petb in
   let deps = Engine.deps engine in

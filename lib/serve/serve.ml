@@ -774,8 +774,7 @@ module Client = struct
                 Ok { status; headers; body })
         | _ -> Error ("bad status line: " ^ status_line))
 
-  let request ?(meth = "GET") ?(body = "") ~port path :
-      (response, string) result =
+  let request ~meth ~body ~port path : (response, string) result =
     let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -795,6 +794,6 @@ module Client = struct
             | exception _ -> Error "write failed"
             | () -> parse_response (read_all fd)))
 
-  let get ~port path = request ~meth:"GET" ~port path
+  let get ~port path = request ~meth:"GET" ~body:"" ~port path
   let post ~port ~body path = request ~meth:"POST" ~body ~port path
 end

@@ -106,10 +106,6 @@ module Client : sig
     body : string;
   }
 
-  val request :
-    ?meth:string -> ?body:string -> port:int -> string ->
-    (response, string) result
-
   val get : port:int -> string -> (response, string) result
   val post : port:int -> body:string -> string -> (response, string) result
 end

@@ -52,10 +52,10 @@ let median l =
   | [] -> 0.0
   | sorted -> List.nth sorted (List.length sorted / 2)
 
-let observe_par ?pool ~seed prog : V.observation =
+let observe_par ?pool prog : V.observation =
   let prints = ref [] in
   let r =
-    Mil.Par_eval.run ?pool ~seed ~on_print:(fun vs -> prints := vs :: !prints) prog
+    Mil.Par_eval.run ?pool ~on_print:(fun vs -> prints := vs :: !prints) prog
   in
   V.observation_of ~result:r.result ~globals:r.final_globals !prints
 
@@ -65,11 +65,11 @@ let time f =
   let dt = float_of_int (Obs.now_ns () - t0) /. 1e9 in
   (dt, obs)
 
-let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
+let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ~name
     ~(original : Mil.Ast.program) (transformed : Mil.Ast.program) : t =
   let reps = max 1 reps and warmup = max 0 warmup in
   (* sequential baseline *)
-  let seq_run () = V.observe ~seed original in
+  let seq_run () = V.observe original in
   for _ = 1 to warmup do
     ignore (seq_run ())
   done;
@@ -88,7 +88,7 @@ let measure ?(domains = 4) ?(warmup = 1) ?(reps = 3) ?(seed = 42) ~name
       match pool with Some p -> Runtime.Pool.run p f | None -> f ()
     in
     enrolled @@ fun () ->
-    let go () = observe_par ?pool ~seed transformed in
+    let go () = observe_par ?pool transformed in
     let equal = ref true in
     let check obs =
       if V.diff_observations seq_obs obs <> [] then equal := false

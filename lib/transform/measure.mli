@@ -39,12 +39,12 @@ val measure :
   ?domains:int ->
   ?warmup:int ->
   ?reps:int ->
-  ?seed:int ->
   name:string ->
   original:Mil.Ast.program ->
   Mil.Ast.program ->
   t
-(** Defaults: [domains] = 4, [warmup] = 1, [reps] = 3, [seed] = 42.  Each
+(** Defaults: [domains] = 4, [warmup] = 1, [reps] = 3. Both evaluators run
+    at their default seed, {!Mil.Compile.Rng.default_seed}.  Each
     domain count d > 1 runs on the process's persistent pool of d
     executors ({!Runtime.Pool.shared}), which exists before the timed
     region.  Publishes per-run gauges [measure.<name>.speedup_d<d>] and

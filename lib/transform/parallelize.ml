@@ -120,7 +120,7 @@ let movable prog (b : Ast.block) =
   if R.has_sync b then Error "body already contains synchronization"
   else if R.has_return b then Error "body returns from the enclosing function"
   else if R.has_toplevel_break b then Error "body breaks out of the loop"
-  else if R.calls_transitively prog b "rand" then
+  else if List.exists Ast.draws (R.reachable_calls prog b) then
     Error "body calls rand (chunking would perturb the stream)"
   else Ok ()
 

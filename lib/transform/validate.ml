@@ -74,10 +74,10 @@ let observation_of ~result ~globals prints =
     o_globals = List.filter (fun (n, _) -> not (is_internal n)) globals;
     o_prints = List.rev prints }
 
-let observe ?(seed = 42) (prog : Mil.Ast.program) : observation =
+let observe ?seed (prog : Mil.Ast.program) : observation =
   let prints = ref [] in
   let r =
-    Interp.run ~seed ~instrument:false
+    Interp.run ?seed ~instrument:false
       ~on_print:(fun vs -> prints := vs :: !prints)
       prog
   in
@@ -92,7 +92,7 @@ let seed_free (prog : Mil.Ast.program) =
   && not
        (List.exists
           (fun (f : Mil.Ast.func) ->
-            List.mem "rand" (Mil.Rewrite.block_calls f.body))
+            List.exists Mil.Ast.draws (Mil.Rewrite.block_calls f.body))
           prog.funcs)
 
 (* See the header: such a program's race-free run observes what every
@@ -100,15 +100,16 @@ let seed_free (prog : Mil.Ast.program) =
 let schedule_determinate (prog : Mil.Ast.program) =
   List.for_all
     (fun (f : Mil.Ast.func) ->
-      let calls = Mil.Rewrite.block_calls f.body in
-      (not (List.mem "rand" calls || List.mem "print" calls))
+      (not
+         (List.exists
+            (fun c -> Mil.Ast.draws c || Mil.Ast.prints c)
+            (Mil.Rewrite.block_calls f.body)))
       && not
            (Mil.Ast.exists_block
               (fun (s : Mil.Ast.stmt) ->
-                match s.node with
-                | Lock _ | Unlock _ | Barrier _ | Atomic_assign _ | Free _ ->
-                    true
-                | _ -> false)
+                Mil.Ast.is_sync s
+                ||
+                match s.node with Atomic_assign _ | Free _ -> true | _ -> false)
               f.body))
     prog.funcs
 
@@ -186,7 +187,9 @@ type source =
    domain runs what. *)
 let differential ?(seeds = default_seeds) ~(original : Mil.Ast.program)
     ~(transformed : Mil.Ast.program) () : verdict =
-  let seed0 = match seeds with s :: _ -> s | [] -> 42 in
+  let seed0 =
+    match seeds with s :: _ -> s | [] -> Mil.Compile.Rng.default_seed
+  in
   let race_original = Mil.Rewrite.has_par original in
   let once_for_all = seed_free original in
   let determinate = schedule_determinate transformed in
@@ -326,13 +329,13 @@ type distribution = {
   d_parallel_fraction : float;
 }
 
-let measure ?(seed = 42) ?label ~(original : Mil.Ast.program)
+let measure ?label ~(original : Mil.Ast.program)
     (transformed : Mil.Ast.program) : distribution =
-  let serial = Interp.run ~seed ~instrument:false original in
+  let serial = Interp.run ~instrument:false original in
   let d_serial_total = serial.r_stats.reads + serial.r_stats.writes in
   let per_thread = Hashtbl.create 8 in
   let _ =
-    Interp.run ~seed
+    Interp.run
       ~on_access:(fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread ~time:_ ~op:_
           ~lstack:_ ~locked:_ ->
         let n =

@@ -122,7 +122,6 @@ type distribution = {
 }
 
 val measure :
-  ?seed:int ->
   ?label:string ->
   original:Mil.Ast.program ->
   Mil.Ast.program ->

@@ -31,8 +31,8 @@ let exact_match e g =
       true
   | _ -> false
 
-let score_workload ?size (w : Registry.t) : loop_result list =
-  let prog = Registry.program ?size w in
+let score_workload (w : Registry.t) : loop_result list =
+  let prog = Registry.program w in
   let report = Discovery.Suggestion.analyze prog in
   let loops =
     List.sort

@@ -14,7 +14,7 @@ type loop_result = {
 
 val exact_match : Registry.expectation -> L.loop_class -> bool
 
-val score_workload : ?size:int -> Registry.t -> loop_result list
+val score_workload : Registry.t -> loop_result list
 
 type summary = {
   total_scored : int;

@@ -3,12 +3,25 @@
    Each program exists in a sequential version and — where the paper profiles
    the pthread version (Fig. 2.10/2.11) — a `-par` variant in which the hot
    loop is split across four MIL threads with explicitly locked shared
-   accumulators, exactly the explicit-locking discipline §2.3.4 requires. *)
+   accumulators, exactly the explicit-locking discipline §2.3.4 requires.
+   A program and its twin are built by one kernel builder, its
+   [par_version] flag choosing the threaded form, so both run the same
+   kernel. *)
 
 open Mil.Builder
 module R = Registry
 
 let nthreads = 4
+
+let prog name globals funcs = number (program ~entry:"main" name ~globals funcs)
+
+(* A sequential program and its `-par` twin, [funcs size par_version] over
+   the same [globals size]. *)
+let twins name globals funcs =
+  let build suffix par_version size =
+    prog (name ^ suffix) (globals size) (funcs size par_version)
+  in
+  (build "" false, build "-par" true)
 
 (* Split [0, n) into [nthreads] chunks and run [body lo hi] in parallel. *)
 let par_chunks n body =
@@ -18,9 +31,17 @@ let par_chunks n body =
          let hi = (t +$ 1) *$ n /$ nthreads in
          body lo hi))
 
+(* The scene and the pixel loop c-ray and ray-rot share: eight random
+   spheres, and [fb[p] = trace(p)] over the pixels [lo, hi). *)
+let place_spheres () =
+  for_ "s" (i 0) (i 8) [ seti "spheres" (v "s") (call "rand" [ i 100 ]) ]
+
+let trace_pixels lo hi =
+  for_ "p" (i lo) (i hi) [ seti "fb" (v "p") (call "trace" [ v "p" ]) ]
+
 (* c-ray: ray tracing — every pixel independent; per-pixel sphere loop finds
    the nearest hit (a min-reduction over a local). *)
-let cray_body n =
+let cray_funcs n par_version =
   [ func "trace" ~params:[ "px" ]
       [ decl "best" (i 1000000);
         for_ "s" (i 0) (i 8)
@@ -28,30 +49,12 @@ let cray_body n =
             set "best" (min_ (v "best") (v "d")) ];
         return (v "best") ];
     func "main"
-      [ for_ "s" (i 0) (i 8) [ seti "spheres" (v "s") (call "rand" [ i 100 ]) ];
-        for_ "p" (i 0) (i n) [ seti "fb" (v "p") (call "trace" [ v "p" ]) ] ] ]
+      [ place_spheres ();
+        (if par_version then par_chunks n (fun lo hi -> [ trace_pixels lo hi ])
+         else trace_pixels 0 n) ] ]
 
-let cray size =
-  number
-    (program ~entry:"main" "c-ray"
-       ~globals:[ garray "spheres" 8; garray "fb" size ]
-       (cray_body size))
-
-let cray_par size =
-  let n = size in
-  number
-    (program ~entry:"main" "c-ray-par"
-       ~globals:[ garray "spheres" 8; garray "fb" n ]
-       [ func "trace" ~params:[ "px" ]
-           [ decl "best" (i 1000000);
-             for_ "s" (i 0) (i 8)
-               [ decl "d" (call "abs" [ (v "px" * i 7) - ("spheres".%[v "s"] * i 11) ]);
-                 set "best" (min_ (v "best") (v "d")) ];
-             return (v "best") ];
-         func "main"
-           [ for_ "s" (i 0) (i 8) [ seti "spheres" (v "s") (call "rand" [ i 100 ]) ];
-             par_chunks n (fun lo hi ->
-                 [ for_ "p" (i lo) (i hi) [ seti "fb" (v "p") (call "trace" [ v "p" ]) ] ]) ] ])
+let cray, cray_par =
+  twins "c-ray" (fun n -> [ garray "spheres" 8; garray "fb" n ]) cray_funcs
 
 (* kmeans: assign points to nearest centre (DOALL + locked accumulation),
    recompute centres, iterate. *)
@@ -84,19 +87,12 @@ let kmeans_funcs n k par_version =
                       [ seti "centres" (v "c") ("csum".%[v "c"] / "ccount".%[v "c"]) ] ] ]) ])
   ]
 
-let kmeans_globals n k =
-  [ garray "points" n; garray "centres" k; garray "csum" k; garray "ccount" k;
-    garray "assign" n ]
-
-let kmeans size =
-  number
-    (program ~entry:"main" "kmeans" ~globals:(kmeans_globals size 8)
-       (kmeans_funcs size 8 false))
-
-let kmeans_par size =
-  number
-    (program ~entry:"main" "kmeans-par" ~globals:(kmeans_globals size 8)
-       (kmeans_funcs size 8 true))
+let kmeans, kmeans_par =
+  twins "kmeans"
+    (fun n ->
+      [ garray "points" n; garray "centres" 8; garray "csum" 8; garray "ccount" 8;
+        garray "assign" n ])
+    (fun n -> kmeans_funcs n 8)
 
 (* md5: many independent buffers, each hashed by a sequential round chain. *)
 let md5_funcs n bufs par_version =
@@ -117,19 +113,10 @@ let md5_funcs n bufs par_version =
       ([ for_ "x" (i 0) (i (bufs *$ n)) [ seti "blocks" (v "x") (call "rand" [ i 256 ]) ] ]
       @ (if par_version then [ par_chunks bufs hash_range ] else hash_range 0 bufs)) ]
 
-let md5 size =
-  let bufs = 16 in
-  number
-    (program ~entry:"main" "md5"
-       ~globals:[ garray "blocks" (size *$ bufs); garray "digests" bufs ]
-       (md5_funcs size bufs false))
-
-let md5_par size =
-  let bufs = 16 in
-  number
-    (program ~entry:"main" "md5-par"
-       ~globals:[ garray "blocks" (size *$ bufs); garray "digests" bufs ]
-       (md5_funcs size bufs true))
+let md5, md5_par =
+  twins "md5"
+    (fun n -> [ garray "blocks" (n *$ 16); garray "digests" 16 ])
+    (fun n -> md5_funcs n 16)
 
 (* rotate: pure index remap, per-pixel independent. *)
 let rotate_funcs w h par_version =
@@ -143,19 +130,10 @@ let rotate_funcs w h par_version =
       ([ for_ "p" (i 0) (i (w *$ h)) [ seti "src" (v "p") (v "p" % i 256) ] ]
       @ (if par_version then [ par_chunks h body ] else body 0 h)) ]
 
-let rotate size =
-  let w = size and h = size in
-  number
-    (program ~entry:"main" "rotate"
-       ~globals:[ garray "src" (w *$ h); garray "dst" (w *$ h) ]
-       (rotate_funcs w h false))
-
-let rotate_par size =
-  let w = size and h = size in
-  number
-    (program ~entry:"main" "rotate-par"
-       ~globals:[ garray "src" (w *$ h); garray "dst" (w *$ h) ]
-       (rotate_funcs w h true))
+let rotate, rotate_par =
+  twins "rotate"
+    (fun n -> [ garray "src" (n *$ n); garray "dst" (n *$ n) ])
+    (fun n -> rotate_funcs n n)
 
 (* rgbyuv: colour conversion with global channel accumulators — the Fig 4.7
    loop: element-wise map plus scalar sums that need reduction/locks. *)
@@ -179,244 +157,192 @@ let rgbyuv_funcs n par_version =
       @ (if par_version then [ par_chunks n (body true) ] else body false 0 n)
       @ [ return (v "ysum") ]) ]
 
-let rgbyuv_globals n =
-  [ garray "rgb" (n *$ 3); garray "yout" n; garray "uout" n; garray "vout" n;
-    gscalar "ysum" 0 ]
-
-let rgbyuv size =
-  number
-    (program ~entry:"main" "rgbyuv" ~globals:(rgbyuv_globals size)
-       (rgbyuv_funcs size false))
-
-let rgbyuv_par size =
-  number
-    (program ~entry:"main" "rgbyuv-par" ~globals:(rgbyuv_globals size)
-       (rgbyuv_funcs size true))
-
-(* ray-rot parallel: both stages split across threads with a barrier at the
-   stage boundary. *)
-let rayrot_par size =
-  let w = size and h = size in
-  number
-    (program ~entry:"main" "ray-rot-par"
-       ~globals:[ garray "spheres" 8; garray "fb" (w *$ h); garray "out" (w *$ h) ]
-       [ func "trace" ~params:[ "px" ]
-           [ decl "best" (i 1000000);
-             for_ "s" (i 0) (i 8)
-               [ set "best"
-                   (min_ (v "best")
-                      (call "abs" [ (v "px" * i 7) - ("spheres".%[v "s"] * i 11) ])) ];
-             return (v "best") ];
-         func "main"
-           [ for_ "s" (i 0) (i 8) [ seti "spheres" (v "s") (call "rand" [ i 100 ]) ];
-             par
-               (List.init nthreads (fun t ->
-                    let ylo = t *$ h /$ nthreads and yhi = (t +$ 1) *$ h /$ nthreads in
-                    [ for_ "p" (i (ylo *$ w)) (i (yhi *$ w))
-                        [ seti "fb" (v "p") (call "trace" [ v "p" ]) ];
-                      barrier "stage";
-                      for_ "y" (i ylo) (i yhi)
-                        [ for_ "x" (i 0) (i w)
-                            [ seti "out" ((v "x" * i h) + (i (h -$ 1) - v "y"))
-                                ("fb".%[(v "y" * i w) + v "x"]) ] ] ])) ] ])
-
-(* streamcluster parallel: per-thread point ranges with a locked cost sum. *)
-let streamcluster_par size =
-  let n = size and k = 6 in
-  number
-    (program ~entry:"main" "streamcluster-par"
-       ~globals:[ garray "pts" n; garray "ctr" k; gscalar "cost" 0 ]
-       [ func "dist" ~params:[ "a"; "b" ] [ return (call "abs" [ v "a" - v "b" ]) ];
-         func "main"
-           [ for_ "p" (i 0) (i n) [ seti "pts" (v "p") (call "rand" [ i 4096 ]) ];
-             for_ "c" (i 0) (i k) [ seti "ctr" (v "c") (call "rand" [ i 4096 ]) ];
-             par_chunks n (fun lo hi ->
-                 [ decl "local" (i 0);
-                   for_ "p" (i lo) (i hi)
-                     [ decl "best" (i 1000000);
-                       for_ "c" (i 0) (i k)
-                         [ set "best"
-                             (min_ (v "best")
-                                (call "dist" [ "pts".%[v "p"]; "ctr".%[v "c"] ])) ];
-                       set "local" (v "local" + v "best") ];
-                   lock "m";
-                   set "cost" (v "cost" + v "local");
-                   unlock "m" ]) ] ])
-
-(* bodytrack parallel: per-particle weights in parallel, locked weight sum,
-   sequential resampling left on the main thread. *)
-let bodytrack_par size =
-  let n = size in
-  number
-    (program ~entry:"main" "bodytrack-par"
-       ~globals:[ garray "particles" n; garray "weights" n; gscalar "wsum" 0 ]
-       [ func "likelihood" ~params:[ "x" ]
-           [ decl "acc" (i 0);
-             for_ "f" (i 0) (i 6)
-               [ set "acc" (v "acc" + call "abs" [ (v "x" * v "f") % i 97 ]) ];
-             return (v "acc" + i 1) ];
-         func "main"
-           [ for_ "p" (i 0) (i n) [ seti "particles" (v "p") (call "rand" [ i 1024 ]) ];
-             par_chunks n (fun lo hi ->
-                 [ decl "local" (i 0);
-                   for_ "p" (i lo) (i hi)
-                     [ decl "wt" (call "likelihood" [ "particles".%[v "p"] ]);
-                       seti "weights" (v "p") (v "wt");
-                       set "local" (v "local" + v "wt") ];
-                   lock "m";
-                   set "wsum" (v "wsum" + v "local");
-                   unlock "m" ]);
-             return (v "wsum") ] ])
-
-(* h264dec parallel: rows assigned round-robin; a barrier per row wave keeps
-   the top neighbour available (the wavefront schedule). *)
-let h264dec_par size =
-  let n = size in
-  number
-    (program ~entry:"main" "h264dec-par"
-       ~globals:[ garray "mb" (n *$ n); garray "residual" (n *$ n) ]
-       [ func "main"
-           [ for_ "x" (i 0) (i (n *$ n)) [ seti "residual" (v "x") (call "rand" [ i 64 ]) ];
-             par
-               (List.init nthreads (fun t ->
-                    [ for_ "r" (i 0) (i n)
-                        [ when_ (v "r" % i nthreads == i t)
-                            [ for_ "c" (i 0) (i n)
-                                [ decl "left" (i 128);
-                                  decl "top" (i 128);
-                                  when_ (v "c" > i 0)
-                                    [ set "left" ("mb".%[(v "r" * i n) + v "c" - i 1]) ];
-                                  when_ (v "r" > i 0)
-                                    [ set "top" ("mb".%[((v "r" - i 1) * i n) + v "c"]) ];
-                                  seti "mb" ((v "r" * i n) + v "c")
-                                    (((v "left" + v "top") / i 2)
-                                    + "residual".%[(v "r" * i n) + v "c"]) ] ];
-                          barrier "wave" ] ])) ] ])
-
-(* ray-rot: c-ray followed by rotate, per-pixel independent throughout. *)
-let rayrot size =
-  let w = size and h = size in
-  number
-    (program ~entry:"main" "ray-rot"
-       ~globals:[ garray "spheres" 8; garray "fb" (w *$ h); garray "out" (w *$ h) ]
-       [ func "trace" ~params:[ "px" ]
-           [ decl "best" (i 1000000);
-             for_ "s" (i 0) (i 8)
-               [ set "best"
-                   (min_ (v "best")
-                      (call "abs" [ (v "px" * i 7) - ("spheres".%[v "s"] * i 11) ])) ];
-             return (v "best") ];
-         func "main"
-           [ for_ "s" (i 0) (i 8) [ seti "spheres" (v "s") (call "rand" [ i 100 ]) ];
-             for_ "p" (i 0) (i (w *$ h)) [ seti "fb" (v "p") (call "trace" [ v "p" ]) ];
-             for_ "y" (i 0) (i h)
-               [ for_ "x" (i 0) (i w)
-                   [ seti "out" ((v "x" * i h) + (i (h -$ 1) - v "y"))
-                       ("fb".%[(v "y" * i w) + v "x"]) ] ] ] ])
+let rgbyuv, rgbyuv_par =
+  twins "rgbyuv"
+    (fun n ->
+      [ garray "rgb" (n *$ 3); garray "yout" n; garray "uout" n; garray "vout" n;
+        gscalar "ysum" 0 ])
+    rgbyuv_funcs
 
 (* rot-cc: rotate then colour-convert — the three-step barrier structure of
    Fig 3.6. *)
 let rotcc size =
   let w = size and h = size in
   let n = w *$ h in
-  number
-    (program ~entry:"main" "rot-cc"
-       ~globals:[ garray "src" n; garray "mid" n; garray "yout" n ]
-       [ func "main"
-           [ for_ "p" (i 0) (i n) [ seti "src" (v "p") (v "p" % i 256) ];
-             for_ "y" (i 0) (i h)
-               [ for_ "x" (i 0) (i w)
-                   [ seti "mid" ((v "x" * i h) + (i (h -$ 1) - v "y"))
-                       ("src".%[(v "y" * i w) + v "x"]) ] ];
-             for_ "p" (i 0) (i n)
-               [ seti "yout" (v "p") (((i 66 * "mid".%[v "p"]) + i 4096) / i 256) ] ] ])
-
-(* streamcluster: nearest-centre cost — distance loops reduce into a cost. *)
-let streamcluster size =
-  let n = size and k = 6 in
-  number
-    (program ~entry:"main" "streamcluster"
-       ~globals:[ garray "pts" n; garray "ctr" k; gscalar "cost" 0 ]
-       [ func "dist" ~params:[ "a"; "b" ] [ return (call "abs" [ v "a" - v "b" ]) ];
-         func "main"
-           [ for_ "p" (i 0) (i n) [ seti "pts" (v "p") (call "rand" [ i 4096 ]) ];
-             for_ "c" (i 0) (i k) [ seti "ctr" (v "c") (call "rand" [ i 4096 ]) ];
-             for_ "p" (i 0) (i n)
-               [ decl "best" (i 1000000);
-                 for_ "c" (i 0) (i k)
-                   [ set "best"
-                       (min_ (v "best") (call "dist" [ "pts".%[v "p"]; "ctr".%[v "c"] ])) ];
-                 set "cost" (v "cost" + v "best") ];
-             return (v "cost") ] ])
+  prog "rot-cc"
+    [ garray "src" n; garray "mid" n; garray "yout" n ]
+    [ func "main"
+        [ for_ "p" (i 0) (i n) [ seti "src" (v "p") (v "p" % i 256) ];
+          for_ "y" (i 0) (i h)
+            [ for_ "x" (i 0) (i w)
+                [ seti "mid" ((v "x" * i h) + (i (h -$ 1) - v "y"))
+                    ("src".%[(v "y" * i w) + v "x"]) ] ];
+          for_ "p" (i 0) (i n)
+            [ seti "yout" (v "p") (((i 66 * "mid".%[v "p"]) + i 4096) / i 256) ] ] ]
 
 (* tinyjpeg: sequential bitstream decode per block, independent IDCT after. *)
 let tinyjpeg size =
   let blocks = size and blk = 16 in
-  number
-    (program ~entry:"main" "tinyjpeg"
-       ~globals:
-         [ garray "bits" (blocks *$ blk); garray "coef" (blocks *$ blk);
-           garray "pix" (blocks *$ blk); gscalar "bitpos" 0 ]
-       [ func "main"
-           [ for_ "x" (i 0) (i (blocks *$ blk))
-               [ seti "bits" (v "x") (call "rand" [ i 64 ]) ];
-             (* Huffman-style decode: shared bit cursor makes this a chain *)
-             for_ "b" (i 0) (i blocks)
-               [ for_ "t" (i 0) (i blk)
-                   [ decl "code" ("bits".%[v "bitpos" % i (blocks *$ blk)]);
-                     seti "coef" ((v "b" * i blk) + v "t") (v "code");
-                     set "bitpos" (v "bitpos" + (v "code" % i 3) + i 1) ] ];
-             (* IDCT: per-block independent *)
-             for_ "b" (i 0) (i blocks)
-               [ for_ "t" (i 0) (i blk)
-                   [ decl "idx" ((v "b" * i blk) + v "t");
-                     seti "pix" (v "idx")
-                       ((("coef".%[v "idx"] * i 181) + i 128) / i 256) ] ] ] ])
+  prog "tinyjpeg"
+    [ garray "bits" (blocks *$ blk); garray "coef" (blocks *$ blk);
+      garray "pix" (blocks *$ blk); gscalar "bitpos" 0 ]
+    [ func "main"
+        [ for_ "x" (i 0) (i (blocks *$ blk))
+            [ seti "bits" (v "x") (call "rand" [ i 64 ]) ];
+          (* Huffman-style decode: shared bit cursor makes this a chain *)
+          for_ "b" (i 0) (i blocks)
+            [ for_ "t" (i 0) (i blk)
+                [ decl "code" ("bits".%[v "bitpos" % i (blocks *$ blk)]);
+                  seti "coef" ((v "b" * i blk) + v "t") (v "code");
+                  set "bitpos" (v "bitpos" + (v "code" % i 3) + i 1) ] ];
+          (* IDCT: per-block independent *)
+          for_ "b" (i 0) (i blocks)
+            [ for_ "t" (i 0) (i blk)
+                [ decl "idx" ((v "b" * i blk) + v "t");
+                  seti "pix" (v "idx")
+                    ((("coef".%[v "idx"] * i 181) + i 128) / i 256) ] ] ] ]
+
+(* ray-rot: c-ray followed by rotate, per-pixel independent throughout. The
+   parallel version splits both stages across threads by rows, with a
+   barrier at the stage boundary. *)
+let rayrot_funcs w h par_version =
+  let stages ylo yhi =
+    [ trace_pixels (ylo *$ w) (yhi *$ w) ]
+    @ (if par_version then [ barrier "stage" ] else [])
+    @ [ for_ "y" (i ylo) (i yhi)
+          [ for_ "x" (i 0) (i w)
+              [ seti "out" ((v "x" * i h) + (i (h -$ 1) - v "y"))
+                  ("fb".%[(v "y" * i w) + v "x"]) ] ] ]
+  in
+  [ func "trace" ~params:[ "px" ]
+      [ decl "best" (i 1000000);
+        for_ "s" (i 0) (i 8)
+          [ set "best"
+              (min_ (v "best")
+                 (call "abs" [ (v "px" * i 7) - ("spheres".%[v "s"] * i 11) ])) ];
+        return (v "best") ];
+    func "main"
+      (place_spheres ()
+      ::
+      (if par_version then
+         [ par
+             (List.init nthreads (fun t ->
+                  stages (t *$ h /$ nthreads) ((t +$ 1) *$ h /$ nthreads))) ]
+       else stages 0 h)) ]
+
+let rayrot, rayrot_par =
+  twins "ray-rot"
+    (fun n -> [ garray "spheres" 8; garray "fb" (n *$ n); garray "out" (n *$ n) ])
+    (fun n -> rayrot_funcs n n)
+
+(* streamcluster: nearest-centre cost — distance loops reduce into a cost.
+   The parallel version gives each thread a point range and a local sum,
+   added to the cost under a lock. *)
+let streamcluster_funcs n k par_version =
+  let scan lo hi acc =
+    for_ "p" (i lo) (i hi)
+      [ decl "best" (i 1000000);
+        for_ "c" (i 0) (i k)
+          [ set "best"
+              (min_ (v "best") (call "dist" [ "pts".%[v "p"]; "ctr".%[v "c"] ])) ];
+        set acc (v acc + v "best") ]
+  in
+  [ func "dist" ~params:[ "a"; "b" ] [ return (call "abs" [ v "a" - v "b" ]) ];
+    func "main"
+      ([ for_ "p" (i 0) (i n) [ seti "pts" (v "p") (call "rand" [ i 4096 ]) ];
+         for_ "c" (i 0) (i k) [ seti "ctr" (v "c") (call "rand" [ i 4096 ]) ] ]
+      @
+      if par_version then
+        [ par_chunks n (fun lo hi ->
+              [ decl "local" (i 0);
+                scan lo hi "local";
+                lock "m";
+                set "cost" (v "cost" + v "local");
+                unlock "m" ]) ]
+      else [ scan 0 n "cost"; return (v "cost") ]) ]
+
+let streamcluster, streamcluster_par =
+  twins "streamcluster"
+    (fun n -> [ garray "pts" n; garray "ctr" 6; gscalar "cost" 0 ])
+    (fun n -> streamcluster_funcs n 6)
 
 (* bodytrack: per-particle likelihood (DOALL), weight normalisation
-   (reduction), sequential resampling. *)
-let bodytrack size =
-  let n = size in
-  number
-    (program ~entry:"main" "bodytrack"
-       ~globals:[ garray "particles" n; garray "weights" n; garray "resampled" n ]
-       [ func "likelihood" ~params:[ "x" ]
-           [ decl "acc" (i 0);
-             for_ "f" (i 0) (i 6)
-               [ set "acc" (v "acc" + call "abs" [ (v "x" * v "f") % i 97 ]) ];
-             return (v "acc" + i 1) ];
-         func "main"
-           [ for_ "p" (i 0) (i n) [ seti "particles" (v "p") (call "rand" [ i 1024 ]) ];
-             for_ "p" (i 0) (i n)
-               [ seti "weights" (v "p") (call "likelihood" [ "particles".%[v "p"] ]) ];
-             decl "wsum" (i 0);
-             for_ "p" (i 0) (i n) [ set "wsum" (v "wsum" + "weights".%[v "p"]) ];
-             (* systematic resampling: cumulative scan — sequential *)
-             decl "cum" (i 0);
-             decl "j" (i 0);
-             for_ "p" (i 0) (i n)
-               [ set "cum" (v "cum" + "weights".%[v "p"]);
-                 while_ ((v "j" * (v "wsum" / i n)) < v "cum" && v "j" < i n)
-                   [ seti "resampled" (v "j") ("particles".%[v "p"]);
-                     set "j" (v "j" + i 1) ] ] ] ])
+   (reduction), sequential resampling. The parallel version computes the
+   weights in parallel into a locked weight sum and leaves resampling out. *)
+let likelihood () =
+  func "likelihood" ~params:[ "x" ]
+    [ decl "acc" (i 0);
+      for_ "f" (i 0) (i 6)
+        [ set "acc" (v "acc" + call "abs" [ (v "x" * v "f") % i 97 ]) ];
+      return (v "acc" + i 1) ]
+
+let place_particles n =
+  for_ "p" (i 0) (i n) [ seti "particles" (v "p") (call "rand" [ i 1024 ]) ]
+
+let bodytrack n =
+  prog "bodytrack"
+    [ garray "particles" n; garray "weights" n; garray "resampled" n ]
+    [ likelihood ();
+      func "main"
+        [ place_particles n;
+          for_ "p" (i 0) (i n)
+            [ seti "weights" (v "p") (call "likelihood" [ "particles".%[v "p"] ]) ];
+          decl "wsum" (i 0);
+          for_ "p" (i 0) (i n) [ set "wsum" (v "wsum" + "weights".%[v "p"]) ];
+          (* systematic resampling: cumulative scan — sequential *)
+          decl "cum" (i 0);
+          decl "j" (i 0);
+          for_ "p" (i 0) (i n)
+            [ set "cum" (v "cum" + "weights".%[v "p"]);
+              while_ ((v "j" * (v "wsum" / i n)) < v "cum" && v "j" < i n)
+                [ seti "resampled" (v "j") ("particles".%[v "p"]);
+                  set "j" (v "j" + i 1) ] ] ] ]
+
+let bodytrack_par n =
+  prog "bodytrack-par"
+    [ garray "particles" n; garray "weights" n; gscalar "wsum" 0 ]
+    [ likelihood ();
+      func "main"
+        [ place_particles n;
+          par_chunks n (fun lo hi ->
+              [ decl "local" (i 0);
+                for_ "p" (i lo) (i hi)
+                  [ decl "wt" (call "likelihood" [ "particles".%[v "p"] ]);
+                    seti "weights" (v "p") (v "wt");
+                    set "local" (v "local" + v "wt") ];
+                lock "m";
+                set "wsum" (v "wsum" + v "local");
+                unlock "m" ]);
+          return (v "wsum") ] ]
 
 (* h264dec: intra-prediction over macroblocks — each block depends on its
-   left and top neighbours: a wavefront (DOACROSS) structure. *)
-let h264dec size =
-  let n = size in
-  number
-    (program ~entry:"main" "h264dec"
-       ~globals:[ garray "mb" (n *$ n); garray "residual" (n *$ n) ]
-       [ func "main"
-           [ for_ "x" (i 0) (i (n *$ n)) [ seti "residual" (v "x") (call "rand" [ i 64 ]) ];
-             for_ "r" (i 0) (i n)
-               [ for_ "c" (i 0) (i n)
-                   [ decl "left" (i 128);
-                     decl "top" (i 128);
-                     when_ (v "c" > i 0) [ set "left" ("mb".%[(v "r" * i n) + v "c" - i 1]) ];
-                     when_ (v "r" > i 0) [ set "top" ("mb".%[((v "r" - i 1) * i n) + v "c"]) ];
-                     seti "mb" ((v "r" * i n) + v "c")
-                       (((v "left" + v "top") / i 2) + "residual".%[(v "r" * i n) + v "c"]) ] ] ] ])
+   left and top neighbours: a wavefront (DOACROSS) structure. The parallel
+   version assigns rows round-robin; a barrier per row wave keeps the top
+   neighbour available (the wavefront schedule). *)
+let h264dec_funcs n par_version =
+  let decode_row () =
+    for_ "c" (i 0) (i n)
+      [ decl "left" (i 128);
+        decl "top" (i 128);
+        when_ (v "c" > i 0) [ set "left" ("mb".%[(v "r" * i n) + v "c" - i 1]) ];
+        when_ (v "r" > i 0) [ set "top" ("mb".%[((v "r" - i 1) * i n) + v "c"]) ];
+        seti "mb" ((v "r" * i n) + v "c")
+          (((v "left" + v "top") / i 2) + "residual".%[(v "r" * i n) + v "c"]) ]
+  in
+  [ func "main"
+      [ for_ "x" (i 0) (i (n *$ n)) [ seti "residual" (v "x") (call "rand" [ i 64 ]) ];
+        (if par_version then
+           par
+             (List.init nthreads (fun t ->
+                  [ for_ "r" (i 0) (i n)
+                      [ when_ (v "r" % i nthreads == i t) [ decode_row () ];
+                        barrier "wave" ] ]))
+         else for_ "r" (i 0) (i n) [ decode_row () ]) ] ]
+
+let h264dec, h264dec_par =
+  twins "h264dec"
+    (fun n -> [ garray "mb" (n *$ n); garray "residual" (n *$ n) ])
+    h264dec_funcs
 
 let all : R.t list =
   [ R.make_workload ~suite:"starbench" ~default_size:1500 "c-ray" cray

@@ -31,6 +31,24 @@ let cascade_prog =
              decl "u" (i 7 * i 6);
              return (v "a") ] ])
 
+(* One of each shape [simplify] rewrites, most of which the registry's
+   default pipeline never reaches: an arm DCE empties (collapsed), an empty
+   then-arm (flipped), a known condition whose arm declares (kept as a
+   shell), a [while] on 0 and an empty-range [for] (both removed). [g] is
+   written, so propagation leaves its reads alone. *)
+let simplify_prog =
+  let open Builder in
+  number
+    (program ~globals:[ gscalar "g" 0 ] ~entry:"main" "simplify-shapes"
+       [ func "main"
+           [ set "g" (i 3);
+             when_ (v "g" > i 0) [ decl "dead" (i 1) ];
+             if_ (v "g" > i 1) [] [ set "g" (v "g" + i 1) ];
+             when_ (i 1) [ decl "k" (v "g"); set "g" (v "g" + v "k") ];
+             while_ (i 0) [ set "g" (i 9) ];
+             for_ "j" (i 5) (i 2) [ set "g" (i 7) ];
+             return (v "g") ] ])
+
 let test_fixpoint_cascade () =
   let r = run_exn cascade_prog in
   Alcotest.(check bool) "terminated before the 8-round cap" true

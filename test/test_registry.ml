@@ -479,6 +479,182 @@ let test_static_golden () =
   check_golden ~env:"STATIC_GOLDEN_OUT" ~file:"static.golden"
     ~what:"static" (List.map static_line Workloads.Catalog.all)
 
+(* [golden/passes.golden] pins [Mil.Pass.run]'s default pipeline per
+   registry program, which the passes' aggregate gates (event ratio, refused
+   and differing workloads) do not: the fixpoint rounds, every registered
+   pass's change count, and the MD5 of the rendered optimized program. Two
+   fixtures follow, [Test_passes.cascade_prog] and
+   [Test_passes.simplify_prog], for the [simplify] shapes no registry
+   program reaches.
+
+   Regenerate (only for a deliberate change to a pass) with
+     PASSES_GOLDEN_OUT=test/golden/passes.golden \
+       dune exec test/test_main.exe -- test registry *)
+let passes_line name prog =
+  match Mil.Pass.run prog with
+  | Ok r ->
+      let count pass =
+        Option.value (List.assoc_opt pass r.Mil.Pass.per_pass) ~default:0
+      in
+      Printf.sprintf "%s rounds %d %s %s" name r.rounds
+        (String.concat " "
+           (List.map
+              (fun pass -> Printf.sprintf "%s %d" pass (count pass))
+              (Mil.Pass.names ())))
+        (md5 (Mil.Pretty.render_program r.program))
+  | Error e -> Printf.sprintf "%s error %s" name e
+
+let test_passes_golden () =
+  check_golden ~env:"PASSES_GOLDEN_OUT" ~file:"passes.golden"
+    ~what:"passes"
+    (List.map (fun (w : R.t) -> passes_line w.name (R.program w))
+       Workloads.Catalog.all
+    @ List.map
+        (fun (p : Mil.Ast.program) -> passes_line p.pname p)
+        [ Test_passes.cascade_prog; Test_passes.simplify_prog ])
+
+(* Static ⊇ dynamic: every non-INIT record of the perfect-shadow profile
+   must be one [Mil.Static.effects] allows. A RAW needs its source
+   statement to write the variable and its sink to read it, a WAR the
+   reverse, a WAW both to write; a declaration's bind counts as a write.
+   Three rules admit what a statement's own effects do not show:
+   - a [for] header reads and writes its index;
+   - a function's header line writes its scalar parameters, as the call
+     passes them;
+   - an array parameter names what its call sites pass for it. A record
+     names the variable at its source access, so one side may see it under
+     a callee's parameter name; the two sides agree when both names reach
+     the same array. A call site passes an array for a parameter only if
+     its own [Static.effects] show the access through it, so the callee
+     summaries are checked too. *)
+module SS = Mil.Static.SS
+
+type access = Read | Write
+
+let static_covers_dynamic (w : R.t) =
+  let prog = R.program w in
+  let st = Mil.Static.analyze prog in
+  let fx = Mil.Static.effects st in
+  let at_line = Hashtbl.create 64 and header = Hashtbl.create 8 in
+  List.iter
+    (fun (f : Mil.Ast.func) ->
+      Hashtbl.replace header f.fline f;
+      Mil.Ast.fold_block
+        (fun () (s : Mil.Ast.stmt) -> Hashtbl.replace at_line s.line (f, s))
+        () f.body)
+    prog.funcs;
+  (* (callee, array parameter) -> (caller, call statement, actual) *)
+  let passed = Hashtbl.create 16 in
+  let note_call caller s (callee, args) =
+    match Hashtbl.find_opt st.funcs callee with
+    | None -> ()
+    | Some (g : Mil.Ast.func) ->
+        let np = List.length g.params in
+        List.iteri
+          (fun j q ->
+            match List.nth_opt args (np + j) with
+            | Some (Mil.Ast.Var a) -> Hashtbl.add passed (callee, q) (caller, s, a)
+            | _ -> ())
+          g.arr_params
+  in
+  List.iter
+    (fun (f : Mil.Ast.func) ->
+      Mil.Ast.fold_block
+        (fun () (s : Mil.Ast.stmt) ->
+          (match s.node with
+          | Call_stmt (g, args) -> note_call f s (g, args)
+          | _ -> ());
+          List.iter
+            (Mil.Ast.fold_expr
+               (fun () -> function
+                 | Mil.Ast.Call (g, args) -> note_call f s (g, args)
+                 | _ -> ())
+               ())
+            (Mil.Ast.stmt_exprs s))
+        () f.body)
+    prog.funcs;
+  let side mode (s : Mil.Ast.stmt) =
+    let e = fx s in
+    let own =
+      match mode with
+      | Read -> e.fx_reads
+      | Write -> (
+          match e.fx_binds with
+          | Some x -> SS.add x e.fx_writes
+          | None -> e.fx_writes)
+    in
+    match s.node with For { index; _ } -> SS.add index own | _ -> own
+  in
+  (* The function a line belongs to and the names its statement (or header)
+     accesses in [mode]. *)
+  let names_at mode line =
+    match Hashtbl.find_opt at_line line with
+    | Some (f, s) -> Some (f, side mode s)
+    | None -> (
+        match Hashtbl.find_opt header line with
+        | Some f ->
+            Some (f, if mode = Write then SS.of_list f.params else SS.empty)
+        | None -> None)
+  in
+  (* Every name [x] in [f] may denote, through the call sites that pass an
+     array for it. *)
+  let rec aliases mode seen ((f : Mil.Ast.func), x) =
+    if SS.mem (f.fname ^ "." ^ x) seen || not (List.mem x f.arr_params) then
+      SS.add x seen
+    else
+      List.fold_left
+        (fun seen (caller, s, a) ->
+          if SS.mem a (side mode s) then aliases mode seen (caller, a) else seen)
+        (SS.add (f.fname ^ "." ^ x) (SS.add x seen))
+        (Hashtbl.find_all passed (f.fname, x))
+  in
+  let source = lazy (String.split_on_char '\n' (Mil.Pretty.render_program prog)) in
+  let source_line line =
+    List.find_map
+      (fun l ->
+        match Scanf.sscanf_opt l " %d %s@\n" (fun n text -> (n, text)) with
+        | Some (n, text) when n = line ->
+            Some (Printf.sprintf "line %d: %s" n text)
+        | _ -> None)
+      (Lazy.force source)
+    |> Option.value ~default:(Printf.sprintf "line %d: (no statement)" line)
+  in
+  let profile = Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect prog in
+  List.iter
+    (fun ((d : Profiler.Dep.t), _) ->
+      let modes =
+        match d.dtype with
+        | Raw -> Some (Write, Read)
+        | War -> Some (Read, Write)
+        | Waw -> Some (Write, Write)
+        | Init -> None
+      in
+      Option.iter
+        (fun (src_mode, sink_mode) ->
+          let admitted =
+            match
+              (names_at src_mode d.src_line, names_at sink_mode d.sink_line)
+            with
+            | Some (fs, src_names), Some (fk, sink_names)
+              when SS.mem d.var src_names ->
+                let reach = aliases src_mode SS.empty (fs, d.var) in
+                SS.exists
+                  (fun y ->
+                    not (SS.disjoint reach (aliases sink_mode SS.empty (fk, y))))
+                  sink_names
+            | _ -> false
+          in
+          if not admitted then
+            Alcotest.failf
+              "%s: %s not admitted by Static.effects; source: %s; sink: %s"
+              w.name (Profiler.Dep.to_string d) (source_line d.src_line)
+              (source_line d.sink_line))
+        modes)
+    (Profiler.Dep.Set_.to_list profile.deps)
+
+let test_static_covers_dynamic () =
+  List.iter static_covers_dynamic Workloads.Catalog.all
+
 let tests =
   [ Alcotest.test_case "registry digest (interp, summary, dep keys)" `Slow
       test_registry_digest;
@@ -493,4 +669,8 @@ let tests =
     Alcotest.test_case "static golden (summaries, regions, items)" `Slow
       test_static_golden;
     Alcotest.test_case "transform golden (every suggestion, 2 and 4 chunks)"
-      `Slow test_transform_golden ]
+      `Slow test_transform_golden;
+    Alcotest.test_case "passes golden (rounds, changes, program)" `Slow
+      test_passes_golden;
+    Alcotest.test_case "static effects cover every profiled record" `Quick
+      test_static_covers_dynamic ]

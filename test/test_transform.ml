@@ -687,7 +687,7 @@ let test_measure_serial_total () =
            ~on_access:(fun ~kind:_ ~addr:_ ~var:_ ~line:_ ~thread:_ ~time:_
                ~op:_ ~lstack:_ ~locked:_ -> incr events)
            p);
-      let d = V.measure ~seed:42 ~original:p p in
+      let d = V.measure ~original:p p in
       Alcotest.(check int) (name ^ ": serial total") !events d.V.d_serial_total)
     [ "histogram"; "fib" ]
 
