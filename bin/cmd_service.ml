@@ -4,18 +4,21 @@
 open Cmdliner
 open Terms
 
-let jobs ~doc = Arg.(value & opt int 4 & info [ "jobs" ] ~docv:"N" ~doc)
+let jobs ~doc =
+  Arg.(value & opt positive 4 & info [ "jobs" ] ~docv:"N" ~doc)
 
 let batch_cmd =
   let doc =
     "Run the full profile/CU/discovery/ranking pipeline over many workloads \
-     concurrently across a bounded pool of domains, with an optional \
+     concurrently on --jobs worker domains, with an optional \
      content-addressed on-disk result cache (--cache DIR): a workload whose \
      program and profiler configuration are unchanged skips phase 1 \
      entirely on re-runs. A job that raises or exceeds --timeout is \
      reported as failed/timed-out without killing the batch (one retry by \
-     default); any failed or timed-out job makes the exit status non-zero \
-     after the full report is emitted."
+     default, run next on the same worker); any failed or timed-out job \
+     makes the exit status non-zero after the full report is emitted. An \
+     overrunning attempt is cancelled cooperatively and holds its worker \
+     until it returns, so at most --jobs attempts are ever in flight."
   in
   let names_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"WORKLOAD"
@@ -29,11 +32,11 @@ let batch_cmd =
   in
   let timeout_arg =
     Arg.(value & opt float 120.0 & info [ "timeout" ] ~docv:"SEC"
-           ~doc:"Per-job wall-clock budget; an overrunning job is reported \
-                 as timed-out.")
+           ~doc:"Per-attempt wall-clock budget; an attempt that overruns \
+                 it is cancelled and reported as timed-out.")
   in
   let retries_arg =
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"K"
+    Arg.(value & opt non_negative 1 & info [ "retries" ] ~docv:"K"
            ~doc:"Extra attempts per failed or timed-out job.")
   in
   let json_arg =
@@ -83,7 +86,7 @@ let batch_cmd =
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
       const run $ names_arg $ suite_arg
-      $ jobs ~doc:"Concurrent jobs (pool of N domains)."
+      $ jobs ~doc:"Worker domains, each running one job's attempts at a time."
       $ cache $ timeout_arg
       $ retries_arg $ json_arg $ profile_config
       $ threads
@@ -111,7 +114,7 @@ let serve_cmd =
            ~doc:"TCP port to listen on (127.0.0.1 only; 0 = ephemeral).")
   in
   let queue_arg =
-    Arg.(value & opt int 32 & info [ "queue" ] ~docv:"N"
+    Arg.(value & opt non_negative 32 & info [ "queue" ] ~docv:"N"
            ~doc:"Pending connections admitted before load-shedding with 429.")
   in
   let deadline_arg =
@@ -120,12 +123,12 @@ let serve_cmd =
                  cancelled and answered 504.")
   in
   let mem_arg =
-    Arg.(value & opt int 128 & info [ "mem-cache" ] ~docv:"N"
+    Arg.(value & opt non_negative 128 & info [ "mem-cache" ] ~docv:"N"
            ~doc:"In-process LRU capacity in entries (0 disables the memory \
                  tier).")
   in
   let flight_arg =
-    Arg.(value & opt int 512 & info [ "flight" ] ~docv:"N"
+    Arg.(value & opt positive 512 & info [ "flight" ] ~docv:"N"
            ~doc:"Flight-recorder window: completed request records retained \
                  for GET /trace and GET /requests.")
   in

@@ -129,7 +129,8 @@ let cache =
                  .deps/.sugg pairs are ignored.")
   in
   let max_mb =
-    Arg.(value & opt (some int) None & info [ "cache-max-mb" ] ~docv:"MB"
+    Arg.(value & opt (some non_negative) None
+         & info [ "cache-max-mb" ] ~docv:"MB"
            ~doc:"Cap the cache directory at MB megabytes: after each \
                  publish, least-recently-used entries (oldest mtime; loads \
                  refresh it) are evicted until the directory fits. The \

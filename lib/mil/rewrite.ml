@@ -120,9 +120,6 @@ let reachable_calls (p : program) (b : block) : string list =
   visit (block_calls b);
   Hashtbl.fold (fun k () acc -> k :: acc) seen []
 
-let calls_transitively (p : program) (b : block) name =
-  List.mem name (reachable_calls p b)
-
 let stmt_names (s : stmt) acc =
   let acc =
     List.fold_left

@@ -60,8 +60,6 @@ val reachable_calls : Ast.program -> Ast.block -> string list
 (** Transitive closure of call targets reachable from the block through
     user-function bodies; builtins ({!Ast.builtin}) appear as leaves. *)
 
-val calls_transitively : Ast.program -> Ast.block -> string -> bool
-
 val stmt_names : Ast.stmt -> string list -> string list
 (** Every variable the statement mentions itself — binder, loop index,
     assignment target or freed array, and every scalar, array and length

@@ -377,133 +377,69 @@ let count_status st =
     | Failed _ -> c_failed
     | Timed_out -> c_timeout)
 
-(* One job outside the batch driver: run it on the calling domain with the
-   caller's cancel flag, isolating faults into a [status]. A poll that fires
-   mid-profile surfaces as {!Mil.Interp.Cancelled}, reported [Timed_out] —
-   the serve daemon's deadline watchdog relies on this. *)
-let run_job ~cancelled (j : job) : status =
-  let st =
+(* The one timeout rule, for serve's requests and batch's attempts alike:
+   the cancel poll fires once [stop] is set or the clock passes [deadline],
+   and an attempt that raises {!Mil.Interp.Cancelled} or ends past
+   [deadline], whatever it returned, is [Timed_out]. *)
+let attempt ~deadline ~stop (j : job) : status =
+  let cancelled () = Atomic.get stop || now () > deadline in
+  let out =
     match j.j_run ~cancelled with
     | ok -> Ok_ ok
     | exception Mil.Interp.Cancelled -> Timed_out
     | exception e -> Failed (Printexc.to_string e)
   in
+  if now () > deadline then Timed_out else out
+
+let run_job ~deadline ~stop (j : job) : status =
+  let st = attempt ~deadline ~stop j in
   count_status st;
   st
 
-(* ---- the bounded-pool driver ---- *)
-
-type outcome = Pending | Done of (job_ok, string) result
-
-type running = {
-  run_idx : int;
-  run_attempt : int;
-  run_started : float;
-  run_cancel : bool Atomic.t;
-  run_slot : outcome Atomic.t;
-  run_domain : unit Domain.t;
-}
-
-let spawn_attempt (jobs : job array) idx attempt : running =
-  let j = jobs.(idx) in
-  let cancel = Atomic.make false in
-  let slot = Atomic.make Pending in
-  let domain =
-    Domain.spawn (fun () ->
-        (* Each attempt is its own domain, hence its own trace track; the
-           span makes the job's extent visible on the timeline. *)
-        Obs.Trace.set_track
-          (Printf.sprintf "batch %s#%d" j.j_name attempt);
-        let out =
-          try
-            Ok
-              (Obs.Trace.with_span ("job." ^ j.j_name) (fun () ->
-                   j.j_run ~cancelled:(fun () -> Atomic.get cancel)))
-          with e -> Error (Printexc.to_string e)
-        in
-        Atomic.set slot (Done out))
-  in
-  { run_idx = idx; run_attempt = attempt; run_started = now ();
-    run_cancel = cancel; run_slot = slot; run_domain = domain }
+(* ---- the batch driver ---- *)
 
 let run_batch ?(jobs = 4) ?(timeout_s = 120.0) ?(retries = 1)
     (js : job list) : report =
   Obs.Span.with_ ~phase:"pipeline.batch" @@ fun () ->
-  let pool = max 1 jobs in
   let jobs_arr = Array.of_list js in
   let n = Array.length jobs_arr in
   let results : job_result option array = Array.make n None in
-  let pending = Queue.create () in
-  Array.iteri (fun i _ -> Queue.push (i, 1) pending) jobs_arr;
-  let running = ref [] in
-  let abandoned = ref [] in
+  let next = Atomic.make 0 in
+  let never = Atomic.make false in
   let t0 = now () in
-  (* A failed or timed-out attempt either requeues (retry budget left) or
-     records the job's final status. *)
-  let settle (r : running) (st : status) =
-    let wall = now () -. r.run_started in
-    let retriable = match st with Ok_ _ -> false | _ -> true in
-    if retriable && r.run_attempt <= retries then begin
-      Obs.Counter.incr c_retried;
-      Queue.push (r.run_idx, r.run_attempt + 1) pending
-    end
-    else begin
-      count_status st;
-      results.(r.run_idx) <-
-        Some
-          { r_name = jobs_arr.(r.run_idx).j_name;
-            r_status = st;
-            r_attempts = r.run_attempt;
-            r_wall_s = wall }
-    end
+  (* A job's attempts run one after another on the same worker, so at most
+     [jobs] attempts are ever in flight; a failed or timed-out attempt with
+     retry budget left runs again at once. *)
+  let rec run_attempts j n_attempt =
+    let started = now () in
+    let st =
+      Obs.Trace.with_span ("job." ^ j.j_name) (fun () ->
+          attempt ~deadline:(started +. timeout_s) ~stop:never j)
+    in
+    match st with
+    | (Failed _ | Timed_out) when n_attempt <= retries ->
+        Obs.Counter.incr c_retried;
+        run_attempts j (n_attempt + 1)
+    | _ ->
+        count_status st;
+        { r_name = j.j_name; r_status = st; r_attempts = n_attempt;
+          r_wall_s = now () -. started }
   in
-  while not (Queue.is_empty pending) || !running <> [] do
-    while List.length !running < pool && not (Queue.is_empty pending) do
-      let idx, attempt = Queue.pop pending in
-      running := spawn_attempt jobs_arr idx attempt :: !running
-    done;
-    running :=
-      List.filter
-        (fun r ->
-          match Atomic.get r.run_slot with
-          | Done out ->
-              Domain.join r.run_domain;
-              settle r
-                (match out with Ok ok -> Ok_ ok | Error msg -> Failed msg);
-              false
-          | Pending when now () -. r.run_started > timeout_s ->
-              (* Ask the attempt to wind down; whether it listens or not,
-                 the batch moves on. The domain is reaped below if the job
-                 honours the flag, and dies with the process otherwise. *)
-              Atomic.set r.run_cancel true;
-              abandoned := r :: !abandoned;
-              settle r Timed_out;
-              false
-          | Pending -> true)
-        !running;
-    if !running <> [] then Unix.sleepf 0.001
-  done;
-  (* Grace period for cancelled attempts that poll the flag: join the ones
-     that finish so their domains are not leaked. *)
-  let grace_deadline = now () +. 0.5 in
-  List.iter
-    (fun r ->
-      let rec wait () =
-        match Atomic.get r.run_slot with
-        | Done _ -> Domain.join r.run_domain
-        | Pending when now () < grace_deadline ->
-            Unix.sleepf 0.005;
-            wait ()
-        | Pending -> ()
-      in
-      wait ())
-    !abandoned;
-  let results =
-    Array.to_list results
-    |> List.map (function
-         | Some r -> r
-         | None -> assert false (* every job settles exactly once *))
+  let worker i () =
+    Obs.Trace.set_track (Printf.sprintf "batch worker %d" i);
+    let rec loop () =
+      let idx = Atomic.fetch_and_add next 1 in
+      if idx < n then begin
+        results.(idx) <- Some (run_attempts jobs_arr.(idx) 1);
+        loop ()
+      end
+    in
+    loop ()
   in
+  List.init (min (max 1 jobs) n) (fun i -> Domain.spawn (worker i))
+  |> List.iter Domain.join;
+  (* Every index was taken by exactly one worker. *)
+  let results = Array.to_list (Array.map Option.get results) in
   let count p = List.length (List.filter p results) in
   let cache_hits, cache_misses =
     List.fold_left

@@ -1,7 +1,7 @@
 (** Batch pipeline driver: run the full profile -> CU -> discovery ->
-    ranking pipeline over many workloads concurrently across a bounded pool
-    of domains, with a content-addressed on-disk result cache (one file per
-    entry) behind an optional in-process LRU tier, per-job fault isolation
+    ranking pipeline over many workloads concurrently on a fixed set of
+    worker domains, with a content-addressed on-disk result cache (one file
+    per entry) behind an optional in-process LRU tier, per-job fault isolation
     (a raising or timed-out job is reported, not fatal, with one
     configurable retry) and {!Obs} wiring
     ([pipeline.jobs.{ok,failed,timeout,cache_hit,cache_miss}] counters,
@@ -125,9 +125,11 @@ type status =
   | Failed of string         (** the job raised; the exception message *)
   | Timed_out
 
-(** A batch job: [j_run] may raise (isolated by the driver) and should poll
-    [cancelled] in any long loop so a timed-out attempt can wind down
-    instead of burning a domain until process exit. *)
+(** A batch job: [j_run] may raise (isolated by the driver) and must poll
+    [cancelled] in any long loop: a timed-out attempt keeps its worker
+    until it returns, so a job that never polls holds the worker (and
+    delays the batch) for as long as it runs. Every job built here polls
+    through the interpreter, every ~2k statements. *)
 type job = {
   j_name : string;
   j_run : cancelled:(unit -> bool) -> job_ok;
@@ -176,19 +178,27 @@ val workload_job :
 (** {!program_job} over one registry workload, built inside the job so a
     raising builder is isolated like any other fault. *)
 
-val run_job : cancelled:(unit -> bool) -> job -> status
-(** Run one job on the calling domain, outside the batch pool: a raise is
-    [Failed], {!Mil.Interp.Cancelled} (the [cancelled] poll fired mid-run)
-    is [Timed_out]. Bumps the same [pipeline.jobs.*] counters as the batch
-    driver. *)
+val run_job : deadline:float -> stop:bool Atomic.t -> job -> status
+(** Run one attempt of a job on the calling domain under the one timeout
+    rule both drivers share. The job's [cancelled] poll returns true once
+    [stop] is set or the clock ({!Unix.gettimeofday}) passes the absolute
+    time [deadline]. An attempt that raises {!Mil.Interp.Cancelled}, or
+    that ends past [deadline] whatever it returned, is [Timed_out]; any
+    other raise is [Failed]. Bumps the same [pipeline.jobs.*] counters as
+    the batch driver. *)
 
 val run_batch :
   ?jobs:int -> ?timeout_s:float -> ?retries:int -> job list -> report
-(** Run the jobs over at most [jobs] (default 4) concurrent domains. An
-    attempt that raises is [Failed]; one exceeding [timeout_s] (default 120)
-    is cancelled and, if it ignores the flag, abandoned — the batch always
-    completes with a full report. [retries] (default 1) extra attempts are
-    granted per failed or timed-out job. *)
+(** Run the jobs on [min jobs n] worker domains ([jobs] default 4, at
+    least 1): each worker takes the next job in submission order and runs
+    its attempts one after another, so at most [jobs] attempts are ever in
+    flight. Each attempt follows {!run_job}'s rule with a deadline
+    [timeout_s] (default 120) after it starts: a raise is [Failed], an
+    overrun is cancelled through the job's poll and [Timed_out]. [retries]
+    (default 1) extra attempts are granted per failed or timed-out job, run
+    next on the same worker. The batch returns once every worker has
+    finished, with a full report; [pipeline.jobs.{ok,failed,timeout}] count
+    each job's final status once and [pipeline.jobs.retried] each retry. *)
 
 val render : report -> string
 (** Human-readable per-job table plus totals. *)

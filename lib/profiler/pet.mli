@@ -43,10 +43,8 @@ val finish : builder -> t
 val node : t -> int -> node
 val size : t -> int
 
-val subtree_instructions : t -> int -> int
-(** As of {!finish}; O(1). *)
-
 val total_instructions : t -> int
+(** Memory instructions under the root, as of {!finish}; O(1). *)
 
 val totals : t -> kind -> int * int
 (** Iterations and subtree instructions summed over every node of one

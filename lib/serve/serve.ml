@@ -14,11 +14,12 @@
    Admission control happens at the acceptor: when the queue is full the
    connection is answered 429 + Retry-After immediately, so overload degrades
    into fast rejections instead of unbounded latency. Each request carries a
-   deadline; the cooperative-cancel poll the interpreter already exposes
-   checks the clock, so a runaway program aborts mid-run and the request
-   answers 504 without a dedicated watchdog domain. Every connection is
-   HTTP/1.1 with Connection: close — one request per connection keeps the
-   parser trivial and the workers stateless. *)
+   deadline under Pipeline.run_job's timeout rule, the one batch uses: the
+   cooperative-cancel poll the interpreter already exposes checks the clock,
+   so a runaway program aborts mid-run, and work that ends past the deadline
+   answers 504 as well, without a dedicated watchdog domain. Every
+   connection is HTTP/1.1 with Connection: close — one request per
+   connection keeps the parser trivial and the workers stateless. *)
 
 let now () = Unix.gettimeofday ()
 
@@ -386,10 +387,6 @@ let handle_profile t (req : request) ~(enqueued : float) cx =
             | Some d -> Float.min d t.cfg.deadline_s
             | None -> t.cfg.deadline_s
           in
-          let deadline_at = enqueued +. deadline_s in
-          let cancelled () =
-            Atomic.get t.stopping || now () > deadline_at
-          in
           let key = Pipeline.Cache.key config prog in
           let respond_entry ~cache_tag (deps, summary) =
             cx.cx_tier <- cache_tag;
@@ -439,7 +436,10 @@ let handle_profile t (req : request) ~(enqueued : float) cx =
                   ~cache_limits:t.cfg.cache_limits ~mem:t.mem ~name ~config
                   ~key prog
               in
-              match Pipeline.run_job ~cancelled job with
+              match
+                Pipeline.run_job ~deadline:(enqueued +. deadline_s)
+                  ~stop:t.stopping job
+              with
               | Pipeline.Ok_ ok ->
                   Obs.Counter.incr c_ok;
                   (* The job carries its dependence set + summary, so

@@ -20,7 +20,8 @@
       [format=summary|depfile|json].
       Answers [200] with the suggestion summary (or Depfile v2 / a JSON
       envelope), [400] on parse or parameter errors, [504] when the deadline
-      expires mid-profile (cooperative cancel), [500] when the job raises.
+      expires mid-profile (cooperative cancel) or the work ends past it
+      ({!Pipeline.run_job}'s timeout rule), [500] when the job raises.
       The [X-Cache] response header says which tier answered:
       [mem], [disk] or [miss] (a miss renders from the freshly computed
       result, so [format=depfile|json] work with no cache configured).

@@ -28,6 +28,10 @@ let fresh_dir =
     rm_rf dir;
     dir
 
+(* One attempt with no deadline and no stop request. *)
+let run_unbounded job =
+  Pipeline.run_job ~deadline:Float.infinity ~stop:(Atomic.make false) job
+
 let dep_names (deps : Profiler.Dep.Set_.t) =
   Profiler.Dep.Set_.to_list deps
   |> List.map (fun (d, _) -> Profiler.Dep.to_string d)
@@ -162,6 +166,40 @@ let fault_isolation () =
       | name, _ -> Alcotest.fail (name ^ ": unexpected status"))
     rep.Pipeline.b_results
 
+(* A timed-out attempt that ignores the cancel flag for a while still
+   holds its worker: the retry starts only once it has returned, so with
+   one worker at most one attempt is ever in flight. *)
+let retry_waits_for_overrun () =
+  let in_flight = Atomic.make 0 and most = Atomic.make 0 in
+  let winder =
+    { Pipeline.j_name = "winder";
+      j_run =
+        (fun ~cancelled ->
+          let now_in = Atomic.fetch_and_add in_flight 1 + 1 in
+          let rec raise_to m =
+            let cur = Atomic.get most in
+            if m > cur && not (Atomic.compare_and_set most cur m) then
+              raise_to m
+          in
+          raise_to now_in;
+          while not (cancelled ()) do
+            Unix.sleepf 0.002
+          done;
+          (* wind down, ignoring the flag *)
+          Unix.sleepf 0.1;
+          Atomic.decr in_flight;
+          { Pipeline.jr_suggestions = 0; jr_cache_hit = false;
+            jr_entry = (Profiler.Dep.Set_.create (), "late") }) }
+  in
+  let rep =
+    Pipeline.run_batch ~jobs:1 ~timeout_s:0.05 ~retries:1 [ winder ]
+  in
+  Alcotest.(check int) "at most one attempt in flight" 1 (Atomic.get most);
+  match rep.Pipeline.b_results with
+  | [ { Pipeline.r_status = Pipeline.Timed_out; r_attempts; _ } ] ->
+      Alcotest.(check int) "winder: retried once" 2 r_attempts
+  | _ -> Alcotest.fail "winder: expected one timed-out result"
+
 (* Ranking safety net: every score the full registry produces is finite, and
    the suggestion order is the total order of [compare_rank]. *)
 let ranking_is_finite_and_total () =
@@ -236,7 +274,7 @@ let job_entry_matches_summary () =
       ~config:Pipeline.Cache.default_config prog
   in
   let run () =
-    match Pipeline.run_job ~cancelled:(fun () -> false) job with
+    match run_unbounded job with
     | Pipeline.Ok_ ok -> ok
     | _ -> Alcotest.fail "job failed"
   in
@@ -271,10 +309,7 @@ let parallel_perfect_is_exact () =
       { Pipeline.Cache.default_config with
         profile = { Profiler.Profile.default with shadow = Perfect; workers } }
     in
-    match
-      Pipeline.run_job ~cancelled:(fun () -> false)
-        (Pipeline.program_job ~name:"wide" ~config prog)
-    with
+    match run_unbounded (Pipeline.program_job ~name:"wide" ~config prog) with
     | Pipeline.Ok_ ok -> ok
     | _ -> Alcotest.fail "job failed"
   in
@@ -646,6 +681,8 @@ let tests =
       batch_matches_single_runs;
     Alcotest.test_case "fault isolation: raise / timeout / retry" `Quick
       fault_isolation;
+    Alcotest.test_case "a retry waits for the overrunning attempt" `Quick
+      retry_waits_for_overrun;
     Alcotest.test_case "ranking finite + total over full registry" `Slow
       ranking_is_finite_and_total;
     Alcotest.test_case "rank_key treats NaN as -inf" `Quick rank_key_nan;
