@@ -19,7 +19,9 @@
      accesses/sec), seeded and without preemption (the one run validation
      makes for a schedule-determinate transform);
    - the whole serial profiler (interpreter, engine and PET): accesses/sec;
-   - the end-to-end serial slowdown factor (profiled / native wall time).
+   - the end-to-end serial slowdown factor (profiled / native wall time);
+   - the call path's allocation: minor words per call of fib@15,
+     uninstrumented and instrumented, measured whatever the sample.
 
    Each metric is published as a [hotpath.*] gauge so BENCH_hotpath.json
    carries the perf baseline that CI regresses against (see
@@ -144,6 +146,15 @@ let measure_serial prog =
       Profiler.Serial.profile ~shadow:Profiler.Engine.Perfect ~skip:true prog)
     (fun r -> r.Profiler.Serial.accesses)
 
+(* Minor words per call of one run of fib@15 after a warm-up run: fib is
+   nearly all calls, so this meters what a call allocates. *)
+let measure_call_words ~instrument =
+  let prog = R.program ~size:15 (Option.get (Workloads.Catalog.find "fib")) in
+  ignore (Mil.Interp.run ~instrument prog);
+  let w0 = Gc.minor_words () in
+  let r = Mil.Interp.run ~instrument prog in
+  (Gc.minor_words () -. w0) /. float_of_int r.Mil.Interp.r_stats.calls
+
 let run () =
   Util.header
     "Hot path: engine events/sec, minor words/access, interpreter\n\
@@ -240,4 +251,11 @@ let run () =
     \ unscrambled (-: no transform); hb coop acc/s: the same with\n\
     \ ~preempt:false; serial acc/s: the whole serial\n\
     \ profiler, perfect + skip;\n\
-    \ slowdown: serial profiled vs native)"
+    \ slowdown: serial profiled vs native)";
+  let native = measure_call_words ~instrument:false in
+  let instrumented = measure_call_words ~instrument:true in
+  g "hotpath.fib.call.native_minor_words_per_call" native;
+  g "hotpath.fib.call.minor_words_per_call" instrumented;
+  Printf.printf
+    "call path, fib@15: %.1f minor words per call native, %.1f instrumented\n"
+    native instrumented

@@ -9,14 +9,21 @@
    A frame is an [int array] of slots, two words each: address (or array
    base), and array length, [0] for a scalar. An unbound slot holds
    address [-1]. Leaving a block frees the slots declared in it; no scope
-   table is copied or compared. *)
+   table is copied or compared.
+
+   Lowering also decides what it already knows about each node, so a run
+   does not: a reference's closure is specialised to its binding's kind,
+   an operator's to the operator and to a constant right operand, a
+   comparison that is a branch's or loop's condition is tested as a
+   boolean, and a call writes its arguments straight into the callee's
+   slots. *)
 
 open Ast
 module Intern = Trace.Intern
 
 exception Runtime_error of string
 exception Cancelled
-exception Return_exc of int
+exception Returned
 exception Break_exc
 
 let error fmt = Printf.ksprintf (fun s -> raise (Runtime_error s)) fmt
@@ -67,15 +74,25 @@ let apply_binop op a b =
 
 (* Freed addresses, reused before fresh memory: scalars last freed first,
    arrays by exact length, last freed first. This decides which addresses
-   a program reuses, so both evaluators share it. *)
+   a program reuses, so both evaluators share it. The scalars are an int
+   stack, [scalars.(0 .. n - 1)], top last. *)
 module Recycle = struct
-  type t = { scalars : int Stack.t; arrays : (int, int list) Hashtbl.t }
+  type t = {
+    mutable scalars : int array;
+    mutable n : int;
+    arrays : (int, int list) Hashtbl.t;
+  }
 
-  let create () = { scalars = Stack.create (); arrays = Hashtbl.create 8 }
+  let create () = { scalars = [||]; n = 0; arrays = Hashtbl.create 8 }
 
   (* a freed address of that length, or -1 *)
   let take t len =
-    if len = 0 then if Stack.is_empty t.scalars then -1 else Stack.pop t.scalars
+    if len = 0 then
+      if t.n = 0 then -1
+      else begin
+        t.n <- t.n - 1;
+        Array.unsafe_get t.scalars t.n
+      end
     else
       match Hashtbl.find_opt t.arrays len with
       | Some (b :: rest) ->
@@ -84,7 +101,15 @@ module Recycle = struct
       | _ -> -1
 
   let give t a len =
-    if len = 0 then Stack.push a t.scalars
+    if len = 0 then begin
+      if t.n = Array.length t.scalars then begin
+        let s = Array.make (max 8 (2 * t.n)) 0 in
+        Array.blit t.scalars 0 s 0 t.n;
+        t.scalars <- s
+      end;
+      Array.unsafe_set t.scalars t.n a;
+      t.n <- t.n + 1
+    end
     else
       Hashtbl.replace t.arrays len
         (a :: Option.value (Hashtbl.find_opt t.arrays len) ~default:[])
@@ -129,7 +154,8 @@ module type BACKEND = sig
 end
 
 module Make (B : BACKEND) = struct
-  type frame = { slots : int array; ctx : B.ctx; mutable len : int }
+  (* [ret] is where a [return] leaves its value before raising [Returned]. *)
+  type frame = { slots : int array; ctx : B.ctx; mutable ret : int }
 
   (* [len = 0] is a scalar cell, otherwise a zeroed array *)
   let alloc ctx len =
@@ -201,58 +227,182 @@ module Make (B : BACKEND) = struct
     in
     match local sc with Some k -> Slot (k, g) | None -> g
 
-  (* The address (an array's base) [x] is bound to; its length, 0 for a
-     scalar, is left in [f.len]. *)
-  let rec binding f v x =
+  (* The generic binding: the address (an array's base) [x] is bound to,
+     and its length, 0 for a scalar. *)
+  let rec address f v x =
     match v with
     | Slot (k, unbound) ->
         let a = Array.unsafe_get f.slots (2 * k) in
-        if a < 0 then binding f unbound x
-        else begin
-          f.len <- Array.unsafe_get f.slots ((2 * k) + 1);
-          a
-        end
-    | Global (a, len) ->
-        f.len <- len;
-        a
+        if a < 0 then address f unbound x else a
+    | Global (a, _) -> a
+    | Unbound -> error "unbound variable %s" x
+
+  let rec length f v x =
+    match v with
+    | Slot (k, unbound) ->
+        if Array.unsafe_get f.slots (2 * k) < 0 then length f unbound x
+        else Array.unsafe_get f.slots ((2 * k) + 1)
+    | Global (_, len) -> len
     | Unbound -> error "unbound variable %s" x
 
   (* Checked address of element [idx] of array [a]. *)
   let elem f v a line idx =
-    let b = binding f v a in
-    let len = f.len in
+    let b = address f v a in
+    let len = length f v a in
     if len = 0 then error "%s is not an array (line %d)" a line;
     if idx < 0 || idx >= len then
       error "index %d out of bounds for %s (len %d) at line %d" idx a len line;
     b + idx
+
+  (* A reference is lowered to a closure specialised to its binding's
+     kind: a global scalar's address, a global array's base and length are
+     constants, a bound slot's are read in place. Everything else — an
+     unbound slot (a freed local shadowing a global), the wrong kind, an
+     index out of bounds — takes the generic binding, which resolves or
+     raises. *)
+
+  (* [x]'s value: a scalar's contents, an array's base. *)
+  let load v x s line : frame -> int =
+    let generic f =
+      let a = address f v x in
+      if length f v x = 0 then B.read f.ctx a s line else a
+    in
+    match v with
+    | Global (a, 0) -> fun f -> B.read f.ctx a s line
+    | Slot (k, _) ->
+        let i = 2 * k in
+        fun f ->
+          let a = Array.unsafe_get f.slots i in
+          if a >= 0 && Array.unsafe_get f.slots (i + 1) = 0 then
+            B.read f.ctx a s line
+          else generic f
+    | Global _ | Unbound -> generic
+
+  (* The address of [x[i]], [i] evaluated by [ci] first. *)
+  let element v x line (ci : frame -> int) : frame -> int =
+    match v with
+    | Global (b, len) when len > 0 ->
+        fun f ->
+          let i = ci f in
+          if i >= 0 && i < len then b + i else elem f v x line i
+    | Slot (k, _) ->
+        let j = 2 * k in
+        fun f ->
+          let i = ci f in
+          let b = Array.unsafe_get f.slots j in
+          if b >= 0 && i >= 0 && i < Array.unsafe_get f.slots (j + 1) then b + i
+          else elem f v x line i
+    | Global _ | Unbound -> fun f -> elem f v x line (ci f)
+
+  (* The address an assignment to scalar [x] writes. *)
+  let scalar_target v x line : frame -> int =
+    let generic f =
+      let a = address f v x in
+      if length f v x > 0 then error "cannot assign to array %s (line %d)" x line;
+      a
+    in
+    match v with
+    | Global (a, 0) -> fun _ -> a
+    | Slot (k, _) ->
+        let i = 2 * k in
+        fun f ->
+          let a = Array.unsafe_get f.slots i in
+          if a >= 0 && Array.unsafe_get f.slots (i + 1) = 0 then a else generic f
+    | Global _ | Unbound -> generic
+
+  (* An array argument: its base and length into the callee's slot pair
+     at [i]. *)
+  let array_arg lw sc fname (arg : expr) : frame -> int array -> int -> unit =
+    match arg with
+    | Var x ->
+        let v = lookup lw sc x in
+        fun f slots i ->
+          let b = address f v x in
+          let len = length f v x in
+          if len = 0 then error "call %s: %s is not an array" fname x;
+          slots.(i) <- b;
+          slots.(i + 1) <- len
+    | _ -> fun _ _ _ -> error "call %s: array arguments must be variables" fname
+
+  (* [Bin]: one closure per operator, the left operand evaluated first, and
+     one per operator over a constant right operand. The rare operators
+     fall back to [apply_binop], which defines them all. *)
+  let binop op (x : frame -> int) (y : frame -> int) : frame -> int =
+    match op with
+    | Add -> fun f -> let a = x f in a + y f
+    | Sub -> fun f -> let a = x f in a - y f
+    | Mul -> fun f -> let a = x f in a * y f
+    | Eq -> fun f -> let a = x f in Bool.to_int (a = y f)
+    | Ne -> fun f -> let a = x f in Bool.to_int (a <> y f)
+    | Lt -> fun f -> let a = x f in Bool.to_int (a < y f)
+    | Le -> fun f -> let a = x f in Bool.to_int (a <= y f)
+    | Gt -> fun f -> let a = x f in Bool.to_int (a > y f)
+    | Ge -> fun f -> let a = x f in Bool.to_int (a >= y f)
+    | Band -> fun f -> let a = x f in a land y f
+    | op -> fun f -> let a = x f in apply_binop op a (y f)
+
+  let binop_const op (x : frame -> int) n : frame -> int =
+    match op with
+    | Add -> fun f -> x f + n
+    | Sub -> fun f -> x f - n
+    | Mul -> fun f -> x f * n
+    | Div when n <> 0 -> fun f -> x f / n
+    | Mod when n <> 0 -> fun f -> x f mod n
+    | Eq -> fun f -> Bool.to_int (x f = n)
+    | Ne -> fun f -> Bool.to_int (x f <> n)
+    | Lt -> fun f -> Bool.to_int (x f < n)
+    | Le -> fun f -> Bool.to_int (x f <= n)
+    | Gt -> fun f -> Bool.to_int (x f > n)
+    | Ge -> fun f -> Bool.to_int (x f >= n)
+    | Band -> fun f -> x f land n
+    | Shl -> let n = n land 63 in fun f -> x f lsl n
+    | Shr -> let n = n land 63 in fun f -> x f lsr n
+    | op -> fun f -> apply_binop op (x f) n
+
+  (* The same as a branch's or loop's condition: a comparison is tested as
+     a boolean, any other operator's value against 0. *)
+  let test op (x : frame -> int) (y : frame -> int) : frame -> bool =
+    match op with
+    | Eq -> fun f -> let a = x f in a = y f
+    | Ne -> fun f -> let a = x f in a <> y f
+    | Lt -> fun f -> let a = x f in a < y f
+    | Le -> fun f -> let a = x f in a <= y f
+    | Gt -> fun f -> let a = x f in a > y f
+    | Ge -> fun f -> let a = x f in a >= y f
+    | op ->
+        let c = binop op x y in
+        fun f -> c f <> 0
+
+  let test_const op (x : frame -> int) n : frame -> bool =
+    match op with
+    | Eq -> fun f -> x f = n
+    | Ne -> fun f -> x f <> n
+    | Lt -> fun f -> x f < n
+    | Le -> fun f -> x f <= n
+    | Gt -> fun f -> x f > n
+    | Ge -> fun f -> x f >= n
+    | op ->
+        let c = binop_const op x n in
+        fun f -> c f <> 0
 
   (* Both operands of every binary operator are evaluated, left first:
      short-circuiting would hide reads. *)
   let rec expr lw sc line (e : expr) : frame -> int =
     match e with
     | Int n -> fun _ -> n
-    | Var x ->
-        (* a scalar's contents, an array's base *)
-        let v = lookup lw sc x and s = sym x in
-        fun f ->
-          let a = binding f v x in
-          if f.len = 0 then B.read f.ctx a s line else a
+    | Var x -> load (lookup lw sc x) x (sym x) line
     | Idx (a, ie) ->
-        let ci = expr lw sc line ie and v = lookup lw sc a and s = sym a in
-        fun f ->
-          let i = ci f in
-          B.read f.ctx (elem f v a line i) s line
+        let addr = element (lookup lw sc a) a line (expr lw sc line ie) in
+        let s = sym a in
+        fun f -> B.read f.ctx (addr f) s line
     | Len a ->
         let v = lookup lw sc a in
         fun f ->
-          ignore (binding f v a);
-          if f.len = 0 then error "%s is not an array (line %d)" a line;
-          f.len
-    | Bin (op, e1, e2) ->
-        let x = expr lw sc line e1 and y = expr lw sc line e2 in
-        fun f ->
-          let a = x f in
-          apply_binop op a (y f)
+          let len = length f v a in
+          if len = 0 then error "%s is not an array (line %d)" a line;
+          len
+    | Bin (op, e1, Int n) -> binop_const op (expr lw sc line e1) n
+    | Bin (op, e1, e2) -> binop op (expr lw sc line e1) (expr lw sc line e2)
     | Neg e1 ->
         let c = expr lw sc line e1 in
         fun f -> -c f
@@ -260,6 +410,17 @@ module Make (B : BACKEND) = struct
         let c = expr lw sc line e1 in
         fun f -> if c f <> 0 then 0 else 1
     | Call (name, args) -> call lw sc line name args
+
+  and cond lw sc line (e : expr) : frame -> bool =
+    match e with
+    | Bin (op, e1, Int n) -> test_const op (expr lw sc line e1) n
+    | Bin (op, e1, e2) -> test op (expr lw sc line e1) (expr lw sc line e2)
+    | Not e1 ->
+        let t = cond lw sc line e1 in
+        fun f -> not (t f)
+    | e ->
+        let c = expr lw sc line e in
+        fun f -> c f <> 0
 
   and call lw sc line name args : frame -> int =
     let ex = expr lw sc line in
@@ -282,7 +443,10 @@ module Make (B : BACKEND) = struct
     | None, _, _ -> fun _ -> error "unknown function %s (line %d)" name line
 
   (* Scalars are passed by value into fresh cells, written at the callee's
-     header line; arrays by reference, under the callee's parameter name. *)
+     header line; arrays by reference, under the callee's parameter name.
+     The callee's slot array holds its [nslots] pairs, then the parameter
+     cells' addresses, which the return frees whatever the body did to its
+     slots. The arguments are evaluated left to right into the slots. *)
   and user_call lw sc line g args : frame -> int =
     let fname = g.ast.fname in
     let psyms = Array.of_list (List.map sym g.ast.params) in
@@ -296,60 +460,47 @@ module Make (B : BACKEND) = struct
       let scalars = Array.map (expr lw sc line) scalars in
       let arrays =
         List.filteri (fun j _ -> j >= np) args
-        |> List.map (function
-             | Var x ->
-                 let v = lookup lw sc x in
-                 fun f ->
-                   let b = binding f v x in
-                   if f.len = 0 then error "call %s: %s is not an array" fname x;
-                   b
-             | _ ->
-                 fun _ -> error "call %s: array arguments must be variables" fname)
+        |> List.map (array_arg lw sc fname)
         |> Array.of_list
       in
+      let fline = g.ast.fline in
       fun f ->
         let ctx = f.ctx in
-        let vals = Array.map (fun c -> c f) scalars in
-        let slots = Array.make (2 * g.nslots) (-1) in
-        Array.iteri
-          (fun j r ->
-            slots.(2 * (np + j)) <- r f;
-            slots.((2 * (np + j)) + 1) <- f.len)
-          arrays;
+        let cells = 2 * g.nslots in
+        let slots = Array.make (cells + np) (-1) in
+        for j = 0 to np - 1 do
+          slots.(2 * j) <- scalars.(j) f
+        done;
+        for j = 0 to na - 1 do
+          arrays.(j) f slots (2 * (np + j))
+        done;
         B.enter ctx g.ast line;
         for j = 0 to np - 1 do
           let a = alloc ctx 0 in
-          B.write ctx a psyms.(j) g.ast.fline vals.(j);
+          B.write ctx a psyms.(j) fline slots.(2 * j);
           slots.(2 * j) <- a;
           slots.((2 * j) + 1) <- 0;
-          vals.(j) <- a
+          slots.(cells + j) <- a
         done;
         B.entered ctx;
-        let r = try g.body { slots; ctx; len = 0 }; 0 with Return_exc v -> v in
+        let callee = { slots; ctx; ret = 0 } in
+        (try g.body callee with Returned -> ());
         if np > 0 then begin
-          Array.iter (fun a -> free ctx a 0) vals;
+          for j = 0 to np - 1 do
+            free ctx slots.(cells + j) 0
+          done;
           if lw.deallocs then
             B.dealloc ctx
-              (List.mapi (fun j p -> (vals.(j), 1, p)) g.ast.params)
+              (List.mapi (fun j p -> (slots.(cells + j), 1, p)) g.ast.params)
         end;
         B.leave ctx g.ast;
-        r
+        callee.ret
 
   and target lw sc line (l : lhs) : int * (frame -> int) =
     match l with
-    | Lvar x ->
-        let v = lookup lw sc x in
-        ( sym x,
-          fun f ->
-            let a = binding f v x in
-            if f.len > 0 then error "cannot assign to array %s (line %d)" x line;
-            a )
+    | Lvar x -> (sym x, scalar_target (lookup lw sc x) x line)
     | Lidx (a, ie) ->
-        let ci = expr lw sc line ie and v = lookup lw sc a in
-        ( sym a,
-          fun f ->
-            let i = ci f in
-            elem f v a line i )
+        (sym a, element (lookup lw sc a) a line (expr lw sc line ie))
 
   and stmt lw sc (s : stmt) : frame -> unit =
     let line = s.line in
@@ -384,13 +535,13 @@ module Make (B : BACKEND) = struct
         let c = ex e in
         let s, addr = target lw sc line l in
         fun f -> B.atomic f.ctx f c addr s line
-    | If (cond, tb, eb) ->
-        let c = ex cond in
+    | If (e, tb, eb) ->
+        let c = cond lw sc line e in
         let t = block lw sc tb in
         let e = block lw sc eb in
-        fun f -> if c f <> 0 then t f else e f
-    | While (cond, body) ->
-        let c = ex cond in
+        fun f -> if c f then t f else e f
+    | While (e, body) ->
+        let c = cond lw sc line e in
         let b = block lw sc body in
         fun f ->
           let ctx = f.ctx in
@@ -400,7 +551,7 @@ module Make (B : BACKEND) = struct
              (* the check admitting iteration n belongs to iteration n, so
                 a value it reads from iteration n-1 is loop-carried *)
              B.loop_head ctx lp 0;
-             while c f <> 0 do
+             while c f do
                B.loop_body ctx lp !n;
                incr n;
                b f;
@@ -452,8 +603,10 @@ module Make (B : BACKEND) = struct
         fun f -> ignore (c f)
     | Return e ->
         let c = match e with Some e -> ex e | None -> fun _ -> 0 in
-        fun f -> raise (Return_exc (c f))
-    | Break -> fun _ -> raise Break_exc
+        fun f ->
+          f.ret <- c f;
+          raise_notrace Returned
+    | Break -> fun _ -> raise_notrace Break_exc
     | Lock m ->
         lw.locks <- m :: lw.locks;
         fun f -> B.lock f.ctx m
@@ -464,8 +617,8 @@ module Make (B : BACKEND) = struct
     | Free x ->
         let v = lookup lw sc x in
         fun f ->
-          let a = binding f v x in
-          let len = f.len in
+          let a = address f v x in
+          let len = length f v x in
           free f.ctx a len;
           (match v with
           | Slot (k, _) when f.slots.(2 * k) >= 0 -> f.slots.(2 * k) <- -1
@@ -481,7 +634,7 @@ module Make (B : BACKEND) = struct
             (List.map
                (fun arm ->
                  let slots = Array.copy f.slots in
-                 fun ctx -> try arm { slots; ctx; len = 0 } with Return_exc _ -> ())
+                 fun ctx -> try arm { slots; ctx; ret = 0 } with Returned -> ())
                arms)
 
   (* Every statement runs from here, after its [B.stmt] hook. *)
@@ -570,8 +723,9 @@ module Make (B : BACKEND) = struct
   let locks t = List.sort_uniq compare t.lw.locks
 
   let run_main t ctx =
-    let slots = Array.make (2 * t.entry.nslots) (-1) in
-    try t.entry.body { slots; ctx; len = 0 }; 0 with Return_exc v -> v
+    let f = { slots = Array.make (2 * t.entry.nslots) (-1); ctx; ret = 0 } in
+    (try t.entry.body f with Returned -> ());
+    f.ret
 
   let final_globals t ctx =
     List.map

@@ -320,7 +320,6 @@ let job_ok ~cache_hit entries entry =
 let uncached_job ?cache_dir ?(cache_limits = Cache.no_limits) ?mem ~name
     ~(config : Cache.config) ~key (prog : Mil.Ast.program) : job =
   let run ~cancelled =
-    Obs.Counter.incr c_cache_miss;
     let profile = Profiler.Profile.run ~cancelled config.Cache.profile prog in
     let report =
       Suggestion.analyze_profiled ~threads:config.Cache.threads prog profile
@@ -346,7 +345,6 @@ let program_job ?cache_dir ?cache_limits ?mem ~name ~(config : Cache.config)
     let key = Cache.key config prog in
     match lookup ?mem ?dir:cache_dir ~key () with
     | Some (((_, summary) as entry), _tier) ->
-        Obs.Counter.incr c_cache_hit;
         (* Every tier holds summaries that parse: load validates them. *)
         let entries = Suggestion.summary_of_string summary in
         job_ok ~cache_hit:true (Result.value entries ~default:[]) entry
@@ -369,13 +367,14 @@ let workload_job ?cache_dir ?cache_limits ~(config : Cache.config)
           ~cancelled) }
 
 (* A job's final status, counted once on [pipeline.jobs.*] by both
-   drivers. *)
-let count_status st =
-  Obs.Counter.incr
-    (match st with
-    | Ok_ _ -> c_ok
-    | Failed _ -> c_failed
-    | Timed_out -> c_timeout)
+   drivers; a succeeded job also counts its cache hit or miss, as the
+   report's [b_cache_hits]/[b_cache_misses] do. *)
+let count_status = function
+  | Ok_ { jr_cache_hit; _ } ->
+      Obs.Counter.incr c_ok;
+      Obs.Counter.incr (if jr_cache_hit then c_cache_hit else c_cache_miss)
+  | Failed _ -> Obs.Counter.incr c_failed
+  | Timed_out -> Obs.Counter.incr c_timeout
 
 (* The one timeout rule, for serve's requests and batch's attempts alike:
    the cancel poll fires once [stop] is set or the clock passes [deadline],

@@ -198,7 +198,9 @@ val run_batch :
     (default 1) extra attempts are granted per failed or timed-out job, run
     next on the same worker. The batch returns once every worker has
     finished, with a full report; [pipeline.jobs.{ok,failed,timeout}] count
-    each job's final status once and [pipeline.jobs.retried] each retry. *)
+    each job's final status once, [pipeline.jobs.{cache_hit,cache_miss}]
+    each succeeded job once (as [b_cache_hits]/[b_cache_misses] do), and
+    [pipeline.jobs.retried] each retry. *)
 
 val render : report -> string
 (** Human-readable per-job table plus totals. *)

@@ -67,12 +67,20 @@ type builder = {
   mutable memo_key : int array;
   mutable memo_id : int array;
   funcs : (string, int) Hashtbl.t;        (* function name -> payload *)
+  (* The last function entered and its payload: a name is the AST's
+     string, so a repeat (a recursion, a call in a loop) is answered by
+     physical equality, with no hash. *)
+  mutable last_name : string;
+  mutable last_payload : int;
   wide : (int, int) Hashtbl.t;            (* line outside [0, 2^28) -> payload *)
   mutable stack : int list;               (* open function and loop nodes *)
   mutable block : int;                    (* the open block node, or -1 *)
 }
 
 let no_key = -1
+
+(* A string no event carries. *)
+let no_name = String.make 1 '\000'
 
 let dummy_node =
   { id = -1; kind = Bnode 0; parent = -1; children = []; instructions = 0;
@@ -81,7 +89,8 @@ let dummy_node =
 let create_builder () =
   { barr = Array.make 64 dummy_node; count = 0; index = Itbl.create 64;
     memo_key = Array.make 65 no_key; memo_id = Array.make 65 0;
-    funcs = Hashtbl.create 16; wide = Hashtbl.create 1;
+    funcs = Hashtbl.create 16; last_name = no_name; last_payload = 0;
+    wide = Hashtbl.create 1;
     stack = []; block = -1 }
 
 let grow a len fill =
@@ -179,7 +188,16 @@ let feed_access_line b ~line =
 let feed_region b (r : Event.region) =
   match r with
   | Event.Func_entry { name; line; _ } ->
-      enter b ~tag:tag_func ~payload:(intern b.funcs name) ~line ~name
+      let payload =
+        if name == b.last_name then b.last_payload
+        else begin
+          let p = intern b.funcs name in
+          b.last_name <- name;
+          b.last_payload <- p;
+          p
+        end
+      in
+      enter b ~tag:tag_func ~payload ~line ~name
   | Event.Func_exit _ -> leave b
   | Event.Loop_entry { line; _ } ->
       enter b ~tag:tag_loop ~payload:(line_payload b line) ~line ~name:""

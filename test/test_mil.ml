@@ -647,6 +647,172 @@ let test_interp_cancel () =
   check_int "uncancelled run completes" 12497500 r.Interp.result;
   Alcotest.(check bool) "poll fired at least once" true (Atomic.get polls >= 1)
 
+(* ---- the specialised lowering ---- *)
+
+let all_binops =
+  Ast.[ Add; Sub; Mul; Div; Mod; Eq; Ne; Lt; Le; Gt; Ge; And; Or; Band; Bor;
+        Bxor; Shl; Shr; Min; Max ]
+
+(* Both evaluators' final globals. *)
+let both_backends p =
+  ((Interp.run ~instrument:false p).Interp.final_globals,
+   (Par_eval.run p).Par_eval.final_globals)
+
+(* [x op y] and [x op b] into [out[0..1]]; then, at [k] = 2, 4, 6, 8,
+   whether [If] and [While] take a branch on the first, the second, and
+   the two negated. *)
+let binop_prog op a b =
+  let open B in
+  let e rhs = Ast.Bin (op, v "x", rhs) in
+  let branch k c =
+    [ if_ c [ seti "out" (i k) (i 1) ] [ seti "out" (i k) (i 0) ];
+      while_ c [ seti "out" (i (Stdlib.( + ) k 1)) (i 1); break_ ] ]
+  in
+  Helpers.prog_of_main ~globals:[ B.garray "out" 10 ]
+    ([ decl "x" (i a); decl "y" (i b);
+       seti "out" (i 0) (e (v "y"));
+       seti "out" (i 1) (e (Ast.Int b)) ]
+    @ branch 2 (e (v "y"))
+    @ branch 4 (e (Ast.Int b))
+    @ branch 6 (not_ (e (v "y")))
+    @ branch 8 (not_ (e (Ast.Int b))))
+
+(* Every operator, over a variable and over a constant right operand, as a
+   value and as an [If] and a [While] condition, bare and under [Not],
+   equals [Compile.apply_binop]. *)
+let qcheck_binops =
+  let open QCheck in
+  let operand =
+    Gen.(
+      oneof
+        [ int_range (-6) 6;
+          oneofl [ max_int; min_int; max_int - 1; min_int + 1; 63; 64; -64 ];
+          int ])
+  in
+  let case = Gen.(triple (oneofl all_binops) operand operand) in
+  let print (op, a, b) =
+    Pretty.expr_to_string (Ast.Bin (op, Ast.Int a, Ast.Int b))
+  in
+  Test.make ~name:"specialised operators equal apply_binop" ~count:400
+    (make ~print case) (fun (op, a, b) ->
+      let r = Compile.apply_binop op a b in
+      let t = Bool.to_int (Compile.truthy r) in
+      let f = 1 - t in
+      let want = [ ("out", [| r; r; t; t; t; t; f; f; f; f |]) ] in
+      let seq, par = both_backends (binop_prog op a b) in
+      seq = want && par = want)
+
+let test_left_operand_first () =
+  let open B in
+  let p =
+    B.number
+      (B.program ~entry:"main" "t" ~globals:[ B.gscalar "n" 0 ]
+         [ func "next" [ set "n" (v "n" + i 1); return (v "n") ];
+           func "main"
+             [ decl "d" (call "next" [] - call "next" []);
+               when_ (call "next" [] < call "next" []) [ set "d" (v "d" * i 10) ];
+               return (v "d") ] ])
+  in
+  check_int "left operand first, as a value and as a condition" (-10) (run p)
+
+(* A freed local that shadows a global leaves its slot unbound: reads and
+   assignments after the free reach the global. *)
+let test_freed_local_reaches_global () =
+  let open B in
+  let p =
+    Helpers.prog_of_main ~globals:[ B.gscalar "g" 5; B.garray "a" 3 ]
+      [ decl "g" (i 10); decl_arr "a" (i 3); seti "a" (i 1) (i 4);
+        free "g"; free "a";
+        decl "r" (v "g");
+        set "g" (v "r" + i 1);
+        seti "a" (i 1) ("a".%[i 1] + v "g");
+        return ((v "g" * i 100) + v "r") ]
+  in
+  check_int "the global is read after the free" 605 (run p);
+  let seq, par = both_backends p in
+  let want = [ ("g", [| 6 |]); ("a", [| 0; 6; 0 |]) ] in
+  Alcotest.(check (list (pair string (array int)))) "Interp's globals" want seq;
+  Alcotest.(check (list (pair string (array int)))) "Par_eval's globals" want par
+
+let raises_error msg p =
+  Alcotest.check_raises msg (Compile.Runtime_error msg) (fun () ->
+      ignore (run p));
+  Alcotest.check_raises ("Par_eval: " ^ msg) (Compile.Runtime_error msg)
+    (fun () -> ignore (Par_eval.run p))
+
+(* Out-of-bounds reads and writes on a global array, a local array and an
+   array parameter. *)
+let test_out_of_bounds () =
+  let open B in
+  let main body = Helpers.prog_of_main ~globals:[ B.garray "g" 4 ] body in
+  raises_error "index 4 out of bounds for g (len 4) at line 2"
+    (main [ return ("g".%[i 4]) ]);
+  raises_error "index -1 out of bounds for g (len 4) at line 2"
+    (main [ seti "g" (i (-1)) (i 1) ]);
+  raises_error "index 3 out of bounds for a (len 3) at line 3"
+    (main [ decl_arr "a" (i 3); return ("a".%[i 3]) ]);
+  raises_error "index -2 out of bounds for a (len 3) at line 3"
+    (main [ decl_arr "a" (i 3); seti "a" (i (-2)) (i 1) ]);
+  let param body =
+    B.number
+      (B.program ~entry:"main" "t" ~globals:[ B.garray "g" 4 ]
+         [ func "f" ~arrays:[ "p" ] body;
+           func "main" [ call_ "f" [ v "g" ]; return (i 0) ] ])
+  in
+  raises_error "index 9 out of bounds for p (len 4) at line 2"
+    (param [ return ("p".%[i 9]) ]);
+  raises_error "index 4 out of bounds for p (len 4) at line 2"
+    (param [ seti "p" (i 4) (i 1) ])
+
+(* Assigning to an array name and indexing a scalar. *)
+let test_kind_errors () =
+  let open B in
+  let main body =
+    Helpers.prog_of_main ~globals:[ B.gscalar "s" 1; B.garray "g" 2 ] body
+  in
+  raises_error "cannot assign to array g (line 2)" (main [ set "g" (i 1) ]);
+  raises_error "cannot assign to array a (line 3)"
+    (main [ decl_arr "a" (i 2); set "a" (i 1) ]);
+  raises_error "s is not an array (line 2)" (main [ return ("s".%[i 0]) ]);
+  raises_error "s is not an array (line 2)" (main [ seti "s" (i 0) (i 1) ]);
+  raises_error "x is not an array (line 3)"
+    (main [ decl "x" (i 1); return ("x".%[i 0]) ]);
+  raises_error "s is not an array (line 2)" (main [ return (len "s") ])
+
+(* Recursion with scalar and array parameters, a [return] inside a loop,
+   and a [Par] arm that returns: both evaluators agree. *)
+let test_calls_and_returns () =
+  let open B in
+  let p =
+    B.number
+      (B.program ~entry:"main" "t"
+         ~globals:[ B.garray "out" 3; B.gscalar "calls" 0 ]
+         [ func "walk" ~params:[ "n"; "w" ] ~arrays:[ "a" ]
+             [ set "calls" (v "calls" + i 1);
+               when_ (v "n" <= i 0) [ return (v "w") ];
+               for_ "k" (i 0) (i 10)
+                 [ seti "a" (v "k" % i 4) ("a".%[v "k" % i 4] + v "n");
+                   when_ (v "k" == v "n")
+                     [ return (v "k" + call "walk" [ v "n" - i 1; v "w" * i 2; v "a" ]) ] ];
+               return (i 0) ];
+           func "main"
+             [ decl_arr "loc" (i 4);
+               decl "r" (call "walk" [ i 6; i 1; v "loc" ]);
+               par
+                 [ [ seti "out" (i 0) (v "r"); return (i 7); seti "out" (i 0) (i 0) ];
+                   [ seti "out" (i 1) (call "walk" [ i 3; i 5; v "loc" ]) ] ];
+               seti "out" (i 2) ("loc".%[i 0] + "loc".%[i 3]);
+               return (v "r") ] ])
+  in
+  let r = Interp.run ~instrument:false p and q = Par_eval.run p in
+  check_int "Interp's result" 85 r.Interp.result;
+  check_int "Par_eval's result" 85 q.Par_eval.result;
+  let want = [ ("out", [| 85; 46; 63 |]); ("calls", [| 11 |]) ] in
+  Alcotest.(check (list (pair string (array int)))) "Interp's globals" want
+    r.Interp.final_globals;
+  Alcotest.(check (list (pair string (array int)))) "Par_eval's globals" want
+    q.Par_eval.final_globals
+
 let tests =
   tests
   @ [ Alcotest.test_case "runtime errors" `Quick test_runtime_errors;
@@ -661,4 +827,14 @@ let tests =
       Alcotest.test_case "parse: semantics preserved" `Quick test_parse_semantics;
       Alcotest.test_case "parse: hand-written input" `Quick test_parse_hand_written;
       Alcotest.test_case "parse: errors" `Quick test_parse_errors;
-      Alcotest.test_case "interp: cooperative cancel" `Quick test_interp_cancel ]
+      Alcotest.test_case "interp: cooperative cancel" `Quick test_interp_cancel;
+      QCheck_alcotest.to_alcotest qcheck_binops;
+      Alcotest.test_case "left operand first" `Quick test_left_operand_first;
+      Alcotest.test_case "freed local reaches the global" `Quick
+        test_freed_local_reaches_global;
+      Alcotest.test_case "out-of-bounds reads and writes" `Quick
+        test_out_of_bounds;
+      Alcotest.test_case "array assigned, scalar indexed" `Quick
+        test_kind_errors;
+      Alcotest.test_case "calls, early returns, a returning arm" `Quick
+        test_calls_and_returns ]

@@ -656,6 +656,37 @@ let unpublishable_entry_is_counted () =
        (fun f -> Filename.check_suffix f ".tmp")
        (Array.to_list (Sys.readdir dir)))
 
+(* Cache hits and misses count once per job, from its final result: a
+   first attempt that profiles and then fails, retried to success, is one
+   miss. *)
+let cache_miss_once_per_job () =
+  let w = List.find (fun w -> w.R.name = "histogram") Workloads.Textbook.all in
+  let inner =
+    Pipeline.program_job ~name:"flaky" ~config:Pipeline.Cache.default_config
+      (R.program w)
+  in
+  let attempts = ref 0 in
+  let flaky =
+    { inner with
+      Pipeline.j_run =
+        (fun ~cancelled ->
+          incr attempts;
+          let ok = inner.Pipeline.j_run ~cancelled in
+          if !attempts = 1 then failwith "first attempt fails" else ok) }
+  in
+  Obs.enable ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let values () =
+    List.map Obs.counter_value
+      [ "pipeline.jobs.cache_miss"; "pipeline.jobs.cache_hit" ]
+  in
+  let before = values () in
+  let rep = Pipeline.run_batch ~jobs:1 ~retries:1 [ flaky ] in
+  Alcotest.(check int) "the retry succeeds" 1 rep.Pipeline.b_ok;
+  Alcotest.(check int) "one report miss" 1 rep.Pipeline.b_cache_misses;
+  Alcotest.(check (list int)) "one miss, no hit" [ 1; 0 ]
+    (List.map2 ( - ) (values ()) before)
+
 let tests =
   [ Alcotest.test_case "cache round-trip + invalidation" `Quick cache_roundtrip;
     Alcotest.test_case "cache key pinned" `Quick cache_key_pinned;
@@ -681,6 +712,8 @@ let tests =
       batch_matches_single_runs;
     Alcotest.test_case "fault isolation: raise / timeout / retry" `Quick
       fault_isolation;
+    Alcotest.test_case "cache hits and misses count once per job" `Quick
+      cache_miss_once_per_job;
     Alcotest.test_case "a retry waits for the overrunning attempt" `Quick
       retry_waits_for_overrun;
     Alcotest.test_case "ranking finite + total over full registry" `Slow
